@@ -22,7 +22,6 @@
 // Wall-clock numbers are reported but never gated on.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,69 +161,23 @@ int main(int argc, char** argv) {
   double cache_warm_seconds = cache_watch.Seconds();
   sim::SimCacheStats stats = sim::GetSimCacheStats();
 
-  // Structure-sharing + batched replay: the cached programs of the sweep
-  // share interned skeletons (configs differing only numerically walk
-  // identical instruction sequences), and ReplaySimProgramBatch groups
-  // replays by skeleton so the arena's layout tables fill once per group.
-  // Gates: batched results bit-identical to per-program replays, and the
-  // batched pass allocation-free after warm-up.
-  std::vector<std::shared_ptr<const sim::SimProgram>> batch_programs;
-  for (const tuner::TuningTask& task : tasks) {
-    for (size_t c = 0; c < task.space.size(); c += stride) {
-      batch_programs.push_back(
-          sim::CachedSimProgram(task.op, task.space[c], spec));
-    }
-  }
-  std::vector<const sim::SimProgram*> batch_ptrs;
-  for (const auto& p : batch_programs) batch_ptrs.push_back(p.get());
-
-  sim::ReplayArena batch_arena;
-  int batch_mismatches = 0;
-  int batch_allocations = 0;
-  std::vector<sim::KernelTiming> singly(batch_ptrs.size());
-  obs::Stopwatch batch_watch;
-  for (size_t i = 0; i < batch_ptrs.size(); ++i) {
-    singly[i] = sim::ReplaySimProgram(*batch_ptrs[i], &batch_arena);
-  }
-  double replay_single_seconds = batch_watch.Seconds();
-  std::vector<sim::KernelTiming> warm_batch =
-      sim::ReplaySimProgramBatch(batch_ptrs, &batch_arena);
-  size_t batch_capacity = batch_arena.CapacityBytes();
-  batch_watch.Restart();
-  std::vector<sim::KernelTiming> batched =
-      sim::ReplaySimProgramBatch(batch_ptrs, &batch_arena);
-  double replay_batched_seconds = batch_watch.Seconds();
-  if (batch_arena.CapacityBytes() != batch_capacity) ++batch_allocations;
-  for (size_t i = 0; i < batch_ptrs.size(); ++i) {
-    if (!SameTiming(singly[i], batched[i]) ||
-        !SameTiming(warm_batch[i], batched[i])) {
-      if (++batch_mismatches <= 3) {
-        std::fprintf(stderr, "BATCH MISMATCH at program %zu\n", i);
-      }
-    }
-  }
+  // Structure sharing: the cached programs of the sweep share interned
+  // skeletons (configs differing only numerically walk identical
+  // instruction sequences), so the program layer stores far fewer bytes
+  // per config than private copies would.
   sim::SkeletonPoolStats pool = sim::GetSkeletonPoolStats();
-  sim::SimCacheStats shared_stats = sim::GetSimCacheStats();
   double bytes_per_config =
-      shared_stats.program_entries > 0
-          ? static_cast<double>(shared_stats.program_bytes +
-                                shared_stats.skeleton_bytes) /
-                static_cast<double>(shared_stats.program_entries)
+      stats.program_entries > 0
+          ? static_cast<double>(stats.program_bytes + stats.skeleton_bytes) /
+                static_cast<double>(stats.program_entries)
           : 0.0;
   double bytes_per_config_unshared =
-      shared_stats.program_entries > 0
-          ? static_cast<double>(shared_stats.program_bytes_unshared) /
-                static_cast<double>(shared_stats.program_entries)
+      stats.program_entries > 0
+          ? static_cast<double>(stats.program_bytes_unshared) /
+                static_cast<double>(stats.program_entries)
           : 0.0;
   double sharing_gain =
       bytes_per_config > 0.0 ? bytes_per_config_unshared / bytes_per_config
-                             : 0.0;
-  double batch_rate = replay_batched_seconds > 0.0
-                          ? static_cast<double>(batch_ptrs.size()) /
-                                replay_batched_seconds
-                          : 0.0;
-  double batch_speedup = replay_batched_seconds > 0.0
-                             ? replay_single_seconds / replay_batched_seconds
                              : 0.0;
 
   bool deterministic = mismatches == 0 && timeline_mismatches == 0 &&
@@ -270,16 +223,7 @@ int main(int argc, char** argv) {
       "    \"program_bytes_unshared\": %llu,\n"
       "    \"bytes_per_config\": %.1f,\n"
       "    \"bytes_per_config_unshared\": %.1f,\n"
-      "    \"skeleton_sharing_gain\": %.2f\n"
-      "  },\n"
-      "  \"batched_replay\": {\n"
-      "    \"programs\": %zu,\n"
-      "    \"single_seconds\": %.4f,\n"
-      "    \"batched_seconds\": %.4f,\n"
-      "    \"batched_configs_per_sec\": %.1f,\n"
-      "    \"batch_speedup\": %.2f,\n"
-      "    \"mismatches\": %d,\n"
-      "    \"warm_heap_allocations\": %d,\n"
+      "    \"skeleton_sharing_gain\": %.2f,\n"
       "    \"pool_interns\": %llu,\n"
       "    \"pool_shared\": %llu,\n"
       "    \"pool_skeletons\": %llu\n"
@@ -297,23 +241,19 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.program_misses),
       static_cast<unsigned long long>(stats.program_entries),
       static_cast<unsigned long long>(stats.program_bytes),
-      static_cast<unsigned long long>(shared_stats.program_skeletons),
-      static_cast<unsigned long long>(shared_stats.skeleton_bytes),
-      static_cast<unsigned long long>(shared_stats.program_bytes_unshared),
+      static_cast<unsigned long long>(stats.program_skeletons),
+      static_cast<unsigned long long>(stats.skeleton_bytes),
+      static_cast<unsigned long long>(stats.program_bytes_unshared),
       bytes_per_config, bytes_per_config_unshared, sharing_gain,
-      batch_ptrs.size(), replay_single_seconds, replay_batched_seconds,
-      batch_rate, batch_speedup, batch_mismatches, batch_allocations,
       static_cast<unsigned long long>(pool.interns),
       static_cast<unsigned long long>(pool.shared),
       static_cast<unsigned long long>(pool.skeletons));
 
   // Gate only on correctness plus the structural claims downstream code
-  // relies on: bit-identical results (per-program and batched), no
-  // hot-path heap growth, a replay path that actually ran, and real
-  // skeleton sharing across the sweep (>= 4x bytes-per-config). Never on
-  // wall time.
+  // relies on: bit-identical results, no hot-path heap growth, a replay
+  // path that actually ran, and real skeleton sharing across the sweep
+  // (>= 4x bytes-per-config). Never on wall time.
   bool ok = deterministic && warm_replay_allocations == 0 && feasible > 0 &&
-            replay_rate > 0.0 && batch_mismatches == 0 &&
-            batch_allocations == 0 && sharing_gain >= 4.0;
+            replay_rate > 0.0 && sharing_gain >= 4.0;
   return ok ? 0 : 1;
 }

@@ -143,46 +143,6 @@ int main(int argc, char** argv) {
   }
   double measure_cached_seconds = watch.Seconds();
 
-  // Static pre-filter effect: one cold exhaustive sweep per operator with
-  // the occupancy pre-filter off (every infeasible config pays a full
-  // compile+simulate before the simulator rejects it) and one with it on
-  // (infeasible configs are answered from config arithmetic). The filter
-  // is verdict-identical to the simulator, so the checksums must match;
-  // what changes is the effective measurement rate.
-  tuner::SpaceOptions no_filter;
-  no_filter.static_prefilter = false;
-  std::vector<tuner::TuningTask> unfiltered_tasks;
-  for (const schedule::GemmOp& op : workloads::BenchmarkOps()) {
-    unfiltered_tasks.push_back(tuner::MakeSimulatorTask(op, spec, no_filter));
-  }
-  auto sweep = [](const std::vector<tuner::TuningTask>& all) {
-    double checksum = 0.0;
-    for (const tuner::TuningTask& task : all) {
-      for (double cycles : tuner::ExhaustiveSearch(task).measured) {
-        if (cycles < 1e30) checksum += cycles;
-      }
-    }
-    return checksum;
-  };
-  sim::ResetSimCache();
-  watch.Restart();
-  double filter_off_checksum = sweep(unfiltered_tasks);
-  double filter_off_seconds = watch.Seconds();
-  obs::Counter& pruned_counter =
-      obs::Registry::Global().GetCounter("tuner.pruned_static");
-  uint64_t pruned_before = pruned_counter.Value();
-  sim::ResetSimCache();
-  watch.Restart();
-  double filter_on_checksum = sweep(tasks);
-  double filter_on_seconds = watch.Seconds();
-  uint64_t configs_pruned_static = pruned_counter.Value() - pruned_before;
-  double rate_off = filter_off_seconds > 0.0
-                        ? static_cast<double>(space_total) / filter_off_seconds
-                        : 0.0;
-  double rate_on = filter_on_seconds > 0.0
-                       ? static_cast<double>(space_total) / filter_on_seconds
-                       : 0.0;
-
   // Model-guided pruning: the effective-throughput experiment. Baseline:
   // the single-phase AST-interpreter sweep (what a measurement cost
   // before the two-phase split), timed on this machine so the gain is
@@ -257,8 +217,7 @@ int main(int argc, char** argv) {
 
   bool deterministic = serial_checksum == parallel_checksum &&
                        serial_checksum == cached_checksum &&
-                       nocache_checksum == warm_checksum &&
-                       filter_off_checksum == filter_on_checksum;
+                       nocache_checksum == warm_checksum;
   double speedup =
       parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
   double cache_speedup = measure_cached_seconds > 0.0
@@ -281,11 +240,6 @@ int main(int argc, char** argv) {
       "  \"measure_nocache_seconds\": %.4f,\n"
       "  \"measure_cached_seconds\": %.4f,\n"
       "  \"cache_speedup\": %.2f,\n"
-      "  \"configs_pruned_static\": %llu,\n"
-      "  \"prefilter_off_seconds\": %.4f,\n"
-      "  \"prefilter_on_seconds\": %.4f,\n"
-      "  \"configs_per_second_prefilter_off\": %.1f,\n"
-      "  \"configs_per_second_prefilter_on\": %.1f,\n"
       "  \"deterministic_across_threads\": %s,\n"
       "  \"model_pruning\": {\n"
       "    \"model_topk\": %d,\n"
@@ -308,10 +262,7 @@ int main(int argc, char** argv) {
       "}\n",
       threads, hw == 0 ? 1 : hw, tasks.size(), space_total, serial_seconds,
       parallel_seconds, speedup, cached_seconds, measure_nocache_seconds,
-      measure_cached_seconds, cache_speedup,
-      static_cast<unsigned long long>(configs_pruned_static),
-      filter_off_seconds, filter_on_seconds, rate_off, rate_on,
-      deterministic ? "true" : "false",
+      measure_cached_seconds, cache_speedup, deterministic ? "true" : "false",
       tuner::SpaceOptions::kDefaultModelTopK, interp_seconds, interp_rate,
       pruned_seconds, effective_rate, effective_gain,
       static_cast<unsigned long long>(configs_pruned_model),

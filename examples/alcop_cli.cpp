@@ -67,8 +67,8 @@
 //                             [--log-file FILE]
 //                                      run alcopd on a unix socket: the
 //                                      long-lived tuning service (fast
-//                                      lane for cache hits, batched slow
-//                                      lane for compiles and searches);
+//                                      lane for cache hits, slow lane
+//                                      for compiles and searches);
 //                                      loads the on-disk cache at start,
 //                                      persists at shutdown. Stop it with
 //                                      `client SOCKET shutdown`.
@@ -523,7 +523,7 @@ int CmdLint(int argc, char** argv) {
         << ", \"clean\": " << (result.Clean() ? "true" : "false")
         << ", \"errors\": " << (result.HasErrors() ? "true" : "false");
     if (result.feasibility.has_value()) {
-      const analysis::StaticFeasibility& f = *result.feasibility;
+      const schedule::StaticFeasibility& f = *result.feasibility;
       out << ",\n \"feasibility\": {\"feasible\": "
           << (f.feasible ? "true" : "false")
           << ", \"reason\": " << JsonString(f.reason)
@@ -566,7 +566,7 @@ int CmdLint(int argc, char** argv) {
                 p.findings, p.findings == 1 ? " " : "s", p.millis);
   }
   if (result.feasibility.has_value()) {
-    const analysis::StaticFeasibility& f = *result.feasibility;
+    const schedule::StaticFeasibility& f = *result.feasibility;
     if (f.feasible) {
       std::printf("feasibility: fits, %d threadblock(s)/SM (limiter: %s); "
                   "%ld B shared, %ld B registers, %d warps\n",

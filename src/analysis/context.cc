@@ -225,7 +225,7 @@ int64_t AnalysisContext::CountExecutions(const Site& site) {
   return holds * rest;
 }
 
-void AnalysisContext::SetFeasibility(StaticFeasibility verdict) {
+void AnalysisContext::SetFeasibility(schedule::StaticFeasibility verdict) {
   feasibility_ = std::move(verdict);
 }
 

@@ -26,8 +26,8 @@
 #include "analysis/interval.h"
 #include "ir/analysis.h"
 #include "ir/stmt.h"
+#include "schedule/lower.h"
 #include "target/gpu_spec.h"
-#include "target/occupancy.h"
 
 namespace alcop {
 namespace analysis {
@@ -62,17 +62,6 @@ struct Site {
   std::vector<const ir::ForNode*> loops;  // outermost first
   std::vector<Guard> guards;              // outermost first
   std::string path;                       // "for ko / copy.async(A_shared)"
-};
-
-// The resource estimator's verdict: whether one threadblock of the
-// analyzed kernel fits the device, and at what occupancy. `reason`
-// mirrors the simulator's infeasibility strings so the tuner pre-filter
-// and the simulator agree verbatim.
-struct StaticFeasibility {
-  bool feasible = true;
-  std::string reason;
-  target::ThreadblockResources resources;
-  target::Occupancy occupancy;
 };
 
 // One shared-memory access analyzed by the bank-conflict pass.
@@ -130,10 +119,9 @@ class AnalysisContext {
   // constant or the guard projection exceeds `max_enumeration`.
   int64_t CountExecutions(const Site& site);
 
-  // Published by the resource estimator pass; reused by the tuner
-  // pre-filter plumbing and the CLI.
-  void SetFeasibility(StaticFeasibility verdict);
-  const std::optional<StaticFeasibility>& feasibility() const {
+  // Published by the resource estimator pass; reused by the CLI.
+  void SetFeasibility(schedule::StaticFeasibility verdict);
+  const std::optional<schedule::StaticFeasibility>& feasibility() const {
     return feasibility_;
   }
 
@@ -157,7 +145,7 @@ class AnalysisContext {
   std::unordered_map<const ir::BufferNode*, std::vector<ir::ConsumerInfo>>
       consumers_;
   int64_t num_warps_ = -1;
-  std::optional<StaticFeasibility> feasibility_;
+  std::optional<schedule::StaticFeasibility> feasibility_;
   std::optional<BankReport> bank_report_;
 };
 

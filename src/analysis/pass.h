@@ -46,7 +46,7 @@ struct PassStats {
 struct LintResult {
   std::vector<verify::Diagnostic> diagnostics;  // sorted (line, col, code)
   std::vector<PassStats> pass_stats;
-  std::optional<StaticFeasibility> feasibility;
+  std::optional<schedule::StaticFeasibility> feasibility;
   std::optional<BankReport> bank;
 
   bool HasErrors() const;

@@ -3,14 +3,12 @@
 #include <sstream>
 #include <utility>
 
-#include "schedule/lower.h"
-
 namespace alcop {
 namespace analysis {
 
 void ResourceEstimatorPass::Run(AnalysisContext& ctx,
                                 verify::DiagnosticEngine& diags) {
-  StaticFeasibility verdict;
+  schedule::StaticFeasibility verdict;
   target::ThreadblockResources& res = verdict.resources;
   res.warps = static_cast<int>(ctx.NumWarps());
   for (const ir::Buffer& buffer : ctx.allocs()) {
@@ -44,26 +42,6 @@ void ResourceEstimatorPass::Run(AnalysisContext& ctx,
         "reduce smem_stages/reg_stages or the tile size");
   }
   ctx.SetFeasibility(std::move(verdict));
-}
-
-StaticFeasibility CheckConfigFeasibility(
-    const schedule::GemmOp& op, const schedule::ScheduleConfig& config,
-    const target::GpuSpec& spec) {
-  StaticFeasibility verdict;
-  std::string why;
-  if (!schedule::ValidateConfig(op, config, &why)) {
-    verdict.feasible = false;
-    verdict.reason = "invalid schedule: " + why;
-    return verdict;
-  }
-  verdict.resources = schedule::ComputeResources(op, config);
-  verdict.occupancy = target::ComputeOccupancy(spec, verdict.resources);
-  if (verdict.occupancy.threadblocks_per_sm == 0) {
-    verdict.feasible = false;
-    verdict.reason = std::string("threadblock does not fit: ") +
-                     target::LimiterName(verdict.occupancy.limiter);
-  }
-  return verdict;
 }
 
 }  // namespace analysis

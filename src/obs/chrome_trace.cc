@@ -4,31 +4,14 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.h"
+
 namespace alcop {
 namespace obs {
 
-namespace {
+using support::JsonEscape;
 
-std::string Escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
 
 // Fixed-format number: deterministic and fractional-cycle safe. %.3f
 // keeps nanosecond resolution in the microsecond field.
@@ -44,7 +27,8 @@ std::string Num(double value) {
 void ChromeTraceWriter::AddProcessName(int pid, const std::string& name) {
   std::ostringstream out;
   out << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
-      << ", \"tid\": 0, \"args\": {\"name\": \"" << Escape(name) << "\"}}";
+      << ", \"tid\": 0, \"args\": {\"name\": \"" << JsonEscape(name)
+      << "\"}}";
   events_.push_back(out.str());
 }
 
@@ -52,7 +36,7 @@ void ChromeTraceWriter::AddThreadName(int pid, int tid,
                                       const std::string& name) {
   std::ostringstream out;
   out << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << pid
-      << ", \"tid\": " << tid << ", \"args\": {\"name\": \"" << Escape(name)
+      << ", \"tid\": " << tid << ", \"args\": {\"name\": \"" << JsonEscape(name)
       << "\"}}";
   events_.push_back(out.str());
 }
@@ -61,8 +45,8 @@ void ChromeTraceWriter::AddCompleteEvent(const std::string& name,
                                          const std::string& category, int pid,
                                          int tid, double ts_us, double dur_us) {
   std::ostringstream out;
-  out << "{\"name\": \"" << Escape(name) << "\", \"cat\": \""
-      << Escape(category) << "\", \"ph\": \"X\", \"ts\": " << Num(ts_us)
+  out << "{\"name\": \"" << JsonEscape(name) << "\", \"cat\": \""
+      << JsonEscape(category) << "\", \"ph\": \"X\", \"ts\": " << Num(ts_us)
       << ", \"dur\": " << Num(dur_us) << ", \"pid\": " << pid
       << ", \"tid\": " << tid << "}";
   events_.push_back(out.str());

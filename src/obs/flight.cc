@@ -1,55 +1,25 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "support/json.h"
 
 namespace alcop {
 namespace obs {
 
-namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string NumberToJson(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
+using support::JsonEscape;
 
 std::string RequestRecordJson(const RequestRecord& rec) {
   std::ostringstream out;
   out.precision(17);
   out << "{\"id\":" << rec.id << ",\"client\":\"" << JsonEscape(rec.client)
-      << "\",\"method\":\"" << JsonEscape(rec.method) << "\",\"op_key\":\""
-      << JsonEscape(rec.op_key) << "\",\"lane\":\"" << JsonEscape(rec.lane)
-      << "\",\"outcome\":\"" << JsonEscape(rec.outcome)
-      << "\",\"transport\":\"" << JsonEscape(rec.transport)
-      << "\",\"batch\":" << rec.batch << ",\"arrival_ns\":" << rec.arrival_ns
+      << "\",\"client_id\":" << rec.client_id << ",\"method\":\""
+      << JsonEscape(rec.method) << "\",\"op_key\":\"" << JsonEscape(rec.op_key)
+      << "\",\"lane\":\"" << JsonEscape(rec.lane) << "\",\"outcome\":\""
+      << JsonEscape(rec.outcome) << "\",\"transport\":\""
+      << JsonEscape(rec.transport) << "\",\"batch\":" << rec.batch
+      << ",\"arrival_ns\":" << rec.arrival_ns
       << ",\"queue_us\":" << rec.queue_us
       << ",\"service_us\":" << rec.service_us
       << ",\"total_us\":" << rec.total_us << "}";

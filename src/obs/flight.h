@@ -29,11 +29,12 @@ namespace alcop {
 namespace obs {
 
 // One completed request, as retained by the flight recorder and printed
-// by /debug/requests. Field names mirror the access-log JSONL schema so
-// the two can be diffed line-for-line (gated by tests/flight_test.cc).
+// by /debug/requests. alcopd's access log writes RequestRecordJson of the
+// same record, so the two agree line for line by construction.
 struct RequestRecord {
   uint64_t id = 0;
   std::string client;     // attributed identity ("anon" when unknown)
+  int64_t client_id = 0;  // the request's own "id" field (0 when absent)
   std::string method;     // wire method ("compile", "tune", ...)
   std::string op_key;     // workload key when the request names one
   std::string lane;       // "fast" | "slow"
@@ -41,8 +42,7 @@ struct RequestRecord {
   std::string transport;  // "unix" | "http"
   uint64_t batch = 0;     // slow-lane drain round (0 on the fast lane)
   int64_t arrival_ns = 0;
-  // Microsecond timings as doubles so a flight record and the matching
-  // access-log line render bit-identically (both print at precision 17).
+  // Microsecond timings, printed at precision 17.
   double queue_us = 0.0;
   double service_us = 0.0;
   double total_us = 0.0;

@@ -2,46 +2,21 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <sstream>
 
+#include "support/json.h"
+
 namespace alcop {
 namespace obs {
 
+using support::JsonEscape;
+using support::JsonNumber;
+
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string NumberToJson(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 char Lower(char c) { return c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c; }
 
@@ -80,7 +55,7 @@ LogFields& LogFields::Str(const std::string& key, const std::string& value) {
 }
 
 LogFields& LogFields::Num(const std::string& key, double value) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":" + NumberToJson(value);
+  fragment_ += ",\"" + JsonEscape(key) + "\":" + JsonNumber(value);
   return *this;
 }
 

@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace alcop {
 namespace obs {
+
+using support::JsonEscape;
+using support::JsonNumber;
 
 namespace {
 
@@ -36,37 +39,6 @@ int BucketOf(double value) {
   if (!(value >= 1.0)) return 0;  // [0,1) and any non-finite/negative junk
   int exp = std::ilogb(value) + 1;
   return exp >= Histogram::kBuckets ? Histogram::kBuckets - 1 : exp;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// %.17g prints doubles round-trip exactly and deterministically for a
-// given bit pattern; integers come out without an exponent.
-std::string NumberToJson(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 }  // namespace
@@ -280,17 +252,17 @@ std::string Registry::RenderText() const {
   }
   for (const auto& [name, gauge] : state.gauges) {
     describe(name);
-    out << name << " = " << NumberToJson(gauge->Value()) << "\n";
+    out << name << " = " << JsonNumber(gauge->Value()) << "\n";
   }
   for (const auto& [name, value] : callback_values) {
     describe(name);
-    out << name << " = " << NumberToJson(value) << "\n";
+    out << name << " = " << JsonNumber(value) << "\n";
   }
   for (const auto& [name, hist] : state.histograms) {
     describe(name);
     out << name << " = {count: " << hist->Count()
-        << ", mean: " << NumberToJson(hist->Mean())
-        << ", max: " << NumberToJson(hist->Max()) << "}\n";
+        << ", mean: " << JsonNumber(hist->Mean())
+        << ", max: " << JsonNumber(hist->Max()) << "}\n";
   }
   return out.str();
 }
@@ -364,17 +336,17 @@ std::string Registry::RenderJson() const {
     emit(name, std::to_string(counter->Value()));
   }
   for (const auto& [name, gauge] : state.gauges) {
-    emit(name, NumberToJson(gauge->Value()));
+    emit(name, JsonNumber(gauge->Value()));
   }
   for (const auto& [name, value] : callback_values) {
-    emit(name, NumberToJson(value));
+    emit(name, JsonNumber(value));
   }
   for (const auto& [name, hist] : state.histograms) {
     std::ostringstream value;
     value << "{\"count\": " << hist->Count()
-          << ", \"sum\": " << NumberToJson(hist->Sum())
-          << ", \"mean\": " << NumberToJson(hist->Mean())
-          << ", \"max\": " << NumberToJson(hist->Max()) << "}";
+          << ", \"sum\": " << JsonNumber(hist->Sum())
+          << ", \"mean\": " << JsonNumber(hist->Mean())
+          << ", \"max\": " << JsonNumber(hist->Max()) << "}";
     emit(name, value.str());
   }
   out << "\n}\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "schedule/lower.h"
 #include "sim/launch.h"
@@ -48,20 +49,14 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
                                     const ScheduleConfig& config,
                                     const target::GpuSpec& spec) {
   AnalyticalBreakdown out;
-  std::string why;
-  if (!schedule::ValidateConfig(op, config, &why)) {
-    out.reason = "invalid schedule: " + why;
+  schedule::StaticFeasibility verdict =
+      schedule::CheckFeasibility(op, config, spec);
+  if (!verdict.feasible) {
+    out.reason = std::move(verdict.reason);
     return out;
   }
   const schedule::TileConfig& t = config.tile;
-
-  target::ThreadblockResources res = schedule::ComputeResources(op, config);
-  target::Occupancy occ = target::ComputeOccupancy(spec, res);
-  if (occ.threadblocks_per_sm == 0) {
-    out.reason = std::string("threadblock does not fit: ") +
-                 target::LimiterName(occ.limiter);
-    return out;
-  }
+  const target::Occupancy& occ = verdict.occupancy;
   out.threadblocks_per_sm = occ.threadblocks_per_sm;
 
   int64_t grid_m = op.m / t.tb_m;

@@ -41,6 +41,26 @@ target::ThreadblockResources ComputeResources(const GemmOp& /*op*/,
   return res;
 }
 
+StaticFeasibility CheckFeasibility(const GemmOp& op,
+                                   const ScheduleConfig& config,
+                                   const target::GpuSpec& spec) {
+  StaticFeasibility verdict;
+  std::string why;
+  if (!ValidateConfig(op, config, &why)) {
+    verdict.feasible = false;
+    verdict.reason = "invalid schedule: " + why;
+    return verdict;
+  }
+  verdict.resources = ComputeResources(op, config);
+  verdict.occupancy = target::ComputeOccupancy(spec, verdict.resources);
+  if (verdict.occupancy.threadblocks_per_sm == 0) {
+    verdict.feasible = false;
+    verdict.reason = std::string("threadblock does not fit: ") +
+                     target::LimiterName(verdict.occupancy.limiter);
+  }
+  return verdict;
+}
+
 LoweredKernel LowerSchedule(const Schedule& schedule) {
   ALCOP_TRACE_SCOPE("lower", "compiler");
   const GemmOp& op = schedule.op();

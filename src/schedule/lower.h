@@ -8,8 +8,11 @@
 #ifndef ALCOP_SCHEDULE_LOWER_H_
 #define ALCOP_SCHEDULE_LOWER_H_
 
+#include <string>
+
 #include "ir/stmt.h"
 #include "schedule/schedule.h"
+#include "target/gpu_spec.h"
 #include "target/occupancy.h"
 
 namespace alcop {
@@ -57,6 +60,26 @@ LoweredKernel LowerSchedule(const Schedule& schedule);
 // the occupancy calculator.
 target::ThreadblockResources ComputeResources(const GemmOp& op,
                                               const ScheduleConfig& config);
+
+// Whether one threadblock fits the device, and at what occupancy. Filled
+// by CheckFeasibility from config arithmetic, and by the L006 resource
+// estimator (src/analysis/resources) from the IR of hand-written kernels.
+struct StaticFeasibility {
+  bool feasible = true;
+  // "invalid schedule: ..." or "threadblock does not fit: <limiter>".
+  std::string reason;
+  target::ThreadblockResources resources;
+  target::Occupancy occupancy;
+};
+
+// The config-level feasibility verdict: ValidateConfig, then
+// ComputeResources and ComputeOccupancy. Pure arithmetic, no IR built.
+// The simulator (sim::CompileSimProgram, sim::BuildSimProgram), the
+// analytical model and the tuner's model cut all take their verdict and
+// reason string from here.
+StaticFeasibility CheckFeasibility(const GemmOp& op,
+                                   const ScheduleConfig& config,
+                                   const target::GpuSpec& spec);
 
 }  // namespace schedule
 }  // namespace alcop

@@ -110,6 +110,7 @@ class Reader {
     return true;
   }
   bool Raw(void* out, size_t size) {
+    if (size == 0) return true;  // `out` may be null (an empty vector)
     if (size > size_ - pos_) return false;
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;

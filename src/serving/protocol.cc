@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cstdio>
 #include <cstring>
 
 namespace alcop {
@@ -247,29 +246,6 @@ std::optional<JsonValue> ParseJson(const std::string& text) {
   JsonParser parser(text);
   if (!parser.Parse(&value)) return std::nullopt;
   return value;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace serving

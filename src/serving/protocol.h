@@ -75,10 +75,6 @@ struct JsonValue {
 // nullopt on any syntax error.
 std::optional<JsonValue> ParseJson(const std::string& text);
 
-// Escapes a string for embedding in a JSON literal (quotes, backslash,
-// control characters).
-std::string JsonEscape(const std::string& s);
-
 }  // namespace serving
 }  // namespace alcop
 

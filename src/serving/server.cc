@@ -36,12 +36,15 @@
 #include "serving/protocol.h"
 #include "sim/pmu.h"
 #include "sim/sim_cache.h"
+#include "support/json.h"
 #include "tuner/records.h"
 #include "tuner/strategy.h"
 #include "tuner/transfer.h"
 
 namespace alcop {
 namespace serving {
+
+using support::JsonEscape;
 
 namespace {
 
@@ -113,9 +116,12 @@ struct Request {
   std::string op_key;
 };
 
-std::string ErrorResponse(int64_t id, const std::string& message) {
+// The error reply to `request`, which is marked as an error outcome for
+// the access log, the flight recorder and the per-client error counter.
+std::string ErrorResponse(Request& request, const std::string& message) {
+  request.outcome = "error";
   std::ostringstream out;
-  out << "{\"id\":" << id << ",\"ok\":false,\"error\":\""
+  out << "{\"id\":" << request.id << ",\"ok\":false,\"error\":\""
       << JsonEscape(message) << "\"}";
   return out.str();
 }
@@ -220,16 +226,25 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
   return true;
 }
 
-void AppendTimingJson(std::ostringstream* out, const sim::KernelTiming& t) {
-  (*out) << "\"feasible\":" << (t.feasible ? "true" : "false");
+// The success reply to a compile or profile request: its timing, plus
+// the PMU counters when `pmu` is non-null.
+std::string TimingResponse(const Request& request, const sim::KernelTiming& t,
+                           const sim::KernelPmu* pmu) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "{\"id\":" << request.id << ",\"ok\":true,\"feasible\":"
+      << (t.feasible ? "true" : "false");
   if (!t.feasible) {
-    (*out) << ",\"reason\":\"" << JsonEscape(t.reason) << "\"";
-    return;
+    out << ",\"reason\":\"" << JsonEscape(t.reason) << "\"";
+  } else {
+    out << ",\"cycles\":" << t.cycles << ",\"microseconds\":" << t.microseconds
+        << ",\"tflops\":" << t.tflops
+        << ",\"threadblocks_per_sm\":" << t.threadblocks_per_sm
+        << ",\"batches\":" << t.batches;
   }
-  (*out) << ",\"cycles\":" << t.cycles << ",\"microseconds\":"
-         << t.microseconds << ",\"tflops\":" << t.tflops
-         << ",\"threadblocks_per_sm\":" << t.threadblocks_per_sm
-         << ",\"batches\":" << t.batches;
+  if (pmu != nullptr) out << ",\"pmu\":" << sim::PmuToJson(*pmu);
+  out << "}";
+  return out.str();
 }
 
 obs::Counter& ServingCounter(const char* name) {
@@ -834,8 +849,7 @@ struct Server::Impl {
         request.client = SanitizeClient(client_override);
       }
       request.dequeue_ns = request.arrival_ns;
-      request.outcome = "error";
-      Complete(request, ErrorResponse(0, "malformed JSON"));
+      Complete(request, ErrorResponse(request, "malformed JSON"));
       return;
     }
     request.body = std::move(*body);
@@ -866,24 +880,33 @@ struct Server::Impl {
   }
 
   // Finishes one request: latency histograms, completion-time counters,
-  // queue-wait/lane spans and the access-log line, then the response
-  // send — so a stats snapshot or scrape taken after the client sees the
-  // reply always includes it, and in-flight work is visible as the gap
-  // between serving.inflight and serving.requests.
+  // queue-wait/lane spans and its one RequestRecord — retained by the
+  // flight recorder and written as the access-log line — then the
+  // response send, so a stats snapshot or scrape taken after the client
+  // sees the reply always includes it, and in-flight work is visible as
+  // the gap between serving.inflight and serving.requests.
   void Complete(Request& request, const std::string& payload) {
     int64_t end_ns = obs::NowNanos();
     bool fast = request.lane[0] == 'f';
-    double queue_us =
+    obs::RequestRecord rec;
+    rec.id = request.req_id;
+    rec.client = request.client;
+    rec.client_id = request.id;
+    rec.method = request.method;
+    rec.op_key = request.op_key;
+    rec.lane = request.lane;
+    rec.outcome = request.outcome;
+    rec.transport = request.transport;
+    rec.batch = request.batch;
+    rec.arrival_ns = request.arrival_ns;
+    rec.queue_us =
         static_cast<double>(request.dequeue_ns - request.arrival_ns) / 1e3;
-    double service_us =
-        static_cast<double>(end_ns - request.dequeue_ns) / 1e3;
-    if (payload.find("\"ok\":false") != std::string::npos) {
-      request.outcome = "error";
-    }
+    rec.service_us = static_cast<double>(end_ns - request.dequeue_ns) / 1e3;
+    rec.total_us = rec.queue_us + rec.service_us;
     LaneStats& lane = fast ? fast_stats : slow_stats;
-    lane.queue_wait->Observe(queue_us);
-    lane.service->Observe(service_us);
-    lane.latency->Observe(queue_us + service_us);
+    lane.queue_wait->Observe(rec.queue_us);
+    lane.service->Observe(rec.service_us);
+    lane.latency->Observe(rec.total_us);
     (fast ? fast_counter : slow_counter)->Increment();
     requests_counter->Increment();
     if (options.client_metrics) {
@@ -892,7 +915,7 @@ struct Server::Impl {
       if (request.outcome[0] == 'e') client->errors->Increment();
       client->bytes->Add(payload.size());
       (fast ? client->fast_latency : client->slow_latency)
-          ->Observe(queue_us + service_us);
+          ->Observe(rec.total_us);
     }
     inflight_gauge->Add(-1.0);
     served.fetch_add(1, std::memory_order_relaxed);
@@ -900,43 +923,14 @@ struct Server::Impl {
                     request.dequeue_ns);
     obs::RecordSpan(fast ? "serving.request.fast" : "serving.request.slow",
                     "serving", request.arrival_ns, end_ns);
-    if (flight != nullptr) {
-      obs::RequestRecord rec;
-      rec.id = request.req_id;
-      rec.client = request.client;
-      rec.method = request.method;
-      rec.op_key = request.op_key;
-      rec.lane = request.lane;
-      rec.outcome = request.outcome;
-      rec.transport = request.transport;
-      rec.batch = request.batch;
-      rec.arrival_ns = request.arrival_ns;
-      rec.queue_us = queue_us;
-      rec.service_us = service_us;
-      rec.total_us = queue_us + service_us;
-      flight->Record(rec);
+    if (flight != nullptr) flight->Record(rec);
+    if (access_log.is_open()) {
+      std::string line = obs::RequestRecordJson(rec) + "\n";
+      std::lock_guard<std::mutex> lock(access_log_mu);
+      access_log << line;
+      access_log.flush();
     }
-    WriteAccessLog(request, queue_us, service_us);
     request.conn->Send(payload);
-  }
-
-  void WriteAccessLog(const Request& request, double queue_us,
-                      double service_us) {
-    if (!access_log.is_open()) return;
-    std::ostringstream line;
-    line.precision(17);
-    line << "{\"id\":" << request.req_id << ",\"client\":\""
-         << JsonEscape(request.client) << "\""
-         << ",\"client_id\":" << request.id << ",\"method\":\""
-         << JsonEscape(request.method) << "\",\"op_key\":\""
-         << JsonEscape(request.op_key) << "\",\"lane\":\"" << request.lane
-         << "\",\"outcome\":\"" << request.outcome
-         << "\",\"batch\":" << request.batch << ",\"queue_us\":" << queue_us
-         << ",\"service_us\":" << service_us
-         << ",\"total_us\":" << queue_us + service_us << "}";
-    std::lock_guard<std::mutex> lock(access_log_mu);
-    access_log << line.str() << "\n";
-    access_log.flush();
   }
 
   // Routing: anything that can be answered without compiling or
@@ -1015,14 +1009,14 @@ struct Server::Impl {
     if (m == "stats") return HandleStats(request);
     if (m == "debug") return HandleDebug(request);
     if (m == "persist" || m == "load") return HandlePersist(request);
-    if (m == "compile") return HandleCompile(request, /*probe_only=*/true);
+    if (m == "compile") return HandleCompile(request, /*fast_lane=*/true);
     if (m == "tune") return HandleStoredTune(request);
-    return ErrorResponse(request.id, "unknown method \"" + m + "\"");
+    return ErrorResponse(request, "unknown method \"" + m + "\"");
   }
 
   // Socket-side mirror of GET /debug/*: {"method":"debug","what":...}
   // with the same optional n/client/lane/outcome/metric parameters.
-  std::string HandleDebug(const Request& request) {
+  std::string HandleDebug(Request& request) {
     const JsonValue* what_value = request.body.Find("what");
     std::string what =
         what_value == nullptr ? "requests" : what_value->StringOr("requests");
@@ -1039,7 +1033,7 @@ struct Server::Impl {
     }
     std::string body;
     if (!HandleDebugQuery(what, params, &body)) {
-      return ErrorResponse(request.id, "unknown debug view \"" + what + "\"");
+      return ErrorResponse(request, "unknown debug view \"" + what + "\"");
     }
     std::ostringstream out;
     out << "{\"id\":" << request.id << ",\"ok\":true,\"what\":\""
@@ -1088,7 +1082,7 @@ struct Server::Impl {
     return out.str();
   }
 
-  std::string HandlePersist(const Request& request) {
+  std::string HandlePersist(Request& request) {
     std::string path = options.cache_path;
     if (const JsonValue* p = request.body.Find("path")) {
       path = p->StringOr(path);
@@ -1097,7 +1091,7 @@ struct Server::Impl {
     PersistStats stats = request.method == "persist"
                              ? SaveCache(path, options.spec)
                              : LoadCache(path, options.spec);
-    if (!stats.ok) return ErrorResponse(request.id, stats.error);
+    if (!stats.ok) return ErrorResponse(request, stats.error);
     std::ostringstream out;
     out << "{\"id\":" << request.id << ",\"ok\":true,\"path\":\""
         << JsonEscape(path) << "\",\"bytes\":" << stats.bytes
@@ -1115,7 +1109,7 @@ struct Server::Impl {
     schedule::GemmOp op;
     std::string err;
     if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request.id, err);
+      return ErrorResponse(request, err);
     }
     request.op_key = op.name;
     request.outcome = "stored";
@@ -1124,11 +1118,11 @@ struct Server::Impl {
     if (!stored.has_value()) {
       // Raced with a concurrent store clear; degrade to an error the
       // client can retry with "force".
-      return ErrorResponse(request.id, "tuning no longer stored");
+      return ErrorResponse(request, "tuning no longer stored");
     }
     std::optional<tuner::StoredTrial> best = stored->Best();
     if (!best.has_value()) {
-      return ErrorResponse(request.id, "stored tuning has no feasible trial");
+      return ErrorResponse(request, "stored tuning has no feasible trial");
     }
     std::ostringstream out;
     out.precision(17);
@@ -1140,46 +1134,71 @@ struct Server::Impl {
     return out.str();
   }
 
-  std::string HandleCompile(Request& request, bool probe_only) {
+  // `compile` on either lane. The fast lane was routed here by a timing-
+  // layer probe hit and answers from that layer; the slow lane compiles
+  // through CachedCompileAndSimulate, the same call a fast-lane probe
+  // that raced an eviction falls back to.
+  std::string HandleCompile(Request& request, bool fast_lane) {
     schedule::GemmOp op;
     schedule::ScheduleConfig config;
     std::string err;
     const JsonValue* cfg = request.body.Find("config");
     if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request.id, err);
+      return ErrorResponse(request, err);
     }
     request.op_key = op.name;
     if (cfg == nullptr || !ParseConfigJson(*cfg, &config, &err)) {
       return ErrorResponse(
-          request.id, err.empty() ? "compile needs a \"config\" object" : err);
+          request, err.empty() ? "compile needs a \"config\" object" : err);
     }
-    request.outcome = "hit";
+    request.outcome = fast_lane ? "hit" : "compiled";
     sim::KernelTiming timing;
-    if (!sim::ProbeCachedTiming(op, config, options.spec,
+    if (!fast_lane ||
+        !sim::ProbeCachedTiming(op, config, options.spec,
                                 schedule::InlineOrder::kAfterPipelining,
                                 &timing)) {
-      request.outcome = "fallback";
-      if (probe_only) {
-        // Routing raced an eviction; the slow path below is still correct,
+      if (fast_lane) {
+        // Routing raced an eviction; compiling here is still correct,
         // just slower than the lane promised.
+        request.outcome = "fallback";
         ServingCounter("serving.fast_lane_fallback").Increment();
       }
       timing = sim::CachedCompileAndSimulate(op, config, options.spec);
     }
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true,";
-    AppendTimingJson(&out, timing);
-    out << "}";
-    return out.str();
+    return TimingResponse(request, timing, nullptr);
+  }
+
+  // `profile`: one replay with counters on. Its timing also warms the
+  // timing layer, so a later compile of the same triple is a fast-lane
+  // hit.
+  std::string HandleProfile(Request& request) {
+    schedule::GemmOp op;
+    schedule::ScheduleConfig config;
+    std::string err;
+    const JsonValue* cfg = request.body.Find("config");
+    if (!ParseOpJson(request.body, &op, &err) || cfg == nullptr ||
+        !ParseConfigJson(*cfg, &config, &err)) {
+      return ErrorResponse(
+          request, err.empty() ? "need op fields and \"config\"" : err);
+    }
+    request.op_key = op.name;
+    request.outcome = "compiled";
+    sim::ReplayArena arena;
+    sim::KernelPmu pmu;
+    sim::KernelTiming timing = sim::ReplaySimProgram(
+        *sim::CachedSimProgram(op, config, options.spec), &arena, &pmu);
+    sim::InsertCachedTiming(
+        sim::SimCacheKey(op, config, options.spec,
+                         schedule::InlineOrder::kAfterPipelining),
+        timing);
+    return TimingResponse(request, timing, timing.feasible ? &pmu : nullptr);
   }
 
   // ---------------------------------------------------------------------
-  // Slow lane: drain-and-batch.
+  // Slow lane: drain rounds.
   // ---------------------------------------------------------------------
 
   void SlowLoop() {
-    sim::ReplayArena arena;
     while (true) {
       std::vector<Request> batch;
       {
@@ -1198,104 +1217,37 @@ struct Server::Impl {
           next_batch_id.fetch_add(1, std::memory_order_relaxed) + 1;
       batches_counter->Increment();
       int64_t batch_start_ns = obs::NowNanos();
+      // Searches go last: a compile never waits behind a tune that
+      // arrived in the same round.
+      std::stable_partition(
+          batch.begin(), batch.end(),
+          [](const Request& request) { return request.method != "tune"; });
       for (Request& request : batch) {
         request.dequeue_ns = batch_start_ns;
         request.batch = batch_id;
+        Complete(request, HandleSlow(request));
       }
-      HandleSlowBatch(batch, &arena);
       obs::RecordSpan("serving.batch", "serving", batch_start_ns,
                       obs::NowNanos());
     }
   }
 
-  void HandleSlowBatch(std::vector<Request>& batch, sim::ReplayArena* arena) {
-    // Phase 1 for every compile/profile request in the round (program
-    // cache deduplicates identical triples), then one batched phase-2
-    // replay — programs sharing a skeleton run back-to-back off the
-    // arena's reused layout tables.
-    struct Pending {
-      size_t request_index;
-      schedule::GemmOp op;
-      schedule::ScheduleConfig config;
-      std::shared_ptr<const sim::SimProgram> program;
-    };
-    std::vector<Pending> replays;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Request& request = batch[i];
-      if (request.method != "compile" && request.method != "profile") {
-        continue;
-      }
-      schedule::GemmOp op;
-      schedule::ScheduleConfig config;
-      std::string err;
-      const JsonValue* cfg = request.body.Find("config");
-      if (!ParseOpJson(request.body, &op, &err) || cfg == nullptr ||
-          !ParseConfigJson(*cfg, &config, &err)) {
-        request.outcome = "error";
-        Complete(request, ErrorResponse(
-            request.id, err.empty() ? "need op fields and \"config\"" : err));
-        request.method.clear();  // answered
-        continue;
-      }
-      request.op_key = op.name;
-      Pending pending;
-      pending.request_index = i;
-      pending.op = op;
-      pending.config = config;
-      pending.program = sim::CachedSimProgram(op, config, options.spec);
-      replays.push_back(std::move(pending));
+  std::string HandleSlow(Request& request) {
+    const std::string& m = request.method;
+    if (m == "compile") return HandleCompile(request, /*fast_lane=*/false);
+    if (m == "profile") return HandleProfile(request);
+    if (m == "tune") {
+      request.outcome = "search";
+      return HandleTune(request);
     }
-    if (!replays.empty()) {
-      ServingCounter("serving.batched_replays").Add(replays.size());
-      std::vector<const sim::SimProgram*> programs;
-      programs.reserve(replays.size());
-      for (const Pending& pending : replays) {
-        programs.push_back(pending.program.get());
-      }
-      std::vector<sim::KernelTiming> timings =
-          sim::ReplaySimProgramBatch(programs, arena);
-      for (size_t i = 0; i < replays.size(); ++i) {
-        Request& request = batch[replays[i].request_index];
-        // Warm the timing layer so the next identical request is a
-        // fast-lane probe hit (bit-identical: batched replay equals
-        // individual replay).
-        sim::InsertCachedTiming(
-            sim::SimCacheKey(replays[i].op, replays[i].config, options.spec,
-                             schedule::InlineOrder::kAfterPipelining),
-            timings[i]);
-        std::ostringstream out;
-        out.precision(17);
-        out << "{\"id\":" << request.id << ",\"ok\":true,";
-        AppendTimingJson(&out, timings[i]);
-        if (request.method == "profile" && timings[i].feasible) {
-          sim::KernelPmu pmu;
-          sim::ReplaySimProgram(*replays[i].program, arena, &pmu);
-          out << ",\"pmu\":" << sim::PmuToJson(pmu);
-        }
-        out << "}";
-        request.outcome = "compiled";
-        Complete(request, out.str());
-        request.method.clear();  // answered
-      }
-    }
-    for (Request& request : batch) {
-      if (request.method.empty()) continue;
-      if (request.method == "tune") {
-        request.outcome = "search";
-        Complete(request, HandleTune(request));
-      } else {
-        request.outcome = "error";
-        Complete(request, ErrorResponse(
-            request.id, "unknown method \"" + request.method + "\""));
-      }
-    }
+    return ErrorResponse(request, "unknown method \"" + m + "\"");
   }
 
   std::string HandleTune(Request& request) {
     schedule::GemmOp op;
     std::string err;
     if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request.id, err);
+      return ErrorResponse(request, err);
     }
     request.op_key = op.name;
     size_t trials = options.default_trials;
@@ -1309,7 +1261,7 @@ struct Server::Impl {
     tuner::TuningTask task =
         tuner::MakeSimulatorTask(op, options.spec, options.space);
     if (task.space.empty()) {
-      return ErrorResponse(request.id, "empty schedule space for op");
+      return ErrorResponse(request, "empty schedule space for op");
     }
     tuner::XgbOptions xgb;
     xgb.pretrain_with_analytical = true;
@@ -1326,7 +1278,7 @@ struct Server::Impl {
     tuner::StoreTuning(task, result, tuner::TuningStore::Global());
     size_t best = result.BestIndex(task);
     if (best >= task.space.size()) {
-      return ErrorResponse(request.id, "no feasible schedule found");
+      return ErrorResponse(request, "no feasible schedule found");
     }
     double best_cycles = result.BestInFirstK(result.trials.size());
     std::ostringstream out;
@@ -1377,7 +1329,7 @@ struct Server::Impl {
     slow_counter = &registry.GetCounter(
         "serving.slow_lane", "Requests completed on the slow lane.");
     batches_counter = &registry.GetCounter(
-        "serving.batches", "Slow-lane drain rounds (batched replays).");
+        "serving.batches", "Slow-lane drain rounds.");
     http_counter = &registry.GetCounter(
         "serving.http.requests",
         "HTTP requests parsed, including /metrics and /healthz.");
@@ -1387,9 +1339,6 @@ struct Server::Impl {
     registry.GetCounter(
         "serving.fast_lane_fallback",
         "Fast-lane compiles whose probe raced an eviction and compiled.");
-    registry.GetCounter("serving.batched_replays",
-                        "Compile/profile replays answered via batched "
-                        "phase-2 replay.");
     registry.GetCounter("serving.warm_starts",
                         "Tune searches seeded from a stored neighbor.");
     watchdog_counter = &registry.GetCounter(

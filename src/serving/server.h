@@ -15,20 +15,21 @@
 //     whatever the slow lane is chewing on.
 //
 //   slow lane: everything that must compile or search. The worker drains
-//     the whole queue each round and batches the compile/profile
-//     requests' phase-2 replays through one ReplaySimProgramBatch call —
-//     programs sharing a skeleton replay back-to-back off one arena, the
-//     same structure-sharing win the tuner gets. Cold tunes run the
-//     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
-//     shape via tuner/transfer.h) and store their result for the next
-//     neighbor.
+//     the whole queue each round and answers it in order, searches last.
+//     A compile goes through CachedCompileAndSimulate, the same call a
+//     fast-lane probe miss falls back to; a profile replays its program
+//     once with counters on. Both warm the timing layer, so the next
+//     identical compile is a fast-lane hit. Cold tunes run the XgbTuner
+//     (analytical pretrain + warm_seeds from the nearest stored shape via
+//     tuner/transfer.h) and store their result for the next neighbor.
 //
 // Observability (per-request, not just global counters): every request
 // gets a monotonic id at dispatch, queue-wait and lane spans in the
 // ring-buffer tracer, per-lane latency histograms
 // (serving.request.latency.us|lane=fast/slow, with queue_wait + service
-// components that sum to the total), a serving.inflight gauge, and an
-// optional JSONL access log. An optional HTTP front end on the same IO
+// components that sum to the total), a serving.inflight gauge, and one
+// RequestRecord per request, kept by the flight recorder and written as
+// the optional JSONL access log. An optional HTTP front end on the same IO
 // thread exposes GET /metrics (Prometheus text exposition), GET
 // /healthz, and POST /v1/<method> sharing the socket dispatch path.
 //
@@ -67,9 +68,10 @@ struct ServerOptions {
   // registry), GET /healthz, and POST /v1/<method> carrying the same
   // JSON payloads as the socket protocol.
   int http_port = -1;
-  // JSONL access log: one line per completed request (request id,
-  // attributed client, method, op_key, lane, cache outcome,
-  // queue/service/total micros). Empty = no access log.
+  // JSONL access log: one obs::RequestRecordJson line per completed
+  // request (request id, attributed client, client_id, method, op_key,
+  // lane, cache outcome, queue/service/total micros). Empty = no access
+  // log.
   std::string access_log_path;
   // Flight recorder: ring of the last N completed request records,
   // served by GET /debug/requests and the socket `debug` method. 0

@@ -981,55 +981,43 @@ class Replayer {
       lists.wait.clear();
       lists.acquire.clear();
     }
-    // The static addressing tables below depend only on (skeleton, wave
-    // size): when this arena last replayed the *same* shared skeleton at
-    // the same threadblock count, they are already correct and the fills
-    // are skipped — a structure-sharing sweep pays the layout walk once
-    // per skeleton instead of once per config. Pointer identity is safe
-    // because the arena holds a shared_ptr to the tagged skeleton.
-    const bool layout_reused = a_.layout_skeleton.get() == p_.skeleton.get() &&
-                               a_.layout_threadblocks == tbs;
-    if (!layout_reused) {
-      a_.inst_participants.resize(num_insts);
-      a_.inst_slot_base.resize(num_insts);
-      a_.inst_rel_base.resize(num_insts);
-      int32_t inst = 0, slot = 0, rel = 0;
-      for (int tb = 0; tb < tbs; ++tb) {
-        for (const MicroOpGroup& g : sk_.groups) {
-          const int count = g.tb_scope ? 1 : warps;
-          const int parts = g.tb_scope ? warps : 1;
-          for (int i = 0; i < count; ++i) {
-            a_.inst_participants[static_cast<size_t>(inst)] = parts;
-            a_.inst_slot_base[static_cast<size_t>(inst)] = slot;
-            a_.inst_rel_base[static_cast<size_t>(inst)] = rel;
-            slot += static_cast<int32_t>(g.max_commits);
-            rel += parts;
-            ++inst;
-          }
+    a_.inst_participants.resize(num_insts);
+    a_.inst_slot_base.resize(num_insts);
+    a_.inst_rel_base.resize(num_insts);
+    int32_t inst = 0, slot = 0, rel = 0;
+    for (int tb = 0; tb < tbs; ++tb) {
+      for (const MicroOpGroup& g : sk_.groups) {
+        const int count = g.tb_scope ? 1 : warps;
+        const int parts = g.tb_scope ? warps : 1;
+        for (int i = 0; i < count; ++i) {
+          a_.inst_participants[static_cast<size_t>(inst)] = parts;
+          a_.inst_slot_base[static_cast<size_t>(inst)] = slot;
+          a_.inst_rel_base[static_cast<size_t>(inst)] = rel;
+          slot += static_cast<int32_t>(g.max_commits);
+          rel += parts;
+          ++inst;
         }
       }
-      // Pre-resolve (stream, group) -> instance id and release slot,
-      // indexed like the per-stream counters.
-      a_.stream_inst.resize(counters);
-      a_.stream_rel.resize(counters);
-      for (int tb = 0; tb < tbs; ++tb) {
-        int32_t group_base = static_cast<int32_t>(tb * per_tb_insts);
-        for (int w = 0; w < warps; ++w) {
-          const size_t id = static_cast<size_t>(tb * warps + w);
-          int32_t inst_cursor = group_base;
-          for (size_t g = 0; g < num_groups_; ++g) {
-            const MicroOpGroup& meta = sk_.groups[g];
-            const int32_t ginst = inst_cursor + (meta.tb_scope ? 0 : w);
-            a_.stream_inst[id * num_groups_ + g] = ginst;
-            a_.stream_rel[id * num_groups_ + g] =
-                a_.inst_rel_base[static_cast<size_t>(ginst)] +
-                (meta.tb_scope ? w : 0);
-            inst_cursor += meta.tb_scope ? 1 : warps;
-          }
+    }
+    // Pre-resolve (stream, group) -> instance id and release slot,
+    // indexed like the per-stream counters.
+    a_.stream_inst.resize(counters);
+    a_.stream_rel.resize(counters);
+    for (int tb = 0; tb < tbs; ++tb) {
+      int32_t group_base = static_cast<int32_t>(tb * per_tb_insts);
+      for (int w = 0; w < warps; ++w) {
+        const size_t id = static_cast<size_t>(tb * warps + w);
+        int32_t inst_cursor = group_base;
+        for (size_t g = 0; g < num_groups_; ++g) {
+          const MicroOpGroup& meta = sk_.groups[g];
+          const int32_t ginst = inst_cursor + (meta.tb_scope ? 0 : w);
+          a_.stream_inst[id * num_groups_ + g] = ginst;
+          a_.stream_rel[id * num_groups_ + g] =
+              a_.inst_rel_base[static_cast<size_t>(ginst)] +
+              (meta.tb_scope ? w : 0);
+          inst_cursor += meta.tb_scope ? 1 : warps;
         }
       }
-      a_.layout_skeleton = p_.skeleton;
-      a_.layout_threadblocks = tbs;
     }
 
     a_.barriers.resize(static_cast<size_t>(tbs));

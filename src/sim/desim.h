@@ -38,7 +38,6 @@
 #define ALCOP_SIM_DESIM_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -97,11 +96,12 @@ struct ReplayWave {
   double dram_write_rate = 1.0;
 };
 
-// Pooled state of the replay core. All vectors are sized on entry with
-// resize/assign (which never shrink capacity), so replaying programs of
-// the same shape re-uses every buffer: after the first run on a given
-// shape, ReplayBatch performs no heap allocation. CapacityBytes() lets
-// benches assert exactly that.
+// Pooled state of the replay core. Every replay sizes and refills all
+// vectors, the static addressing tables included, with resize/assign
+// (which never shrink capacity), so replaying programs of the same shape
+// re-uses every buffer: after the first run on a given shape, ReplayBatch
+// performs no heap allocation. CapacityBytes() lets benches assert
+// exactly that.
 struct ReplayArena {
   struct Stream {
     double time = 0.0;
@@ -181,18 +181,6 @@ struct ReplayArena {
   std::vector<double> pmu_f64;
   std::vector<int64_t> pmu_i64;
   std::vector<int32_t> pmu_depth;
-
-  // Layout-reuse tag: the static addressing tables above (inst_*,
-  // stream_inst/stream_rel) depend only on (skeleton, threadblocks), so a
-  // replay whose program shares the previous program's skeleton at the
-  // same wave size skips refilling them — the heart of batched replay,
-  // where a structure-sharing sweep pays the layout walk once per
-  // skeleton instead of once per config. The shared_ptr keeps the tagged
-  // skeleton alive so the pointer identity test can never alias a freed
-  // skeleton. Dynamic state (counters, slots, heap, pool) is still reset
-  // every replay.
-  std::shared_ptr<const MicroOpSkeleton> layout_skeleton;
-  int layout_threadblocks = 0;
 
   // Total reserved heap memory; constant across warm replays.
   size_t CapacityBytes() const;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -250,14 +251,13 @@ SimProgram BuildSimProgram(const CompiledKernel& compiled,
   const LoweredKernel& kernel = compiled.kernel;
   SimProgram out;
 
-  target::ThreadblockResources res =
-      schedule::ComputeResources(kernel.op, kernel.config);
-  target::Occupancy occ = target::ComputeOccupancy(spec, res);
-  if (occ.threadblocks_per_sm == 0) {
-    out.reason = std::string("threadblock does not fit: ") +
-                 target::LimiterName(occ.limiter);
+  schedule::StaticFeasibility verdict =
+      schedule::CheckFeasibility(kernel.op, kernel.config, spec);
+  if (!verdict.feasible) {
+    out.reason = std::move(verdict.reason);
     return out;
   }
+  const target::Occupancy& occ = verdict.occupancy;
 
   TraceCompileOptions options;
   options.swizzle = kernel.config.swizzle;
@@ -314,10 +314,11 @@ SimProgram BuildSimProgram(const CompiledKernel& compiled,
 SimProgram CompileSimProgram(const GemmOp& op, const ScheduleConfig& config,
                              const target::GpuSpec& spec,
                              schedule::InlineOrder inline_order) {
-  std::string why;
-  if (!schedule::ValidateConfig(op, config, &why)) {
+  schedule::StaticFeasibility verdict =
+      schedule::CheckFeasibility(op, config, spec);
+  if (!verdict.feasible) {
     SimProgram out;
-    out.reason = "invalid schedule: " + why;
+    out.reason = std::move(verdict.reason);
     return out;
   }
   return BuildSimProgram(CompileKernel(op, config, spec, inline_order), spec);
@@ -398,29 +399,6 @@ KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
   timing.tflops =
       static_cast<double>(program.flops) / (timing.microseconds * 1e6);
   return timing;
-}
-
-std::vector<KernelTiming> ReplaySimProgramBatch(
-    const std::vector<const SimProgram*>& programs, ReplayArena* arena) {
-  // Replay order groups by (skeleton identity, wave size) so each group
-  // pays the arena's layout fill once; per-program results do not depend
-  // on replay order (the arena is reset per replay), so reordering is
-  // observable only as throughput.
-  std::vector<size_t> order(programs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const SimProgram* pa = programs[a];
-    const SimProgram* pb = programs[b];
-    const MicroOpSkeleton* sa = pa->program.skeleton.get();
-    const MicroOpSkeleton* sb = pb->program.skeleton.get();
-    if (sa != sb) return sa < sb;
-    return pa->threadblocks_per_sm < pb->threadblocks_per_sm;
-  });
-  std::vector<KernelTiming> results(programs.size());
-  for (size_t idx : order) {
-    results[idx] = ReplaySimProgram(*programs[idx], arena);
-  }
-  return results;
 }
 
 BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena) {

@@ -5,7 +5,6 @@
 #define ALCOP_SIM_LAUNCH_H_
 
 #include <string>
-#include <vector>
 
 #include "pipeline/detect.h"
 #include "pipeline/transform.h"
@@ -47,13 +46,14 @@ CompiledKernel CompileKernel(
 // Two-phase measurement pipeline.
 //
 // Phase 1 (BuildSimProgram / CompileSimProgram) pays the per-schedule work
-// once: occupancy, the LLC working-set analysis, and one walk of the
-// lowered TIR that compiles it into a flat micro-op program (sim/compile.h)
-// with every wave-independent operand pre-resolved. Phase 2
-// (ReplaySimProgram) replays that program through the event-pool core for
-// each threadblock wave — no IR, no spec, no allocation when the caller's
-// ReplayArena is warm. The classic single-phase entry points below are thin
-// wrappers over these two.
+// once: the feasibility verdict (schedule::CheckFeasibility), the LLC
+// working-set analysis, and one walk of the lowered TIR that compiles it
+// into a flat micro-op program (sim/compile.h) with every wave-independent
+// operand pre-resolved. Phase 2 (ReplaySimProgram) replays that program
+// through the event-pool core for each threadblock wave — no IR, no spec,
+// no allocation when the caller's ReplayArena is warm. Every compile, tune
+// and alcopd request measures through these two calls (via the sim cache);
+// the classic single-phase entry points below are thin wrappers over them.
 // ---------------------------------------------------------------------------
 
 // A schedule compiled for measurement: the micro-op program plus every
@@ -100,9 +100,10 @@ struct SimProgram {
 SimProgram BuildSimProgram(const CompiledKernel& compiled,
                            const target::GpuSpec& spec);
 
-// Phase 1 from scratch: validate + CompileKernel + BuildSimProgram.
-// Returns an infeasible program (instead of throwing) when the config does
-// not validate or does not fit the device.
+// Phase 1 from scratch: schedule::CheckFeasibility, then CompileKernel +
+// BuildSimProgram. Returns an infeasible program (instead of throwing)
+// when the config does not validate or does not fit the device, without
+// lowering or pipelining the kernel.
 SimProgram CompileSimProgram(
     const schedule::GemmOp& op, const schedule::ScheduleConfig& config,
     const target::GpuSpec& spec,
@@ -117,16 +118,6 @@ SimProgram CompileSimProgram(
 // are bit-identical to InterpretKernel's.
 KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
                               KernelPmu* pmu = nullptr);
-
-// Batched phase 2: replays many compiled programs through one arena,
-// ordered so that programs sharing a skeleton at the same wave size run
-// back-to-back — within such a run the arena's static layout tables are
-// filled once and reused (ReplayArena::layout_skeleton), which is where a
-// structure-sharing sweep's replay throughput comes from. Results are
-// returned in input order and are bit-identical to calling
-// ReplaySimProgram on each program individually, in any order.
-std::vector<KernelTiming> ReplaySimProgramBatch(
-    const std::vector<const SimProgram*>& programs, ReplayArena* arena);
 
 // Simulates a compiled kernel on the device (phase 1 + phase 2 with a
 // thread-local arena).

@@ -34,24 +34,14 @@ struct SpaceOptions {
   // bench.
   std::vector<int> split_k = {1};
 
-  // Static pre-simulation filter: configurations whose occupancy-based
-  // StaticFeasibility verdict (src/analysis/resources) is infeasible are
-  // short-circuited to an infinite measurement without compiling or
-  // simulating. The verdict agrees with the simulator's own feasibility
-  // check by construction, so the search space, trial order and
-  // best-found schedule are bit-identical with the filter on or off —
-  // only the work per infeasible trial changes (counted in the
-  // "tuner.pruned_static" metric).
-  bool static_prefilter = true;
-
   // Model-guided pre-filter (the calibrated Table-I ranker as a pruner):
-  // when > 0, only the model_topk statically-feasible configurations with
-  // the best analytical predictions — plus an exploration tail of every
-  // model_explore_stride-th feasible config in model-rank order — are
-  // actually simulated; every other measurement short-circuits to +inf
-  // (counted in "tuner.pruned_model"). Space, indices and trial order are
-  // unchanged, so strategies compose with the filter transparently.
-  // Unlike static_prefilter this is a lossy cut in principle; at the
+  // when > 0, only the model_topk feasible configurations (per
+  // schedule::CheckFeasibility) with the best analytical predictions —
+  // plus an exploration tail of every model_explore_stride-th feasible
+  // config in model-rank order — are actually simulated; every other
+  // measurement short-circuits to +inf (counted in "tuner.pruned_model").
+  // Space, indices and trial order are unchanged, so strategies compose
+  // with the filter transparently. The cut is lossy in principle; at the
   // default cut the calibrated ranker keeps the true best schedule of
   // every Fig. 10 operator (the top-k coverage gate in
   // bench/calibration.cc guards exactly this).

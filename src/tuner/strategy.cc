@@ -8,11 +8,11 @@
 #include <string>
 #include <unordered_set>
 
-#include "analysis/resources.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perfmodel/analytical.h"
 #include "perfmodel/bottleneck.h"
+#include "schedule/lower.h"
 #include "sim/sim_cache.h"
 #include "support/check.h"
 #include "support/parallel.h"
@@ -68,10 +68,10 @@ std::vector<size_t> RankByModel(
 }
 
 // Keys of the configurations the model-guided pre-filter keeps: the
-// model_topk best analytical predictions among statically-feasible
-// configs, plus every explore_stride-th feasible config in model-rank
-// order (the exploration tail that keeps learners honest about the rest
-// of the space). Keyed by ToString(), which uniquely identifies a config
+// model_topk best analytical predictions among feasible configs, plus
+// every explore_stride-th feasible config in model-rank order (the
+// exploration tail that keeps learners honest about the rest of the
+// space). Keyed by ToString(), which uniquely identifies a config
 // within an enumerated space.
 std::unordered_set<std::string> ModelKeepSet(
     const schedule::GemmOp& op, const target::GpuSpec& spec,
@@ -79,7 +79,7 @@ std::unordered_set<std::string> ModelKeepSet(
     int explore_stride) {
   std::vector<double> predicted =
       support::ParallelMap(space.size(), [&](size_t i) {
-        if (!analysis::CheckConfigFeasibility(op, space[i], spec).feasible) {
+        if (!schedule::CheckFeasibility(op, space[i], spec).feasible) {
           return kInf;
         }
         return perfmodel::PredictCycles(op, space[i], spec);
@@ -113,12 +113,9 @@ TuningTask MakeSimulatorTask(const schedule::GemmOp& op,
   task.space = EnumerateSpace(op, options);
   // Measurement goes through the process-wide compile+simulate cache, so
   // repeated sweeps of the same space (other strategies, other seeds,
-  // other trial budgets) are lookups instead of recompiles.
-  // The static pre-filter answers "infeasible" from config arithmetic
-  // alone; because CheckConfigFeasibility mirrors the simulator's
-  // feasibility verdict, the returned value is the same kInf the
-  // simulator would have produced after compiling.
-  bool prefilter = options.static_prefilter;
+  // other trial budgets) are lookups instead of recompiles. Infeasible
+  // configs cost no compile there: CompileSimProgram checks the
+  // feasibility verdict first.
   // The model-guided cut is resolved once, here, into an immutable key
   // set; `measure` stays a pure function of the config (the shared_ptr is
   // read-only after construction, so concurrent measurement is safe).
@@ -128,16 +125,8 @@ TuningTask MakeSimulatorTask(const schedule::GemmOp& op,
         ModelKeepSet(op, spec, task.space, options.model_topk,
                      options.model_explore_stride));
   }
-  task.measure = [op, spec, prefilter,
+  task.measure = [op, spec,
                   model_keep](const schedule::ScheduleConfig& config) {
-    if (prefilter &&
-        !analysis::CheckConfigFeasibility(op, config, spec).feasible) {
-      static obs::Counter& pruned = obs::Registry::Global().GetCounter(
-          "tuner.pruned_static",
-          "Configs rejected by the static feasibility pre-filter.");
-      pruned.Increment();
-      return kInf;
-    }
     if (model_keep && model_keep->count(config.ToString()) == 0) {
       static obs::Counter& pruned = obs::Registry::Global().GetCounter(
           "tuner.pruned_model",

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "support/json.h"
+
 namespace alcop {
 namespace verify {
 
@@ -76,25 +78,9 @@ void SortDiagnostics(std::vector<Diagnostic>* diagnostics) {
 
 namespace {
 
-void AppendJsonString(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+// `s` as a quoted JSON string.
+std::string Quoted(const std::string& s) {
+  return "\"" + support::JsonEscape(s) + "\"";
 }
 
 }  // namespace
@@ -105,20 +91,15 @@ std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics) {
   for (size_t i = 0; i < diagnostics.size(); ++i) {
     const Diagnostic& diag = diagnostics[i];
     if (i > 0) out << ",";
-    out << "\n  {\"severity\": ";
-    AppendJsonString(out, SeverityName(diag.severity));
-    out << ", \"code\": ";
-    AppendJsonString(out, diag.code);
-    out << ", \"line\": " << (diag.span.IsKnown() ? diag.span.line : 0)
+    out << "\n  {\"severity\": " << Quoted(SeverityName(diag.severity))
+        << ", \"code\": " << Quoted(diag.code)
+        << ", \"line\": " << (diag.span.IsKnown() ? diag.span.line : 0)
         << ", \"column\": " << (diag.span.IsKnown() ? diag.span.column : 0)
-        << ", \"message\": ";
-    AppendJsonString(out, diag.message);
-    out << ", \"path\": ";
-    AppendJsonString(out, diag.path);
-    out << ", \"notes\": [";
+        << ", \"message\": " << Quoted(diag.message)
+        << ", \"path\": " << Quoted(diag.path) << ", \"notes\": [";
     for (size_t n = 0; n < diag.notes.size(); ++n) {
       if (n > 0) out << ", ";
-      AppendJsonString(out, diag.notes[n]);
+      out << Quoted(diag.notes[n]);
     }
     out << "]}";
   }

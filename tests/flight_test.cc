@@ -109,6 +109,7 @@ TEST(FlightRecorderTest, FiltersMatchClientLaneAndOutcome) {
 TEST(FlightRecorderTest, RecordJsonRoundTripsThroughParser) {
   obs::RequestRecord rec = MakeRecord(42, "uid:1000", "slow", "error");
   rec.op_key = "mm_512x512x512";
+  rec.client_id = 9;
   rec.batch = 7;
   rec.queue_us = 1234.5678901234567;
   std::string json = obs::RequestRecordJson(rec);
@@ -116,6 +117,7 @@ TEST(FlightRecorderTest, RecordJsonRoundTripsThroughParser) {
   ASSERT_TRUE(parsed.has_value()) << json;
   EXPECT_EQ(parsed->Find("id")->NumberOr(0), 42.0);
   EXPECT_EQ(parsed->Find("client")->StringOr(""), "uid:1000");
+  EXPECT_EQ(parsed->Find("client_id")->NumberOr(0), 9.0);
   EXPECT_EQ(parsed->Find("op_key")->StringOr(""), "mm_512x512x512");
   EXPECT_EQ(parsed->Find("lane")->StringOr(""), "slow");
   EXPECT_EQ(parsed->Find("outcome")->StringOr(""), "error");

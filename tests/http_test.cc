@@ -408,7 +408,9 @@ TEST_F(HttpServerTest, AccessLogMatchesHistogramCounts) {
           .Data()
           .count;
 
-  // One fast-lane request over HTTP, one slow-lane compile, one error.
+  // One fast-lane request over HTTP, one slow-lane compile, one fast-lane
+  // error (a malformed compile) and one slow-lane error (an unknown
+  // method).
   ASSERT_TRUE(serving::HttpCall(port, "POST", "/v1/ping", "{}").has_value());
   std::optional<serving::HttpResponse> compiled = serving::HttpCall(
       port, "POST", "/v1/compile",
@@ -419,6 +421,10 @@ TEST_F(HttpServerTest, AccessLogMatchesHistogramCounts) {
       serving::HttpCall(port, "POST", "/v1/compile", "{\"id\":3}");
   ASSERT_TRUE(bad.has_value());
   EXPECT_NE(bad->body.find("\"ok\":false"), std::string::npos);
+  std::optional<serving::HttpResponse> unknown =
+      serving::HttpCall(port, "POST", "/v1/frobnicate", "{\"id\":4}");
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_NE(unknown->body.find("unknown method"), std::string::npos);
 
   uint64_t fast_after =
       registry.GetHistogram("serving.request.latency.us|lane=fast")
@@ -429,7 +435,7 @@ TEST_F(HttpServerTest, AccessLogMatchesHistogramCounts) {
           .Data()
           .count;
   uint64_t completed = (fast_after - fast_before) + (slow_after - slow_before);
-  EXPECT_EQ(completed, 3u);
+  EXPECT_EQ(completed, 4u);
 
   // Completion bookkeeping runs before the response is sent, so by the
   // time HttpCall returned, the access log holds every request.
@@ -449,7 +455,7 @@ TEST_F(HttpServerTest, AccessLogMatchesHistogramCounts) {
     }
   }
   EXPECT_EQ(lines, completed);
-  EXPECT_EQ(error_lines, 1u);
+  EXPECT_EQ(error_lines, 2u);
 
   server.Stop();
 }

@@ -23,6 +23,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/stmt.h"
+#include "perfmodel/analytical.h"
 #include "schedule/lower.h"
 #include "sim/executor.h"
 #include "sim/launch.h"
@@ -557,35 +558,47 @@ TEST(LintTest, ConfigFeasibilityMirrorsSimulatorVerdict) {
   schedule::GemmOp op = schedule::MakeMatmul("feas", 512, 512, 512);
 
   // An occupancy-infeasible config: 256x256 tiles at 4 shared stages want
-  // 256 KB of shared memory.
+  // 256 KB of shared memory. The simulator, the analytical model and the
+  // interpreter (which keeps its own occupancy check) all give the one
+  // verdict's reason.
   schedule::ScheduleConfig big;
   big.tile = {.tb_m = 256, .tb_n = 256, .tb_k = 64,
               .warp_m = 64, .warp_n = 64, .warp_k = 16};
   big.smem_stages = 4;
   big.reg_stages = 2;
-  analysis::StaticFeasibility verdict =
-      analysis::CheckConfigFeasibility(op, big, spec);
+  schedule::StaticFeasibility verdict =
+      schedule::CheckFeasibility(op, big, spec);
   EXPECT_FALSE(verdict.feasible);
+  EXPECT_EQ(verdict.reason.rfind("threadblock does not fit: ", 0), 0u);
   sim::KernelTiming timing = sim::CompileAndSimulate(op, big, spec);
   EXPECT_FALSE(timing.feasible);
   EXPECT_EQ(verdict.reason, timing.reason) << "verbatim string agreement";
+  EXPECT_EQ(verdict.reason, perfmodel::AnalyticalModel(op, big, spec).reason);
+  EXPECT_EQ(verdict.reason,
+            sim::InterpretKernel(sim::CompileKernel(op, big, spec), spec)
+                .reason);
 
-  // An invalid tiling is rejected with the simulator's exact wording too.
+  // An invalid tiling is rejected with the same wording everywhere too
+  // (the interpreter needs a compiled kernel, which an invalid tiling
+  // cannot produce).
   schedule::ScheduleConfig bad;
   bad.tile = {.tb_m = 48, .tb_n = 32, .tb_k = 32,
               .warp_m = 32, .warp_n = 16, .warp_k = 16};
-  analysis::StaticFeasibility invalid =
-      analysis::CheckConfigFeasibility(op, bad, spec);
+  schedule::StaticFeasibility invalid =
+      schedule::CheckFeasibility(op, bad, spec);
   EXPECT_FALSE(invalid.feasible);
+  EXPECT_EQ(invalid.reason.rfind("invalid schedule: ", 0), 0u);
   EXPECT_EQ(invalid.reason, sim::CompileAndSimulate(op, bad, spec).reason);
+  EXPECT_EQ(invalid.reason, perfmodel::AnalyticalModel(op, bad, spec).reason);
 
   // A known-good config agrees on feasibility as well.
   schedule::ScheduleConfig good;
   good.tile = {.tb_m = 64, .tb_n = 64, .tb_k = 32,
                .warp_m = 32, .warp_n = 32, .warp_k = 16};
   good.smem_stages = 2;
-  EXPECT_TRUE(analysis::CheckConfigFeasibility(op, good, spec).feasible);
+  EXPECT_TRUE(schedule::CheckFeasibility(op, good, spec).feasible);
   EXPECT_TRUE(sim::CompileAndSimulate(op, good, spec).feasible);
+  EXPECT_TRUE(perfmodel::AnalyticalModel(op, good, spec).feasible);
 }
 
 // ---- Zero findings over every compiled Fig. 10 kernel, and the

@@ -54,7 +54,8 @@ class PersistTest : public ::testing::Test {
   // Populates both cache layers with real compiled entries: several
   // schedules of one operator (numerically-different configs share a
   // skeleton, so the save must write fewer skeleton records than
-  // program records) plus a couple of shape variants.
+  // program records), a couple of shape variants, and one infeasible
+  // program (no skeleton, empty operand pool).
   void Populate(const target::GpuSpec& spec) {
     schedule::GemmOp op = MakeMatmul("mm", 512, 512, 512);
     tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
@@ -69,6 +70,11 @@ class PersistTest : public ::testing::Test {
       sim::CachedCompileAndSimulate(MakeMatmul("mm", 512, 512, k), config,
                                     spec);
     }
+    // 256x256 tiles at 4 shared stages want 256 KB of shared memory.
+    schedule::ScheduleConfig unfit;
+    unfit.tile = {256, 256, 64, 64, 64, 16};
+    unfit.smem_stages = 4;
+    ASSERT_FALSE(sim::CachedCompileAndSimulate(op, unfit, spec).feasible);
   }
 
   std::string ReadFile() {

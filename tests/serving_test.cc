@@ -1,7 +1,7 @@
 // Tests of the alcopd serving stack: the wire protocol (framing + JSON
 // subset), the client, and an end-to-end daemon on a unix socket —
-// fast-lane routing, slow-lane batched compiles, warm-started tuning and
-// the stored-tuning warm-restart path.
+// fast-lane routing, slow-lane compiles and profiles, warm-started tuning
+// and the stored-tuning warm-restart path.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "serving/protocol.h"
 #include "serving/server.h"
 #include "sim/sim_cache.h"
+#include "support/json.h"
 #include "target/gpu_spec.h"
 #include "tuner/records.h"
 
@@ -60,7 +63,7 @@ TEST(ProtocolJsonTest, DepthIsBounded) {
 
 TEST(ProtocolJsonTest, EscapeRoundTripsThroughParser) {
   std::string nasty = "a\"b\\c\nd\te\rf";
-  std::string doc = "{\"s\": \"" + serving::JsonEscape(nasty) + "\"}";
+  std::string doc = "{\"s\": \"" + support::JsonEscape(nasty) + "\"}";
   std::optional<JsonValue> v = ParseJson(doc);
   ASSERT_TRUE(v.has_value()) << doc;
   EXPECT_EQ(v->Find("s")->StringOr(""), nasty);
@@ -227,12 +230,52 @@ TEST_F(ServerTest, CompileMissesThenHitsFastLane) {
   server.Stop();
 }
 
-TEST_F(ServerTest, BatchedCompilesFromConcurrentClientsAllAnswer) {
+TEST_F(ServerTest, ProfileWarmsTheTimingLayerForCompile) {
+  options_.access_log_path = socket_path_ + ".access.jsonl";
+  std::remove(options_.access_log_path.c_str());
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  const std::string fields =
+      "\"m\":512,\"n\":512,\"k\":512,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}";
+  std::optional<JsonValue> profiled =
+      client.Call("{\"id\":1,\"method\":\"profile\"," + fields);
+  ASSERT_TRUE(profiled.has_value());
+  ASSERT_TRUE(profiled->Find("ok")->BoolOr(false));
+  ASSERT_NE(profiled->Find("pmu"), nullptr);
+  std::optional<JsonValue> compiled =
+      client.Call("{\"id\":2,\"method\":\"compile\"," + fields);
+  ASSERT_TRUE(compiled.has_value());
+  EXPECT_EQ(compiled->Find("cycles")->NumberOr(-1),
+            profiled->Find("cycles")->NumberOr(-2));
+  server.Stop();
+
+  // The profile replayed on the slow lane; the compile after it was a
+  // fast-lane hit on the timing the profile measured.
+  std::ifstream log(options_.access_log_path);
+  std::map<double, std::string> lane_outcome;  // by client_id
+  std::string line;
+  while (std::getline(log, line)) {
+    std::optional<JsonValue> entry = ParseJson(line);
+    ASSERT_TRUE(entry.has_value()) << line;
+    lane_outcome[entry->Find("client_id")->NumberOr(0)] =
+        entry->Find("lane")->StringOr("") + "/" +
+        entry->Find("outcome")->StringOr("");
+  }
+  EXPECT_EQ(lane_outcome[1], "slow/compiled");
+  EXPECT_EQ(lane_outcome[2], "fast/hit");
+  std::remove(options_.access_log_path.c_str());
+}
+
+TEST_F(ServerTest, ConcurrentSlowLaneCompilesAllAnswer) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
 
   // Several clients slam the slow lane at once; the worker drains them
-  // as one batched replay round. Every request must get its own answer.
+  // in rounds. Every request must get its own answer.
   std::vector<std::thread> clients;
   std::vector<double> cycles(6, 0.0);
   for (int i = 0; i < 6; ++i) {
@@ -255,7 +298,7 @@ TEST_F(ServerTest, BatchedCompilesFromConcurrentClientsAllAnswer) {
   for (std::thread& thread : clients) thread.join();
   for (double c : cycles) EXPECT_GT(c, 0.0);
 
-  // Batched replay must be bit-identical to the direct path.
+  // The slow lane's answer is bit-identical to the direct path.
   schedule::ScheduleConfig config;
   config.tile = {128, 128, 32, 64, 64, 16};
   config.smem_stages = 2;

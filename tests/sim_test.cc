@@ -3,6 +3,11 @@
 // performance properties the paper's claims rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "obs/trace.h"
 #include "pipeline/detect.h"
 #include "pipeline/transform.h"
 #include "schedule/lower.h"
@@ -218,6 +223,40 @@ TEST(SimTest, InfeasibleConfigReported) {
   sim::KernelTiming timing = sim::CompileAndSimulate(op, config, spec);
   EXPECT_FALSE(timing.feasible);
   EXPECT_NE(timing.reason.find("not fit"), std::string::npos) << timing.reason;
+}
+
+// The feasibility verdict comes before the compiler: an occupancy-
+// infeasible config is rejected with the verdict's reason, and no kernel
+// is lowered or pipelined for it.
+TEST(SimTest, InfeasibleConfigRejectedBeforeCompiling) {
+  target::GpuSpec spec = target::AmpereSpec();
+  GemmOp op = MakeMatmul("mm", 512, 512, 512);
+  ScheduleConfig config = BigConfig(4, 2);
+  config.tile.tb_m = 256;
+  config.tile.tb_n = 256;
+  config.tile.tb_k = 64;  // 4-stage 256x256x64 tiles want 256 KB shared
+  auto kernel_compiles = [] {
+    std::vector<obs::TraceSpan> spans = obs::CollectTraceSpans();
+    return std::count_if(spans.begin(), spans.end(), [](const auto& span) {
+      return std::string(span.name) == "compile-kernel";
+    });
+  };
+  bool was_enabled = obs::TraceEnabled();
+  obs::SetTraceEnabled(true);
+  obs::ClearTrace();
+  sim::SimProgram program = sim::CompileSimProgram(op, config, spec);
+  EXPECT_EQ(kernel_compiles(), 0);
+  // Control: a config that fits does compile.
+  EXPECT_TRUE(sim::CompileSimProgram(op, BigConfig(2, 1), spec).feasible);
+  EXPECT_EQ(kernel_compiles(), 1);
+  obs::SetTraceEnabled(was_enabled);
+  obs::ClearTrace();
+
+  EXPECT_FALSE(program.feasible);
+  EXPECT_EQ(program.reason.rfind("threadblock does not fit: ", 0), 0u)
+      << program.reason;
+  EXPECT_EQ(program.reason,
+            schedule::CheckFeasibility(op, config, spec).reason);
 }
 
 TEST(SimTest, InvalidScheduleReported) {

@@ -1,10 +1,13 @@
-// Tests of the support utilities (checking macros, RNG) and the GPU
-// target specs.
+// Tests of the support utilities (checking macros, RNG, JSON writing) and
+// the GPU target specs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "support/check.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "target/gpu_spec.h"
 
@@ -82,6 +85,16 @@ TEST(RngTest, ShuffleIsAPermutation) {
   std::multiset<int> a(values.begin(), values.end());
   std::multiset<int> b(shuffled.begin(), shuffled.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(JsonTest, EscapesControlBytesAndFormatsNumbers) {
+  EXPECT_EQ(support::JsonEscape("a\"b\\c\n\t\r\x01\x1f~"),
+            "a\\\"b\\\\c\\n\\t\\r\\u0001\\u001f~");
+  EXPECT_EQ(support::JsonNumber(42.0), "42");
+  EXPECT_EQ(support::JsonNumber(0.1), "0.10000000000000001");
+  EXPECT_EQ(support::JsonNumber(std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(support::JsonNumber(std::nan("")), "null");
 }
 
 TEST(GpuSpecTest, AmpereAsyncCapabilityTable) {

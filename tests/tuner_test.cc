@@ -7,7 +7,7 @@
 #include <cmath>
 #include <set>
 
-#include "obs/metrics.h"
+#include "schedule/lower.h"
 #include "schedule/tensor.h"
 #include "sim/sim_cache.h"
 #include "support/check.h"
@@ -349,12 +349,11 @@ TEST(GbtTest, FitIsThreadCountInvariant) {
   support::SetGlobalThreads(support::ThreadsFromEnv());
 }
 
-// The static pre-filter answers infeasible configs from config arithmetic
-// without compiling or simulating. Because its verdict mirrors the
-// simulator's, the TuningResult — trial order, every measured value, and
-// therefore the best-found schedule — must be bit-identical with the
-// filter on or off; only the "tuner.pruned_static" counter moves.
-TEST(StrategyTest, StaticPrefilterIsBitIdenticalAndPrunes) {
+// Infeasible configs are measured through the simulator like any other
+// (which answers them from the feasibility verdict without compiling):
+// an exhaustive sweep measures +inf for exactly the configs
+// schedule::CheckFeasibility rejects.
+TEST(StrategyTest, ExhaustiveMeasuresInfinityExactlyWhereVerdictRejects) {
   GemmOp op = MakeMatmul("mm", 512, 512, 1024);
   tuner::SpaceOptions options;
   // A space straddling the occupancy cliff: 64-wide tiles fit at any
@@ -365,39 +364,21 @@ TEST(StrategyTest, StaticPrefilterIsBitIdenticalAndPrunes) {
   options.tb_k = {32, 64};
   options.warp_splits = {{2, 2}, {2, 4}};
   options.smem_stages = {2, 4};
+  target::GpuSpec spec = target::AmpereSpec();
+  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec, options);
+  ASSERT_GE(task.space.size(), 8u);
 
-  options.static_prefilter = false;
-  tuner::TuningTask unfiltered =
-      tuner::MakeSimulatorTask(op, target::AmpereSpec(), options);
-  options.static_prefilter = true;
-  tuner::TuningTask filtered =
-      tuner::MakeSimulatorTask(op, target::AmpereSpec(), options);
-  ASSERT_GE(unfiltered.space.size(), 8u);
-  ASSERT_EQ(unfiltered.space.size(), filtered.space.size())
-      << "the filter must not change the enumerated space";
-
-  tuner::TuningResult baseline = tuner::ExhaustiveSearch(unfiltered);
-
-  obs::Counter& pruned =
-      obs::Registry::Global().GetCounter("tuner.pruned_static");
-  uint64_t before = pruned.Value();
-  tuner::TuningResult prefiltered = tuner::ExhaustiveSearch(filtered);
-  uint64_t skipped = pruned.Value() - before;
-
-  EXPECT_EQ(baseline.trials, prefiltered.trials);
-  EXPECT_EQ(baseline.measured, prefiltered.measured);
-  EXPECT_EQ(baseline.BestIndex(unfiltered), prefiltered.BestIndex(filtered));
-
-  // The space really straddles the cliff, and every infeasible trial was
-  // answered statically.
+  tuner::TuningResult result = tuner::ExhaustiveSearch(task);
+  ASSERT_EQ(result.trials.size(), task.space.size());
   size_t infeasible = 0;
-  for (double cycles : prefiltered.measured) {
-    infeasible += !std::isfinite(cycles);
+  for (size_t i = 0; i < result.trials.size(); ++i) {
+    const ScheduleConfig& config = task.space[result.trials[i]];
+    bool rejected = !schedule::CheckFeasibility(op, config, spec).feasible;
+    EXPECT_EQ(std::isinf(result.measured[i]), rejected) << config.ToString();
+    infeasible += rejected;
   }
   EXPECT_GT(infeasible, 0u) << "space must contain infeasible configs";
-  EXPECT_LT(infeasible, prefiltered.measured.size());
-  EXPECT_EQ(skipped, infeasible)
-      << "each infeasible trial is pruned exactly once";
+  EXPECT_LT(infeasible, result.measured.size());
 }
 
 TEST(StrategyTest, PretrainingHelpsEarlyTrials) {
