@@ -223,54 +223,11 @@ void Registry::RegisterCallback(const std::string& name,
   state.SetHelp(name, help);
 }
 
-std::string Registry::RenderText() const {
-  Impl& state = impl();
-  // Callback snapshots are taken outside the registry lock: callbacks may
-  // lock subsystem state (e.g. all sim-cache shards) and must not nest
-  // under the registry mutex.
-  std::map<std::string, double> callback_values;
-  {
-    std::map<std::string, std::function<double()>> callbacks;
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      callbacks = state.callbacks;
-    }
-    for (const auto& [name, fn] : callbacks) callback_values[name] = fn();
-  }
-  std::lock_guard<std::mutex> lock(state.mu);
-  std::ostringstream out;
-  // Registered help renders as a `# name: help` comment line above the
-  // value, so the text dump is self-describing like the Prometheus
-  // exposition.
-  auto describe = [&](const std::string& name) {
-    std::string help = state.HelpFor(name);
-    if (!help.empty()) out << "# " << name << ": " << help << "\n";
-  };
-  for (const auto& [name, counter] : state.counters) {
-    describe(name);
-    out << name << " = " << counter->Value() << "\n";
-  }
-  for (const auto& [name, gauge] : state.gauges) {
-    describe(name);
-    out << name << " = " << JsonNumber(gauge->Value()) << "\n";
-  }
-  for (const auto& [name, value] : callback_values) {
-    describe(name);
-    out << name << " = " << JsonNumber(value) << "\n";
-  }
-  for (const auto& [name, hist] : state.histograms) {
-    describe(name);
-    out << name << " = {count: " << hist->Count()
-        << ", mean: " << JsonNumber(hist->Mean())
-        << ", max: " << JsonNumber(hist->Max()) << "}\n";
-  }
-  return out.str();
-}
-
 std::vector<MetricSnapshot> Registry::Snapshot() const {
   Impl& state = impl();
-  // Callbacks run outside the registry lock (they may lock subsystem
-  // state), exactly like the dump renderers.
+  // Callbacks run outside the registry lock: they may lock subsystem
+  // state (e.g. the sim cache) and must not nest under the registry
+  // mutex.
   std::map<std::string, double> callback_values;
   {
     std::map<std::string, std::function<double()>> callbacks;
@@ -312,43 +269,81 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
   return out;
 }
 
-std::string Registry::RenderJson() const {
-  Impl& state = impl();
-  std::map<std::string, double> callback_values;
-  {
-    std::map<std::string, std::function<double()>> callbacks;
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      callbacks = state.callbacks;
+namespace {
+
+// The dumps list counters, gauges, callbacks, then histograms, each
+// sorted by name: the name-sorted snapshot, filtered once per kind.
+template <typename Emit>
+void ForEachInDumpOrder(const std::vector<MetricSnapshot>& snapshot,
+                        Emit emit) {
+  for (MetricSnapshot::Kind kind :
+       {MetricSnapshot::Kind::kCounter, MetricSnapshot::Kind::kGauge,
+        MetricSnapshot::Kind::kCallback, MetricSnapshot::Kind::kHistogram}) {
+    for (const MetricSnapshot& metric : snapshot) {
+      if (metric.kind == kind) emit(metric);
     }
-    for (const auto& [name, fn] : callbacks) callback_values[name] = fn();
   }
-  std::lock_guard<std::mutex> lock(state.mu);
+}
+
+double HistogramMean(const HistogramData& data) {
+  return data.count == 0 ? 0.0 : data.sum / static_cast<double>(data.count);
+}
+
+}  // namespace
+
+std::string Registry::RenderText() const {
+  std::ostringstream out;
+  ForEachInDumpOrder(Snapshot(), [&](const MetricSnapshot& metric) {
+    // Registered help renders as a `# name: help` comment line above the
+    // value, so the text dump is self-describing like the Prometheus
+    // exposition.
+    if (!metric.help.empty()) {
+      out << "# " << metric.name << ": " << metric.help << "\n";
+    }
+    out << metric.name << " = ";
+    switch (metric.kind) {
+      case MetricSnapshot::Kind::kCounter:
+        out << static_cast<uint64_t>(metric.value);
+        break;
+      case MetricSnapshot::Kind::kGauge:
+      case MetricSnapshot::Kind::kCallback:
+        out << JsonNumber(metric.value);
+        break;
+      case MetricSnapshot::Kind::kHistogram:
+        out << "{count: " << metric.histogram.count
+            << ", mean: " << JsonNumber(HistogramMean(metric.histogram))
+            << ", max: " << JsonNumber(metric.histogram.max) << "}";
+        break;
+    }
+    out << "\n";
+  });
+  return out.str();
+}
+
+std::string Registry::RenderJson() const {
   std::ostringstream out;
   out << "{\n";
   bool first = true;
-  auto emit = [&](const std::string& name, const std::string& value) {
+  ForEachInDumpOrder(Snapshot(), [&](const MetricSnapshot& metric) {
     if (!first) out << ",\n";
     first = false;
-    out << "  \"" << JsonEscape(name) << "\": " << value;
-  };
-  for (const auto& [name, counter] : state.counters) {
-    emit(name, std::to_string(counter->Value()));
-  }
-  for (const auto& [name, gauge] : state.gauges) {
-    emit(name, JsonNumber(gauge->Value()));
-  }
-  for (const auto& [name, value] : callback_values) {
-    emit(name, JsonNumber(value));
-  }
-  for (const auto& [name, hist] : state.histograms) {
-    std::ostringstream value;
-    value << "{\"count\": " << hist->Count()
-          << ", \"sum\": " << JsonNumber(hist->Sum())
-          << ", \"mean\": " << JsonNumber(hist->Mean())
-          << ", \"max\": " << JsonNumber(hist->Max()) << "}";
-    emit(name, value.str());
-  }
+    out << "  \"" << JsonEscape(metric.name) << "\": ";
+    switch (metric.kind) {
+      case MetricSnapshot::Kind::kCounter:
+        out << static_cast<uint64_t>(metric.value);
+        break;
+      case MetricSnapshot::Kind::kGauge:
+      case MetricSnapshot::Kind::kCallback:
+        out << JsonNumber(metric.value);
+        break;
+      case MetricSnapshot::Kind::kHistogram:
+        out << "{\"count\": " << metric.histogram.count
+            << ", \"sum\": " << JsonNumber(metric.histogram.sum)
+            << ", \"mean\": " << JsonNumber(HistogramMean(metric.histogram))
+            << ", \"max\": " << JsonNumber(metric.histogram.max) << "}";
+        break;
+    }
+  });
   out << "\n}\n";
   return out.str();
 }

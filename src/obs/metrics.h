@@ -134,12 +134,13 @@ class Registry {
   void RegisterCallback(const std::string& name, std::function<double()> fn,
                         const std::string& help = "");
 
-  // Deterministic dumps, sorted by metric name.
+  // Deterministic dumps of one Snapshot(): counters, gauges, callbacks,
+  // then histograms, each sorted by metric name.
   std::string RenderText() const;
   std::string RenderJson() const;
 
   // Every registered metric with its current value, sorted by name.
-  // Callbacks are evaluated outside the registry lock, like the dumps.
+  // Callbacks are evaluated outside the registry lock.
   std::vector<MetricSnapshot> Snapshot() const;
 
   // Zeroes every counter/gauge/histogram (callbacks are left alone:

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -475,7 +476,11 @@ PersistStats SaveCache(const std::string& path, const target::GpuSpec& spec) {
   if (target.has_parent_path()) {
     std::filesystem::create_directories(target.parent_path(), ec);
   }
-  std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // One temporary file per save, so concurrent savers in one process
+  // never write into the file another is renaming into place.
+  static std::atomic<uint64_t> saves{0};
+  std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(saves.fetch_add(1));
   {
     std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
     if (!file) {

@@ -1223,7 +1223,9 @@ struct Server::Impl {
           batch.begin(), batch.end(),
           [](const Request& request) { return request.method != "tune"; });
       for (Request& request : batch) {
-        request.dequeue_ns = batch_start_ns;
+        // Picked up now, not at the round start: waiting behind earlier
+        // requests of the round is queue time, not service time.
+        request.dequeue_ns = obs::NowNanos();
         request.batch = batch_id;
         Complete(request, HandleSlow(request));
       }

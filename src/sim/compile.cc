@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -329,25 +328,51 @@ bool SkeletonEqual(const MicroOpSkeleton& a, const MicroOpSkeleton& b) {
   return true;
 }
 
+// One pool entry: the skeleton's address (for equality checks and for
+// its deleter to find the entry) and a weak reference to hand out.
+struct PoolSlot {
+  const MicroOpSkeleton* skeleton;
+  std::weak_ptr<const MicroOpSkeleton> ref;
+};
+
 struct SkeletonPool {
   std::mutex mu;
   // Bucketed by structural hash; equality confirmed before sharing, so a
-  // hash collision costs a bucket scan, never a wrong skeleton.
-  std::unordered_map<uint64_t,
-                     std::vector<std::shared_ptr<const MicroOpSkeleton>>>
-      buckets;
-  uint64_t interns = 0;
-  uint64_t shared = 0;
-  uint64_t compactions = 0;
-  uint64_t dropped = 0;
-  // Resident bytes mirrored outside the lock for the sim cache's budget
-  // check (exact under the lock, relaxed for readers).
-  std::atomic<uint64_t> approx_bytes{0};
+  // hash collision costs a bucket scan, never a wrong skeleton. The pool
+  // holds no ownership: a skeleton lives exactly as long as the programs
+  // that reference it, and its deleter unlinks its slot.
+  std::unordered_map<uint64_t, std::vector<PoolSlot>> buckets;
+  SkeletonPoolStats stats;
 };
 
 SkeletonPool& GlobalSkeletonPool() {
   static SkeletonPool* pool = new SkeletonPool();  // leaked: outlives threads
   return *pool;
+}
+
+// Deleter of every interned skeleton: unlinks its slot (if a reset has
+// not already dropped it), then frees it. Never runs under the pool
+// mutex — InternSkeleton drops no reference while holding it.
+void ReleaseSkeleton(const MicroOpSkeleton* skeleton) {
+  SkeletonPool& pool = GlobalSkeletonPool();
+  {
+    std::lock_guard<std::mutex> lock(pool.mu);
+    auto bucket = pool.buckets.find(skeleton->hash);
+    if (bucket != pool.buckets.end()) {
+      std::vector<PoolSlot>& slots = bucket->second;
+      auto slot = std::find_if(slots.begin(), slots.end(),
+                               [skeleton](const PoolSlot& s) {
+                                 return s.skeleton == skeleton;
+                               });
+      if (slot != slots.end()) {
+        slots.erase(slot);
+        --pool.stats.skeletons;
+        pool.stats.bytes -= static_cast<uint64_t>(skeleton->MemoryBytes());
+        if (slots.empty()) pool.buckets.erase(bucket);
+      }
+    }
+  }
+  delete skeleton;
 }
 
 }  // namespace
@@ -381,79 +406,37 @@ std::shared_ptr<const MicroOpSkeleton> InternSkeleton(
     MicroOpSkeleton&& skeleton) {
   SkeletonPool& pool = GlobalSkeletonPool();
   std::lock_guard<std::mutex> lock(pool.mu);
-  ++pool.interns;
-  std::vector<std::shared_ptr<const MicroOpSkeleton>>& bucket =
-      pool.buckets[skeleton.hash];
-  for (const std::shared_ptr<const MicroOpSkeleton>& existing : bucket) {
-    if (SkeletonEqual(*existing, skeleton)) {
-      ++pool.shared;
+  ++pool.stats.interns;
+  std::vector<PoolSlot>& slots = pool.buckets[skeleton.hash];
+  for (const PoolSlot& slot : slots) {
+    // A slot's skeleton is not freed before its deleter unlinks the slot
+    // under this mutex, so comparing is safe; lock() fails only when that
+    // deleter is already waiting for the mutex.
+    if (!SkeletonEqual(*slot.skeleton, skeleton)) continue;
+    if (std::shared_ptr<const MicroOpSkeleton> existing = slot.ref.lock()) {
+      ++pool.stats.shared;
       return existing;
     }
   }
-  bucket.push_back(
-      std::make_shared<const MicroOpSkeleton>(std::move(skeleton)));
-  pool.approx_bytes.fetch_add(
-      static_cast<uint64_t>(bucket.back()->MemoryBytes()),
-      std::memory_order_relaxed);
-  return bucket.back();
+  auto* owned = new MicroOpSkeleton(std::move(skeleton));
+  std::shared_ptr<const MicroOpSkeleton> interned(owned, ReleaseSkeleton);
+  slots.push_back({owned, interned});
+  ++pool.stats.skeletons;
+  pool.stats.bytes += static_cast<uint64_t>(owned->MemoryBytes());
+  return interned;
 }
 
 SkeletonPoolStats GetSkeletonPoolStats() {
   SkeletonPool& pool = GlobalSkeletonPool();
   std::lock_guard<std::mutex> lock(pool.mu);
-  SkeletonPoolStats stats;
-  stats.interns = pool.interns;
-  stats.shared = pool.shared;
-  stats.compactions = pool.compactions;
-  stats.dropped = pool.dropped;
-  for (const auto& [hash, bucket] : pool.buckets) {
-    stats.skeletons += bucket.size();
-    for (const std::shared_ptr<const MicroOpSkeleton>& s : bucket) {
-      stats.bytes += static_cast<uint64_t>(s->MemoryBytes());
-    }
-  }
-  return stats;
+  return pool.stats;
 }
 
 void ResetSkeletonPool() {
   SkeletonPool& pool = GlobalSkeletonPool();
   std::lock_guard<std::mutex> lock(pool.mu);
   pool.buckets.clear();
-  pool.interns = 0;
-  pool.shared = 0;
-  pool.compactions = 0;
-  pool.dropped = 0;
-  pool.approx_bytes.store(0, std::memory_order_relaxed);
-}
-
-uint64_t CompactSkeletonPool() {
-  SkeletonPool& pool = GlobalSkeletonPool();
-  std::lock_guard<std::mutex> lock(pool.mu);
-  ++pool.compactions;
-  uint64_t dropped = 0;
-  uint64_t dropped_bytes = 0;
-  for (auto it = pool.buckets.begin(); it != pool.buckets.end();) {
-    std::vector<std::shared_ptr<const MicroOpSkeleton>>& bucket = it->second;
-    for (size_t i = bucket.size(); i > 0; --i) {
-      // use_count() == 1 means the pool holds the only reference: no
-      // cached program and no in-flight replay can reach this skeleton.
-      // (A racing CachedSimProgram cannot resurrect it — interning
-      // happens under this same mutex.)
-      if (bucket[i - 1].use_count() == 1) {
-        dropped_bytes += static_cast<uint64_t>(bucket[i - 1]->MemoryBytes());
-        bucket.erase(bucket.begin() + static_cast<ptrdiff_t>(i - 1));
-        ++dropped;
-      }
-    }
-    it = bucket.empty() ? pool.buckets.erase(it) : std::next(it);
-  }
-  pool.dropped += dropped;
-  pool.approx_bytes.fetch_sub(dropped_bytes, std::memory_order_relaxed);
-  return dropped;
-}
-
-uint64_t ApproxSkeletonPoolBytes() {
-  return GlobalSkeletonPool().approx_bytes.load(std::memory_order_relaxed);
+  pool.stats = SkeletonPoolStats();
 }
 
 MicroOpProgram CompileTraceProgram(const ir::Stmt& program, int num_warps,

@@ -150,36 +150,23 @@ struct MicroOpSkeleton {
 uint64_t SkeletonHash(const MicroOpSkeleton& skeleton);
 
 // Process-wide structure-sharing pool: returns a shared skeleton equal to
-// `skeleton`, inserting it if no equal one exists. Thread-safe; entries
-// live until ResetSkeletonPool (callers hold shared_ptrs, so a reset
-// never invalidates in-flight programs).
+// `skeleton`, inserting it if no equal live one exists. Thread-safe. The
+// pool keeps only weak references: a skeleton is freed together with the
+// last program (cached or not) that holds it, and leaves the pool then.
 std::shared_ptr<const MicroOpSkeleton> InternSkeleton(
     MicroOpSkeleton&& skeleton);
 
 struct SkeletonPoolStats {
-  uint64_t skeletons = 0;  // distinct skeletons resident
+  uint64_t skeletons = 0;  // pooled skeletons alive
   uint64_t bytes = 0;      // their total footprint
   uint64_t interns = 0;    // InternSkeleton calls
   uint64_t shared = 0;     // calls that found an existing equal skeleton
-  uint64_t compactions = 0;  // CompactSkeletonPool calls
-  uint64_t dropped = 0;      // orphan skeletons dropped by compaction
 };
 SkeletonPoolStats GetSkeletonPoolStats();
+
+// Forgets every pooled skeleton and zeroes the stats. Held programs keep
+// their skeletons (later interns no longer share them).
 void ResetSkeletonPool();
-
-// Arena compaction for the intern pool: drops every skeleton whose only
-// remaining reference is the pool itself (its programs were evicted or
-// destroyed), returning the number dropped. In-flight programs keep
-// their skeletons alive through their shared_ptrs, so compaction can
-// never invalidate a replay. The sim cache calls this after LRU
-// eviction so orphaned instruction arenas do not count against the
-// ALCOP_CACHE_BYTES budget forever.
-uint64_t CompactSkeletonPool();
-
-// The pool's resident bytes as a relaxed atomic (maintained by
-// intern/compact/reset), so the sim cache's budget check on every insert
-// does not take the pool mutex.
-uint64_t ApproxSkeletonPoolBytes();
 
 // The compiled program: a shared structural skeleton plus this config's
 // numeric operands — the interned patch-table rows the skeleton's

@@ -976,10 +976,13 @@ class Replayer {
                             per_tb_slots);  // written before read
     a_.slot_done.assign(static_cast<size_t>(tbs) * per_tb_slots, 0);
     a_.releases.assign(static_cast<size_t>(tbs) * per_tb_rel, 0);
-    a_.waiters.resize(num_insts);
-    for (ReplayArena::WaiterLists& lists : a_.waiters) {
-      lists.wait.clear();
-      lists.acquire.clear();
+    // Park lists and barriers only grow: shrinking them for a smaller
+    // remainder wave would free inner lists the next full wave re-grows.
+    // Each wave uses the prefix it needs.
+    if (a_.waiters.size() < num_insts) a_.waiters.resize(num_insts);
+    for (size_t i = 0; i < num_insts; ++i) {
+      a_.waiters[i].wait.clear();
+      a_.waiters[i].acquire.clear();
     }
     a_.inst_participants.resize(num_insts);
     a_.inst_slot_base.resize(num_insts);
@@ -1020,8 +1023,11 @@ class Replayer {
       }
     }
 
-    a_.barriers.resize(static_cast<size_t>(tbs));
-    for (ReplayArena::Barrier& barrier : a_.barriers) {
+    if (a_.barriers.size() < static_cast<size_t>(tbs)) {
+      a_.barriers.resize(static_cast<size_t>(tbs));
+    }
+    for (size_t tb = 0; tb < static_cast<size_t>(tbs); ++tb) {
+      ReplayArena::Barrier& barrier = a_.barriers[tb];
       barrier.arrived = 0;
       barrier.max_time = 0.0;
       barrier.parked.clear();

@@ -163,7 +163,8 @@ struct ReplayArena {
   std::vector<double> slot_complete;
   std::vector<uint8_t> slot_done;
   std::vector<int32_t> releases;
-  std::vector<WaiterLists> waiters;  // per instance
+  // Grow-only: a wave uses the prefix it needs (per instance / per tb).
+  std::vector<WaiterLists> waiters;
   std::vector<Barrier> barriers;
   std::vector<HeapEntry> heap;  // binary min-heap of runnable streams
   // Wave-scaled operand pool: 8 doubles per program pool row — the raw

@@ -1,13 +1,11 @@
 #include "sim/sim_cache.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <limits>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 
@@ -16,26 +14,32 @@ namespace sim {
 
 namespace {
 
-constexpr size_t kNumShards = 16;
-
 // Flat charge per map node for the parts the entry cannot see (bucket
-// array share, node header). Keeps the byte gauges honest without
-// chasing allocator internals; the budget tests only rely on the charge
-// being applied symmetrically on insert and evict.
+// array share, node header, recency-list node). Keeps the byte gauges
+// honest without chasing allocator internals; the budget tests only rely
+// on the charge being applied symmetrically on insert and evict.
 constexpr uint64_t kEntryOverheadBytes = 64;
 
-// Cached entries carry their LRU tick and their exact byte charge, so
-// eviction refunds precisely what insertion charged even if a string
-// reallocates somewhere in between.
+// One recency list for both layers, least recently used at the front.
+// A node names its entry by the key stored in that layer's map
+// (unordered_map nodes never move, so the pointer stays valid).
+struct LruNode {
+  const std::string* key;
+  bool program;  // which layer's map holds the entry
+};
+using LruList = std::list<LruNode>;
+
+// Cached entries carry their recency-list position and their exact byte
+// charge, so eviction refunds precisely what insertion charged.
 struct TimingEntry {
   KernelTiming timing;
-  uint64_t tick = 0;
+  LruList::iterator lru;
   uint64_t bytes = 0;
 };
 
 struct ProgramEntry {
   std::shared_ptr<const SimProgram> program;
-  uint64_t tick = 0;
+  LruList::iterator lru;
   uint64_t bytes = 0;
 };
 
@@ -47,51 +51,29 @@ uint64_t TimingEntryBytes(const std::string& key, const KernelTiming& timing) {
 
 uint64_t ProgramEntryBytes(const std::string& key, const SimProgram& program) {
   // program.MemoryBytes() is the per-config footprint only; the shared
-  // skeleton is charged once per pool via ApproxSkeletonPoolBytes().
+  // skeleton is charged once, while cached programs reference it.
   return static_cast<uint64_t>(key.capacity() + program.MemoryBytes() +
                                sizeof(ProgramEntry)) +
          kEntryOverheadBytes;
 }
 
-// All shard state — maps *and* counters — is guarded by the shard mutex:
-// a hit/miss/eviction is counted in the same critical section that
-// observes or mutates the map, so locking every shard (in index order)
-// yields a linearizable snapshot. The previous design kept the counters
-// in global relaxed atomics updated partly outside the locks; a snapshot
-// taken during a sweep could then tear (e.g. see an inserted entry whose
-// miss was not counted yet, or a post-reset map with pre-reset counters).
-struct Shard {
+// All cache state — maps, recency list and counters — is guarded by one
+// mutex: a hit/miss/eviction is counted in the same critical section that
+// observes or mutates the maps, so a stats snapshot is linearizable.
+struct Cache {
   std::mutex mu;
-  std::unordered_map<std::string, TimingEntry> map;
+  std::unordered_map<std::string, TimingEntry> timings;
   // Phase-1 layer: shared so callers can keep replaying an entry after
   // the lock is dropped (and across a Reset or an eviction).
   std::unordered_map<std::string, ProgramEntry> programs;
-  // LRU clock: bumped on every touch (hit or insert) of either layer.
-  uint64_t clock = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t program_hits = 0;
-  uint64_t program_misses = 0;
-  uint64_t timing_evictions = 0;
-  uint64_t program_evictions = 0;
-};
-
-struct Cache {
-  Shard shards[kNumShards];
-  // Approximate resident data bytes (both layers' entry charges, not the
-  // skeleton pool) as a relaxed atomic: the budget check on every insert
-  // must not take other shards' locks. Exact bytes for the stats
-  // snapshot are recomputed from the maps under the all-shards lock.
-  std::atomic<uint64_t> data_bytes{0};
-  std::atomic<uint64_t> budget_bytes{0};  // 0 = unbounded
-  // Persistent-store counters (serving/persist.cc).
-  std::atomic<uint64_t> disk_hits{0};
-  std::atomic<uint64_t> disk_misses{0};
-  std::atomic<uint64_t> disk_load_bytes{0};
-
-  Shard& ShardFor(const std::string& key) {
-    return shards[std::hash<std::string>{}(key) % kNumShards];
-  }
+  LruList lru;
+  // How many cached programs reference each skeleton: its bytes are
+  // charged at the first reference and refunded at the last.
+  std::unordered_map<const MicroOpSkeleton*, uint64_t> skeleton_refs;
+  // Counters kept exact by every hit, miss, insert and eviction (the
+  // entry counts and the budget are filled in by GetSimCacheStats).
+  SimCacheStats stats;
+  uint64_t budget_bytes = 0;  // 0 = unbounded; survives ResetSimCache
 };
 
 Cache& GlobalCache() {
@@ -101,8 +83,7 @@ Cache& GlobalCache() {
       char* end = nullptr;
       unsigned long long parsed = std::strtoull(env, &end, 10);
       if (end != env && *end == '\0') {
-        c->budget_bytes.store(static_cast<uint64_t>(parsed),
-                              std::memory_order_relaxed);
+        c->budget_bytes = static_cast<uint64_t>(parsed);
       }
     }
     // Absorb the cache counters into the process-wide metrics registry
@@ -178,110 +159,91 @@ ReplayArena& CacheThreadArena() {
   return arena;
 }
 
-// Locks every shard in index order (deadlock-free: the hot paths only
-// ever hold one shard lock, and snapshot/reset both use this order; the
-// skeleton-pool mutex is only ever acquired *after* shard locks, never
-// the other way around).
-class AllShardsLock {
- public:
-  explicit AllShardsLock(Cache& cache) {
-    for (size_t i = 0; i < kNumShards; ++i) cache.shards[i].mu.lock();
-    cache_ = &cache;
-  }
-  ~AllShardsLock() {
-    for (size_t i = kNumShards; i > 0; --i) {
-      cache_->shards[i - 1].mu.unlock();
-    }
-  }
-  AllShardsLock(const AllShardsLock&) = delete;
-  AllShardsLock& operator=(const AllShardsLock&) = delete;
-
- private:
-  Cache* cache_;
-};
-
-bool OverBudget(const Cache& cache) {
-  const uint64_t budget =
-      cache.budget_bytes.load(std::memory_order_relaxed);
-  if (budget == 0) return false;
-  return cache.data_bytes.load(std::memory_order_relaxed) +
-             ApproxSkeletonPoolBytes() >
-         budget;
+// Marks an entry most recently used.
+void Touch(Cache& cache, LruList::iterator node) {
+  cache.lru.splice(cache.lru.end(), cache.lru, node);
 }
 
-// Evicts least-recently-used entries of `shard` (both layers compete by
-// tick) until the global footprint fits the budget or the shard has
-// nothing left to give. Called with the shard lock held, right after an
-// insert; `keep_key` protects the entry just inserted from being
-// sacrificed to make room for itself. Only this shard's lock is taken —
-// the global byte total is a relaxed atomic — so eviction never stalls
-// other shards; because the key hash spreads inserts uniformly, every
-// shard does its share of the shrinking and the footprint converges
-// under budget after a few inserts even though no single call sees the
-// whole cache. Returns true if any *program* entry was dropped, in which
-// case the caller must CompactSkeletonPool() after releasing the lock
-// (pool orphans are part of the budgeted footprint).
-bool EnforceBudgetLocked(Cache& cache, Shard& shard,
-                         const std::string& keep_key) {
-  bool program_evicted = false;
-  while (OverBudget(cache)) {
-    auto timing_victim = shard.map.end();
-    uint64_t timing_tick = std::numeric_limits<uint64_t>::max();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->first == keep_key) continue;
-      if (it->second.tick < timing_tick) {
-        timing_tick = it->second.tick;
-        timing_victim = it;
-      }
-    }
-    auto program_victim = shard.programs.end();
-    uint64_t program_tick = std::numeric_limits<uint64_t>::max();
-    for (auto it = shard.programs.begin(); it != shard.programs.end(); ++it) {
-      if (it->first == keep_key) continue;
-      if (it->second.tick < program_tick) {
-        program_tick = it->second.tick;
-        program_victim = it;
-      }
-    }
-    if (timing_victim == shard.map.end() &&
-        program_victim == shard.programs.end()) {
-      // Nothing left in this shard. The caller follows up with
-      // EvictFromAllShards once this shard's lock is dropped.
-      break;
-    }
-    if (timing_victim != shard.map.end() &&
-        (program_victim == shard.programs.end() ||
-         timing_tick <= program_tick)) {
-      cache.data_bytes.fetch_sub(timing_victim->second.bytes,
-                                 std::memory_order_relaxed);
-      shard.map.erase(timing_victim);
-      ++shard.timing_evictions;
+// Charges (insert) or refunds (evict) a program entry. Its skeleton's
+// bytes move only at the skeleton's first and last cached reference.
+void AccountProgram(Cache& cache, const ProgramEntry& entry, bool charge) {
+  auto apply = [charge](uint64_t& counter, uint64_t bytes) {
+    counter = charge ? counter + bytes : counter - bytes;
+  };
+  SimCacheStats& s = cache.stats;
+  const auto own = static_cast<uint64_t>(entry.program->MemoryBytes());
+  apply(s.program_bytes, own);
+  apply(s.program_bytes_unshared, own);
+  apply(s.resident_bytes, entry.bytes);
+  const MicroOpSkeleton* skeleton = entry.program->program.skeleton.get();
+  if (skeleton == nullptr) return;
+  const auto shared = static_cast<uint64_t>(skeleton->MemoryBytes());
+  apply(s.program_bytes_unshared, shared);
+  uint64_t& refs = cache.skeleton_refs[skeleton];
+  if (charge ? refs++ == 0 : --refs == 0) {
+    apply(s.skeleton_bytes, shared);
+    apply(s.resident_bytes, shared);
+  }
+  if (refs == 0) cache.skeleton_refs.erase(skeleton);
+}
+
+// Pops least-recently-used entries of either layer until the resident
+// footprint fits the budget. Entries under `keep` — the key just
+// inserted — are skipped, so an insert never evicts itself. Caller holds
+// the cache mutex.
+void EvictOverBudget(Cache& cache, const std::string& keep) {
+  SimCacheStats& s = cache.stats;
+  auto node = cache.lru.begin();
+  while (cache.budget_bytes != 0 && s.resident_bytes > cache.budget_bytes &&
+         node != cache.lru.end()) {
+    auto victim = node++;
+    if (*victim->key == keep) continue;
+    if (victim->program) {
+      auto it = cache.programs.find(*victim->key);
+      AccountProgram(cache, it->second, /*charge=*/false);
+      cache.lru.erase(victim);
+      cache.programs.erase(it);
+      ++s.program_evictions;
     } else {
-      cache.data_bytes.fetch_sub(program_victim->second.bytes,
-                                 std::memory_order_relaxed);
-      shard.programs.erase(program_victim);
-      ++shard.program_evictions;
-      program_evicted = true;
+      auto it = cache.timings.find(*victim->key);
+      s.timing_bytes -= it->second.bytes;
+      s.resident_bytes -= it->second.bytes;
+      cache.lru.erase(victim);
+      cache.timings.erase(it);
+      ++s.timing_evictions;
     }
+    ++s.evictions;
   }
-  return program_evicted;
 }
 
-// Overflow pass for when the inserting shard alone cannot satisfy the
-// budget (small or skewed caches: the shard may hold nothing but the
-// just-inserted entry). Visits shards one at a time — never more than
-// one shard lock held, so there is no ordering hazard with the hot paths
-// — evicting each one's stalest entries until the footprint fits.
-// Callers run this *after* releasing their own shard's lock.
-bool EvictFromAllShards(Cache& cache, const std::string& keep_key) {
-  bool program_evicted = false;
-  for (size_t i = 0; i < kNumShards && OverBudget(cache); ++i) {
-    Shard& shard = cache.shards[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    program_evicted = EnforceBudgetLocked(cache, shard, keep_key) ||
-                      program_evicted;
-  }
-  return program_evicted;
+// Inserts unless `key` is already resident (a racing miss or a live
+// entry wins), then enforces the budget. Returns the resident program.
+// Caller holds the cache mutex.
+std::shared_ptr<const SimProgram> InsertProgram(
+    Cache& cache, const std::string& key,
+    std::shared_ptr<const SimProgram> program) {
+  auto [it, inserted] = cache.programs.try_emplace(key);
+  ProgramEntry& entry = it->second;
+  if (!inserted) return entry.program;
+  entry.program = std::move(program);
+  entry.bytes = ProgramEntryBytes(it->first, *entry.program);
+  entry.lru = cache.lru.insert(cache.lru.end(), {&it->first, true});
+  AccountProgram(cache, entry, /*charge=*/true);
+  EvictOverBudget(cache, key);
+  return entry.program;
+}
+
+void InsertTiming(Cache& cache, const std::string& key,
+                  const KernelTiming& timing) {
+  auto [it, inserted] = cache.timings.try_emplace(key);
+  if (!inserted) return;
+  TimingEntry& entry = it->second;
+  entry.timing = timing;
+  entry.bytes = TimingEntryBytes(it->first, timing);
+  entry.lru = cache.lru.insert(cache.lru.end(), {&it->first, false});
+  cache.stats.timing_bytes += entry.bytes;
+  cache.stats.resident_bytes += entry.bytes;
+  EvictOverBudget(cache, key);
 }
 
 }  // namespace
@@ -316,38 +278,24 @@ std::shared_ptr<const SimProgram> CachedSimProgram(
     const target::GpuSpec& spec, schedule::InlineOrder inline_order) {
   Cache& cache = GlobalCache();
   std::string key = SimCacheKey(op, config, spec, inline_order);
-  Shard& shard = cache.ShardFor(key);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.programs.find(key);
-    if (it != shard.programs.end()) {
-      ++shard.program_hits;
-      it->second.tick = ++shard.clock;
+    std::lock_guard<std::mutex> lock(cache.mu);
+    auto it = cache.programs.find(key);
+    if (it != cache.programs.end()) {
+      ++cache.stats.program_hits;
+      Touch(cache, it->second.lru);
       return it->second.program;
     }
   }
-  // Compile outside the shard lock so concurrent misses on different keys
-  // of the same shard do not serialize the expensive work.
+  // Compile outside the lock so concurrent misses do not serialize the
+  // expensive work.
   auto program = std::make_shared<const SimProgram>(
       CompileSimProgram(op, config, spec, inline_order));
-  bool compact = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // The miss is counted where the map changes, under the same lock, so
-    // a concurrent stats snapshot never sees an entry without its miss.
-    ++shard.program_misses;
-    ProgramEntry entry;
-    entry.program = program;
-    entry.tick = ++shard.clock;
-    entry.bytes = ProgramEntryBytes(key, *program);
-    auto [it, inserted] = shard.programs.emplace(key, std::move(entry));
-    if (!inserted) return it->second.program;  // a racing miss won; share it
-    cache.data_bytes.fetch_add(it->second.bytes, std::memory_order_relaxed);
-    compact = EnforceBudgetLocked(cache, shard, key);
-  }
-  if (OverBudget(cache)) compact = EvictFromAllShards(cache, key) || compact;
-  if (compact) CompactSkeletonPool();
-  return program;
+  std::lock_guard<std::mutex> lock(cache.mu);
+  // The miss is counted where the map changes, under the same lock, so a
+  // concurrent stats snapshot never sees an entry without its miss.
+  ++cache.stats.program_misses;
+  return InsertProgram(cache, key, std::move(program));
 }
 
 bool ProbeCachedTiming(const schedule::GemmOp& op,
@@ -356,12 +304,11 @@ bool ProbeCachedTiming(const schedule::GemmOp& op,
                        schedule::InlineOrder inline_order, KernelTiming* out) {
   Cache& cache = GlobalCache();
   std::string key = SimCacheKey(op, config, spec, inline_order);
-  Shard& shard = cache.ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  ++shard.hits;
-  it->second.tick = ++shard.clock;
+  std::lock_guard<std::mutex> lock(cache.mu);
+  auto it = cache.timings.find(key);
+  if (it == cache.timings.end()) return false;
+  ++cache.stats.hits;
+  Touch(cache, it->second.lru);
   if (out != nullptr) *out = it->second.timing;
   return true;
 }
@@ -372,141 +319,75 @@ KernelTiming CachedCompileAndSimulate(const schedule::GemmOp& op,
                                       schedule::InlineOrder inline_order) {
   Cache& cache = GlobalCache();
   std::string key = SimCacheKey(op, config, spec, inline_order);
-  Shard& shard = cache.ShardFor(key);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      ++shard.hits;
-      it->second.tick = ++shard.clock;
+    std::lock_guard<std::mutex> lock(cache.mu);
+    auto it = cache.timings.find(key);
+    if (it != cache.timings.end()) {
+      ++cache.stats.hits;
+      Touch(cache, it->second.lru);
       return it->second.timing;
     }
   }
   // A timing miss still reuses phase 1 through the program layer: only
-  // the cheap bytecode replay runs outside the shard lock.
+  // the cheap bytecode replay runs outside the lock.
   std::shared_ptr<const SimProgram> program =
       CachedSimProgram(op, config, spec, inline_order);
   KernelTiming timing = ReplaySimProgram(*program, &CacheThreadArena());
-  bool compact = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.misses;
-    auto found = shard.map.find(key);
-    if (found == shard.map.end()) {
-      TimingEntry entry;
-      entry.timing = timing;
-      entry.tick = ++shard.clock;
-      entry.bytes = TimingEntryBytes(key, timing);
-      cache.data_bytes.fetch_add(entry.bytes, std::memory_order_relaxed);
-      shard.map.emplace(key, std::move(entry));
-      compact = EnforceBudgetLocked(cache, shard, key);
-    }
-  }
-  if (OverBudget(cache)) compact = EvictFromAllShards(cache, key) || compact;
-  if (compact) CompactSkeletonPool();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  ++cache.stats.misses;
+  InsertTiming(cache, key, timing);
   return timing;
 }
 
 SimCacheStats GetSimCacheStats() {
   Cache& cache = GlobalCache();
-  SimCacheStats stats;
-  stats.budget_bytes = cache.budget_bytes.load(std::memory_order_relaxed);
-  stats.disk_hits = cache.disk_hits.load(std::memory_order_relaxed);
-  stats.disk_misses = cache.disk_misses.load(std::memory_order_relaxed);
-  stats.disk_load_bytes =
-      cache.disk_load_bytes.load(std::memory_order_relaxed);
-  AllShardsLock lock(cache);
-  uint64_t program_entry_bytes = 0;
-  for (Shard& shard : cache.shards) {
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.program_hits += shard.program_hits;
-    stats.program_misses += shard.program_misses;
-    stats.timing_evictions += shard.timing_evictions;
-    stats.program_evictions += shard.program_evictions;
-    stats.entries += shard.map.size();
-    stats.program_entries += shard.programs.size();
-    for (const auto& [key, entry] : shard.map) {
-      stats.timing_bytes += entry.bytes;
-    }
-    for (const auto& [key, entry] : shard.programs) {
-      program_entry_bytes += entry.bytes;
-    }
-  }
-  stats.evictions = stats.timing_evictions + stats.program_evictions;
-  std::unordered_set<const MicroOpSkeleton*> skeletons;
-  for (Shard& shard : cache.shards) {
-    for (const auto& [key, entry] : shard.programs) {
-      const SimProgram& program = *entry.program;
-      const uint64_t bytes = static_cast<uint64_t>(program.MemoryBytes());
-      stats.program_bytes += bytes;
-      stats.program_bytes_unshared += bytes;
-      const MicroOpSkeleton* skeleton = program.program.skeleton.get();
-      if (skeleton == nullptr) continue;
-      const uint64_t sk_bytes =
-          static_cast<uint64_t>(skeleton->MemoryBytes());
-      stats.program_bytes_unshared += sk_bytes;
-      if (skeletons.insert(skeleton).second) {
-        stats.skeleton_bytes += sk_bytes;
-      }
-    }
-  }
-  stats.program_skeletons = skeletons.size();
-  // Resident = both layers' exact entry charges plus the skeleton *pool*
-  // counted once per pool (GetSkeletonPoolStats, shard -> pool lock
-  // order). The pool figure includes orphans awaiting compaction —
-  // deliberately: that is what the budget check sees too, so the gauge
-  // never under-reports against ALCOP_CACHE_BYTES.
-  stats.resident_bytes = stats.timing_bytes + program_entry_bytes +
-                         GetSkeletonPoolStats().bytes;
+  std::lock_guard<std::mutex> lock(cache.mu);
+  SimCacheStats stats = cache.stats;
+  stats.entries = cache.timings.size();
+  stats.program_entries = cache.programs.size();
+  stats.program_skeletons = cache.skeleton_refs.size();
+  stats.budget_bytes = cache.budget_bytes;
   return stats;
 }
 
 void ResetSimCache() {
   Cache& cache = GlobalCache();
   {
-    // Maps and counters are cleared under one all-shards lock, so a
-    // concurrent snapshot sees either the whole pre-reset or the whole
-    // post-reset state, never a mix.
-    AllShardsLock lock(cache);
-    for (Shard& shard : cache.shards) {
-      shard.map.clear();
-      shard.programs.clear();
-      shard.clock = 0;
-      shard.hits = 0;
-      shard.misses = 0;
-      shard.program_hits = 0;
-      shard.program_misses = 0;
-      shard.timing_evictions = 0;
-      shard.program_evictions = 0;
-    }
-    cache.data_bytes.store(0, std::memory_order_relaxed);
-    cache.disk_hits.store(0, std::memory_order_relaxed);
-    cache.disk_misses.store(0, std::memory_order_relaxed);
-    cache.disk_load_bytes.store(0, std::memory_order_relaxed);
+    // Maps and counters are cleared under the one lock, so a concurrent
+    // snapshot sees either the whole pre-reset or the whole post-reset
+    // state, never a mix.
+    std::lock_guard<std::mutex> lock(cache.mu);
+    cache.timings.clear();
+    cache.programs.clear();
+    cache.lru.clear();
+    cache.skeleton_refs.clear();
+    cache.stats = SimCacheStats();
   }
-  // A cold cache should also mean cold structure-sharing stats: drop the
-  // interned skeletons too (in-flight programs keep theirs alive through
-  // their shared_ptrs).
+  // A cold cache should also mean cold structure-sharing stats: forget
+  // the interned skeletons too (in-flight programs keep theirs alive
+  // through their shared_ptrs).
   ResetSkeletonPool();
 }
 
 void SetSimCacheBudgetBytes(uint64_t bytes) {
-  GlobalCache().budget_bytes.store(bytes, std::memory_order_relaxed);
+  Cache& cache = GlobalCache();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  cache.budget_bytes = bytes;
 }
 
 uint64_t GetSimCacheBudgetBytes() {
-  return GlobalCache().budget_bytes.load(std::memory_order_relaxed);
+  Cache& cache = GlobalCache();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  return cache.budget_bytes;
 }
 
 std::vector<std::pair<std::string, KernelTiming>> SnapshotCachedTimings() {
   Cache& cache = GlobalCache();
   std::vector<std::pair<std::string, KernelTiming>> out;
-  AllShardsLock lock(cache);
-  for (Shard& shard : cache.shards) {
-    for (const auto& [key, entry] : shard.map) {
-      out.emplace_back(key, entry.timing);
-    }
+  std::lock_guard<std::mutex> lock(cache.mu);
+  out.reserve(cache.timings.size());
+  for (const auto& [key, entry] : cache.timings) {
+    out.emplace_back(key, entry.timing);
   }
   return out;
 }
@@ -515,61 +396,35 @@ std::vector<std::pair<std::string, std::shared_ptr<const SimProgram>>>
 SnapshotCachedPrograms() {
   Cache& cache = GlobalCache();
   std::vector<std::pair<std::string, std::shared_ptr<const SimProgram>>> out;
-  AllShardsLock lock(cache);
-  for (Shard& shard : cache.shards) {
-    for (const auto& [key, entry] : shard.programs) {
-      out.emplace_back(key, entry.program);
-    }
+  std::lock_guard<std::mutex> lock(cache.mu);
+  out.reserve(cache.programs.size());
+  for (const auto& [key, entry] : cache.programs) {
+    out.emplace_back(key, entry.program);
   }
   return out;
 }
 
 void InsertCachedTiming(const std::string& key, const KernelTiming& timing) {
   Cache& cache = GlobalCache();
-  Shard& shard = cache.ShardFor(key);
-  bool compact = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.find(key) != shard.map.end()) return;  // live entry wins
-    TimingEntry entry;
-    entry.timing = timing;
-    entry.tick = ++shard.clock;
-    entry.bytes = TimingEntryBytes(key, timing);
-    cache.data_bytes.fetch_add(entry.bytes, std::memory_order_relaxed);
-    shard.map.emplace(key, std::move(entry));
-    compact = EnforceBudgetLocked(cache, shard, key);
-  }
-  if (OverBudget(cache)) compact = EvictFromAllShards(cache, key) || compact;
-  if (compact) CompactSkeletonPool();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  InsertTiming(cache, key, timing);
 }
 
 void InsertCachedProgram(const std::string& key,
                          std::shared_ptr<const SimProgram> program) {
   if (program == nullptr) return;
   Cache& cache = GlobalCache();
-  Shard& shard = cache.ShardFor(key);
-  bool compact = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.programs.find(key) != shard.programs.end()) return;
-    ProgramEntry entry;
-    entry.bytes = ProgramEntryBytes(key, *program);
-    entry.program = std::move(program);
-    entry.tick = ++shard.clock;
-    cache.data_bytes.fetch_add(entry.bytes, std::memory_order_relaxed);
-    shard.programs.emplace(key, std::move(entry));
-    compact = EnforceBudgetLocked(cache, shard, key);
-  }
-  if (OverBudget(cache)) compact = EvictFromAllShards(cache, key) || compact;
-  if (compact) CompactSkeletonPool();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  InsertProgram(cache, key, std::move(program));
 }
 
 void AddSimCacheDiskStats(uint64_t hits, uint64_t misses,
                           uint64_t load_bytes) {
   Cache& cache = GlobalCache();
-  cache.disk_hits.fetch_add(hits, std::memory_order_relaxed);
-  cache.disk_misses.fetch_add(misses, std::memory_order_relaxed);
-  cache.disk_load_bytes.fetch_add(load_bytes, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(cache.mu);
+  cache.stats.disk_hits += hits;
+  cache.stats.disk_misses += misses;
+  cache.stats.disk_load_bytes += load_bytes;
 }
 
 }  // namespace sim

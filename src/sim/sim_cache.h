@@ -19,28 +19,29 @@
 //     pays the cheap bytecode replay, so even cold timing sweeps
 //     amortize the IR walk across waves/specs that share a program.
 //
-// The cache is sharded and thread-safe: concurrent misses on the same key
-// may both compile (the race is benign — both compute the same value and
-// one insert wins), while hits are lock-striped lookups. Per-layer
-// hit/miss counters live in the shards, are updated in the same critical
-// section that touches the maps, and are snapshotted under an all-shards
-// lock, so GetSimCacheStats() is linearizable against concurrent sweeps
-// and resets (hammered by the TSan-covered snapshot test). They feed the
-// throughput benches, the cache tests, and the obs metrics registry
-// (`sim.cache.*` callback gauges).
+// The cache is thread-safe behind one mutex. Compiles and replays run
+// outside it: concurrent misses on the same key may both compile (the
+// race is benign — both compute the same value and the first insert
+// wins; the later one shares it). Every counter — hits, misses,
+// evictions, entry and byte counts — is kept exact by the critical
+// section that touches the maps, so GetSimCacheStats() copies them and is
+// linearizable against concurrent sweeps and resets (hammered by the
+// TSan-covered snapshot test). They feed the throughput benches, the
+// cache tests, and the obs metrics registry (`sim.cache.*` callback
+// gauges).
 //
 // Residency is bounded: under an ALCOP_CACHE_BYTES budget (or
 // SetSimCacheBudgetBytes) both layers evict least-recently-used entries.
-// Recency is a per-shard tick clock bumped in the same critical section
-// as the map touch; an insert that pushes the resident footprint —
-// timing entries + per-config program tables + the skeleton pool counted
-// once — over budget evicts the stalest entries of its own shard (only
-// that shard's lock is held, so eviction never blocks other shards; if
-// that shard alone cannot free enough, a follow-up pass visits the other
-// shards one lock at a time) and compacts the skeleton intern pool so
-// orphaned instruction arenas are returned too. Shared-ptr hand-out makes eviction safe against
-// in-flight replays, and warm replay stays zero-allocation: eviction
-// only drops ownership, it never touches a caller's ReplayArena.
+// One recency list orders the entries of both layers; a hit on either
+// layer moves its entry to the back. An insert that pushes the resident
+// footprint — timing entries + per-config program tables + each skeleton
+// a cached program references, counted once — over budget pops entries
+// from the front until it fits, skipping the inserting key's own
+// entries. The cache counts its program references per skeleton, so
+// evicting a skeleton's last cached program refunds the skeleton's bytes
+// at once. Shared-ptr hand-out makes eviction safe against in-flight
+// replays, and warm replay stays zero-allocation: eviction only drops
+// ownership, it never touches a caller's ReplayArena.
 //
 // The persistence layer (serving/persist.h) round-trips both layers
 // through SnapshotCachedTimings/SnapshotCachedPrograms and the
@@ -85,10 +86,9 @@ struct SimCacheStats {
 
   // LRU accounting. timing_bytes is the timing layer's footprint (keys,
   // reasons, entry structs); resident_bytes is what the budget bounds:
-  // timing_bytes + program-layer bytes (keys + patch tables) + the
-  // skeleton *pool* bytes counted once per pool — never once per sharing
-  // program, and including orphans awaiting compaction, so the gauge can
-  // only over-report vs. the budget, not under-report.
+  // timing_bytes + program-layer bytes (keys + patch tables) +
+  // skeleton_bytes — each skeleton counted once, and only while a cached
+  // program references it.
   uint64_t timing_bytes = 0;
   uint64_t resident_bytes = 0;
   uint64_t budget_bytes = 0;  // 0 = unbounded
@@ -172,7 +172,7 @@ uint64_t GetSimCacheBudgetBytes();
 // Persistence hooks (serving/persist.h).
 // ---------------------------------------------------------------------------
 
-// Consistent copies of each layer under the all-shards lock, for
+// Consistent copies of each layer under the cache lock, for
 // serialization. Program entries are shared_ptrs, so a snapshot stays
 // valid while eviction proceeds underneath it.
 std::vector<std::pair<std::string, KernelTiming>> SnapshotCachedTimings();
@@ -188,7 +188,7 @@ void InsertCachedProgram(const std::string& key,
                          std::shared_ptr<const SimProgram> program);
 
 // Accumulates persistent-store counters into the sim.cache.disk.* gauges
-// (relaxed; called by the persistence layer, read by stats snapshots).
+// (called by the persistence layer, read by stats snapshots).
 void AddSimCacheDiskStats(uint64_t hits, uint64_t misses,
                           uint64_t load_bytes);
 

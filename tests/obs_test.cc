@@ -28,6 +28,7 @@
 #include "target/gpu_spec.h"
 #include "tuner/space.h"
 #include "tuner/strategy.h"
+#include "workloads/ops.h"
 
 // Sanitizer builds replace the allocator; counting allocations there is
 // both unreliable and interferes with the interceptors, so the guard
@@ -576,6 +577,43 @@ TEST(ObsOverheadTest, WarmReplayStaysZeroAllocationWithEvictionEnabled) {
 
   sim::SetSimCacheBudgetBytes(saved_budget);
   sim::ResetSimCache();
+}
+
+TEST(ObsOverheadTest, WarmReplayWithRaggedLastWaveIsZeroAllocation) {
+  // A remainder wave runs fewer threadblocks than the full waves before
+  // it. The arena's park lists and barriers must survive that smaller
+  // wave, or every warm replay re-grows them for the next full one.
+  target::GpuSpec spec = target::AmpereSpec();
+  const schedule::GemmOp& op = workloads::BenchmarkOps().front();
+  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
+  sim::SimProgram program;
+  bool ragged = false;
+  for (size_t c = 0; c < task.space.size() && !ragged; ++c) {
+    program = sim::CompileSimProgram(op, task.space[c], spec);
+    const int64_t per_wave =
+        static_cast<int64_t>(program.threadblocks_per_sm) * program.num_sms;
+    ragged = program.feasible && program.total_threadblocks > per_wave &&
+             program.total_threadblocks % per_wave != 0;
+  }
+  ASSERT_TRUE(ragged) << "no config of " << op.name << " has a ragged wave";
+
+  obs::SetTraceEnabled(false);
+  sim::ReplayArena arena;
+  sim::KernelTiming first = sim::ReplaySimProgram(program, &arena);
+  sim::ReplaySimProgram(program, &arena);
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  sim::KernelTiming third = sim::ReplaySimProgram(program, &arena);
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(BitEqual(first.cycles, third.cycles));
+#if !defined(ALCOP_OBS_NO_ALLOC_COUNTING)
+  EXPECT_EQ(after - before, 0u)
+      << "warm replay of " << program.total_threadblocks
+      << " threadblocks in waves of "
+      << program.threadblocks_per_sm * program.num_sms << " allocated";
+#else
+  (void)before;
+  (void)after;
+#endif
 }
 
 TEST(ObsOverheadTest, RequestPathInstrumentationIsZeroAllocation) {

@@ -341,7 +341,7 @@ TEST_F(PersistTest, LoadNeverClobbersLiveEntries) {
 }
 
 TEST_F(PersistTest, ConcurrentReadersAndWritersAreSafe) {
-  // Savers snapshot under the shard locks and rename() complete files
+  // Savers snapshot under the cache lock and rename() complete files
   // into place; loaders see either the old or the new file, never a torn
   // one. TSan runs this to check the snapshot/insert paths race-free.
   target::GpuSpec spec = target::AmpereSpec();

@@ -308,6 +308,62 @@ TEST_F(ServerTest, ConcurrentSlowLaneCompilesAllAnswer) {
   server.Stop();
 }
 
+TEST_F(ServerTest, SlowLaneStampsEachRequestsPickup) {
+  // Two never-seen compiles queue behind a tune and drain in one
+  // slow-lane round. The one served second is picked up only once the
+  // other completes: its wait inside the round is queue time, not
+  // service time.
+  options_.access_log_path = socket_path_ + ".access.jsonl";
+  std::remove(options_.access_log_path.c_str());
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client tune, first, second;
+  ASSERT_TRUE(tune.Connect(socket_path_));
+  ASSERT_TRUE(first.Connect(socket_path_));
+  ASSERT_TRUE(second.Connect(socket_path_));
+  auto compile = [](int id, int k) {
+    return "{\"id\":" + std::to_string(id) +
+           ",\"method\":\"compile\",\"m\":512,\"n\":512,\"k\":" +
+           std::to_string(k) +
+           ",\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],"
+           "\"smem\":2}}";
+  };
+  ASSERT_TRUE(tune.Send(
+      "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":768,\"k\":1024,"
+      "\"trials\":32}"));
+  ASSERT_TRUE(first.Send(compile(2, 512)));
+  ASSERT_TRUE(second.Send(compile(3, 640)));
+  for (serving::Client* client : {&tune, &first, &second}) {
+    std::optional<JsonValue> response = client->Recv();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_TRUE(response->Find("ok")->BoolOr(false));
+  }
+  server.Stop();
+
+  // Pickup and completion on the trace clock, by client_id.
+  std::map<int, std::pair<double, double>> spans;
+  std::map<int, double> round;
+  std::ifstream log(options_.access_log_path);
+  std::string line;
+  while (std::getline(log, line)) {
+    std::optional<JsonValue> entry = ParseJson(line);
+    ASSERT_TRUE(entry.has_value()) << line;
+    const int id = static_cast<int>(entry->Find("client_id")->NumberOr(0));
+    const double arrival = entry->Find("arrival_ns")->NumberOr(0);
+    spans[id] = {arrival + entry->Find("queue_us")->NumberOr(0) * 1e3,
+                 arrival + entry->Find("total_us")->NumberOr(0) * 1e3};
+    round[id] = entry->Find("batch")->NumberOr(0);
+  }
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(round[2], round[3]) << "the compiles drained in separate rounds";
+  auto [earlier, later] = spans[2].first <= spans[3].first
+                              ? std::pair(spans[2], spans[3])
+                              : std::pair(spans[3], spans[2]);
+  EXPECT_GE(later.first, earlier.second)
+      << "the second compile's pickup precedes the first one's completion";
+  std::remove(options_.access_log_path.c_str());
+}
+
 TEST_F(ServerTest, TuneSearchesThenWarmRestartsFromStore) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());

@@ -1,16 +1,19 @@
 // Tests of the process-wide compile+simulate cache (sim/sim_cache.h):
-// key canonicalization, hit/miss accounting, and that a repeated
-// exhaustive sweep is 100% hits returning identical cycles.
+// key canonicalization, hit/miss accounting, that a repeated exhaustive
+// sweep is 100% hits returning identical cycles, and the LRU budget with
+// its exact byte and skeleton accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "schedule/tensor.h"
+#include "sim/compile.h"
 #include "sim/sim_cache.h"
 #include "support/parallel.h"
 #include "target/gpu_spec.h"
@@ -105,8 +108,8 @@ TEST(SimCacheTest, CachedResultMatchesDirectSimulation) {
   }
 }
 
-// Counters live inside the shards and GetSimCacheStats locks every shard,
-// so a snapshot taken mid-sweep is linearizable: it can never observe an
+// Counters are kept under the cache lock that guards the maps, so a
+// snapshot taken mid-sweep is linearizable: it can never observe an
 // entry whose miss is uncounted, and hits/misses/entries only grow
 // between snapshots while no reset runs. Under TSan (the CI tsan job
 // matches this suite) this also proves the counter updates are raced
@@ -239,10 +242,10 @@ TEST(SimCacheLruTest, BudgetBoundsResidencyAndCountsEvictions) {
 
 TEST(SimCacheLruTest, EvictionTakesStalestEntriesFirst) {
   // Synthetic timing entries give exact control over recency: insertion
-  // order IS tick order. With ~20 entries per shard and a budget that
-  // overflows by a few entries, eviction must take each shard's stalest
-  // — so every evicted key comes from the old end of the insertion
-  // order, and the just-inserted keys all survive.
+  // order IS recency order. With a budget that overflows by a few
+  // entries, eviction must take the stalest — so every evicted key comes
+  // from the old end of the insertion order, and the just-inserted keys
+  // all survive.
   sim::ResetSimCache();
   sim::KernelTiming timing;
   timing.feasible = true;
@@ -250,7 +253,7 @@ TEST(SimCacheLruTest, EvictionTakesStalestEntriesFirst) {
   auto key_for = [](int i) {
     return "synthetic-entry-" + std::to_string(i) + std::string(40, 'k');
   };
-  constexpr int kEntries = 320;  // ~20 per shard
+  constexpr int kEntries = 320;
   for (int i = 0; i < kEntries; ++i) {
     sim::InsertCachedTiming(key_for(i), timing);
   }
@@ -285,11 +288,11 @@ TEST(SimCacheLruTest, EvictionTakesStalestEntriesFirst) {
   sim::ResetSimCache();
 }
 
-TEST(SimCacheLruTest, ProbeTouchPromotesEntryAndOverflowPassConverges) {
+TEST(SimCacheLruTest,
+     ProbeTouchPromotesEntryAndOneByteBudgetKeepsOnlyTheInsert) {
   // Compile-path entries are probe-addressable, so recency bumps via the
-  // hit path are observable. A one-byte budget then forces the global
-  // overflow pass: everything but the inserting key must go, regardless
-  // of which shard it hashed into.
+  // hit path are observable. A one-byte budget then evicts everything but
+  // the inserting key's own entries, freshly touched or not.
   sim::ResetSimCache();
   target::GpuSpec spec = target::AmpereSpec();
   schedule::ScheduleConfig config;
@@ -313,8 +316,8 @@ TEST(SimCacheLruTest, ProbeTouchPromotesEntryAndOverflowPassConverges) {
     sim::CachedCompileAndSimulate(c, config, spec);
     sim::SimCacheStats stats = sim::GetSimCacheStats();
     EXPECT_GT(stats.evictions, 0u);
-    // a and b live in arbitrary shards; only the cross-shard pass can
-    // reclaim both when the inserting shard is not theirs.
+    // a was touched after b, so it sits nearer the back of the recency
+    // list; the budget reclaims both all the same.
     EXPECT_FALSE(sim::ProbeCachedTiming(
         a, config, spec, schedule::InlineOrder::kAfterPipelining, &probed));
     EXPECT_FALSE(sim::ProbeCachedTiming(
@@ -355,8 +358,8 @@ TEST(SimCacheLruTest, InsertCachedNeverClobbersAndCountsNothing) {
 
 // Concurrent sweeps under a tight budget: inserts, hits, evictions and
 // snapshots all race. TSan (the CI tsan job runs this suite) proves the
-// LRU bookkeeping — tick clock, byte accounting, compaction — is
-// race-free; the assertions prove the stats stay coherent.
+// LRU bookkeeping — recency list, byte accounting, skeleton reference
+// counts — is race-free; the assertions prove the stats stay coherent.
 TEST(SimCacheLruTest, ConcurrentSweepsUnderBudgetStayCoherent) {
   tuner::TuningTask task = SmallSimTask();
   sim::ResetSimCache();
@@ -392,6 +395,113 @@ TEST(SimCacheLruTest, ConcurrentSweepsUnderBudgetStayCoherent) {
 
     sim::SimCacheStats stats = sim::GetSimCacheStats();
     EXPECT_LE(stats.resident_bytes, unbounded / 2);
+  }
+  sim::ResetSimCache();
+}
+
+TEST(SimCacheLruTest, EvictingTheLastReferenceRefundsItsSkeleton) {
+  // Programs that each own a skeleton of equal size (copies differing
+  // only in num_warps). Evicting one drops its skeleton's last cached
+  // reference, which refunds the skeleton's bytes with the entry's, so an
+  // insert one program over budget evicts exactly one program: the least
+  // recently used.
+  sim::ResetSimCache();
+  target::GpuSpec spec = target::AmpereSpec();
+  schedule::ScheduleConfig config;
+  config.tile = {128, 128, 32, 64, 64, 16};
+  config.smem_stages = 2;
+  const sim::SimProgram base =
+      sim::CompileSimProgram(MakeMatmul("mm", 512, 512, 512), config, spec);
+  ASSERT_TRUE(base.feasible);
+  auto with_own_skeleton = [&base](int i) {
+    sim::MicroOpSkeleton skeleton = *base.program.skeleton;
+    skeleton.num_warps += i + 1;
+    skeleton.hash = sim::SkeletonHash(skeleton);
+    sim::SimProgram program = base;
+    program.program.skeleton = sim::InternSkeleton(std::move(skeleton));
+    return std::make_shared<const sim::SimProgram>(std::move(program));
+  };
+  auto key_for = [](int i) {
+    return "own-skeleton-" + std::to_string(100 + i);
+  };
+  constexpr int kPrograms = 32;
+  for (int i = 0; i < kPrograms; ++i) {
+    sim::InsertCachedProgram(key_for(i), with_own_skeleton(i));
+  }
+  sim::SimCacheStats before = sim::GetSimCacheStats();
+  ASSERT_EQ(before.program_entries, static_cast<uint64_t>(kPrograms));
+  ASSERT_EQ(before.program_skeletons, static_cast<uint64_t>(kPrograms));
+
+  {
+    ScopedBudget budget(before.resident_bytes);  // full to the brim
+    sim::InsertCachedProgram(key_for(kPrograms), with_own_skeleton(kPrograms));
+    sim::SimCacheStats after = sim::GetSimCacheStats();
+    EXPECT_EQ(after.evictions, 1u);
+    EXPECT_EQ(after.program_evictions, 1u);
+    EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+    EXPECT_EQ(after.program_skeletons, static_cast<uint64_t>(kPrograms));
+
+    std::set<std::string> present;
+    for (auto& [key, program] : sim::SnapshotCachedPrograms()) {
+      present.insert(key);
+    }
+    EXPECT_FALSE(present.count(key_for(0)))
+        << "least recently used program survived";
+    for (int i = 1; i <= kPrograms; ++i) {
+      EXPECT_TRUE(present.count(key_for(i))) << "program " << i << " evicted";
+    }
+  }
+  sim::ResetSimCache();
+}
+
+TEST(SimCacheLruTest, IncrementalCountsMatchRecountAfterBudgetedSweep) {
+  // GetSimCacheStats copies counts that every insert and eviction keeps
+  // up to date. After a budgeted three-thread sweep they must equal a
+  // recount of the resident entries.
+  tuner::TuningTask task = SmallSimTask();
+  sim::ResetSimCache();
+  tuner::ExhaustiveSearch(task);
+  uint64_t unbounded = sim::GetSimCacheStats().resident_bytes;
+  sim::ResetSimCache();
+
+  {
+    ScopedBudget budget(unbounded / 2);
+    const size_t n = task.space.size();
+    std::vector<std::thread> workers;
+    for (size_t w = 0; w < 3; ++w) {
+      workers.emplace_back([&task, n, w] {
+        // Each worker starts at its own offset, so misses, hits and
+        // evictions of both layers interleave across threads.
+        for (size_t step = 0; step < 3 * n; ++step) {
+          sim::CachedCompileAndSimulate(
+              task.op, task.space[(step + w * n / 3) % n], task.spec);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+
+    sim::SimCacheStats stats = sim::GetSimCacheStats();
+    EXPECT_GT(stats.evictions, 0u);
+    std::vector<std::pair<std::string, std::shared_ptr<const sim::SimProgram>>>
+        programs = sim::SnapshotCachedPrograms();
+    uint64_t program_bytes = 0, unshared = 0, skeleton_bytes = 0;
+    std::set<const sim::MicroOpSkeleton*> skeletons;
+    for (const auto& [key, program] : programs) {
+      const auto own = static_cast<uint64_t>(program->MemoryBytes());
+      program_bytes += own;
+      unshared += own;
+      const sim::MicroOpSkeleton* skeleton = program->program.skeleton.get();
+      if (skeleton == nullptr) continue;
+      const auto shared = static_cast<uint64_t>(skeleton->MemoryBytes());
+      unshared += shared;
+      if (skeletons.insert(skeleton).second) skeleton_bytes += shared;
+    }
+    EXPECT_EQ(stats.entries, sim::SnapshotCachedTimings().size());
+    EXPECT_EQ(stats.program_entries, programs.size());
+    EXPECT_EQ(stats.program_skeletons, skeletons.size());
+    EXPECT_EQ(stats.skeleton_bytes, skeleton_bytes);
+    EXPECT_EQ(stats.program_bytes, program_bytes);
+    EXPECT_EQ(stats.program_bytes_unshared, unshared);
   }
   sim::ResetSimCache();
 }

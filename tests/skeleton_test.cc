@@ -103,6 +103,28 @@ TEST(SkeletonPool, InternReturnsExistingEqualSkeleton) {
   EXPECT_NE(other.get(), skeleton.get());
 }
 
+TEST(SkeletonPool, UncachedCompilesLeaveNoSkeletons) {
+  // The pool holds weak references: a skeleton lives exactly as long as
+  // the programs holding it, whether or not the cache ever saw them.
+  sim::ResetSimCache();
+  target::GpuSpec spec = target::AmpereSpec();
+  const schedule::GemmOp& op = workloads::FindOp("MM_RN50_FC");
+  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
+  {
+    std::vector<sim::SimProgram> programs;
+    for (size_t c = 0; c < task.space.size() && programs.size() < 8; c += 16) {
+      sim::SimProgram program = sim::CompileSimProgram(op, task.space[c], spec);
+      if (program.feasible) programs.push_back(std::move(program));
+    }
+    ASSERT_FALSE(programs.empty());
+    EXPECT_GT(sim::GetSkeletonPoolStats().skeletons, 0u);
+  }
+  sim::SkeletonPoolStats pool = sim::GetSkeletonPoolStats();
+  EXPECT_EQ(pool.skeletons, 0u);
+  EXPECT_EQ(pool.bytes, 0u);
+  EXPECT_GT(pool.interns, 0u);
+}
+
 TEST(SkeletonReplay, SharedArenaBitExactUnderInterleaving) {
   sim::ResetSimCache();
   target::GpuSpec spec = target::AmpereSpec();
