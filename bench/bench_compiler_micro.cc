@@ -1,10 +1,13 @@
 // Compiler micro-benchmarks (google-benchmark): throughput of the
 // compilation pipeline itself — lowering, the pipelining transformation,
 // functional execution, trace building + discrete-event simulation, the
-// analytical model, feature extraction and GBT fitting. These bound the
-// cost of one tuning trial, which is what makes the Fig. 12/13 experiments
-// tractable.
+// analytical model, feature extraction, and GBT fitting and prediction at
+// the size of a tuner refit. These bound the cost of one tuning trial,
+// which is what makes the Fig. 12/13 experiments tractable.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "perfmodel/analytical.h"
 #include "pipeline/detect.h"
@@ -17,6 +20,8 @@
 #include "tuner/feature.h"
 #include "tuner/gbt.h"
 #include "tuner/space.h"
+#include "tuner/strategy.h"
+#include "workloads/ops.h"
 
 namespace {
 
@@ -111,23 +116,67 @@ void BM_SpaceEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_SpaceEnumeration);
 
-void BM_GbtFit(benchmark::State& state) {
-  schedule::GemmOp op = BenchOp();
-  target::GpuSpec spec = target::AmpereSpec();
-  std::vector<schedule::ScheduleConfig> space = tuner::EnumerateSpace(op);
+// The dataset of one XgbTuner refit at its largest: every configuration
+// of a 1,920-point Fig. 10 space as an analytical pseudo-sample
+// (-log(cycles), or -30 when infeasible) at the default pre-training
+// weight, plus 32 simulator-measured configurations at weight 1.0.
+struct RefitData {
   std::vector<std::vector<double>> x;
   std::vector<double> y;
-  for (size_t i = 0; i < space.size() && i < 200; ++i) {
-    x.push_back(tuner::ExtractFeatures(op, space[i], spec));
-    y.push_back(perfmodel::PredictCycles(op, space[i], spec));
-  }
+  std::vector<double> w;
+  size_t space_size = 0;
+};
+
+const RefitData& BenchRefitData() {
+  static const RefitData data = [] {
+    schedule::GemmOp op = workloads::FindOp("MM_BERT_QKV");
+    target::GpuSpec spec = target::AmpereSpec();
+    tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
+    auto score = [](double cycles) {
+      return std::isfinite(cycles) ? -std::log(cycles) : -30.0;
+    };
+    RefitData d;
+    d.space_size = task.space.size();
+    for (const schedule::ScheduleConfig& config : task.space) {
+      d.x.push_back(tuner::ExtractFeatures(op, config, spec));
+      d.y.push_back(score(perfmodel::PredictCycles(op, config, spec)));
+      d.w.push_back(tuner::XgbOptions().pretrain_weight);
+    }
+    for (size_t i = 0; i < 32; ++i) {
+      size_t index = i * task.space.size() / 32;
+      d.x.push_back(d.x[index]);
+      d.y.push_back(score(task.measure(task.space[index])));
+      d.w.push_back(1.0);
+    }
+    return d;
+  }();
+  return data;
+}
+
+void BM_GbtFit(benchmark::State& state) {
+  const RefitData& data = BenchRefitData();
   for (auto _ : state) {
     tuner::GbtModel model;
-    model.Fit(x, y);
-    benchmark::DoNotOptimize(model.Predict(x[0]));
+    model.Fit(data.x, data.y, data.w);
+    benchmark::DoNotOptimize(model.Predict(data.x[0]));
   }
+  state.counters["rows"] = static_cast<double>(data.x.size());
 }
-BENCHMARK(BM_GbtFit);
+BENCHMARK(BM_GbtFit)->Unit(benchmark::kMillisecond);
+
+// The whole-space prediction behind every proposal round.
+void BM_GbtPredictBatch(benchmark::State& state) {
+  const RefitData& data = BenchRefitData();
+  tuner::GbtModel model;
+  model.Fit(data.x, data.y, data.w);
+  std::vector<std::vector<double>> space(data.x.begin(),
+                                         data.x.begin() + data.space_size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictBatch(space));
+  }
+  state.counters["rows"] = static_cast<double>(space.size());
+}
+BENCHMARK(BM_GbtPredictBatch)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

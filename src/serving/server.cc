@@ -18,10 +18,12 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -138,6 +140,24 @@ bool FamilyFromName(const std::string& name, schedule::OpFamily* family) {
   return false;
 }
 
+// Decodes a JSON number as the integer type T into *out, truncating toward
+// zero as a cast does; a non-number decodes as `fallback`, as NumberOr
+// does. False when the value is not finite or its truncation does not fit
+// T (the cast would be undefined), and for an unsigned T when it is
+// negative.
+template <typename T>
+bool DecodeInteger(const JsonValue& value, T fallback, T* out) {
+  double v = value.NumberOr(static_cast<double>(fallback));
+  // Both bounds are zero or a power of two, so exact as doubles.
+  double lo = static_cast<double>(std::numeric_limits<T>::min());
+  double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  double truncated = std::trunc(v);
+  if (!(truncated >= lo && truncated < hi)) return false;  // NaN fails too
+  if (std::is_unsigned_v<T> && v < 0) return false;
+  *out = static_cast<T>(truncated);
+  return true;
+}
+
 // {"family":"matmul","batch":1,"m":...,"n":...,"k":...} from the request
 // root (fields at top level, matching the CLI's workload flags).
 bool ParseOpJson(const JsonValue& root, schedule::GemmOp* op,
@@ -155,11 +175,15 @@ bool ParseOpJson(const JsonValue& root, schedule::GemmOp* op,
     *err = "op needs m, n, k";
     return false;
   }
-  op->m = static_cast<int64_t>(m->NumberOr(0));
-  op->n = static_cast<int64_t>(n->NumberOr(0));
-  op->k = static_cast<int64_t>(k->NumberOr(0));
   const JsonValue* batch = root.Find("batch");
-  op->batch = batch == nullptr ? 1 : static_cast<int64_t>(batch->NumberOr(1));
+  op->batch = 1;
+  if (!DecodeInteger(*m, int64_t{0}, &op->m) ||
+      !DecodeInteger(*n, int64_t{0}, &op->n) ||
+      !DecodeInteger(*k, int64_t{0}, &op->k) ||
+      (batch != nullptr && !DecodeInteger(*batch, int64_t{1}, &op->batch))) {
+    *err = "op sizes must be finite and fit 64 bits";
+    return false;
+  }
   if (op->m <= 0 || op->n <= 0 || op->k <= 0 || op->batch <= 0) {
     *err = "op sizes must be positive";
     return false;
@@ -168,6 +192,18 @@ bool ParseOpJson(const JsonValue& root, schedule::GemmOp* op,
   name << schedule::OpFamilyName(op->family) << "_" << op->m << "x" << op->n
        << "x" << op->k;
   op->name = name.str();
+  return true;
+}
+
+// A tune request's "trials" into *trials, which keeps its value when the
+// field is absent. A stored answer ignores it but still rejects a bad one,
+// so validity does not depend on the lane.
+bool ParseTrials(const JsonValue& root, size_t* trials, std::string* err) {
+  const JsonValue* t = root.Find("trials");
+  if (t != nullptr && !DecodeInteger(*t, *trials, trials)) {
+    *err = "\"trials\" must be finite, non-negative and fit 64 bits";
+    return false;
+  }
   return true;
 }
 
@@ -182,10 +218,10 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
     if (v->kind != JsonValue::Kind::kArray || v->array.size() != 3) {
       return false;
     }
-    *a = static_cast<int64_t>(v->array[0].NumberOr(0));
-    *b = static_cast<int64_t>(v->array[1].NumberOr(0));
-    *c = static_cast<int64_t>(v->array[2].NumberOr(0));
-    return *a > 0 && *b > 0 && *c > 0;
+    return DecodeInteger(v->array[0], int64_t{0}, a) &&
+           DecodeInteger(v->array[1], int64_t{0}, b) &&
+           DecodeInteger(v->array[2], int64_t{0}, c) && *a > 0 && *b > 0 &&
+           *c > 0;
   };
   if (!triple("tb", &out->tile.tb_m, &out->tile.tb_n, &out->tile.tb_k,
               /*required=*/true)) {
@@ -202,17 +238,15 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
     *err = "\"warp\" must be [m,n,k]";
     return false;
   }
-  if (const JsonValue* v = config.Find("smem")) {
-    out->smem_stages = static_cast<int>(v->NumberOr(out->smem_stages));
-  }
-  if (const JsonValue* v = config.Find("reg")) {
-    out->reg_stages = static_cast<int>(v->NumberOr(out->reg_stages));
-  }
-  if (const JsonValue* v = config.Find("split_k")) {
-    out->split_k = static_cast<int>(v->NumberOr(out->split_k));
-  }
-  if (const JsonValue* v = config.Find("raster")) {
-    out->raster_block = static_cast<int>(v->NumberOr(out->raster_block));
+  for (auto [key, field] : {std::pair{"smem", &out->smem_stages},
+                             std::pair{"reg", &out->reg_stages},
+                             std::pair{"split_k", &out->split_k},
+                             std::pair{"raster", &out->raster_block}}) {
+    const JsonValue* v = config.Find(key);
+    if (v != nullptr && !DecodeInteger(*v, *field, field)) {
+      *err = std::string("\"") + key + "\" must be finite and fit an int";
+      return false;
+    }
   }
   if (const JsonValue* v = config.Find("fusion")) {
     out->inner_fusion = v->BoolOr(out->inner_fusion);
@@ -853,8 +887,6 @@ struct Server::Impl {
       return;
     }
     request.body = std::move(*body);
-    const JsonValue* id = request.body.Find("id");
-    request.id = id == nullptr ? 0 : static_cast<int64_t>(id->NumberOr(0));
     const JsonValue* method = request.body.Find("method");
     request.method = method == nullptr ? "" : method->StringOr("");
     if (method_override != nullptr) request.method = method_override;
@@ -866,6 +898,13 @@ struct Server::Impl {
     }
     if (client_override != nullptr) {
       request.client = SanitizeClient(client_override);
+    }
+    const JsonValue* id = request.body.Find("id");
+    if (id != nullptr && !DecodeInteger(*id, int64_t{0}, &request.id)) {
+      request.dequeue_ns = request.arrival_ns;
+      Complete(request,
+               ErrorResponse(request, "\"id\" must be finite and fit 64 bits"));
+      return;
     }
     if (FastLane(request)) {
       std::lock_guard<std::mutex> lock(queue_mu);
@@ -1025,8 +1064,12 @@ struct Server::Impl {
       const JsonValue* v = request.body.Find(key);
       if (v == nullptr) continue;
       if (v->kind == JsonValue::Kind::kNumber) {
-        params.emplace_back(
-            key, std::to_string(static_cast<uint64_t>(v->NumberOr(0))));
+        uint64_t number = 0;
+        if (!DecodeInteger(*v, number, &number)) {
+          return ErrorResponse(request, std::string("\"") + key +
+                                            "\" must be a finite count");
+        }
+        params.emplace_back(key, std::to_string(number));
       } else {
         params.emplace_back(key, v->StringOr(""));
       }
@@ -1112,6 +1155,10 @@ struct Server::Impl {
       return ErrorResponse(request, err);
     }
     request.op_key = op.name;
+    size_t trials = options.default_trials;
+    if (!ParseTrials(request.body, &trials, &err)) {
+      return ErrorResponse(request, err);
+    }
     request.outcome = "stored";
     std::optional<tuner::StoredTuning> stored =
         tuner::TuningStore::Global().Get(tuner::OpKey(op));
@@ -1253,8 +1300,8 @@ struct Server::Impl {
     }
     request.op_key = op.name;
     size_t trials = options.default_trials;
-    if (const JsonValue* t = request.body.Find("trials")) {
-      trials = static_cast<size_t>(t->NumberOr(static_cast<double>(trials)));
+    if (!ParseTrials(request.body, &trials, &err)) {
+      return ErrorResponse(request, err);
     }
     bool warm = options.warm_start;
     if (const JsonValue* w = request.body.Find("warm")) {

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <numeric>
+#include <utility>
 
 #include "support/check.h"
 #include "support/parallel.h"
@@ -14,210 +13,255 @@ namespace tuner {
 
 namespace {
 
-// Row count above which per-node split search fans out across features on
-// the global pool. Below it the serial scan is faster than pool dispatch;
-// either path computes identical splits, so results do not depend on the
-// threshold or the thread count.
-constexpr size_t kParallelSplitRows = 256;
-
-// One binary regression tree stored as a flat node array.
-struct TreeNode {
-  int feature = -1;       // -1 for leaves
-  double threshold = 0.0;  // go left if x[feature] <= threshold
-  double value = 0.0;      // leaf prediction
-  int left = -1;
-  int right = -1;
+// One node of the ensemble. Every tree lives in one flat array in
+// preorder, so a split's left child is the next node and only the right
+// child's index is stored.
+struct Node {
+  int feature = -1;  // -1 for leaves
+  int right = -1;    // index of the right child (splits only)
+  // Splits go left if x[feature] <= value; a leaf's value is its output.
+  double value = 0.0;
 };
 
-struct Tree {
-  std::vector<TreeNode> nodes;
-
-  double Predict(const std::vector<double>& x) const {
-    int node = 0;
-    while (nodes[static_cast<size_t>(node)].feature >= 0) {
-      const TreeNode& n = nodes[static_cast<size_t>(node)];
-      node = x[static_cast<size_t>(n.feature)] <= n.threshold ? n.left : n.right;
-    }
-    return nodes[static_cast<size_t>(node)].value;
+double TreeValue(const Node* nodes, int root, const double* x) {
+  const Node* node = nodes + root;
+  while (node->feature >= 0) {
+    node = x[node->feature] <= node->value ? node + 1 : nodes + node->right;
   }
-};
-
-struct Dataset {
-  const std::vector<std::vector<double>>* x;
-  std::vector<double> residual;
-  std::vector<double> weight;
-};
-
-// A node's rows, kept sorted by every feature (exact-greedy with
-// presorting, as in XGBoost). The root's orders are argsorts of x built
-// once per Fit — ties broken by row index, so the order is a pure
-// function of x — and children inherit them by stable partition, O(rows)
-// per feature instead of a sort per node.
-using FeatureOrders = std::vector<std::vector<int>>;
-
-FeatureOrders BuildRootOrders(const Dataset& data, size_t num_features) {
-  size_t n = data.x->size();
-  FeatureOrders orders(num_features);
-  support::ParallelFor(num_features, [&](size_t f) {
-    std::vector<int>& order = orders[f];
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      double xa = (*data.x)[static_cast<size_t>(a)][f];
-      double xb = (*data.x)[static_cast<size_t>(b)][f];
-      if (xa != xb) return xa < xb;
-      return a < b;
-    });
-  });
-  return orders;
+  return node->value;
 }
 
-// Weighted-squared-error leaf value with L2 regularization.
-double LeafValue(const Dataset& data, const std::vector<int>& rows, double l2) {
-  double sum = 0.0, wsum = 0.0;
-  for (int row : rows) {
-    sum += data.weight[static_cast<size_t>(row)] *
-           data.residual[static_cast<size_t>(row)];
-    wsum += data.weight[static_cast<size_t>(row)];
-  }
-  return sum / (wsum + l2);
-}
+// One element of a presorted feature order: a row and the rank of its
+// value among the feature's distinct values, so split scans compare
+// values by reading the order sequentially.
+struct Entry {
+  int32_t row;
+  int32_t rank;
+};
+
+// Prefix sums of gradient and hessian over the first `left_count` entries
+// of a node's order, where entries left_count - 1 and left_count differ in
+// value.
+struct Cut {
+  double gl;
+  double hl;
+  size_t left_count;
+};
+
+// A row's gradient (weight x residual) and hessian (weight) for squared
+// error, side by side so a scan reads both with one access.
+struct Grad {
+  double g;
+  double h;
+};
 
 struct Split {
-  int feature = -1;
-  double threshold = 0.0;
   double gain = 0.0;
-  // The left child is the first `left_count` rows of the chosen feature's
-  // sorted order (splits only fall between distinct values, so the prefix
-  // is exactly the x <= threshold set).
+  double threshold = 0.0;
+  // The left child is the first `left_count` entries of the chosen order
+  // (splits only fall between distinct values, so the prefix is exactly
+  // the x <= threshold set).
   size_t left_count = 0;
+  size_t block = 0;  // the chosen order's block in TreeBuilder
+  int feature = -1;
 };
 
-// Best split along one feature: prefix scan of gradient/hessian over the
-// node's rows in presorted feature order. Pure function of its inputs, so
-// the per-feature searches run concurrently. `g`/`h` are the node totals
-// (feature-independent, computed once by the caller).
-Split BestSplitForFeature(const Dataset& data, const std::vector<int>& sorted,
-                          size_t f, double parent_loss, double g, double h,
-                          const GbtParams& params) {
-  Split best;
-  double gl = 0.0, hl = 0.0;
-  for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-    int row = sorted[i];
-    gl += data.weight[static_cast<size_t>(row)] *
-          data.residual[static_cast<size_t>(row)];
-    hl += data.weight[static_cast<size_t>(row)];
-    double x_here = (*data.x)[static_cast<size_t>(row)][f];
-    double x_next = (*data.x)[static_cast<size_t>(sorted[i + 1])][f];
-    if (x_here == x_next) continue;  // cannot split between equal values
-    size_t left_count = i + 1;
-    size_t right_count = sorted.size() - left_count;
-    if (left_count < static_cast<size_t>(params.min_samples_leaf) ||
-        right_count < static_cast<size_t>(params.min_samples_leaf)) {
-      continue;
+// Exact-greedy tree building with presorted feature orders, as in XGBoost.
+// Once per Fit the rows are copied column by column into `sorted_`: one
+// block of n entries per kept feature, sorted by (value, row). Every tree
+// then partitions those blocks into `work_`, where a node owns the same
+// range [begin, end) of every block; a split stably partitions that range
+// in place, so the children's ranges stay sorted and no node allocates.
+//
+// Summation orders are part of the result: node totals and leaf values
+// sum in feature 0's order (block 0, kept even when feature 0 is
+// constant), and each split scan prefix-sums in its own feature's order.
+class TreeBuilder {
+ public:
+  TreeBuilder(const std::vector<std::vector<double>>& x,
+              const std::vector<double>& weight, const GbtParams& params)
+      : params_(params),
+        n_(x.size()),
+        weight_(weight),
+        grad_(n_),
+        goes_left_(n_),
+        scratch_(n_),
+        cuts_(n_) {
+    std::vector<std::pair<double, int32_t>> column(n_);
+    std::vector<Entry> block(n_);
+    sorted_.reserve(x[0].size() * n_);
+    for (size_t f = 0; f < x[0].size(); ++f) {
+      for (size_t i = 0; i < n_; ++i) {
+        column[i] = {x[i][f], static_cast<int32_t>(i)};
+      }
+      std::sort(column.begin(), column.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.first != b.first) return a.first < b.first;
+                  return a.second < b.second;
+                });
+      std::vector<double> values = {column[0].first};
+      for (size_t i = 0; i < n_; ++i) {
+        if (column[i].first != values.back()) {
+          values.push_back(column[i].first);
+        }
+        block[i] = {column[i].second, static_cast<int32_t>(values.size() - 1)};
+      }
+      // A feature with one value has no split; feature 0 keeps its block
+      // regardless, because that order fixes the summation order.
+      if (values.size() == 1) {
+        if (f > 0) continue;
+        first_searched_ = 1;
+      }
+      features_.push_back(static_cast<int>(f));
+      values_.push_back(std::move(values));
+      sorted_.insert(sorted_.end(), block.begin(), block.end());
     }
-    double gr = g - gl, hr = h - hl;
-    double loss = -(gl * gl) / (hl + params.l2) - (gr * gr) / (hr + params.l2);
-    double gain = parent_loss - loss;
-    if (gain > best.gain + 1e-12) {
-      best.gain = gain;
-      best.feature = static_cast<int>(f);
-      best.threshold = 0.5 * (x_here + x_next);
-      best.left_count = left_count;
+    work_.resize(sorted_.size());
+  }
+
+  // Appends one tree fit to `residual` to `nodes`.
+  void Build(const std::vector<double>& residual, std::vector<Node>* nodes) {
+    for (size_t i = 0; i < n_; ++i) {
+      grad_[i] = {weight_[i] * residual[i], weight_[i]};
     }
-  }
-  return best;
-}
-
-Split BestSplit(const Dataset& data, const FeatureOrders& orders,
-                const GbtParams& params) {
-  size_t num_features = orders.size();
-  size_t n_rows = orders[0].size();
-  double g = 0.0, h = 0.0;
-  for (int row : orders[0]) {
-    g += data.weight[static_cast<size_t>(row)] *
-         data.residual[static_cast<size_t>(row)];
-    h += data.weight[static_cast<size_t>(row)];
-  }
-  double parent_loss = -(g * g) / (h + params.l2);
-
-  std::vector<Split> candidates;
-  auto search = [&](size_t f) {
-    return BestSplitForFeature(data, orders[f], f, parent_loss, g, h, params);
-  };
-  if (n_rows >= kParallelSplitRows) {
-    candidates = support::ParallelMap(num_features, search);
-  } else {
-    candidates.reserve(num_features);
-    for (size_t f = 0; f < num_features; ++f) candidates.push_back(search(f));
+    nodes_ = nodes;
+    BuildNode(sorted_.data(), 0, n_, 0);
   }
 
-  // Reduce in feature order with the same epsilon rule the scan uses, so
-  // ties break toward the lowest feature index for any thread count.
-  Split best;
-  for (size_t f = 0; f < num_features; ++f) {
-    if (candidates[f].gain > best.gain + 1e-12) {
-      best = candidates[f];
+ private:
+  int BuildNode(const Entry* orders, size_t begin, size_t end, int depth) {
+    int index = static_cast<int>(nodes_->size());
+    nodes_->emplace_back();
+    size_t count = end - begin;
+    double g = 0.0, h = 0.0;
+    for (const Entry* e = orders + begin; e != orders + end; ++e) {
+      g += grad_[static_cast<size_t>(e->row)].g;
+      h += grad_[static_cast<size_t>(e->row)].h;
     }
-  }
-  return best;
-}
+    Split split;
+    if (depth < params_.max_depth &&
+        count >= static_cast<size_t>(2 * params_.min_samples_leaf)) {
+      double parent_loss = -(g * g) / (h + params_.l2);
+      // Per-feature bests reduce in feature order under the same epsilon
+      // the scoring uses, so ties break toward the lowest feature index.
+      for (size_t k = first_searched_; k < features_.size(); ++k) {
+        Split candidate = BestSplitAlong(orders + k * n_ + begin, values_[k],
+                                         count, g, h, parent_loss);
+        if (candidate.gain > split.gain + 1e-12) {
+          split = candidate;
+          split.block = k;
+          split.feature = features_[k];
+        }
+      }
+    }
+    if (split.feature < 0) {
+      (*nodes_)[static_cast<size_t>(index)].value = g / (h + params_.l2);
+      return index;
+    }
+    (*nodes_)[static_cast<size_t>(index)].feature = split.feature;
+    (*nodes_)[static_cast<size_t>(index)].value = split.threshold;
 
-// Recursive exact-greedy builder. `orders` holds this node's rows sorted
-// by every feature; `in_left` is an n-row scratch bitmap (all zero on
-// entry and exit) used to stably partition the orders for the children.
-int BuildNode(Tree& tree, const Dataset& data, const FeatureOrders& orders,
-              std::vector<uint8_t>& in_left, int depth,
-              const GbtParams& params) {
-  int index = static_cast<int>(tree.nodes.size());
-  tree.nodes.emplace_back();
-  size_t n_rows = orders[0].size();
-  if (depth >= params.max_depth ||
-      n_rows < static_cast<size_t>(2 * params.min_samples_leaf)) {
-    tree.nodes[static_cast<size_t>(index)].value =
-        LeafValue(data, orders[0], params.l2);
+    const Entry* chosen = orders + split.block * n_ + begin;
+    for (size_t i = 0; i < count; ++i) {
+      goes_left_[static_cast<size_t>(chosen[i].row)] = i < split.left_count;
+    }
+    // Children at max_depth are leaves and read only block 0. In place, the
+    // chosen order is already partitioned: its prefix is the left.
+    size_t blocks = depth + 1 < params_.max_depth ? features_.size() : 1;
+    for (size_t k = 0; k < blocks; ++k) {
+      const Entry* from = orders + k * n_ + begin;
+      Entry* to = work_.data() + k * n_ + begin;
+      if (from != to || k != split.block) {
+        Partition(from, to, count, split.left_count);
+      }
+    }
+
+    BuildNode(work_.data(), begin, begin + split.left_count, depth + 1);
+    int right =
+        BuildNode(work_.data(), begin + split.left_count, end, depth + 1);
+    (*nodes_)[static_cast<size_t>(index)].right = right;
     return index;
   }
-  Split split = BestSplit(data, orders, params);
-  if (split.feature < 0) {
-    tree.nodes[static_cast<size_t>(index)].value =
-        LeafValue(data, orders[0], params.l2);
-    return index;
-  }
-  tree.nodes[static_cast<size_t>(index)].feature = split.feature;
-  tree.nodes[static_cast<size_t>(index)].threshold = split.threshold;
 
-  const std::vector<int>& split_order =
-      orders[static_cast<size_t>(split.feature)];
-  for (size_t i = 0; i < split.left_count; ++i) {
-    in_left[static_cast<size_t>(split_order[i])] = 1;
-  }
-  FeatureOrders left_orders(orders.size()), right_orders(orders.size());
-  for (size_t f = 0; f < orders.size(); ++f) {
-    left_orders[f].reserve(split.left_count);
-    right_orders[f].reserve(n_rows - split.left_count);
-    for (int row : orders[f]) {
-      (in_left[static_cast<size_t>(row)] ? left_orders[f] : right_orders[f])
-          .push_back(row);
+  // Best split along one order of a node: a prefix scan of gradient and
+  // hessian in (value, row) order. The scan only records the prefix sums
+  // at each boundary between distinct values in cuts_, which keeps its
+  // loop free of the scoring's register pressure; the cuts are then scored
+  // in scan order. `g`/`h` are the node totals.
+  Split BestSplitAlong(const Entry* e, const std::vector<double>& values,
+                       size_t count, double g, double h, double parent_loss) {
+    Cut* cuts = cuts_.data();
+    size_t num_cuts = 0;
+    double gl = 0.0, hl = 0.0;
+    for (size_t i = 0; i + 1 < count; ++i) {
+      const Grad& grad = grad_[static_cast<size_t>(e[i].row)];
+      gl += grad.g;
+      hl += grad.h;
+      if (e[i].rank != e[i + 1].rank) cuts[num_cuts++] = {gl, hl, i + 1};
     }
-  }
-  for (size_t i = 0; i < split.left_count; ++i) {
-    in_left[static_cast<size_t>(split_order[i])] = 0;
+    Split best;
+    size_t min_leaf = static_cast<size_t>(params_.min_samples_leaf);
+    for (const Cut* cut = cuts; cut != cuts + num_cuts; ++cut) {
+      size_t left_count = cut->left_count;
+      if (left_count < min_leaf || count - left_count < min_leaf) continue;
+      double gr = g - cut->gl, hr = h - cut->hl;
+      double loss = -(cut->gl * cut->gl) / (cut->hl + params_.l2) -
+                    (gr * gr) / (hr + params_.l2);
+      double gain = parent_loss - loss;
+      if (gain > best.gain + 1e-12) {
+        best.gain = gain;
+        double x_here = values[static_cast<size_t>(e[left_count - 1].rank)];
+        double x_next = values[static_cast<size_t>(e[left_count].rank)];
+        best.threshold = 0.5 * (x_here + x_next);
+        best.left_count = left_count;
+      }
+    }
+    return best;
   }
 
-  int left = BuildNode(tree, data, left_orders, in_left, depth + 1, params);
-  int right = BuildNode(tree, data, right_orders, in_left, depth + 1, params);
-  tree.nodes[static_cast<size_t>(index)].left = left;
-  tree.nodes[static_cast<size_t>(index)].right = right;
-  return index;
-}
+  // Stable partition of `count` entries by goes_left_, lefts first. The
+  // rights go through scratch_, so `from` may equal `to`; writes to `to`
+  // never pass the read position or index `left_count`.
+  void Partition(const Entry* from, Entry* to, size_t count,
+                 size_t left_count) {
+    Entry* rights = scratch_.data();
+    size_t l = 0, r = 0;
+    for (size_t i = 0; i < count; ++i) {
+      Entry e = from[i];
+      bool left = goes_left_[static_cast<size_t>(e.row)] != 0;
+      to[l] = e;
+      rights[r] = e;
+      l += left;
+      r += !left;
+    }
+    std::copy(rights, rights + r, to + left_count);
+  }
+
+  const GbtParams& params_;
+  size_t n_;
+  const std::vector<double>& weight_;
+  std::vector<Grad> grad_;  // per row, for the current tree
+  std::vector<uint8_t> goes_left_;
+  std::vector<Entry> scratch_;
+  std::vector<Cut> cuts_;  // BestSplitAlong's boundaries
+  // The feature of each block: 0 first, then every other feature that
+  // takes more than one value.
+  std::vector<int> features_;
+  size_t first_searched_ = 0;  // 1 when feature 0 is constant
+  // Per block: the feature's distinct values, ascending (indexed by rank).
+  std::vector<std::vector<double>> values_;
+  std::vector<Entry> sorted_;  // the whole dataset's orders, read-only
+  std::vector<Entry> work_;    // the current tree's partitioned orders
+  std::vector<Node>* nodes_ = nullptr;
+};
 
 }  // namespace
 
 struct GbtModel::Impl {
   GbtParams params;
   double base = 0.0;
-  std::vector<Tree> trees;
+  std::vector<Node> nodes;  // every tree, in fit order
+  std::vector<int> roots;   // each tree's root index into `nodes`
   bool fitted = false;
 };
 
@@ -236,46 +280,39 @@ void GbtModel::Fit(const std::vector<std::vector<double>>& x,
   for (const auto& row : x) {
     ALCOP_CHECK_EQ(row.size(), x[0].size()) << "ragged feature rows";
   }
-
-  Dataset data;
-  data.x = &x;
-  data.weight = weights.empty() ? std::vector<double>(x.size(), 1.0) : weights;
-  ALCOP_CHECK_EQ(data.weight.size(), x.size());
+  std::vector<double> weight =
+      weights.empty() ? std::vector<double>(x.size(), 1.0) : weights;
+  ALCOP_CHECK_EQ(weight.size(), x.size());
 
   // Base prediction: weighted mean.
   double sum = 0.0, wsum = 0.0;
   for (size_t i = 0; i < y.size(); ++i) {
-    sum += data.weight[i] * y[i];
-    wsum += data.weight[i];
+    sum += weight[i] * y[i];
+    wsum += weight[i];
   }
   impl_->base = sum / wsum;
-  impl_->trees.clear();
+  impl_->nodes.clear();
+  impl_->roots.clear();
 
-  data.residual.resize(y.size());
+  const GbtParams& params = impl_->params;
+  TreeBuilder builder(x, weight, params);
   std::vector<double> prediction(y.size(), impl_->base);
-  // The argsorts depend only on x, so every boosting round reuses them.
-  FeatureOrders root_orders = BuildRootOrders(data, x[0].size());
-  std::vector<uint8_t> in_left(x.size(), 0);
-
-  for (int round = 0; round < impl_->params.num_trees; ++round) {
-    for (size_t i = 0; i < y.size(); ++i) {
-      data.residual[i] = y[i] - prediction[i];
-    }
-    Tree tree;
-    BuildNode(tree, data, root_orders, in_left, 0, impl_->params);
+  std::vector<double> residual(y.size());
+  for (int round = 0; round < params.num_trees; ++round) {
+    for (size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - prediction[i];
+    int root = static_cast<int>(impl_->nodes.size());
+    builder.Build(residual, &impl_->nodes);
     // Stop early if the tree is a pure leaf contributing nothing.
-    bool useful = tree.nodes.size() > 1 ||
-                  std::abs(tree.nodes[0].value) > 1e-12;
-    if (!useful) break;
-    auto update = [&](size_t i) {
-      prediction[i] += impl_->params.learning_rate * tree.Predict(x[i]);
-    };
-    if (y.size() >= kParallelSplitRows) {
-      support::ParallelFor(y.size(), update);
-    } else {
-      for (size_t i = 0; i < y.size(); ++i) update(i);
+    const Node& top = impl_->nodes[static_cast<size_t>(root)];
+    if (top.feature < 0 && !(std::abs(top.value) > 1e-12)) {
+      impl_->nodes.resize(static_cast<size_t>(root));
+      break;
     }
-    impl_->trees.push_back(std::move(tree));
+    impl_->roots.push_back(root);
+    for (size_t i = 0; i < y.size(); ++i) {
+      prediction[i] += params.learning_rate *
+                       TreeValue(impl_->nodes.data(), root, x[i].data());
+    }
   }
   impl_->fitted = true;
 }
@@ -283,8 +320,9 @@ void GbtModel::Fit(const std::vector<std::vector<double>>& x,
 double GbtModel::Predict(const std::vector<double>& features) const {
   ALCOP_CHECK(impl_->fitted) << "GBT model queried before Fit";
   double out = impl_->base;
-  for (const Tree& tree : impl_->trees) {
-    out += impl_->params.learning_rate * tree.Predict(features);
+  for (int root : impl_->roots) {
+    out += impl_->params.learning_rate *
+           TreeValue(impl_->nodes.data(), root, features.data());
   }
   return out;
 }

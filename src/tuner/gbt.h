@@ -1,7 +1,8 @@
 // Gradient-boosted regression trees: the from-scratch stand-in for
 // XGBoost (see DESIGN.md substitution table). Squared-error boosting with
-// exact greedy splits — entirely sufficient for the few-hundred-sample
-// datasets schedule tuning produces.
+// exact greedy splits over presorted feature orders — sized for the tuner's
+// refits, which fit 960–1,952 rows (a whole Fig. 10 space of analytical
+// pseudo-samples plus the measured trials) after every batch.
 #ifndef ALCOP_TUNER_GBT_H_
 #define ALCOP_TUNER_GBT_H_
 
@@ -30,14 +31,16 @@ class GbtModel {
 
   // Fits on rows `x` (equal-length feature vectors) with targets `y` and
   // optional per-sample weights. Refitting replaces the previous ensemble.
+  // Runs entirely on the calling thread.
   void Fit(const std::vector<std::vector<double>>& x,
            const std::vector<double>& y,
            const std::vector<double>& weights = {});
 
   double Predict(const std::vector<double>& features) const;
 
-  // Predicts every row concurrently on the global pool. Element i equals
-  // Predict(rows[i]) exactly, for any thread count.
+  // Predicts every row, splitting the rows across the global pool. Each
+  // row walks the one flat node array exactly as Predict does, so element
+  // i equals Predict(rows[i]) bit for bit for any thread count.
   std::vector<double> PredictBatch(
       const std::vector<std::vector<double>>& rows) const;
 

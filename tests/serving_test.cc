@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "schedule/tensor.h"
 #include "serving/client.h"
 #include "serving/persist.h"
@@ -406,6 +407,64 @@ TEST_F(ServerTest, TuneSearchesThenWarmRestartsFromStore) {
   ASSERT_TRUE(forced->Find("ok")->BoolOr(false));
   EXPECT_EQ(forced->Find("source")->StringOr(""), "search");
   EXPECT_LE(forced->Find("best_cycles")->NumberOr(1e30), best);
+  server.Stop();
+}
+
+// A number that is not finite, or whose truncation does not fit the field's
+// integer type, would make a decoding cast undefined (on x86, "trials":
+// 1e300 would turn into a huge count and an exhaustive search). Each such
+// field gets exactly one ok:false reply, and nothing is compiled or tuned.
+TEST_F(ServerTest, OutOfRangeIntegersGetOneErrorReplyAndNoWork) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  const std::string op = "\"m\":512,\"n\":512,\"k\":512";
+  const std::string compile = "{\"id\":1,\"method\":\"compile\",";
+  const std::string tune = "{\"id\":1,\"method\":\"tune\",";
+  auto config = [&](const std::string& fields) {
+    return compile + op + ",\"config\":{\"tb\":[128,128,32]" + fields + "}}";
+  };
+  const std::vector<std::string> bad = {
+      compile + "\"m\":1e300,\"n\":512,\"k\":512,"
+                "\"config\":{\"tb\":[128,128,32]}}",
+      compile + "\"m\":512,\"n\":-1e300,\"k\":512,"
+                "\"config\":{\"tb\":[128,128,32]}}",
+      tune + "\"m\":512,\"n\":512,\"k\":inf}",
+      tune + op + ",\"batch\":1e19}",
+      compile + op + ",\"config\":{\"tb\":[128,1e300,32]}}",
+      config(",\"warp\":[64,64,1e20]"),
+      config(",\"smem\":3e9"),
+      config(",\"reg\":-3e9"),
+      config(",\"split_k\":1e300"),
+      config(",\"raster\":-inf"),
+      config(",\"smem\":-nan"),
+      "{\"id\":1e300,\"method\":\"ping\"}",
+      "{\"id\":-inf,\"method\":\"ping\"}",
+      tune + op + ",\"trials\":-1}",
+      tune + op + ",\"trials\":1e300}",
+  };
+
+  obs::Counter& refits = obs::Registry::Global().GetCounter("tuner.refits");
+  uint64_t refits_before = refits.Value();
+  uint64_t misses_before = sim::GetSimCacheStats().misses;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    std::optional<JsonValue> reply = client.Call(bad[i]);
+    ASSERT_TRUE(reply.has_value()) << bad[i];
+    EXPECT_FALSE(reply->Find("ok")->BoolOr(true)) << bad[i];
+    EXPECT_FALSE(reply->Find("error")->StringOr("").empty()) << bad[i];
+    // A second reply to the bad request, sent along with the first, would
+    // be read here in place of the pong.
+    std::string ping =
+        "{\"id\":" + std::to_string(100 + i) + ",\"method\":\"ping\"}";
+    std::optional<JsonValue> pong = client.Call(ping);
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(pong->Find("id")->NumberOr(-1), static_cast<double>(100 + i))
+        << bad[i];
+  }
+  EXPECT_EQ(sim::GetSimCacheStats().misses, misses_before);
+  EXPECT_EQ(refits.Value(), refits_before);
   server.Stop();
 }
 

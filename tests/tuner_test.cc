@@ -5,7 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "schedule/lower.h"
 #include "schedule/tensor.h"
@@ -145,6 +149,97 @@ TEST(GbtTest, PredictBeforeFitThrows) {
 TEST(GbtTest, EmptyFitThrows) {
   tuner::GbtModel model;
   EXPECT_THROW(model.Fit({}, {}), CheckError);
+}
+
+// A dataset shaped like an XgbTuner refit, drawn from raw mt19937_64
+// output only (no distribution objects, simulator or analytical model), so
+// that no change outside the GBT can move it: 1,000 pre-training rows at
+// weight 0.25 over 17 features of at most 56 distinct values each (the
+// last one constant, like split_k), targets shaped like -log(cycles) with
+// some at the infeasible score -30, then 32 rows duplicating pre-training
+// inputs at weight 1.0, like measured trials.
+struct RefitShapedData {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  std::vector<double> w;
+};
+
+RefitShapedData MakeRefitShapedData() {
+  Rng rng(2024);
+  auto draw = [&rng](uint64_t bound) {
+    return static_cast<double>(rng.engine()() % bound);
+  };
+  constexpr int kLevels[17] = {56, 7, 5, 4, 3, 56, 12, 9, 2,
+                               30, 17, 6, 4, 3, 48, 25, 1};
+  RefitShapedData data;
+  for (int row = 0; row < 1000; ++row) {
+    std::vector<double> f;
+    for (int c = 0; c < 17; ++c) f.push_back(0.25 * draw(kLevels[c]) + c);
+    double score = -9.0 - 0.05 * f[0] + 0.3 * f[1] * (f[2] - 2.5) -
+                   0.02 * f[5] * f[6] + 0.1 * f[9] + 0.01 * draw(100);
+    if (draw(25) == 0) score = -30.0;
+    data.x.push_back(f);
+    data.y.push_back(score);
+    data.w.push_back(0.25);
+  }
+  for (int trial = 0; trial < 32; ++trial) {
+    size_t source = static_cast<size_t>(draw(1000));
+    data.x.push_back(data.x[source]);
+    data.y.push_back(data.y[source] == -30.0
+                         ? -30.0
+                         : data.y[source] + 0.05 * (draw(21) - 10.0));
+    data.w.push_back(1.0);
+  }
+  return data;
+}
+
+// 64-bit FNV-1a over the bit patterns of `values`.
+uint64_t HashBits(const std::vector<double>& values) {
+  uint64_t hash = 14695981039346656037ull;
+  for (double v : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+std::string Hex(double v) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%a", v);
+  return text;
+}
+
+// Pins the fitted model bit for bit, so a rewrite of Fit that changes any
+// floating-point sum order or split choice fails here. The second fit makes
+// feature 0 constant: node totals and leaf values are summed in feature 0's
+// sorted order, which then degenerates to row order.
+TEST(GbtTest, GoldenPredictionsOnRefitShapedData) {
+  RefitShapedData data = MakeRefitShapedData();
+  ASSERT_EQ(data.x.size(), 1032u);
+  auto fit_and_predict = [](const RefitShapedData& d) {
+    tuner::GbtModel model;
+    model.Fit(d.x, d.y, d.w);
+    std::vector<double> out;
+    for (const auto& row : d.x) out.push_back(model.Predict(row));
+    return out;
+  };
+
+  std::vector<double> pred = fit_and_predict(data);
+  EXPECT_EQ(HashBits(pred), 12535916158313298155ull);
+  EXPECT_EQ(Hex(pred[0]), "-0x1.2a53f28cfd32ep+3");
+  EXPECT_EQ(Hex(pred[517]), "-0x1.4840a04c7702fp+3");
+  EXPECT_EQ(Hex(pred[1031]), "-0x1.386a8c8cc1a5dp+3");
+
+  for (auto& row : data.x) row[0] = 3.0;
+  std::vector<double> constant0 = fit_and_predict(data);
+  EXPECT_EQ(HashBits(constant0), 11347052095137070073ull);
+  EXPECT_EQ(Hex(constant0[0]), "-0x1.22c7f1a7ead38p+3");
+  EXPECT_EQ(Hex(constant0[517]), "-0x1.3de85ee1a8fe9p+3");
+  EXPECT_EQ(Hex(constant0[1031]), "-0x1.37c49899ec807p+3");
 }
 
 // ---- Annealing ----
