@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -195,13 +194,14 @@ OpenLoopResult OpenLoop(const std::string& socket_path, uint64_t requests,
         receive_failed.store(true);
         return;
       }
-      const char* id_pos = std::strstr(raw->c_str(), "\"id\":");
-      uint64_t id = id_pos != nullptr
-                        ? static_cast<uint64_t>(std::atoll(id_pos + 5))
-                        : 0;
-      if (id >= 1 && id <= requests &&
-          raw->find("\"ok\":true") != std::string::npos) {
-        slots[id - 1].done_ns.store(obs::NowNanos() - t0);
+      const int64_t done_ns = obs::NowNanos() - t0;  // before parsing
+      std::optional<serving::JsonValue> reply = serving::ParseJson(*raw);
+      const serving::JsonValue* id = reply ? reply->Find("id") : nullptr;
+      const serving::JsonValue* ok = reply ? reply->Find("ok") : nullptr;
+      const double number = id != nullptr ? id->NumberOr(0) : 0;
+      if (number >= 1 && number <= static_cast<double>(requests) &&
+          ok != nullptr && ok->BoolOr(false)) {
+        slots[static_cast<uint64_t>(number) - 1].done_ns.store(done_ns);
         answered.fetch_add(1);
       }
     }

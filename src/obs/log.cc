@@ -79,6 +79,10 @@ LogFields& LogFields::Raw(const std::string& key, const std::string& json) {
   return *this;
 }
 
+std::string LogFields::Object() const {
+  return fragment_.empty() ? "{}" : "{" + fragment_.substr(1) + "}";
+}
+
 struct StructuredLog::Impl {
   std::atomic<int> level{static_cast<int>(LogLevel::kInfo)};
   std::atomic<uint64_t> total{0};

@@ -55,6 +55,8 @@ class LogFields {
   // Splices `json` (an already-valid JSON value) verbatim.
   LogFields& Raw(const std::string& key, const std::string& json);
   const std::string& Json() const { return fragment_; }
+  // The same fields as one JSON object ("{}" when there are none).
+  std::string Object() const;
 
  private:
   std::string fragment_;

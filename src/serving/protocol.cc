@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <cstring>
 
 namespace alcop {
@@ -46,6 +47,18 @@ bool ReadFrame(int fd, std::string* payload) {
   if (len > kMaxFrameBytes) return false;
   payload->resize(len);
   return len == 0 || ReadExact(fd, payload->data(), len);
+}
+
+FrameParseResult ParseFrame(std::string_view buffer, std::string* payload,
+                            size_t* consumed) {
+  uint32_t len = 0;
+  if (buffer.size() < sizeof(len)) return FrameParseResult::kNeedMore;
+  std::memcpy(&len, buffer.data(), sizeof(len));
+  if (len > kMaxFrameBytes) return FrameParseResult::kBad;
+  if (buffer.size() - sizeof(len) < len) return FrameParseResult::kNeedMore;
+  payload->assign(buffer.substr(sizeof(len), len));
+  *consumed = sizeof(len) + len;
+  return FrameParseResult::kOk;
 }
 
 bool WriteFrame(int fd, const std::string& payload) {
@@ -127,13 +140,47 @@ class JsonParser {
           case 'r': out->push_back('\r'); break;
           case 'b': out->push_back('\b'); break;
           case 'f': out->push_back('\f'); break;
-          default: return false;  // \uXXXX not needed by the protocol
+          case 'u':
+            if (!CodePoint(out)) return false;
+            break;
+          default: return false;
         }
       } else {
         out->push_back(c);
       }
     }
     return false;  // unterminated
+  }
+
+  // Four hex digits after "\u".
+  bool Hex4(uint32_t* out) {
+    if (text_.size() - pos_ < 4) return false;
+    const char* end = text_.data() + pos_ + 4;
+    auto [ptr, ec] = std::from_chars(text_.data() + pos_, end, *out, 16);
+    pos_ += 4;
+    return ec == std::errc() && ptr == end;
+  }
+
+  // The code point of a "\uXXXX" escape (a surrogate pair spans two)
+  // appended as UTF-8. A lone surrogate has no code point and fails.
+  bool CodePoint(std::string* out) {
+    uint32_t code = 0;
+    if (!Hex4(&code) || (code >= 0xDC00 && code <= 0xDFFF)) return false;
+    if (code >= 0xD800 && code <= 0xDBFF) {
+      uint32_t low = 0;
+      if (!Literal("\\u") || !Hex4(&low) || low < 0xDC00 || low > 0xDFFF) {
+        return false;
+      }
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    // Lead byte, then six payload bits per continuation byte.
+    static constexpr uint32_t kLead[] = {0, 0xC0, 0xE0, 0xF0};
+    int tail = code < 0x80 ? 0 : code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+    out->push_back(static_cast<char>(kLead[tail] | (code >> (6 * tail))));
+    for (int shift = 6 * (tail - 1); shift >= 0; shift -= 6) {
+      out->push_back(static_cast<char>(0x80 | ((code >> shift) & 0x3F)));
+    }
+    return true;
   }
 
   bool Value(JsonValue* out, int depth) {

@@ -11,6 +11,8 @@
 //
 //   ping                       liveness probe
 //   stats                      cache + tuning-store counters
+//   debug                      a flight-recorder, time-series, trace or
+//                              log view (the GET /debug/* schemas)
 //   compile                    op+config -> KernelTiming (cache-routed)
 //   profile                    compile plus PMU counters
 //   tune                       search the schedule space (warm-started)
@@ -20,19 +22,23 @@
 // Request fields: op as {"family","batch","m","n","k"}, an explicit
 // config as {"tb":[m,n,k],"warp":[m,n,k],"smem","reg","split_k",
 // "raster","fusion","swizzle","async"} (all but "tb" optional), tune
-// takes "trials" and "warm" (default true). Responses are
-// {"id":..,"ok":true,...} or {"id":..,"ok":false,"error":"..."}.
+// takes "trials", "warm" (default true) and "force", persist/load take
+// "path", and debug takes "what" plus the n/client/lane/outcome/metric
+// query parameters. Responses are {"id":..,"ok":true,...} or
+// {"id":..,"ok":false,"error":"..."}.
 //
 // This header also hosts the minimal JSON value parser the daemon and
-// client share. It is deliberately small (objects, arrays, strings
-// without escapes beyond \" and \\, doubles, bools, null) — enough for
-// the protocol's own grammar, not a general-purpose parser.
+// client share. It is deliberately small (objects, arrays, strings with
+// the standard escapes, \uXXXX decoded to UTF-8, doubles, bools, null) —
+// enough to read back whatever support::JsonEscape writes, not a
+// general-purpose parser.
 #ifndef ALCOP_SERVING_PROTOCOL_H_
 #define ALCOP_SERVING_PROTOCOL_H_
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,6 +55,18 @@ inline constexpr uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
 // closed). Short reads/writes are retried internally; EINTR is handled.
 bool ReadFrame(int fd, std::string* payload);
 bool WriteFrame(int fd, const std::string& payload);
+
+enum class FrameParseResult {
+  kNeedMore,  // buffer holds a prefix of a frame; read more
+  kOk,        // one frame parsed; `consumed` bytes may be discarded
+  kBad,       // the length prefix is over kMaxFrameBytes; close
+};
+
+// Parses one frame from the front of `buffer`, the non-blocking
+// counterpart of ReadFrame: the daemon's IO thread appends whatever bytes
+// poll() delivered and never waits for the rest of a frame.
+FrameParseResult ParseFrame(std::string_view buffer, std::string* payload,
+                            size_t* consumed);
 
 // ---------------------------------------------------------------------------
 // JSON values.

@@ -21,7 +21,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -63,9 +64,10 @@ struct Conn {
   std::string client = "anon";  // peer identity (unix: "uid:<uid>")
   std::mutex write_mu;
 
-  // HTTP state. in_buffer/close_after_response/dead are IO-thread-only;
-  // inflight is the cross-thread gate: set before Dispatch on the IO
-  // thread, cleared by whichever lane thread sends the response.
+  // in_buffer (bytes read but not yet parsed, either transport),
+  // close_after_response and dead are IO-thread-only; inflight is the
+  // HTTP cross-thread gate: set before Dispatch on the IO thread, cleared
+  // by whichever lane thread sends the response.
   std::string in_buffer;
   std::atomic<bool> inflight{false};
   bool close_after_response = false;
@@ -100,33 +102,87 @@ struct Conn {
   }
 };
 
-struct Request {
-  std::shared_ptr<Conn> conn;
-  JsonValue body;
-  int64_t id = 0;  // client-chosen correlation id from the payload
-  std::string method;
-
-  // Per-request observability, filled in by Dispatch / the lanes.
-  uint64_t req_id = 0;     // daemon-assigned monotonic id
-  int64_t arrival_ns = 0;  // Dispatch time (trace clock)
-  int64_t dequeue_ns = 0;  // lane pickup time
-  uint64_t batch = 0;      // slow-lane drain round (0 on the fast lane)
-  const char* lane = "fast";
-  const char* outcome = "ok";  // cache outcome for the access log
-  const char* transport = "unix";
-  std::string client = "anon";  // attributed identity (see ServerOptions)
-  std::string op_key;
+enum class Method {
+  kPing, kStats, kDebug, kPersist, kLoad, kShutdown, kCompile, kProfile, kTune
 };
 
-// The error reply to `request`, which is marked as an error outcome for
-// the access log, the flight recorder and the per-client error counter.
-std::string ErrorResponse(Request& request, const std::string& message) {
-  request.outcome = "error";
-  std::ostringstream out;
-  out << "{\"id\":" << request.id << ",\"ok\":false,\"error\":\""
-      << JsonEscape(message) << "\"}";
-  return out.str();
+bool MethodFromName(const std::string& name, Method* method) {
+  static const std::pair<const char*, Method> kMethods[] = {
+      {"ping", Method::kPing},         {"stats", Method::kStats},
+      {"debug", Method::kDebug},       {"persist", Method::kPersist},
+      {"load", Method::kLoad},         {"shutdown", Method::kShutdown},
+      {"compile", Method::kCompile},   {"profile", Method::kProfile},
+      {"tune", Method::kTune}};
+  for (const auto& [known, value] : kMethods) {
+    if (name == known) {
+      *method = value;
+      return true;
+    }
+  }
+  return false;
 }
+
+// One debug view: GET /debug/<what>?... or the socket `debug` method.
+struct DebugQuery {
+  std::string what = "requests";  // requests | timeseries | trace | log
+  std::optional<size_t> n;        // absent: the view's default
+  obs::FlightRecorder::Filter filter;  // requests
+  std::string metric;                  // timeseries
+};
+
+bool IsDebugView(const std::string& what) {
+  return what == "requests" || what == "timeseries" || what == "trace" ||
+         what == "log";
+}
+
+// A decimal count from a query string; nullopt when empty or not a number.
+std::optional<size_t> ParseCount(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  unsigned long long n = std::strtoull(text.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0') return std::nullopt;
+  return static_cast<size_t>(n);
+}
+
+// A request decoded once at dispatch. Only the fields its method uses are
+// set. Routing adds what its one cache lookup found, so the fast lane
+// answers from it without decoding or probing again.
+struct Call {
+  Method method = Method::kPing;
+  schedule::GemmOp op;              // compile, profile, tune
+  schedule::ScheduleConfig config;  // compile, profile
+  size_t trials = 0;                // tune
+  bool warm = true;                 // tune
+  bool force = false;               // tune
+  std::string path;                 // persist, load
+  DebugQuery debug;                 // debug
+  std::optional<sim::KernelTiming> cached;    // compile: a timing hit
+  std::optional<tuner::StoredTuning> stored;  // tune: a stored search
+};
+
+// One request from dispatch to reply. The lanes fill its record in place
+// (lane, outcome, batch); Complete adds the timings and retains it.
+struct Request {
+  std::shared_ptr<Conn> conn;
+  Call call;
+  obs::RequestRecord record;
+  int64_t dequeue_ns = 0;  // lane pickup (trace clock)
+};
+
+// A handler's answer: the fields that follow "ok" in the reply, which for
+// an error is the one "error" field. Implicit from LogFields, so a handler
+// returns its fields directly.
+struct Reply {
+  Reply(obs::LogFields fields)  // NOLINT(google-explicit-constructor)
+      : fields(std::move(fields)) {}
+  static Reply Error(const std::string& message) {
+    Reply reply(obs::LogFields().Str("error", message));
+    reply.ok = false;
+    return reply;
+  }
+  obs::LogFields fields;
+  bool ok = true;
+};
 
 bool FamilyFromName(const std::string& name, schedule::OpFamily* family) {
   for (schedule::OpFamily f :
@@ -159,58 +215,40 @@ bool DecodeInteger(const JsonValue& value, T fallback, T* out) {
 }
 
 // {"family":"matmul","batch":1,"m":...,"n":...,"k":...} from the request
-// root (fields at top level, matching the CLI's workload flags).
-bool ParseOpJson(const JsonValue& root, schedule::GemmOp* op,
-                 std::string* err) {
+// root (fields at top level, matching the CLI's workload flags). Returns
+// the error, or "" on success.
+std::string ParseOpJson(const JsonValue& root, schedule::GemmOp* op) {
   const JsonValue* family = root.Find("family");
   std::string family_name = family == nullptr ? "matmul" : family->StringOr("");
   if (!FamilyFromName(family_name, &op->family)) {
-    *err = "unknown family \"" + family_name + "\"";
-    return false;
+    return "unknown family \"" + family_name + "\"";
   }
   const JsonValue* m = root.Find("m");
   const JsonValue* n = root.Find("n");
   const JsonValue* k = root.Find("k");
-  if (m == nullptr || n == nullptr || k == nullptr) {
-    *err = "op needs m, n, k";
-    return false;
-  }
+  if (m == nullptr || n == nullptr || k == nullptr) return "op needs m, n, k";
   const JsonValue* batch = root.Find("batch");
   op->batch = 1;
   if (!DecodeInteger(*m, int64_t{0}, &op->m) ||
       !DecodeInteger(*n, int64_t{0}, &op->n) ||
       !DecodeInteger(*k, int64_t{0}, &op->k) ||
       (batch != nullptr && !DecodeInteger(*batch, int64_t{1}, &op->batch))) {
-    *err = "op sizes must be finite and fit 64 bits";
-    return false;
+    return "op sizes must be finite and fit 64 bits";
   }
   if (op->m <= 0 || op->n <= 0 || op->k <= 0 || op->batch <= 0) {
-    *err = "op sizes must be positive";
-    return false;
+    return "op sizes must be positive";
   }
-  std::ostringstream name;
-  name << schedule::OpFamilyName(op->family) << "_" << op->m << "x" << op->n
-       << "x" << op->k;
-  op->name = name.str();
-  return true;
-}
-
-// A tune request's "trials" into *trials, which keeps its value when the
-// field is absent. A stored answer ignores it but still rejects a bad one,
-// so validity does not depend on the lane.
-bool ParseTrials(const JsonValue& root, size_t* trials, std::string* err) {
-  const JsonValue* t = root.Find("trials");
-  if (t != nullptr && !DecodeInteger(*t, *trials, trials)) {
-    *err = "\"trials\" must be finite, non-negative and fit 64 bits";
-    return false;
-  }
-  return true;
+  op->name = std::string(schedule::OpFamilyName(op->family)) + "_" +
+             std::to_string(op->m) + "x" + std::to_string(op->n) + "x" +
+             std::to_string(op->k);
+  return "";
 }
 
 // {"tb":[m,n,k],"warp":[m,n,k],"smem":..,"reg":..,...}; only "tb" is
-// required, everything else keeps the ScheduleConfig default.
-bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
-                     std::string* err) {
+// required, everything else keeps the ScheduleConfig default. Returns the
+// error, or "" on success.
+std::string ParseConfigJson(const JsonValue& config,
+                            schedule::ScheduleConfig* out) {
   auto triple = [&](const char* key, int64_t* a, int64_t* b, int64_t* c,
                     bool required) {
     const JsonValue* v = config.Find(key);
@@ -225,8 +263,7 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
   };
   if (!triple("tb", &out->tile.tb_m, &out->tile.tb_n, &out->tile.tb_k,
               /*required=*/true)) {
-    *err = "config needs \"tb\":[m,n,k]";
-    return false;
+    return "config needs \"tb\":[m,n,k]";
   }
   // Default warp tile: one warp owning the whole threadblock tile is
   // rarely valid, so default to the tb tile split 2x2 when divisible.
@@ -235,8 +272,7 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
   out->tile.warp_k = out->tile.tb_k;
   if (!triple("warp", &out->tile.warp_m, &out->tile.warp_n, &out->tile.warp_k,
               /*required=*/false)) {
-    *err = "\"warp\" must be [m,n,k]";
-    return false;
+    return "\"warp\" must be [m,n,k]";
   }
   for (auto [key, field] : {std::pair{"smem", &out->smem_stages},
                              std::pair{"reg", &out->reg_stages},
@@ -244,8 +280,7 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
                              std::pair{"raster", &out->raster_block}}) {
     const JsonValue* v = config.Find(key);
     if (v != nullptr && !DecodeInteger(*v, *field, field)) {
-      *err = std::string("\"") + key + "\" must be finite and fit an int";
-      return false;
+      return std::string("\"") + key + "\" must be finite and fit an int";
     }
   }
   if (const JsonValue* v = config.Find("fusion")) {
@@ -257,32 +292,64 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
   if (const JsonValue* v = config.Find("async")) {
     out->async_copies = v->BoolOr(out->async_copies);
   }
-  return true;
+  return "";
 }
 
-// The success reply to a compile or profile request: its timing, plus
-// the PMU counters when `pmu` is non-null.
-std::string TimingResponse(const Request& request, const sim::KernelTiming& t,
-                           const sim::KernelPmu* pmu) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{\"id\":" << request.id << ",\"ok\":true,\"feasible\":"
-      << (t.feasible ? "true" : "false");
-  if (!t.feasible) {
-    out << ",\"reason\":\"" << JsonEscape(t.reason) << "\"";
-  } else {
-    out << ",\"cycles\":" << t.cycles << ",\"microseconds\":" << t.microseconds
-        << ",\"tflops\":" << t.tflops
-        << ",\"threadblocks_per_sm\":" << t.threadblocks_per_sm
-        << ",\"batches\":" << t.batches;
+// The socket `debug` method's view and parameters. Returns the error, or
+// "" on success.
+std::string ParseDebugJson(const JsonValue& root, DebugQuery* query) {
+  for (auto [key, field] : {std::pair{"client", &query->filter.client},
+                             std::pair{"lane", &query->filter.lane},
+                             std::pair{"outcome", &query->filter.outcome},
+                             std::pair{"metric", &query->metric}}) {
+    if (const JsonValue* v = root.Find(key)) *field = v->StringOr("");
   }
-  if (pmu != nullptr) out << ",\"pmu\":" << sim::PmuToJson(*pmu);
-  out << "}";
-  return out.str();
+  if (const JsonValue* v = root.Find("n")) {
+    uint64_t n = 0;
+    if (v->kind != JsonValue::Kind::kNumber) {
+      query->n = ParseCount(v->StringOr(""));
+    } else if (DecodeInteger(*v, n, &n)) {
+      query->n = n;
+    } else {
+      return "\"n\" must be a finite count";
+    }
+  }
+  const JsonValue* what = root.Find("what");
+  if (what != nullptr) query->what = what->StringOr(query->what);
+  if (!IsDebugView(query->what)) {
+    return "unknown debug view \"" + query->what + "\"";
+  }
+  return "";
 }
 
-obs::Counter& ServingCounter(const char* name) {
-  return obs::Registry::Global().GetCounter(name);
+// The reply to a compile or profile request: its timing, plus the PMU
+// counters when `pmu` is non-null.
+obs::LogFields TimingFields(const sim::KernelTiming& t,
+                            const sim::KernelPmu* pmu) {
+  obs::LogFields fields;
+  fields.Bool("feasible", t.feasible);
+  if (!t.feasible) {
+    fields.Str("reason", t.reason);
+  } else {
+    fields.Num("cycles", t.cycles)
+        .Num("microseconds", t.microseconds)
+        .Num("tflops", t.tflops)
+        .Int("threadblocks_per_sm", t.threadblocks_per_sm)
+        .Int("batches", t.batches);
+  }
+  if (pmu != nullptr) fields.Raw("pmu", sim::PmuToJson(*pmu));
+  return fields;
+}
+
+// `[a,b,...]` of `render(item)` for each item.
+template <typename Items, typename Render>
+std::string JsonArray(const Items& items, Render render) {
+  std::string out = "[";
+  for (const auto& item : items) {
+    if (out.size() > 1) out += ",";
+    out += render(item);
+  }
+  return out + "]";
 }
 
 // Client identities become metric label values and access-log fields, so
@@ -352,6 +419,7 @@ struct Server::Impl {
   obs::Counter* http_counter = nullptr;
   obs::Counter* http_bad_counter = nullptr;
   obs::Counter* watchdog_counter = nullptr;
+  obs::Counter* warm_starts_counter = nullptr;
   struct LaneWatch {
     obs::Gauge* depth = nullptr;  // serving.queue.depth|lane=...
     obs::Gauge* age = nullptr;    // serving.queue.age.us|lane=...
@@ -496,19 +564,13 @@ struct Server::Impl {
           continue;
         }
       }
+      // Both transports read whatever bytes arrived and parse complete
+      // requests from the connection's buffer, so a peer that stalls
+      // mid-request never blocks the IO thread.
       for (size_t i = base; i < fds.size(); ++i) {
         if (fds[i].revents == 0) continue;
         std::shared_ptr<Conn>& conn = conns[i - base];
         if (conn->dead) continue;
-        if (!conn->http) {
-          std::string payload;
-          if (!ReadFrame(conn->fd, &payload)) {
-            conn->dead = true;
-          } else {
-            Dispatch(conn, payload);
-          }
-          continue;
-        }
         char buf[65536];
         ssize_t n = ::read(conn->fd, buf, sizeof(buf));
         if (n <= 0) {
@@ -517,8 +579,10 @@ struct Server::Impl {
           continue;
         }
         conn->in_buffer.append(buf, static_cast<size_t>(n));
-        if (!conn->inflight.load(std::memory_order_acquire) &&
-            !ProcessHttpBuffer(conn)) {
+        if (!conn->http) {
+          conn->dead = !ProcessFrames(conn);
+        } else if (!conn->inflight.load(std::memory_order_acquire) &&
+                   !ProcessHttpBuffer(conn)) {
           conn->dead = true;
         }
       }
@@ -571,11 +635,11 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(queue_mu);
       fast_reading.depth = fast_queue.size();
       if (!fast_queue.empty()) {
-        fast_reading.oldest_ns = fast_queue.front().arrival_ns;
+        fast_reading.oldest_ns = fast_queue.front().record.arrival_ns;
       }
       slow_reading.depth = slow_queue.size();
       if (!slow_queue.empty()) {
-        slow_reading.oldest_ns = slow_queue.front().arrival_ns;
+        slow_reading.oldest_ns = slow_queue.front().record.arrival_ns;
       }
     }
     auto tick_lane = [&](const char* name, LaneWatch& lane,
@@ -622,30 +686,34 @@ struct Server::Impl {
         .Num("inflight", inflight_gauge->Value())
         .Uint("requests", served.load(std::memory_order_relaxed));
     if (flight != nullptr) {
-      std::string tail = "[";
-      bool first = true;
-      for (const obs::RequestRecord& rec : flight->Snapshot(8)) {
-        if (!first) tail += ",";
-        first = false;
-        tail += obs::RequestRecordJson(rec);
-      }
-      tail += "]";
-      fields.Raw("flight_tail", tail);
+      fields.Raw("flight_tail",
+                 JsonArray(flight->Snapshot(8), obs::RequestRecordJson));
     }
-    std::string metrics = "{";
-    bool first = true;
+    obs::LogFields metrics;
     for (const auto& [name, value] :
          obs::FlattenSnapshot(obs::Registry::Global().Snapshot())) {
-      if (!first) metrics += ",";
-      first = false;
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", value);
-      metrics += "\"" + name + "\":" + buf;
+      metrics.Num(name, value);
     }
-    metrics += "}";
-    fields.Raw("metrics", metrics);
+    fields.Raw("metrics", metrics.Object());
     obs::Log(obs::LogLevel::kError, "serving",
              std::string("watchdog: ") + lane + " lane stalled", fields);
+  }
+
+  // Dispatches every complete frame in the buffer and keeps the partial
+  // one. False means the connection should close (an over-sized length
+  // prefix).
+  bool ProcessFrames(const std::shared_ptr<Conn>& conn) {
+    std::string_view buffer = conn->in_buffer;
+    std::string payload;
+    size_t consumed = 0;
+    FrameParseResult result;
+    while ((result = ParseFrame(buffer, &payload, &consumed)) ==
+           FrameParseResult::kOk) {
+      buffer.remove_prefix(consumed);
+      Dispatch(conn, payload);
+    }
+    conn->in_buffer.erase(0, conn->in_buffer.size() - buffer.size());
+    return result != FrameParseResult::kBad;
   }
 
   // Parses as many buffered HTTP requests as the one-inflight gate
@@ -698,16 +766,19 @@ struct Server::Impl {
           obs::RenderPrometheus(), {}, keep));
       return keep;
     }
-    if (path.rfind("/debug/", 0) == 0) {
+    if (path.rfind("/debug/", 0) == 0 && IsDebugView(path.substr(7))) {
       if (request.method != "GET") return method_not_allowed();
-      std::string body;
-      if (!HandleDebugQuery(path.substr(7), ParseQuery(query), &body)) {
-        conn->SendRaw(FormatHttpResponse(404, "text/plain; charset=utf-8",
-                                         "not found\n", {}, keep));
-        return keep;
-      }
-      conn->SendRaw(
-          FormatHttpResponse(200, "application/json", body + "\n", {}, keep));
+      DebugQuery debug;
+      debug.what = path.substr(7);
+      std::vector<std::pair<std::string, std::string>> params =
+          ParseQuery(query);
+      debug.n = ParseCount(QueryParam(params, "n"));
+      debug.filter.client = QueryParam(params, "client");
+      debug.filter.lane = QueryParam(params, "lane");
+      debug.filter.outcome = QueryParam(params, "outcome");
+      debug.metric = QueryParam(params, "metric");
+      conn->SendRaw(FormatHttpResponse(200, "application/json",
+                                       DebugJson(debug) + "\n", {}, keep));
       return keep;
     }
     if (path == "/healthz") {
@@ -719,17 +790,19 @@ struct Server::Impl {
               : std::max<int64_t>(0, static_cast<int64_t>(stats.budget_bytes) -
                                          static_cast<int64_t>(
                                              stats.resident_bytes));
-      std::ostringstream body;
-      body.precision(17);
-      body << "{\"ok\":true,\"uptime_seconds\":"
-           << static_cast<double>(obs::NowNanos() - start_ns) / 1e9
-           << ",\"inflight\":" << inflight_gauge->Value()
-           << ",\"requests\":" << served.load(std::memory_order_relaxed)
-           << ",\"cache\":{\"resident_bytes\":" << stats.resident_bytes
-           << ",\"budget_bytes\":" << stats.budget_bytes
-           << ",\"headroom_bytes\":" << headroom << "}}\n";
+      obs::LogFields cache;
+      cache.Uint("resident_bytes", stats.resident_bytes)
+          .Uint("budget_bytes", stats.budget_bytes)
+          .Int("headroom_bytes", headroom);
+      obs::LogFields body;
+      body.Bool("ok", true)
+          .Num("uptime_seconds",
+               static_cast<double>(obs::NowNanos() - start_ns) / 1e9)
+          .Num("inflight", inflight_gauge->Value())
+          .Uint("requests", served.load(std::memory_order_relaxed))
+          .Raw("cache", cache.Object());
       conn->SendRaw(FormatHttpResponse(
-          200, "application/json", body.str(),
+          200, "application/json", body.Object() + "\n",
           {{"X-Cache-Headroom-Bytes", std::to_string(headroom)}}, keep));
       return keep;
     }
@@ -754,192 +827,221 @@ struct Server::Impl {
   // method): renders the retained rings as JSON. Read-only.
   // ---------------------------------------------------------------------
 
-  static size_t ParseCount(const std::string& text, size_t fallback) {
-    if (text.empty()) return fallback;
-    char* end = nullptr;
-    unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return fallback;
-    return static_cast<size_t>(n);
-  }
-
-  // `{"requests":[...most recent first...],"total_recorded":N}`.
-  std::string DebugRequestsJson(size_t n, const obs::FlightRecorder::Filter&
-                                              filter) {
-    std::ostringstream out;
-    out << "{\"requests\":[";
-    if (flight != nullptr) {
-      bool first = true;
-      for (const obs::RequestRecord& rec : flight->Snapshot(n, filter)) {
-        if (!first) out << ",";
-        first = false;
-        out << obs::RequestRecordJson(rec);
+  // One view; `query.what` is one IsDebugView accepts.
+  std::string DebugJson(const DebugQuery& query) {
+    if (query.what == "requests") {
+      // {"requests":[...most recent first...],"total_recorded":N}
+      std::vector<obs::RequestRecord> records;
+      if (flight != nullptr) {
+        records = flight->Snapshot(query.n.value_or(50), query.filter);
       }
+      return obs::LogFields()
+          .Raw("requests", JsonArray(records, obs::RequestRecordJson))
+          .Uint("total_recorded",
+                flight == nullptr ? 0 : flight->total_recorded())
+          .Object();
     }
-    out << "],\"total_recorded\":"
-        << (flight == nullptr ? 0 : flight->total_recorded()) << "}";
-    return out.str();
-  }
-
-  // Without `metric`: the list of sampled names. With one: up to `n`
-  // most recent points, oldest first.
-  std::string DebugTimeseriesJson(const std::string& metric, size_t n) {
-    std::ostringstream out;
-    out.precision(17);
-    if (metric.empty()) {
-      out << "{\"metrics\":[";
-      if (timeseries != nullptr) {
-        bool first = true;
-        for (const std::string& name : timeseries->Names()) {
-          if (!first) out << ",";
-          first = false;
-          out << "\"" << JsonEscape(name) << "\"";
-        }
+    if (query.what == "timeseries") {
+      // Without a metric: the list of sampled names. With one: up to n
+      // most recent points, oldest first.
+      if (query.metric.empty()) {
+        std::vector<std::string> names;
+        if (timeseries != nullptr) names = timeseries->Names();
+        return obs::LogFields()
+            .Raw("metrics", JsonArray(names,
+                                      [](const std::string& name) {
+                                        return "\"" + JsonEscape(name) + "\"";
+                                      }))
+            .Uint("samples", timeseries == nullptr ? 0 : timeseries->samples())
+            .Object();
       }
-      out << "],\"samples\":"
-          << (timeseries == nullptr ? 0 : timeseries->samples()) << "}";
-      return out.str();
+      std::vector<obs::MetricsTimeSeries::Point> points;
+      if (timeseries != nullptr) points = timeseries->Series(query.metric);
+      size_t keep = std::min(points.size(), query.n.value_or(600));
+      points.erase(points.begin(),
+                   points.end() - static_cast<ptrdiff_t>(keep));
+      auto point = [](const obs::MetricsTimeSeries::Point& p) {
+        return obs::LogFields()
+            .Int("t_ns", p.t_ns)
+            .Num("value", p.value)
+            .Object();
+      };
+      return obs::LogFields()
+          .Str("metric", query.metric)
+          .Raw("points", JsonArray(points, point))
+          .Object();
     }
-    std::vector<obs::MetricsTimeSeries::Point> points;
-    if (timeseries != nullptr) points = timeseries->Series(metric);
-    size_t start = points.size() > n ? points.size() - n : 0;
-    out << "{\"metric\":\"" << JsonEscape(metric) << "\",\"points\":[";
-    for (size_t i = start; i < points.size(); ++i) {
-      if (i != start) out << ",";
-      out << "{\"t_ns\":" << points[i].t_ns << ",\"value\":"
-          << points[i].value << "}";
+    if (query.what == "trace") {
+      // Drains the span rings as a Chrome/Perfetto trace snapshot.
+      obs::ChromeTraceWriter writer;
+      obs::AppendHostSpans(&writer, obs::CollectTraceSpans());
+      std::string json = writer.ToJson();
+      obs::ClearTrace();
+      return json;
     }
-    out << "]}";
-    return out.str();
+    // {"lines":[...oldest first...],"total":N}; each line is a JSON object.
+    obs::StructuredLog& log = obs::StructuredLog::Global();
+    return obs::LogFields()
+        .Raw("lines", JsonArray(log.Recent(query.n.value_or(100)),
+                                [](const std::string& line) { return line; }))
+        .Uint("total", log.total_lines())
+        .Object();
   }
 
-  // Drains the span rings as a Chrome/Perfetto trace snapshot.
-  static std::string DebugTraceJson() {
-    obs::ChromeTraceWriter writer;
-    obs::AppendHostSpans(&writer, obs::CollectTraceSpans());
-    std::string json = writer.ToJson();
-    obs::ClearTrace();
-    return json;
-  }
-
-  // `{"lines":[...oldest first...]}`; each line is itself a JSON object.
-  static std::string DebugLogJson(size_t n) {
-    std::ostringstream out;
-    out << "{\"lines\":[";
-    bool first = true;
-    for (const std::string& line : obs::StructuredLog::Global().Recent(n)) {
-      if (!first) out << ",";
-      first = false;
-      out << line;
-    }
-    out << "],\"total\":" << obs::StructuredLog::Global().total_lines()
-        << "}";
-    return out.str();
-  }
-
-  // `what` is the path tail ("requests", "timeseries", "trace", "log");
-  // false = unknown endpoint.
-  bool HandleDebugQuery(
-      const std::string& what,
-      const std::vector<std::pair<std::string, std::string>>& params,
-      std::string* body) {
-    if (what == "requests") {
-      obs::FlightRecorder::Filter filter;
-      filter.client = QueryParam(params, "client");
-      filter.lane = QueryParam(params, "lane");
-      filter.outcome = QueryParam(params, "outcome");
-      *body = DebugRequestsJson(ParseCount(QueryParam(params, "n"), 50),
-                                filter);
-      return true;
-    }
-    if (what == "timeseries") {
-      *body = DebugTimeseriesJson(QueryParam(params, "metric"),
-                                  ParseCount(QueryParam(params, "n"), 600));
-      return true;
-    }
-    if (what == "trace") {
-      *body = DebugTraceJson();
-      return true;
-    }
-    if (what == "log") {
-      *body = DebugLogJson(ParseCount(QueryParam(params, "n"), 100));
-      return true;
-    }
-    return false;
-  }
+  // ---------------------------------------------------------------------
+  // Dispatch: decode once, route with one lookup, answer decode errors.
+  // ---------------------------------------------------------------------
 
   void Dispatch(const std::shared_ptr<Conn>& conn, const std::string& payload,
                 const char* method_override = nullptr,
                 const char* client_override = nullptr) {
     Request request;
     request.conn = conn;
-    request.req_id = next_request_id.fetch_add(1, std::memory_order_relaxed) + 1;
-    request.arrival_ns = obs::NowNanos();
-    request.transport = conn->http ? "http" : "unix";
-    request.client = conn->client;
+    obs::RequestRecord& rec = request.record;
+    rec.id = next_request_id.fetch_add(1, std::memory_order_relaxed) + 1;
+    rec.arrival_ns = obs::NowNanos();
+    rec.transport = conn->http ? "http" : "unix";
+    rec.client = conn->client;
+    rec.lane = "fast";
+    rec.outcome = "ok";
     inflight_gauge->Add(1.0);
-    std::optional<JsonValue> body = ParseJson(payload);
-    if (!body.has_value()) {
-      if (client_override != nullptr) {
-        request.client = SanitizeClient(client_override);
-      }
-      request.dequeue_ns = request.arrival_ns;
-      Complete(request, ErrorResponse(request, "malformed JSON"));
-      return;
-    }
-    request.body = std::move(*body);
-    const JsonValue* method = request.body.Find("method");
-    request.method = method == nullptr ? "" : method->StringOr("");
-    if (method_override != nullptr) request.method = method_override;
+    std::string error = Decode(payload, method_override, &request);
     // Attribution priority: transport-verified header > self-declared
-    // body field > connection default (peer uid / "anon").
-    if (const JsonValue* c = request.body.Find("client")) {
-      std::string declared = c->StringOr("");
-      if (!declared.empty()) request.client = SanitizeClient(declared);
-    }
+    // body field (Decode) > connection default (peer uid / "anon").
     if (client_override != nullptr) {
-      request.client = SanitizeClient(client_override);
+      rec.client = SanitizeClient(client_override);
     }
-    const JsonValue* id = request.body.Find("id");
-    if (id != nullptr && !DecodeInteger(*id, int64_t{0}, &request.id)) {
-      request.dequeue_ns = request.arrival_ns;
-      Complete(request,
-               ErrorResponse(request, "\"id\" must be finite and fit 64 bits"));
+    if (!error.empty()) {
+      request.dequeue_ns = rec.arrival_ns;
+      Complete(request, Reply::Error(error));
       return;
     }
-    if (FastLane(request)) {
-      std::lock_guard<std::mutex> lock(queue_mu);
+    bool fast = Route(&request.call);
+    std::lock_guard<std::mutex> lock(queue_mu);
+    if (fast) {
       fast_queue.push_back(std::move(request));
       fast_cv.notify_one();
     } else {
-      request.lane = "slow";
-      std::lock_guard<std::mutex> lock(queue_mu);
+      request.record.lane = "slow";
       slow_queue.push_back(std::move(request));
       slow_cv.notify_one();
     }
   }
 
-  // Finishes one request: latency histograms, completion-time counters,
-  // queue-wait/lane spans and its one RequestRecord — retained by the
-  // flight recorder and written as the access-log line — then the
-  // response send, so a stats snapshot or scrape taken after the client
-  // sees the reply always includes it, and in-flight work is visible as
-  // the gap between serving.inflight and serving.requests.
-  void Complete(Request& request, const std::string& payload) {
+  // Decodes `payload` into the request's record (method, client, id,
+  // op_key) and call. Returns the error to answer at dispatch, or "".
+  std::string Decode(const std::string& payload, const char* method_override,
+                     Request* request) const {
+    std::optional<JsonValue> parsed = ParseJson(payload);
+    if (!parsed.has_value()) return "malformed JSON";
+    const JsonValue& body = *parsed;
+    obs::RequestRecord& rec = request->record;
+    Call& call = request->call;
+    const JsonValue* method = body.Find("method");
+    rec.method = method_override != nullptr ? method_override
+                 : method == nullptr        ? ""
+                                            : method->StringOr("");
+    if (const JsonValue* c = body.Find("client")) {
+      const std::string& declared = c->StringOr("");
+      if (!declared.empty()) rec.client = SanitizeClient(declared);
+    }
+    const JsonValue* id = body.Find("id");
+    if (id != nullptr && !DecodeInteger(*id, int64_t{0}, &rec.client_id)) {
+      return "\"id\" must be finite and fit 64 bits";
+    }
+    if (!MethodFromName(rec.method, &call.method)) {
+      return "unknown method \"" + rec.method + "\"";
+    }
+    switch (call.method) {
+      case Method::kDebug:
+        return ParseDebugJson(body, &call.debug);
+      case Method::kPersist:
+      case Method::kLoad:
+        call.path = options.cache_path;
+        if (const JsonValue* p = body.Find("path")) {
+          call.path = p->StringOr(call.path);
+        }
+        if (call.path.empty()) call.path = DefaultCachePath();
+        return "";
+      case Method::kCompile:
+      case Method::kProfile:
+      case Method::kTune:
+        break;
+      default:
+        return "";
+    }
+    if (std::string err = ParseOpJson(body, &call.op); !err.empty()) {
+      return err;
+    }
+    rec.op_key = call.op.name;
+    if (call.method == Method::kTune) {
+      // A stored answer ignores "trials" but still rejects a bad one, so
+      // validity does not depend on the lane.
+      call.trials = options.default_trials;
+      const JsonValue* trials = body.Find("trials");
+      if (trials != nullptr &&
+          !DecodeInteger(*trials, call.trials, &call.trials)) {
+        return "\"trials\" must be finite, non-negative and fit 64 bits";
+      }
+      const JsonValue* warm = body.Find("warm");
+      call.warm = warm == nullptr ? options.warm_start
+                                  : warm->BoolOr(options.warm_start);
+      const JsonValue* force = body.Find("force");
+      call.force = force != nullptr && force->BoolOr(false);
+      return "";
+    }
+    const JsonValue* config = body.Find("config");
+    if (config == nullptr) return rec.method + " needs a \"config\" object";
+    return ParseConfigJson(*config, &call.config);
+  }
+
+  // Routing, with the request's one cache lookup: a compile whose timing
+  // is cached and a tune whose exact op_key is stored go to the fast lane
+  // carrying what the lookup found; anything that must compile or search
+  // goes to the slow lane. Never compiles.
+  bool Route(Call* call) const {
+    switch (call->method) {
+      case Method::kCompile: {
+        sim::KernelTiming timing;
+        if (!sim::ProbeCachedTiming(call->op, call->config, options.spec,
+                                    schedule::InlineOrder::kAfterPipelining,
+                                    &timing)) {
+          return false;
+        }
+        call->cached = std::move(timing);
+        return true;
+      }
+      case Method::kProfile:
+        return false;
+      case Method::kTune:
+        if (!call->force) {
+          call->stored =
+              tuner::TuningStore::Global().Get(tuner::OpKey(call->op));
+        }
+        return call->stored.has_value();
+      default:
+        return true;
+    }
+  }
+
+  // Finishes one request: writes the {"id":..,"ok":..} envelope around
+  // the reply's fields, marks an error outcome, then does the latency
+  // histograms, completion-time counters, queue-wait/lane spans and its
+  // one RequestRecord — retained by the flight recorder and written as the
+  // access-log line — then the response send, so a stats snapshot or
+  // scrape taken after the client sees the reply always includes it, and
+  // in-flight work is visible as the gap between serving.inflight and
+  // serving.requests.
+  void Complete(Request& request, const Reply& reply) {
+    obs::RequestRecord& rec = request.record;
+    const std::string payload = "{\"id\":" + std::to_string(rec.client_id) +
+                                ",\"ok\":" + (reply.ok ? "true" : "false") +
+                                reply.fields.Json() + "}";
+    if (!reply.ok) rec.outcome = "error";
     int64_t end_ns = obs::NowNanos();
-    bool fast = request.lane[0] == 'f';
-    obs::RequestRecord rec;
-    rec.id = request.req_id;
-    rec.client = request.client;
-    rec.client_id = request.id;
-    rec.method = request.method;
-    rec.op_key = request.op_key;
-    rec.lane = request.lane;
-    rec.outcome = request.outcome;
-    rec.transport = request.transport;
-    rec.batch = request.batch;
-    rec.arrival_ns = request.arrival_ns;
+    bool fast = rec.lane == "fast";
     rec.queue_us =
-        static_cast<double>(request.dequeue_ns - request.arrival_ns) / 1e3;
+        static_cast<double>(request.dequeue_ns - rec.arrival_ns) / 1e3;
     rec.service_us = static_cast<double>(end_ns - request.dequeue_ns) / 1e3;
     rec.total_us = rec.queue_us + rec.service_us;
     LaneStats& lane = fast ? fast_stats : slow_stats;
@@ -949,19 +1051,19 @@ struct Server::Impl {
     (fast ? fast_counter : slow_counter)->Increment();
     requests_counter->Increment();
     if (options.client_metrics) {
-      ClientStats* client = ClientStatsFor(request.client);
+      ClientStats* client = ClientStatsFor(rec.client);
       client->requests->Increment();
-      if (request.outcome[0] == 'e') client->errors->Increment();
+      if (!reply.ok) client->errors->Increment();
       client->bytes->Add(payload.size());
       (fast ? client->fast_latency : client->slow_latency)
           ->Observe(rec.total_us);
     }
     inflight_gauge->Add(-1.0);
     served.fetch_add(1, std::memory_order_relaxed);
-    obs::RecordSpan("serving.queue_wait", "serving", request.arrival_ns,
+    obs::RecordSpan("serving.queue_wait", "serving", rec.arrival_ns,
                     request.dequeue_ns);
     obs::RecordSpan(fast ? "serving.request.fast" : "serving.request.slow",
-                    "serving", request.arrival_ns, end_ns);
+                    "serving", rec.arrival_ns, end_ns);
     if (flight != nullptr) flight->Record(rec);
     if (access_log.is_open()) {
       std::string line = obs::RequestRecordJson(rec) + "\n";
@@ -972,43 +1074,8 @@ struct Server::Impl {
     request.conn->Send(payload);
   }
 
-  // Routing: anything that can be answered without compiling or
-  // searching goes to the fast lane. The probes here are O(1) lookups —
-  // never a compile.
-  bool FastLane(const Request& request) {
-    const std::string& m = request.method;
-    if (m == "ping" || m == "stats" || m == "persist" || m == "load" ||
-        m == "shutdown" || m == "debug" || m.empty()) {
-      return true;
-    }
-    if (m == "compile") {
-      schedule::GemmOp op;
-      schedule::ScheduleConfig config;
-      std::string err;
-      const JsonValue* cfg = request.body.Find("config");
-      if (!ParseOpJson(request.body, &op, &err) || cfg == nullptr ||
-          !ParseConfigJson(*cfg, &config, &err)) {
-        return true;  // malformed: answer the error quickly
-      }
-      // Probe without counting (no LRU touch side effects beyond a hit):
-      sim::KernelTiming timing;
-      return sim::ProbeCachedTiming(op, config, options.spec,
-                                    schedule::InlineOrder::kAfterPipelining,
-                                    &timing);
-    }
-    if (m == "tune") {
-      schedule::GemmOp op;
-      std::string err;
-      if (!ParseOpJson(request.body, &op, &err)) return true;
-      const JsonValue* force = request.body.Find("force");
-      if (force != nullptr && force->BoolOr(false)) return false;
-      return tuner::TuningStore::Global().Get(tuner::OpKey(op)).has_value();
-    }
-    return false;  // profile and anything unknown-but-heavy
-  }
-
   // ---------------------------------------------------------------------
-  // Fast lane.
+  // Lanes.
   // ---------------------------------------------------------------------
 
   void FastLoop() {
@@ -1025,225 +1092,13 @@ struct Server::Impl {
         fast_queue.pop_front();
       }
       request.dequeue_ns = obs::NowNanos();
-      Complete(request, HandleFast(request));
-      if (request.method == "shutdown") {
+      Complete(request, Handle(request));
+      if (request.call.method == Method::kShutdown) {
         RequestStop();
         return;
       }
     }
   }
-
-  std::string HandleFast(Request& request) {
-    const std::string& m = request.method;
-    if (m == "ping") {
-      std::ostringstream out;
-      out << "{\"id\":" << request.id << ",\"ok\":true,\"pong\":true}";
-      return out.str();
-    }
-    if (m == "shutdown") {
-      std::ostringstream out;
-      out << "{\"id\":" << request.id << ",\"ok\":true,\"stopping\":true}";
-      return out.str();
-    }
-    if (m == "stats") return HandleStats(request);
-    if (m == "debug") return HandleDebug(request);
-    if (m == "persist" || m == "load") return HandlePersist(request);
-    if (m == "compile") return HandleCompile(request, /*fast_lane=*/true);
-    if (m == "tune") return HandleStoredTune(request);
-    return ErrorResponse(request, "unknown method \"" + m + "\"");
-  }
-
-  // Socket-side mirror of GET /debug/*: {"method":"debug","what":...}
-  // with the same optional n/client/lane/outcome/metric parameters.
-  std::string HandleDebug(Request& request) {
-    const JsonValue* what_value = request.body.Find("what");
-    std::string what =
-        what_value == nullptr ? "requests" : what_value->StringOr("requests");
-    std::vector<std::pair<std::string, std::string>> params;
-    for (const char* key : {"n", "client", "lane", "outcome", "metric"}) {
-      const JsonValue* v = request.body.Find(key);
-      if (v == nullptr) continue;
-      if (v->kind == JsonValue::Kind::kNumber) {
-        uint64_t number = 0;
-        if (!DecodeInteger(*v, number, &number)) {
-          return ErrorResponse(request, std::string("\"") + key +
-                                            "\" must be a finite count");
-        }
-        params.emplace_back(key, std::to_string(number));
-      } else {
-        params.emplace_back(key, v->StringOr(""));
-      }
-    }
-    std::string body;
-    if (!HandleDebugQuery(what, params, &body)) {
-      return ErrorResponse(request, "unknown debug view \"" + what + "\"");
-    }
-    std::ostringstream out;
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"what\":\""
-        << JsonEscape(what) << "\",\"result\":" << body << "}";
-    return out.str();
-  }
-
-  // Per-lane latency summary from the request histograms: the socket
-  // `stats` method and `cache stats --json` surface the same numbers an
-  // HTTP scraper computes from the exposition buckets.
-  static void AppendLaneLatency(std::ostringstream* out, const char* lane,
-                                const LaneStats& stats) {
-    obs::HistogramData data = stats.latency->Data();
-    (*out) << "\"" << lane << "\":{\"count\":" << data.count << ",\"mean_us\":"
-           << (data.count == 0 ? 0.0
-                               : data.sum / static_cast<double>(data.count))
-           << ",\"p50_us\":" << obs::HistogramQuantile(data, 0.5)
-           << ",\"p99_us\":" << obs::HistogramQuantile(data, 0.99)
-           << ",\"p999_us\":" << obs::HistogramQuantile(data, 0.999)
-           << ",\"max_us\":" << data.max << "}";
-  }
-
-  std::string HandleStats(const Request& request) {
-    sim::SimCacheStats stats = sim::GetSimCacheStats();
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true"
-        << ",\"timing_hits\":" << stats.hits
-        << ",\"timing_misses\":" << stats.misses
-        << ",\"timing_entries\":" << stats.entries
-        << ",\"program_entries\":" << stats.program_entries
-        << ",\"program_skeletons\":" << stats.program_skeletons
-        << ",\"resident_bytes\":" << stats.resident_bytes
-        << ",\"budget_bytes\":" << stats.budget_bytes
-        << ",\"evictions\":" << stats.evictions
-        << ",\"disk_hits\":" << stats.disk_hits
-        << ",\"disk_misses\":" << stats.disk_misses
-        << ",\"disk_load_bytes\":" << stats.disk_load_bytes
-        << ",\"stored_tunings\":" << tuner::TuningStore::Global().Size()
-        << ",\"requests\":" << served.load(std::memory_order_relaxed)
-        << ",\"inflight\":" << inflight_gauge->Value() << ",\"latency\":{";
-    AppendLaneLatency(&out, "fast", fast_stats);
-    out << ",";
-    AppendLaneLatency(&out, "slow", slow_stats);
-    out << "}}";
-    return out.str();
-  }
-
-  std::string HandlePersist(Request& request) {
-    std::string path = options.cache_path;
-    if (const JsonValue* p = request.body.Find("path")) {
-      path = p->StringOr(path);
-    }
-    if (path.empty()) path = DefaultCachePath();
-    PersistStats stats = request.method == "persist"
-                             ? SaveCache(path, options.spec)
-                             : LoadCache(path, options.spec);
-    if (!stats.ok) return ErrorResponse(request, stats.error);
-    std::ostringstream out;
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"path\":\""
-        << JsonEscape(path) << "\",\"bytes\":" << stats.bytes
-        << ",\"timings\":" << stats.timings
-        << ",\"programs\":" << stats.programs
-        << ",\"skeletons\":" << stats.skeletons
-        << ",\"tunings\":" << stats.tunings
-        << ",\"skipped\":" << stats.skipped << "}";
-    return out.str();
-  }
-
-  // Warm-restart tune: the store already holds a finished search for
-  // this exact op_key; answer from it in microseconds.
-  std::string HandleStoredTune(Request& request) {
-    schedule::GemmOp op;
-    std::string err;
-    if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request, err);
-    }
-    request.op_key = op.name;
-    size_t trials = options.default_trials;
-    if (!ParseTrials(request.body, &trials, &err)) {
-      return ErrorResponse(request, err);
-    }
-    request.outcome = "stored";
-    std::optional<tuner::StoredTuning> stored =
-        tuner::TuningStore::Global().Get(tuner::OpKey(op));
-    if (!stored.has_value()) {
-      // Raced with a concurrent store clear; degrade to an error the
-      // client can retry with "force".
-      return ErrorResponse(request, "tuning no longer stored");
-    }
-    std::optional<tuner::StoredTrial> best = stored->Best();
-    if (!best.has_value()) {
-      return ErrorResponse(request, "stored tuning has no feasible trial");
-    }
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"op_key\":\""
-        << JsonEscape(stored->op_key) << "\",\"source\":\"store\""
-        << ",\"best_config\":\"" << JsonEscape(best->config.ToString())
-        << "\",\"best_cycles\":" << best->cycles
-        << ",\"trials\":" << stored->trials.size() << "}";
-    return out.str();
-  }
-
-  // `compile` on either lane. The fast lane was routed here by a timing-
-  // layer probe hit and answers from that layer; the slow lane compiles
-  // through CachedCompileAndSimulate, the same call a fast-lane probe
-  // that raced an eviction falls back to.
-  std::string HandleCompile(Request& request, bool fast_lane) {
-    schedule::GemmOp op;
-    schedule::ScheduleConfig config;
-    std::string err;
-    const JsonValue* cfg = request.body.Find("config");
-    if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request, err);
-    }
-    request.op_key = op.name;
-    if (cfg == nullptr || !ParseConfigJson(*cfg, &config, &err)) {
-      return ErrorResponse(
-          request, err.empty() ? "compile needs a \"config\" object" : err);
-    }
-    request.outcome = fast_lane ? "hit" : "compiled";
-    sim::KernelTiming timing;
-    if (!fast_lane ||
-        !sim::ProbeCachedTiming(op, config, options.spec,
-                                schedule::InlineOrder::kAfterPipelining,
-                                &timing)) {
-      if (fast_lane) {
-        // Routing raced an eviction; compiling here is still correct,
-        // just slower than the lane promised.
-        request.outcome = "fallback";
-        ServingCounter("serving.fast_lane_fallback").Increment();
-      }
-      timing = sim::CachedCompileAndSimulate(op, config, options.spec);
-    }
-    return TimingResponse(request, timing, nullptr);
-  }
-
-  // `profile`: one replay with counters on. Its timing also warms the
-  // timing layer, so a later compile of the same triple is a fast-lane
-  // hit.
-  std::string HandleProfile(Request& request) {
-    schedule::GemmOp op;
-    schedule::ScheduleConfig config;
-    std::string err;
-    const JsonValue* cfg = request.body.Find("config");
-    if (!ParseOpJson(request.body, &op, &err) || cfg == nullptr ||
-        !ParseConfigJson(*cfg, &config, &err)) {
-      return ErrorResponse(
-          request, err.empty() ? "need op fields and \"config\"" : err);
-    }
-    request.op_key = op.name;
-    request.outcome = "compiled";
-    sim::ReplayArena arena;
-    sim::KernelPmu pmu;
-    sim::KernelTiming timing = sim::ReplaySimProgram(
-        *sim::CachedSimProgram(op, config, options.spec), &arena, &pmu);
-    sim::InsertCachedTiming(
-        sim::SimCacheKey(op, config, options.spec,
-                         schedule::InlineOrder::kAfterPipelining),
-        timing);
-    return TimingResponse(request, timing, timing.feasible ? &pmu : nullptr);
-  }
-
-  // ---------------------------------------------------------------------
-  // Slow lane: drain rounds.
-  // ---------------------------------------------------------------------
 
   void SlowLoop() {
     while (true) {
@@ -1266,80 +1121,180 @@ struct Server::Impl {
       int64_t batch_start_ns = obs::NowNanos();
       // Searches go last: a compile never waits behind a tune that
       // arrived in the same round.
-      std::stable_partition(
-          batch.begin(), batch.end(),
-          [](const Request& request) { return request.method != "tune"; });
+      std::stable_partition(batch.begin(), batch.end(),
+                            [](const Request& request) {
+                              return request.call.method != Method::kTune;
+                            });
       for (Request& request : batch) {
         // Picked up now, not at the round start: waiting behind earlier
         // requests of the round is queue time, not service time.
         request.dequeue_ns = obs::NowNanos();
-        request.batch = batch_id;
-        Complete(request, HandleSlow(request));
+        request.record.batch = batch_id;
+        Complete(request, Handle(request));
       }
       obs::RecordSpan("serving.batch", "serving", batch_start_ns,
                       obs::NowNanos());
     }
   }
 
-  std::string HandleSlow(Request& request) {
-    const std::string& m = request.method;
-    if (m == "compile") return HandleCompile(request, /*fast_lane=*/false);
-    if (m == "profile") return HandleProfile(request);
-    if (m == "tune") {
-      request.outcome = "search";
-      return HandleTune(request);
+  // ---------------------------------------------------------------------
+  // Handlers, for both lanes: each returns only its own reply fields and
+  // sets the cache outcome it knows.
+  // ---------------------------------------------------------------------
+
+  Reply Handle(Request& request) {
+    const Call& call = request.call;
+    std::string& outcome = request.record.outcome;
+    switch (call.method) {
+      case Method::kPing:
+        return obs::LogFields().Bool("pong", true);
+      case Method::kShutdown:
+        return obs::LogFields().Bool("stopping", true);
+      case Method::kStats:
+        return Stats();
+      case Method::kDebug:
+        return obs::LogFields()
+            .Str("what", call.debug.what)
+            .Raw("result", DebugJson(call.debug));
+      case Method::kPersist:
+      case Method::kLoad:
+        return Persist(call);
+      case Method::kCompile:
+        if (call.cached.has_value()) {
+          outcome = "hit";
+          return TimingFields(*call.cached, nullptr);
+        }
+        outcome = "compiled";
+        return TimingFields(
+            sim::CachedCompileAndSimulate(call.op, call.config, options.spec),
+            nullptr);
+      case Method::kProfile:
+        outcome = "compiled";
+        return Profile(call);
+      case Method::kTune:
+        if (call.stored.has_value()) {
+          outcome = "stored";
+          return StoredTune(*call.stored);
+        }
+        outcome = "search";
+        return Tune(call);
     }
-    return ErrorResponse(request, "unknown method \"" + m + "\"");
+    return Reply::Error("unhandled method");
   }
 
-  std::string HandleTune(Request& request) {
-    schedule::GemmOp op;
-    std::string err;
-    if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request, err);
+  // Per-lane latency summary from the request histograms: the socket
+  // `stats` method and `cache stats --json` surface the same numbers an
+  // HTTP scraper computes from the exposition buckets.
+  static std::string LaneLatencyJson(const LaneStats& stats) {
+    obs::HistogramData data = stats.latency->Data();
+    return obs::LogFields()
+        .Uint("count", data.count)
+        .Num("mean_us", data.count == 0
+                            ? 0.0
+                            : data.sum / static_cast<double>(data.count))
+        .Num("p50_us", obs::HistogramQuantile(data, 0.5))
+        .Num("p99_us", obs::HistogramQuantile(data, 0.99))
+        .Num("p999_us", obs::HistogramQuantile(data, 0.999))
+        .Num("max_us", data.max)
+        .Object();
+  }
+
+  Reply Stats() {
+    sim::SimCacheStats stats = sim::GetSimCacheStats();
+    obs::LogFields latency;
+    latency.Raw("fast", LaneLatencyJson(fast_stats))
+        .Raw("slow", LaneLatencyJson(slow_stats));
+    return obs::LogFields()
+        .Uint("timing_hits", stats.hits)
+        .Uint("timing_misses", stats.misses)
+        .Uint("timing_entries", stats.entries)
+        .Uint("program_entries", stats.program_entries)
+        .Uint("program_skeletons", stats.program_skeletons)
+        .Uint("resident_bytes", stats.resident_bytes)
+        .Uint("budget_bytes", stats.budget_bytes)
+        .Uint("evictions", stats.evictions)
+        .Uint("disk_hits", stats.disk_hits)
+        .Uint("disk_misses", stats.disk_misses)
+        .Uint("disk_load_bytes", stats.disk_load_bytes)
+        .Uint("stored_tunings", tuner::TuningStore::Global().Size())
+        .Uint("requests", served.load(std::memory_order_relaxed))
+        .Num("inflight", inflight_gauge->Value())
+        .Raw("latency", latency.Object());
+  }
+
+  Reply Persist(const Call& call) {
+    PersistStats stats = call.method == Method::kPersist
+                             ? SaveCache(call.path, options.spec)
+                             : LoadCache(call.path, options.spec);
+    if (!stats.ok) return Reply::Error(stats.error);
+    return obs::LogFields()
+        .Str("path", call.path)
+        .Uint("bytes", stats.bytes)
+        .Uint("timings", stats.timings)
+        .Uint("programs", stats.programs)
+        .Uint("skeletons", stats.skeletons)
+        .Uint("tunings", stats.tunings)
+        .Uint("skipped", stats.skipped);
+  }
+
+  // `profile`: one replay with counters on. Its timing also warms the
+  // timing layer, so a later compile of the same triple is a fast-lane
+  // hit.
+  Reply Profile(const Call& call) {
+    sim::ReplayArena arena;
+    sim::KernelPmu pmu;
+    sim::KernelTiming timing = sim::ReplaySimProgram(
+        *sim::CachedSimProgram(call.op, call.config, options.spec), &arena,
+        &pmu);
+    sim::InsertCachedTiming(
+        sim::SimCacheKey(call.op, call.config, options.spec,
+                         schedule::InlineOrder::kAfterPipelining),
+        timing);
+    return TimingFields(timing, timing.feasible ? &pmu : nullptr);
+  }
+
+  // Warm-restart tune: the store already held a finished search for this
+  // exact op_key when the request was routed; answer from it.
+  static Reply StoredTune(const tuner::StoredTuning& stored) {
+    std::optional<tuner::StoredTrial> best = stored.Best();
+    if (!best.has_value()) {
+      return Reply::Error("stored tuning has no feasible trial");
     }
-    request.op_key = op.name;
-    size_t trials = options.default_trials;
-    if (!ParseTrials(request.body, &trials, &err)) {
-      return ErrorResponse(request, err);
-    }
-    bool warm = options.warm_start;
-    if (const JsonValue* w = request.body.Find("warm")) {
-      warm = w->BoolOr(warm);
-    }
+    return obs::LogFields()
+        .Str("op_key", stored.op_key)
+        .Str("source", "store")
+        .Str("best_config", best->config.ToString())
+        .Num("best_cycles", best->cycles)
+        .Uint("trials", stored.trials.size());
+  }
+
+  Reply Tune(const Call& call) {
     tuner::TuningTask task =
-        tuner::MakeSimulatorTask(op, options.spec, options.space);
-    if (task.space.empty()) {
-      return ErrorResponse(request, "empty schedule space for op");
-    }
+        tuner::MakeSimulatorTask(call.op, options.spec, options.space);
+    if (task.space.empty()) return Reply::Error("empty schedule space for op");
     tuner::XgbOptions xgb;
     xgb.pretrain_with_analytical = true;
     xgb.seed = options.seed;
     tuner::WarmStart warm_start;
-    if (warm) {
+    if (call.warm) {
       warm_start = tuner::FindWarmStart(task, tuner::TuningStore::Global());
       xgb.warm_seeds = warm_start.seeds;
-      if (!warm_start.seeds.empty()) {
-        ServingCounter("serving.warm_starts").Increment();
-      }
+      if (!warm_start.seeds.empty()) warm_starts_counter->Increment();
     }
-    tuner::TuningResult result = tuner::XgbTuner(task, trials, xgb);
+    tuner::TuningResult result = tuner::XgbTuner(task, call.trials, xgb);
     tuner::StoreTuning(task, result, tuner::TuningStore::Global());
     size_t best = result.BestIndex(task);
     if (best >= task.space.size()) {
-      return ErrorResponse(request, "no feasible schedule found");
+      return Reply::Error("no feasible schedule found");
     }
-    double best_cycles = result.BestInFirstK(result.trials.size());
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"op_key\":\""
-        << JsonEscape(tuner::OpKey(op)) << "\",\"source\":\"search\""
-        << ",\"best_config\":\"" << JsonEscape(task.space[best].ToString())
-        << "\",\"best_cycles\":" << best_cycles
-        << ",\"trials\":" << result.trials.size() << ",\"warm_source\":\""
-        << JsonEscape(warm_start.source_op_key) << "\",\"warm_seeds\":"
-        << warm_start.seeds.size() << "}";
-    return out.str();
+    return obs::LogFields()
+        .Str("op_key", tuner::OpKey(call.op))
+        .Str("source", "search")
+        .Str("best_config", task.space[best].ToString())
+        .Num("best_cycles", result.BestInFirstK(result.trials.size()))
+        .Uint("trials", result.trials.size())
+        .Str("warm_source", warm_start.source_op_key)
+        .Uint("warm_seeds", warm_start.seeds.size());
   }
 
   // ---------------------------------------------------------------------
@@ -1385,11 +1340,8 @@ struct Server::Impl {
     http_bad_counter = &registry.GetCounter(
         "serving.http.bad_requests",
         "HTTP requests rejected with 400 (malformed or over limits).");
-    registry.GetCounter(
-        "serving.fast_lane_fallback",
-        "Fast-lane compiles whose probe raced an eviction and compiled.");
-    registry.GetCounter("serving.warm_starts",
-                        "Tune searches seeded from a stored neighbor.");
+    warm_starts_counter = &registry.GetCounter(
+        "serving.warm_starts", "Tune searches seeded from a stored neighbor.");
     watchdog_counter = &registry.GetCounter(
         "serving.watchdog.stalls",
         "Stalled-lane detections (oldest queued request older than the "

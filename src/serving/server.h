@@ -3,25 +3,37 @@
 // One process owns the warm state — the two-layer sim cache, the interned
 // skeleton pool, the TuningStore, and the persisted on-disk cache — and
 // many clients share it over a unix-domain socket speaking the
-// length-prefixed JSON protocol (serving/protocol.h). Request handling is
-// split into two lanes so a multi-second cold tune can never sit in front
-// of a microsecond cache hit:
+// length-prefixed JSON protocol (serving/protocol.h). The IO thread
+// decodes each request once, at dispatch, into a typed call (method, op,
+// config, tune options, persist path or debug query) and answers any
+// decode error there — malformed JSON, an unknown method, a bad field —
+// without queueing it (its record says lane "fast" with no queue wait).
+// Routing then makes the request's one cache lookup
+// (ProbeCachedTiming for a compile, TuningStore::Get for a tune), and the
+// request carries what it found to one of two lanes, so a multi-second
+// cold tune can never sit in front of a microsecond cache hit:
 //
-//   fast lane: ping/stats/persist/load/shutdown, compile requests whose
-//     timing is already cached (ProbeCachedTiming routes them without
-//     compiling), and tune requests whose exact op_key is in the
-//     TuningStore (the warm-restart path: the stored best is returned
-//     directly). Hot-shape p99 is bounded by scheduling delay, not by
-//     whatever the slow lane is chewing on.
+//   fast lane: ping/stats/debug/persist/load/shutdown, compile requests
+//     whose timing the probe found, and tune requests whose exact op_key
+//     is in the TuningStore (the warm-restart path). The lane answers
+//     from the carried timing or stored tuning without looking again.
+//     Hot-shape p99 is bounded by scheduling delay, not by whatever the
+//     slow lane is chewing on.
 //
 //   slow lane: everything that must compile or search. The worker drains
 //     the whole queue each round and answers it in order, searches last.
-//     A compile goes through CachedCompileAndSimulate, the same call a
-//     fast-lane probe miss falls back to; a profile replays its program
-//     once with counters on. Both warm the timing layer, so the next
-//     identical compile is a fast-lane hit. Cold tunes run the XgbTuner
-//     (analytical pretrain + warm_seeds from the nearest stored shape via
-//     tuner/transfer.h) and store their result for the next neighbor.
+//     A compile goes through CachedCompileAndSimulate; a profile replays
+//     its program once with counters on. Both warm the timing layer, so
+//     the next identical compile is a fast-lane hit. Cold tunes run the
+//     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
+//     shape via tuner/transfer.h) and store their result for the next
+//     neighbor.
+//
+// Handlers return only their own reply fields. Complete alone writes the
+// {"id":..,"ok":..} envelope around them (with obs::LogFields, the
+// structured log's field writer) and marks an error outcome, then
+// finishes the request's one RequestRecord, which the lanes filled in
+// place.
 //
 // Observability (per-request, not just global counters): every request
 // gets a monotonic id at dispatch, queue-wait and lane spans in the

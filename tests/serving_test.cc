@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -25,6 +29,7 @@
 #include "support/json.h"
 #include "target/gpu_spec.h"
 #include "tuner/records.h"
+#include "tuner/space.h"
 
 namespace alcop {
 namespace {
@@ -63,7 +68,7 @@ TEST(ProtocolJsonTest, DepthIsBounded) {
 }
 
 TEST(ProtocolJsonTest, EscapeRoundTripsThroughParser) {
-  std::string nasty = "a\"b\\c\nd\te\rf";
+  std::string nasty = "a\"b\\c\nd\te\rf\x01g\x1fh\bi\fj" + std::string(1, '\0');
   std::string doc = "{\"s\": \"" + support::JsonEscape(nasty) + "\"}";
   std::optional<JsonValue> v = ParseJson(doc);
   ASSERT_TRUE(v.has_value()) << doc;
@@ -99,6 +104,36 @@ TEST(ProtocolFrameTest, OversizedLengthPrefixIsRejected) {
 // ---------------------------------------------------------------------------
 // End-to-end daemon tests.
 // ---------------------------------------------------------------------------
+
+// Polls `done` every millisecond for up to ten seconds.
+template <typename Predicate>
+bool WaitFor(Predicate done) {
+  for (int i = 0; i < 10000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// A raw connection to the daemon's socket whose reads give up after two
+// seconds, so a daemon that never answers fails the test instead of
+// hanging it. -1 on failure.
+int ConnectWithTimeout(const std::string& socket_path) {
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  timeval timeout{2, 0};
+  if (fd < 0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+          0 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    if (fd >= 0) ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -231,6 +266,101 @@ TEST_F(ServerTest, CompileMissesThenHitsFastLane) {
   server.Stop();
 }
 
+// The fast lane answers a warm compile from the one probe that routed it,
+// so the timing layer counts one hit for it, not one per lookup.
+TEST_F(ServerTest, WarmCompileCountsOneTimingHit) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  std::string request =
+      "{\"id\":1,\"method\":\"compile\",\"m\":512,\"n\":512,\"k\":512,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}";
+  std::optional<JsonValue> cold = client.Call(request);
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_TRUE(cold->Find("ok")->BoolOr(false));
+  const uint64_t hits_before = sim::GetSimCacheStats().hits;
+  std::optional<JsonValue> warm = client.Call(request);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_TRUE(warm->Find("ok")->BoolOr(false));
+  EXPECT_EQ(sim::GetSimCacheStats().hits - hits_before, 1u);
+  server.Stop();
+}
+
+// An unknown method is a decode error, answered at dispatch like
+// malformed JSON: it does not wait for the slow lane to finish a search.
+TEST_F(ServerTest, UnknownMethodIsAnsweredWhileATuneHoldsTheSlowLane) {
+  options_.space = tuner::SpaceOptions();  // a search that takes a while
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client tune, other;
+  ASSERT_TRUE(tune.Connect(socket_path_));
+  ASSERT_TRUE(other.Connect(socket_path_));
+
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& rounds = registry.GetCounter("serving.batches");
+  obs::Counter& slow_done = registry.GetCounter("serving.slow_lane");
+  const uint64_t rounds_before = rounds.Value();
+  const uint64_t slow_done_before = slow_done.Value();
+  ASSERT_TRUE(tune.Send(
+      "{\"id\":1,\"method\":\"tune\",\"m\":1024,\"n\":1024,"
+      "\"k\":1024,\"trials\":64}"));
+  ASSERT_TRUE(WaitFor([&] { return rounds.Value() > rounds_before; }));
+
+  std::optional<JsonValue> unknown =
+      other.Call("{\"id\":2,\"method\":\"nope\"}");
+  EXPECT_EQ(slow_done.Value(), slow_done_before)
+      << "the reply waited for the tune";
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_EQ(unknown->Find("id")->NumberOr(-1), 2.0);
+  EXPECT_FALSE(unknown->Find("ok")->BoolOr(true));
+  EXPECT_EQ(unknown->Find("error")->StringOr(""), "unknown method \"nope\"");
+
+  std::optional<JsonValue> tuned = tune.Recv();
+  ASSERT_TRUE(tuned.has_value());
+  EXPECT_TRUE(tuned->Find("ok")->BoolOr(false));
+  // A second reply to the unknown method would be read here.
+  std::optional<JsonValue> pong = other.Call("{\"id\":3,\"method\":\"ping\"}");
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->Find("id")->NumberOr(-1), 3.0);
+  server.Stop();
+}
+
+// A peer that sends half a length prefix and stalls must not hold up the
+// IO thread: another client's ping is still answered, and the stalled
+// frame is answered once the rest of it arrives.
+TEST_F(ServerTest, StalledHalfFrameDoesNotBlockOtherClients) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int stalled = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(stalled, 0);
+  const std::string stalled_ping = "{\"id\":1,\"method\":\"ping\"}";
+  const uint32_t len = static_cast<uint32_t>(stalled_ping.size());
+  ASSERT_EQ(::write(stalled, &len, 2), 2);
+  // Let the daemon read the half prefix before the other client connects.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  int other = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(other, 0);
+  ASSERT_TRUE(serving::WriteFrame(other, "{\"id\":2,\"method\":\"ping\"}"));
+  std::string reply;
+  EXPECT_TRUE(serving::ReadFrame(other, &reply))
+      << "no reply while another peer's frame is incomplete";
+  EXPECT_NE(reply.find("\"pong\":true"), std::string::npos) << reply;
+
+  // The rest of the stalled frame.
+  ASSERT_EQ(::write(stalled, reinterpret_cast<const char*>(&len) + 2, 2), 2);
+  ASSERT_EQ(::write(stalled, stalled_ping.data(), stalled_ping.size()),
+            static_cast<ssize_t>(stalled_ping.size()));
+  reply.clear();
+  EXPECT_TRUE(serving::ReadFrame(stalled, &reply));
+  EXPECT_NE(reply.find("\"id\":1"), std::string::npos) << reply;
+  ::close(stalled);
+  ::close(other);
+  server.Stop();
+}
+
 TEST_F(ServerTest, ProfileWarmsTheTimingLayerForCompile) {
   options_.access_log_path = socket_path_ + ".access.jsonl";
   std::remove(options_.access_log_path.c_str());
@@ -329,9 +459,14 @@ TEST_F(ServerTest, SlowLaneStampsEachRequestsPickup) {
            ",\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],"
            "\"smem\":2}}";
   };
+  obs::Counter& rounds = obs::Registry::Global().GetCounter("serving.batches");
+  const uint64_t rounds_before = rounds.Value();
   ASSERT_TRUE(tune.Send(
       "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":768,\"k\":1024,"
       "\"trials\":32}"));
+  // The compiles are sent once the tune's round has started, so both
+  // queue behind it instead of one joining the tune's round.
+  ASSERT_TRUE(WaitFor([&] { return rounds.Value() > rounds_before; }));
   ASSERT_TRUE(first.Send(compile(2, 512)));
   ASSERT_TRUE(second.Send(compile(3, 640)));
   for (serving::Client* client : {&tune, &first, &second}) {
