@@ -37,7 +37,6 @@
 #include "serving/client.h"
 #include "serving/persist.h"
 #include "serving/server.h"
-#include "sim/compile.h"
 #include "sim/sim_cache.h"
 #include "target/gpu_spec.h"
 #include "tuner/records.h"
@@ -55,7 +54,6 @@ bool BitEqual(double a, double b) {
 
 void WipeProcessState() {
   sim::ResetSimCache();
-  sim::ResetSkeletonPool();
   tuner::TuningStore::Global().Clear();
 }
 
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   serving::PersistStats loaded = serving::LoadCache(cache_path, spec);
   bool round_trip_ok = saved.ok && loaded.ok &&
                        loaded.timings == saved.timings &&
-                       loaded.programs == saved.programs &&
                        loaded.tunings == saved.tunings && loaded.skipped == 0;
 
   int restart_mismatches = 0;
@@ -133,8 +130,8 @@ int main(int argc, char** argv) {
       continue;
     }
     // Exactly alcopd's warm-restart path: the stored best config
-    // re-measured through the (just loaded) sim cache — a timing-layer
-    // hit, never a compile.
+    // re-measured through the (just loaded) sim cache — a cache hit,
+    // never a compile.
     sim::KernelTiming timing =
         sim::CachedCompileAndSimulate(tasks[i].op, best->config, spec);
     if (!BitEqual(timing.cycles, best->cycles) ||
@@ -296,8 +293,6 @@ int main(int argc, char** argv) {
       "  \"persistence\": {\n"
       "    \"bytes\": %llu,\n"
       "    \"timings\": %llu,\n"
-      "    \"programs\": %llu,\n"
-      "    \"skeletons\": %llu,\n"
       "    \"tunings\": %llu,\n"
       "    \"round_trip_ok\": %s\n"
       "  },\n"
@@ -327,8 +322,6 @@ int main(int argc, char** argv) {
       warm_transfer_seconds, warm_seeds_total, ops_reached,
       static_cast<unsigned long long>(saved.bytes),
       static_cast<unsigned long long>(saved.timings),
-      static_cast<unsigned long long>(saved.programs),
-      static_cast<unsigned long long>(saved.skeletons),
       static_cast<unsigned long long>(saved.tunings),
       round_trip_ok ? "true" : "false",
       static_cast<unsigned long long>(unbounded),

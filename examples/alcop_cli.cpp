@@ -813,21 +813,13 @@ int CmdCache(int argc, char** argv) {
       std::printf(
           "{\"command\": \"cache\", \"action\": \"stats\", "
           "\"path\": %s,\n \"timing\": {\"hits\": %llu, \"misses\": %llu, "
-          "\"entries\": %llu, \"bytes\": %llu},\n \"program\": {\"hits\": "
-          "%llu, \"misses\": %llu, \"entries\": %llu, \"skeletons\": %llu, "
-          "\"bytes\": %llu, \"skeleton_bytes\": %llu},\n \"resident_bytes\": "
-          "%llu, \"budget_bytes\": %llu, \"evictions\": %llu,\n \"disk\": "
+          "\"entries\": %llu},\n \"resident_bytes\": %llu, "
+          "\"budget_bytes\": %llu, \"evictions\": %llu,\n \"disk\": "
           "{\"hits\": %llu, \"misses\": %llu, \"load_bytes\": %llu},\n "
           "\"stored_tunings\": %zu,\n \"serving\": {\"inflight\": %g, "
           "\"latency\": {\"fast\": %s, \"slow\": %s}}}\n",
           JsonString(path).c_str(), (unsigned long long)s.hits,
           (unsigned long long)s.misses, (unsigned long long)s.entries,
-          (unsigned long long)s.timing_bytes, (unsigned long long)s.program_hits,
-          (unsigned long long)s.program_misses,
-          (unsigned long long)s.program_entries,
-          (unsigned long long)s.program_skeletons,
-          (unsigned long long)s.program_bytes,
-          (unsigned long long)s.skeleton_bytes,
           (unsigned long long)s.resident_bytes,
           (unsigned long long)s.budget_bytes, (unsigned long long)s.evictions,
           (unsigned long long)s.disk_hits, (unsigned long long)s.disk_misses,
@@ -836,15 +828,9 @@ int CmdCache(int argc, char** argv) {
           lane_json("fast").c_str(), lane_json("slow").c_str());
       return 0;
     }
-    std::printf("timing layer:  %llu entries, %llu hits / %llu misses\n",
+    std::printf("timings: %llu entries, %llu hits / %llu misses\n",
                 (unsigned long long)s.entries, (unsigned long long)s.hits,
                 (unsigned long long)s.misses);
-    std::printf("program layer: %llu entries sharing %llu skeletons, %llu "
-                "hits / %llu misses\n",
-                (unsigned long long)s.program_entries,
-                (unsigned long long)s.program_skeletons,
-                (unsigned long long)s.program_hits,
-                (unsigned long long)s.program_misses);
     std::printf("resident: %llu B (budget %llu B, %llu evictions)\n",
                 (unsigned long long)s.resident_bytes,
                 (unsigned long long)s.budget_bytes,
@@ -887,13 +873,10 @@ int CmdCache(int argc, char** argv) {
       std::printf(
           "{\"command\": \"cache\", \"action\": %s, \"path\": %s, \"ok\": "
           "%s, \"error\": %s,\n \"bytes\": %llu, \"timings\": %llu, "
-          "\"programs\": %llu, \"skeletons\": %llu, \"tunings\": %llu, "
-          "\"skipped\": %llu}\n",
+          "\"tunings\": %llu, \"skipped\": %llu}\n",
           JsonString(action).c_str(), JsonString(path).c_str(),
           stats.ok ? "true" : "false", JsonString(stats.error).c_str(),
           (unsigned long long)stats.bytes, (unsigned long long)stats.timings,
-          (unsigned long long)stats.programs,
-          (unsigned long long)stats.skeletons,
           (unsigned long long)stats.tunings,
           (unsigned long long)stats.skipped);
       return stats.ok ? 0 : 1;
@@ -903,13 +886,10 @@ int CmdCache(int argc, char** argv) {
                    stats.error.c_str());
       return 1;
     }
-    std::printf("%s %s: %llu B, %llu timings, %llu programs, %llu skeletons, "
-                "%llu tunings (%llu skipped)\n",
+    std::printf("%s %s: %llu B, %llu timings, %llu tunings (%llu skipped)\n",
                 action == "persist" ? "wrote" : "loaded", path.c_str(),
                 (unsigned long long)stats.bytes,
                 (unsigned long long)stats.timings,
-                (unsigned long long)stats.programs,
-                (unsigned long long)stats.skeletons,
                 (unsigned long long)stats.tunings,
                 (unsigned long long)stats.skipped);
     return 0;

@@ -2,8 +2,8 @@
 # Runs the simulator-throughput bench (AST interpreter vs compiled
 # micro-op replay over the Fig. 10 sweep) and writes machine-readable
 # results to BENCH_sim.json (repo root by default), so replay speedup,
-# determinism, the zero-allocation property of the warm path, and both
-# sim-cache layers are tracked from PR to PR.
+# determinism, the zero-allocation property of the warm path, and the
+# sim cache's hits and bytes per config are tracked from PR to PR.
 #
 # Usage: scripts/bench_sim.sh [--quick] [output.json]
 #   --quick      stride the schedule space 16x (the CI perf-smoke mode)
@@ -42,7 +42,7 @@ cat "$OUT"
 echo "wrote $OUT" >&2
 
 # One-line delta against the committed baseline, so a local run shows at
-# a glance whether replay throughput or skeleton sharing moved.
+# a glance whether replay throughput or cache bytes per config moved.
 if command -v python3 >/dev/null 2>&1 \
     && git show HEAD:BENCH_sim.json > "$OUT.base" 2>/dev/null; then
   python3 - "$OUT" "$OUT.base" >&2 <<'EOF' || true
@@ -53,12 +53,11 @@ def pick(doc, *path):
         doc = doc.get(key, {}) if isinstance(doc, dict) else {}
     return doc if isinstance(doc, (int, float)) else 0.0
 rate_n, rate_o = (pick(d, "replay_configs_per_sec") for d in (new, old))
-gain_n, gain_o = (pick(d, "cache", "skeleton_sharing_gain") for d in (new, old))
 bpc_n, bpc_o = (pick(d, "cache", "bytes_per_config") for d in (new, old))
 ratio = rate_n / rate_o if rate_o else float("inf")
 print(f"delta vs HEAD: replay {rate_o:.0f} -> {rate_n:.0f} configs/s "
-      f"({ratio:.2f}x), sharing gain {gain_o:.2f} -> {gain_n:.2f}, "
-      f"bytes/config {bpc_o:.0f} -> {bpc_n:.0f}")
+      f"({ratio:.2f}x), bytes/config {bpc_o:.0f} -> {bpc_n:.0f} "
+      f"({bpc_n - bpc_o:+.1f})")
 EOF
   rm -f "$OUT.base"
 fi

@@ -8,12 +8,9 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "sim/compile.h"
 #include "sim/sim_cache.h"
 #include "tuner/records.h"
 
@@ -60,8 +57,6 @@ class Fingerprinter {
 
 // Record types (one u8 leading each frame payload).
 enum RecordType : uint8_t {
-  kSkeletonRecord = 1,
-  kProgramRecord = 2,
   kTimingRecord = 3,
   kTuningRecord = 4,
 };
@@ -76,7 +71,6 @@ class Writer {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void I32(int32_t v) { Raw(&v, sizeof(v)); }
   void I64(int64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
@@ -99,7 +93,6 @@ class Reader {
 
   bool U8(uint8_t* v) { return Raw(v, sizeof(*v)); }
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool I32(int32_t* v) { return Raw(v, sizeof(*v)); }
   bool I64(int64_t* v) { return Raw(v, sizeof(*v)); }
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
@@ -135,15 +128,9 @@ void AppendFrame(std::string* out, const Writer& payload) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-wise record serializers. Structs with padding (MicroOpGroup,
-// SimProgram, KernelTiming) are never memcpy'd whole; tightly packed POD
-// arrays (MicroOp = 8 bytes, MicroOpOperands = 5 doubles) are, with a
-// static_assert guarding the layout.
+// Field-wise record serializers: structs with padding (KernelTiming,
+// ScheduleConfig) are never memcpy'd whole.
 // ---------------------------------------------------------------------------
-
-static_assert(sizeof(sim::MicroOp) == 8, "persist layout");
-static_assert(sizeof(sim::MicroOpOperands) == 5 * sizeof(double),
-              "persist layout");
 
 void WriteConfig(Writer* w, const schedule::ScheduleConfig& c) {
   w->I64(c.tile.tb_m);
@@ -199,115 +186,6 @@ bool ReadOp(Reader* r, schedule::GemmOp* op) {
   op->family = static_cast<schedule::OpFamily>(family);
   op->a_producer_op = static_cast<ir::EwiseOp>(producer);
   op->epilogue_op = static_cast<ir::EwiseOp>(epilogue);
-  return true;
-}
-
-void WriteSkeleton(Writer* w, uint64_t id, const sim::MicroOpSkeleton& s) {
-  w->U8(kSkeletonRecord);
-  w->U64(id);
-  w->I32(s.num_warps);
-  w->U8(s.blocking_async ? 1 : 0);
-  w->U64(s.hash);
-  w->U32(static_cast<uint32_t>(s.ops.size()));
-  w->Raw(s.ops.data(), s.ops.size() * sizeof(sim::MicroOp));
-  w->U32(static_cast<uint32_t>(s.warp_begin.size()));
-  w->Raw(s.warp_begin.data(), s.warp_begin.size() * sizeof(uint32_t));
-  w->U32(static_cast<uint32_t>(s.groups.size()));
-  for (const sim::MicroOpGroup& g : s.groups) {
-    w->I64(g.stages);
-    w->U8(g.tb_scope ? 1 : 0);
-    w->I64(g.max_commits);
-  }
-}
-
-bool ReadSkeleton(Reader* r, uint64_t* id, sim::MicroOpSkeleton* s) {
-  uint8_t blocking = 0;
-  uint32_t ops = 0;
-  if (!(r->U64(id) && r->I32(&s->num_warps) && r->U8(&blocking) &&
-        r->U64(&s->hash) && r->U32(&ops))) {
-    return false;
-  }
-  s->blocking_async = blocking != 0;
-  s->ops.resize(ops);
-  if (!r->Raw(s->ops.data(), ops * sizeof(sim::MicroOp))) return false;
-  uint32_t warps = 0;
-  if (!r->U32(&warps)) return false;
-  s->warp_begin.resize(warps);
-  if (!r->Raw(s->warp_begin.data(), warps * sizeof(uint32_t))) return false;
-  uint32_t groups = 0;
-  if (!r->U32(&groups)) return false;
-  s->groups.resize(groups);
-  for (sim::MicroOpGroup& g : s->groups) {
-    uint8_t tb = 0;
-    if (!(r->I64(&g.stages) && r->U8(&tb) && r->I64(&g.max_commits))) {
-      return false;
-    }
-    g.tb_scope = tb != 0;
-  }
-  // A skeleton whose recomputed structural hash disagrees with the stored
-  // one is corrupt in a way the frame checksum happened to miss (or was
-  // written by a different hash function); treat as unparseable.
-  return sim::SkeletonHash(*s) == s->hash;
-}
-
-void WriteProgram(Writer* w, const std::string& key, uint64_t skeleton_id,
-                  const sim::SimProgram& p) {
-  w->U8(kProgramRecord);
-  w->Str(key);
-  w->U64(skeleton_id);  // 0 = program carries no skeleton
-  w->U8(p.feasible ? 1 : 0);
-  w->Str(p.reason);
-  w->U32(static_cast<uint32_t>(p.program.pool.size()));
-  w->Raw(p.program.pool.data(),
-         p.program.pool.size() * sizeof(sim::MicroOpOperands));
-  w->F64(p.program.sync_overhead_cycles);
-  w->F64(p.program.half_sync_overhead_cycles);
-  w->I32(p.num_warps);
-  w->I32(p.threadblocks_per_sm);
-  w->I32(p.num_sms);
-  w->I64(p.total_threadblocks);
-  w->I64(p.batches);
-  w->I32(p.max_warps_per_sm);
-  w->F64(p.llc_bw_bytes_per_cycle);
-  w->F64(p.dram_bw_bytes_per_cycle);
-  w->F64(p.dram_write_bw_bytes_per_cycle);
-  w->F64(p.launch_overhead_cycles);
-  w->U8(p.has_ewise ? 1 : 0);
-  w->F64(p.ewise_cycles);
-  w->U8(p.has_splitk ? 1 : 0);
-  w->F64(p.splitk_cycles);
-  w->F64(p.clock_ghz);
-  w->I64(p.flops);
-}
-
-bool ReadProgram(Reader* r, std::string* key, uint64_t* skeleton_id,
-                 sim::SimProgram* p) {
-  uint8_t feasible = 0, has_ewise = 0, has_splitk = 0;
-  uint32_t pool = 0;
-  if (!(r->Str(key) && r->U64(skeleton_id) && r->U8(&feasible) &&
-        r->Str(&p->reason) && r->U32(&pool))) {
-    return false;
-  }
-  p->feasible = feasible != 0;
-  p->program.pool.resize(pool);
-  if (!r->Raw(p->program.pool.data(), pool * sizeof(sim::MicroOpOperands))) {
-    return false;
-  }
-  bool ok = r->F64(&p->program.sync_overhead_cycles) &&
-            r->F64(&p->program.half_sync_overhead_cycles) &&
-            r->I32(&p->num_warps) && r->I32(&p->threadblocks_per_sm) &&
-            r->I32(&p->num_sms) && r->I64(&p->total_threadblocks) &&
-            r->I64(&p->batches) && r->I32(&p->max_warps_per_sm) &&
-            r->F64(&p->llc_bw_bytes_per_cycle) &&
-            r->F64(&p->dram_bw_bytes_per_cycle) &&
-            r->F64(&p->dram_write_bw_bytes_per_cycle) &&
-            r->F64(&p->launch_overhead_cycles) && r->U8(&has_ewise) &&
-            r->F64(&p->ewise_cycles) && r->U8(&has_splitk) &&
-            r->F64(&p->splitk_cycles) && r->F64(&p->clock_ghz) &&
-            r->I64(&p->flops);
-  if (!ok) return false;
-  p->has_ewise = has_ewise != 0;
-  p->has_splitk = has_splitk != 0;
   return true;
 }
 
@@ -433,29 +311,6 @@ PersistStats SaveCache(const std::string& path, const target::GpuSpec& spec) {
   out.append(reinterpret_cast<const char*>(&spec_fp), sizeof(spec_fp));
   out.append(reinterpret_cast<const char*>(&fit_fp), sizeof(fit_fp));
 
-  // Skeletons first (programs reference them by file-local id), each
-  // distinct interned skeleton exactly once.
-  auto programs = sim::SnapshotCachedPrograms();
-  std::unordered_map<const sim::MicroOpSkeleton*, uint64_t> skeleton_ids;
-  for (const auto& [key, program] : programs) {
-    const sim::MicroOpSkeleton* skeleton = program->program.skeleton.get();
-    if (skeleton == nullptr || skeleton_ids.count(skeleton) != 0) continue;
-    const uint64_t id = skeleton_ids.size() + 1;
-    skeleton_ids.emplace(skeleton, id);
-    Writer w;
-    WriteSkeleton(&w, id, *skeleton);
-    AppendFrame(&out, w);
-    ++stats.skeletons;
-  }
-  for (const auto& [key, program] : programs) {
-    const sim::MicroOpSkeleton* skeleton = program->program.skeleton.get();
-    Writer w;
-    WriteProgram(&w, key,
-                 skeleton == nullptr ? 0 : skeleton_ids.at(skeleton),
-                 *program);
-    AppendFrame(&out, w);
-    ++stats.programs;
-  }
   for (const auto& [key, timing] : sim::SnapshotCachedTimings()) {
     Writer w;
     WriteTiming(&w, key, timing);
@@ -554,8 +409,6 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
     return stats;
   }
 
-  std::unordered_map<uint64_t, std::shared_ptr<const sim::MicroOpSkeleton>>
-      skeletons;
   size_t pos = kHeaderBytes;
   while (pos < data.size()) {
     if (data.size() - pos < 8) {
@@ -582,41 +435,6 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
       continue;
     }
     switch (type) {
-      case kSkeletonRecord: {
-        uint64_t id = 0;
-        sim::MicroOpSkeleton skeleton;
-        if (!ReadSkeleton(&r, &id, &skeleton) || id == 0) {
-          ++stats.skipped;
-          break;
-        }
-        // Re-intern through the process-wide pool: if an equal skeleton
-        // is already resident (e.g. warm process reloading), structure
-        // sharing is preserved instead of duplicated.
-        skeletons[id] = sim::InternSkeleton(std::move(skeleton));
-        ++stats.skeletons;
-        break;
-      }
-      case kProgramRecord: {
-        std::string key;
-        uint64_t skeleton_id = 0;
-        auto program = std::make_shared<sim::SimProgram>();
-        if (!ReadProgram(&r, &key, &skeleton_id, program.get())) {
-          ++stats.skipped;
-          break;
-        }
-        if (skeleton_id != 0) {
-          auto it = skeletons.find(skeleton_id);
-          if (it == skeletons.end()) {
-            ++stats.skipped;  // its skeleton frame was corrupt
-            break;
-          }
-          program->program.skeleton = it->second;
-        }
-        sim::InsertCachedProgram(
-            key, std::shared_ptr<const sim::SimProgram>(std::move(program)));
-        ++stats.programs;
-        break;
-      }
       case kTimingRecord: {
         std::string key;
         sim::KernelTiming timing;
@@ -646,8 +464,8 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
 
   stats.bytes = data.size();
   stats.ok = true;
-  sim::AddSimCacheDiskStats(stats.timings + stats.programs + stats.tunings,
-                            stats.skipped, stats.bytes);
+  sim::AddSimCacheDiskStats(stats.timings + stats.tunings, stats.skipped,
+                            stats.bytes);
   return stats;
 }
 

@@ -1,9 +1,9 @@
 // Persistent on-disk schedule cache: the serialization layer that lets
-// everything a process learned — cached KernelTimings, trace-compiled
-// SimPrograms, and completed tuning searches — survive a restart, so a
-// serving deployment pays cold-compile cost once per fleet, not once per
-// process (the amortization the ROADMAP's tuning-as-a-service axis is
-// about; cf. TVM's tuning-record logs).
+// everything a process measured — cached KernelTimings and completed
+// tuning searches — survive a restart, so a serving deployment pays
+// cold-compile cost once per fleet, not once per process (the
+// amortization the ROADMAP's tuning-as-a-service axis is about; cf. TVM's
+// tuning-record logs, which likewise keep measured costs, not kernels).
 //
 // File layout (host-endian; this is a local cache, not an interchange
 // format — a foreign-endian file simply fails its checksums):
@@ -21,14 +21,9 @@
 // PersistStats::skipped) and the loader resyncs at the next frame —
 // load never crashes on a corrupt or torn file.
 //
-// Records are skeleton-aware: each distinct interned MicroOpSkeleton is
-// written once with a file-local id, and programs reference it by id.
-// On load, skeletons are re-interned through the process-wide pool
-// (InternSkeleton), so structure sharing — the bytes-per-config win —
-// survives the round trip; a program whose skeleton frame was corrupt is
-// itself skipped. Loaded entries enter the in-memory caches through
-// InsertCachedTiming/InsertCachedProgram (an existing live entry always
-// wins, and the LRU budget applies) and the TuningStore.
+// Loaded entries enter the sim cache through InsertCachedTiming (an
+// existing live entry always wins, and the LRU budget applies) and the
+// TuningStore.
 //
 // Writes go to `path.tmp.<pid>` and rename() into place, so a crash
 // mid-save leaves the previous file intact and concurrent savers
@@ -45,7 +40,7 @@ namespace alcop {
 namespace serving {
 
 inline constexpr uint32_t kPersistMagic = 0x50434C41;  // "ALCP", little-endian
-inline constexpr uint32_t kPersistVersion = 1;
+inline constexpr uint32_t kPersistVersion = 2;
 
 // FNV-1a over every GpuSpec rate/limit that participates in the sim
 // cache key (the device numerics the cached values were computed under).
@@ -65,14 +60,12 @@ struct PersistStats {
   std::string error;   // why ok == false (empty otherwise)
   uint64_t bytes = 0;  // file bytes written (save) or parsed (load)
   uint64_t timings = 0;
-  uint64_t programs = 0;
-  uint64_t skeletons = 0;
   uint64_t tunings = 0;
   uint64_t skipped = 0;  // corrupt/unknown frames skipped on load
 };
 
-// Serializes the current sim-cache snapshot (both layers) and the global
-// TuningStore. Creates the parent directory if needed.
+// Serializes the current sim-cache snapshot and the global TuningStore.
+// Creates the parent directory if needed.
 PersistStats SaveCache(const std::string& path, const target::GpuSpec& spec);
 
 // Loads a cache file into the in-memory caches and the TuningStore.

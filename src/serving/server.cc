@@ -1208,8 +1208,6 @@ struct Server::Impl {
         .Uint("timing_hits", stats.hits)
         .Uint("timing_misses", stats.misses)
         .Uint("timing_entries", stats.entries)
-        .Uint("program_entries", stats.program_entries)
-        .Uint("program_skeletons", stats.program_skeletons)
         .Uint("resident_bytes", stats.resident_bytes)
         .Uint("budget_bytes", stats.budget_bytes)
         .Uint("evictions", stats.evictions)
@@ -1231,20 +1229,18 @@ struct Server::Impl {
         .Str("path", call.path)
         .Uint("bytes", stats.bytes)
         .Uint("timings", stats.timings)
-        .Uint("programs", stats.programs)
-        .Uint("skeletons", stats.skeletons)
         .Uint("tunings", stats.tunings)
         .Uint("skipped", stats.skipped);
   }
 
-  // `profile`: one replay with counters on. Its timing also warms the
-  // timing layer, so a later compile of the same triple is a fast-lane
-  // hit.
+  // `profile`: one compile and one replay with counters on. Its timing
+  // also warms the sim cache, so a later compile of the same triple is a
+  // fast-lane hit.
   Reply Profile(const Call& call) {
     sim::ReplayArena arena;
     sim::KernelPmu pmu;
     sim::KernelTiming timing = sim::ReplaySimProgram(
-        *sim::CachedSimProgram(call.op, call.config, options.spec), &arena,
+        sim::CompileSimProgram(call.op, call.config, options.spec), &arena,
         &pmu);
     sim::InsertCachedTiming(
         sim::SimCacheKey(call.op, call.config, options.spec,

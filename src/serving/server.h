@@ -1,9 +1,9 @@
 // alcopd: the long-lived compile/tune daemon behind tuning-as-a-service.
 //
-// One process owns the warm state — the two-layer sim cache, the interned
-// skeleton pool, the TuningStore, and the persisted on-disk cache — and
-// many clients share it over a unix-domain socket speaking the
-// length-prefixed JSON protocol (serving/protocol.h). The IO thread
+// One process owns the warm state — the sim cache of measured timings,
+// the TuningStore, and the persisted on-disk cache — and many clients
+// share it over a unix-domain socket speaking the length-prefixed JSON
+// protocol (serving/protocol.h). The IO thread
 // decodes each request once, at dispatch, into a typed call (method, op,
 // config, tune options, persist path or debug query) and answers any
 // decode error there — malformed JSON, an unknown method, a bad field —
@@ -22,9 +22,10 @@
 //
 //   slow lane: everything that must compile or search. The worker drains
 //     the whole queue each round and answers it in order, searches last.
-//     A compile goes through CachedCompileAndSimulate; a profile replays
-//     its program once with counters on. Both warm the timing layer, so
-//     the next identical compile is a fast-lane hit. Cold tunes run the
+//     A compile goes through CachedCompileAndSimulate; a profile
+//     compiles the kernel and replays it once with counters on. Both
+//     warm the sim cache, so the next identical compile is a fast-lane
+//     hit. Cold tunes run the
 //     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
 //     shape via tuner/transfer.h) and store their result for the next
 //     neighbor.

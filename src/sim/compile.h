@@ -27,7 +27,6 @@
 #define ALCOP_SIM_COMPILE_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -116,77 +115,20 @@ struct MicroOpGroup {
   int64_t max_commits = 0;
 };
 
-// The *structural* half of a compiled program: instruction kinds, sync
-// structure, warp spans and group metadata — everything except the
-// numeric operand values, which live in the per-config patch table
-// (MicroOpProgram::pool; the instructions address it by row index).
-// Schedules that differ only numerically (tile bytes, FLOP counts,
-// latencies) walk identical instruction sequences, so their skeletons are
-// byte-for-byte equal and the process-wide intern pool (InternSkeleton)
-// stores each distinct skeleton exactly once. The instruction arena is
-// the dominant footprint of a compiled program, which is what makes the
-// program cache's bytes-per-config drop when a sweep shares skeletons.
-struct MicroOpSkeleton {
+// The compiled program: every warp's instruction stream in one arena,
+// the group metadata, the interned operand rows the instructions address
+// via MicroOp::aux, and the device's sync costs.
+struct MicroOpProgram {
   int num_warps = 1;
   std::vector<MicroOp> ops;          // warp w owns [warp_begin[w], warp_begin[w+1])
   std::vector<uint32_t> warp_begin;  // num_warps + 1 offsets into ops
   std::vector<MicroOpGroup> groups;
   bool blocking_async = false;  // TVM-DB modeling: async copies stall
-  // Structural hash over every field above (the intern-pool bucket key;
-  // equality is always confirmed field-by-field before sharing).
-  uint64_t hash = 0;
-
-  int64_t TotalOps() const { return static_cast<int64_t>(ops.size()); }
-  int64_t MemoryBytes() const {
-    return static_cast<int64_t>(ops.capacity() * sizeof(MicroOp) +
-                                warp_begin.capacity() * sizeof(uint32_t) +
-                                groups.capacity() * sizeof(MicroOpGroup) +
-                                sizeof(MicroOpSkeleton));
-  }
-};
-
-// Computes the structural hash (FNV-1a over the skeleton's fields; does
-// not read or write `hash` itself). Exposed for tests.
-uint64_t SkeletonHash(const MicroOpSkeleton& skeleton);
-
-// Process-wide structure-sharing pool: returns a shared skeleton equal to
-// `skeleton`, inserting it if no equal live one exists. Thread-safe. The
-// pool keeps only weak references: a skeleton is freed together with the
-// last program (cached or not) that holds it, and leaves the pool then.
-std::shared_ptr<const MicroOpSkeleton> InternSkeleton(
-    MicroOpSkeleton&& skeleton);
-
-struct SkeletonPoolStats {
-  uint64_t skeletons = 0;  // pooled skeletons alive
-  uint64_t bytes = 0;      // their total footprint
-  uint64_t interns = 0;    // InternSkeleton calls
-  uint64_t shared = 0;     // calls that found an existing equal skeleton
-};
-SkeletonPoolStats GetSkeletonPoolStats();
-
-// Forgets every pooled skeleton and zeroes the stats. Held programs keep
-// their skeletons (later interns no longer share them).
-void ResetSkeletonPool();
-
-// The compiled program: a shared structural skeleton plus this config's
-// numeric operands — the interned patch-table rows the skeleton's
-// instructions address via MicroOp::aux — and the device's sync costs.
-struct MicroOpProgram {
-  std::shared_ptr<const MicroOpSkeleton> skeleton;  // null only if default-constructed
-  std::vector<MicroOpOperands> pool;  // interned operand rows (the patch table)
+  std::vector<MicroOpOperands> pool;  // interned operand rows
   double sync_overhead_cycles = 0.0;
   double half_sync_overhead_cycles = 0.0;
 
-  int64_t TotalOps() const {
-    return skeleton == nullptr ? 0 : skeleton->TotalOps();
-  }
-  // Per-config footprint: the patch table only. The shared skeleton is
-  // accounted once per distinct skeleton by the cache stats, not once
-  // per program.
-  int64_t MemoryBytes() const {
-    return static_cast<int64_t>(pool.capacity() * sizeof(MicroOpOperands) +
-                                sizeof(MicroOpProgram));
-  }
+  int64_t TotalOps() const { return static_cast<int64_t>(ops.size()); }
 };
 
 struct TraceCompileOptions {

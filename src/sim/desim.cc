@@ -617,8 +617,8 @@ class Replayer {
  public:
   Replayer(const MicroOpProgram& program, const ReplayWave& wave,
            ReplayArena& arena, Timeline* timeline, PmuCounters* pmu)
-      : p_(program), sk_(*program.skeleton), wave_(wave), a_(arena),
-        timeline_(timeline), pmu_out_(pmu) {}
+      : p_(program), wave_(wave), a_(arena), timeline_(timeline),
+        pmu_out_(pmu) {}
 
   double Run() {
     Reset();
@@ -880,7 +880,7 @@ class Replayer {
     DrainSyncLoads(*s);
     ReplayArena::Barrier& barrier = a_.barriers[static_cast<size_t>(s->tb)];
     barrier.max_time = std::max(barrier.max_time, s->time);
-    if (++barrier.arrived < sk_.num_warps) {
+    if (++barrier.arrived < p_.num_warps) {
       barrier.parked.emplace_back(id, s->time);
       if constexpr (kPmu) ++Pn(id)[kPmuBarrierArrivals];
       ++s->pc;  // the releaser advances everyone past the barrier
@@ -922,7 +922,7 @@ class Replayer {
     for (const ReplayArena::Stream& st : a_.streams) {
       ALCOP_CHECK_EQ(st.pc, st.end)
           << "stream deadlocked at event "
-          << (st.pc - sk_.warp_begin[static_cast<size_t>(st.warp)]) << " (tb "
+          << (st.pc - p_.warp_begin[static_cast<size_t>(st.warp)]) << " (tb "
           << st.tb << ", warp " << st.warp << ")";
     }
     return makespan;
@@ -934,8 +934,8 @@ class Replayer {
   using HeapEntry = ReplayArena::HeapEntry;
 
   void Reset() {
-    num_groups_ = sk_.groups.size();
-    const int warps = sk_.num_warps;
+    num_groups_ = p_.groups.size();
+    const int warps = p_.num_warps;
     const int tbs = wave_.threadblocks;
     const size_t num_streams =
         static_cast<size_t>(tbs) * static_cast<size_t>(warps);
@@ -946,8 +946,8 @@ class Replayer {
         Stream& s = a_.streams[static_cast<size_t>(tb * warps + w)];
         s.time = 0.0;
         s.pending_sync = 0.0;
-        s.pc = sk_.warp_begin[static_cast<size_t>(w)];
-        s.end = sk_.warp_begin[static_cast<size_t>(w) + 1];
+        s.pc = p_.warp_begin[static_cast<size_t>(w)];
+        s.end = p_.warp_begin[static_cast<size_t>(w) + 1];
         s.tb = tb;
         s.warp = w;
       }
@@ -962,7 +962,7 @@ class Replayer {
     // owns one instance per tb (all warps participate), a register-scope
     // group one per (tb, warp).
     size_t per_tb_insts = 0, per_tb_slots = 0, per_tb_rel = 0;
-    for (const MicroOpGroup& g : sk_.groups) {
+    for (const MicroOpGroup& g : p_.groups) {
       per_tb_insts += g.tb_scope ? 1 : static_cast<size_t>(warps);
       per_tb_slots += static_cast<size_t>(g.max_commits) *
                       (g.tb_scope ? 1 : static_cast<size_t>(warps));
@@ -989,7 +989,7 @@ class Replayer {
     a_.inst_rel_base.resize(num_insts);
     int32_t inst = 0, slot = 0, rel = 0;
     for (int tb = 0; tb < tbs; ++tb) {
-      for (const MicroOpGroup& g : sk_.groups) {
+      for (const MicroOpGroup& g : p_.groups) {
         const int count = g.tb_scope ? 1 : warps;
         const int parts = g.tb_scope ? warps : 1;
         for (int i = 0; i < count; ++i) {
@@ -1012,7 +1012,7 @@ class Replayer {
         const size_t id = static_cast<size_t>(tb * warps + w);
         int32_t inst_cursor = group_base;
         for (size_t g = 0; g < num_groups_; ++g) {
-          const MicroOpGroup& meta = sk_.groups[g];
+          const MicroOpGroup& meta = p_.groups[g];
           const int32_t ginst = inst_cursor + (meta.tb_scope ? 0 : w);
           a_.stream_inst[id * num_groups_ + g] = ginst;
           a_.stream_rel[id * num_groups_ + g] =
@@ -1063,7 +1063,7 @@ class Replayer {
     }
 
     // Raw-pointer views for the hot loop (set after every resize above).
-    ops_ = sk_.ops.data();
+    ops_ = p_.ops.data();
     spool_ = a_.pool_scaled.data();
     streams_ = a_.streams.data();
     acq_ = a_.acquires.data();
@@ -1083,7 +1083,7 @@ class Replayer {
     imin_ = a_.inst_min_rel.data();
     tree_ = a_.heap.data();
 
-    blocking_async_ = sk_.blocking_async;
+    blocking_async_ = p_.blocking_async;
     sync_ = p_.sync_overhead_cycles;
     half_sync_ = p_.half_sync_overhead_cycles;
     store_completion_ = 0.0;
@@ -1286,7 +1286,6 @@ class Replayer {
   }
 
   const MicroOpProgram& p_;
-  const MicroOpSkeleton& sk_;  // p_.skeleton, the shared structural half
   const ReplayWave& wave_;
   ReplayArena& a_;
   Timeline* timeline_;

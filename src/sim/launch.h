@@ -88,12 +88,6 @@ struct SimProgram {
   double splitk_cycles = 0.0;  // split-K reduction pass
   double clock_ghz = 1.0;
   int64_t flops = 0;
-
-  // Heap footprint (for the program-cache byte counters).
-  int64_t MemoryBytes() const {
-    return program.MemoryBytes() +
-           static_cast<int64_t>(reason.capacity() + sizeof(SimProgram));
-  }
 };
 
 // Phase 1 from an already compiled kernel.

@@ -531,54 +531,6 @@ TEST(ObsOverheadTest, WarmReplayStaysZeroAllocationWithPmuEnabled) {
             0);
 }
 
-TEST(ObsOverheadTest, WarmReplayStaysZeroAllocationWithEvictionEnabled) {
-  // LRU eviction drops the cache's ownership of a program, but a caller
-  // holding the shared_ptr replays on — warm, allocation-free, and
-  // bit-identical to the pre-eviction replay. This is the contract that
-  // lets alcopd evict aggressively while a batch is in flight.
-  target::GpuSpec spec = target::AmpereSpec();
-  schedule::GemmOp op = MakeMatmul("mm", 512, 512, 512);
-  schedule::ScheduleConfig config;
-  config.tile = {128, 128, 32, 64, 64, 16};
-  config.smem_stages = 2;
-
-  sim::ResetSimCache();
-  uint64_t saved_budget = sim::GetSimCacheBudgetBytes();
-  std::shared_ptr<const sim::SimProgram> program =
-      sim::CachedSimProgram(op, config, spec);
-  ASSERT_NE(program, nullptr);
-
-  obs::SetTraceEnabled(false);
-  sim::ReplayArena arena;
-  sim::KernelTiming cold = sim::ReplaySimProgram(*program, &arena);
-  size_t capacity = arena.CapacityBytes();
-
-  // A one-byte budget evicts everything evictable on the next insert —
-  // including the entry backing `program`.
-  sim::SetSimCacheBudgetBytes(1);
-  schedule::GemmOp other = MakeMatmul("mm", 512, 512, 1024);
-  sim::CachedCompileAndSimulate(other, config, spec);
-  EXPECT_GT(sim::GetSimCacheStats().evictions, 0u);
-
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sim::KernelTiming warm = sim::ReplaySimProgram(*program, &arena);
-  uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(arena.CapacityBytes(), capacity)
-      << "warm replay grew the arena after eviction";
-#if !defined(ALCOP_OBS_NO_ALLOC_COUNTING)
-  EXPECT_EQ(after - before, 0u) << "warm replay allocated after eviction";
-#else
-  (void)before;
-  (void)after;
-#endif
-  EXPECT_TRUE(BitEqual(cold.cycles, warm.cycles));
-  EXPECT_TRUE(BitEqual(cold.microseconds, warm.microseconds));
-  EXPECT_TRUE(BitEqual(cold.tflops, warm.tflops));
-
-  sim::SetSimCacheBudgetBytes(saved_budget);
-  sim::ResetSimCache();
-}
-
 TEST(ObsOverheadTest, WarmReplayWithRaggedLastWaveIsZeroAllocation) {
   // A remainder wave runs fewer threadblocks than the full waves before
   // it. The arena's park lists and barriers must survive that smaller

@@ -15,7 +15,6 @@
 
 #include "schedule/tensor.h"
 #include "serving/persist.h"
-#include "sim/compile.h"
 #include "sim/sim_cache.h"
 #include "target/gpu_spec.h"
 #include "tuner/records.h"
@@ -36,7 +35,6 @@ class PersistTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sim::ResetSimCache();
-    sim::ResetSkeletonPool();
     tuner::TuningStore::Global().Clear();
     path_ = ::testing::TempDir() + "/alcop_persist_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
@@ -47,24 +45,25 @@ class PersistTest : public ::testing::Test {
   void TearDown() override {
     std::remove(path_.c_str());
     sim::ResetSimCache();
-    sim::ResetSkeletonPool();
     tuner::TuningStore::Global().Clear();
   }
 
-  // Populates both cache layers with real compiled entries: several
-  // schedules of one operator (numerically-different configs share a
-  // skeleton, so the save must write fewer skeleton records than
-  // program records), a couple of shape variants, and one infeasible
-  // program (no skeleton, empty operand pool).
+  // Populates the sim cache with real compiled timings — the first
+  // schedules of one operator, a couple of shape variants, and one
+  // infeasible schedule (a timing with a reason and no cycles) — and the
+  // TuningStore with the tuning those first schedules make.
   void Populate(const target::GpuSpec& spec) {
     schedule::GemmOp op = MakeMatmul("mm", 512, 512, 512);
     tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
-    // Walk the space until the pool reports sharing so the save always
-    // has at least one skeleton referenced by multiple programs.
-    for (size_t c = 0; c < task.space.size(); ++c) {
-      sim::CachedCompileAndSimulate(op, task.space[c], spec);
-      if (sim::GetSkeletonPoolStats().shared > 0 && c >= 3) break;
+    tuner::StoredTuning tuning;
+    tuning.op_key = tuner::OpKey(op);
+    tuning.op = op;
+    for (size_t c = 0; c < task.space.size() && c < 6; ++c) {
+      tuning.trials.push_back(
+          {task.space[c],
+           sim::CachedCompileAndSimulate(op, task.space[c], spec).cycles});
     }
+    tuner::TuningStore::Global().Put(std::move(tuning));
     schedule::ScheduleConfig config;  // defaults are feasible on Ampere
     for (int64_t k : {1024, 1536}) {
       sim::CachedCompileAndSimulate(MakeMatmul("mm", 512, 512, k), config,
@@ -130,41 +129,6 @@ TEST_F(PersistTest, TimingRoundTripIsBitIdentical) {
     EXPECT_EQ(timing.threadblocks_per_sm, it->second.threadblocks_per_sm);
     EXPECT_EQ(timing.batches, it->second.batches);
   }
-}
-
-TEST_F(PersistTest, LoadedProgramsReplayBitIdentically) {
-  target::GpuSpec spec = target::AmpereSpec();
-  Populate(spec);
-  std::vector<std::pair<std::string, sim::KernelTiming>> before =
-      sim::SnapshotCachedTimings();
-
-  serving::PersistStats saved = serving::SaveCache(path_, spec);
-  ASSERT_TRUE(saved.ok) << saved.error;
-  ASSERT_GT(saved.programs, 0u);
-  ASSERT_GT(saved.skeletons, 0u);
-  // Structure sharing survives serialization: fewer skeleton records
-  // than program records (same-op schedules share skeletons).
-  EXPECT_LT(saved.skeletons, saved.programs);
-
-  sim::ResetSimCache();
-  sim::ResetSkeletonPool();
-  serving::PersistStats loaded = serving::LoadCache(path_, spec);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.programs, saved.programs);
-
-  sim::ReplayArena arena;
-  std::map<std::string, sim::KernelTiming> before_map(before.begin(),
-                                                      before.end());
-  for (auto& [key, program] : sim::SnapshotCachedPrograms()) {
-    ASSERT_NE(program, nullptr);
-    sim::KernelTiming replayed = sim::ReplaySimProgram(*program, &arena);
-    auto it = before_map.find(key);
-    ASSERT_NE(it, before_map.end()) << key;
-    EXPECT_TRUE(BitEqual(replayed.cycles, it->second.cycles)) << key;
-    EXPECT_TRUE(BitEqual(replayed.tflops, it->second.tflops)) << key;
-  }
-  // Loaded skeletons were re-interned, not duplicated.
-  EXPECT_EQ(sim::GetSkeletonPoolStats().skeletons, loaded.skeletons);
 }
 
 TEST_F(PersistTest, TuningStoreRoundTrips) {
@@ -281,17 +245,19 @@ TEST_F(PersistTest, FittedConstantsMismatchRejectsWholeFile) {
 TEST_F(PersistTest, TruncatedTailIsTolerated) {
   target::GpuSpec spec = target::AmpereSpec();
   Populate(spec);
-  ASSERT_TRUE(serving::SaveCache(path_, spec).ok);
+  serving::PersistStats saved = serving::SaveCache(path_, spec);
+  ASSERT_TRUE(saved.ok) << saved.error;
   std::string data = ReadFile();
 
   // Chop the file mid-frame: everything before the tear loads, the torn
   // frame is skipped, and load still reports ok.
   WriteFile(data.substr(0, data.size() - data.size() / 3));
   sim::ResetSimCache();
-  sim::ResetSkeletonPool();
   serving::PersistStats loaded = serving::LoadCache(path_, spec);
   EXPECT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_LT(loaded.timings + loaded.programs, 8u);
+  EXPECT_GT(loaded.timings, 0u);
+  EXPECT_LT(loaded.timings + loaded.tunings, saved.timings + saved.tunings);
+  EXPECT_EQ(sim::GetSimCacheStats().entries, loaded.timings);
 
   // Header-only (and shorter) files fail cleanly rather than crash.
   for (size_t keep : {0u, 7u, 23u}) {
@@ -313,14 +279,11 @@ TEST_F(PersistTest, CorruptFrameIsSkippedNotFatal) {
   data[data.size() / 2] ^= 0xFF;
   WriteFile(data);
   sim::ResetSimCache();
-  sim::ResetSkeletonPool();
   serving::PersistStats loaded = serving::LoadCache(path_, spec);
   EXPECT_TRUE(loaded.ok) << loaded.error;
   EXPECT_GE(loaded.skipped, 1u);
-  uint64_t total_saved = saved.timings + saved.programs + saved.skeletons +
-                         saved.tunings;
-  uint64_t total_loaded = loaded.timings + loaded.programs +
-                          loaded.skeletons + loaded.tunings;
+  uint64_t total_saved = saved.timings + saved.tunings;
+  uint64_t total_loaded = loaded.timings + loaded.tunings;
   EXPECT_LT(total_loaded, total_saved);
   EXPECT_GT(total_loaded, 0u) << "corruption of one frame dropped everything";
 }

@@ -267,7 +267,7 @@ TEST_F(ServerTest, CompileMissesThenHitsFastLane) {
 }
 
 // The fast lane answers a warm compile from the one probe that routed it,
-// so the timing layer counts one hit for it, not one per lookup.
+// so the sim cache counts one hit for it, not one per lookup.
 TEST_F(ServerTest, WarmCompileCountsOneTimingHit) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
@@ -382,10 +382,19 @@ TEST_F(ServerTest, ProfileWarmsTheTimingLayerForCompile) {
   ASSERT_TRUE(compiled.has_value());
   EXPECT_EQ(compiled->Find("cycles")->NumberOr(-1),
             profiled->Find("cycles")->NumberOr(-2));
+  // A profile after the compile compiles the kernel again for its
+  // counters and measures the same cycles.
+  std::optional<JsonValue> reprofiled =
+      client.Call("{\"id\":3,\"method\":\"profile\"," + fields);
+  ASSERT_TRUE(reprofiled.has_value());
+  ASSERT_TRUE(reprofiled->Find("ok")->BoolOr(false));
+  ASSERT_NE(reprofiled->Find("pmu"), nullptr);
+  EXPECT_EQ(reprofiled->Find("cycles")->NumberOr(-1),
+            profiled->Find("cycles")->NumberOr(-2));
   server.Stop();
 
-  // The profile replayed on the slow lane; the compile after it was a
-  // fast-lane hit on the timing the profile measured.
+  // Each profile replayed on the slow lane; the compile between them was
+  // a fast-lane hit on the timing the first profile measured.
   std::ifstream log(options_.access_log_path);
   std::map<double, std::string> lane_outcome;  // by client_id
   std::string line;
@@ -398,6 +407,7 @@ TEST_F(ServerTest, ProfileWarmsTheTimingLayerForCompile) {
   }
   EXPECT_EQ(lane_outcome[1], "slow/compiled");
   EXPECT_EQ(lane_outcome[2], "fast/hit");
+  EXPECT_EQ(lane_outcome[3], "slow/compiled");
   std::remove(options_.access_log_path.c_str());
 }
 

@@ -236,5 +236,43 @@ TEST(SimReplayGolden, ArenaReuseAcrossProgramsIsStateless) {
   }
 }
 
+// A shared arena must never leak state between programs: strided programs
+// of two operators (a mix of instruction streams and wave sizes), each
+// first replayed through its own fresh arena, then through one shared
+// arena in an adversarial interleaving: forward, backward, and alternating
+// ends.
+TEST(SkeletonReplay, SharedArenaBitExactUnderInterleaving) {
+  const target::GpuSpec spec = target::AmpereSpec();
+  std::vector<sim::SimProgram> programs;
+  for (const char* name : {"MM_RN50_FC", "BMM_BERT_QK"}) {
+    const schedule::GemmOp& op = workloads::FindOp(name);
+    tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
+    size_t taken = 0;
+    for (size_t c = 0; c < task.space.size() && taken < 40; c += 8) {
+      sim::SimProgram program = sim::CompileSimProgram(op, task.space[c], spec);
+      if (!program.feasible) continue;
+      programs.push_back(std::move(program));
+      ++taken;
+    }
+  }
+  ASSERT_GT(programs.size(), 20u);
+  std::vector<sim::KernelTiming> fresh;
+  for (const sim::SimProgram& program : programs) {
+    sim::ReplayArena own;
+    fresh.push_back(sim::ReplaySimProgram(program, &own));
+  }
+  sim::ReplayArena shared;
+  std::vector<size_t> order;
+  for (size_t i = 0; i < programs.size(); ++i) order.push_back(i);
+  for (size_t i = programs.size(); i > 0; --i) order.push_back(i - 1);
+  for (size_t i = 0; i < programs.size(); ++i) {
+    order.push_back(i % 2 == 0 ? i / 2 : programs.size() - 1 - i / 2);
+  }
+  for (size_t idx : order) {
+    sim::KernelTiming replay = sim::ReplaySimProgram(programs[idx], &shared);
+    EXPECT_TRUE(SameTiming(fresh[idx], replay)) << "program " << idx;
+  }
+}
+
 }  // namespace
 }  // namespace alcop
