@@ -128,6 +128,7 @@
 #include "serving/protocol.h"
 #include "serving/server.h"
 #include "support/check.h"
+#include "support/json.h"
 #include "sim/launch.h"
 #include "sim/pmu.h"
 #include "sim/sim_cache.h"
@@ -188,13 +189,6 @@ bool ParseWorkload(const std::vector<char*>& positional,
     return false;
   }
   return true;
-}
-
-std::string JsonDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 const char* TrialEventName(tuner::TrialEvent::Kind kind) {
@@ -308,19 +302,21 @@ int CmdTune(int argc, char** argv) {
         case tuner::TrialEvent::Kind::kProposed:
           log << ", \"trial\": " << e.trial
               << ", \"space_index\": " << e.space_index << ", \"config\": \""
-              << e.config << "\", \"predicted_score\": "
-              << JsonDouble(e.predicted_score)
+              << support::JsonEscape(e.config) << "\", \"predicted_score\": "
+              << support::JsonNumber(e.predicted_score)
               << ", \"analytical_cycles\": "
-              << JsonDouble(e.analytical_cycles);
+              << support::JsonNumber(e.analytical_cycles);
           break;
         case tuner::TrialEvent::Kind::kMeasured:
           log << ", \"trial\": " << e.trial
               << ", \"space_index\": " << e.space_index
-              << ", \"measured_cycles\": " << JsonDouble(e.measured_cycles);
+              << ", \"measured_cycles\": "
+              << support::JsonNumber(e.measured_cycles);
           break;
         case tuner::TrialEvent::Kind::kRefit:
           log << ", \"training_size\": " << e.training_size
-              << ", \"rank_accuracy\": " << JsonDouble(e.rank_accuracy);
+              << ", \"rank_accuracy\": "
+              << support::JsonNumber(e.rank_accuracy);
           break;
       }
       log << "}\n";
@@ -400,17 +396,6 @@ int CmdParse(int argc, char** argv) {
   }
 }
 
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 int CmdVerify(int argc, char** argv) {
   bool json = false;
   std::vector<char*> positional;
@@ -447,10 +432,11 @@ int CmdVerify(int argc, char** argv) {
       if (d.severity == verify::Severity::kError) ++errors;
     }
     std::printf(
-        "{\"command\": \"verify\", \"file\": %s, \"clean\": %s, "
+        "{\"command\": \"verify\", \"file\": \"%s\", \"clean\": %s, "
         "\"errors\": %zu, \"step_limit_reached\": %s,\n \"diagnostics\": "
         "%s}\n",
-        JsonString(path).c_str(), result.Clean() ? "true" : "false", errors,
+        support::JsonEscape(path).c_str(), result.Clean() ? "true" : "false",
+        errors,
         result.reached_step_limit ? "true" : "false",
         verify::DiagnosticsToJson(result.diagnostics).c_str());
     return result.HasErrors() ? 1 : 0;
@@ -518,37 +504,39 @@ int CmdLint(int argc, char** argv) {
 
   if (json) {
     std::ostringstream out;
-    out << "{\"command\": \"lint\", \"subject\": " << JsonString(subject)
-        << ", \"schedule\": " << JsonString(schedule_str)
+    out << "{\"command\": \"lint\", \"subject\": \""
+        << support::JsonEscape(subject) << "\", \"schedule\": \""
+        << support::JsonEscape(schedule_str) << "\""
         << ", \"clean\": " << (result.Clean() ? "true" : "false")
         << ", \"errors\": " << (result.HasErrors() ? "true" : "false");
     if (result.feasibility.has_value()) {
       const schedule::StaticFeasibility& f = *result.feasibility;
       out << ",\n \"feasibility\": {\"feasible\": "
           << (f.feasible ? "true" : "false")
-          << ", \"reason\": " << JsonString(f.reason)
+          << ", \"reason\": \"" << support::JsonEscape(f.reason) << "\""
           << ", \"smem_bytes\": " << f.resources.smem_bytes
           << ", \"reg_bytes\": " << f.resources.reg_bytes
           << ", \"warps\": " << f.resources.warps
           << ", \"threadblocks_per_sm\": " << f.occupancy.threadblocks_per_sm
-          << ", \"limiter\": "
-          << JsonString(target::LimiterName(f.occupancy.limiter)) << "}";
+          << ", \"limiter\": \""
+          << support::JsonEscape(target::LimiterName(f.occupancy.limiter))
+          << "\"}";
     }
     if (result.bank.has_value()) {
       const analysis::BankReport& b = *result.bank;
       out << ",\n \"bank\": {\"max_degree\": " << b.max_degree
-          << ", \"sim_divisor\": " << JsonDouble(b.sim_divisor)
+          << ", \"sim_divisor\": " << support::JsonNumber(b.sim_divisor)
           << ", \"predicted_lds_read_bytes\": "
-          << JsonDouble(b.predicted_lds_read_bytes)
+          << support::JsonNumber(b.predicted_lds_read_bytes)
           << ", \"accesses\": " << b.accesses.size() << "}";
     }
     out << ",\n \"passes\": [";
     for (size_t i = 0; i < result.pass_stats.size(); ++i) {
       const analysis::PassStats& p = result.pass_stats[i];
       if (i > 0) out << ", ";
-      out << "{\"name\": " << JsonString(p.name)
+      out << "{\"name\": \"" << support::JsonEscape(p.name) << "\""
           << ", \"findings\": " << p.findings
-          << ", \"millis\": " << JsonDouble(p.millis) << "}";
+          << ", \"millis\": " << support::JsonNumber(p.millis) << "}";
     }
     out << "],\n \"diagnostics\": "
         << verify::DiagnosticsToJson(result.diagnostics) << "}";
@@ -812,13 +800,13 @@ int CmdCache(int argc, char** argv) {
       };
       std::printf(
           "{\"command\": \"cache\", \"action\": \"stats\", "
-          "\"path\": %s,\n \"timing\": {\"hits\": %llu, \"misses\": %llu, "
+          "\"path\": \"%s\",\n \"timing\": {\"hits\": %llu, \"misses\": %llu, "
           "\"entries\": %llu},\n \"resident_bytes\": %llu, "
           "\"budget_bytes\": %llu, \"evictions\": %llu,\n \"disk\": "
           "{\"hits\": %llu, \"misses\": %llu, \"load_bytes\": %llu},\n "
           "\"stored_tunings\": %zu,\n \"serving\": {\"inflight\": %g, "
           "\"latency\": {\"fast\": %s, \"slow\": %s}}}\n",
-          JsonString(path).c_str(), (unsigned long long)s.hits,
+          support::JsonEscape(path).c_str(), (unsigned long long)s.hits,
           (unsigned long long)s.misses, (unsigned long long)s.entries,
           (unsigned long long)s.resident_bytes,
           (unsigned long long)s.budget_bytes, (unsigned long long)s.evictions,
@@ -850,9 +838,9 @@ int CmdCache(int argc, char** argv) {
     bool removed = !path.empty() && std::remove(path.c_str()) == 0;
     if (json) {
       std::printf(
-          "{\"command\": \"cache\", \"action\": \"clear\", \"path\": %s, "
+          "{\"command\": \"cache\", \"action\": \"clear\", \"path\": \"%s\", "
           "\"removed_file\": %s}\n",
-          JsonString(path).c_str(), removed ? "true" : "false");
+          support::JsonEscape(path).c_str(), removed ? "true" : "false");
     } else {
       std::printf("cleared in-memory caches%s\n",
                   removed ? (", removed " + path).c_str() : "");
@@ -871,11 +859,12 @@ int CmdCache(int argc, char** argv) {
                                       : serving::LoadCache(path, spec);
     if (json) {
       std::printf(
-          "{\"command\": \"cache\", \"action\": %s, \"path\": %s, \"ok\": "
-          "%s, \"error\": %s,\n \"bytes\": %llu, \"timings\": %llu, "
-          "\"tunings\": %llu, \"skipped\": %llu}\n",
-          JsonString(action).c_str(), JsonString(path).c_str(),
-          stats.ok ? "true" : "false", JsonString(stats.error).c_str(),
+          "{\"command\": \"cache\", \"action\": \"%s\", \"path\": \"%s\", "
+          "\"ok\": %s, \"error\": \"%s\",\n \"bytes\": %llu, "
+          "\"timings\": %llu, \"tunings\": %llu, \"skipped\": %llu}\n",
+          support::JsonEscape(action).c_str(),
+          support::JsonEscape(path).c_str(), stats.ok ? "true" : "false",
+          support::JsonEscape(stats.error).c_str(),
           (unsigned long long)stats.bytes, (unsigned long long)stats.timings,
           (unsigned long long)stats.tunings,
           (unsigned long long)stats.skipped);
@@ -1018,14 +1007,15 @@ int CmdClient(int argc, char** argv) {
     std::ostringstream extra;
     long long n = 0;
     for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--client") == 0 && i + 1 < argc) {
-        extra << ",\"client\":\"" << argv[++i] << "\"";
-      } else if (std::strcmp(argv[i], "--lane") == 0 && i + 1 < argc) {
-        extra << ",\"lane\":\"" << argv[++i] << "\"";
-      } else if (std::strcmp(argv[i], "--outcome") == 0 && i + 1 < argc) {
-        extra << ",\"outcome\":\"" << argv[++i] << "\"";
-      } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
-        extra << ",\"metric\":\"" << argv[++i] << "\"";
+      bool flag = i + 1 < argc &&
+                  (std::strcmp(argv[i], "--client") == 0 ||
+                   std::strcmp(argv[i], "--lane") == 0 ||
+                   std::strcmp(argv[i], "--outcome") == 0 ||
+                   std::strcmp(argv[i], "--metric") == 0);
+      if (flag) {
+        extra << ",\"" << (argv[i] + 2) << "\":\""
+              << support::JsonEscape(argv[i + 1]) << "\"";
+        ++i;
       } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
         n = std::atoll(argv[i]);
       } else {
@@ -1033,7 +1023,8 @@ int CmdClient(int argc, char** argv) {
       }
     }
     std::ostringstream out;
-    out << "{\"id\":1,\"method\":\"debug\",\"what\":\"" << what << "\"";
+    out << "{\"id\":1,\"method\":\"debug\",\"what\":\""
+        << support::JsonEscape(what) << "\"";
     if (n > 0) out << ",\"n\":" << n;
     out << extra.str() << "}";
     payload = out.str();

@@ -15,6 +15,7 @@
 #include "pipeline/transform.h"
 #include "sim/desim.h"
 #include "sim/executor.h"
+#include "sim/launch.h"
 #include "sim/trace.h"
 #include "target/gpu_spec.h"
 
@@ -45,10 +46,7 @@ double Simulate(const ir::Stmt& program,
   sim::ThreadblockTrace trace = sim::BuildTrace(program, /*num_warps=*/1);
   sim::DesimParams params;
   params.threadblocks = 2;
-  for (const pipeline::PipelineGroupInfo& group : transformed.groups) {
-    params.groups.push_back(
-        {group.stages, group.scope == ir::MemScope::kShared});
-  }
+  params.groups = sim::PipelineGroups(transformed);
   return sim::SimulateBatch(trace, spec, params);
 }
 

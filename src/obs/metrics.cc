@@ -348,13 +348,5 @@ std::string Registry::RenderJson() const {
   return out.str();
 }
 
-void Registry::ResetAll() {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mu);
-  for (auto& [name, counter] : state.counters) counter->Reset();
-  for (auto& [name, gauge] : state.gauges) gauge->Set(0.0);
-  for (auto& [name, hist] : state.histograms) hist->Reset();
-}
-
 }  // namespace obs
 }  // namespace alcop

@@ -75,10 +75,6 @@ class Histogram {
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   double Sum() const { return sum_.load(std::memory_order_relaxed); }
   double Max() const { return max_.load(std::memory_order_relaxed); }
-  double Mean() const {
-    uint64_t n = Count();
-    return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
-  }
   uint64_t BucketCount(int bucket) const {
     return buckets_[bucket].load(std::memory_order_relaxed);
   }
@@ -142,10 +138,6 @@ class Registry {
   // Every registered metric with its current value, sorted by name.
   // Callbacks are evaluated outside the registry lock.
   std::vector<MetricSnapshot> Snapshot() const;
-
-  // Zeroes every counter/gauge/histogram (callbacks are left alone:
-  // their owners reset their own state). Tests and benches only.
-  void ResetAll();
 
  private:
   Registry() = default;

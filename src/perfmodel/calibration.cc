@@ -96,25 +96,18 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
   AddTerm(&out, "t_epilogue", model.t_epilogue,
           profile.drain_fraction * makespan);
 
-  // Rate terms, from the steady-state batch's PMU counters. The wave
-  // geometry mirrors ReplaySimProgram's full batch.
+  // Rate terms, from the steady-state batch's PMU counters, over the
+  // geometry of the wave they were counted on.
   const sim::PmuCounters& c = out.pmu.batch;
-  int64_t per_batch = static_cast<int64_t>(program.threadblocks_per_sm) *
-                      program.num_sms;
-  int64_t batch_tbs = std::min(program.total_threadblocks, per_batch);
-  int wave_tbs = static_cast<int>(std::min<int64_t>(
-      program.threadblocks_per_sm,
-      (batch_tbs + program.num_sms - 1) / program.num_sms));
-  int active_sms = static_cast<int>(std::min<int64_t>(
-      program.num_sms, (batch_tbs + wave_tbs - 1) / wave_tbs));
+  const sim::WaveShape wave = sim::FirstWave(program);
 
   const double util = std::min(
-      1.0, static_cast<double>(config.NumWarps()) * wave_tbs / 4.0);
+      1.0, static_cast<double>(config.NumWarps()) * wave.threadblocks / 4.0);
   AddTerm(&out, "t_compute", model.t_compute,
           c.tensor_active_cycles / (4.0 * util * n_outer * n_inner));
 
-  const double llc_rate_sm = spec.llc_bw_bytes_per_cycle / active_sms;
-  const double dram_rate_sm = spec.dram_bw_bytes_per_cycle / active_sms;
+  const double llc_rate_sm = spec.llc_bw_bytes_per_cycle / wave.active_sms;
+  const double dram_rate_sm = spec.dram_bw_bytes_per_cycle / wave.active_sms;
   const double measured_llc_load =
       spec.llc_latency_cycles + (c.llc_read_bytes / n_outer) / llc_rate_sm;
   const double measured_dram_load =

@@ -6,6 +6,7 @@
 #include <map>
 #include <utility>
 
+#include "sim/trace.h"
 #include "support/check.h"
 
 namespace alcop {
@@ -15,9 +16,8 @@ using namespace alcop::ir;  // NOLINT(build/namespaces) - compiler
 
 namespace {
 
-// Mirrors the trace builder's walk (trace.cc): same loop flattening, same
-// warp-range broadcast, same byte splitting — but emits pre-resolved
-// micro-ops instead of AST-shaped events.
+// Turns the events of the shared threadblock walk (trace.h) into
+// pre-resolved micro-ops, one per-warp stream each.
 class MicroOpCompiler {
  public:
   MicroOpCompiler(int num_warps, const target::GpuSpec& spec,
@@ -36,7 +36,13 @@ class MicroOpCompiler {
   }
 
   MicroOpProgram Compile(const Stmt& program) {
-    Walk(program);
+    WalkThreadblock(program, program_.num_warps,
+                    [this](const TraceEvent& event, WarpRange warps) {
+                      MicroOp op = Translate(event);
+                      for (int w = warps.begin; w < warps.end; ++w) {
+                        warps_[static_cast<size_t>(w)].push_back(op);
+                      }
+                    });
     // Flatten the per-warp streams into one contiguous arena.
     size_t total = 0;
     for (const std::vector<MicroOp>& warp : warps_) total += warp.size();
@@ -75,39 +81,6 @@ class MicroOpCompiler {
   }
 
  private:
-  struct WarpRange {
-    int begin;
-    int end;  // exclusive
-    int Count() const { return end - begin; }
-  };
-
-  WarpRange CurrentWarps() const {
-    int prod = 1;
-    int fold = 0;
-    for (const auto& [extent, value] : warp_stack_) {
-      prod *= static_cast<int>(extent);
-      fold = fold * static_cast<int>(extent) + static_cast<int>(value);
-    }
-    ALCOP_CHECK_EQ(program_.num_warps % prod, 0)
-        << "warp loop nest does not evenly cover the threadblock's warps";
-    int span = program_.num_warps / prod;
-    return {fold * span, (fold + 1) * span};
-  }
-
-  void Emit(const MicroOp& op) {
-    WarpRange range = CurrentWarps();
-    for (int w = range.begin; w < range.end; ++w) {
-      warps_[static_cast<size_t>(w)].push_back(op);
-    }
-  }
-
-  // Splits the payload over the addressed warps exactly as the trace
-  // builder does (integer division), returning the per-warp byte count.
-  int64_t SplitBytes(int64_t bytes) const {
-    int count = CurrentWarps().Count();
-    return count > 1 ? bytes / count : bytes;
-  }
-
   double DramFractionOf(const BufferNode* tensor) const {
     auto it = options_.dram_fraction.find(tensor);
     return it != options_.dram_fraction.end() ? it->second : 1.0;
@@ -125,163 +98,88 @@ class MicroOpCompiler {
     return it->second;
   }
 
-  void Walk(const Stmt& s) {
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const Stmt& child : static_cast<const BlockNode*>(s.get())->seq) {
-          Walk(child);
-        }
-        return;
-      case StmtKind::kPragma:
-        Walk(static_cast<const PragmaNode*>(s.get())->body);
-        return;
-      case StmtKind::kAlloc:
-        return;
-      case StmtKind::kFor: {
-        const auto* op = static_cast<const ForNode*>(s.get());
-        int64_t extent = Evaluate(op->extent, env_);
-        if (op->for_kind == ForKind::kBlockIdx) {
-          // One representative threadblock: all blocks run the same trace.
-          env_.push_back({op->var.get(), 0});
-          Walk(op->body);
-          env_.pop_back();
-          return;
-        }
-        bool is_warp = op->for_kind == ForKind::kWarp;
-        for (int64_t i = 0; i < extent; ++i) {
-          env_.push_back({op->var.get(), i});
-          if (is_warp) warp_stack_.emplace_back(extent, i);
-          Walk(op->body);
-          if (is_warp) warp_stack_.pop_back();
-          env_.pop_back();
-        }
-        return;
-      }
-      case StmtKind::kIfThenElse: {
-        const auto* op = static_cast<const IfThenElseNode*>(s.get());
-        if (Evaluate(op->cond, env_) != 0) {
-          Walk(op->then_case);
-        } else if (op->else_case != nullptr) {
-          Walk(op->else_case);
-        }
-        return;
-      }
-      case StmtKind::kCopy:
-        WalkCopy(static_cast<const CopyNode*>(s.get()));
-        return;
-      case StmtKind::kFill: {
-        const auto* op = static_cast<const FillNode*>(s.get());
-        MicroOp out;
-        out.kind = MicroOpKind::kFill;
-        MicroOpOperands v;
-        v.op0 = static_cast<double>(op->dst.NumBytes()) / 256.0;
-        out.aux = Intern(v);
-        Emit(out);
-        return;
-      }
-      case StmtKind::kMma: {
-        const auto* op = static_cast<const MmaNode*>(s.get());
-        MicroOp out;
-        out.kind = MicroOpKind::kMma;
-        MicroOpOperands v;
-        v.op0 = static_cast<double>(op->Flops()) / tc_rate_;
-        v.payload = static_cast<double>(op->Flops());
-        out.aux = Intern(v);
-        Emit(out);
-        return;
-      }
-      case StmtKind::kSync: {
-        const auto* op = static_cast<const SyncNode*>(s.get());
-        MicroOp out;
-        out.group = static_cast<int16_t>(op->group);
-        switch (op->sync_kind) {
-          case SyncKind::kBarrier:
-            out.kind = MicroOpKind::kBarrier;
-            break;
-          case SyncKind::kProducerAcquire:
-            out.kind = MicroOpKind::kAcquire;
-            out.aux = static_cast<int32_t>(
-                          program_.groups[static_cast<size_t>(op->group)]
-                              .stages) -
-                      1;
-            break;
-          case SyncKind::kProducerCommit:
-            out.kind = MicroOpKind::kCommit;
-            break;
-          case SyncKind::kConsumerWait:
-            out.kind = MicroOpKind::kWait;
-            ALCOP_CHECK_GE(op->wait_ahead, 0);
-            ALCOP_CHECK_LT(op->wait_ahead, 256)
-                << "wait_ahead must fit the packed aux byte";
-            out.aux = op->wait_ahead;
-            break;
-          case SyncKind::kConsumerRelease:
-            out.kind = MicroOpKind::kRelease;
-            break;
-        }
-        if (out.kind != MicroOpKind::kBarrier) {
-          ALCOP_CHECK_GE(op->group, 0) << "pipeline sync without a group";
-          ALCOP_CHECK_LT(static_cast<size_t>(op->group),
-                         program_.groups.size())
-              << "pipeline group ids must be dense";
-        }
-        Emit(out);
-        return;
-      }
-    }
-    ALCOP_CHECK(false) << "unhandled statement in micro-op compiler";
+  void CheckGroup(int group) const {
+    ALCOP_CHECK_GE(group, 0) << "async copy or pipeline sync without a group";
+    ALCOP_CHECK_LT(static_cast<size_t>(group), program_.groups.size())
+        << "pipeline group ids must be dense";
   }
 
-  void WalkCopy(const CopyNode* op) {
-    MemScope src = op->src.buffer->scope;
-    MemScope dst = op->dst.buffer->scope;
-    if (src == MemScope::kGlobal && dst == MemScope::kGlobal) {
-      return;  // standalone elementwise pass, charged at launch level
-    }
+  MicroOp Translate(const TraceEvent& e) {
     MicroOp out;
+    out.group = static_cast<int16_t>(e.group);
     MicroOpOperands v;
-    if (dst == MemScope::kGlobal) {
-      int64_t bytes = SplitBytes(op->dst.NumBytes());
-      out.kind = MicroOpKind::kStoreGlobal;
-      v.op0 = static_cast<double>(bytes) / spec_.copy_issue_bytes_per_cycle;
-      v.op1 = static_cast<double>(bytes);
-      v.op2 = spec_.dram_latency_cycles;
-      v.payload = static_cast<double>(bytes);
-      out.aux = Intern(v);
-      Emit(out);
-      return;
-    }
-    int64_t bytes =
-        SplitBytes(op->src.NumElements() * op->dst.buffer->elem_bytes);
-    if (op->is_async) {
-      ALCOP_CHECK_GE(op->pipeline_group, 0)
-          << "async copy without a pipeline group";
-      ALCOP_CHECK_LT(static_cast<size_t>(op->pipeline_group),
-                     program_.groups.size())
-          << "pipeline group ids must be dense";
-    }
-    out.group = static_cast<int16_t>(op->pipeline_group);
-    v.op0 = static_cast<double>(bytes) / spec_.copy_issue_bytes_per_cycle;
-    v.payload = static_cast<double>(bytes);
-    if (src == MemScope::kGlobal) {
-      out.kind = op->is_async ? MicroOpKind::kCopyAsyncGlobal
-                              : MicroOpKind::kCopySyncGlobal;
-      double fraction = DramFractionOf(op->src.buffer.get());
-      v.op1 = static_cast<double>(bytes);
-      v.op2 = static_cast<double>(bytes) * fraction;
-      if (fraction > 1e-3) out.flags |= kMicroOpHasDram;
-      // The interpreter's expected-value latency blend, folded per op.
-      v.op3 = spec_.llc_latency_cycles +
-              std::min(fraction, 1.0) *
-                  (spec_.dram_latency_cycles - spec_.llc_latency_cycles);
-    } else {
-      out.kind = op->is_async ? MicroOpKind::kCopyAsyncShared
-                              : MicroOpKind::kCopySyncShared;
-      v.op1 = static_cast<double>(bytes) / lds_rate_;
-      v.op2 = spec_.smem_latency_cycles;
+    const double bytes = static_cast<double>(e.bytes);
+    switch (e.kind) {
+      case EventKind::kFill:
+        out.kind = MicroOpKind::kFill;
+        v.op0 = bytes / 256.0;
+        break;
+      case EventKind::kMma:
+        out.kind = MicroOpKind::kMma;
+        v.op0 = static_cast<double>(e.flops) / tc_rate_;
+        v.payload = static_cast<double>(e.flops);
+        break;
+      case EventKind::kStoreGlobal:
+        out.kind = MicroOpKind::kStoreGlobal;
+        v.op0 = bytes / spec_.copy_issue_bytes_per_cycle;
+        v.op1 = bytes;
+        v.op2 = spec_.dram_latency_cycles;
+        v.payload = bytes;
+        break;
+      case EventKind::kCopyAsync:
+      case EventKind::kCopySync: {
+        const bool async = e.kind == EventKind::kCopyAsync;
+        if (async) CheckGroup(e.group);
+        v.op0 = bytes / spec_.copy_issue_bytes_per_cycle;
+        v.payload = bytes;
+        if (e.src_scope == MemScope::kGlobal) {
+          out.kind = async ? MicroOpKind::kCopyAsyncGlobal
+                           : MicroOpKind::kCopySyncGlobal;
+          double fraction = DramFractionOf(e.src_tensor);
+          v.op1 = bytes;
+          v.op2 = bytes * fraction;
+          if (fraction > 1e-3) out.flags |= kMicroOpHasDram;
+          // The interpreter's expected-value latency blend, folded per op.
+          v.op3 = spec_.llc_latency_cycles +
+                  std::min(fraction, 1.0) *
+                      (spec_.dram_latency_cycles - spec_.llc_latency_cycles);
+        } else {
+          out.kind = async ? MicroOpKind::kCopyAsyncShared
+                           : MicroOpKind::kCopySyncShared;
+          v.op1 = bytes / lds_rate_;
+          v.op2 = spec_.smem_latency_cycles;
+        }
+        break;
+      }
+      case EventKind::kBarrier:
+        out.kind = MicroOpKind::kBarrier;
+        return out;
+      case EventKind::kAcquire:
+        CheckGroup(e.group);
+        out.kind = MicroOpKind::kAcquire;
+        out.aux = static_cast<int32_t>(
+                      program_.groups[static_cast<size_t>(e.group)].stages) -
+                  1;
+        return out;
+      case EventKind::kCommit:
+        CheckGroup(e.group);
+        out.kind = MicroOpKind::kCommit;
+        return out;
+      case EventKind::kWait:
+        CheckGroup(e.group);
+        out.kind = MicroOpKind::kWait;
+        ALCOP_CHECK_GE(e.wait_ahead, 0);
+        ALCOP_CHECK_LT(e.wait_ahead, 256)
+            << "wait_ahead must fit the packed aux byte";
+        out.aux = e.wait_ahead;
+        return out;
+      case EventKind::kRelease:
+        CheckGroup(e.group);
+        out.kind = MicroOpKind::kRelease;
+        return out;
     }
     out.aux = Intern(v);
-    Emit(out);
+    return out;
   }
 
   const target::GpuSpec& spec_;
@@ -291,8 +189,6 @@ class MicroOpCompiler {
   std::vector<std::vector<MicroOp>> warps_;
   double tc_rate_ = 1.0;
   double lds_rate_ = 1.0;
-  std::vector<VarBinding> env_;
-  std::vector<std::pair<int64_t, int64_t>> warp_stack_;  // (extent, value)
 };
 
 }  // namespace

@@ -3,10 +3,10 @@
 // and the event-pool simulator core (desim.h) can replay the flat form
 // thousands of times.
 //
-// The compiler walks the transformed TIR exactly like the per-warp trace
-// builder (trace.h) — same loop flattening, same warp-range broadcast,
-// same byte splitting — but instead of AST-shaped events it emits
-// contiguous MicroOp structs whose operands are *pre-resolved*:
+// The compiler drives the same threadblock walk as the per-warp trace
+// builder (WalkThreadblock in trace.h: loop flattening, warp-range
+// broadcast, byte splitting) and turns each of its events into a
+// contiguous MicroOp whose operands are *pre-resolved*:
 //   - copy issue cycles, LDS service cycles, tensor-core cycles and fill
 //     cycles are divided out against the device rates at compile time
 //     (those rates do not depend on which threadblock wave is replayed);
@@ -107,8 +107,9 @@ struct MicroOp {
 };
 static_assert(sizeof(MicroOp) == 8, "replay footprint depends on packing");
 
-// Pipeline-group metadata carried by the program: FIFO depth, scope, and
-// the per-warp commit count (sizes the replay arena's group slots).
+// One pipeline group as both cores see it: FIFO depth, scope, and the
+// per-warp commit count (filled by the compiler; sizes the replay arena's
+// group slots, unused by the interpreter).
 struct MicroOpGroup {
   int64_t stages = 1;
   bool tb_scope = true;  // shared scope: every warp of the tb participates
@@ -131,17 +132,23 @@ struct MicroOpProgram {
   int64_t TotalOps() const { return static_cast<int64_t>(ops.size()); }
 };
 
+// The kernel-level inputs of both cores: the compiler folds them into the
+// program, the interpreter (DesimParams in desim.h extends this struct)
+// reads them per event.
 struct TraceCompileOptions {
   bool swizzle = true;
+  // TVM-DB modeling: pipeline copies stall their warp like ordinary loads
+  // (double buffering without cp.async hardware).
   bool blocking_async = false;
-  // Pipeline groups by dense id (max_commits is filled by the compiler).
+  // Pipeline groups by dense id.
   std::vector<MicroOpGroup> groups;
-  // Fraction of each global tensor's loads that miss in LLC (default 1.0).
+  // Fraction of each global tensor's loads that miss in LLC and pay DRAM
+  // bandwidth (from the launch-level working-set analysis). Default 1.0.
   std::unordered_map<const ir::BufferNode*, double> dram_fraction;
 };
 
-// Walks the lowered TIR once (blockIdx loops pinned to 0, warp loops
-// broadcast, trip counts evaluated) and emits the flat program.
+// Compiles the threadblock walk of the lowered TIR (trace.h) into the
+// flat program.
 MicroOpProgram CompileTraceProgram(const ir::Stmt& program, int num_warps,
                                    const target::GpuSpec& spec,
                                    const TraceCompileOptions& options);

@@ -21,7 +21,9 @@
 // penalties all emerge here — so that the model-accuracy experiment
 // (Fig. 12) measures a real gap.
 //
-// Two execution cores share these semantics:
+// Two execution cores share these semantics, and everything around them:
+// both are fed by the one threadblock walk (trace.h) and timed by the one
+// launch plan and wave loop (launch.h), so they differ only in the core.
 //   - SimulateBatch interprets a per-warp AST-derived event trace. It is
 //     the reference implementation, kept as the differential-testing
 //     oracle for the bytecode engine.
@@ -38,7 +40,6 @@
 #define ALCOP_SIM_DESIM_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,25 +52,15 @@
 namespace alcop {
 namespace sim {
 
-struct GroupMeta {
-  int64_t stages = 1;
-  bool tb_scope = true;  // shared-memory scope: all warps participate
-};
-
-struct DesimParams {
+// The interpreter's parameters: the kernel-level inputs the trace
+// compiler folds into its program (swizzle, blocking copies, the pipeline
+// group table, DRAM fractions), plus the wave being simulated.
+struct DesimParams : TraceCompileOptions {
   int threadblocks = 1;  // resident threadblocks on the SM
-  bool swizzle = true;
-  // TVM-DB modeling: pipeline copies stall their warp like ordinary loads
-  // (double buffering without cp.async hardware).
-  bool blocking_async = false;
   // SMs actually hosting threadblocks this batch: small grids leave SMs
   // idle, and the active ones receive a proportionally larger slice of the
   // GPU-wide LLC/DRAM bandwidth.
   int active_sms = 0;  // 0 -> spec.num_sms
-  std::vector<GroupMeta> groups;  // indexed by pipeline group id
-  // Fraction of each global tensor's loads that miss in LLC and pay DRAM
-  // bandwidth (from the launch-level working-set analysis). Default 1.0.
-  std::unordered_map<const ir::BufferNode*, double> dram_fraction;
   // When non-null, per-warp execution spans are recorded here (see
   // timeline.h) for visualization.
   Timeline* timeline = nullptr;

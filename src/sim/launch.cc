@@ -87,228 +87,242 @@ TrafficAnalysis AnalyzeTraffic(const GemmOp& op, const ScheduleConfig& config,
   return traffic;
 }
 
-namespace {
-
-// Shared setup of a discrete-event run: occupancy, the per-warp trace,
-// and the simulation parameters (group metadata, traffic fractions).
-struct DesimSetup {
-  bool feasible = false;
-  std::string reason;
-  target::Occupancy occ;
-  ThreadblockTrace trace;
-  DesimParams params;
-};
-
-DesimSetup PrepareDesim(const CompiledKernel& compiled,
-                        const target::GpuSpec& spec) {
-  const LoweredKernel& kernel = compiled.kernel;
-  DesimSetup setup;
-
-  target::ThreadblockResources res =
-      schedule::ComputeResources(kernel.op, kernel.config);
-  setup.occ = target::ComputeOccupancy(spec, res);
-  if (setup.occ.threadblocks_per_sm == 0) {
-    setup.reason = std::string("threadblock does not fit: ") +
-                   target::LimiterName(setup.occ.limiter);
-    return setup;
-  }
-
-  // Build the per-warp event trace once; it is identical for every
-  // threadblock.
-  setup.trace = BuildTrace(compiled.transformed.stmt, kernel.num_warps);
-
-  setup.params.swizzle = kernel.config.swizzle;
-  setup.params.blocking_async = !kernel.config.async_copies;
-  for (const pipeline::PipelineGroupInfo& group : compiled.transformed.groups) {
-    ALCOP_CHECK_EQ(group.id, static_cast<int>(setup.params.groups.size()))
+std::vector<MicroOpGroup> PipelineGroups(
+    const pipeline::TransformResult& transformed) {
+  std::vector<MicroOpGroup> groups;
+  for (const pipeline::PipelineGroupInfo& group : transformed.groups) {
+    ALCOP_CHECK_EQ(group.id, static_cast<int>(groups.size()))
         << "pipeline group ids must be dense";
-    setup.params.groups.push_back(
-        {group.stages, group.scope == ir::MemScope::kShared});
+    groups.push_back({group.stages, group.scope == ir::MemScope::kShared, 0});
   }
-
-  TrafficAnalysis traffic = AnalyzeTraffic(kernel.op, kernel.config, spec,
-                                           setup.occ.threadblocks_per_sm);
-  setup.params.dram_fraction[kernel.a.get()] = traffic.a_dram_fraction;
-  if (kernel.a_ew != nullptr) {
-    setup.params.dram_fraction[kernel.a_ew.get()] = traffic.a_dram_fraction;
-  }
-  setup.params.dram_fraction[kernel.b.get()] = traffic.b_dram_fraction;
-  setup.feasible = true;
-  return setup;
+  return groups;
 }
 
-}  // namespace
+namespace {
 
-KernelTiming InterpretKernel(const CompiledKernel& compiled,
-                             const target::GpuSpec& spec, KernelPmu* pmu) {
-  ALCOP_TRACE_SCOPE("interpret", "sim");
+// Plans the launch of a compiled kernel from its feasibility verdict and
+// fills the kernel-level inputs both cores read (`options`).
+LaunchPlan PlanLaunch(const CompiledKernel& compiled,
+                      const target::GpuSpec& spec,
+                      schedule::StaticFeasibility verdict,
+                      TraceCompileOptions* options) {
   const LoweredKernel& kernel = compiled.kernel;
-  KernelTiming timing;
-
-  DesimSetup setup = PrepareDesim(compiled, spec);
-  if (!setup.feasible) {
-    timing.reason = setup.reason;
-    return timing;
+  LaunchPlan plan;
+  if (!verdict.feasible) {
+    plan.reason = std::move(verdict.reason);
+    return plan;
   }
-  const target::Occupancy& occ = setup.occ;
-  const ThreadblockTrace& trace = setup.trace;
-  DesimParams& params = setup.params;
-  timing.threadblocks_per_sm = occ.threadblocks_per_sm;
+  const target::Occupancy& occ = verdict.occupancy;
 
-  int64_t total_tbs = kernel.TotalThreadblocks();
-  timing.batches = target::NumThreadblockBatches(spec, occ, total_tbs);
-
-  // Simulates a wave of `tbs` threadblocks: each active SM hosts up to the
-  // occupancy complement; small waves leave SMs idle, and the active SMs
-  // then receive a larger slice of the GPU-wide bandwidth.
-  auto simulate_wave = [&](int64_t tbs, PmuCounters* wave_pmu) {
-    DesimParams wave = params;
-    wave.threadblocks = static_cast<int>(std::min<int64_t>(
-        occ.threadblocks_per_sm,
-        (tbs + spec.num_sms - 1) / spec.num_sms));
-    wave.active_sms = static_cast<int>(std::min<int64_t>(
-        spec.num_sms, (tbs + wave.threadblocks - 1) / wave.threadblocks));
-    wave.pmu = wave_pmu;
-    return SimulateBatch(trace, spec, wave);
-  };
-
-  int64_t per_batch =
-      static_cast<int64_t>(occ.threadblocks_per_sm) * spec.num_sms;
-  PmuCounters full_pmu;
-  PmuCounters rem_pmu;
-  bool have_rem = false;
-  double full_batch = simulate_wave(std::min(total_tbs, per_batch),
-                                    pmu != nullptr ? &full_pmu : nullptr);
-  timing.batch_cycles = full_batch;
-
-  double cycles = spec.launch_overhead_cycles;
-  int64_t full_batches = total_tbs / per_batch;
-  int64_t remainder = total_tbs - full_batches * per_batch;
-  cycles += static_cast<double>(full_batches) * full_batch;
-  if (remainder > 0) {
-    cycles += full_batches == 0
-                  ? full_batch
-                  : simulate_wave(remainder,
-                                  pmu != nullptr ? &rem_pmu : nullptr);
-    have_rem = full_batches > 0;
+  options->swizzle = kernel.config.swizzle;
+  options->blocking_async = !kernel.config.async_copies;
+  options->groups = PipelineGroups(compiled.transformed);
+  TrafficAnalysis traffic = AnalyzeTraffic(kernel.op, kernel.config, spec,
+                                           occ.threadblocks_per_sm);
+  options->dram_fraction[kernel.a.get()] = traffic.a_dram_fraction;
+  if (kernel.a_ew != nullptr) {
+    options->dram_fraction[kernel.a_ew.get()] = traffic.a_dram_fraction;
   }
-  if (pmu != nullptr) {
-    ScaleKernelPmu(pmu, full_pmu, have_rem ? &rem_pmu : nullptr,
-                   full_batches);
-    pmu->achieved_occupancy =
-        static_cast<double>(occ.threadblocks_per_sm * kernel.num_warps) /
-        static_cast<double>(spec.max_warps_per_sm);
-  }
+  options->dram_fraction[kernel.b.get()] = traffic.b_dram_fraction;
 
+  plan.feasible = true;
+  plan.num_warps = kernel.num_warps;
+  plan.threadblocks_per_sm = occ.threadblocks_per_sm;
+  plan.num_sms = spec.num_sms;
+  plan.total_threadblocks = kernel.TotalThreadblocks();
+  plan.batches =
+      target::NumThreadblockBatches(spec, occ, plan.total_threadblocks);
+  plan.max_warps_per_sm = spec.max_warps_per_sm;
+  plan.llc_bw_bytes_per_cycle = spec.llc_bw_bytes_per_cycle;
+  plan.dram_bw_bytes_per_cycle = spec.dram_bw_bytes_per_cycle;
+  plan.dram_write_bw_bytes_per_cycle = spec.dram_write_bw_bytes_per_cycle;
+  plan.launch_overhead_cycles = spec.launch_overhead_cycles;
   // Standalone elementwise pass (InlineOrder::kNone): a memory-bound
   // kernel reading and writing the full A tensor.
   if (kernel.has_standalone_ewise) {
-    double ew_bytes =
-        2.0 * static_cast<double>(kernel.op.batch * kernel.op.m * kernel.op.k) * 2.0;
-    cycles += spec.launch_overhead_cycles + ew_bytes / spec.dram_bw_bytes_per_cycle;
+    double ew_bytes = 2.0 *
+                      static_cast<double>(kernel.op.batch * kernel.op.m *
+                                          kernel.op.k) *
+                      2.0;
+    plan.ewise_cycles =
+        spec.launch_overhead_cycles + ew_bytes / spec.dram_bw_bytes_per_cycle;
   }
-
   // Split-K reduction pass: read all fp32 workspace slices, write fp16 C.
   if (kernel.grid_k > 1) {
     double out_elems =
         static_cast<double>(kernel.op.batch * kernel.op.m * kernel.op.n);
     double reduce_bytes =
         out_elems * (4.0 * static_cast<double>(kernel.grid_k) + 2.0);
-    cycles +=
-        spec.launch_overhead_cycles + reduce_bytes / spec.dram_bw_bytes_per_cycle;
+    plan.splitk_cycles = spec.launch_overhead_cycles +
+                         reduce_bytes / spec.dram_bw_bytes_per_cycle;
   }
+  plan.clock_ghz = spec.clock_ghz;
+  plan.flops = kernel.op.Flops();
+  return plan;
+}
+
+schedule::StaticFeasibility VerdictOf(const CompiledKernel& compiled,
+                                      const target::GpuSpec& spec) {
+  return schedule::CheckFeasibility(compiled.kernel.op, compiled.kernel.config,
+                                    spec);
+}
+
+// The wave of `tbs` threadblocks: each active SM hosts up to the
+// occupancy complement.
+WaveShape WaveOf(const LaunchPlan& plan, int64_t tbs) {
+  WaveShape wave;
+  wave.threadblocks = static_cast<int>(std::min<int64_t>(
+      plan.threadblocks_per_sm, (tbs + plan.num_sms - 1) / plan.num_sms));
+  wave.active_sms = static_cast<int>(std::min<int64_t>(
+      plan.num_sms, (tbs + wave.threadblocks - 1) / wave.threadblocks));
+  return wave;
+}
+
+// The one wave loop both cores time a launch with: the full wave, the
+// remainder wave, PMU scaling and achieved occupancy, then the
+// launch-level passes and the µs / TFLOP/s conversion.
+// `run_wave(WaveShape, PmuCounters*, Timeline*)` simulates one wave and
+// returns its makespan; it is the only thing the cores differ in.
+template <typename RunWave>
+KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
+                        RunWave&& run_wave) {
+  KernelTiming timing;
+  if (!plan.feasible) {
+    timing.reason = plan.reason;
+    return timing;
+  }
+  timing.threadblocks_per_sm = plan.threadblocks_per_sm;
+  timing.batches = plan.batches;
+
+  int64_t total_tbs = plan.total_threadblocks;
+  int64_t per_batch =
+      static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
+  PmuCounters full_pmu;
+  PmuCounters rem_pmu;
+  bool have_rem = false;
+  double full_batch = run_wave(FirstWave(plan),
+                               pmu != nullptr ? &full_pmu : nullptr, nullptr);
+  timing.batch_cycles = full_batch;
+
+  double cycles = plan.launch_overhead_cycles;
+  int64_t full_batches = total_tbs / per_batch;
+  int64_t remainder = total_tbs - full_batches * per_batch;
+  cycles += static_cast<double>(full_batches) * full_batch;
+  if (remainder > 0) {
+    cycles += full_batches == 0
+                  ? full_batch
+                  : run_wave(WaveOf(plan, remainder),
+                             pmu != nullptr ? &rem_pmu : nullptr, nullptr);
+    have_rem = full_batches > 0;
+  }
+  if (pmu != nullptr) {
+    ScaleKernelPmu(pmu, full_pmu, have_rem ? &rem_pmu : nullptr,
+                   full_batches);
+    pmu->achieved_occupancy =
+        static_cast<double>(plan.threadblocks_per_sm * plan.num_warps) /
+        static_cast<double>(plan.max_warps_per_sm);
+  }
+  cycles += plan.ewise_cycles;
+  cycles += plan.splitk_cycles;
 
   timing.feasible = true;
   timing.cycles = cycles;
-  timing.microseconds = spec.CyclesToUs(cycles);
+  timing.microseconds = cycles / (plan.clock_ghz * 1e3);
   timing.tflops =
-      static_cast<double>(kernel.op.Flops()) / (timing.microseconds * 1e6);
+      static_cast<double>(plan.flops) / (timing.microseconds * 1e6);
   return timing;
+}
+
+// Records the first wave through `run_wave` for visualization.
+template <typename RunWave>
+BatchTimeline CaptureFirstWave(const LaunchPlan& plan, RunWave&& run_wave) {
+  ALCOP_CHECK(plan.feasible) << "cannot capture timeline: " << plan.reason;
+  BatchTimeline out;
+  out.num_warps = plan.num_warps;
+  WaveShape wave = FirstWave(plan);
+  out.threadblocks = wave.threadblocks;
+  run_wave(wave, nullptr, &out.timeline);
+  return out;
+}
+
+// The reference interpreter's front end for one compiled kernel: its
+// launch plan, its event trace, and SimulateBatch as the per-wave call.
+struct Interpreter {
+  Interpreter(const CompiledKernel& compiled, const target::GpuSpec& spec)
+      : spec(spec), plan(PlanLaunch(compiled, spec, VerdictOf(compiled, spec),
+                                    &params)) {
+    if (plan.feasible) {
+      trace = BuildTrace(compiled.transformed.stmt, plan.num_warps);
+    }
+  }
+
+  double operator()(WaveShape wave, PmuCounters* pmu, Timeline* timeline) {
+    params.threadblocks = wave.threadblocks;
+    params.active_sms = wave.active_sms;
+    params.pmu = pmu;
+    params.timeline = timeline;
+    return SimulateBatch(trace, spec, params);
+  }
+
+  const target::GpuSpec& spec;
+  DesimParams params;  // filled by the plan; declared before it
+  LaunchPlan plan;
+  ThreadblockTrace trace;
+};
+
+// Replay's per-wave call: the wave's bandwidth slices, then ReplayBatch.
+auto ReplayWaves(const SimProgram& program, ReplayArena* arena) {
+  return [&program, arena](WaveShape wave, PmuCounters* pmu,
+                           Timeline* timeline) {
+    ReplayWave replay;
+    replay.threadblocks = wave.threadblocks;
+    replay.llc_rate = program.llc_bw_bytes_per_cycle / wave.active_sms;
+    replay.dram_rate = program.dram_bw_bytes_per_cycle / wave.active_sms;
+    replay.dram_write_rate =
+        program.dram_write_bw_bytes_per_cycle / wave.active_sms;
+    return ReplayBatch(program.program, replay, arena, timeline, pmu);
+  };
+}
+
+SimProgram BuildFromVerdict(const CompiledKernel& compiled,
+                            const target::GpuSpec& spec,
+                            schedule::StaticFeasibility verdict) {
+  ALCOP_TRACE_SCOPE("sim-compile", "sim");
+  SimProgram out;
+  TraceCompileOptions options;
+  static_cast<LaunchPlan&>(out) =
+      PlanLaunch(compiled, spec, std::move(verdict), &options);
+  if (out.feasible) {
+    out.program = CompileTraceProgram(compiled.transformed.stmt,
+                                      out.num_warps, spec, options);
+  }
+  return out;
+}
+
+}  // namespace
+
+WaveShape FirstWave(const LaunchPlan& plan) {
+  int64_t per_batch =
+      static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
+  return WaveOf(plan, std::min(plan.total_threadblocks, per_batch));
+}
+
+KernelTiming InterpretKernel(const CompiledKernel& compiled,
+                             const target::GpuSpec& spec, KernelPmu* pmu) {
+  ALCOP_TRACE_SCOPE("interpret", "sim");
+  Interpreter interpreter(compiled, spec);
+  return TimeLaunch(interpreter.plan, pmu, interpreter);
 }
 
 BatchTimeline CaptureTimelineInterpreted(const CompiledKernel& compiled,
                                          const target::GpuSpec& spec) {
-  DesimSetup setup = PrepareDesim(compiled, spec);
-  ALCOP_CHECK(setup.feasible) << "cannot capture timeline: " << setup.reason;
-
-  BatchTimeline out;
-  out.num_warps = compiled.kernel.num_warps;
-  int64_t total = compiled.kernel.TotalThreadblocks();
-  out.threadblocks = static_cast<int>(std::min<int64_t>(
-      setup.occ.threadblocks_per_sm,
-      (total + spec.num_sms - 1) / spec.num_sms));
-  setup.params.threadblocks = out.threadblocks;
-  setup.params.active_sms = static_cast<int>(std::min<int64_t>(
-      spec.num_sms, (total + out.threadblocks - 1) / out.threadblocks));
-  setup.params.timeline = &out.timeline;
-  SimulateBatch(setup.trace, spec, setup.params);
-  return out;
+  Interpreter interpreter(compiled, spec);
+  return CaptureFirstWave(interpreter.plan, interpreter);
 }
 
 SimProgram BuildSimProgram(const CompiledKernel& compiled,
                            const target::GpuSpec& spec) {
-  ALCOP_TRACE_SCOPE("sim-compile", "sim");
-  const LoweredKernel& kernel = compiled.kernel;
-  SimProgram out;
-
-  schedule::StaticFeasibility verdict =
-      schedule::CheckFeasibility(kernel.op, kernel.config, spec);
-  if (!verdict.feasible) {
-    out.reason = std::move(verdict.reason);
-    return out;
-  }
-  const target::Occupancy& occ = verdict.occupancy;
-
-  TraceCompileOptions options;
-  options.swizzle = kernel.config.swizzle;
-  options.blocking_async = !kernel.config.async_copies;
-  for (const pipeline::PipelineGroupInfo& group : compiled.transformed.groups) {
-    ALCOP_CHECK_EQ(group.id, static_cast<int>(options.groups.size()))
-        << "pipeline group ids must be dense";
-    options.groups.push_back(
-        {group.stages, group.scope == ir::MemScope::kShared, 0});
-  }
-  TrafficAnalysis traffic = AnalyzeTraffic(kernel.op, kernel.config, spec,
-                                           occ.threadblocks_per_sm);
-  options.dram_fraction[kernel.a.get()] = traffic.a_dram_fraction;
-  if (kernel.a_ew != nullptr) {
-    options.dram_fraction[kernel.a_ew.get()] = traffic.a_dram_fraction;
-  }
-  options.dram_fraction[kernel.b.get()] = traffic.b_dram_fraction;
-
-  out.program = CompileTraceProgram(compiled.transformed.stmt,
-                                    kernel.num_warps, spec, options);
-  out.num_warps = kernel.num_warps;
-  out.threadblocks_per_sm = occ.threadblocks_per_sm;
-  out.num_sms = spec.num_sms;
-  out.total_threadblocks = kernel.TotalThreadblocks();
-  out.batches =
-      target::NumThreadblockBatches(spec, occ, out.total_threadblocks);
-  out.max_warps_per_sm = spec.max_warps_per_sm;
-  out.llc_bw_bytes_per_cycle = spec.llc_bw_bytes_per_cycle;
-  out.dram_bw_bytes_per_cycle = spec.dram_bw_bytes_per_cycle;
-  out.dram_write_bw_bytes_per_cycle = spec.dram_write_bw_bytes_per_cycle;
-  out.launch_overhead_cycles = spec.launch_overhead_cycles;
-  if (kernel.has_standalone_ewise) {
-    out.has_ewise = true;
-    double ew_bytes =
-        2.0 * static_cast<double>(kernel.op.batch * kernel.op.m * kernel.op.k) * 2.0;
-    out.ewise_cycles =
-        spec.launch_overhead_cycles + ew_bytes / spec.dram_bw_bytes_per_cycle;
-  }
-  if (kernel.grid_k > 1) {
-    out.has_splitk = true;
-    double out_elems =
-        static_cast<double>(kernel.op.batch * kernel.op.m * kernel.op.n);
-    double reduce_bytes =
-        out_elems * (4.0 * static_cast<double>(kernel.grid_k) + 2.0);
-    out.splitk_cycles =
-        spec.launch_overhead_cycles + reduce_bytes / spec.dram_bw_bytes_per_cycle;
-  }
-  out.clock_ghz = spec.clock_ghz;
-  out.flops = kernel.op.Flops();
-  out.feasible = true;
-  return out;
+  return BuildFromVerdict(compiled, spec, VerdictOf(compiled, spec));
 }
 
 SimProgram CompileSimProgram(const GemmOp& op, const ScheduleConfig& config,
@@ -321,27 +335,9 @@ SimProgram CompileSimProgram(const GemmOp& op, const ScheduleConfig& config,
     out.reason = std::move(verdict.reason);
     return out;
   }
-  return BuildSimProgram(CompileKernel(op, config, spec, inline_order), spec);
+  return BuildFromVerdict(CompileKernel(op, config, spec, inline_order), spec,
+                          std::move(verdict));
 }
-
-namespace {
-
-// Wave geometry + bandwidth slices for `tbs` threadblocks — the same
-// expressions the interpreter path evaluates, for bit-identical results.
-ReplayWave WaveFor(const SimProgram& program, int64_t tbs) {
-  ReplayWave wave;
-  wave.threadblocks = static_cast<int>(std::min<int64_t>(
-      program.threadblocks_per_sm,
-      (tbs + program.num_sms - 1) / program.num_sms));
-  int active_sms = static_cast<int>(std::min<int64_t>(
-      program.num_sms, (tbs + wave.threadblocks - 1) / wave.threadblocks));
-  wave.llc_rate = program.llc_bw_bytes_per_cycle / active_sms;
-  wave.dram_rate = program.dram_bw_bytes_per_cycle / active_sms;
-  wave.dram_write_rate = program.dram_write_bw_bytes_per_cycle / active_sms;
-  return wave;
-}
-
-}  // namespace
 
 KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
                               KernelPmu* pmu) {
@@ -350,66 +346,11 @@ KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
   // tests/obs_test.cc); enabled, it records host wall time but never
   // touches simulated cycles.
   ALCOP_TRACE_SCOPE("replay", "sim");
-  KernelTiming timing;
-  if (!program.feasible) {
-    timing.reason = program.reason;
-    return timing;
-  }
-  timing.threadblocks_per_sm = program.threadblocks_per_sm;
-  timing.batches = program.batches;
-
-  int64_t total_tbs = program.total_threadblocks;
-  int64_t per_batch = static_cast<int64_t>(program.threadblocks_per_sm) *
-                      program.num_sms;
-  auto replay_wave = [&](int64_t tbs, PmuCounters* wave_pmu) {
-    return ReplayBatch(program.program, WaveFor(program, tbs), arena,
-                       nullptr, wave_pmu);
-  };
-  PmuCounters full_pmu;
-  PmuCounters rem_pmu;
-  bool have_rem = false;
-  double full_batch = replay_wave(std::min(total_tbs, per_batch),
-                                  pmu != nullptr ? &full_pmu : nullptr);
-  timing.batch_cycles = full_batch;
-
-  double cycles = program.launch_overhead_cycles;
-  int64_t full_batches = total_tbs / per_batch;
-  int64_t remainder = total_tbs - full_batches * per_batch;
-  cycles += static_cast<double>(full_batches) * full_batch;
-  if (remainder > 0) {
-    cycles += full_batches == 0
-                  ? full_batch
-                  : replay_wave(remainder,
-                                pmu != nullptr ? &rem_pmu : nullptr);
-    have_rem = full_batches > 0;
-  }
-  if (pmu != nullptr) {
-    ScaleKernelPmu(pmu, full_pmu, have_rem ? &rem_pmu : nullptr,
-                   full_batches);
-    pmu->achieved_occupancy =
-        static_cast<double>(program.threadblocks_per_sm * program.num_warps) /
-        static_cast<double>(program.max_warps_per_sm);
-  }
-  if (program.has_ewise) cycles += program.ewise_cycles;
-  if (program.has_splitk) cycles += program.splitk_cycles;
-
-  timing.feasible = true;
-  timing.cycles = cycles;
-  timing.microseconds = cycles / (program.clock_ghz * 1e3);
-  timing.tflops =
-      static_cast<double>(program.flops) / (timing.microseconds * 1e6);
-  return timing;
+  return TimeLaunch(program, pmu, ReplayWaves(program, arena));
 }
 
 BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena) {
-  ALCOP_CHECK(program.feasible)
-      << "cannot capture timeline: " << program.reason;
-  BatchTimeline out;
-  out.num_warps = program.num_warps;
-  ReplayWave wave = WaveFor(program, program.total_threadblocks);
-  out.threadblocks = wave.threadblocks;
-  ReplayBatch(program.program, wave, arena, &out.timeline);
-  return out;
+  return CaptureFirstWave(program, ReplayWaves(program, arena));
 }
 
 namespace {

@@ -1,10 +1,13 @@
-// Kernel-level simulation: occupancy, threadblock batching, the LLC
-// working-set analysis, and the end-to-end compile+simulate helper that
-// the tuner and benchmarks use as their "measurement".
+// Kernel-level simulation: one launch plan per kernel (occupancy,
+// threadblock batching, the LLC working-set analysis, launch-level passes),
+// the one wave loop both simulator cores are timed by, and the end-to-end
+// compile+simulate helper that the tuner and benchmarks use as their
+// "measurement".
 #ifndef ALCOP_SIM_LAUNCH_H_
 #define ALCOP_SIM_LAUNCH_H_
 
 #include <string>
+#include <vector>
 
 #include "pipeline/detect.h"
 #include "pipeline/transform.h"
@@ -46,24 +49,34 @@ CompiledKernel CompileKernel(
 // Two-phase measurement pipeline.
 //
 // Phase 1 (BuildSimProgram / CompileSimProgram) pays the per-schedule work
-// once: the feasibility verdict (schedule::CheckFeasibility), the LLC
-// working-set analysis, and one walk of the lowered TIR that compiles it
-// into a flat micro-op program (sim/compile.h) with every wave-independent
-// operand pre-resolved. Phase 2 (ReplaySimProgram) replays that program
-// through the event-pool core for each threadblock wave — no IR, no spec,
-// no allocation when the caller's ReplayArena is warm. Every compile, tune
-// and alcopd request measures through these two calls (via the sim cache);
-// the classic single-phase entry points below are thin wrappers over them.
+// once: the feasibility verdict (schedule::CheckFeasibility), the launch
+// plan built from it (occupancy, batches, pipeline groups, the LLC
+// working-set analysis, launch-level passes), and one walk of the lowered
+// TIR that compiles it into a flat micro-op program (sim/compile.h) with
+// every wave-independent operand pre-resolved. Phase 2 (ReplaySimProgram)
+// replays that program through the event-pool core for each threadblock
+// wave — no IR, no spec, no allocation when the caller's ReplayArena is
+// warm. Every compile, tune and alcopd request measures through these two
+// calls (via the sim cache); the classic single-phase entry points below
+// are thin wrappers over them.
+//
+// The reference interpreter (InterpretKernel, CaptureTimelineInterpreted)
+// shares everything but the core: the same launch plan, the same
+// threadblock walk (sim/trace.h) and the same wave loop, with SimulateBatch
+// over the event trace where replay calls ReplayBatch.
 // ---------------------------------------------------------------------------
 
-// A schedule compiled for measurement: the micro-op program plus every
-// launch-level constant replay needs, baked so phase 2 never touches the
-// kernel IR or the device spec again.
-struct SimProgram {
+// The pipeline-group table both cores read, indexed by the transform's
+// dense group ids.
+std::vector<MicroOpGroup> PipelineGroups(
+    const pipeline::TransformResult& transformed);
+
+// The launch of one kernel on one device, planned once from its
+// feasibility verdict: every launch-level constant the wave loop needs, so
+// phase 2 never touches the kernel IR or the device spec again.
+struct LaunchPlan {
   bool feasible = false;
   std::string reason;  // why infeasible (validation or occupancy)
-
-  MicroOpProgram program;
   int num_warps = 1;
 
   // Launch geometry.
@@ -74,30 +87,46 @@ struct SimProgram {
   // Spec's per-SM warp capacity (for the PMU's achieved-occupancy ratio).
   int max_warps_per_sm = 64;
 
-  // GPU-wide bandwidths; replay divides by the wave's active SM count.
+  // GPU-wide bandwidths; a wave divides them by its active SM count.
   double llc_bw_bytes_per_cycle = 1.0;
   double dram_bw_bytes_per_cycle = 1.0;
   double dram_write_bw_bytes_per_cycle = 1.0;
 
-  // Launch-level cycle constants (each already includes its own launch
-  // overhead where applicable) and the clock for cycle -> time conversion.
+  // Launch-level cycle constants (each pass includes its own launch
+  // overhead and is 0 when the kernel has no such pass) and the clock for
+  // cycle -> time conversion.
   double launch_overhead_cycles = 0.0;
-  bool has_ewise = false;
-  double ewise_cycles = 0.0;  // standalone elementwise pass
-  bool has_splitk = false;
+  double ewise_cycles = 0.0;   // standalone elementwise pass
   double splitk_cycles = 0.0;  // split-K reduction pass
   double clock_ghz = 1.0;
   int64_t flops = 0;
+};
+
+// One threadblock wave: the threadblocks each active SM hosts, and how
+// many SMs are active (small waves leave SMs idle, and the active ones
+// receive a larger slice of the GPU-wide bandwidth).
+struct WaveShape {
+  int threadblocks = 1;
+  int active_sms = 1;
+};
+
+// The launch's first, steady-state wave (the one timelines record).
+WaveShape FirstWave(const LaunchPlan& plan);
+
+// A schedule compiled for measurement: its launch plan plus the micro-op
+// program.
+struct SimProgram : LaunchPlan {
+  MicroOpProgram program;
 };
 
 // Phase 1 from an already compiled kernel.
 SimProgram BuildSimProgram(const CompiledKernel& compiled,
                            const target::GpuSpec& spec);
 
-// Phase 1 from scratch: schedule::CheckFeasibility, then CompileKernel +
-// BuildSimProgram. Returns an infeasible program (instead of throwing)
-// when the config does not validate or does not fit the device, without
-// lowering or pipelining the kernel.
+// Phase 1 from scratch: schedule::CheckFeasibility, then CompileKernel and
+// the plan built from that one verdict. Returns an infeasible program
+// (instead of throwing) when the config does not validate or does not fit
+// the device, without lowering or pipelining the kernel.
 SimProgram CompileSimProgram(
     const schedule::GemmOp& op, const schedule::ScheduleConfig& config,
     const target::GpuSpec& spec,
@@ -128,9 +157,10 @@ KernelTiming CompileAndSimulate(
         schedule::InlineOrder::kAfterPipelining);
 
 // Reference path: simulates by interpreting the AST-derived event trace
-// (sim/trace.h). Kept as the differential-testing oracle for the bytecode
-// replay; must produce bit-identical KernelTiming — and, when `pmu` is
-// non-null, a bit-identical KernelPmu.
+// (sim/trace.h) through the same plan and wave loop as replay. Kept as the
+// differential-testing oracle for the bytecode core; must produce
+// bit-identical KernelTiming — and, when `pmu` is non-null, a
+// bit-identical KernelPmu.
 KernelTiming InterpretKernel(const CompiledKernel& compiled,
                              const target::GpuSpec& spec,
                              KernelPmu* pmu = nullptr);

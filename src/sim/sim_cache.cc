@@ -107,11 +107,6 @@ Cache& GlobalCache() {
   return *cache;
 }
 
-ReplayArena& CacheThreadArena() {
-  thread_local ReplayArena arena;
-  return arena;
-}
-
 // Answers a lookup from the map, counting a hit and marking the entry
 // most recently used. Caller holds the cache mutex.
 bool Lookup(Cache& cache, const std::string& key, KernelTiming* out) {
@@ -220,9 +215,8 @@ KernelTiming CachedCompileAndSimulate(const schedule::GemmOp& op,
   }
   // Compile and replay outside the lock so concurrent misses do not
   // serialize the expensive work; the program is dropped after its one
-  // replay.
-  timing = ReplaySimProgram(CompileSimProgram(op, config, spec, inline_order),
-                            &CacheThreadArena());
+  // replay through the thread's published arena (`sim.arena.bytes`).
+  timing = CompileAndSimulate(op, config, spec, inline_order);
   std::lock_guard<std::mutex> lock(cache.mu);
   // The miss is counted where the map changes, under the same lock, so a
   // concurrent stats snapshot never sees an entry without its miss.

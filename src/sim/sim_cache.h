@@ -10,11 +10,11 @@
 //   op(family, batch, m, n, k, producer, epilogue) |
 //   ScheduleConfig::ToString() | InlineOrder | every GpuSpec rate/limit
 //
-// with every double printed round-trip exact (%.17g). A miss compiles the
-// triple (CompileSimProgram), replays the program once through a
-// thread-local arena and drops it: every consumer — the tuner, the
-// benches and alcopd's compile — reads only the timing, so compiled
-// programs are never kept.
+// with every double printed round-trip exact (%.17g). A miss is one
+// CompileAndSimulate: it compiles the triple, replays the program once
+// through the thread's pooled arena (the one `sim.arena.bytes` counts)
+// and drops it. Every consumer — the tuner, the benches and alcopd's
+// compile — reads only the timing, so compiled programs are never kept.
 //
 // The cache is thread-safe behind one mutex. Compiles and replays run
 // outside it: concurrent misses on the same key may both compile (the

@@ -1,171 +1,21 @@
 #include "sim/trace.h"
 
-#include "support/check.h"
-
 namespace alcop {
 namespace sim {
 
-using namespace alcop::ir;  // NOLINT(build/namespaces) - interpreter
-
-namespace {
-
-class TraceBuilder {
- public:
-  explicit TraceBuilder(int num_warps) {
-    trace_.num_warps = num_warps;
-    trace_.warps.resize(static_cast<size_t>(num_warps));
-  }
-
-  ThreadblockTrace Build(const Stmt& program) {
-    Walk(program);
-    return std::move(trace_);
-  }
-
- private:
-  // Warps the current statement context addresses: the flattened range
-  // covered by the enclosing warp-loop bindings.
-  struct WarpRange {
-    int begin;
-    int end;  // exclusive
-    int Count() const { return end - begin; }
-  };
-
-  WarpRange CurrentWarps() const {
-    int prod = 1;
-    int fold = 0;
-    for (const auto& [extent, value] : warp_stack_) {
-      prod *= static_cast<int>(extent);
-      fold = fold * static_cast<int>(extent) + static_cast<int>(value);
-    }
-    ALCOP_CHECK_EQ(trace_.num_warps % prod, 0)
-        << "warp loop nest does not evenly cover the threadblock's warps";
-    int span = trace_.num_warps / prod;
-    return {fold * span, (fold + 1) * span};
-  }
-
-  void Emit(TraceEvent event, bool split_bytes) {
-    WarpRange range = CurrentWarps();
-    if (split_bytes && range.Count() > 1) {
-      event.bytes /= range.Count();
-    }
-    for (int w = range.begin; w < range.end; ++w) {
-      trace_.warps[static_cast<size_t>(w)].events.push_back(event);
-    }
-  }
-
-  void Walk(const Stmt& s) {
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const Stmt& child : static_cast<const BlockNode*>(s.get())->seq) {
-          Walk(child);
-        }
-        return;
-      case StmtKind::kPragma:
-        Walk(static_cast<const PragmaNode*>(s.get())->body);
-        return;
-      case StmtKind::kAlloc:
-        return;
-      case StmtKind::kFor: {
-        const auto* op = static_cast<const ForNode*>(s.get());
-        int64_t extent = Evaluate(op->extent, env_);
-        if (op->for_kind == ForKind::kBlockIdx) {
-          // One representative threadblock: all blocks run the same trace.
-          env_.push_back({op->var.get(), 0});
-          Walk(op->body);
-          env_.pop_back();
-          return;
-        }
-        bool is_warp = op->for_kind == ForKind::kWarp;
-        for (int64_t i = 0; i < extent; ++i) {
-          env_.push_back({op->var.get(), i});
-          if (is_warp) warp_stack_.emplace_back(extent, i);
-          Walk(op->body);
-          if (is_warp) warp_stack_.pop_back();
-          env_.pop_back();
-        }
-        return;
-      }
-      case StmtKind::kIfThenElse: {
-        const auto* op = static_cast<const IfThenElseNode*>(s.get());
-        if (Evaluate(op->cond, env_) != 0) {
-          Walk(op->then_case);
-        } else if (op->else_case != nullptr) {
-          Walk(op->else_case);
-        }
-        return;
-      }
-      case StmtKind::kCopy: {
-        const auto* op = static_cast<const CopyNode*>(s.get());
-        MemScope src = op->src.buffer->scope;
-        MemScope dst = op->dst.buffer->scope;
-        if (src == MemScope::kGlobal && dst == MemScope::kGlobal) {
-          return;  // standalone elementwise pass, charged at launch level
-        }
-        TraceEvent event;
-        event.src_scope = src;
-        event.dst_scope = dst;
-        if (dst == MemScope::kGlobal) {
-          event.kind = EventKind::kStoreGlobal;
-          event.bytes = op->dst.NumBytes();
-          Emit(event, /*split_bytes=*/true);
-          return;
-        }
-        event.kind = op->is_async ? EventKind::kCopyAsync : EventKind::kCopySync;
-        event.bytes = op->src.NumElements() * op->dst.buffer->elem_bytes;
-        event.group = op->pipeline_group;
-        if (src == MemScope::kGlobal) {
-          event.src_tensor = op->src.buffer.get();
-        }
-        Emit(event, /*split_bytes=*/true);
-        return;
-      }
-      case StmtKind::kFill: {
-        const auto* op = static_cast<const FillNode*>(s.get());
-        TraceEvent event;
-        event.kind = EventKind::kFill;
-        event.bytes = op->dst.NumBytes();
-        Emit(event, /*split_bytes=*/false);
-        return;
-      }
-      case StmtKind::kMma: {
-        const auto* op = static_cast<const MmaNode*>(s.get());
-        TraceEvent event;
-        event.kind = EventKind::kMma;
-        event.flops = op->Flops();
-        Emit(event, /*split_bytes=*/false);
-        return;
-      }
-      case StmtKind::kSync: {
-        const auto* op = static_cast<const SyncNode*>(s.get());
-        TraceEvent event;
-        event.group = op->group;
-        switch (op->sync_kind) {
-          case SyncKind::kBarrier: event.kind = EventKind::kBarrier; break;
-          case SyncKind::kProducerAcquire: event.kind = EventKind::kAcquire; break;
-          case SyncKind::kProducerCommit: event.kind = EventKind::kCommit; break;
-          case SyncKind::kConsumerWait:
-            event.kind = EventKind::kWait;
-            event.wait_ahead = op->wait_ahead;
-            break;
-          case SyncKind::kConsumerRelease: event.kind = EventKind::kRelease; break;
-        }
-        Emit(event, /*split_bytes=*/false);
-        return;
-      }
-    }
-    ALCOP_CHECK(false) << "unhandled statement in trace builder";
-  }
-
-  ThreadblockTrace trace_;
-  std::vector<VarBinding> env_;
-  std::vector<std::pair<int64_t, int64_t>> warp_stack_;  // (extent, value)
-};
-
-}  // namespace
-
-ThreadblockTrace BuildTrace(const Stmt& program, int num_warps) {
+ThreadblockTrace BuildTrace(const ir::Stmt& program, int num_warps) {
   ALCOP_CHECK_GT(num_warps, 0);
-  return TraceBuilder(num_warps).Build(program);
+  ThreadblockTrace trace;
+  trace.num_warps = num_warps;
+  trace.warps.resize(static_cast<size_t>(num_warps));
+  WalkThreadblock(program, num_warps,
+                  [&trace](const TraceEvent& event, WarpRange warps) {
+                    for (int w = warps.begin; w < warps.end; ++w) {
+                      trace.warps[static_cast<size_t>(w)].events.push_back(
+                          event);
+                    }
+                  });
+  return trace;
 }
 
 }  // namespace sim

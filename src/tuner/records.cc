@@ -1,7 +1,6 @@
 #include "tuner/records.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -15,96 +14,6 @@ std::string OpKey(const schedule::GemmOp& op) {
   key << schedule::OpFamilyName(op.family) << "/" << op.batch << "/" << op.m
       << "x" << op.n << "x" << op.k;
   return key.str();
-}
-
-std::string ToJsonLine(const TuningRecord& record) {
-  const schedule::TileConfig& t = record.config.tile;
-  std::ostringstream out;
-  out.precision(17);  // doubles round-trip exactly
-  out << "{\"op\":\"" << record.op_key << "\",\"tb\":[" << t.tb_m << ","
-      << t.tb_n << "," << t.tb_k << "],\"warp\":[" << t.warp_m << ","
-      << t.warp_n << "," << t.warp_k << "],\"smem\":"
-      << record.config.smem_stages << ",\"reg\":" << record.config.reg_stages
-      << ",\"split_k\":" << record.config.split_k
-      << ",\"fusion\":" << (record.config.inner_fusion ? 1 : 0)
-      << ",\"swizzle\":" << (record.config.swizzle ? 1 : 0)
-      << ",\"cycles\":" << record.cycles << "}";
-  return out.str();
-}
-
-namespace {
-
-// Minimal scanner for the fixed record grammar above.
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : text_(text) {}
-
-  bool Literal(const std::string& expected) {
-    if (text_.compare(pos_, expected.size(), expected) != 0) return false;
-    pos_ += expected.size();
-    return true;
-  }
-
-  bool String(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    size_t end = text_.find('"', pos_ + 1);
-    if (end == std::string::npos) return false;
-    *out = text_.substr(pos_ + 1, end - pos_ - 1);
-    pos_ = end + 1;
-    return true;
-  }
-
-  bool Number(double* out) {
-    size_t consumed = 0;
-    try {
-      *out = std::stod(text_.substr(pos_), &consumed);
-    } catch (...) {
-      return false;
-    }
-    if (consumed == 0) return false;
-    pos_ += consumed;
-    return true;
-  }
-
-  bool Int(int64_t* out) {
-    double value = 0;
-    if (!Number(&value)) return false;
-    *out = static_cast<int64_t>(value);
-    return true;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<TuningRecord> FromJsonLine(const std::string& line) {
-  TuningRecord record;
-  Scanner scan(line);
-  schedule::TileConfig& t = record.config.tile;
-  int64_t smem = 0, reg = 0, split_k = 0, fusion = 0, swizzle = 0;
-  bool ok = scan.Literal("{\"op\":") && scan.String(&record.op_key) &&
-            scan.Literal(",\"tb\":[") && scan.Int(&t.tb_m) &&
-            scan.Literal(",") && scan.Int(&t.tb_n) && scan.Literal(",") &&
-            scan.Int(&t.tb_k) && scan.Literal("],\"warp\":[") &&
-            scan.Int(&t.warp_m) && scan.Literal(",") && scan.Int(&t.warp_n) &&
-            scan.Literal(",") && scan.Int(&t.warp_k) &&
-            scan.Literal("],\"smem\":") && scan.Int(&smem) &&
-            scan.Literal(",\"reg\":") && scan.Int(&reg) &&
-            scan.Literal(",\"split_k\":") && scan.Int(&split_k) &&
-            scan.Literal(",\"fusion\":") && scan.Int(&fusion) &&
-            scan.Literal(",\"swizzle\":") && scan.Int(&swizzle) &&
-            scan.Literal(",\"cycles\":") && scan.Number(&record.cycles) &&
-            scan.Literal("}");
-  if (!ok) return std::nullopt;
-  record.config.smem_stages = static_cast<int>(smem);
-  record.config.reg_stages = static_cast<int>(reg);
-  record.config.split_k = static_cast<int>(split_k);
-  record.config.inner_fusion = fusion != 0;
-  record.config.swizzle = swizzle != 0;
-  return record;
 }
 
 std::optional<StoredTrial> StoredTuning::Best() const {
@@ -149,45 +58,6 @@ size_t TuningStore::Size() const {
 void TuningStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
-}
-
-void RecordLog::Append(TuningRecord record) {
-  records_.push_back(std::move(record));
-}
-
-RecordLog RecordLog::Parse(const std::string& text, int* skipped) {
-  RecordLog log;
-  int bad = 0;
-  std::istringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.empty()) continue;
-    std::optional<TuningRecord> record = FromJsonLine(line);
-    if (record.has_value()) {
-      log.records_.push_back(std::move(*record));
-    } else {
-      ++bad;
-    }
-  }
-  if (skipped != nullptr) *skipped = bad;
-  return log;
-}
-
-std::string RecordLog::Serialize() const {
-  std::ostringstream out;
-  for (const TuningRecord& record : records_) {
-    out << ToJsonLine(record) << "\n";
-  }
-  return out.str();
-}
-
-std::optional<TuningRecord> RecordLog::Best(const std::string& op_key) const {
-  std::optional<TuningRecord> best;
-  for (const TuningRecord& record : records_) {
-    if (record.op_key != op_key) continue;
-    if (!best.has_value() || record.cycles < best->cycles) best = record;
-  }
-  return best;
 }
 
 }  // namespace tuner

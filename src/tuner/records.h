@@ -1,7 +1,7 @@
-// Tuning-record persistence, in the spirit of AutoTVM's log files: one
-// JSON line per measured (operator, schedule, cycles) triple, so tuning
-// results survive across runs and the best known schedule for a workload
-// can be re-applied without re-searching.
+// Tuning records: the canonical workload key and the process-wide store
+// of completed tunings, so the best known schedule for a workload can be
+// re-applied without re-searching (serving/persist.h saves the store
+// across runs).
 #ifndef ALCOP_TUNER_RECORDS_H_
 #define ALCOP_TUNER_RECORDS_H_
 
@@ -19,21 +19,6 @@ namespace tuner {
 // Canonical workload key: family, batch and problem sizes (everything the
 // schedule space depends on).
 std::string OpKey(const schedule::GemmOp& op);
-
-struct TuningRecord {
-  std::string op_key;
-  schedule::ScheduleConfig config;
-  double cycles = 0.0;
-};
-
-// One-line JSON serialization, e.g.
-// {"op":"matmul/1/512x768x3072","tb":[128,64,32],"warp":[64,32,16],
-//  "smem":3,"reg":2,"split_k":1,"fusion":1,"swizzle":1,"cycles":27432}
-std::string ToJsonLine(const TuningRecord& record);
-
-// Parses one line; returns nullopt on malformed input (callers skip bad
-// lines, as AutoTVM does, so a corrupt entry cannot poison a whole log).
-std::optional<TuningRecord> FromJsonLine(const std::string& line);
 
 // A completed search worth remembering: the workload, its canonical
 // feature signature (CanonicalSignature — the warm-start distance key),
@@ -74,26 +59,6 @@ class TuningStore {
  private:
   mutable std::mutex mu_;
   std::map<std::string, StoredTuning> map_;
-};
-
-// An append-only in-memory log with text round-tripping.
-class RecordLog {
- public:
-  void Append(TuningRecord record);
-
-  // Parses a whole log (newline separated); malformed lines are skipped
-  // and counted.
-  static RecordLog Parse(const std::string& text, int* skipped = nullptr);
-
-  std::string Serialize() const;
-
-  // Best (lowest-cycles) record for a workload, if any.
-  std::optional<TuningRecord> Best(const std::string& op_key) const;
-
-  const std::vector<TuningRecord>& records() const { return records_; }
-
- private:
-  std::vector<TuningRecord> records_;
 };
 
 }  // namespace tuner

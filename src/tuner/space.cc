@@ -16,22 +16,8 @@ SpaceOptions SpaceOptions::NoPipelining() {
   return options;
 }
 
-SpaceOptions SpaceOptions::DoubleBufferingOnly() {
-  SpaceOptions options;
-  options.smem_stages = {1, 2};
-  options.reg_stages = {1};
-  return options;
-}
-
 SpaceOptions SpaceOptions::SharedPipeliningOnly() {
   SpaceOptions options;
-  options.reg_stages = {1};
-  return options;
-}
-
-SpaceOptions SpaceOptions::TwoStageSharedOnly() {
-  SpaceOptions options;
-  options.smem_stages = {1, 2};
   options.reg_stages = {1};
   return options;
 }

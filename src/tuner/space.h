@@ -53,9 +53,7 @@ struct SpaceOptions {
 
   // Restrictions used by the ablation variants of the paper's Fig. 10.
   static SpaceOptions NoPipelining();           // TVM baseline
-  static SpaceOptions DoubleBufferingOnly();    // TVM + manual double buffer
   static SpaceOptions SharedPipeliningOnly();   // ALCOP w/o multi-level
-  static SpaceOptions TwoStageSharedOnly();     // ALCOP w/o ML and MS
 };
 
 // All valid configurations of `options` for `op`, in deterministic

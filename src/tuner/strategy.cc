@@ -277,62 +277,73 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
     }
   };
 
+  // Measures one batch of space indices and records it: its proposed and
+  // measured events, the tuner.trials counter, and the result. `predicted`
+  // holds the whole-space model scores, empty when the batch was not
+  // model-guided.
+  static obs::Counter& trials = obs::Registry::Global().GetCounter(
+      "tuner.trials", "Schedule configs measured by the tuner.");
+  auto measure = [&](const std::vector<size_t>& indices, int round_number,
+                     const std::vector<double>& predicted) {
+    if (options.logger) {
+      for (size_t i = 0; i < indices.size(); ++i) {
+        TrialEvent event;
+        event.kind = TrialEvent::Kind::kProposed;
+        event.round = round_number;
+        event.trial = result.trials.size() + i;
+        event.space_index = indices[i];
+        event.config = task.space[indices[i]].ToString();
+        event.predicted_score =
+            predicted.empty() ? std::numeric_limits<double>::quiet_NaN()
+                              : predicted[indices[i]];
+        event.analytical_cycles = perfmodel::PredictCycles(
+            task.op, task.space[indices[i]], task.spec);
+        options.logger(event);
+      }
+    }
+    std::vector<double> cycles =
+        support::ParallelMap(indices.size(), [&](size_t i) {
+          return task.measure(task.space[indices[i]]);
+        });
+    trials.Add(indices.size());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      if (options.logger) {
+        TrialEvent event;
+        event.kind = TrialEvent::Kind::kMeasured;
+        event.round = round_number;
+        event.trial = result.trials.size();
+        event.space_index = indices[i];
+        event.measured_cycles = cycles[i];
+        options.logger(event);
+      }
+      result.trials.push_back(indices[i]);
+      result.measured.push_back(cycles[i]);
+      measured_set.insert(indices[i]);
+    }
+  };
+
   if (options.pretrain_with_analytical) refit(-1);  // prior knowledge only
 
-  // Warm-start seeds: measured as one batch before the first proposal
-  // round. They consume trial budget like any other batch, and the refit
-  // below means the main loop starts model-guided instead of from the
-  // cold-start random round.
-  if (!options.warm_seeds.empty()) {
-    std::vector<size_t> seeds;
-    for (size_t index : options.warm_seeds) {
-      if (index >= task.space.size()) continue;
-      if (measured_set.count(index) != 0) continue;
-      if (seeds.size() >= max_trials) break;
-      if (std::find(seeds.begin(), seeds.end(), index) != seeds.end()) {
-        continue;
-      }
-      seeds.push_back(index);
+  // Warm-start seeds: measured as one batch (round -1) before the first
+  // proposal round. They consume trial budget like any other batch, and
+  // the refit below means the main loop starts model-guided instead of
+  // from the cold-start random round.
+  std::vector<size_t> seeds;
+  for (size_t index : options.warm_seeds) {
+    if (index >= task.space.size()) continue;
+    if (seeds.size() >= max_trials) break;
+    if (std::find(seeds.begin(), seeds.end(), index) != seeds.end()) {
+      continue;
     }
-    if (!seeds.empty()) {
-      if (options.logger) {
-        for (size_t i = 0; i < seeds.size(); ++i) {
-          TrialEvent event;
-          event.kind = TrialEvent::Kind::kProposed;
-          event.round = -1;
-          event.trial = result.trials.size() + i;
-          event.space_index = seeds[i];
-          event.config = task.space[seeds[i]].ToString();
-          event.predicted_score = std::numeric_limits<double>::quiet_NaN();
-          event.analytical_cycles =
-              perfmodel::PredictCycles(task.op, task.space[seeds[i]], task.spec);
-          options.logger(event);
-        }
-      }
-      std::vector<double> seed_cycles = support::ParallelMap(
-          seeds.size(), [&](size_t i) { return task.measure(task.space[seeds[i]]); });
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        if (options.logger) {
-          TrialEvent event;
-          event.kind = TrialEvent::Kind::kMeasured;
-          event.round = -1;
-          event.trial = result.trials.size();
-          event.space_index = seeds[i];
-          event.measured_cycles = seed_cycles[i];
-          options.logger(event);
-        }
-        result.trials.push_back(seeds[i]);
-        result.measured.push_back(seed_cycles[i]);
-        measured_set.insert(seeds[i]);
-      }
-      refit(-1);
-    }
+    seeds.push_back(index);
+  }
+  if (!seeds.empty()) {
+    measure(seeds, -1, {});
+    refit(-1);
   }
 
   static obs::Counter& rounds = obs::Registry::Global().GetCounter(
       "tuner.rounds", "Search rounds executed by the XGB tuner.");
-  static obs::Counter& trials = obs::Registry::Global().GetCounter(
-      "tuner.trials", "Schedule configs measured by the tuner.");
   int round = 0;
   while (result.trials.size() < max_trials &&
          measured_set.size() < task.space.size()) {
@@ -363,40 +374,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
                                {}, &neighbors);
     }
     if (proposals.empty()) break;
-    if (options.logger) {
-      for (size_t i = 0; i < proposals.size(); ++i) {
-        TrialEvent event;
-        event.kind = TrialEvent::Kind::kProposed;
-        event.round = round;
-        event.trial = result.trials.size() + i;
-        event.space_index = proposals[i];
-        event.config = task.space[proposals[i]].ToString();
-        event.predicted_score =
-            predicted.empty() ? std::numeric_limits<double>::quiet_NaN()
-                              : predicted[proposals[i]];
-        event.analytical_cycles = perfmodel::PredictCycles(
-            task.op, task.space[proposals[i]], task.spec);
-        options.logger(event);
-      }
-    }
-    std::vector<double> cycles = support::ParallelMap(
-        proposals.size(),
-        [&](size_t i) { return task.measure(task.space[proposals[i]]); });
-    trials.Add(proposals.size());
-    for (size_t i = 0; i < proposals.size(); ++i) {
-      if (options.logger) {
-        TrialEvent event;
-        event.kind = TrialEvent::Kind::kMeasured;
-        event.round = round;
-        event.trial = result.trials.size();
-        event.space_index = proposals[i];
-        event.measured_cycles = cycles[i];
-        options.logger(event);
-      }
-      result.trials.push_back(proposals[i]);
-      result.measured.push_back(cycles[i]);
-      measured_set.insert(proposals[i]);
-    }
+    measure(proposals, round, predicted);
     refit(round);
     ++round;
   }

@@ -1,32 +1,15 @@
-// Tests of the tuning-record log: serialization round trip, corrupt-line
-// tolerance, best-record lookup, and integration with the tuner.
+// Tests of the canonical workload key.
 #include <gtest/gtest.h>
 
-#include "sim/launch.h"
-#include "target/gpu_spec.h"
+#include "schedule/tensor.h"
 #include "tuner/records.h"
-#include "tuner/strategy.h"
 
 namespace alcop {
 namespace {
 
 using schedule::MakeBatchMatmul;
 using schedule::MakeMatmul;
-using tuner::FromJsonLine;
 using tuner::OpKey;
-using tuner::RecordLog;
-using tuner::ToJsonLine;
-using tuner::TuningRecord;
-
-schedule::ScheduleConfig SampleConfig() {
-  schedule::ScheduleConfig config;
-  config.tile = {128, 64, 32, 64, 32, 16};
-  config.smem_stages = 3;
-  config.reg_stages = 2;
-  config.split_k = 2;
-  config.inner_fusion = false;
-  return config;
-}
 
 TEST(RecordsTest, OpKeyIsCanonical) {
   EXPECT_EQ(OpKey(MakeMatmul("anything", 512, 768, 3072)),
@@ -36,78 +19,6 @@ TEST(RecordsTest, OpKeyIsCanonical) {
   // The key ignores the name: same problem, same key.
   EXPECT_EQ(OpKey(MakeMatmul("a", 64, 64, 64)),
             OpKey(MakeMatmul("b", 64, 64, 64)));
-}
-
-TEST(RecordsTest, JsonRoundTrip) {
-  TuningRecord record{OpKey(MakeMatmul("m", 512, 768, 3072)), SampleConfig(),
-                      27432.0};
-  std::string line = ToJsonLine(record);
-  std::optional<TuningRecord> parsed = FromJsonLine(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->op_key, record.op_key);
-  EXPECT_EQ(parsed->config.ToString(), record.config.ToString());
-  EXPECT_DOUBLE_EQ(parsed->cycles, record.cycles);
-}
-
-TEST(RecordsTest, MalformedLinesRejected) {
-  EXPECT_FALSE(FromJsonLine("").has_value());
-  EXPECT_FALSE(FromJsonLine("not json").has_value());
-  EXPECT_FALSE(FromJsonLine("{\"op\":\"x\",\"tb\":[1,2]}").has_value());
-  // Truncated tail.
-  TuningRecord record{"k", SampleConfig(), 1.0};
-  std::string line = ToJsonLine(record);
-  EXPECT_FALSE(FromJsonLine(line.substr(0, line.size() - 3)).has_value());
-}
-
-TEST(RecordsTest, LogParseSkipsCorruptLines) {
-  TuningRecord a{"op_a", SampleConfig(), 100.0};
-  TuningRecord b{"op_a", SampleConfig(), 90.0};
-  std::string text = ToJsonLine(a) + "\ngarbage line\n" + ToJsonLine(b) + "\n";
-  int skipped = 0;
-  RecordLog log = RecordLog::Parse(text, &skipped);
-  EXPECT_EQ(skipped, 1);
-  ASSERT_EQ(log.records().size(), 2u);
-}
-
-TEST(RecordsTest, SerializeParseRoundTrip) {
-  RecordLog log;
-  log.Append({"op_a", SampleConfig(), 100.0});
-  schedule::ScheduleConfig other = SampleConfig();
-  other.smem_stages = 4;
-  other.split_k = 1;
-  log.Append({"op_b", other, 55.5});
-  RecordLog reparsed = RecordLog::Parse(log.Serialize());
-  EXPECT_EQ(reparsed.Serialize(), log.Serialize());
-}
-
-TEST(RecordsTest, BestPicksLowestCycles) {
-  RecordLog log;
-  log.Append({"op_a", SampleConfig(), 100.0});
-  log.Append({"op_a", SampleConfig(), 80.0});
-  log.Append({"op_b", SampleConfig(), 10.0});
-  std::optional<TuningRecord> best = log.Best("op_a");
-  ASSERT_TRUE(best.has_value());
-  EXPECT_DOUBLE_EQ(best->cycles, 80.0);
-  EXPECT_FALSE(log.Best("missing").has_value());
-}
-
-TEST(RecordsTest, TunedResultReplaysFromLog) {
-  // Tune once, persist, reload, and re-apply the best schedule: the
-  // replayed measurement must match the recorded one exactly (the
-  // simulator is deterministic).
-  target::GpuSpec spec = target::AmpereSpec();
-  schedule::GemmOp op = MakeMatmul("mm", 512, 256, 1024);
-  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
-  tuner::TuningResult result = tuner::AnalyticalRanking(task, 10);
-
-  RecordLog log;
-  for (size_t i = 0; i < result.trials.size(); ++i) {
-    log.Append({OpKey(op), task.space[result.trials[i]], result.measured[i]});
-  }
-  RecordLog reloaded = RecordLog::Parse(log.Serialize());
-  std::optional<TuningRecord> best = reloaded.Best(OpKey(op));
-  ASSERT_TRUE(best.has_value());
-  EXPECT_DOUBLE_EQ(task.measure(best->config), best->cycles);
 }
 
 }  // namespace

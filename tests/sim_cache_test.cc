@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "schedule/tensor.h"
 #include "sim/sim_cache.h"
 #include "support/parallel.h"
@@ -178,6 +179,37 @@ TEST(SimCacheTest, ResetClearsEntriesAndCounters) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.entries, 0u);
+}
+
+// Current value of the `sim.arena.bytes` gauge; 0 until some thread's
+// arena registers it.
+double ArenaGaugeBytes() {
+  for (const obs::MetricSnapshot& m : obs::Registry::Global().Snapshot()) {
+    if (m.name == "sim.arena.bytes") return m.value;
+  }
+  return 0.0;
+}
+
+// A miss replays through the thread's published arena: the gauge grows by
+// that arena, and a later CompileAndSimulate of the same kernel on the
+// same thread reuses it instead of holding a second one.
+TEST(SimCacheTest, MissReplaysThroughThePublishedArena) {
+  sim::ResetSimCache();
+  schedule::GemmOp op = MakeMatmul("mm", 512, 512, 512);
+  schedule::ScheduleConfig config;
+  target::GpuSpec spec = target::AmpereSpec();
+  double before = 0.0, after_miss = 0.0, after_direct = 0.0;
+  std::thread fresh([&] {
+    before = ArenaGaugeBytes();
+    ASSERT_TRUE(sim::CachedCompileAndSimulate(op, config, spec).feasible);
+    after_miss = ArenaGaugeBytes();
+    ASSERT_TRUE(sim::CompileAndSimulate(op, config, spec).feasible);
+    after_direct = ArenaGaugeBytes();
+  });
+  fresh.join();
+  EXPECT_EQ(sim::GetSimCacheStats().misses, 1u);
+  EXPECT_GT(after_miss, before) << "the miss's arena must be published";
+  EXPECT_EQ(after_direct, after_miss) << "one arena per thread";
 }
 
 // RAII budget override: tests below bound the cache and must restore the

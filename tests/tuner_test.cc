@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "obs/metrics.h"
 #include "schedule/lower.h"
 #include "schedule/tensor.h"
 #include "sim/sim_cache.h"
@@ -334,6 +335,18 @@ TEST(StrategyTest, XgbTunerMeasuresDistinctConfigs) {
   std::set<size_t> unique(result.trials.begin(), result.trials.end());
   EXPECT_EQ(unique.size(), result.trials.size());
   EXPECT_EQ(result.trials.size(), 40u);
+}
+
+TEST(StrategyTest, TrialCounterIncludesWarmSeeds) {
+  tuner::TuningTask task = SyntheticTask();
+  tuner::XgbOptions options;
+  for (size_t i = 0; i < 8; ++i) options.warm_seeds.push_back(7 * i);
+  obs::Counter& trials = obs::Registry::Global().GetCounter("tuner.trials");
+  uint64_t before = trials.Value();
+  tuner::TuningResult result = tuner::XgbTuner(task, 32, options);
+  ASSERT_EQ(result.trials.size(), 32u);
+  EXPECT_EQ(trials.Value() - before, result.trials.size())
+      << "every measured config, warm seeds included, is a trial";
 }
 
 TEST(StrategyTest, XgbBeatsGridAtSmallBudgets) {
