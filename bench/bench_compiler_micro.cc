@@ -1,9 +1,10 @@
 // Compiler micro-benchmarks (google-benchmark): throughput of the
 // compilation pipeline itself — lowering, the pipelining transformation,
 // functional execution, trace building + discrete-event simulation, the
-// analytical model, feature extraction, and GBT fitting and prediction at
-// the size of a tuner refit. These bound the cost of one tuning trial,
-// which is what makes the Fig. 12/13 experiments tractable.
+// analytical model, feature extraction, GBT fitting and prediction at the
+// size of a tuner refit, and the annealing adjacency of a tuner's space.
+// These bound the cost of one tuning trial, which is what makes the
+// Fig. 12/13 experiments tractable.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "sim/launch.h"
 #include "support/rng.h"
 #include "target/gpu_spec.h"
+#include "tuner/anneal.h"
 #include "tuner/feature.h"
 #include "tuner/gbt.h"
 #include "tuner/space.h"
@@ -177,6 +179,18 @@ void BM_GbtPredictBatch(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(space.size());
 }
 BENCHMARK(BM_GbtPredictBatch)->Unit(benchmark::kMicrosecond);
+
+// The annealing adjacency that every XgbTuner run builds once for its
+// space, on the same 1,920-point Fig. 10 space.
+void BM_BuildNeighborLists(benchmark::State& state) {
+  std::vector<schedule::ScheduleConfig> space =
+      tuner::EnumerateSpace(workloads::FindOp("MM_BERT_QKV"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tuner::BuildNeighborLists(space));
+  }
+  state.counters["configs"] = static_cast<double>(space.size());
+}
+BENCHMARK(BM_BuildNeighborLists)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

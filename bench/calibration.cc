@@ -24,7 +24,6 @@
 
 #include "obs/trace.h"
 #include "perfmodel/calibration.h"
-#include "sim/desim.h"
 #include "sim/launch.h"
 #include "sim/pmu.h"
 #include "tuner/strategy.h"
@@ -94,7 +93,6 @@ int main(int argc, char** argv) {
   const int stride = quick ? 16 : 4;
 
   target::GpuSpec spec = target::AmpereSpec();
-  sim::ReplayArena arena;
 
   int configs = 0, feasible = 0;
   int pmu_samples = 0, pmu_mismatches = 0;
@@ -113,7 +111,7 @@ int main(int argc, char** argv) {
       const schedule::ScheduleConfig& config = task.space[c];
       ++configs;
       perfmodel::CalibrationResult result =
-          perfmodel::CalibrateConfig(op, config, spec, &arena);
+          perfmodel::CalibrateConfig(op, config, spec);
       if (!result.feasible) continue;
       ++feasible;
 

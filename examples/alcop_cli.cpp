@@ -618,10 +618,9 @@ int CmdProfile(int argc, char** argv) {
   // One program build serves timing, PMU counters and the profiled
   // timeline; the kernel is never re-simulated for the extra outputs.
   sim::SimProgram program = sim::BuildSimProgram(compiled, spec);
-  sim::ReplayArena arena;
   sim::KernelPmu pmu;
-  sim::KernelTiming timing = sim::ReplaySimProgram(program, &arena, &pmu);
-  sim::BatchTimeline batch = sim::ReplayTimeline(program, &arena);
+  sim::KernelTiming timing = sim::ReplaySimProgram(program, nullptr, &pmu);
+  sim::BatchTimeline batch = sim::ReplayTimeline(program);
 
   obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);

@@ -45,18 +45,14 @@ std::string JsonNum(double v) {
 
 CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
                                   const schedule::ScheduleConfig& config,
-                                  const target::GpuSpec& spec,
-                                  sim::ReplayArena* arena) {
-  thread_local sim::ReplayArena local_arena;
-  if (arena == nullptr) arena = &local_arena;
-
+                                  const target::GpuSpec& spec) {
   CalibrationResult out;
   sim::SimProgram program = sim::CompileSimProgram(op, config, spec);
   if (!program.feasible) {
     out.reason = program.reason;
     return out;
   }
-  sim::KernelTiming timing = sim::ReplaySimProgram(program, arena, &out.pmu);
+  sim::KernelTiming timing = sim::ReplaySimProgram(program, nullptr, &out.pmu);
   AnalyticalBreakdown model = AnalyticalModel(op, config, spec);
   if (!model.feasible) {
     out.reason = "analytical model rejected: " + model.reason;
@@ -68,7 +64,7 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
 
   // One profiled batch timeline for the fill/drain split and the measured
   // stall verdict.
-  sim::BatchTimeline batch = sim::ReplayTimeline(program, arena);
+  sim::BatchTimeline batch = sim::ReplayTimeline(program);
   obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);
 
@@ -293,12 +289,11 @@ ModelFitReport FitModelCorrections(const std::vector<schedule::GemmOp>& ops,
 
   std::vector<FitSample> compute_samples, reg_samples;
   std::vector<CompositionSample> comp_samples;
-  sim::ReplayArena arena;
   for (size_t oi = 0; oi < ops.size(); ++oi) {
     const schedule::GemmOp& op = ops[oi];
     std::vector<schedule::ScheduleConfig> space = tuner::EnumerateSpace(op);
     for (size_t i = 0; i < space.size(); i += stride) {
-      CalibrationResult r = CalibrateConfig(op, space[i], base, &arena);
+      CalibrationResult r = CalibrateConfig(op, space[i], base);
       if (!r.feasible) continue;
       comp_samples.push_back({oi, space[i], r.measured_cycles});
       for (const TermError& term : r.terms) {

@@ -31,7 +31,6 @@
 #include "perfmodel/analytical.h"
 #include "perfmodel/roofline.h"
 #include "schedule/schedule.h"
-#include "sim/desim.h"
 #include "sim/pmu.h"
 #include "target/gpu_spec.h"
 
@@ -66,13 +65,12 @@ struct CalibrationResult {
   bool profile_agrees = false;
 };
 
-// Simulates one schedule (replay core, PMU enabled, one profiled batch
-// timeline) and audits the analytical model against the measurements.
-// `arena` may be null (a thread-local arena is used).
+// Simulates one schedule (replay core through the thread's pooled arena,
+// PMU enabled, one profiled batch timeline) and audits the analytical
+// model against the measurements.
 CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
                                   const schedule::ScheduleConfig& config,
-                                  const target::GpuSpec& spec,
-                                  sim::ReplayArena* arena = nullptr);
+                                  const target::GpuSpec& spec);
 
 // JSON object (no trailing newline).
 std::string CalibrationToJson(const CalibrationResult& result);

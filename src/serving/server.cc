@@ -1233,14 +1233,13 @@ struct Server::Impl {
         .Uint("skipped", stats.skipped);
   }
 
-  // `profile`: one compile and one replay with counters on. Its timing
-  // also warms the sim cache, so a later compile of the same triple is a
-  // fast-lane hit.
+  // `profile`: one compile and one replay with counters on, through the
+  // slow lane's pooled arena. Its timing also warms the sim cache, so a
+  // later compile of the same triple is a fast-lane hit.
   Reply Profile(const Call& call) {
-    sim::ReplayArena arena;
     sim::KernelPmu pmu;
     sim::KernelTiming timing = sim::ReplaySimProgram(
-        sim::CompileSimProgram(call.op, call.config, options.spec), &arena,
+        sim::CompileSimProgram(call.op, call.config, options.spec), nullptr,
         &pmu);
     sim::InsertCachedTiming(
         sim::SimCacheKey(call.op, call.config, options.spec,

@@ -339,20 +339,6 @@ SimProgram CompileSimProgram(const GemmOp& op, const ScheduleConfig& config,
                           std::move(verdict));
 }
 
-KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
-                              KernelPmu* pmu) {
-  // The hot measurement path: with tracing disabled this scope is one
-  // relaxed atomic load (zero-allocation warm replay is gated in
-  // tests/obs_test.cc); enabled, it records host wall time but never
-  // touches simulated cycles.
-  ALCOP_TRACE_SCOPE("replay", "sim");
-  return TimeLaunch(program, pmu, ReplayWaves(program, arena));
-}
-
-BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena) {
-  return CaptureFirstWave(program, ReplayWaves(program, arena));
-}
-
 namespace {
 
 // Published capacity of one thread's pooled arena. The replay thread
@@ -411,34 +397,51 @@ ThreadArenaHolder& ThreadLocalArena() {
   return holder;
 }
 
+// Runs `replay` through `arena`, or, when it is null, through the calling
+// thread's pooled arena, publishing that arena's capacity afterwards.
+template <typename Replay>
+auto ReplayThrough(ReplayArena* arena, Replay replay) {
+  if (arena != nullptr) return replay(arena);
+  ThreadArenaHolder& holder = ThreadLocalArena();
+  auto result = replay(&holder.arena);
+  holder.Update();
+  return result;
+}
+
 }  // namespace
+
+KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
+                              KernelPmu* pmu) {
+  // The hot measurement path: with tracing disabled this scope is one
+  // relaxed atomic load (zero-allocation warm replay is gated in
+  // tests/obs_test.cc); enabled, it records host wall time but never
+  // touches simulated cycles.
+  ALCOP_TRACE_SCOPE("replay", "sim");
+  return ReplayThrough(arena, [&](ReplayArena* replay_arena) {
+    return TimeLaunch(program, pmu, ReplayWaves(program, replay_arena));
+  });
+}
+
+BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena) {
+  return ReplayThrough(arena, [&](ReplayArena* replay_arena) {
+    return CaptureFirstWave(program, ReplayWaves(program, replay_arena));
+  });
+}
 
 KernelTiming SimulateKernel(const CompiledKernel& compiled,
                             const target::GpuSpec& spec) {
-  SimProgram program = BuildSimProgram(compiled, spec);
-  ThreadArenaHolder& holder = ThreadLocalArena();
-  KernelTiming timing = ReplaySimProgram(program, &holder.arena);
-  holder.Update();
-  return timing;
+  return ReplaySimProgram(BuildSimProgram(compiled, spec));
 }
 
 KernelTiming CompileAndSimulate(const GemmOp& op, const ScheduleConfig& config,
                                 const target::GpuSpec& spec,
                                 schedule::InlineOrder inline_order) {
-  SimProgram program = CompileSimProgram(op, config, spec, inline_order);
-  ThreadArenaHolder& holder = ThreadLocalArena();
-  KernelTiming timing = ReplaySimProgram(program, &holder.arena);
-  holder.Update();
-  return timing;
+  return ReplaySimProgram(CompileSimProgram(op, config, spec, inline_order));
 }
 
 BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
                               const target::GpuSpec& spec) {
-  SimProgram program = BuildSimProgram(compiled, spec);
-  ThreadArenaHolder& holder = ThreadLocalArena();
-  BatchTimeline timeline = ReplayTimeline(program, &holder.arena);
-  holder.Update();
-  return timeline;
+  return ReplayTimeline(BuildSimProgram(compiled, spec));
 }
 
 }  // namespace sim

@@ -134,16 +134,19 @@ SimProgram CompileSimProgram(
         schedule::InlineOrder::kAfterPipelining);
 
 // Phase 2: replays every threadblock wave of the launch through `arena`
-// (pooled across calls; see ReplayArena). Bit-identical to the
+// (pooled across calls; see ReplayArena). A null `arena` means the calling
+// thread's pooled arena, the one the `sim.arena.bytes` gauge counts; its
+// capacity is published after the replay. Bit-identical to the
 // interpreter-based InterpretKernel. When `pmu` is non-null, per-kernel
 // performance counters are collected during the same replay (sim/pmu.h) —
 // the totals scale the replayed waves by the launch's batch structure and
 // are bit-identical to InterpretKernel's.
-KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
+KernelTiming ReplaySimProgram(const SimProgram& program,
+                              ReplayArena* arena = nullptr,
                               KernelPmu* pmu = nullptr);
 
-// Simulates a compiled kernel on the device (phase 1 + phase 2 with a
-// thread-local arena).
+// Simulates a compiled kernel on the device (phase 1 + phase 2 through the
+// thread's pooled arena).
 KernelTiming SimulateKernel(const CompiledKernel& compiled,
                             const target::GpuSpec& spec);
 
@@ -175,8 +178,10 @@ struct BatchTimeline {
 BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
                               const target::GpuSpec& spec);
 
-// Timeline of one steady-state batch via the replay core (phase 2 only).
-BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena);
+// Timeline of one steady-state batch via the replay core (phase 2 only);
+// a null `arena` means the thread's pooled arena, as in ReplaySimProgram.
+BatchTimeline ReplayTimeline(const SimProgram& program,
+                             ReplayArena* arena = nullptr);
 
 // Timeline via the reference interpreter (differential-testing oracle).
 BatchTimeline CaptureTimelineInterpreted(const CompiledKernel& compiled,

@@ -1,40 +1,71 @@
 #include "tuner/anneal.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <map>
-
-#include "support/parallel.h"
+#include <utility>
 
 namespace alcop {
 namespace tuner {
 
+namespace {
+
+// The ten knobs the neighbor relation compares.
+constexpr size_t kNumKnobs = 10;
+using Knobs = std::array<int64_t, kNumKnobs>;
+
+Knobs KnobsOf(const schedule::ScheduleConfig& c) {
+  return {c.tile.tb_m,    c.tile.tb_n,   c.tile.tb_k,      c.tile.warp_m,
+          c.tile.warp_n,  c.tile.warp_k, c.smem_stages,    c.reg_stages,
+          c.split_k,      c.raster_block};
+}
+
+}  // namespace
+
 bool AreNeighbors(const schedule::ScheduleConfig& a,
                   const schedule::ScheduleConfig& b) {
+  Knobs ka = KnobsOf(a), kb = KnobsOf(b);
   int diffs = 0;
-  diffs += a.tile.tb_m != b.tile.tb_m;
-  diffs += a.tile.tb_n != b.tile.tb_n;
-  diffs += a.tile.tb_k != b.tile.tb_k;
-  diffs += a.tile.warp_m != b.tile.warp_m;
-  diffs += a.tile.warp_n != b.tile.warp_n;
-  diffs += a.tile.warp_k != b.tile.warp_k;
-  diffs += a.smem_stages != b.smem_stages;
-  diffs += a.reg_stages != b.reg_stages;
-  diffs += a.split_k != b.split_k;
-  diffs += a.raster_block != b.raster_block;
+  for (size_t k = 0; k < kNumKnobs; ++k) {
+    if (ka[k] != kb[k] && ++diffs > 1) return false;
+  }
   return diffs == 1;
 }
 
 std::vector<std::vector<size_t>> BuildNeighborLists(
     const std::vector<schedule::ScheduleConfig>& space) {
+  std::vector<Knobs> knobs(space.size());
+  for (size_t i = 0; i < space.size(); ++i) knobs[i] = KnobsOf(space[i]);
   std::vector<std::vector<size_t>> neighbors(space.size());
-  support::ParallelFor(space.size(), [&](size_t i) {
-    for (size_t j = 0; j < space.size(); ++j) {
-      if (j != i && AreNeighbors(space[i], space[j])) {
-        neighbors[i].push_back(j);
+  std::vector<std::pair<Knobs, size_t>> keyed(space.size());
+  for (size_t f = 0; f < kNumKnobs; ++f) {
+    // Key each config by its knobs with knob f blanked: configs that agree
+    // on the other nine share a key, and two of them are neighbors exactly
+    // when their knob f differs.
+    for (size_t i = 0; i < space.size(); ++i) {
+      keyed[i] = {knobs[i], i};
+      keyed[i].first[f] = 0;
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (size_t begin = 0, end = 0; begin < keyed.size(); begin = end) {
+      end = begin + 1;
+      while (end < keyed.size() && keyed[end].first == keyed[begin].first) {
+        ++end;
+      }
+      for (size_t x = begin; x < end; ++x) {
+        size_t i = keyed[x].second;
+        for (size_t y = begin; y < end; ++y) {
+          size_t j = keyed[y].second;
+          if (knobs[i][f] != knobs[j][f]) neighbors[i].push_back(j);
+        }
       }
     }
-  });
+  }
+  for (std::vector<size_t>& list : neighbors) {
+    std::sort(list.begin(), list.end());
+  }
   return neighbors;
 }
 

@@ -22,11 +22,12 @@ struct AnnealOptions {
   int restarts = 4;
 };
 
-// Single-knob adjacency lists for the whole space, each sorted ascending.
-// Built concurrently on the global pool (row i is owned by iteration i),
-// so the result is identical for any thread count. Callers that propose
-// repeatedly over the same space (XgbTuner's per-batch loop) build this
-// once instead of paying the O(space^2) scan every round.
+// Single-knob adjacency lists for the whole space, each sorted ascending:
+// list i holds every j with AreNeighbors(space[i], space[j]). Built on the
+// calling thread by grouping, for each knob, the configs that agree on the
+// other nine, so the cost grows with the space times its log rather than
+// with every pair. Callers that propose repeatedly over the same space
+// (XgbTuner's per-batch loop) build this once.
 std::vector<std::vector<size_t>> BuildNeighborLists(
     const std::vector<schedule::ScheduleConfig>& space);
 
@@ -41,9 +42,10 @@ std::vector<size_t> ProposeBatch(
     const AnnealOptions& options = {},
     const std::vector<std::vector<size_t>>* neighbors = nullptr);
 
-// Neighbor relation used by the walk: configs differing in exactly one
-// knob (one tile dimension, one warp split, or one stage count). Exposed
-// for tests.
+// Neighbor relation used by the walk: configs differing in exactly one of
+// ten knobs (a threadblock or warp tile dimension, a stage count, split_k
+// or raster_block). The on/off flags such as swizzle are not knobs, so
+// configs differing only in those are not neighbors. Exposed for tests.
 bool AreNeighbors(const schedule::ScheduleConfig& a,
                   const schedule::ScheduleConfig& b);
 

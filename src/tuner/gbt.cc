@@ -72,6 +72,9 @@ struct Split {
 // then partitions those blocks into `work_`, where a node owns the same
 // range [begin, end) of every block; a split stably partitions that range
 // in place, so the children's ranges stay sorted and no node allocates.
+// A feature whose (row, rank) order equals a kept block's gets no block:
+// the two would partition alike and scan alike at every node, and the
+// earlier feature wins every tie, so the later one could never be chosen.
 //
 // Summation orders are part of the result: node totals and leaf values
 // sum in feature 0's order (block 0, kept even when feature 0 is
@@ -112,6 +115,7 @@ class TreeBuilder {
         if (f > 0) continue;
         first_searched_ = 1;
       }
+      if (HasBlock(block)) continue;
       features_.push_back(static_cast<int>(f));
       values_.push_back(std::move(values));
       sorted_.insert(sorted_.end(), block.begin(), block.end());
@@ -129,6 +133,19 @@ class TreeBuilder {
   }
 
  private:
+  // Whether `block` equals a kept block entry for entry.
+  bool HasBlock(const std::vector<Entry>& block) const {
+    for (size_t k = 0; k < features_.size(); ++k) {
+      if (std::equal(block.begin(), block.end(), sorted_.data() + k * n_,
+                     [](const Entry& a, const Entry& b) {
+                       return a.row == b.row && a.rank == b.rank;
+                     })) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   int BuildNode(const Entry* orders, size_t begin, size_t end, int depth) {
     int index = static_cast<int>(nodes_->size());
     nodes_->emplace_back();
@@ -245,7 +262,7 @@ class TreeBuilder {
   std::vector<Entry> scratch_;
   std::vector<Cut> cuts_;  // BestSplitAlong's boundaries
   // The feature of each block: 0 first, then every other feature that
-  // takes more than one value.
+  // takes more than one value and whose order no earlier block has.
   std::vector<int> features_;
   size_t first_searched_ = 0;  // 1 when feature 0 is constant
   // Per block: the feature's distinct values, ascending (indexed by rank).

@@ -206,13 +206,17 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
 
   GbtModel model;
   std::unordered_set<size_t> measured_set;
-  // Annealing adjacency, built once (in parallel) on the first
-  // model-guided round instead of every round.
+  // Annealing adjacency, built once on the first model-guided round
+  // instead of every round.
   std::vector<std::vector<size_t>> neighbors;
 
   // Proposal and refitting stay on the caller thread (the single Rng and
   // the model are not shared with the pool); only candidate measurement
   // and batch prediction fan out, so trial order is thread-count invariant.
+  // The model is fit only when a round is about to read it, on every
+  // measurement so far: no fit follows the last batch, and none fits the
+  // pretrain rows alone when warm-start seeds are measured before round 0.
+  // `round_number` is the last measured round (-1 before round 0).
   auto refit = [&](int round_number) {
     ALCOP_TRACE_SCOPE("refit", "tuner");
     static obs::Counter& refits = obs::Registry::Global().GetCounter(
@@ -239,7 +243,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       y.push_back(ScoreOf(result.measured[i]));
       w.push_back(1.0);
     }
-    if (!x.empty()) model.Fit(x, y, w);
+    model.Fit(x, y, w);
     if (options.logger) {
       TrialEvent event;
       event.kind = TrialEvent::Kind::kRefit;
@@ -249,7 +253,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       // Pairwise rank accuracy of the freshly fit model over everything
       // measured so far: of the pairs the measurements order, how many
       // does the model order the same way.
-      if (result.trials.size() >= 2 && model.IsFitted()) {
+      if (result.trials.size() >= 2) {
         std::vector<std::vector<double>> measured_x;
         measured_x.reserve(result.trials.size());
         for (size_t index : result.trials) {
@@ -322,12 +326,10 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
     }
   };
 
-  if (options.pretrain_with_analytical) refit(-1);  // prior knowledge only
-
   // Warm-start seeds: measured as one batch (round -1) before the first
   // proposal round. They consume trial budget like any other batch, and
-  // the refit below means the main loop starts model-guided instead of
-  // from the cold-start random round.
+  // because they give the model data, the main loop starts model-guided
+  // instead of from the cold-start random round.
   std::vector<size_t> seeds;
   for (size_t index : options.warm_seeds) {
     if (index >= task.space.size()) continue;
@@ -337,10 +339,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
     }
     seeds.push_back(index);
   }
-  if (!seeds.empty()) {
-    measure(seeds, -1, {});
-    refit(-1);
-  }
+  if (!seeds.empty()) measure(seeds, -1, {});
 
   static obs::Counter& rounds = obs::Registry::Global().GetCounter(
       "tuner.rounds", "Search rounds executed by the XGB tuner.");
@@ -353,8 +352,9 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
         std::min(options.batch_size, max_trials - result.trials.size());
     std::vector<size_t> proposals;
     std::vector<double> predicted;  // whole-space scores; empty cold start
-    if (!model.IsFitted()) {
-      // Cold start: random batch, deduplicated in O(1) per draw.
+    if (!options.pretrain_with_analytical && result.trials.empty()) {
+      // Cold start: nothing to fit yet; a random batch, deduplicated in
+      // O(1) per draw.
       std::unordered_set<size_t> proposed;
       while (proposals.size() < batch &&
              measured_set.size() + proposals.size() < task.space.size()) {
@@ -365,8 +365,11 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
         }
       }
     } else {
-      // Predict the whole space in one parallel batch; the annealing walk
-      // then scores candidates by table lookup.
+      // Fit on every measurement so far (each earlier round measured new
+      // trials, so no earlier fit is current), predict the whole space in
+      // one parallel batch, and let the annealing walk score candidates by
+      // table lookup.
+      refit(round - 1);
       if (neighbors.empty()) neighbors = BuildNeighborLists(task.space);
       predicted = model.PredictBatch(features);
       auto score = [&](size_t index) { return predicted[index]; };
@@ -375,7 +378,6 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
     }
     if (proposals.empty()) break;
     measure(proposals, round, predicted);
-    refit(round);
     ++round;
   }
   return result;

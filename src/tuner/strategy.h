@@ -69,15 +69,17 @@ TuningResult BottleneckRanking(const TuningTask& task, size_t max_trials);
 // One event of the XGB search loop, for the JSONL telemetry log behind
 // `alcop_cli tune --log`. Events are emitted synchronously from the
 // caller thread (never from the measurement pool), in a deterministic
-// order: per round, one kProposed per candidate, one kMeasured per
-// candidate, then one kRefit. The search itself is unaffected by
-// logging — trials and measured values stay bit-identical with the
-// logger unset.
+// order: per round, one kProposed per candidate, then one kMeasured per
+// candidate. The model is fit only when a round reads it, so a
+// model-guided round starts with one kRefit (the fit on every measurement
+// so far), and no kRefit follows the last batch. The search itself is
+// unaffected by logging — trials and measured values stay bit-identical
+// with the logger unset.
 struct TrialEvent {
   enum class Kind { kProposed, kMeasured, kRefit };
   Kind kind = Kind::kProposed;
-  // Model-guided round counter; -1 for the analytical pretrain refit
-  // that precedes the first round.
+  // Round counter; -1 for warm-start seeds. A kRefit carries the last
+  // measured round (-1 for the fit before round 0).
   int round = 0;
   size_t trial = 0;        // index into TuningResult.trials
   size_t space_index = 0;  // the candidate's index in task.space

@@ -411,6 +411,32 @@ TEST_F(ServerTest, ProfileWarmsTheTimingLayerForCompile) {
   std::remove(options_.access_log_path.c_str());
 }
 
+// The `sim.arena.bytes` gauge; 0 until some thread's pooled arena
+// registers it.
+double ArenaGaugeBytes() {
+  for (const obs::MetricSnapshot& m : obs::Registry::Global().Snapshot()) {
+    if (m.name == "sim.arena.bytes") return m.value;
+  }
+  return 0.0;
+}
+
+// A profile replays through the slow lane's pooled arena, the one the
+// gauge counts, so a fresh server's first profile raises it.
+TEST_F(ServerTest, ProfileReplaysThroughThePublishedArena) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+  const double before = ArenaGaugeBytes();
+  std::optional<JsonValue> profiled = client.Call(
+      "{\"id\":1,\"method\":\"profile\",\"m\":512,\"n\":512,\"k\":512,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}");
+  ASSERT_TRUE(profiled.has_value());
+  ASSERT_TRUE(profiled->Find("ok")->BoolOr(false));
+  EXPECT_GT(ArenaGaugeBytes(), before);
+  server.Stop();
+}
+
 TEST_F(ServerTest, ConcurrentSlowLaneCompilesAllAnswer) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());

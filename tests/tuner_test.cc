@@ -24,6 +24,8 @@
 #include "tuner/gbt.h"
 #include "tuner/space.h"
 #include "tuner/strategy.h"
+#include "tuner/transfer.h"
+#include "workloads/ops.h"
 
 namespace alcop {
 namespace {
@@ -243,7 +245,67 @@ TEST(GbtTest, GoldenPredictionsOnRefitShapedData) {
   EXPECT_EQ(Hex(constant0[1031]), "-0x1.37c49899ec807p+3");
 }
 
+// A column that is a strictly increasing function of an earlier one sorts
+// the rows the same way, so at every node it offers the same splits with
+// the same gains and loses each tie to the earlier column: appending one
+// must leave every prediction bit-identical.
+TEST(GbtTest, MonotoneCopyOfAColumnLeavesPredictionsBitIdentical) {
+  RefitShapedData data = MakeRefitShapedData();
+  auto fit_and_predict = [](const RefitShapedData& d) {
+    tuner::GbtModel model;
+    model.Fit(d.x, d.y, d.w);
+    std::vector<double> out;
+    for (const auto& row : d.x) out.push_back(model.Predict(row));
+    return out;
+  };
+  std::vector<double> plain = fit_and_predict(data);
+  for (auto& row : data.x) row.push_back(std::log2(row[5]) - 3.0);
+  std::vector<double> with_copy = fit_and_predict(data);
+  EXPECT_EQ(HashBits(with_copy), HashBits(plain));
+  EXPECT_EQ(with_copy, plain);
+}
+
 // ---- Annealing ----
+
+// The O(space^2) definition that BuildNeighborLists must reproduce. The
+// relation is symmetric, so each pair is tested once; rows still fill in
+// ascending order (every j < i arrives before row i's own scan).
+std::vector<std::vector<size_t>> PairwiseNeighbors(
+    const std::vector<ScheduleConfig>& space) {
+  std::vector<std::vector<size_t>> neighbors(space.size());
+  for (size_t i = 0; i < space.size(); ++i) {
+    for (size_t j = i + 1; j < space.size(); ++j) {
+      if (tuner::AreNeighbors(space[i], space[j])) {
+        neighbors[i].push_back(j);
+        neighbors[j].push_back(i);
+      }
+    }
+  }
+  return neighbors;
+}
+
+TEST(AnnealTest, NeighborListsEqualThePairwiseScan) {
+  for (const GemmOp& op : workloads::BenchmarkOps()) {
+    for (const tuner::SpaceOptions& options :
+         {tuner::SpaceOptions(), tuner::SpaceOptions::WithSplitK()}) {
+      std::vector<ScheduleConfig> space = tuner::EnumerateSpace(op, options);
+      ASSERT_FALSE(space.empty()) << op.name;
+      EXPECT_EQ(tuner::BuildNeighborLists(space), PairwiseNeighbors(space))
+          << op.name << " split_k options: " << options.split_k.size();
+    }
+  }
+  // swizzle is not a knob: two configs that differ only there are not
+  // neighbors, and a config one stage count away neighbors both.
+  ScheduleConfig a;
+  ScheduleConfig b = a;
+  b.swizzle = !a.swizzle;
+  ScheduleConfig c = a;
+  c.smem_stages = a.smem_stages + 1;
+  std::vector<ScheduleConfig> space = {a, b, c};
+  std::vector<std::vector<size_t>> expected = {{2}, {2}, {0, 1}};
+  EXPECT_EQ(PairwiseNeighbors(space), expected);
+  EXPECT_EQ(tuner::BuildNeighborLists(space), expected);
+}
 
 TEST(AnnealTest, NeighborRelationIsSingleKnob) {
   ScheduleConfig a;
@@ -347,6 +409,120 @@ TEST(StrategyTest, TrialCounterIncludesWarmSeeds) {
   ASSERT_EQ(result.trials.size(), 32u);
   EXPECT_EQ(trials.Value() - before, result.trials.size())
       << "every measured config, warm seeds included, is a trial";
+}
+
+// The tuner fits its model only when a proposal round is about to read it:
+// never after the last batch, and never on the analytical pretrain alone
+// when warm-start seeds are measured before round 0.
+TEST(StrategyTest, RefitsOnlyWhenARoundReadsTheModel) {
+  tuner::TuningTask task = SyntheticTask();
+  obs::Counter& refits = obs::Registry::Global().GetCounter("tuner.refits");
+  auto refits_of = [&](const tuner::XgbOptions& options, size_t trials) {
+    uint64_t before = refits.Value();
+    EXPECT_EQ(tuner::XgbTuner(task, trials, options).trials.size(), trials);
+    return refits.Value() - before;
+  };
+  tuner::XgbOptions cold;
+  cold.pretrain_with_analytical = true;
+  tuner::XgbOptions warm = cold;
+  for (size_t i = 0; i < 8; ++i) warm.warm_seeds.push_back(7 * i);
+  EXPECT_EQ(refits_of(warm, 32), 3u) << "seeds, then three guided rounds";
+  EXPECT_EQ(refits_of(cold, 32), 4u) << "four guided rounds of eight";
+  EXPECT_EQ(refits_of(warm, 8), 0u) << "seeds fill the budget: no round";
+}
+
+// With a logger attached, every kRefit is followed by the first kProposed
+// of a model-guided round, which proposes the trial after the fit's last
+// row; every model-guided round starts that way; and the search ends on a
+// measurement, not a fit.
+TEST(StrategyTest, EachRefitPrecedesAGuidedRoundsFirstProposal) {
+  tuner::TuningTask task = SyntheticTask();
+  obs::Counter& refits = obs::Registry::Global().GetCounter("tuner.refits");
+  using Kind = tuner::TrialEvent::Kind;
+  for (bool pretrain : {false, true}) {
+    for (bool warm : {false, true}) {
+      tuner::XgbOptions options;
+      options.seed = 4;
+      options.pretrain_with_analytical = pretrain;
+      if (warm) {
+        for (size_t i = 0; i < 8; ++i) options.warm_seeds.push_back(5 * i);
+      }
+      std::vector<tuner::TrialEvent> events;
+      options.logger = [&events](const tuner::TrialEvent& event) {
+        events.push_back(event);
+      };
+      uint64_t before = refits.Value();
+      tuner::XgbTuner(task, 30, options);
+      SCOPED_TRACE(::testing::Message()
+                   << "pretrain " << pretrain << ", warm " << warm);
+      ASSERT_FALSE(events.empty());
+      EXPECT_EQ(events.back().kind, Kind::kMeasured);
+      uint64_t logged_refits = 0;
+      for (size_t i = 0; i < events.size(); ++i) {
+        const tuner::TrialEvent& event = events[i];
+        if (event.kind == Kind::kRefit) {
+          ++logged_refits;
+          ASSERT_LT(i + 1, events.size());
+          EXPECT_EQ(events[i + 1].kind, Kind::kProposed);
+          EXPECT_EQ(events[i + 1].round, event.round + 1);
+          EXPECT_EQ(events[i + 1].trial,
+                    static_cast<size_t>(event.training_size));
+        }
+        bool first_proposal =
+            event.kind == Kind::kProposed &&
+            (i == 0 || events[i - 1].kind != Kind::kProposed);
+        if (first_proposal && event.round >= 0) {
+          bool guided = !std::isnan(event.predicted_score);
+          EXPECT_EQ(i > 0 && events[i - 1].kind == Kind::kRefit, guided)
+              << "round " << event.round;
+        }
+      }
+      EXPECT_EQ(logged_refits, refits.Value() - before);
+    }
+  }
+}
+
+// 64-bit FNV-1a over each trial's space index and measured-cycle bits.
+uint64_t HashTrials(const std::vector<tuner::TuningResult>& results) {
+  std::vector<double> fields;
+  for (const tuner::TuningResult& result : results) {
+    for (size_t i = 0; i < result.trials.size(); ++i) {
+      fields.push_back(static_cast<double>(result.trials[i]));
+      fields.push_back(result.measured[i]);
+    }
+  }
+  return HashBits(fields);
+}
+
+// Pins the search itself: the trials, in order, and their simulated cycles
+// for fixed-seed 32-trial pretrained tunes of two Fig. 10 operators, cold
+// and then warm-started from a store holding the other operator's tuning.
+// A change to proposals, refit scheduling, the model or the simulator that
+// moves any trial fails here.
+TEST(StrategyTest, Fig10TrialSequencesArePinned) {
+  target::GpuSpec spec = target::AmpereSpec();
+  tuner::TuningTask qkv =
+      tuner::MakeSimulatorTask(workloads::FindOp("MM_BERT_QKV"), spec);
+  tuner::TuningTask sv =
+      tuner::MakeSimulatorTask(workloads::FindOp("BMM_BERT_SV"), spec);
+  tuner::XgbOptions options;
+  options.pretrain_with_analytical = true;
+  options.seed = 3;
+  tuner::TuningResult cold_qkv = tuner::XgbTuner(qkv, 32, options);
+  tuner::TuningResult cold_sv = tuner::XgbTuner(sv, 32, options);
+  tuner::TuningStore qkv_store;
+  tuner::TuningStore sv_store;
+  tuner::StoreTuning(qkv, cold_qkv, qkv_store);
+  tuner::StoreTuning(sv, cold_sv, sv_store);
+  tuner::XgbOptions warm = options;
+  warm.warm_seeds = tuner::FindWarmStart(sv, qkv_store).seeds;
+  ASSERT_FALSE(warm.warm_seeds.empty());
+  tuner::TuningResult warm_sv = tuner::XgbTuner(sv, 32, warm);
+  warm.warm_seeds = tuner::FindWarmStart(qkv, sv_store).seeds;
+  ASSERT_FALSE(warm.warm_seeds.empty());
+  tuner::TuningResult warm_qkv = tuner::XgbTuner(qkv, 32, warm);
+  EXPECT_EQ(HashTrials({cold_qkv, cold_sv}), 13758463243322733302ull);
+  EXPECT_EQ(HashTrials({warm_sv, warm_qkv}), 15646801407088274599ull);
 }
 
 TEST(StrategyTest, XgbBeatsGridAtSmallBudgets) {
