@@ -2,7 +2,8 @@
 // compilation pipeline itself — lowering, the pipelining transformation,
 // functional execution, trace building + discrete-event simulation, the
 // analytical model, feature extraction, GBT fitting and prediction at the
-// size of a tuner refit, and the annealing adjacency of a tuner's space.
+// size of a tuner refit, the annealing adjacency of a tuner's space, and
+// the two static checkers (verifier and alcop-lint) on one Fig. 10 kernel.
 // These bound the cost of one tuning trial, which is what makes the
 // Fig. 12/13 experiments tractable.
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <vector>
 
+#include "analysis/pass.h"
 #include "perfmodel/analytical.h"
 #include "pipeline/detect.h"
 #include "pipeline/transform.h"
@@ -23,6 +25,7 @@
 #include "tuner/gbt.h"
 #include "tuner/space.h"
 #include "tuner/strategy.h"
+#include "verify/verifier.h"
 #include "workloads/ops.h"
 
 namespace {
@@ -142,7 +145,7 @@ const RefitData& BenchRefitData() {
     for (const schedule::ScheduleConfig& config : task.space) {
       d.x.push_back(tuner::ExtractFeatures(op, config, spec));
       d.y.push_back(score(perfmodel::PredictCycles(op, config, spec)));
-      d.w.push_back(tuner::XgbOptions().pretrain_weight);
+      d.w.push_back(tuner::kPretrainWeight);
     }
     for (size_t i = 0; i < 32; ++i) {
       size_t index = i * task.space.size() / 32;
@@ -191,6 +194,42 @@ void BM_BuildNeighborLists(benchmark::State& state) {
   state.counters["configs"] = static_cast<double>(space.size());
 }
 BENCHMARK(BM_BuildNeighborLists)->Unit(benchmark::kMillisecond);
+
+// The pipelined MM_BERT_QKV kernel at its first schedule with three
+// shared and two register stages: the static checkers' input. Under
+// ALCOP_VERIFY every lowering and every transformation runs the verifier.
+const ir::Stmt& Fig10Kernel() {
+  static const ir::Stmt kernel = [] {
+    const schedule::GemmOp& op = workloads::FindOp("MM_BERT_QKV");
+    std::vector<schedule::ScheduleConfig> space = tuner::EnumerateSpace(op);
+    schedule::ScheduleConfig config = space.front();
+    for (const schedule::ScheduleConfig& candidate : space) {
+      if (candidate.smem_stages >= 3 && candidate.reg_stages >= 2) {
+        config = candidate;
+        break;
+      }
+    }
+    return sim::CompileKernel(op, config, target::AmpereSpec())
+        .transformed.stmt;
+  }();
+  return kernel;
+}
+
+void BM_VerifyProgram(benchmark::State& state) {
+  const ir::Stmt& kernel = Fig10Kernel();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify::VerifyProgram(kernel));
+  }
+}
+BENCHMARK(BM_VerifyProgram)->Unit(benchmark::kMicrosecond);
+
+void BM_LintProgram(benchmark::State& state) {
+  const ir::Stmt& kernel = Fig10Kernel();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::LintProgram(kernel));
+  }
+}
+BENCHMARK(BM_LintProgram)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

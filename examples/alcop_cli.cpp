@@ -508,7 +508,9 @@ int CmdLint(int argc, char** argv) {
         << support::JsonEscape(subject) << "\", \"schedule\": \""
         << support::JsonEscape(schedule_str) << "\""
         << ", \"clean\": " << (result.Clean() ? "true" : "false")
-        << ", \"errors\": " << (result.HasErrors() ? "true" : "false");
+        << ", \"errors\": " << (result.HasErrors() ? "true" : "false")
+        << ", \"step_limit_reached\": "
+        << (result.reached_step_limit ? "true" : "false");
     if (result.feasibility.has_value()) {
       const schedule::StaticFeasibility& f = *result.feasibility;
       out << ",\n \"feasibility\": {\"feasible\": "

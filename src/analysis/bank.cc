@@ -44,8 +44,8 @@ int ConflictDegree(const BufferRegion& region) {
   return static_cast<int>(degree);
 }
 
-void BankConflictPass::Run(AnalysisContext& ctx,
-                           verify::DiagnosticEngine& diags) {
+BankReport CheckBankConflicts(AnalysisContext& ctx,
+                              verify::DiagnosticEngine& diags) {
   const LintOptions& options = ctx.options();
   BankReport report;
   report.sim_divisor =
@@ -94,7 +94,7 @@ void BankConflictPass::Run(AnalysisContext& ctx,
     }
     report.accesses.push_back(std::move(access));
   }
-  ctx.SetBankReport(std::move(report));
+  return report;
 }
 
 }  // namespace analysis

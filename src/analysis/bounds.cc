@@ -79,7 +79,7 @@ class BoundsChecker {
 
   void CheckRegion(const Site& site, const BufferRegion& region) {
     // Structural malformations (dim mismatches, non-positive sizes) are
-    // the sync verifier's V009; the bounds pass only reasons about
+    // the sync verifier's V009; the bounds check only reasons about
     // well-formed regions.
     if (region.offsets.size() != region.sizes.size() ||
         region.offsets.size() != region.buffer->shape.size()) {
@@ -181,8 +181,7 @@ class BoundsChecker {
 
 }  // namespace
 
-void StaticBoundsPass::Run(AnalysisContext& ctx,
-                           verify::DiagnosticEngine& diags) {
+void CheckBounds(AnalysisContext& ctx, verify::DiagnosticEngine& diags) {
   BoundsChecker(ctx, diags).Run();
 }
 

@@ -20,16 +20,14 @@
 #ifndef ALCOP_ANALYSIS_BOUNDS_H_
 #define ALCOP_ANALYSIS_BOUNDS_H_
 
-#include "analysis/pass.h"
+#include "analysis/context.h"
+#include "verify/diagnostic.h"
 
 namespace alcop {
 namespace analysis {
 
-class StaticBoundsPass : public AnalysisPass {
- public:
-  const char* name() const override { return "static-bounds"; }
-  void Run(AnalysisContext& ctx, verify::DiagnosticEngine& diags) override;
-};
+// Emits L001/L002 for every copy/fill/MMA region of ctx.program().
+void CheckBounds(AnalysisContext& ctx, verify::DiagnosticEngine& diags);
 
 }  // namespace analysis
 }  // namespace alcop

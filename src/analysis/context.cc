@@ -5,36 +5,12 @@
 
 #include "ir/expr.h"
 #include "ir/simplify.h"
+#include "verify/diagnostic.h"
 
 namespace alcop {
 namespace analysis {
 
 using namespace alcop::ir;  // NOLINT(google-build-using-namespace)
-
-std::string SiteLabel(const StmtNode* s) {
-  switch (s->kind) {
-    case StmtKind::kCopy: {
-      const auto* op = static_cast<const CopyNode*>(s);
-      return std::string(op->is_async ? "copy.async(" : "copy(") +
-             op->dst.buffer->name + ")";
-    }
-    case StmtKind::kFill:
-      return "fill(" + static_cast<const FillNode*>(s)->dst.buffer->name + ")";
-    case StmtKind::kMma:
-      return "mma(" + static_cast<const MmaNode*>(s)->c.buffer->name + ")";
-    case StmtKind::kSync: {
-      const auto* op = static_cast<const SyncNode*>(s);
-      if (op->sync_kind == SyncKind::kBarrier) return "barrier";
-      std::string name = op->buffers.empty() ? "?" : op->buffers[0]->name;
-      return name + "." + SyncKindName(op->sync_kind) + "@group" +
-             std::to_string(op->group);
-    }
-    case StmtKind::kAlloc:
-      return "alloc(" + static_cast<const AllocNode*>(s)->buffer->name + ")";
-    default:
-      return "stmt";
-  }
-}
 
 namespace {
 
@@ -42,7 +18,7 @@ std::string PathOf(const std::vector<const ForNode*>& loops,
                    const StmtNode* leaf) {
   std::ostringstream out;
   for (const ForNode* loop : loops) out << "for " << loop->var->name << " / ";
-  out << SiteLabel(leaf);
+  out << verify::StmtLabel(leaf);
   return out.str();
 }
 
@@ -223,14 +199,6 @@ int64_t AnalysisContext::CountExecutions(const Site& site) {
     if (ok) ++holds;
   }
   return holds * rest;
-}
-
-void AnalysisContext::SetFeasibility(schedule::StaticFeasibility verdict) {
-  feasibility_ = std::move(verdict);
-}
-
-void AnalysisContext::SetBankReport(BankReport report) {
-  bank_report_ = std::move(report);
 }
 
 }  // namespace analysis

@@ -1,8 +1,8 @@
-// Shared analysis context for the src/analysis pass framework.
+// Shared analysis context of one alcop-lint run.
 //
 // One AnalysisContext wraps one IR program and lazily computes the
-// results every client analysis needs, so the passes of one lint run
-// share them instead of re-walking the tree:
+// results the lint checks need, so the checks of one run share them
+// instead of re-walking the tree:
 //   - statement sites: every non-block statement with its enclosing
 //     loop nest *and* the IfThenElse guards dominating it (the pipeline
 //     transformation guards recursive-mode loads and fused-mode
@@ -12,27 +12,26 @@
 //   - allocations and pipeline hints;
 //   - guard-aware execution counts per site (how many loop-nest
 //     iterations really run the statement), used by the bank-conflict
-//     analyzer's traffic prediction;
-//   - the resource estimator's StaticFeasibility verdict, published on
-//     the context so later passes and the caller reuse it.
+//     analyzer's traffic prediction.
+// The region-race check does not use it: it replays the sync FIFO over
+// the program itself (verify/sync_walk.h).
 #ifndef ALCOP_ANALYSIS_CONTEXT_H_
 #define ALCOP_ANALYSIS_CONTEXT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/interval.h"
 #include "ir/analysis.h"
 #include "ir/stmt.h"
-#include "schedule/lower.h"
 #include "target/gpu_spec.h"
 
 namespace alcop {
 namespace analysis {
 
-// Options shared by every pass of one lint run.
+// Options shared by every check of one lint run.
 struct LintOptions {
   target::GpuSpec spec = target::AmpereSpec();
   // Whether the schedule requests the swizzled shared-memory layout;
@@ -40,9 +39,6 @@ struct LintOptions {
   // granular IR), so the caller threads it through. Swizzled layouts
   // are conflict-free by construction.
   bool swizzle = true;
-  // Step budget of the region-race interpretation (same guard as the
-  // sync verifier's).
-  int64_t max_steps = 1 << 22;
   // Point budget of the bounds checker's enumeration fallback, per
   // checked offset (projected onto the variables the offset and its
   // guards actually use).
@@ -62,31 +58,6 @@ struct Site {
   std::vector<const ir::ForNode*> loops;  // outermost first
   std::vector<Guard> guards;              // outermost first
   std::string path;                       // "for ko / copy.async(A_shared)"
-};
-
-// One shared-memory access analyzed by the bank-conflict pass.
-struct BankAccess {
-  const ir::StmtNode* site = nullptr;
-  std::string buffer;
-  std::string path;
-  bool is_read = false;   // shared -> register (the LDS pipe)
-  int degree = 1;         // geometric conflict degree (1 = conflict-free)
-  int64_t bytes = 0;      // bytes per execution of the statement
-  int64_t executions = 0; // guard-aware whole-kernel execution count
-};
-
-// Whole-program result of the bank-conflict analysis.
-struct BankReport {
-  std::vector<BankAccess> accesses;
-  int max_degree = 1;
-  // Whole-kernel shared->register traffic (the simulator's
-  // lds_read_bytes), predicted from region sizes and execution counts.
-  double predicted_lds_read_bytes = 0.0;
-  // The LDS-rate divisor the timing simulator applies to this schedule:
-  // 1 when swizzled, GpuSpec::bank_conflict_factor otherwise. The
-  // geometric `max_degree` upper-bounds the real penalty; the spec
-  // factor is the calibrated average the model charges.
-  double sim_divisor = 1.0;
 };
 
 class AnalysisContext {
@@ -119,16 +90,6 @@ class AnalysisContext {
   // constant or the guard projection exceeds `max_enumeration`.
   int64_t CountExecutions(const Site& site);
 
-  // Published by the resource estimator pass; reused by the CLI.
-  void SetFeasibility(schedule::StaticFeasibility verdict);
-  const std::optional<schedule::StaticFeasibility>& feasibility() const {
-    return feasibility_;
-  }
-
-  // Published by the bank-conflict pass.
-  void SetBankReport(BankReport report);
-  const std::optional<BankReport>& bank_report() const { return bank_report_; }
-
  private:
   ir::Stmt program_;
   LintOptions options_;
@@ -145,13 +106,7 @@ class AnalysisContext {
   std::unordered_map<const ir::BufferNode*, std::vector<ir::ConsumerInfo>>
       consumers_;
   int64_t num_warps_ = -1;
-  std::optional<schedule::StaticFeasibility> feasibility_;
-  std::optional<BankReport> bank_report_;
 };
-
-// Short printable label of a statement ("copy.async(A_shared)"), shared
-// by the passes' diagnostic paths.
-std::string SiteLabel(const ir::StmtNode* s);
 
 }  // namespace analysis
 }  // namespace alcop

@@ -2,12 +2,11 @@
 
 #include <chrono>
 #include <sstream>
-#include <utility>
 
-#include "analysis/bank.h"
 #include "analysis/bounds.h"
 #include "analysis/races.h"
 #include "analysis/resources.h"
+#include "verify/sync_walk.h"
 
 namespace alcop {
 namespace analysis {
@@ -31,45 +30,35 @@ std::string LintResult::Render() const {
   for (const verify::Diagnostic& diag : diagnostics) {
     out << diag.Render() << "\n";
   }
+  if (reached_step_limit) out << verify::kStepLimitNote << "\n";
   return out.str();
 }
 
-std::vector<std::unique_ptr<AnalysisPass>> MakeDefaultPasses() {
-  std::vector<std::unique_ptr<AnalysisPass>> passes;
-  passes.push_back(std::make_unique<StaticBoundsPass>());
-  passes.push_back(std::make_unique<RegionRacePass>());
-  passes.push_back(std::make_unique<BankConflictPass>());
-  passes.push_back(std::make_unique<ResourceEstimatorPass>());
-  return passes;
-}
-
-LintResult RunPasses(
-    const ir::Stmt& program, const LintOptions& options,
-    const std::vector<std::unique_ptr<AnalysisPass>>& passes) {
+LintResult LintProgram(const ir::Stmt& program, const LintOptions& options) {
   AnalysisContext ctx(program, options);
   verify::DiagnosticEngine diags;
   LintResult result;
-  for (const std::unique_ptr<AnalysisPass>& pass : passes) {
+  // Runs one check, recording its findings and wall time under `name`.
+  auto timed = [&](const char* name, const auto& check) {
     size_t before = diags.diagnostics().size();
     auto t0 = std::chrono::steady_clock::now();
-    pass->Run(ctx, diags);
+    check();
     auto t1 = std::chrono::steady_clock::now();
-    PassStats stats;
-    stats.name = pass->name();
-    stats.findings = diags.diagnostics().size() - before;
-    stats.millis =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    result.pass_stats.push_back(std::move(stats));
-  }
+    result.pass_stats.push_back(
+        {name, diags.diagnostics().size() - before,
+         std::chrono::duration<double, std::milli>(t1 - t0).count()});
+  };
+  timed("static-bounds", [&] { CheckBounds(ctx, diags); });
+  timed("region-races", [&] {
+    result.reached_step_limit = CheckRegionRaces(program, diags);
+  });
+  timed("bank-conflicts",
+        [&] { result.bank = CheckBankConflicts(ctx, diags); });
+  timed("resource-estimator",
+        [&] { result.feasibility = EstimateResources(ctx, diags); });
   result.diagnostics = diags.diagnostics();
   verify::SortDiagnostics(&result.diagnostics);
-  result.feasibility = ctx.feasibility();
-  result.bank = ctx.bank_report();
   return result;
-}
-
-LintResult LintProgram(const ir::Stmt& program, const LintOptions& options) {
-  return RunPasses(program, options, MakeDefaultPasses());
 }
 
 }  // namespace analysis

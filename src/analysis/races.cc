@@ -1,14 +1,11 @@
 #include "analysis/races.h"
 
-#include <map>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "ir/expr.h"
-#include "support/check.h"
+#include "verify/sync_walk.h"
 
 namespace alcop {
 namespace analysis {
@@ -50,7 +47,7 @@ std::string BoxString(const Box& box) {
   return out.str();
 }
 
-// One in-flight async write.
+// One async write, live while its data may still be invisible.
 struct BoxWrite {
   const BufferNode* buffer = nullptr;
   Box box;
@@ -59,56 +56,13 @@ struct BoxWrite {
   bool live = false;    // still pending (not promoted, not overwritten)
 };
 
-struct PipeState {
-  int64_t committed = 0;
-  int64_t waited = 0;
-  int64_t released = 0;
-  int64_t promoted_upto = -1;
-  std::vector<size_t> current;             // writes of the open group
-  std::vector<std::vector<size_t>> fifo;   // committed groups
-};
-
-class RaceInterpreter {
+// Tracks in-flight async writes by box; the FIFO holds indices into
+// writes_.
+class BoxTracker : public verify::SyncWalk<BoxTracker, size_t> {
  public:
-  RaceInterpreter(AnalysisContext& ctx, verify::DiagnosticEngine& diags)
-      : ctx_(ctx), diags_(diags) {}
+  using SyncWalk::SyncWalk;
 
-  void Run() { Exec(ctx_.program()); }
-
- private:
-  void Emit(const StmtNode* site, verify::Severity severity, const char* code,
-            std::string message, std::string note) {
-    if (!reported_.insert({site, code}).second) return;
-    verify::Diagnostic& diag = diags_.Emit(severity, code, std::move(message));
-    std::ostringstream path;
-    for (const std::string& entry : path_) path << entry << " / ";
-    path << SiteLabel(site);
-    diag.path = path.str();
-    diag.span = site->span;
-    if (!note.empty()) diag.notes.push_back(std::move(note));
-  }
-
-  bool EvalBox(const BufferRegion& region, const StmtNode* site, Box* out) {
-    out->lo.resize(region.offsets.size());
-    out->hi.resize(region.offsets.size());
-    for (size_t d = 0; d < region.offsets.size(); ++d) {
-      try {
-        out->lo[d] = Evaluate(region.offsets[d], env_);
-      } catch (const CheckError&) {
-        return false;  // malformed IR; the verifier reports V009
-      }
-      out->hi[d] = out->lo[d] +
-                   (d < region.sizes.size() ? region.sizes[d] : 1);
-    }
-    (void)site;
-    return true;
-  }
-
-  std::vector<size_t>& LiveOf(const BufferNode* buffer) {
-    return live_[buffer];
-  }
-
-  void CheckReadBox(const StmtNode* site, const BufferRegion& region) {
+  void Read(const StmtNode* site, const BufferRegion& region) {
     auto it = live_.find(region.buffer.get());
     if (it == live_.end() || it->second.empty()) return;
     Box box;
@@ -124,15 +78,17 @@ class RaceInterpreter {
       note << "written region " << BoxString(w.box) << " by commit group "
            << w.group << " of pipeline group " << w.pipeline
            << ", not yet promoted by a consumer_wait";
-      Emit(site, verify::Severity::kError, "L003", msg.str(), note.str());
+      Report(site, verify::Severity::kError, "L003", msg.str(), note.str());
       return;
     }
   }
 
   // A synchronous write makes the overwritten data visible: live boxes
   // fully contained in the written box stop being pending.
-  void RetireContained(const BufferNode* buffer, const Box& box) {
-    auto it = live_.find(buffer);
+  void Overwrite(const StmtNode* site, const BufferRegion& region) {
+    Box box;
+    if (!EvalBox(region, site, &box)) return;
+    auto it = live_.find(region.buffer.get());
     if (it == live_.end()) return;
     std::vector<size_t>& live = it->second;
     for (size_t i = 0; i < live.size();) {
@@ -147,24 +103,15 @@ class RaceInterpreter {
     }
   }
 
-  void ExecCopy(const CopyNode* op) {
-    CheckReadBox(op, op->src);
-    if (!op->is_async) {
-      Box box;
-      if (EvalBox(op->dst, op, &box)) {
-        RetireContained(op->dst.buffer.get(), box);
-      }
-      return;
-    }
-    if (op->pipeline_group < 0) return;  // V009 territory
+  bool AsyncWrite(const CopyNode* op, int64_t group, size_t* write) {
     Box box;
-    if (!EvalBox(op->dst, op, &box)) return;
-    PipeState& pipe = pipes_[op->pipeline_group];
-    std::vector<size_t>& live = LiveOf(op->dst.buffer.get());
+    if (!EvalBox(op->dst, op, &box)) return false;
+    std::vector<size_t>& live = live_[op->dst.buffer.get()];
     for (size_t i = 0; i < live.size();) {
       BoxWrite& w = writes_[live[i]];
-      if (w.live && Overlaps(box, w.box) &&
-          !(w.pipeline == op->pipeline_group && w.group == pipe.committed)) {
+      bool earlier =
+          !(w.pipeline == op->pipeline_group && w.group == group);
+      if (w.live && Overlaps(box, w.box) && earlier) {
         std::ostringstream msg;
         msg << "async write region " << BoxString(box) << " of '"
             << op->dst.buffer->name
@@ -173,13 +120,12 @@ class RaceInterpreter {
         std::ostringstream note;
         note << "aliased region " << BoxString(w.box) << " written by commit "
              << "group " << w.group << " of pipeline group " << w.pipeline;
-        Emit(op, verify::Severity::kWarning, "L004", msg.str(), note.str());
+        Report(op, verify::Severity::kWarning, "L004", msg.str(), note.str());
       }
       // A full overwrite transfers ownership to the newer group: the old
       // group's promotion must not make this data visible (the epoch
       // check of the slot-granular verifier).
-      if (w.live && Contains(box, w.box) &&
-          !(w.pipeline == op->pipeline_group && w.group == pipe.committed)) {
+      if (w.live && Contains(box, w.box) && earlier) {
         w.live = false;
         live[i] = live.back();
         live.pop_back();
@@ -187,26 +133,14 @@ class RaceInterpreter {
       }
       ++i;
     }
-    size_t id = writes_.size();
-    writes_.push_back(BoxWrite{op->dst.buffer.get(), std::move(box),
-                               pipe.committed, op->pipeline_group, true});
-    live.push_back(id);
-    pipe.current.push_back(id);
+    *write = writes_.size();
+    writes_.push_back(BoxWrite{op->dst.buffer.get(), std::move(box), group,
+                               op->pipeline_group, true});
+    live.push_back(*write);
+    return true;
   }
 
-  void ExecFill(const FillNode* op) {
-    Box box;
-    if (EvalBox(op->dst, op, &box)) {
-      RetireContained(op->dst.buffer.get(), box);
-    }
-  }
-
-  void ExecMma(const MmaNode* op) {
-    CheckReadBox(op, op->a);
-    CheckReadBox(op, op->b);
-  }
-
-  void Retire(size_t id) {
+  void Promote(size_t id) {
     BoxWrite& w = writes_[id];
     if (!w.live) return;
     w.live = false;
@@ -220,125 +154,35 @@ class RaceInterpreter {
     }
   }
 
-  void ExecSync(const SyncNode* op) {
-    if (op->sync_kind == SyncKind::kBarrier || op->group < 0) return;
-    PipeState& pipe = pipes_[op->group];
-    switch (op->sync_kind) {
-      case SyncKind::kProducerCommit:
-        pipe.fifo.push_back(std::move(pipe.current));
-        pipe.current.clear();
-        ++pipe.committed;
-        return;
-      case SyncKind::kConsumerWait: {
-        int64_t target = pipe.waited + op->wait_ahead;
-        if (target >= pipe.committed) return;  // V003; no promotion
-        for (int64_t g = pipe.promoted_upto + 1; g <= target; ++g) {
-          for (size_t id : pipe.fifo[static_cast<size_t>(g)]) Retire(id);
-        }
-        pipe.promoted_upto = std::max(pipe.promoted_upto, target);
-        ++pipe.waited;
-        return;
-      }
-      case SyncKind::kConsumerRelease:
-        pipe.released = std::min(pipe.released + 1, pipe.committed);
-        return;
-      default:  // producer_acquire capacity is the verifier's V002
-        return;
-    }
+ private:
+  void Report(const StmtNode* site, verify::Severity severity,
+              const char* code, std::string message, std::string note) {
+    verify::Diagnostic* diag = Emit(site, severity, code, std::move(message));
+    if (diag != nullptr) diag->notes.push_back(std::move(note));
   }
 
-  void ExecFor(const ForNode* op) {
-    int64_t extent = 0;
-    try {
-      extent = Evaluate(op->extent, env_);
-    } catch (const CheckError&) {
-      return;
+  bool EvalBox(const BufferRegion& region, const StmtNode* site, Box* out) {
+    out->lo.resize(region.offsets.size());
+    out->hi.resize(region.offsets.size());
+    for (size_t d = 0; d < region.offsets.size(); ++d) {
+      if (!Eval(region.offsets[d], site, &out->lo[d])) return false;
+      out->hi[d] = out->lo[d] +
+                   (d < region.sizes.size() ? region.sizes[d] : 1);
     }
-    if (extent <= 0) return;
-    bool parallel = op->for_kind == ForKind::kBlockIdx ||
-                    op->for_kind == ForKind::kWarp;
-    path_.emplace_back();
-    env_.push_back({op->var.get(), 0});
-    if (parallel) {
-      path_.back() = "for " + op->var->name + "=0.." +
-                     std::to_string(extent - 1) + "(" +
-                     ForKindName(op->for_kind) + ")";
-      Exec(op->body);
-    } else {
-      for (int64_t i = 0; i < extent && !step_limit_; ++i) {
-        env_.back().value = i;
-        path_.back() = "for " + op->var->name + "=" + std::to_string(i);
-        Exec(op->body);
-      }
-    }
-    env_.pop_back();
-    path_.pop_back();
+    return true;
   }
 
-  void Exec(const Stmt& s) {
-    if (++steps_ > ctx_.options().max_steps) step_limit_ = true;
-    if (step_limit_) return;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const Stmt& child : static_cast<const BlockNode*>(s.get())->seq) {
-          Exec(child);
-        }
-        return;
-      case StmtKind::kPragma:
-        Exec(static_cast<const PragmaNode*>(s.get())->body);
-        return;
-      case StmtKind::kFor:
-        ExecFor(static_cast<const ForNode*>(s.get()));
-        return;
-      case StmtKind::kIfThenElse: {
-        const auto* op = static_cast<const IfThenElseNode*>(s.get());
-        int64_t cond = 0;
-        try {
-          cond = Evaluate(op->cond, env_);
-        } catch (const CheckError&) {
-          return;
-        }
-        if (cond != 0) {
-          Exec(op->then_case);
-        } else if (op->else_case != nullptr) {
-          Exec(op->else_case);
-        }
-        return;
-      }
-      case StmtKind::kCopy:
-        ExecCopy(static_cast<const CopyNode*>(s.get()));
-        return;
-      case StmtKind::kFill:
-        ExecFill(static_cast<const FillNode*>(s.get()));
-        return;
-      case StmtKind::kMma:
-        ExecMma(static_cast<const MmaNode*>(s.get()));
-        return;
-      case StmtKind::kSync:
-        ExecSync(static_cast<const SyncNode*>(s.get()));
-        return;
-      default:
-        return;
-    }
-  }
-
-  AnalysisContext& ctx_;
-  verify::DiagnosticEngine& diags_;
-  bool step_limit_ = false;
-  int64_t steps_ = 0;
-  std::vector<VarBinding> env_;
-  std::vector<std::string> path_;
   std::vector<BoxWrite> writes_;
   std::unordered_map<const BufferNode*, std::vector<size_t>> live_;
-  std::map<int, PipeState> pipes_;
-  std::set<std::pair<const StmtNode*, std::string>> reported_;
 };
 
 }  // namespace
 
-void RegionRacePass::Run(AnalysisContext& ctx,
-                         verify::DiagnosticEngine& diags) {
-  RaceInterpreter(ctx, diags).Run();
+bool CheckRegionRaces(const ir::Stmt& program,
+                      verify::DiagnosticEngine& diags) {
+  BoxTracker tracker(&diags);
+  tracker.Run(program);
+  return tracker.reached_step_limit();
 }
 
 }  // namespace analysis

@@ -5,31 +5,31 @@
 // the IR this compiler emits today, where every async copy writes a
 // whole stage slot — but warp-specialized schedules split a slot between
 // producer warps, and a slot-granular checker cannot see two sub-slot
-// writes alias or a consumer touch only the written half. This pass
-// generalizes the same abstract interpretation to full rectangular
-// *regions*: each in-flight commit group records the concrete per-dim
-// boxes its async copies wrote, and
+// writes alias or a consumer touch only the written half. This check
+// runs the verifier's walk (verify/sync_walk.h: loops, FIFO, step
+// budget) with a box tracker instead: each in-flight commit group
+// records the concrete per-dim boxes its async copies wrote, and
 //   L003 (error)   a read's box intersects a box that is still
 //                  in flight (committed or uncommitted, not yet
 //                  promoted by a consumer_wait);
 //   L004 (warning) an async write's box intersects a live box of an
 //                  *earlier* commit group (region aliasing between two
 //                  live groups - the region-level V005).
-// Serial loops are enumerated in full; parallel loops run the
-// representative instance 0, exactly like the verifier.
+// FIFO misuse itself (V002-V004) and malformed IR (V009) are the
+// verifier's to report; this check emits L-codes only.
 #ifndef ALCOP_ANALYSIS_RACES_H_
 #define ALCOP_ANALYSIS_RACES_H_
 
-#include "analysis/pass.h"
+#include "ir/stmt.h"
+#include "verify/diagnostic.h"
 
 namespace alcop {
 namespace analysis {
 
-class RegionRacePass : public AnalysisPass {
- public:
-  const char* name() const override { return "region-races"; }
-  void Run(AnalysisContext& ctx, verify::DiagnosticEngine& diags) override;
-};
+// Emits L003/L004 for `program`; returns true if the walk stopped at
+// verify::kMaxSteps.
+bool CheckRegionRaces(const ir::Stmt& program,
+                      verify::DiagnosticEngine& diags);
 
 }  // namespace analysis
 }  // namespace alcop

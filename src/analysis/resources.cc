@@ -1,13 +1,13 @@
 #include "analysis/resources.h"
 
 #include <sstream>
-#include <utility>
+#include <string>
 
 namespace alcop {
 namespace analysis {
 
-void ResourceEstimatorPass::Run(AnalysisContext& ctx,
-                                verify::DiagnosticEngine& diags) {
+schedule::StaticFeasibility EstimateResources(
+    AnalysisContext& ctx, verify::DiagnosticEngine& diags) {
   schedule::StaticFeasibility verdict;
   target::ThreadblockResources& res = verdict.resources;
   res.warps = static_cast<int>(ctx.NumWarps());
@@ -41,7 +41,7 @@ void ResourceEstimatorPass::Run(AnalysisContext& ctx,
         "shared/register footprints include the pipeline stage expansion; "
         "reduce smem_stages/reg_stages or the tile size");
   }
-  ctx.SetFeasibility(std::move(verdict));
+  return verdict;
 }
 
 }  // namespace analysis

@@ -1,21 +1,25 @@
 // Resource estimator and static feasibility verdict (code L006).
 //
-// ResourceEstimatorPass walks the *IR*: shared-memory footprint from
+// EstimateResources walks the *IR*: shared-memory footprint from
 // shared allocations (stage expansion included, since the pipeline
 // transformation reallocates the buffers with the stage dimension),
 // register footprint from register/accumulator allocations plus the
 // fixed per-thread overhead, warp count from the warp loop extents. For
 // lowered kernels the estimate reproduces schedule::ComputeResources
 // exactly (asserted in tests); for hand-written IR it is the only
-// estimate available. The verdict is published on the AnalysisContext
-// and L006 is emitted when one threadblock does not fit the device.
+// estimate available. It returns the verdict and emits L006 when one
+// threadblock does not fit the device.
 //
 // The config-level verdict (no IR) is schedule::CheckFeasibility; the
 // simulator, the analytical model and the tuner take theirs from there.
 #ifndef ALCOP_ANALYSIS_RESOURCES_H_
 #define ALCOP_ANALYSIS_RESOURCES_H_
 
-#include "analysis/pass.h"
+#include <cstdint>
+
+#include "analysis/context.h"
+#include "schedule/lower.h"
+#include "verify/diagnostic.h"
 
 namespace alcop {
 namespace analysis {
@@ -24,11 +28,8 @@ namespace analysis {
 // charges (32 registers x 32 threads x 4 bytes per warp).
 constexpr int64_t kPerWarpOverheadBytes = 32 * 32 * 4;
 
-class ResourceEstimatorPass : public AnalysisPass {
- public:
-  const char* name() const override { return "resource-estimator"; }
-  void Run(AnalysisContext& ctx, verify::DiagnosticEngine& diags) override;
-};
+schedule::StaticFeasibility EstimateResources(
+    AnalysisContext& ctx, verify::DiagnosticEngine& diags);
 
 }  // namespace analysis
 }  // namespace alcop

@@ -12,6 +12,12 @@ namespace tuner {
 
 namespace {
 
+// The annealing schedule of each proposal.
+constexpr int kRestarts = 4;
+constexpr int kWalkSteps = 300;
+constexpr double kStartTemperature = 1.0;
+constexpr double kEndTemperature = 0.05;
+
 // The ten knobs the neighbor relation compares.
 constexpr size_t kNumKnobs = 10;
 using Knobs = std::array<int64_t, kNumKnobs>;
@@ -73,7 +79,6 @@ std::vector<size_t> ProposeBatch(
     const std::vector<schedule::ScheduleConfig>& space,
     const std::function<double(size_t)>& score,
     const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng,
-    const AnnealOptions& options,
     const std::vector<std::vector<size_t>>* precomputed_neighbors) {
   if (space.empty() || batch == 0) return {};
 
@@ -92,17 +97,16 @@ std::vector<size_t> ProposeBatch(
     best.emplace(score(index) + 1e-12 * static_cast<double>(index), index);
   };
 
-  for (int restart = 0; restart < options.restarts; ++restart) {
+  for (int restart = 0; restart < kRestarts; ++restart) {
     size_t current =
         static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(space.size()) - 1));
     double current_score = score(current);
     consider(current);
-    for (int step = 0; step < options.walk_steps; ++step) {
+    for (int step = 0; step < kWalkSteps; ++step) {
       double progress =
-          static_cast<double>(step) / std::max(options.walk_steps - 1, 1);
-      double temperature = options.start_temperature +
-                           (options.end_temperature - options.start_temperature) *
-                               progress;
+          static_cast<double>(step) / std::max(kWalkSteps - 1, 1);
+      double temperature =
+          kStartTemperature + (kEndTemperature - kStartTemperature) * progress;
       size_t next;
       if (!neighbors[current].empty() && rng.Uniform() < 0.85) {
         const std::vector<size_t>& adjacent = neighbors[current];

@@ -15,13 +15,6 @@
 namespace alcop {
 namespace tuner {
 
-struct AnnealOptions {
-  int walk_steps = 300;
-  double start_temperature = 1.0;
-  double end_temperature = 0.05;
-  int restarts = 4;
-};
-
 // Single-knob adjacency lists for the whole space, each sorted ascending:
 // list i holds every j with AreNeighbors(space[i], space[j]). Built on the
 // calling thread by grouping, for each knob, the configs that agree on the
@@ -32,14 +25,14 @@ std::vector<std::vector<size_t>> BuildNeighborLists(
     const std::vector<schedule::ScheduleConfig>& space);
 
 // Proposes up to `batch` distinct indices into `space`, maximizing
-// `score(index)` (higher is better), skipping indices in `exclude`.
+// `score(index)` (higher is better), skipping indices in `exclude`: four
+// restarts of a 300-step walk cooling from temperature 1 to 0.05.
 // `neighbors`, when non-null, must be BuildNeighborLists(space); when
 // null the lists are built internally (same walk either way).
 std::vector<size_t> ProposeBatch(
     const std::vector<schedule::ScheduleConfig>& space,
     const std::function<double(size_t)>& score,
     const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng,
-    const AnnealOptions& options = {},
     const std::vector<std::vector<size_t>>* neighbors = nullptr);
 
 // Neighbor relation used by the walk: configs differing in exactly one of

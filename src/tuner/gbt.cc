@@ -13,6 +13,13 @@ namespace tuner {
 
 namespace {
 
+// The ensemble's hyperparameters.
+constexpr int kNumTrees = 80;
+constexpr int kMaxDepth = 4;
+constexpr double kLearningRate = 0.15;
+constexpr int kMinSamplesLeaf = 2;
+constexpr double kL2 = 1.0;  // L2 regularization on leaf values (lambda)
+
 // One node of the ensemble. Every tree lives in one flat array in
 // preorder, so a split's left child is the next node and only the right
 // child's index is stored.
@@ -82,9 +89,8 @@ struct Split {
 class TreeBuilder {
  public:
   TreeBuilder(const std::vector<std::vector<double>>& x,
-              const std::vector<double>& weight, const GbtParams& params)
-      : params_(params),
-        n_(x.size()),
+              const std::vector<double>& weight)
+      : n_(x.size()),
         weight_(weight),
         grad_(n_),
         goes_left_(n_),
@@ -156,9 +162,9 @@ class TreeBuilder {
       h += grad_[static_cast<size_t>(e->row)].h;
     }
     Split split;
-    if (depth < params_.max_depth &&
-        count >= static_cast<size_t>(2 * params_.min_samples_leaf)) {
-      double parent_loss = -(g * g) / (h + params_.l2);
+    if (depth < kMaxDepth &&
+        count >= static_cast<size_t>(2 * kMinSamplesLeaf)) {
+      double parent_loss = -(g * g) / (h + kL2);
       // Per-feature bests reduce in feature order under the same epsilon
       // the scoring uses, so ties break toward the lowest feature index.
       for (size_t k = first_searched_; k < features_.size(); ++k) {
@@ -172,7 +178,7 @@ class TreeBuilder {
       }
     }
     if (split.feature < 0) {
-      (*nodes_)[static_cast<size_t>(index)].value = g / (h + params_.l2);
+      (*nodes_)[static_cast<size_t>(index)].value = g / (h + kL2);
       return index;
     }
     (*nodes_)[static_cast<size_t>(index)].feature = split.feature;
@@ -184,7 +190,7 @@ class TreeBuilder {
     }
     // Children at max_depth are leaves and read only block 0. In place, the
     // chosen order is already partitioned: its prefix is the left.
-    size_t blocks = depth + 1 < params_.max_depth ? features_.size() : 1;
+    size_t blocks = depth + 1 < kMaxDepth ? features_.size() : 1;
     for (size_t k = 0; k < blocks; ++k) {
       const Entry* from = orders + k * n_ + begin;
       Entry* to = work_.data() + k * n_ + begin;
@@ -217,13 +223,13 @@ class TreeBuilder {
       if (e[i].rank != e[i + 1].rank) cuts[num_cuts++] = {gl, hl, i + 1};
     }
     Split best;
-    size_t min_leaf = static_cast<size_t>(params_.min_samples_leaf);
+    size_t min_leaf = static_cast<size_t>(kMinSamplesLeaf);
     for (const Cut* cut = cuts; cut != cuts + num_cuts; ++cut) {
       size_t left_count = cut->left_count;
       if (left_count < min_leaf || count - left_count < min_leaf) continue;
       double gr = g - cut->gl, hr = h - cut->hl;
-      double loss = -(cut->gl * cut->gl) / (cut->hl + params_.l2) -
-                    (gr * gr) / (hr + params_.l2);
+      double loss = -(cut->gl * cut->gl) / (cut->hl + kL2) -
+                    (gr * gr) / (hr + kL2);
       double gain = parent_loss - loss;
       if (gain > best.gain + 1e-12) {
         best.gain = gain;
@@ -254,7 +260,6 @@ class TreeBuilder {
     std::copy(rights, rights + r, to + left_count);
   }
 
-  const GbtParams& params_;
   size_t n_;
   const std::vector<double>& weight_;
   std::vector<Grad> grad_;  // per row, for the current tree
@@ -275,16 +280,13 @@ class TreeBuilder {
 }  // namespace
 
 struct GbtModel::Impl {
-  GbtParams params;
   double base = 0.0;
   std::vector<Node> nodes;  // every tree, in fit order
   std::vector<int> roots;   // each tree's root index into `nodes`
   bool fitted = false;
 };
 
-GbtModel::GbtModel(GbtParams params) : impl_(std::make_unique<Impl>()) {
-  impl_->params = params;
-}
+GbtModel::GbtModel() : impl_(std::make_unique<Impl>()) {}
 GbtModel::~GbtModel() = default;
 GbtModel::GbtModel(GbtModel&&) noexcept = default;
 GbtModel& GbtModel::operator=(GbtModel&&) noexcept = default;
@@ -311,11 +313,10 @@ void GbtModel::Fit(const std::vector<std::vector<double>>& x,
   impl_->nodes.clear();
   impl_->roots.clear();
 
-  const GbtParams& params = impl_->params;
-  TreeBuilder builder(x, weight, params);
+  TreeBuilder builder(x, weight);
   std::vector<double> prediction(y.size(), impl_->base);
   std::vector<double> residual(y.size());
-  for (int round = 0; round < params.num_trees; ++round) {
+  for (int round = 0; round < kNumTrees; ++round) {
     for (size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - prediction[i];
     int root = static_cast<int>(impl_->nodes.size());
     builder.Build(residual, &impl_->nodes);
@@ -327,7 +328,7 @@ void GbtModel::Fit(const std::vector<std::vector<double>>& x,
     }
     impl_->roots.push_back(root);
     for (size_t i = 0; i < y.size(); ++i) {
-      prediction[i] += params.learning_rate *
+      prediction[i] += kLearningRate *
                        TreeValue(impl_->nodes.data(), root, x[i].data());
     }
   }
@@ -338,7 +339,7 @@ double GbtModel::Predict(const std::vector<double>& features) const {
   ALCOP_CHECK(impl_->fitted) << "GBT model queried before Fit";
   double out = impl_->base;
   for (int root : impl_->roots) {
-    out += impl_->params.learning_rate *
+    out += kLearningRate *
            TreeValue(impl_->nodes.data(), root, features.data());
   }
   return out;

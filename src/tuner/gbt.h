@@ -1,8 +1,10 @@
 // Gradient-boosted regression trees: the from-scratch stand-in for
 // XGBoost (see DESIGN.md substitution table). Squared-error boosting with
-// exact greedy splits over presorted feature orders — sized for the tuner's
-// refits, which fit 960–1,952 rows (a whole Fig. 10 space of analytical
-// pseudo-samples plus the measured trials) after every batch.
+// exact greedy splits over presorted feature orders, 80 trees of depth at
+// most 4 (the hyperparameters are constants in gbt.cc) — sized for the
+// tuner's refits, which fit 960–1,952 rows (a whole Fig. 10 space of
+// analytical pseudo-samples plus the measured trials) before each
+// model-guided round.
 #ifndef ALCOP_TUNER_GBT_H_
 #define ALCOP_TUNER_GBT_H_
 
@@ -13,18 +15,9 @@
 namespace alcop {
 namespace tuner {
 
-struct GbtParams {
-  int num_trees = 80;
-  int max_depth = 4;
-  double learning_rate = 0.15;
-  int min_samples_leaf = 2;
-  // L2 regularization on leaf values (XGBoost's lambda).
-  double l2 = 1.0;
-};
-
 class GbtModel {
  public:
-  explicit GbtModel(GbtParams params = {});
+  GbtModel();
   ~GbtModel();
   GbtModel(GbtModel&&) noexcept;
   GbtModel& operator=(GbtModel&&) noexcept;

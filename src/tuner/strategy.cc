@@ -28,6 +28,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Trials measured per round of XgbTuner.
+constexpr size_t kBatchSize = 8;
+
 // Cost-model target: higher is better, bounded for failed compiles.
 double ScoreOf(double cycles) {
   if (!std::isfinite(cycles)) return -30.0;
@@ -235,7 +238,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       for (size_t i = 0; i < task.space.size(); ++i) {
         x.push_back(features[i]);
         y.push_back(pretrain_scores[i]);
-        w.push_back(options.pretrain_weight);
+        w.push_back(kPretrainWeight);
       }
     }
     for (size_t i = 0; i < result.trials.size(); ++i) {
@@ -348,8 +351,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
          measured_set.size() < task.space.size()) {
     ALCOP_TRACE_SCOPE("xgb-round", "tuner");
     rounds.Increment();
-    size_t batch =
-        std::min(options.batch_size, max_trials - result.trials.size());
+    size_t batch = std::min(kBatchSize, max_trials - result.trials.size());
     std::vector<size_t> proposals;
     std::vector<double> predicted;  // whole-space scores; empty cold start
     if (!options.pretrain_with_analytical && result.trials.empty()) {
@@ -374,7 +376,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       predicted = model.PredictBatch(features);
       auto score = [&](size_t index) { return predicted[index]; };
       proposals = ProposeBatch(task.space, score, measured_set, batch, rng,
-                               {}, &neighbors);
+                               &neighbors);
     }
     if (proposals.empty()) break;
     measure(proposals, round, predicted);

@@ -98,12 +98,13 @@ struct TrialEvent {
   double rank_accuracy = 0.0;
 };
 
+// Weight of XgbTuner's analytical pre-training pseudo-samples relative to
+// measured ones.
+constexpr double kPretrainWeight = 0.25;
+
 struct XgbOptions {
-  size_t batch_size = 8;
   bool pretrain_with_analytical = false;  // ALCOP's Model-Assisted XGB
   uint64_t seed = 0;
-  // Weight of pre-training pseudo-samples relative to measured ones.
-  double pretrain_weight = 0.25;
   // Search telemetry sink (see TrialEvent); unset = no logging cost.
   std::function<void(const TrialEvent&)> logger;
   // Warm-start transfer (tuner/transfer.h): space indices measured as the

@@ -66,6 +66,32 @@ std::string DiagnosticEngine::Render() const {
   return out.str();
 }
 
+std::string StmtLabel(const ir::StmtNode* s) {
+  using namespace alcop::ir;  // NOLINT(build/namespaces) - IR node kinds
+  switch (s->kind) {
+    case StmtKind::kCopy: {
+      const auto* op = static_cast<const CopyNode*>(s);
+      return std::string(op->is_async ? "copy.async(" : "copy(") +
+             op->dst.buffer->name + ")";
+    }
+    case StmtKind::kFill:
+      return "fill(" + static_cast<const FillNode*>(s)->dst.buffer->name + ")";
+    case StmtKind::kMma:
+      return "mma(" + static_cast<const MmaNode*>(s)->c.buffer->name + ")";
+    case StmtKind::kSync: {
+      const auto* op = static_cast<const SyncNode*>(s);
+      if (op->sync_kind == SyncKind::kBarrier) return "barrier";
+      std::string name = op->buffers.empty() ? "?" : op->buffers[0]->name;
+      return name + "." + SyncKindName(op->sync_kind) + "@group" +
+             std::to_string(op->group);
+    }
+    case StmtKind::kAlloc:
+      return "alloc(" + static_cast<const AllocNode*>(s)->buffer->name + ")";
+    default:
+      return "stmt";
+  }
+}
+
 void SortDiagnostics(std::vector<Diagnostic>* diagnostics) {
   std::stable_sort(diagnostics->begin(), diagnostics->end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

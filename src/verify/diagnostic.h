@@ -5,8 +5,9 @@
 // statement ("for ko=3 / mma(C_acc)"), the source span when the statement
 // came from a textual .tir file, and optional secondary notes.
 //
-// Three producers share the type:
+// Four producers share the type:
 //   - the static pipeline verifier (src/verify/verifier.*, codes V0xx),
+//   - alcop-lint (src/analysis/, codes L0xx),
 //   - the parser (codes P0xx, rendered into parse-error messages),
 //   - the pipeline detection rules (codes D0xx, rejection reasons),
 // and the functional executor renders its runtime async-semantics
@@ -60,6 +61,11 @@ class DiagnosticEngine {
  private:
   std::vector<Diagnostic> diagnostics_;
 };
+
+// Short printable label of a statement ("copy.async(A_shared)",
+// "A_shared.consumer_wait@group0"): the leaf of every diagnostic path and
+// the name of a sync site.
+std::string StmtLabel(const ir::StmtNode* s);
 
 // Stable-sorts diagnostics by (line, column, code). Diagnostics with no
 // source span (programmatically built IR) sort first and keep their

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "support/check.h"
+#include "verify/diagnostic.h"
 
 namespace alcop {
 namespace verify {
@@ -15,12 +16,6 @@ bool IsPipelineSync(const Stmt& s) {
   if (s->kind != StmtKind::kSync) return false;
   return static_cast<const SyncNode*>(s.get())->sync_kind !=
          SyncKind::kBarrier;
-}
-
-std::string SiteLabel(const SyncNode* op) {
-  std::string name = op->buffers.empty() ? "?" : op->buffers[0]->name;
-  return name + "." + SyncKindName(op->sync_kind) + "@group" +
-         std::to_string(op->group);
 }
 
 void Collect(const Stmt& s, std::vector<SyncSite>* out) {
@@ -45,7 +40,7 @@ void Collect(const Stmt& s, std::vector<SyncSite>* out) {
     case StmtKind::kSync: {
       if (!IsPipelineSync(s)) return;
       const auto* op = static_cast<const SyncNode*>(s.get());
-      out->push_back({op, out->size(), SiteLabel(op)});
+      out->push_back({op, out->size(), StmtLabel(op)});
       return;
     }
     default:

@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "ir/expr.h"
 #include "obs/trace.h"
 #include "support/check.h"
+#include "verify/sync_walk.h"
 
 namespace alcop {
 namespace verify {
@@ -40,96 +38,130 @@ struct SlotRef {
   uint32_t epoch;
 };
 
-// FIFO state of one synchronization group; mirrors sim::PipelineState.
-struct PipeState {
-  int64_t committed = 0;
-  int64_t waited = 0;
-  int64_t released = 0;
-  int64_t promoted_upto = -1;
-  std::vector<SlotRef> current;
-  std::vector<std::vector<SlotRef>> fifo;
-};
-
-struct ParallelVar {
-  const VarNode* var;
-  int64_t extent;
-  size_t env_index;  // position of the binding in env_
-};
-
-std::string StmtLabel(const StmtNode* s) {
-  switch (s->kind) {
-    case StmtKind::kCopy: {
-      const auto* op = static_cast<const CopyNode*>(s);
-      return std::string(op->is_async ? "copy.async(" : "copy(") +
-             op->dst.buffer->name + ")";
-    }
-    case StmtKind::kFill:
-      return "fill(" + static_cast<const FillNode*>(s)->dst.buffer->name + ")";
-    case StmtKind::kMma:
-      return "mma(" + static_cast<const MmaNode*>(s)->c.buffer->name + ")";
-    case StmtKind::kSync: {
-      const auto* op = static_cast<const SyncNode*>(s);
-      if (op->sync_kind == SyncKind::kBarrier) return "barrier";
-      std::string name = op->buffers.empty() ? "?" : op->buffers[0]->name;
-      return name + "." + SyncKindName(op->sync_kind) + "@group" +
-             std::to_string(op->group);
-    }
-    case StmtKind::kAlloc:
-      return "alloc(" +
-             static_cast<const AllocNode*>(s)->buffer->name + ")";
-    default:
-      return "stmt";
-  }
-}
-
-class Interpreter {
+// Tracks in-flight async writes by stage slot, and owns every V-code.
+class SlotTracker : public SyncWalk<SlotTracker, SlotRef> {
  public:
-  Interpreter(const VerifyOptions& options, DiagnosticEngine* diags)
-      : options_(options), diags_(diags) {}
+  using SyncWalk::SyncWalk;
 
-  bool reached_step_limit() const { return reached_step_limit_; }
-
-  void Run(const Stmt& program) { Exec(program); }
-
- private:
-  // ---- Diagnostics plumbing ----
-
-  std::string PathString(const StmtNode* leaf) const {
-    std::ostringstream out;
-    for (const std::string& entry : path_) out << entry << " / ";
-    out << StmtLabel(leaf);
-    return out.str();
+  void Check(const CopyNode* op) {
+    CheckRegionBounds(op, op->dst);
+    CheckRegionBounds(op, op->src);
+    CheckCopyScopes(op);
+  }
+  void Check(const FillNode* op) { CheckRegionBounds(op, op->dst); }
+  void Check(const MmaNode* op) {
+    CheckRegionBounds(op, op->c);
+    CheckRegionBounds(op, op->a);
+    CheckRegionBounds(op, op->b);
   }
 
-  // One diagnostic per (statement, code) pair: a bug inside a loop is
-  // reported at its first occurrence, not once per iteration.
-  Diagnostic* EmitAt(const StmtNode* site, Severity severity,
-                     const char* code, std::string message) {
-    if (!reported_.insert({site, code}).second) return nullptr;
-    Diagnostic& diag = diags_->Emit(severity, code, std::move(message));
-    diag.path = PathString(site);
-    diag.span = site->span;
-    return &diag;
+  // Race check for a read of `region`: its stage slot must not hold
+  // unpromoted async data (the executor's ReadElem pending check).
+  void Read(const StmtNode* site, const BufferRegion& region) {
+    int64_t index = 0;
+    SlotState* slot = FindSlot(site, region, &index);
+    if (slot == nullptr || !slot->pending) return;
+    std::ostringstream msg;
+    msg << "read of '" << region.buffer->name << "' slot " << index
+        << " before its consumer_wait (async data not yet visible)";
+    Diagnostic* diag = Emit(site, Severity::kError, "V001", msg.str());
+    if (diag != nullptr) {
+      std::ostringstream note;
+      note << "slot written by the async copy of commit group "
+           << slot->writer_group << " of pipeline group "
+           << slot->writer_pipeline;
+      diag->notes.push_back(note.str());
+    }
   }
 
-  void EmitMalformed(const StmtNode* site, std::string message) {
-    EmitAt(site, Severity::kError, "V009", std::move(message));
+  // A synchronous write makes its destination slot visible immediately
+  // (mirrors the executor clearing the pending flag).
+  void Overwrite(const StmtNode* site, const BufferRegion& region) {
+    int64_t index = 0;
+    SlotState* slot = FindSlot(site, region, &index);
+    if (slot != nullptr) slot->pending = false;
   }
 
-  // Evaluates an index expression in the current environment, reporting
-  // V009 (instead of propagating CheckError) on unbound variables etc.
-  bool TryEval(const Expr& e, const StmtNode* site, int64_t* out) {
-    try {
-      *out = Evaluate(e, env_);
-      return true;
-    } catch (const CheckError& error) {
-      EmitMalformed(site, std::string("unevaluable index expression: ") +
-                              error.what());
+  bool AsyncWrite(const CopyNode* op, int64_t group, SlotRef* write) {
+    int64_t index = 0;
+    if (op->dst.offsets.empty() || !Eval(op->dst.offsets[0], op, &index)) {
       return false;
     }
+    SlotState& slot = slots_[op->dst.buffer.get()][index];
+    if (slot.pending && slot.writer_group >= 0 &&
+        slot.writer_group != group) {
+      std::ostringstream msg;
+      msg << "async copy overwrites '" << op->dst.buffer->name << "' slot "
+          << index << " while commit group " << slot.writer_group
+          << " still owns it (two live groups alias one slot; wrong "
+             "rolling index?)";
+      Emit(op, Severity::kWarning, "V005", msg.str());
+    }
+    slot.pending = true;
+    slot.writer_group = group;
+    slot.writer_pipeline = op->pipeline_group;
+    ++slot.epoch;
+    *write = {op->dst.buffer.get(), index, slot.epoch};
+    return true;
   }
 
-  // ---- Region checks ----
+  // Promotes the slot only if no later async copy overwrote it.
+  void Promote(const SlotRef& ref) {
+    SlotState& slot = slots_[ref.buffer][ref.slot];
+    if (slot.epoch == ref.epoch) slot.pending = false;
+  }
+
+  void Malformed(const StmtNode* site, const std::string& message) {
+    Emit(site, Severity::kError, "V009", message);
+  }
+
+  void Barrier(const SyncNode* op) {
+    if (warp_depth_ == 0) return;
+    Emit(op, Severity::kError, "V008",
+         "threadblock barrier inside a divergent warp loop (deadlocks: "
+         "warps reach the barrier a different number of times)");
+  }
+
+  void Acquire(const SyncNode* op, int64_t live) {
+    int64_t stages = op->buffers[0]->shape[0];
+    if (live < stages) return;
+    std::ostringstream msg;
+    msg << "producer_acquire of group " << op->group
+        << " without pipeline capacity: " << live << " groups live in a "
+        << stages << "-stage FIFO (missing consumer_release?)";
+    Emit(op, Severity::kError, "V002", msg.str());
+  }
+
+  void WaitPastCommitted(const SyncNode* op, int64_t target,
+                         int64_t committed) {
+    std::ostringstream msg;
+    msg << "consumer_wait of group " << op->group << " targets group "
+        << target << " but only " << committed << " groups were committed";
+    Emit(op, Severity::kError, "V003", msg.str());
+  }
+
+  void ReleasePastCommitted(const SyncNode* op, int64_t committed) {
+    std::ostringstream msg;
+    msg << "consumer_release of group " << op->group
+        << " exceeds committed groups (" << committed + 1 << " > "
+        << committed << ")";
+    Emit(op, Severity::kError, "V004", msg.str());
+  }
+
+ private:
+  // The slot `region` starts in (its index in `*index`), or nullptr when
+  // no async copy ever wrote it. An unevaluable offset was already
+  // reported by Check, which runs first.
+  SlotState* FindSlot(const StmtNode* site, const BufferRegion& region,
+                      int64_t* index) {
+    auto it = slots_.find(region.buffer.get());
+    if (it == slots_.end() || region.offsets.empty() ||
+        !Eval(region.offsets[0], site, index)) {
+      return nullptr;
+    }
+    auto slot_it = it->second.find(*index);
+    return slot_it == it->second.end() ? nullptr : &slot_it->second;
+  }
 
   // Bounds-checks a region at the corners of every in-scope parallel
   // loop. Serial loop variables hold their current (real) values, so
@@ -137,17 +169,16 @@ class Interpreter {
   // variables only ever enter lowered offsets affinely (tile bases), so
   // their extremes occur at {0, extent-1}.
   void CheckRegionBounds(const StmtNode* site, const BufferRegion& region) {
-    if (!options_.check_bounds) return;
     try {
       ValidateRegion(region);
     } catch (const CheckError& error) {
-      EmitMalformed(site, std::string("malformed region: ") + error.what());
+      Malformed(site, std::string("malformed region: ") + error.what());
       return;
     }
 
     std::vector<size_t> corner_vars;
-    for (size_t i = 0; i < parallel_scope_.size(); ++i) {
-      if (parallel_scope_[i].extent > 1) corner_vars.push_back(i);
+    for (size_t i = 0; i < parallel_.size(); ++i) {
+      if (parallel_[i].extent > 1) corner_vars.push_back(i);
     }
     // 2^12 corner combinations is already far beyond any real loop nest;
     // beyond that fall back to the representative instance only.
@@ -159,29 +190,28 @@ class Interpreter {
       size_t combos = size_t{1} << corner_vars.size();
       for (size_t mask = 0; mask < combos; ++mask) {
         for (size_t i = 0; i < corner_vars.size(); ++i) {
-          const ParallelVar& pv = parallel_scope_[corner_vars[i]];
-          env_[pv.env_index].value =
-              ((mask >> i) & 1) != 0 ? pv.extent - 1 : 0;
+          const ParallelLoop& loop = parallel_[corner_vars[i]];
+          env_[loop.env_index].value =
+              ((mask >> i) & 1) != 0 ? loop.extent - 1 : 0;
         }
         int64_t value = 0;
-        bool ok = TryEval(region.offsets[d], site, &value);
+        bool ok = Eval(region.offsets[d], site, &value);
         if (!ok) break;
         lo = first ? value : std::min(lo, value);
         hi = first ? value : std::max(hi, value);
         first = false;
       }
       for (size_t i = 0; i < corner_vars.size(); ++i) {
-        env_[parallel_scope_[corner_vars[i]].env_index].value = 0;
+        env_[parallel_[corner_vars[i]].env_index].value = 0;
       }
       if (first) return;  // evaluation failed; V009 already reported
-      if (lo < 0 || hi + region.sizes[d] >
-                        region.buffer->shape[d]) {
+      if (lo < 0 || hi + region.sizes[d] > region.buffer->shape[d]) {
         std::ostringstream msg;
         msg << "region of '" << region.buffer->name << "' out of bounds in dim "
             << d << ": offset range [" << lo << ", " << hi << "] with size "
             << region.sizes[d] << " exceeds extent "
             << region.buffer->shape[d];
-        EmitAt(site, Severity::kError, "V006", msg.str());
+        Emit(site, Severity::kError, "V006", msg.str());
       }
     }
   }
@@ -191,11 +221,10 @@ class Interpreter {
     MemScope dst = op->dst.buffer->scope;
     if (src == MemScope::kGlobal &&
         (dst == MemScope::kRegister || dst == MemScope::kAccumulator)) {
-      EmitAt(op, Severity::kError, "V007",
-             "copy '" + op->src.buffer->name + "' -> '" +
-                 op->dst.buffer->name +
-                 "' moves Global data straight into registers, skipping the "
-                 "shared-memory staging level");
+      Emit(op, Severity::kError, "V007",
+           "copy '" + op->src.buffer->name + "' -> '" + op->dst.buffer->name +
+               "' moves Global data straight into registers, skipping the "
+               "shared-memory staging level");
       return;
     }
     if (!op->is_async) return;
@@ -204,279 +233,20 @@ class Interpreter {
     bool shared_to_register =
         src == MemScope::kShared && dst == MemScope::kRegister;
     if (global_to_shared && op->op != EwiseOp::kNone) {
-      EmitAt(op, Severity::kError, "V007",
-             "async Global->Shared copy into '" + op->dst.buffer->name +
-                 "' applies elementwise op '" + EwiseOpName(op->op) +
-                 "' (cp.async has no ALU; fused copies must stay "
-                 "synchronous)");
+      Emit(op, Severity::kError, "V007",
+           "async Global->Shared copy into '" + op->dst.buffer->name +
+               "' applies elementwise op '" + EwiseOpName(op->op) +
+               "' (cp.async has no ALU; fused copies must stay "
+               "synchronous)");
     } else if (!global_to_shared && !shared_to_register) {
-      EmitAt(op, Severity::kError, "V007",
-             std::string("async copy between ") + MemScopeName(src) +
-                 " and " + MemScopeName(dst) +
-                 " scopes is not asynchronous on any target generation");
+      Emit(op, Severity::kError, "V007",
+           std::string("async copy between ") + MemScopeName(src) + " and " +
+               MemScopeName(dst) +
+               " scopes is not asynchronous on any target generation");
     }
   }
 
-  // ---- Abstract slot/FIFO state ----
-
-  SlotState* FindSlot(const Buffer& buffer, int64_t slot) {
-    auto it = slots_.find(buffer.get());
-    if (it == slots_.end()) return nullptr;
-    auto slot_it = it->second.find(slot);
-    return slot_it == it->second.end() ? nullptr : &slot_it->second;
-  }
-
-  // Race check for a read of `region`: its stage slot must not hold
-  // unpromoted async data (the executor's ReadElem pending check).
-  void CheckRead(const StmtNode* site, const BufferRegion& region) {
-    if (region.offsets.empty()) return;
-    auto it = slots_.find(region.buffer.get());
-    if (it == slots_.end()) return;  // never an async destination
-    int64_t slot = 0;
-    if (!TryEval(region.offsets[0], site, &slot)) return;
-    auto slot_it = it->second.find(slot);
-    if (slot_it == it->second.end() || !slot_it->second.pending) return;
-    std::ostringstream msg;
-    msg << "read of '" << region.buffer->name << "' slot " << slot
-        << " before its consumer_wait (async data not yet visible)";
-    Diagnostic* diag = EmitAt(site, Severity::kError, "V001", msg.str());
-    if (diag != nullptr) {
-      std::ostringstream note;
-      note << "slot written by the async copy of commit group "
-           << slot_it->second.writer_group << " of pipeline group "
-           << slot_it->second.writer_pipeline;
-      diag->notes.push_back(note.str());
-    }
-  }
-
-  void ExecCopy(const CopyNode* op) {
-    CheckRegionBounds(op, op->dst);
-    CheckRegionBounds(op, op->src);
-    CheckCopyScopes(op);
-    CheckRead(op, op->src);
-
-    if (op->dst.offsets.empty()) return;
-    if (!op->is_async) {
-      // A synchronous copy makes its destination visible immediately
-      // (mirrors the executor clearing the pending flag).
-      SlotState* slot = FindSlot(op->dst.buffer, EvalOrZero(op->dst, op));
-      if (slot != nullptr) slot->pending = false;
-      return;
-    }
-    if (op->pipeline_group < 0) {
-      EmitMalformed(op, "async copy into '" + op->dst.buffer->name +
-                            "' carries no @group tag");
-      return;
-    }
-    int64_t slot_index = 0;
-    if (!TryEval(op->dst.offsets[0], op, &slot_index)) return;
-    PipeState& pipe = pipes_[op->pipeline_group];
-    SlotState& slot = slots_[op->dst.buffer.get()][slot_index];
-    if (slot.pending && slot.writer_group >= 0 &&
-        slot.writer_group != pipe.committed) {
-      std::ostringstream msg;
-      msg << "async copy overwrites '" << op->dst.buffer->name << "' slot "
-          << slot_index << " while commit group " << slot.writer_group
-          << " still owns it (two live groups alias one slot; wrong "
-             "rolling index?)";
-      EmitAt(op, Severity::kWarning, "V005", msg.str());
-    }
-    slot.pending = true;
-    slot.writer_group = pipe.committed;
-    slot.writer_pipeline = op->pipeline_group;
-    ++slot.epoch;
-    pipe.current.push_back({op->dst.buffer.get(), slot_index, slot.epoch});
-  }
-
-  int64_t EvalOrZero(const BufferRegion& region, const StmtNode* site) {
-    int64_t value = 0;
-    if (!region.offsets.empty()) TryEval(region.offsets[0], site, &value);
-    return value;
-  }
-
-  void ExecFill(const FillNode* op) {
-    CheckRegionBounds(op, op->dst);
-    SlotState* slot = FindSlot(op->dst.buffer, EvalOrZero(op->dst, op));
-    if (slot != nullptr) slot->pending = false;
-  }
-
-  void ExecMma(const MmaNode* op) {
-    CheckRegionBounds(op, op->c);
-    CheckRegionBounds(op, op->a);
-    CheckRegionBounds(op, op->b);
-    CheckRead(op, op->a);
-    CheckRead(op, op->b);
-    // The accumulator operand is read-modify-write but never pipelined;
-    // the executor does not track it either.
-  }
-
-  void ExecSync(const SyncNode* op) {
-    if (op->sync_kind == SyncKind::kBarrier) {
-      if (warp_depth_ > 0) {
-        EmitAt(op, Severity::kError, "V008",
-               "threadblock barrier inside a divergent warp loop "
-               "(deadlocks: warps reach the barrier a different number of "
-               "times)");
-      }
-      return;
-    }
-    if (op->group < 0) {
-      EmitMalformed(op, "pipeline sync primitive without a group id");
-      return;
-    }
-    if (op->buffers.empty()) {
-      EmitMalformed(op, "pipeline sync primitive without associated buffers");
-      return;
-    }
-    PipeState& pipe = pipes_[op->group];
-    switch (op->sync_kind) {
-      case SyncKind::kProducerAcquire: {
-        int64_t stages = op->buffers[0]->shape[0];
-        if (pipe.committed - pipe.released >= stages) {
-          std::ostringstream msg;
-          msg << "producer_acquire of group " << op->group
-              << " without pipeline capacity: "
-              << (pipe.committed - pipe.released)
-              << " groups live in a " << stages
-              << "-stage FIFO (missing consumer_release?)";
-          EmitAt(op, Severity::kError, "V002", msg.str());
-        }
-        return;
-      }
-      case SyncKind::kProducerCommit:
-        pipe.fifo.push_back(std::move(pipe.current));
-        pipe.current.clear();
-        ++pipe.committed;
-        return;
-      case SyncKind::kConsumerWait: {
-        int64_t target = pipe.waited + op->wait_ahead;
-        if (target >= pipe.committed) {
-          std::ostringstream msg;
-          msg << "consumer_wait of group " << op->group << " targets group "
-              << target << " but only " << pipe.committed
-              << " groups were committed";
-          EmitAt(op, Severity::kError, "V003", msg.str());
-          return;  // mirror the executor: no promotion happens
-        }
-        for (int64_t g = pipe.promoted_upto + 1; g <= target; ++g) {
-          for (const SlotRef& ref : pipe.fifo[static_cast<size_t>(g)]) {
-            SlotState& slot = slots_[ref.buffer][ref.slot];
-            // Promote only if the slot was not overwritten since.
-            if (slot.epoch == ref.epoch) slot.pending = false;
-          }
-        }
-        pipe.promoted_upto = std::max(pipe.promoted_upto, target);
-        ++pipe.waited;
-        return;
-      }
-      case SyncKind::kConsumerRelease:
-        ++pipe.released;
-        if (pipe.released > pipe.committed) {
-          std::ostringstream msg;
-          msg << "consumer_release of group " << op->group
-              << " exceeds committed groups (" << pipe.released << " > "
-              << pipe.committed << ")";
-          EmitAt(op, Severity::kError, "V004", msg.str());
-          pipe.released = pipe.committed;  // keep later verdicts sensible
-        }
-        return;
-      default:
-        return;
-    }
-  }
-
-  // ---- Control flow ----
-
-  void ExecFor(const ForNode* op) {
-    int64_t extent = 0;
-    if (!TryEval(op->extent, op, &extent)) return;
-    if (extent <= 0) return;
-    bool parallel = op->for_kind == ForKind::kBlockIdx ||
-                    op->for_kind == ForKind::kWarp;
-    path_.emplace_back();
-    if (parallel) {
-      // One representative instance: pipeline state is per-instance and
-      // identical across instances; bounds are checked at loop corners.
-      env_.push_back({op->var.get(), 0});
-      parallel_scope_.push_back({op->var.get(), extent, env_.size() - 1});
-      if (op->for_kind == ForKind::kWarp) ++warp_depth_;
-      path_.back() = "for " + op->var->name + "=0.." +
-                     std::to_string(extent - 1) + "(" +
-                     ForKindName(op->for_kind) + ")";
-      Exec(op->body);
-      if (op->for_kind == ForKind::kWarp) --warp_depth_;
-      parallel_scope_.pop_back();
-      env_.pop_back();
-    } else {
-      env_.push_back({op->var.get(), 0});
-      for (int64_t i = 0; i < extent && !reached_step_limit_; ++i) {
-        env_.back().value = i;
-        path_.back() = "for " + op->var->name + "=" + std::to_string(i);
-        Exec(op->body);
-      }
-      env_.pop_back();
-    }
-    path_.pop_back();
-  }
-
-  void Exec(const Stmt& s) {
-    if (++steps_ > options_.max_steps) {
-      reached_step_limit_ = true;
-      return;
-    }
-    if (reached_step_limit_) return;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const Stmt& child : static_cast<const BlockNode*>(s.get())->seq) {
-          Exec(child);
-        }
-        return;
-      case StmtKind::kPragma:
-        Exec(static_cast<const PragmaNode*>(s.get())->body);
-        return;
-      case StmtKind::kFor:
-        ExecFor(static_cast<const ForNode*>(s.get()));
-        return;
-      case StmtKind::kIfThenElse: {
-        const auto* op = static_cast<const IfThenElseNode*>(s.get());
-        int64_t cond = 0;
-        if (!TryEval(op->cond, op, &cond)) return;
-        if (cond != 0) {
-          Exec(op->then_case);
-        } else if (op->else_case != nullptr) {
-          Exec(op->else_case);
-        }
-        return;
-      }
-      case StmtKind::kAlloc:
-        return;
-      case StmtKind::kCopy:
-        ExecCopy(static_cast<const CopyNode*>(s.get()));
-        return;
-      case StmtKind::kFill:
-        ExecFill(static_cast<const FillNode*>(s.get()));
-        return;
-      case StmtKind::kMma:
-        ExecMma(static_cast<const MmaNode*>(s.get()));
-        return;
-      case StmtKind::kSync:
-        ExecSync(static_cast<const SyncNode*>(s.get()));
-        return;
-    }
-    EmitMalformed(s.get(), "unhandled statement kind");
-  }
-
-  VerifyOptions options_;
-  DiagnosticEngine* diags_;
-  bool reached_step_limit_ = false;
-  int64_t steps_ = 0;
-  int warp_depth_ = 0;
-  std::vector<VarBinding> env_;
-  std::vector<ParallelVar> parallel_scope_;
-  std::vector<std::string> path_;
   std::unordered_map<const BufferNode*, std::map<int64_t, SlotState>> slots_;
-  std::map<int, PipeState> pipes_;
-  std::set<std::pair<const StmtNode*, std::string>> reported_;
 };
 
 }  // namespace
@@ -504,23 +274,19 @@ std::string VerifyResult::Render() const {
   for (const Diagnostic& diag : diagnostics) {
     out << diag.Render() << "\n";
   }
-  if (reached_step_limit) {
-    out << "note: interpretation stopped at the step limit; findings may be "
-           "incomplete\n";
-  }
+  if (reached_step_limit) out << kStepLimitNote << "\n";
   return out.str();
 }
 
-VerifyResult VerifyProgram(const ir::Stmt& program,
-                           const VerifyOptions& options) {
+VerifyResult VerifyProgram(const ir::Stmt& program) {
   ALCOP_TRACE_SCOPE("verify", "compiler");
   DiagnosticEngine engine;
-  Interpreter interp(options, &engine);
-  interp.Run(program);
+  SlotTracker tracker(&engine);
+  tracker.Run(program);
   VerifyResult result;
   result.diagnostics = engine.diagnostics();
   SortDiagnostics(&result.diagnostics);
-  result.reached_step_limit = interp.reached_step_limit();
+  result.reached_step_limit = tracker.reached_step_limit();
   return result;
 }
 

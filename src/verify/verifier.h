@@ -7,19 +7,12 @@
 // granularity: instead of per-element pending flags it tracks, per
 // pipelined buffer, which leading-dimension slot each in-flight commit
 // group wrote — exact for the tile-granular IR this compiler produces,
-// where every async copy addresses one whole stage slot.
-//
-// Loop handling:
-//   - serial / unrolled loops are enumerated in full (extents are static
-//     in lowered IR), so the FIFO state is tracked across real iteration
-//     sequences — including the global rolling index of fused inner
-//     pipelines and the wait_ahead slack of their enclosing outer
-//     pipeline, the two subtle points DESIGN.md documents;
-//   - parallel loops (blockIdx / warp) run one representative instance
-//     (index 0): pipeline state is keyed per instance in the executor and
-//     identical across instances. Region bounds are still checked at the
-//     *corners* of every parallel loop ({0, extent-1}), which bounds the
-//     affine tile offsets the lowering produces.
+// where every async copy addresses one whole stage slot. The walk itself
+// (loop enumeration, the FIFO, the step budget) is verify/sync_walk.h,
+// shared with alcop-lint's region-race check; the slot tracker here owns
+// every V-code. Region bounds are checked at the *corners* of every
+// enclosing blockIdx/warp loop ({0, extent-1}), which bounds the affine
+// tile offsets the lowering produces.
 //
 // Diagnostic codes (see DESIGN.md for the paper rule each enforces):
 //   V001 error   read of async-copied data not covered by a consumer_wait
@@ -34,7 +27,8 @@
 //
 // V001-V004 are exactly the conditions the executor's dynamic
 // check_async_semantics enforces; the fuzz differential asserts the two
-// checkers agree on them.
+// checkers agree on them. A program whose walk stops at the step budget
+// (verify::kMaxSteps) is never reported clean.
 #ifndef ALCOP_VERIFY_VERIFIER_H_
 #define ALCOP_VERIFY_VERIFIER_H_
 
@@ -47,21 +41,13 @@
 namespace alcop {
 namespace verify {
 
-struct VerifyOptions {
-  // Check copy/fill/MMA regions against buffer extents (V006).
-  bool check_bounds = true;
-  // Safety valve against adversarial inputs: maximum statement visits
-  // before the interpretation bails out (reported in the result).
-  int64_t max_steps = 1 << 22;
-};
-
 struct VerifyResult {
   std::vector<Diagnostic> diagnostics;
   bool reached_step_limit = false;
 
   bool HasErrors() const;
-  // No findings at all, warnings included.
-  bool Clean() const { return diagnostics.empty(); }
+  // No findings at all, warnings included, over a walk that finished.
+  bool Clean() const { return diagnostics.empty() && !reached_step_limit; }
   // True if an error carries one of the codes the executor's dynamic
   // checker also enforces (V001-V004); the fuzz differential compares
   // this verdict against "executor throws".
@@ -69,8 +55,7 @@ struct VerifyResult {
   std::string Render() const;
 };
 
-VerifyResult VerifyProgram(const ir::Stmt& program,
-                           const VerifyOptions& options = {});
+VerifyResult VerifyProgram(const ir::Stmt& program);
 
 // True when the ALCOP_VERIFY environment variable enables post-pass
 // self-verification (any non-empty value except "0"; CI sets it).

@@ -358,6 +358,35 @@ TEST(LintTest, OverlappingLiveWritesAreL004) {
   EXPECT_FALSE(HasCode(analysis::LintProgram(rolling), "L004"));
 }
 
+// A program that outlasts the race walk's step budget is never reported
+// clean: the 2100 x 2100 fill nest takes more than the 4,194,304
+// statement visits of the budget, so the walk stops before the unwaited
+// read after it.
+TEST(LintTest, StepLimitIsNeverClean) {
+  Fixture f;
+  Var i = MakeVar("i");
+  Var j = MakeVar("j");
+  Stmt program = Block({
+      Alloc(f.buf),
+      For(i, 2100, ForKind::kSerial,
+          For(j, 2100, ForKind::kSerial,
+              Fill(Region(f.out, {Int(0), Int(0)}, {1, 8}), 0.0))),
+      Sync(SyncKind::kProducerAcquire, 0, {f.buf}),
+      AsyncCopy(Region(f.buf, {Int(0), Int(0)}, {1, 8}),
+                Region(f.src, {Int(0), Int(0)}, {1, 8}), 0),
+      Sync(SyncKind::kProducerCommit, 0, {f.buf}),
+      Copy(Region(f.out, {Int(0), Int(0)}, {1, 8}),
+           Region(f.buf, {Int(0), Int(0)}, {1, 8})),
+  });
+  analysis::LintResult result = analysis::LintProgram(program);
+  EXPECT_TRUE(result.diagnostics.empty()) << result.Render();
+  EXPECT_FALSE(result.Clean());
+  EXPECT_FALSE(result.HasErrors());
+  EXPECT_NE(result.Render().find("stopped at the step limit"),
+            std::string::npos)
+      << result.Render();
+}
+
 // L005: an unswizzled strided shared access whose geometric conflict
 // degree exceeds the calibrated model factor.
 TEST(LintTest, StridedUnswizzledAccessIsL005) {

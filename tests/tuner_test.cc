@@ -360,7 +360,7 @@ tuner::TuningTask SyntheticTask() {
   task.op = MakeMatmul("mm", 1024, 256, 2048);
   task.spec = target::AmpereSpec();
   task.space = tuner::EnumerateSpace(task.op);
-  task.measure = [&task](const ScheduleConfig& config) {
+  task.measure = [](const ScheduleConfig& config) {
     // A smooth landscape with a known optimum at deep pipelines, large-ish
     // tiles; analytical-model-like shape.
     double cycles = 1e6;

@@ -257,10 +257,6 @@ TEST(VerifierTest, OutOfBoundsCopyIsV006) {
   });
   verify::VerifyResult result = verify::VerifyProgram(program);
   EXPECT_TRUE(HasCode(result, "V006")) << result.Render();
-  // Bounds checking can be disabled.
-  verify::VerifyOptions options;
-  options.check_bounds = false;
-  EXPECT_TRUE(verify::VerifyProgram(program, options).Clean());
 }
 
 // V006 at a parallel-loop corner: the offset is in bounds for warp 0 but
@@ -355,6 +351,38 @@ TEST(VerifierTest, CleanPipelineAndLoopDeduplication) {
   size_t v001 = 0;
   for (const std::string& code : Codes(result)) v001 += code == "V001";
   EXPECT_EQ(v001, 1u) << result.Render();
+}
+
+// A program that outlasts the step budget is never reported clean: the
+// 2100 x 2100 fill nest takes more than verify::kMaxSteps statement
+// visits, so the walk stops before the unwaited read after it.
+Stmt StepLimitProgram(const Fixture& f) {
+  Var i = MakeVar("i");
+  Var j = MakeVar("j");
+  return Block({
+      Alloc(f.buf),
+      For(i, 2100, ForKind::kSerial,
+          For(j, 2100, ForKind::kSerial,
+              Fill(Region(f.out, {Int(0), Int(0)}, {1, 8}), 0.0))),
+      Sync(SyncKind::kProducerAcquire, 0, {f.buf}),
+      AsyncCopy(Region(f.buf, {Int(0), Int(0)}, {1, 8}),
+                Region(f.src, {Int(0), Int(0)}, {1, 8}), 0),
+      Sync(SyncKind::kProducerCommit, 0, {f.buf}),
+      Copy(Region(f.out, {Int(0), Int(0)}, {1, 8}),
+           Region(f.buf, {Int(0), Int(0)}, {1, 8})),
+  });
+}
+
+TEST(VerifierTest, StepLimitIsNeverClean) {
+  Fixture f;
+  verify::VerifyResult result = verify::VerifyProgram(StepLimitProgram(f));
+  EXPECT_TRUE(result.reached_step_limit);
+  EXPECT_TRUE(result.diagnostics.empty()) << result.Render();
+  EXPECT_FALSE(result.Clean());
+  EXPECT_FALSE(result.HasErrors());
+  EXPECT_NE(result.Render().find("stopped at the step limit"),
+            std::string::npos)
+      << result.Render();
 }
 
 // ---- Zero false positives on the real compiler's output ----
