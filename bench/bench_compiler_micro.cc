@@ -1,8 +1,9 @@
 // Compiler micro-benchmarks (google-benchmark): throughput of the
 // compilation pipeline itself — lowering, the pipelining transformation,
 // functional execution, trace building + discrete-event simulation, the
-// analytical model, feature extraction, GBT fitting and prediction at the
-// size of a tuner refit, the annealing adjacency of a tuner's space, and
+// trace compiler on long-k kernels, the analytical model, feature
+// extraction, GBT fitting and prediction at the size of a tuner refit,
+// the annealing adjacency of a tuner's space, and
 // the two static checkers (verifier and alcop-lint) on one Fig. 10 kernel.
 // These bound the cost of one tuning trial, which is what makes the
 // Fig. 12/13 experiments tractable.
@@ -102,6 +103,35 @@ void BM_TimingSimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimingSimulation);
+
+// The trace compiler alone (sim-compile without the launch plan) on two
+// long-k kernels of 512 ko iterations: a single-level pipeline
+// (reg_stages 1), whose steady-state loop reads its variable in no
+// control, and a fused multi-level one (reg_stages 2), whose ko loop
+// guards the inner prologue with `if (ko == 0)`.
+void BM_CompileTraceProgram(benchmark::State& state) {
+  schedule::GemmOp op = schedule::MakeMatmul("mm", 512, 512, 16384);
+  target::GpuSpec spec = target::AmpereSpec();
+  schedule::ScheduleConfig config = BenchConfig();
+  config.reg_stages = static_cast<int>(state.range(0));
+  sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
+  sim::TraceCompileOptions options;
+  options.groups = sim::PipelineGroups(compiled.transformed);
+  int64_t ops = 0;
+  for (auto _ : state) {
+    sim::MicroOpProgram program =
+        sim::CompileTraceProgram(compiled.transformed.stmt,
+                                 compiled.kernel.num_warps, spec, options);
+    ops = program.TotalOps();
+    benchmark::DoNotOptimize(program.ops.data());
+  }
+  state.counters["ops"] = static_cast<double>(ops);
+}
+BENCHMARK(BM_CompileTraceProgram)
+    ->ArgName("reg_stages")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_AnalyticalModel(benchmark::State& state) {
   schedule::GemmOp op = BenchOp();

@@ -1,6 +1,6 @@
 #include "schedule/schedule.h"
 
-#include <sstream>
+#include <charconv>
 
 #include "support/check.h"
 
@@ -8,16 +8,26 @@ namespace alcop {
 namespace schedule {
 
 std::string ScheduleConfig::ToString() const {
-  std::ostringstream out;
-  out << "tb=" << tile.tb_m << "x" << tile.tb_n << "x" << tile.tb_k
-      << " warp=" << tile.warp_m << "x" << tile.warp_n << "x" << tile.warp_k
-      << " smem_stages=" << smem_stages << " reg_stages=" << reg_stages;
-  if (split_k > 1) out << " split_k=" << split_k;
-  if (raster_block > 1) out << " raster=" << raster_block;
-  if (!inner_fusion) out << " no-fusion";
-  if (!swizzle) out << " no-swizzle";
-  if (!async_copies) out << " blocking-copies";
-  return out.str();
+  std::string out;
+  auto put = [&out](const char* label, int64_t value) {
+    char digits[20];  // the longest int64_t
+    out += label;
+    out.append(digits, std::to_chars(digits, digits + 20, value).ptr);
+  };
+  put("tb=", tile.tb_m);
+  put("x", tile.tb_n);
+  put("x", tile.tb_k);
+  put(" warp=", tile.warp_m);
+  put("x", tile.warp_n);
+  put("x", tile.warp_k);
+  put(" smem_stages=", smem_stages);
+  put(" reg_stages=", reg_stages);
+  if (split_k > 1) put(" split_k=", split_k);
+  if (raster_block > 1) put(" raster=", raster_block);
+  if (!inner_fusion) out += " no-fusion";
+  if (!swizzle) out += " no-swizzle";
+  if (!async_copies) out += " blocking-copies";
+  return out;
 }
 
 bool ValidateConfig(const GemmOp& op, const ScheduleConfig& config,

@@ -4,7 +4,7 @@
 // thousands of times.
 //
 // The compiler drives the same threadblock walk as the per-warp trace
-// builder (WalkThreadblock in trace.h: loop flattening, warp-range
+// builder (WalkThreadblock in trace.h: loop iteration, warp-range
 // broadcast, byte splitting) and turns each of its events into a
 // contiguous MicroOp whose operands are *pre-resolved*:
 //   - copy issue cycles, LDS service cycles, tensor-core cycles and fill
@@ -18,6 +18,15 @@
 //     sized exactly with no growth during a run.
 // Only the LLC/DRAM bandwidth divisions remain at replay time, because
 // those rates depend on how many SMs the wave keeps active.
+//
+// The program is flat — every warp's whole stream, every loop iteration
+// spelled out — but the compiler does not walk every iteration: its leaf
+// handlers repeat, so the walk visits a serial loop's body once per run
+// of identical iterations and the handler copies that visit's ops for
+// the rest of the run (trace.h). A first walk counts each warp's ops and
+// commits; the second writes every op once, into its warp's slice of
+// the exactly sized array, with each wait's commit capacity known. The
+// result is byte-identical to walking every iteration.
 //
 // Every precomputed operand is produced by the *same* floating-point
 // expression the interpreter evaluates per event, which is what makes the

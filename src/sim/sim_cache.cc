@@ -1,13 +1,18 @@
 #include "sim/sim_cache.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "obs/metrics.h"
+#include "support/check.h"
 #include "support/json.h"
 
 namespace alcop {
@@ -150,39 +155,74 @@ void InsertTiming(Cache& cache, const std::string& key,
   EvictOverBudget(cache, key);
 }
 
+// Every cold compile and every alcopd compile request builds a cache key,
+// so its text is written with std::to_chars into one stack buffer (a key
+// is a few hundred bytes) and copied out once: the copy's capacity is its
+// size, which is what TimingEntryBytes charges. Doubles print round-trip
+// exact (JsonNumber), so specs that differ in any bit never share an
+// entry; integers print in decimal; text is copied.
+class KeyWriter {
+ public:
+  template <typename... Fields>
+  void Add(const Fields&... fields) {
+    (Put(fields), ...);
+  }
+  std::string str() const {
+    return std::string(buf_, static_cast<size_t>(at_ - buf_));
+  }
+
+ private:
+  template <typename T>
+  void Put(const T& field) {
+    if constexpr (std::is_floating_point_v<T>) {
+      Room(support::kJsonNumberMaxChars);
+      at_ = support::WriteJsonNumber(field, at_);
+    } else if constexpr (std::is_same_v<T, char>) {
+      Room(1);
+      *at_++ = field;
+    } else if constexpr (std::is_integral_v<T>) {
+      Room(20);  // the longest int64_t
+      at_ = std::to_chars(at_, at_ + 20, field).ptr;
+    } else {
+      const std::string_view text(field);
+      Room(text.size());
+      at_ = std::copy(text.begin(), text.end(), at_);
+    }
+  }
+  void Room(size_t size) const {
+    ALCOP_CHECK_LE(size, static_cast<size_t>(std::end(buf_) - at_))
+        << "sim cache key too long";
+  }
+
+  char buf_[1024];
+  char* at_ = buf_;
+};
+
 }  // namespace
 
 std::string SimCacheKey(const schedule::GemmOp& op,
                         const schedule::ScheduleConfig& config,
                         const target::GpuSpec& spec,
                         schedule::InlineOrder inline_order) {
-  // Doubles are printed round-trip exact, so specs that differ in any bit
-  // never share an entry.
-  auto num = [](double v) { return support::JsonNumber(v); };
-  std::ostringstream out;
-  out << schedule::OpFamilyName(op.family) << '|' << op.batch << 'x' << op.m
-      << 'x' << op.n << 'x' << op.k << '|'
-      << static_cast<int>(op.a_producer_op) << ':' << num(op.a_producer_param)
-      << '|' << static_cast<int>(op.epilogue_op) << ':'
-      << num(op.epilogue_param) << '|' << config.ToString() << '|'
-      << static_cast<int>(inline_order)
-      // Every rate/limit of the device model: benches tweak spec fields in
-      // place (generation studies), so the name alone is not a key.
-      << '|' << spec.num_sms << ',' << num(spec.clock_ghz) << ','
-      << num(spec.tc_flops_per_sm_per_cycle) << ','
-      << num(spec.lds_bytes_per_cycle_per_sm) << ','
-      << num(spec.bank_conflict_factor) << ','
-      << num(spec.smem_latency_cycles) << ','
-      << num(spec.copy_issue_bytes_per_cycle) << ',' << spec.llc_bytes << ','
-      << num(spec.llc_bw_bytes_per_cycle) << ','
-      << num(spec.llc_latency_cycles) << ','
-      << num(spec.dram_bw_bytes_per_cycle) << ','
-      << num(spec.dram_write_bw_bytes_per_cycle) << ','
-      << num(spec.dram_latency_cycles) << ',' << spec.smem_bytes_per_sm << ','
-      << spec.regfile_bytes_per_sm << ',' << spec.max_warps_per_sm << ','
-      << num(spec.sync_overhead_cycles) << ','
-      << num(spec.launch_overhead_cycles) << ',' << spec.has_cp_async;
-  return out.str();
+  KeyWriter key;
+  key.Add(schedule::OpFamilyName(op.family), '|', op.batch, 'x', op.m, 'x',
+          op.n, 'x', op.k, '|', static_cast<int>(op.a_producer_op), ':',
+          op.a_producer_param, '|', static_cast<int>(op.epilogue_op), ':',
+          op.epilogue_param, '|', config.ToString(), '|',
+          static_cast<int>(inline_order));
+  // Every rate/limit of the device model: benches tweak spec fields in
+  // place (generation studies), so the name alone is not a key.
+  key.Add('|', spec.num_sms, ',', spec.clock_ghz, ',',
+          spec.tc_flops_per_sm_per_cycle, ',', spec.lds_bytes_per_cycle_per_sm,
+          ',', spec.bank_conflict_factor, ',', spec.smem_latency_cycles, ',',
+          spec.copy_issue_bytes_per_cycle, ',', spec.llc_bytes, ',',
+          spec.llc_bw_bytes_per_cycle, ',', spec.llc_latency_cycles, ',',
+          spec.dram_bw_bytes_per_cycle, ',', spec.dram_write_bw_bytes_per_cycle,
+          ',', spec.dram_latency_cycles, ',', spec.smem_bytes_per_sm, ',',
+          spec.regfile_bytes_per_sm, ',', spec.max_warps_per_sm, ',',
+          spec.sync_overhead_cycles, ',', spec.launch_overhead_cycles, ',',
+          static_cast<int>(spec.has_cp_async));
+  return key.str();
 }
 
 std::shared_ptr<const SimProgram> CachedSimProgram(

@@ -14,10 +14,27 @@
 // shared-scope pipeline primitives) appear outside warp loops in the IR;
 // the walk broadcasts them to every warp, splitting copy bytes evenly —
 // matching how cp.async and mbarriers are actually issued per warp.
+//
+// Runs of identical iterations. A leaf's TraceEvent depends on the loop
+// variables only through control: the walk never reads its bindings when
+// it builds an event (bytes come from static region extents, FLOPs from
+// MMA shapes, groups and wait depths from the statement), so which leaves
+// a loop iteration visits, and the warps they address, are decided by the
+// `if` conditions and loop extents in the body alone. Two iterations on
+// which every such expression that reads the loop variable evaluates the
+// same therefore make the same sequence of leaf calls. ALCOP's pipelined
+// steady state is one long run: its only guards on the loop variable are
+// the recursive-mode `if (v + stages - 1 < extent)` and the fused-mode
+// `if (outer == 0)`. A leaf handler that can repeat what it emitted
+// (Mark() and Repeat(mark, times)) gets the body walked once per maximal
+// run of iterations and repeats the rest; the trace compiler's does, and
+// BuildTrace's does not, so the reference interpreter still sees every
+// iteration walked.
 #ifndef ALCOP_SIM_TRACE_H_
 #define ALCOP_SIM_TRACE_H_
 
 #include <cstdint>
+#include <deque>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -80,8 +97,27 @@ struct WarpRange {
 
 namespace internal {
 
+// The control that a serial loop's body reads of the loop variable: every
+// `if` condition and loop extent in the body that uses it, in walk order.
+// `per_iteration` is set when one of them also reads the variable of a
+// loop inside the body: evaluating it once per iteration of this loop
+// would not decide what the body emits, so the loop is walked iteration
+// by iteration.
+struct LoopControl {
+  const ir::ForNode* loop = nullptr;
+  std::vector<const ir::Expr*> exprs;
+  bool per_iteration = false;
+};
+LoopControl AnalyzeLoopControl(const ir::ForNode& loop);
+
 template <typename Leaf>
 class ThreadblockWalk {
+  // Mark() snapshots what the handler has emitted; Repeat(mark, times)
+  // appends what it emitted since `mark` `times` more times.
+  static constexpr bool kRepeats = requires(Leaf& leaf) {
+    leaf.Repeat(leaf.Mark(), int64_t{1});
+  };
+
  public:
   ThreadblockWalk(int num_warps, Leaf& leaf)
       : num_warps_(num_warps), leaf_(leaf), warps_{0, num_warps} {}
@@ -110,6 +146,17 @@ class ThreadblockWalk {
           return;
         }
         bool is_warp = op->for_kind == ForKind::kWarp;
+        if constexpr (kRepeats) {
+          // A warp loop's iterations address different warps, so they
+          // never form a run.
+          if (!is_warp && extent > 1) {
+            const LoopControl& control = ControlOf(*op);
+            if (!control.per_iteration) {
+              WalkRuns(*op, extent, control.exprs);
+              return;
+            }
+          }
+        }
         for (int64_t i = 0; i < extent; ++i) {
           env_.push_back({op->var.get(), i});
           if (is_warp) {
@@ -141,6 +188,49 @@ class ThreadblockWalk {
   }
 
  private:
+  // Walks the body of `loop` once per maximal run of consecutive
+  // iterations on which every expression of `exprs` (its LoopControl)
+  // evaluates the same, and has the leaf repeat that walk's emission for
+  // the rest of the run.
+  void WalkRuns(const ir::ForNode& loop, int64_t extent,
+                const std::vector<const ir::Expr*>& exprs) {
+    env_.push_back({loop.var.get(), 0});
+    std::vector<int64_t> run(exprs.size());
+    std::vector<int64_t> next(exprs.size());
+    EvaluateAll(exprs, run);
+    for (int64_t begin = 0; begin < extent;) {
+      env_.back().value = begin;
+      auto mark = leaf_.Mark();
+      Walk(loop.body);
+      int64_t end = exprs.empty() ? extent : begin + 1;
+      for (; end < extent; ++end) {
+        env_.back().value = end;
+        EvaluateAll(exprs, next);
+        if (next != run) break;
+      }
+      if (end - begin > 1) leaf_.Repeat(mark, end - begin - 1);
+      run.swap(next);
+      begin = end;
+    }
+    env_.pop_back();
+  }
+
+  void EvaluateAll(const std::vector<const ir::Expr*>& exprs,
+                   std::vector<int64_t>& values) const {
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      values[i] = ir::Evaluate(*exprs[i], env_);
+    }
+  }
+
+  // Analyzed once per loop per walk.
+  const LoopControl& ControlOf(const ir::ForNode& loop) {
+    for (const LoopControl& control : controls_) {
+      if (control.loop == &loop) return control;
+    }
+    controls_.push_back(AnalyzeLoopControl(loop));
+    return controls_.back();
+  }
+
   // Builds the event of one leaf statement and hands it, with the warps it
   // addresses, to the leaf handler. Kept apart from the recursive Walk so
   // the handler is called from one place.
@@ -230,17 +320,23 @@ class ThreadblockWalk {
   std::vector<std::pair<int64_t, int64_t>> warp_stack_;  // (extent, value)
   WarpRange warps_;      // addressed by the current warp-loop bindings
   bool covered_ = true;  // the bindings evenly cover the warps
+  // A deque: WalkRuns keeps a reference to its loop's entry while the
+  // nested walk analyzes inner loops.
+  std::deque<LoopControl> controls_;
 };
 
 }  // namespace internal
 
 // The one walk of a lowered kernel for one representative threadblock:
-// blockIdx loops pinned to 0, every other loop unrolled, `if`s evaluated,
+// blockIdx loops pinned to 0, every other loop unrolled (a serial loop
+// walked once per run of identical iterations when the leaf handler can
+// repeat; see the top of this file), `if`s evaluated,
 // each leaf broadcast to the warps the enclosing warp loops address (copy
 // and store bytes split evenly over them), and global->global copies —
 // standalone elementwise passes, charged at launch level — skipped. Calls
 // leaf(const TraceEvent&, WarpRange) once per timing-relevant statement,
-// in program order.
+// in program order (a repeating leaf: once per statement of a run's
+// first iteration, then Repeat for the rest of the run).
 template <typename Leaf>
 void WalkThreadblock(const ir::Stmt& program, int num_warps, Leaf&& leaf) {
   internal::ThreadblockWalk<std::remove_reference_t<Leaf>>(num_warps, leaf)

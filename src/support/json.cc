@@ -1,7 +1,12 @@
 #include "support/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <system_error>
+
+#include "support/check.h"
 
 namespace alcop {
 namespace support {
@@ -29,11 +34,18 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
+char* WriteJsonNumber(double value, char* out) {
+  if (!std::isfinite(value)) return std::copy_n("null", 4, out);
+  const std::to_chars_result result =
+      std::to_chars(out, out + kJsonNumberMaxChars, value,
+                    std::chars_format::general, 17);
+  ALCOP_CHECK(result.ec == std::errc()) << "number overflows its buffer";
+  return result.ptr;
+}
+
 std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  char buf[kJsonNumberMaxChars];
+  return std::string(buf, WriteJsonNumber(value, buf));
 }
 
 }  // namespace support

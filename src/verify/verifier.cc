@@ -299,12 +299,18 @@ bool VerificationEnabled() {
   return enabled;
 }
 
-void VerifyOrThrowIfEnabled(const ir::Stmt& program, const char* producer) {
-  if (!VerificationEnabled()) return;
+void VerifyOrThrow(const ir::Stmt& program, const char* producer) {
   VerifyResult result = VerifyProgram(program);
-  ALCOP_CHECK(!result.HasErrors())
-      << producer << " produced IR that fails static verification:\n"
+  ALCOP_CHECK(!result.HasErrors() && !result.reached_step_limit)
+      << producer << " produced IR that "
+      << (result.HasErrors() ? "fails static verification"
+                             : "could not be verified within the step budget")
+      << ":\n"
       << result.Render();
+}
+
+void VerifyOrThrowIfEnabled(const ir::Stmt& program, const char* producer) {
+  if (VerificationEnabled()) VerifyOrThrow(program, producer);
 }
 
 }  // namespace verify

@@ -61,10 +61,14 @@ VerifyResult VerifyProgram(const ir::Stmt& program);
 // self-verification (any non-empty value except "0"; CI sets it).
 bool VerificationEnabled();
 
+// The self-check's verdict on one pass's output: throws CheckError naming
+// `producer` when the IR has verification errors or when its walk stopped
+// at the step budget (an unfinished walk proves nothing); warnings pass.
+void VerifyOrThrow(const ir::Stmt& program, const char* producer);
+
 // Env-gated wrapper used by schedule::LowerSchedule and
-// pipeline::ApplyPipelineTransform to verify their own output: no-op
-// unless ALCOP_VERIFY is set, throws CheckError naming `producer` when
-// the produced IR has verification errors.
+// pipeline::ApplyPipelineTransform to verify their own output:
+// VerifyOrThrow when ALCOP_VERIFY is set, a no-op otherwise.
 void VerifyOrThrowIfEnabled(const ir::Stmt& program, const char* producer);
 
 }  // namespace verify

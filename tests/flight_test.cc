@@ -521,12 +521,13 @@ TEST_F(FlightServerTest, WatchdogTripsOnStalledSlowLaneAndDumps) {
   double stalls_before = RegistryCounterValue("serving.watchdog.stalls");
 
   // One long tune occupies the single slow worker; a compile queued
-  // behind it ages past the 10ms threshold while the tune runs.
+  // behind it ages past the 10ms threshold while the tune runs. The long
+  // k keeps the tune well past the threshold: replay time grows with k.
   std::thread tuner_thread([&] {
     serving::Client tune_client;
     ASSERT_TRUE(tune_client.Connect(socket_path_));
     std::optional<JsonValue> response = tune_client.Call(
-        "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":512,\"k\":512,"
+        "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":512,\"k\":4096,"
         "\"trials\":48}");
     ASSERT_TRUE(response.has_value());
     EXPECT_TRUE(response->Find("ok")->BoolOr(false));

@@ -358,6 +358,42 @@ TEST(LintTest, OverlappingLiveWritesAreL004) {
   EXPECT_FALSE(HasCode(analysis::LintProgram(rolling), "L004"));
 }
 
+// A later commit group's write that fully contains an earlier group's
+// live write takes the region over: the earlier write is retired, so the
+// later group writing the region again aliases nothing (no second L004),
+// and a read before the later group's wait races with the later group.
+TEST(LintTest, FullOverwriteTransfersTheRegionToTheLaterGroup) {
+  const char* text =
+      "alloc src: global fp16[4, 8]\n"
+      "alloc buf: shared fp16[2, 8]\n"
+      "alloc out: global fp16[4, 8]\n"
+      "buf.producer_acquire  @group0\n"
+      "copy.async buf[0, 0][1, 8] <- src[0, 0][1, 8]  @group0\n"
+      "buf.producer_commit  @group0\n"
+      "buf.producer_acquire  @group0\n"
+      "copy.async buf[0, 0][1, 8] <- src[1, 0][1, 8]  @group0\n"
+      "copy.async buf[0, 0][1, 8] <- src[2, 0][1, 8]  @group0\n"
+      "buf.producer_commit  @group0\n"
+      "buf.consumer_wait  @group0\n"
+      "copy out[0, 0][1, 8] <- buf[0, 0][1, 8]\n"
+      "buf.consumer_release  @group0\n"
+      "buf.consumer_wait  @group0\n"
+      "buf.consumer_release  @group0\n";
+  analysis::LintResult result = analysis::LintProgram(ir::ParseStmt(text));
+  std::vector<int> l004_lines;
+  const verify::Diagnostic* race = nullptr;
+  for (const verify::Diagnostic& diag : result.diagnostics) {
+    if (diag.code == "L004") l004_lines.push_back(diag.span.line);
+    if (diag.code == "L003") race = &diag;
+  }
+  EXPECT_EQ(l004_lines, std::vector<int>{8}) << result.Render();
+  ASSERT_NE(race, nullptr) << result.Render();
+  EXPECT_EQ(race->span.line, 12) << result.Render();
+  ASSERT_EQ(race->notes.size(), 1u) << result.Render();
+  EXPECT_NE(race->notes[0].find("by commit group 1 "), std::string::npos)
+      << result.Render();
+}
+
 // A program that outlasts the race walk's step budget is never reported
 // clean: the 2100 x 2100 fill nest takes more than the 4,194,304
 // statement visits of the budget, so the walk stops before the unwaited

@@ -75,6 +75,54 @@ TEST(SimCacheTest, KeyDistinguishesOpConfigAndSpec) {
                                    schedule::InlineOrder::kAfterPipelining));
 }
 
+// The exact key text, so the store's keys and alcopd's routing keys stay
+// what they were: doubles as %.17g prints them, the config's flag
+// suffixes, and a copy whose capacity is its size (TimingEntryBytes
+// charges the capacity).
+TEST(SimCacheTest, KeyTextIsPinned) {
+  const schedule::GemmOp op = MakeMatmul("mm", 512, 512, 512);
+  const target::GpuSpec spec = target::AmpereSpec();
+  const std::string base = sim::SimCacheKey(
+      op, schedule::ScheduleConfig(), spec,
+      schedule::InlineOrder::kAfterPipelining);
+  EXPECT_EQ(base,
+            "matmul|1x512x512x512|0:0|0:0|tb=128x128x32 warp=64x64x16 "
+            "smem_stages=1 reg_stages=1|2|108,1.4099999999999999,2048,128,2,"
+            "25,64,41943040,2480,200,1100,1100,600,167936,262144,64,30,2000,"
+            "1");
+  EXPECT_EQ(base.capacity(), base.size());
+
+  target::GpuSpec next = spec;
+  next.clock_ghz = std::nextafter(spec.clock_ghz, 2.0 * spec.clock_ghz);
+  EXPECT_EQ(sim::SimCacheKey(op, schedule::ScheduleConfig(), next,
+                             schedule::InlineOrder::kAfterPipelining),
+            "matmul|1x512x512x512|0:0|0:0|tb=128x128x32 warp=64x64x16 "
+            "smem_stages=1 reg_stages=1|2|108,1.4100000000000001,2048,128,2,"
+            "25,64,41943040,2480,200,1100,1100,600,167936,262144,64,30,2000,"
+            "1");
+
+  schedule::GemmOp fused = schedule::MakeBatchMatmul("bmm", 12, 512, 64, 512);
+  fused.a_producer_op = ir::EwiseOp::kRelu;
+  fused.a_producer_param = 0.1;
+  fused.epilogue_op = ir::EwiseOp::kRelu;
+  fused.epilogue_param = -0.0;
+  schedule::ScheduleConfig flags;
+  flags.split_k = 4;
+  flags.raster_block = 8;
+  flags.inner_fusion = false;
+  flags.swizzle = false;
+  flags.async_copies = false;
+  const std::string odd = sim::SimCacheKey(
+      fused, flags, target::VoltaLikeSpec(), schedule::InlineOrder::kNone);
+  EXPECT_EQ(odd,
+            "batch_matmul|12x512x64x512|1:0.10000000000000001|1:-0|"
+            "tb=128x128x32 warp=64x64x16 smem_stages=1 reg_stages=1 "
+            "split_k=4 raster=8 no-fusion no-swizzle blocking-copies|0|80,"
+            "1.53,1024,128,2,25,64,6291456,1400,200,590,590,600,98304,262144,"
+            "64,30,2000,0");
+  EXPECT_EQ(odd.capacity(), odd.size());
+}
+
 TEST(SimCacheTest, RepeatedExhaustiveSearchIsAllHits) {
   tuner::TuningTask task = SmallSimTask();
   ASSERT_GE(task.space.size(), 8u);

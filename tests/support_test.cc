@@ -95,6 +95,25 @@ TEST(JsonTest, EscapesControlBytesAndFormatsNumbers) {
   EXPECT_EQ(support::JsonNumber(std::numeric_limits<double>::infinity()),
             "null");
   EXPECT_EQ(support::JsonNumber(std::nan("")), "null");
+  // Edge values, each as %.17g prints it.
+  EXPECT_EQ(support::JsonNumber(-std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(support::JsonNumber(-0.0), "-0");
+  EXPECT_EQ(support::JsonNumber(std::numeric_limits<double>::denorm_min()),
+            "4.9406564584124654e-324");
+  EXPECT_EQ(support::JsonNumber(-std::numeric_limits<double>::min()),
+            "-2.2250738585072014e-308");
+  EXPECT_EQ(support::JsonNumber(std::numeric_limits<double>::max()),
+            "1.7976931348623157e+308");
+  EXPECT_EQ(support::JsonNumber(1e16), "10000000000000000");
+  EXPECT_EQ(support::JsonNumber(1e17), "1e+17");
+  EXPECT_EQ(support::JsonNumber(9007199254740992.0), "9007199254740992");
+  EXPECT_EQ(support::JsonNumber(0.0001), "0.0001");
+  EXPECT_EQ(support::JsonNumber(1e-5), "1.0000000000000001e-05");
+  EXPECT_EQ(support::JsonNumber(-1e300), "-1.0000000000000001e+300");
+  // The longest output fills the writer's buffer exactly.
+  EXPECT_EQ(support::JsonNumber(-std::numeric_limits<double>::min()).size(),
+            support::kJsonNumberMaxChars);
 }
 
 TEST(GpuSpecTest, AmpereAsyncCapabilityTable) {

@@ -385,6 +385,47 @@ TEST(VerifierTest, StepLimitIsNeverClean) {
       << result.Render();
 }
 
+// ALCOP_VERIFY's verdict: a walk cut off at the step budget fails the
+// self-check like an error does, while a warning alone passes.
+TEST(VerifierTest, SelfCheckRejectsAWalkStoppedAtTheStepLimit) {
+  Fixture f;
+  try {
+    verify::VerifyOrThrow(StepLimitProgram(f), "test pass");
+    ADD_FAILURE() << "a walk stopped at the step limit passed";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("test pass produced IR that could not be verified"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("stopped at the step limit"), std::string::npos)
+        << what;
+  }
+
+  // Two live commit groups in one slot (V005), both waited before the
+  // read: a warning and no error.
+  Stmt aliased = Block({
+      Alloc(f.buf),
+      Sync(SyncKind::kProducerAcquire, 0, {f.buf}),
+      AsyncCopy(Region(f.buf, {Int(0), Int(0)}, {1, 8}),
+                Region(f.src, {Int(0), Int(0)}, {1, 8}), 0),
+      Sync(SyncKind::kProducerCommit, 0, {f.buf}),
+      Sync(SyncKind::kProducerAcquire, 0, {f.buf}),
+      AsyncCopy(Region(f.buf, {Int(0), Int(0)}, {1, 8}),
+                Region(f.src, {Int(1), Int(0)}, {1, 8}), 0),
+      Sync(SyncKind::kProducerCommit, 0, {f.buf}),
+      Sync(SyncKind::kConsumerWait, 0, {f.buf}),
+      Sync(SyncKind::kConsumerWait, 0, {f.buf}),
+      Copy(Region(f.out, {Int(0), Int(0)}, {1, 8}),
+           Region(f.buf, {Int(0), Int(0)}, {1, 8})),
+      Sync(SyncKind::kConsumerRelease, 0, {f.buf}),
+      Sync(SyncKind::kConsumerRelease, 0, {f.buf}),
+  });
+  verify::VerifyResult result = verify::VerifyProgram(aliased);
+  ASSERT_TRUE(HasCode(result, "V005")) << result.Render();
+  ASSERT_FALSE(result.HasErrors()) << result.Render();
+  EXPECT_NO_THROW(verify::VerifyOrThrow(aliased, "test pass"));
+}
+
 // ---- Zero false positives on the real compiler's output ----
 
 class CompiledCleanTest : public ::testing::TestWithParam<size_t> {};
