@@ -1,62 +1,30 @@
 #include "sim/trace.h"
 
+#include "ir/analysis.h"
+
 namespace alcop {
 namespace sim {
 
 namespace internal {
-namespace {
-
-struct ControlCollector {
-  const ir::Var& var;
-  std::vector<const ir::Var*> inner;  // loops inside the body, outermost first
-  LoopControl& out;
-
-  void Add(const ir::Expr& e) {
-    if (!ir::UsesVar(e, var)) return;
-    out.exprs.push_back(&e);
-    for (const ir::Var* v : inner) {
-      if (ir::UsesVar(e, *v)) out.per_iteration = true;
-    }
-  }
-
-  void Collect(const ir::Stmt& s) {
-    using namespace alcop::ir;  // NOLINT(build/namespaces) - IR walk
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const Stmt& child : static_cast<const BlockNode*>(s.get())->seq) {
-          Collect(child);
-        }
-        return;
-      case StmtKind::kPragma:
-        Collect(static_cast<const PragmaNode*>(s.get())->body);
-        return;
-      case StmtKind::kFor: {
-        const auto* op = static_cast<const ForNode*>(s.get());
-        Add(op->extent);
-        inner.push_back(&op->var);
-        Collect(op->body);
-        inner.pop_back();
-        return;
-      }
-      case StmtKind::kIfThenElse: {
-        const auto* op = static_cast<const IfThenElseNode*>(s.get());
-        Add(op->cond);
-        Collect(op->then_case);
-        if (op->else_case != nullptr) Collect(op->else_case);
-        return;
-      }
-      default:
-        return;
-    }
-  }
-};
-
-}  // namespace
 
 LoopControl AnalyzeLoopControl(const ir::ForNode& loop) {
+  using namespace alcop::ir;  // NOLINT(build/namespaces) - IR walk
   LoopControl control;
   control.loop = &loop;
-  ControlCollector{loop.var, {}, control}.Collect(loop.body);
+  WalkWithLoops(loop.body, [&](const Stmt& s,
+                               const std::vector<const ForNode*>& inner) {
+    const Expr* e = nullptr;
+    if (s->kind == StmtKind::kFor) {
+      e = &static_cast<const ForNode*>(s.get())->extent;
+    } else if (s->kind == StmtKind::kIfThenElse) {
+      e = &static_cast<const IfThenElseNode*>(s.get())->cond;
+    }
+    if (e == nullptr || !UsesVar(*e, loop.var)) return;
+    control.exprs.push_back(e);
+    for (const ForNode* enclosing : inner) {
+      if (UsesVar(*e, enclosing->var)) control.per_iteration = true;
+    }
+  });
   return control;
 }
 
