@@ -3,7 +3,8 @@
 // functional execution, trace building + discrete-event simulation, the
 // trace compiler on long-k kernels, the analytical model, feature
 // extraction, GBT fitting and prediction at the size of a tuner refit,
-// the annealing adjacency of a tuner's space, and
+// a cached pre-trained tuner search, the annealing adjacency of a tuner's
+// space, and
 // the two static checkers (verifier and alcop-lint) on one Fig. 10 kernel.
 // These bound the cost of one tuning trial, which is what makes the
 // Fig. 12/13 experiments tractable.
@@ -199,7 +200,9 @@ void BM_GbtFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtFit)->Unit(benchmark::kMillisecond);
 
-// The whole-space prediction behind every proposal round.
+// The whole-space prediction behind each proposal round of a search
+// without pre-training; a pre-trained search reads those scores off the
+// fit instead, since every config of the space is a training row.
 void BM_GbtPredictBatch(benchmark::State& state) {
   const RefitData& data = BenchRefitData();
   tuner::GbtModel model;
@@ -212,6 +215,23 @@ void BM_GbtPredictBatch(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(space.size());
 }
 BENCHMARK(BM_GbtPredictBatch)->Unit(benchmark::kMicrosecond);
+
+// One pre-trained 32-trial XgbTuner search of the same space, seeded as
+// the first run was, so every measurement is a sim-cache lookup: the time
+// is the model's four refits and the proposal rounds that read them.
+void BM_XgbTune(benchmark::State& state) {
+  static const tuner::TuningTask task = tuner::MakeSimulatorTask(
+      workloads::FindOp("MM_BERT_QKV"), target::AmpereSpec());
+  tuner::XgbOptions options;
+  options.pretrain_with_analytical = true;
+  options.seed = 7;
+  tuner::XgbTuner(task, 32, options);  // warms the sim cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tuner::XgbTuner(task, 32, options));
+  }
+  state.counters["configs"] = static_cast<double>(task.space.size());
+}
+BENCHMARK(BM_XgbTune)->Unit(benchmark::kMillisecond);
 
 // The annealing adjacency that every XgbTuner run builds once for its
 // space, on the same 1,920-point Fig. 10 space.

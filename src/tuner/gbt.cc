@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
+#include <numeric>
 
 #include "support/check.h"
 #include "support/parallel.h"
@@ -38,95 +38,86 @@ double TreeValue(const Node* nodes, int root, const double* x) {
   return node->value;
 }
 
-// One element of a presorted feature order: a row and the rank of its
-// value among the feature's distinct values, so split scans compare
-// values by reading the order sequentially.
-struct Entry {
-  int32_t row;
-  int32_t rank;
-};
-
-// Prefix sums of gradient and hessian over the first `left_count` entries
-// of a node's order, where entries left_count - 1 and left_count differ in
-// value.
-struct Cut {
-  double gl;
-  double hl;
-  size_t left_count;
-};
-
 // A row's gradient (weight x residual) and hessian (weight) for squared
-// error, side by side so a scan reads both with one access.
+// error, side by side so a histogram pass reads both with one access.
 struct Grad {
   double g;
   double h;
 };
 
+// One histogram bin: the sums over a node's rows that take one value of
+// one feature. Bins filled by subtraction carry rounding in g and h, so
+// only the count says whether a bin is empty.
+struct Bin {
+  double g = 0.0;
+  double h = 0.0;
+  int64_t count = 0;
+};
+
 struct Split {
   double gain = 0.0;
   double threshold = 0.0;
-  // The left child is the first `left_count` entries of the chosen order
-  // (splits only fall between distinct values, so the prefix is exactly
-  // the x <= threshold set).
-  size_t left_count = 0;
-  size_t block = 0;  // the chosen order's block in TreeBuilder
-  int feature = -1;
+  size_t feature = 0;    // index into TreeBuilder::features_
+  uint32_t last_left = 0;  // the feature's last slot on the left
 };
 
-// Exact-greedy tree building with presorted feature orders, as in XGBoost.
-// Once per Fit the rows are copied column by column into `sorted_`: one
-// block of n entries per kept feature, sorted by (value, row). Every tree
-// then partitions those blocks into `work_`, where a node owns the same
-// range [begin, end) of every block; a split stably partitions that range
-// in place, so the children's ranges stay sorted and no node allocates.
-// A feature whose (row, rank) order equals a kept block's gets no block:
-// the two would partition alike and scan alike at every node, and the
-// earlier feature wins every tie, so the later one could never be chosen.
+// A leaf of the tree being built and the range of rows_ it holds.
+struct Leaf {
+  int node;
+  size_t begin;
+  size_t end;
+};
+
+// Exact-bin histogram tree building. Once per Fit, every feature with more
+// than one value gets one bin per distinct value (so no threshold between
+// two values is lost, however many there are), and each row's bin of
+// every such feature is stored row-major in `slots_` as an index into one
+// histogram spanning all of them. Every tree then splits one row list: a
+// node owns a range of `rows_`, in ascending row order, and is split by a
+// stable partition of that range. A node's histogram holds (g, h, count)
+// per bin; the smaller child's is summed from its rows and the larger
+// child's is the parent's minus it, computed in place.
 //
-// Summation orders are part of the result: node totals and leaf values
-// sum in feature 0's order (block 0, kept even when feature 0 is
-// constant), and each split scan prefix-sums in its own feature's order.
+// A split's threshold is the midpoint of the two adjacent non-empty bins'
+// values a < b, or a should the midpoint round up to b, so `value <=
+// threshold` (the test Predict applies) holds for exactly the bins up to
+// a. Partitioning by bin therefore gives every leaf exactly the rows
+// Predict routes there.
 class TreeBuilder {
  public:
   TreeBuilder(const std::vector<std::vector<double>>& x,
               const std::vector<double>& weight)
-      : n_(x.size()),
-        weight_(weight),
-        grad_(n_),
-        goes_left_(n_),
-        scratch_(n_),
-        cuts_(n_) {
-    std::vector<std::pair<double, int32_t>> column(n_);
-    std::vector<Entry> block(n_);
-    sorted_.reserve(x[0].size() * n_);
+      : n_(x.size()), weight_(weight), grad_(n_), rows_(n_), scratch_(n_) {
+    std::vector<std::vector<size_t>> bin_of;
+    std::vector<double> column(n_);
     for (size_t f = 0; f < x[0].size(); ++f) {
+      for (size_t i = 0; i < n_; ++i) column[i] = x[i][f];
+      std::vector<double> values = column;
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+      if (values.size() == 1) continue;  // a constant feature has no split
+      std::vector<size_t> bins(n_);
       for (size_t i = 0; i < n_; ++i) {
-        column[i] = {x[i][f], static_cast<int32_t>(i)};
+        bins[i] = static_cast<size_t>(
+            std::lower_bound(values.begin(), values.end(), column[i]) -
+            values.begin());
       }
-      std::sort(column.begin(), column.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  return a.second < b.second;
-                });
-      std::vector<double> values = {column[0].first};
-      for (size_t i = 0; i < n_; ++i) {
-        if (column[i].first != values.back()) {
-          values.push_back(column[i].first);
-        }
-        block[i] = {column[i].second, static_cast<int32_t>(values.size() - 1)};
-      }
-      // A feature with one value has no split; feature 0 keeps its block
-      // regardless, because that order fixes the summation order.
-      if (values.size() == 1) {
-        if (f > 0) continue;
-        first_searched_ = 1;
-      }
-      if (HasBlock(block)) continue;
       features_.push_back(static_cast<int>(f));
-      values_.push_back(std::move(values));
-      sorted_.insert(sorted_.end(), block.begin(), block.end());
+      first_slot_.push_back(slot_values_.size());
+      slot_values_.insert(slot_values_.end(), values.begin(), values.end());
+      bin_of.push_back(std::move(bins));
     }
-    work_.resize(sorted_.size());
+    first_slot_.push_back(slot_values_.size());
+    ALCOP_CHECK_LE(slot_values_.size(), size_t{UINT32_MAX}) << "too many bins";
+    size_t width = features_.size();
+    slots_.resize(n_ * width);
+    for (size_t k = 0; k < width; ++k) {
+      for (size_t i = 0; i < n_; ++i) {
+        slots_[i * width + k] =
+            static_cast<uint32_t>(first_slot_[k] + bin_of[k][i]);
+      }
+    }
+    histograms_.resize(static_cast<size_t>(kMaxDepth) * slot_values_.size());
   }
 
   // Appends one tree fit to `residual` to `nodes`.
@@ -134,146 +125,183 @@ class TreeBuilder {
     for (size_t i = 0; i < n_; ++i) {
       grad_[i] = {weight_[i] * residual[i], weight_[i]};
     }
+    std::iota(rows_.begin(), rows_.end(), 0u);
     nodes_ = nodes;
-    BuildNode(sorted_.data(), 0, n_, 0);
+    leaves_.clear();
+    Bin* root = Histogram(0);
+    if (Searched(0, n_)) Accumulate(0, n_, root);
+    BuildNode(0, n_, 0, root);
+  }
+
+  // Adds kLearningRate x leaf value to `prediction` for every row, for the
+  // tree the last Build appended. That is the term Predict adds for the
+  // tree, because each leaf holds exactly the rows routed to it.
+  void AddTreeTo(std::vector<double>* prediction) const {
+    for (const Leaf& leaf : leaves_) {
+      double step =
+          kLearningRate * (*nodes_)[static_cast<size_t>(leaf.node)].value;
+      for (size_t i = leaf.begin; i < leaf.end; ++i) {
+        (*prediction)[rows_[i]] += step;
+      }
+    }
   }
 
  private:
-  // Whether `block` equals a kept block entry for entry.
-  bool HasBlock(const std::vector<Entry>& block) const {
-    for (size_t k = 0; k < features_.size(); ++k) {
-      if (std::equal(block.begin(), block.end(), sorted_.data() + k * n_,
-                     [](const Entry& a, const Entry& b) {
-                       return a.row == b.row && a.rank == b.rank;
-                     })) {
-        return true;
-      }
-    }
-    return false;
+  // The histogram buffer of depth `depth`: the root's is 0; a split at
+  // depth d keeps its own buffer for the larger child and gives the
+  // smaller child buffer d + 1, which the larger child's subtree (built
+  // from depth d + 2 down) never touches.
+  Bin* Histogram(int depth) {
+    return histograms_.data() +
+           static_cast<size_t>(depth) * slot_values_.size();
   }
 
-  int BuildNode(const Entry* orders, size_t begin, size_t end, int depth) {
+  // Whether a node of `count` rows at `depth` looks for a split.
+  static bool Searched(int depth, size_t count) {
+    return depth < kMaxDepth &&
+           count >= static_cast<size_t>(2 * kMinSamplesLeaf);
+  }
+
+  // Sums rows_[begin, end) into `hist`, in row-list order.
+  void Accumulate(size_t begin, size_t end, Bin* hist) const {
+    std::fill(hist, hist + slot_values_.size(), Bin{});
+    size_t width = features_.size();
+    for (size_t i = begin; i < end; ++i) {
+      uint32_t row = rows_[i];
+      Grad grad = grad_[row];
+      const uint32_t* slot = slots_.data() + row * width;
+      for (size_t k = 0; k < width; ++k) {
+        Bin& bin = hist[slot[k]];
+        bin.g += grad.g;
+        bin.h += grad.h;
+        ++bin.count;
+      }
+    }
+  }
+
+  // `hist` is the node's histogram when Searched(depth, end - begin).
+  int BuildNode(size_t begin, size_t end, int depth, Bin* hist) {
     int index = static_cast<int>(nodes_->size());
     nodes_->emplace_back();
     size_t count = end - begin;
     double g = 0.0, h = 0.0;
-    for (const Entry* e = orders + begin; e != orders + end; ++e) {
-      g += grad_[static_cast<size_t>(e->row)].g;
-      h += grad_[static_cast<size_t>(e->row)].h;
+    for (size_t i = begin; i < end; ++i) {
+      g += grad_[rows_[i]].g;
+      h += grad_[rows_[i]].h;
     }
     Split split;
-    if (depth < kMaxDepth &&
-        count >= static_cast<size_t>(2 * kMinSamplesLeaf)) {
+    if (Searched(depth, count)) {
       double parent_loss = -(g * g) / (h + kL2);
       // Per-feature bests reduce in feature order under the same epsilon
       // the scoring uses, so ties break toward the lowest feature index.
-      for (size_t k = first_searched_; k < features_.size(); ++k) {
-        Split candidate = BestSplitAlong(orders + k * n_ + begin, values_[k],
-                                         count, g, h, parent_loss);
-        if (candidate.gain > split.gain + 1e-12) {
-          split = candidate;
-          split.block = k;
-          split.feature = features_[k];
-        }
+      for (size_t k = 0; k < features_.size(); ++k) {
+        Split candidate = BestSplitAlong(k, hist, count, g, h, parent_loss);
+        if (candidate.gain > split.gain + 1e-12) split = candidate;
       }
     }
-    if (split.feature < 0) {
+    if (split.gain <= 0.0) {
       (*nodes_)[static_cast<size_t>(index)].value = g / (h + kL2);
+      leaves_.push_back({index, begin, end});
       return index;
     }
-    (*nodes_)[static_cast<size_t>(index)].feature = split.feature;
+    (*nodes_)[static_cast<size_t>(index)].feature = features_[split.feature];
     (*nodes_)[static_cast<size_t>(index)].value = split.threshold;
 
-    const Entry* chosen = orders + split.block * n_ + begin;
-    for (size_t i = 0; i < count; ++i) {
-      goes_left_[static_cast<size_t>(chosen[i].row)] = i < split.left_count;
-    }
-    // Children at max_depth are leaves and read only block 0. In place, the
-    // chosen order is already partitioned: its prefix is the left.
-    size_t blocks = depth + 1 < kMaxDepth ? features_.size() : 1;
-    for (size_t k = 0; k < blocks; ++k) {
-      const Entry* from = orders + k * n_ + begin;
-      Entry* to = work_.data() + k * n_ + begin;
-      if (from != to || k != split.block) {
-        Partition(from, to, count, split.left_count);
+    size_t mid = Partition(begin, end, split.feature, split.last_left);
+
+    size_t left_count = mid - begin, right_count = end - mid;
+    Bin* left = hist;
+    Bin* right = hist;
+    if (Searched(depth + 1, left_count) || Searched(depth + 1, right_count)) {
+      Bin* smaller = Histogram(depth + 1);
+      if (left_count <= right_count) {
+        Accumulate(begin, mid, smaller);
+        left = smaller;
+      } else {
+        Accumulate(mid, end, smaller);
+        right = smaller;
+      }
+      for (size_t s = 0; s < slot_values_.size(); ++s) {
+        hist[s].g -= smaller[s].g;
+        hist[s].h -= smaller[s].h;
+        hist[s].count -= smaller[s].count;
       }
     }
-
-    BuildNode(work_.data(), begin, begin + split.left_count, depth + 1);
-    int right =
-        BuildNode(work_.data(), begin + split.left_count, end, depth + 1);
-    (*nodes_)[static_cast<size_t>(index)].right = right;
+    BuildNode(begin, mid, depth + 1, left);
+    int right_index = BuildNode(mid, end, depth + 1, right);
+    (*nodes_)[static_cast<size_t>(index)].right = right_index;
     return index;
   }
 
-  // Best split along one order of a node: a prefix scan of gradient and
-  // hessian in (value, row) order. The scan only records the prefix sums
-  // at each boundary between distinct values in cuts_, which keeps its
-  // loop free of the scoring's register pressure; the cuts are then scored
-  // in scan order. `g`/`h` are the node totals.
-  Split BestSplitAlong(const Entry* e, const std::vector<double>& values,
-                       size_t count, double g, double h, double parent_loss) {
-    Cut* cuts = cuts_.data();
-    size_t num_cuts = 0;
-    double gl = 0.0, hl = 0.0;
-    for (size_t i = 0; i + 1 < count; ++i) {
-      const Grad& grad = grad_[static_cast<size_t>(e[i].row)];
-      gl += grad.g;
-      hl += grad.h;
-      if (e[i].rank != e[i + 1].rank) cuts[num_cuts++] = {gl, hl, i + 1};
-    }
+  // Best split along kept feature k of a node: a prefix scan of its
+  // histogram in value order, with a cut between each two adjacent
+  // non-empty bins. `g`/`h` are the node totals.
+  Split BestSplitAlong(size_t k, const Bin* hist, size_t count, double g,
+                       double h, double parent_loss) const {
     Split best;
-    size_t min_leaf = static_cast<size_t>(kMinSamplesLeaf);
-    for (const Cut* cut = cuts; cut != cuts + num_cuts; ++cut) {
-      size_t left_count = cut->left_count;
-      if (left_count < min_leaf || count - left_count < min_leaf) continue;
-      double gr = g - cut->gl, hr = h - cut->hl;
-      double loss = -(cut->gl * cut->gl) / (cut->hl + kL2) -
-                    (gr * gr) / (hr + kL2);
-      double gain = parent_loss - loss;
-      if (gain > best.gain + 1e-12) {
-        best.gain = gain;
-        double x_here = values[static_cast<size_t>(e[left_count - 1].rank)];
-        double x_next = values[static_cast<size_t>(e[left_count].rank)];
-        best.threshold = 0.5 * (x_here + x_next);
-        best.left_count = left_count;
+    best.feature = k;
+    int64_t min_leaf = kMinSamplesLeaf;
+    int64_t total = static_cast<int64_t>(count);
+    double gl = 0.0, hl = 0.0;
+    int64_t left_count = 0;
+    size_t previous = 0;  // the last non-empty slot scanned
+    for (size_t s = first_slot_[k]; s < first_slot_[k + 1]; ++s) {
+      const Bin& bin = hist[s];
+      if (bin.count == 0) continue;
+      if (left_count >= min_leaf && total - left_count >= min_leaf) {
+        double gr = g - gl, hr = h - hl;
+        double loss = -(gl * gl) / (hl + kL2) - (gr * gr) / (hr + kL2);
+        double gain = parent_loss - loss;
+        if (gain > best.gain + 1e-12) {
+          double a = slot_values_[previous], b = slot_values_[s];
+          double midpoint = 0.5 * (a + b);
+          best.gain = gain;
+          best.threshold = midpoint < b ? midpoint : a;
+          best.last_left = static_cast<uint32_t>(previous);
+        }
       }
+      gl += bin.g;
+      hl += bin.h;
+      left_count += bin.count;
+      previous = s;
     }
     return best;
   }
 
-  // Stable partition of `count` entries by goes_left_, lefts first. The
-  // rights go through scratch_, so `from` may equal `to`; writes to `to`
-  // never pass the read position or index `left_count`.
-  void Partition(const Entry* from, Entry* to, size_t count,
-                 size_t left_count) {
-    Entry* rights = scratch_.data();
-    size_t l = 0, r = 0;
-    for (size_t i = 0; i < count; ++i) {
-      Entry e = from[i];
-      bool left = goes_left_[static_cast<size_t>(e.row)] != 0;
-      to[l] = e;
-      rights[r] = e;
+  // Stable partition of rows_[begin, end) into the rows whose slot of
+  // kept feature k is at most `last_left`, then the rest; returns where
+  // the rest begins. The rest go through scratch_.
+  size_t Partition(size_t begin, size_t end, size_t k, uint32_t last_left) {
+    size_t width = features_.size();
+    size_t l = begin, r = 0;
+    for (size_t i = begin; i < end; ++i) {
+      uint32_t row = rows_[i];
+      bool left = slots_[row * width + k] <= last_left;
+      rows_[l] = row;
+      scratch_[r] = row;
       l += left;
       r += !left;
     }
-    std::copy(rights, rights + r, to + left_count);
+    std::copy(scratch_.begin(), scratch_.begin() + static_cast<ptrdiff_t>(r),
+              rows_.begin() + static_cast<ptrdiff_t>(l));
+    return l;
   }
 
   size_t n_;
   const std::vector<double>& weight_;
   std::vector<Grad> grad_;  // per row, for the current tree
-  std::vector<uint8_t> goes_left_;
-  std::vector<Entry> scratch_;
-  std::vector<Cut> cuts_;  // BestSplitAlong's boundaries
-  // The feature of each block: 0 first, then every other feature that
-  // takes more than one value and whose order no earlier block has.
+  // The feature of each kept index: every feature taking more than one
+  // value, in feature order.
   std::vector<int> features_;
-  size_t first_searched_ = 0;  // 1 when feature 0 is constant
-  // Per block: the feature's distinct values, ascending (indexed by rank).
-  std::vector<std::vector<double>> values_;
-  std::vector<Entry> sorted_;  // the whole dataset's orders, read-only
-  std::vector<Entry> work_;    // the current tree's partitioned orders
+  // Kept feature k's bins are slots [first_slot_[k], first_slot_[k + 1]),
+  // in ascending value order; slot_values_ holds each slot's value.
+  std::vector<size_t> first_slot_;
+  std::vector<double> slot_values_;
+  std::vector<uint32_t> slots_;  // row i's slot of feature k at i * K + k
+  std::vector<Bin> histograms_;  // kMaxDepth buffers of one slot each
+  std::vector<uint32_t> rows_;   // the current tree's row lists
+  std::vector<uint32_t> scratch_;
+  std::vector<Leaf> leaves_;  // the current tree's leaves
   std::vector<Node>* nodes_ = nullptr;
 };
 
@@ -291,13 +319,15 @@ GbtModel::~GbtModel() = default;
 GbtModel::GbtModel(GbtModel&&) noexcept = default;
 GbtModel& GbtModel::operator=(GbtModel&&) noexcept = default;
 
-void GbtModel::Fit(const std::vector<std::vector<double>>& x,
-                   const std::vector<double>& y,
-                   const std::vector<double>& weights) {
+std::vector<double> GbtModel::Fit(const std::vector<std::vector<double>>& x,
+                                  const std::vector<double>& y,
+                                  const std::vector<double>& weights) {
   ALCOP_CHECK(!x.empty()) << "cannot fit GBT on empty data";
   ALCOP_CHECK_EQ(x.size(), y.size());
+  ALCOP_CHECK_LE(x.size(), size_t{UINT32_MAX}) << "too many rows";
   for (const auto& row : x) {
     ALCOP_CHECK_EQ(row.size(), x[0].size()) << "ragged feature rows";
+    for (double v : row) ALCOP_CHECK(!std::isnan(v)) << "NaN feature";
   }
   std::vector<double> weight =
       weights.empty() ? std::vector<double>(x.size(), 1.0) : weights;
@@ -327,12 +357,10 @@ void GbtModel::Fit(const std::vector<std::vector<double>>& x,
       break;
     }
     impl_->roots.push_back(root);
-    for (size_t i = 0; i < y.size(); ++i) {
-      prediction[i] += kLearningRate *
-                       TreeValue(impl_->nodes.data(), root, x[i].data());
-    }
+    builder.AddTreeTo(&prediction);
   }
   impl_->fitted = true;
+  return prediction;
 }
 
 double GbtModel::Predict(const std::vector<double>& features) const {

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -198,13 +199,19 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       task.space.size(),
       [&](size_t i) { return ExtractFeatures(task.op, task.space[i], task.spec); });
 
-  // Pre-training pseudo-samples: the analytical model's predicted score
-  // for every configuration in the space.
-  std::vector<double> pretrain_scores;
+  // The model's training rows. With pre-training they start as one
+  // pseudo-sample per configuration in the space, the analytical model's
+  // predicted score, so row i is config i; each measured batch is appended
+  // after them, so every fit reads the same rows in the same order.
+  std::vector<std::vector<double>> train_x;
+  std::vector<double> train_y;
+  std::vector<double> train_w;
   if (options.pretrain_with_analytical) {
-    pretrain_scores = support::ParallelMap(task.space.size(), [&](size_t i) {
+    train_x = features;
+    train_y = support::ParallelMap(task.space.size(), [&](size_t i) {
       return ScoreOf(perfmodel::PredictCycles(task.op, task.space[i], task.spec));
     });
+    train_w.assign(task.space.size(), kPretrainWeight);
   }
 
   GbtModel model;
@@ -219,34 +226,14 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
   // The model is fit only when a round is about to read it, on every
   // measurement so far: no fit follows the last batch, and none fits the
   // pretrain rows alone when warm-start seeds are measured before round 0.
-  // `round_number` is the last measured round (-1 before round 0).
+  // `round_number` is the last measured round (-1 before round 0); the
+  // fit's prediction of every training row is returned.
   auto refit = [&](int round_number) {
     ALCOP_TRACE_SCOPE("refit", "tuner");
     static obs::Counter& refits = obs::Registry::Global().GetCounter(
         "tuner.refits", "Cost-model refits during search.");
     refits.Increment();
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    std::vector<double> w;
-    size_t rows =
-        (options.pretrain_with_analytical ? task.space.size() : 0) +
-        result.trials.size();
-    x.reserve(rows);
-    y.reserve(rows);
-    w.reserve(rows);
-    if (options.pretrain_with_analytical) {
-      for (size_t i = 0; i < task.space.size(); ++i) {
-        x.push_back(features[i]);
-        y.push_back(pretrain_scores[i]);
-        w.push_back(kPretrainWeight);
-      }
-    }
-    for (size_t i = 0; i < result.trials.size(); ++i) {
-      x.push_back(features[result.trials[i]]);
-      y.push_back(ScoreOf(result.measured[i]));
-      w.push_back(1.0);
-    }
-    model.Fit(x, y, w);
+    std::vector<double> fitted = model.Fit(train_x, train_y, train_w);
     if (options.logger) {
       TrialEvent event;
       event.kind = TrialEvent::Kind::kRefit;
@@ -254,34 +241,30 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       event.training_size = static_cast<int64_t>(result.trials.size());
       event.rank_accuracy = std::numeric_limits<double>::quiet_NaN();
       // Pairwise rank accuracy of the freshly fit model over everything
-      // measured so far: of the pairs the measurements order, how many
-      // does the model order the same way.
-      if (result.trials.size() >= 2) {
-        std::vector<std::vector<double>> measured_x;
-        measured_x.reserve(result.trials.size());
-        for (size_t index : result.trials) {
-          measured_x.push_back(features[index]);
+      // measured so far (the last training rows, in trial order): of the
+      // pairs the measurements order, how many does the model order the
+      // same way.
+      const double* predicted =
+          fitted.data() + (fitted.size() - result.trials.size());
+      int64_t concordant = 0;
+      int64_t comparable = 0;
+      for (size_t i = 0; i < result.trials.size(); ++i) {
+        for (size_t j = i + 1; j < result.trials.size(); ++j) {
+          double truth =
+              ScoreOf(result.measured[i]) - ScoreOf(result.measured[j]);
+          double guess = predicted[i] - predicted[j];
+          if (truth == 0.0 || guess == 0.0) continue;  // ties carry no rank
+          ++comparable;
+          if ((truth > 0.0) == (guess > 0.0)) ++concordant;
         }
-        std::vector<double> predicted = model.PredictBatch(measured_x);
-        int64_t concordant = 0;
-        int64_t comparable = 0;
-        for (size_t i = 0; i < predicted.size(); ++i) {
-          for (size_t j = i + 1; j < predicted.size(); ++j) {
-            double truth = ScoreOf(result.measured[i]) -
-                           ScoreOf(result.measured[j]);
-            double guess = predicted[i] - predicted[j];
-            if (truth == 0.0 || guess == 0.0) continue;  // ties carry no rank
-            ++comparable;
-            if ((truth > 0.0) == (guess > 0.0)) ++concordant;
-          }
-        }
-        if (comparable > 0) {
-          event.rank_accuracy = static_cast<double>(concordant) /
-                                static_cast<double>(comparable);
-        }
+      }
+      if (comparable > 0) {
+        event.rank_accuracy = static_cast<double>(concordant) /
+                              static_cast<double>(comparable);
       }
       options.logger(event);
     }
+    return fitted;
   };
 
   // Measures one batch of space indices and records it: its proposed and
@@ -326,6 +309,9 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       result.trials.push_back(indices[i]);
       result.measured.push_back(cycles[i]);
       measured_set.insert(indices[i]);
+      train_x.push_back(features[indices[i]]);
+      train_y.push_back(ScoreOf(cycles[i]));
+      train_w.push_back(1.0);
     }
   };
 
@@ -368,12 +354,19 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       }
     } else {
       // Fit on every measurement so far (each earlier round measured new
-      // trials, so no earlier fit is current), predict the whole space in
-      // one parallel batch, and let the annealing walk score candidates by
-      // table lookup.
-      refit(round - 1);
+      // trials, so no earlier fit is current), score the whole space, and
+      // let the annealing walk score candidates by table lookup. With
+      // pre-training the space's configs are the first training rows, so
+      // the fit has already scored them; otherwise predict them in one
+      // parallel batch.
+      std::vector<double> fitted = refit(round - 1);
       if (neighbors.empty()) neighbors = BuildNeighborLists(task.space);
-      predicted = model.PredictBatch(features);
+      if (options.pretrain_with_analytical) {
+        fitted.resize(task.space.size());
+        predicted = std::move(fitted);
+      } else {
+        predicted = model.PredictBatch(features);
+      }
       auto score = [&](size_t index) { return predicted[index]; };
       proposals = ProposeBatch(task.space, score, measured_set, batch, rng,
                                &neighbors);

@@ -515,24 +515,38 @@ TEST_F(FlightServerTest, ClientCardinalityCapCollapsesToOther) {
 
 TEST_F(FlightServerTest, WatchdogTripsOnStalledSlowLaneAndDumps) {
   options_.watchdog_stall_ms = 10;
+  // Twice the fixture's space, so the tune below can measure 192 configs
+  // in 24 model-guided rounds: about 80 ms on one core of a 4-vCPU host,
+  // eight stall thresholds.
+  options_.space.tb_n = {64, 128};
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
 
   double stalls_before = RegistryCounterValue("serving.watchdog.stalls");
 
   // One long tune occupies the single slow worker; a compile queued
-  // behind it ages past the 10ms threshold while the tune runs. The long
-  // k keeps the tune well past the threshold: replay time grows with k.
+  // behind it ages past the 10ms threshold while the tune runs. The
+  // compile is sent once the tune's round has started, so it queues for
+  // nearly the whole tune however fast the tuner is.
+  obs::Counter& rounds = obs::Registry::Global().GetCounter("serving.batches");
+  const uint64_t rounds_before = rounds.Value();
   std::thread tuner_thread([&] {
     serving::Client tune_client;
     ASSERT_TRUE(tune_client.Connect(socket_path_));
     std::optional<JsonValue> response = tune_client.Call(
         "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":512,\"k\":4096,"
-        "\"trials\":48}");
+        "\"trials\":192}");
     ASSERT_TRUE(response.has_value());
     EXPECT_TRUE(response->Find("ok")->BoolOr(false));
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  bool round_started = false;
+  for (int i = 0; i < 10000 && !round_started; ++i) {
+    round_started = rounds.Value() > rounds_before;
+    if (!round_started) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(round_started) << "the tune never reached the slow lane";
   std::thread compile_thread([&] {
     serving::Client compile_client;
     ASSERT_TRUE(compile_client.Connect(socket_path_));

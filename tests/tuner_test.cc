@@ -218,8 +218,7 @@ std::string Hex(double v) {
 
 // Pins the fitted model bit for bit, so a rewrite of Fit that changes any
 // floating-point sum order or split choice fails here. The second fit makes
-// feature 0 constant: node totals and leaf values are summed in feature 0's
-// sorted order, which then degenerates to row order.
+// feature 0 constant, so it has no bins and is never split on.
 TEST(GbtTest, GoldenPredictionsOnRefitShapedData) {
   RefitShapedData data = MakeRefitShapedData();
   ASSERT_EQ(data.x.size(), 1032u);
@@ -232,10 +231,10 @@ TEST(GbtTest, GoldenPredictionsOnRefitShapedData) {
   };
 
   std::vector<double> pred = fit_and_predict(data);
-  EXPECT_EQ(HashBits(pred), 12535916158313298155ull);
-  EXPECT_EQ(Hex(pred[0]), "-0x1.2a53f28cfd32ep+3");
-  EXPECT_EQ(Hex(pred[517]), "-0x1.4840a04c7702fp+3");
-  EXPECT_EQ(Hex(pred[1031]), "-0x1.386a8c8cc1a5dp+3");
+  EXPECT_EQ(HashBits(pred), 6333361165517740541ull);
+  EXPECT_EQ(Hex(pred[0]), "-0x1.2a53f28cfd32dp+3");
+  EXPECT_EQ(Hex(pred[517]), "-0x1.4840a04c7702ep+3");
+  EXPECT_EQ(Hex(pred[1031]), "-0x1.386a8c8cc1a5cp+3");
 
   for (auto& row : data.x) row[0] = 3.0;
   std::vector<double> constant0 = fit_and_predict(data);
@@ -263,6 +262,72 @@ TEST(GbtTest, MonotoneCopyOfAColumnLeavesPredictionsBitIdentical) {
   std::vector<double> with_copy = fit_and_predict(data);
   EXPECT_EQ(HashBits(with_copy), HashBits(plain));
   EXPECT_EQ(with_copy, plain);
+}
+
+// Fit returns its prediction of every training row, read off the leaves
+// as each tree is built; each must equal Predict of the row bit for bit.
+// The refit-shaped data has duplicated rows and a constant column. The
+// second dataset adds a column of two adjacent doubles whose midpoint
+// rounds up to the larger one, so its threshold must be the smaller value
+// for the fit's partition to match Predict's `x <= threshold`.
+TEST(GbtTest, FitReturnsPredictOfEveryRow) {
+  auto expect_fit_equals_predict = [](const RefitShapedData& d) {
+    tuner::GbtModel model;
+    std::vector<double> fitted = model.Fit(d.x, d.y, d.w);
+    ASSERT_EQ(fitted.size(), d.x.size());
+    std::vector<double> predicted;
+    for (const auto& row : d.x) predicted.push_back(model.Predict(row));
+    EXPECT_EQ(HashBits(fitted), HashBits(predicted));
+    for (size_t i = 0; i < d.x.size(); ++i) {
+      ASSERT_EQ(Hex(fitted[i]), Hex(predicted[i])) << "row " << i;
+    }
+  };
+  RefitShapedData data = MakeRefitShapedData();
+  expect_fit_equals_predict(data);
+
+  double low = std::nextafter(1.0, 2.0);
+  double high = std::nextafter(low, 2.0);
+  ASSERT_EQ(0.5 * (low + high), high);
+  RefitShapedData adjacent;
+  for (int i = 0; i < 64; ++i) {
+    bool up = i % 2 == 1;
+    adjacent.x.push_back({static_cast<double>(i % 8), up ? high : low});
+    adjacent.y.push_back((i % 8) + (up ? 5.0 : 0.0));
+    adjacent.w.push_back(1.0);
+  }
+  expect_fit_equals_predict(adjacent);
+  tuner::GbtModel model;
+  model.Fit(adjacent.x, adjacent.y, adjacent.w);
+  EXPECT_GT(model.Predict({0.0, high}) - model.Predict({0.0, low}), 4.0)
+      << "the split between the adjacent values takes effect";
+}
+
+// One bin per distinct value, however many: a column of 1,200 distinct
+// values with a step in the target between two adjacent ones is split
+// exactly at the step, which a capped bin count would merge into one bin.
+TEST(GbtTest, ExactBinsKeepEveryThreshold) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  constexpr int kRows = 1200;
+  constexpr int kStep = 701;  // rows below it are 0, rows from it on are 1
+  for (int i = 0; i < kRows; ++i) {
+    x.push_back({std::sqrt(static_cast<double>(i))});
+    y.push_back(i < kStep ? 0.0 : 1.0);
+  }
+  std::set<double> distinct;
+  for (const auto& row : x) distinct.insert(row[0]);
+  ASSERT_EQ(distinct.size(), static_cast<size_t>(kRows));
+  tuner::GbtModel model;
+  std::vector<double> fitted = model.Fit(x, y);
+  for (int i = 0; i < kRows; ++i) {
+    double prediction = model.Predict(x[static_cast<size_t>(i)]);
+    EXPECT_EQ(fitted[static_cast<size_t>(i)], prediction);
+    if (i < kStep) {
+      EXPECT_LT(prediction, 0.5) << "row " << i;
+    } else {
+      EXPECT_GT(prediction, 0.5) << "row " << i;
+    }
+  }
 }
 
 // ---- Annealing ----
