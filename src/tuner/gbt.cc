@@ -88,33 +88,28 @@ class TreeBuilder {
   TreeBuilder(const std::vector<std::vector<double>>& x,
               const std::vector<double>& weight)
       : n_(x.size()), weight_(weight), grad_(n_), rows_(n_), scratch_(n_) {
-    std::vector<std::vector<size_t>> bin_of;
-    std::vector<double> column(n_);
+    std::vector<double> values(n_);
     for (size_t f = 0; f < x[0].size(); ++f) {
-      for (size_t i = 0; i < n_; ++i) column[i] = x[i][f];
-      std::vector<double> values = column;
+      for (size_t i = 0; i < n_; ++i) values[i] = x[i][f];
       std::sort(values.begin(), values.end());
-      values.erase(std::unique(values.begin(), values.end()), values.end());
-      if (values.size() == 1) continue;  // a constant feature has no split
-      std::vector<size_t> bins(n_);
-      for (size_t i = 0; i < n_; ++i) {
-        bins[i] = static_cast<size_t>(
-            std::lower_bound(values.begin(), values.end(), column[i]) -
-            values.begin());
-      }
+      auto distinct_end = std::unique(values.begin(), values.end());
+      // A constant feature has no split.
+      if (distinct_end - values.begin() == 1) continue;
       features_.push_back(static_cast<int>(f));
       first_slot_.push_back(slot_values_.size());
-      slot_values_.insert(slot_values_.end(), values.begin(), values.end());
-      bin_of.push_back(std::move(bins));
+      slot_values_.insert(slot_values_.end(), values.begin(), distinct_end);
     }
     first_slot_.push_back(slot_values_.size());
     ALCOP_CHECK_LE(slot_values_.size(), size_t{UINT32_MAX}) << "too many bins";
     size_t width = features_.size();
     slots_.resize(n_ * width);
-    for (size_t k = 0; k < width; ++k) {
-      for (size_t i = 0; i < n_; ++i) {
-        slots_[i * width + k] =
-            static_cast<uint32_t>(first_slot_[k] + bin_of[k][i]);
+    for (size_t i = 0; i < n_; ++i) {
+      for (size_t k = 0; k < width; ++k) {
+        const double* first = slot_values_.data() + first_slot_[k];
+        const double* last = slot_values_.data() + first_slot_[k + 1];
+        double value = x[i][static_cast<size_t>(features_[k])];
+        slots_[i * width + k] = static_cast<uint32_t>(
+            std::lower_bound(first, last, value) - slot_values_.data());
       }
     }
     histograms_.resize(static_cast<size_t>(kMaxDepth) * slot_values_.size());
