@@ -154,6 +154,14 @@ TEST(GbtTest, EmptyFitThrows) {
   EXPECT_THROW(model.Fit({}, {}), CheckError);
 }
 
+// A NaN has no place in a feature's sorted bins.
+TEST(GbtTest, NaNFeatureThrows) {
+  tuner::GbtModel model;
+  EXPECT_THROW(model.Fit({{1.0, 0.0}, {2.0, std::nan("")}}, {0.0, 1.0}),
+               CheckError);
+  EXPECT_FALSE(model.IsFitted());
+}
+
 // A dataset shaped like an XgbTuner refit, drawn from raw mt19937_64
 // output only (no distribution objects, simulator or analytical model), so
 // that no change outside the GBT can move it: 1,000 pre-training rows at
