@@ -57,7 +57,7 @@ struct Bin {
 struct Split {
   double gain = 0.0;
   double threshold = 0.0;
-  size_t feature = 0;    // index into TreeBuilder::features_
+  size_t feature = 0;      // index into TreeBuilder::features_
   uint32_t last_left = 0;  // the feature's last slot on the left
 };
 

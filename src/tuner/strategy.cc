@@ -209,7 +209,8 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
   if (options.pretrain_with_analytical) {
     train_x = features;
     train_y = support::ParallelMap(task.space.size(), [&](size_t i) {
-      return ScoreOf(perfmodel::PredictCycles(task.op, task.space[i], task.spec));
+      return ScoreOf(
+          perfmodel::PredictCycles(task.op, task.space[i], task.spec));
     });
     train_w.assign(task.space.size(), kPretrainWeight);
   }
