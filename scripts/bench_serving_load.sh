@@ -2,11 +2,12 @@
 # Runs the serving load bench (observability overhead on the hot path +
 # an open-loop arrival process against an obs-enabled alcopd) and writes
 # machine-readable results to BENCH_serving_load.json (repo root by
-# default). The bench's own gates — obs-enabled hot p99 within 10% of
-# the larger of the plain run and the committed BENCH_serving.json
-# baseline, every open-loop request answered, and the access-log line
-# count matching the scraped latency-histogram _count — decide the exit
-# status. The /metrics scrape the bench takes is additionally validated
+# default). The bench's own gates — the median of the obs-enabled
+# daemon's block hot p99s within 10% of the larger of the plain daemon's
+# (closed-loop blocks alternate between the two) and the committed
+# BENCH_serving.json baseline, every open-loop request answered, and the
+# access-log line count matching the scraped latency-histogram _count —
+# decide the exit status. The /metrics scrape the bench takes is additionally validated
 # with scripts/check_prometheus.py (HELP/TYPE per family, cumulative
 # buckets, +Inf == _count, alcop_build_info present, and a
 # bounded-cardinality ceiling of 64 series per family so per-client
@@ -35,8 +36,7 @@ if [[ ! -x "$BIN" ]]; then
   cmake --build build --target serving_load -j "$(nproc)" >/dev/null
 fi
 
-# The overhead gate references the committed serving baseline so a
-# lucky-fast plain run on this machine cannot mask a real regression.
+# The overhead gate also references the committed serving baseline.
 BASELINE="0"
 if command -v python3 >/dev/null 2>&1 \
     && git show HEAD:BENCH_serving.json > "$OUT.base" 2>/dev/null; then

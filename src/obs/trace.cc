@@ -25,7 +25,7 @@ int64_t Epoch() {
   return epoch;
 }
 
-// Fixed per-thread ring capacity: 16k spans ≈ 0.75 MB per tracing
+// Fixed per-thread ring capacity: 16k spans ≈ 0.66 MB per tracing
 // thread, enough for a full profile run of the CLI; overflow drops the
 // oldest spans and is surfaced through DroppedSpans().
 constexpr size_t kRingCapacity = 1 << 14;
@@ -35,17 +35,21 @@ struct ThreadRing {
   std::vector<TraceSpan> spans;  // ring storage, reserved on creation
   size_t next = 0;               // write cursor (wraps at kRingCapacity)
   bool wrapped = false;
-  uint32_t thread_id = 0;
-  uint16_t depth = 0;  // live nesting depth of the owning thread
+  uint32_t thread_id = 0;  // of the owner, or of the last one
+  uint16_t depth = 0;      // live nesting depth of the owning thread
 };
 
-// Global registry of rings. Rings are never destroyed (a thread that
-// exits leaves its ring behind so its spans survive collection); both the
-// registry and the rings are leaked like the sim cache so no destructor
-// ordering issue can bite at process exit.
+// Global registry of rings. Rings are never destroyed: a thread that
+// exits hands its ring to `retired`, spans and all, so they survive
+// collection, and the next thread that starts tracing takes it over and
+// writes on from its cursor. Ring memory is thus bounded by the peak
+// number of live tracing threads. Both the registry and the rings are
+// leaked like the sim cache so no destructor ordering issue can bite at
+// process exit.
 struct RingRegistry {
   std::mutex mu;
-  std::vector<ThreadRing*> rings;
+  std::vector<ThreadRing*> rings;    // every ring, owned or retired
+  std::vector<ThreadRing*> retired;  // rings whose thread has exited
   std::atomic<uint64_t> dropped{0};
   uint32_t next_thread_id = 0;
 };
@@ -55,17 +59,40 @@ RingRegistry& GlobalRegistry() {
   return *registry;
 }
 
-ThreadRing& LocalRing() {
-  thread_local ThreadRing* ring = [] {
-    auto* r = new ThreadRing();
-    r->spans.reserve(kRingCapacity);
+// A thread's claim on its ring, taken on its first span and given back
+// when the thread exits.
+struct RingLease {
+  ThreadRing* ring = nullptr;
+
+  ~RingLease() {
+    if (ring == nullptr) return;
     RingRegistry& reg = GlobalRegistry();
     std::lock_guard<std::mutex> lock(reg.mu);
-    r->thread_id = reg.next_thread_id++;
-    reg.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
+    reg.retired.push_back(ring);
+  }
+};
+
+ThreadRing* AcquireRing() {
+  RingRegistry& reg = GlobalRegistry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  ThreadRing* ring = nullptr;
+  if (!reg.retired.empty()) {
+    ring = reg.retired.back();
+    reg.retired.pop_back();
+  } else {
+    ring = new ThreadRing();
+    ring->spans.reserve(kRingCapacity);
+    reg.rings.push_back(ring);
+  }
+  ring->thread_id = reg.next_thread_id++;
+  ring->depth = 0;
+  return ring;
+}
+
+ThreadRing& LocalRing() {
+  thread_local RingLease lease;
+  if (lease.ring == nullptr) lease.ring = AcquireRing();
+  return *lease.ring;
 }
 
 }  // namespace

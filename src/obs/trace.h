@@ -7,11 +7,16 @@
 //     memory — the warm replay path stays zero-allocation (gated by
 //     tests/obs_test.cc).
 //   - While enabled, each thread appends finished spans to its own
-//     fixed-capacity ring buffer (allocated lazily on the thread's first
+//     fixed-capacity ring buffer (taken lazily on the thread's first
 //     span); when the ring wraps, the oldest spans are overwritten and
 //     counted in DroppedSpans(). No lock is taken on the record path
 //     except the ring's own uncontended mutex, so instrumented code never
 //     serializes against other threads.
+//   - A thread that exits leaves its ring, spans and all, to the next
+//     thread that starts tracing, which writes on from the ring's cursor.
+//     Ring memory is bounded by the peak number of live tracing threads,
+//     not by how many threads ever traced (a restarted daemon's lanes
+//     reuse the rings of the last one's).
 //   - Span names and categories are `const char*` and must point at
 //     static storage (string literals): spans never own memory.
 //   - Timestamps are steady-clock nanoseconds since the process trace
@@ -39,13 +44,16 @@ struct TraceSpan {
   const char* category = "";  // static string (Chrome-trace `cat`)
   int64_t start_ns = 0;
   int64_t end_ns = 0;
-  uint32_t thread_id = 0;  // dense per-process id (0 = first tracing thread)
+  uint32_t thread_id = 0;  // dense per-process id (0 = first tracing thread;
+                           // a reused ring's new owner gets a new id)
   uint16_t depth = 0;      // nesting depth within the recording thread
 };
 
-// Snapshot of every recorded span across all threads (including threads
-// that have already exited), ordered by (start_ns, thread_id, depth) so
-// the result is stable for a given recording.
+// Snapshot of every recorded span across all threads, ordered by
+// (start_ns, thread_id, depth) so the result is stable for a given
+// recording. An exited thread's spans stay collectable until ClearTrace
+// or until the thread that takes over its ring overwrites them (which
+// counts them in DroppedSpans).
 std::vector<TraceSpan> CollectTraceSpans();
 
 // Drops all recorded spans (every thread's ring and the retired list)

@@ -1,6 +1,7 @@
 #include "serving/protocol.h"
 
 #include <errno.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -17,19 +18,6 @@ bool ReadExact(int fd, char* out, size_t size) {
   while (done < size) {
     ssize_t n = ::read(fd, out + done, size - done);
     if (n == 0) return false;  // orderly EOF
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteExact(int fd, const char* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::write(fd, data + done, size - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -64,10 +52,30 @@ FrameParseResult ParseFrame(std::string_view buffer, std::string* payload,
 bool WriteFrame(int fd, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) return false;
   uint32_t len = static_cast<uint32_t>(payload.size());
-  if (!WriteExact(fd, reinterpret_cast<const char*>(&len), sizeof(len))) {
-    return false;
+  // Prefix and payload leave in one writev, so the reader wakes once per
+  // frame; a short write resumes from the first byte not yet sent.
+  iovec parts[2] = {{&len, sizeof(len)},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  iovec* part = parts;
+  int count = 2;
+  while (count > 0) {
+    ssize_t n = ::writev(fd, part, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= part->iov_len) {
+      sent -= part->iov_len;
+      ++part;
+      --count;
+    }
+    if (count > 0) {
+      part->iov_base = static_cast<char*>(part->iov_base) + sent;
+      part->iov_len -= sent;
+    }
   }
-  return WriteExact(fd, payload.data(), payload.size());
+  return true;
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
@@ -211,16 +219,15 @@ class JsonParser {
     return Number(out);
   }
 
+  // std::from_chars on the rest of the text, in place: a leading '-',
+  // digits with an optional fraction and exponent, or inf/infinity/nan
+  // (any case). Out of range fails; subnormals parse.
   bool Number(JsonValue* out) {
-    size_t consumed = 0;
-    try {
-      out->number = std::stod(text_.substr(pos_), &consumed);
-    } catch (...) {
-      return false;
-    }
-    if (consumed == 0) return false;
+    const char* end = text_.data() + text_.size();
+    auto [ptr, ec] = std::from_chars(text_.data() + pos_, end, out->number);
+    if (ec != std::errc()) return false;
     out->kind = JsonValue::Kind::kNumber;
-    pos_ += consumed;
+    pos_ = static_cast<size_t>(ptr - text_.data());
     return true;
   }
 

@@ -4,7 +4,8 @@
 //
 //   u32 payload length (host-endian, capped at kMaxFrameBytes) | payload
 //
-// and every payload is one JSON object. Requests carry an integer "id"
+// written with one writev, so the reader wakes once per frame, and every
+// payload is one JSON object. Requests carry an integer "id"
 // and a "method"; responses echo the id, so a client may pipeline many
 // requests on one connection and match completions out of order (the
 // open-loop latency bench does exactly that). Methods:
@@ -31,7 +32,9 @@
 // client share. It is deliberately small (objects, arrays, strings with
 // the standard escapes, \uXXXX decoded to UTF-8, doubles, bools, null) —
 // enough to read back whatever support::JsonEscape writes, not a
-// general-purpose parser.
+// general-purpose parser. Numbers are read in place by std::from_chars
+// (an optional '-', no '+', no hex, inf and nan accepted; out of range
+// fails, subnormals parse), so parsing is linear in the document.
 #ifndef ALCOP_SERVING_PROTOCOL_H_
 #define ALCOP_SERVING_PROTOCOL_H_
 
@@ -52,7 +55,9 @@ inline constexpr uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
 
 // Blocking frame IO on a connected socket. Both return false on EOF,
 // error, or an over-sized length prefix (the connection should then be
-// closed). Short reads/writes are retried internally; EINTR is handled.
+// closed). Short reads/writes are resumed internally; EINTR is handled.
+// WriteFrame sends prefix and payload in one writev; the daemon's replies
+// and serving::Client both go through it.
 bool ReadFrame(int fd, std::string* payload);
 bool WriteFrame(int fd, const std::string& payload);
 

@@ -52,22 +52,22 @@ using support::JsonEscape;
 namespace {
 
 // One client connection — either a unix-socket peer speaking
-// length-prefixed frames or an HTTP/1.1 peer. Responses may be written
-// by either lane, so writes are serialized per connection; frame order
-// between different requests is unconstrained for the socket transport
-// (clients match by id), while HTTP admits strictly one dispatched
-// request at a time so responses stay in request order.
+// length-prefixed frames or an HTTP/1.1 peer. Responses are written by
+// the IO thread (the fast lane) or the slow lane, so writes are
+// serialized per connection; frame order between different requests is
+// unconstrained for the socket transport (clients match by id), while
+// HTTP admits strictly one dispatched request at a time so responses
+// stay in request order.
 struct Conn {
   int fd = -1;
   bool http = false;
-  int rescan_fd = -1;  // pokes the IO thread after an HTTP response
   std::string client = "anon";  // peer identity (unix: "uid:<uid>")
   std::mutex write_mu;
 
   // in_buffer (bytes read but not yet parsed, either transport),
   // close_after_response and dead are IO-thread-only; inflight is the
   // HTTP cross-thread gate: set before Dispatch on the IO thread, cleared
-  // by whichever lane thread sends the response.
+  // by whichever thread sends the response.
   std::string in_buffer;
   std::atomic<bool> inflight{false};
   bool close_after_response = false;
@@ -88,11 +88,6 @@ struct Conn {
     HttpWriteAll(fd, FormatHttpResponse(200, "application/json", payload + "\n",
                                         {}, !close_after_response));
     inflight.store(false, std::memory_order_release);
-    if (rescan_fd >= 0) {
-      char byte = 'r';
-      ssize_t ignored = ::write(rescan_fd, &byte, 1);
-      (void)ignored;
-    }
   }
 
   // Transport-level HTTP responses (scrapes, 4xx), IO thread only.
@@ -383,16 +378,13 @@ struct Server::Impl {
   int http_listen_fd = -1;       // -1 when the HTTP front end is off
   int bound_http_port = -1;      // actual port after bind (0 resolves)
   int wake_pipe[2] = {-1, -1};   // interrupts poll() on Stop
-  int rescan_pipe[2] = {-1, -1}; // lane->IO nudge after an HTTP response
+  int rescan_pipe[2] = {-1, -1}; // slow lane->IO nudge after HTTP replies
 
-  std::thread io_thread;
-  std::thread fast_thread;
+  std::thread io_thread;    // also the fast lane
   std::thread slow_thread;
 
   std::mutex queue_mu;
-  std::condition_variable fast_cv;
   std::condition_variable slow_cv;
-  std::deque<Request> fast_queue;
   std::deque<Request> slow_queue;
 
   std::atomic<bool> stopping{false};
@@ -420,13 +412,10 @@ struct Server::Impl {
   obs::Counter* http_bad_counter = nullptr;
   obs::Counter* watchdog_counter = nullptr;
   obs::Counter* warm_starts_counter = nullptr;
-  struct LaneWatch {
-    obs::Gauge* depth = nullptr;  // serving.queue.depth|lane=...
-    obs::Gauge* age = nullptr;    // serving.queue.age.us|lane=...
-    bool stalled = false;         // one-shot dump armed while false
-  };
-  LaneWatch fast_watch;
-  LaneWatch slow_watch;
+  // Watchdog heartbeat of the one queue, the slow lane's.
+  obs::Gauge* queue_depth = nullptr;  // serving.queue.depth|lane=slow
+  obs::Gauge* queue_age = nullptr;    // serving.queue.age.us|lane=slow
+  bool stalled = false;  // IO-thread-only; one-shot dump armed while false
   std::atomic<uint64_t> next_request_id{0};
   std::atomic<uint64_t> next_batch_id{0};
   int64_t start_ns = 0;
@@ -492,7 +481,8 @@ struct Server::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // IO thread: accept connections, read frames, classify into lanes.
+  // IO thread: accept connections, read requests, answer the fast lane
+  // and queue the slow one.
   // ---------------------------------------------------------------------
 
   void IoLoop() {
@@ -516,7 +506,7 @@ struct Server::Impl {
       MonitorTick(obs::NowNanos());
       if (fds[0].revents != 0) break;  // woken by Stop
       if (fds[1].revents & POLLIN) {
-        // A lane finished an HTTP response. Drain the nudge bytes (a
+        // The slow lane finished HTTP responses. Drain the nudge bytes (a
         // short read just means another wakeup, which is harmless), then
         // resume any conns with buffered pipelined requests and close
         // the Connection: close ones.
@@ -559,7 +549,6 @@ struct Server::Impl {
           auto conn = std::make_shared<Conn>();
           conn->fd = fd;
           conn->http = true;
-          conn->rescan_fd = rescan_pipe[1];
           conns.push_back(std::move(conn));
           continue;
         }
@@ -619,54 +608,32 @@ struct Server::Impl {
     return timeout;
   }
 
-  // Heartbeat: queue-depth/oldest-age gauges per lane, periodic registry
-  // snapshot into the time-series ring, and one-shot stall detection.
-  // Runs after every poll() return, so its cost is bounded by the poll
-  // cadence, not the request rate.
+  // Heartbeat: the slow queue's depth/oldest-age gauges, periodic
+  // registry snapshot into the time-series ring, and one-shot stall
+  // detection. Runs after every poll() return, so its cost is bounded by
+  // the poll cadence, not the request rate.
   void MonitorTick(int64_t now_ns) {
-    struct LaneReading {
-      size_t depth = 0;
-      int64_t oldest_ns = 0;  // arrival of the queue front (0 = empty)
-    };
-    LaneReading fast_reading;
-    LaneReading slow_reading;
-    bool watch = options.watchdog_stall_ms > 0 || fast_watch.depth != nullptr;
-    if (watch) {
+    size_t depth = 0;
+    int64_t oldest_ns = 0;  // arrival of the queue front (0 = empty)
+    {
       std::lock_guard<std::mutex> lock(queue_mu);
-      fast_reading.depth = fast_queue.size();
-      if (!fast_queue.empty()) {
-        fast_reading.oldest_ns = fast_queue.front().record.arrival_ns;
-      }
-      slow_reading.depth = slow_queue.size();
-      if (!slow_queue.empty()) {
-        slow_reading.oldest_ns = slow_queue.front().record.arrival_ns;
+      depth = slow_queue.size();
+      if (!slow_queue.empty()) oldest_ns = slow_queue.front().record.arrival_ns;
+    }
+    double age_us =
+        oldest_ns == 0 ? 0.0 : static_cast<double>(now_ns - oldest_ns) / 1e3;
+    queue_depth->Set(static_cast<double>(depth));
+    queue_age->Set(age_us);
+    if (options.watchdog_stall_ms > 0) {
+      if (depth == 0) {
+        stalled = false;  // drained: re-arm the one-shot dump
+      } else if (!stalled &&
+                 age_us >= static_cast<double>(options.watchdog_stall_ms) * 1e3) {
+        stalled = true;
+        watchdog_counter->Increment();
+        EmitStallDump(age_us, depth);
       }
     }
-    auto tick_lane = [&](const char* name, LaneWatch& lane,
-                         const LaneReading& reading) {
-      double age_us =
-          reading.oldest_ns == 0
-              ? 0.0
-              : static_cast<double>(now_ns - reading.oldest_ns) / 1e3;
-      if (lane.depth != nullptr) {
-        lane.depth->Set(static_cast<double>(reading.depth));
-        lane.age->Set(age_us);
-      }
-      if (options.watchdog_stall_ms <= 0) return;
-      if (reading.depth == 0) {
-        lane.stalled = false;  // drained: re-arm the one-shot dump
-        return;
-      }
-      if (lane.stalled ||
-          age_us < static_cast<double>(options.watchdog_stall_ms) * 1e3) {
-        return;
-      }
-      lane.stalled = true;
-      watchdog_counter->Increment();
-      EmitStallDump(name, age_us, reading.depth);
-    };
-    tick_lane("fast", fast_watch, fast_reading);
-    tick_lane("slow", slow_watch, slow_reading);
     if (timeseries != nullptr && options.snapshot_interval_ms > 0 &&
         now_ns - last_snapshot_ns >=
             static_cast<int64_t>(options.snapshot_interval_ms) * 1000000) {
@@ -675,12 +642,12 @@ struct Server::Impl {
     }
   }
 
-  // One-shot diagnostic on a stalled lane: the flight-recorder tail and
-  // a flattened metrics snapshot, as one error-level structured-log line
-  // (ring-buffered for /debug/log, mirrored to any file sink).
-  void EmitStallDump(const char* lane, double age_us, size_t depth) {
+  // One-shot diagnostic on a stalled slow lane: the flight-recorder tail
+  // and a flattened metrics snapshot, as one error-level structured-log
+  // line (ring-buffered for /debug/log, mirrored to any file sink).
+  void EmitStallDump(double age_us, size_t depth) {
     obs::LogFields fields;
-    fields.Str("lane", lane)
+    fields.Str("lane", "slow")
         .Num("oldest_age_us", age_us)
         .Uint("queue_depth", depth)
         .Num("inflight", inflight_gauge->Value())
@@ -695,8 +662,8 @@ struct Server::Impl {
       metrics.Num(name, value);
     }
     fields.Raw("metrics", metrics.Object());
-    obs::Log(obs::LogLevel::kError, "serving",
-             std::string("watchdog: ") + lane + " lane stalled", fields);
+    obs::Log(obs::LogLevel::kError, "serving", "watchdog: slow lane stalled",
+             fields);
   }
 
   // Dispatches every complete frame in the buffer and keeps the partial
@@ -746,7 +713,9 @@ struct Server::Impl {
   // the IO thread (they only read the registry, rings and cache stats);
   // POST /v1/<method> rides the same Dispatch path as socket frames,
   // with the URL supplying the method and the X-Alcop-Client header (if
-  // any) the attributed identity.
+  // any) the attributed identity. False closes the connection: after a
+  // Connection: close exchange answered here, or one the slow lane
+  // answered already; one still on the slow lane closes at its rescan.
   bool HandleHttp(const std::shared_ptr<Conn>& conn,
                   const HttpRequest& request) {
     http_counter->Increment();
@@ -815,7 +784,7 @@ struct Server::Impl {
       Dispatch(conn, request.body.empty() ? "{}" : request.body,
                method.c_str(),
                client_header == nullptr ? nullptr : client_header->c_str());
-      return true;
+      return keep || conn->inflight.load(std::memory_order_acquire);
     }
     conn->SendRaw(FormatHttpResponse(404, "text/plain; charset=utf-8",
                                      "not found\n", {}, keep));
@@ -889,7 +858,8 @@ struct Server::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // Dispatch: decode once, route with one lookup, answer decode errors.
+  // Dispatch: decode once, route with one lookup, answer decode errors
+  // and the fast lane, queue the slow lane.
   // ---------------------------------------------------------------------
 
   void Dispatch(const std::shared_ptr<Conn>& conn, const std::string& payload,
@@ -916,16 +886,17 @@ struct Server::Impl {
       Complete(request, Reply::Error(error));
       return;
     }
-    bool fast = Route(&request.call);
-    std::lock_guard<std::mutex> lock(queue_mu);
-    if (fast) {
-      fast_queue.push_back(std::move(request));
-      fast_cv.notify_one();
-    } else {
-      request.record.lane = "slow";
+    if (!Route(&request.call)) {
+      rec.lane = "slow";
+      std::lock_guard<std::mutex> lock(queue_mu);
       slow_queue.push_back(std::move(request));
       slow_cv.notify_one();
+      return;
     }
+    // The fast lane is this thread: its queue wait is decode and routing.
+    request.dequeue_ns = obs::NowNanos();
+    Complete(request, Handle(request));
+    if (request.call.method == Method::kShutdown) RequestStop();
   }
 
   // Decodes `payload` into the request's record (method, client, id,
@@ -997,8 +968,9 @@ struct Server::Impl {
 
   // Routing, with the request's one cache lookup: a compile whose timing
   // is cached and a tune whose exact op_key is stored go to the fast lane
-  // carrying what the lookup found; anything that must compile or search
-  // goes to the slow lane. Never compiles.
+  // carrying what the lookup found; anything that must compile, search or
+  // read or write the whole cache on disk goes to the slow lane. Never
+  // compiles. True means the fast lane.
   bool Route(Call* call) const {
     switch (call->method) {
       case Method::kCompile: {
@@ -1012,6 +984,8 @@ struct Server::Impl {
         return true;
       }
       case Method::kProfile:
+      case Method::kPersist:
+      case Method::kLoad:
         return false;
       case Method::kTune:
         if (!call->force) {
@@ -1031,7 +1005,11 @@ struct Server::Impl {
   // access-log line — then the response send, so a stats snapshot or
   // scrape taken after the client sees the reply always includes it, and
   // in-flight work is visible as the gap between serving.inflight and
-  // serving.requests.
+  // serving.requests. A slow-lane HTTP reply then nudges the IO thread to
+  // parse what the peer pipelined behind it. The IO thread's own replies
+  // never write to that pipe: it is blocking and drained 256 bytes per
+  // poll, so a long pipelined burst answered inline could fill it and
+  // block the IO thread on itself; its parse loop just carries on.
   void Complete(Request& request, const Reply& reply) {
     obs::RequestRecord& rec = request.record;
     const std::string payload = "{\"id\":" + std::to_string(rec.client_id) +
@@ -1072,33 +1050,16 @@ struct Server::Impl {
       access_log.flush();
     }
     request.conn->Send(payload);
-  }
-
-  // ---------------------------------------------------------------------
-  // Lanes.
-  // ---------------------------------------------------------------------
-
-  void FastLoop() {
-    while (true) {
-      Request request;
-      {
-        std::unique_lock<std::mutex> lock(queue_mu);
-        fast_cv.wait(lock, [&] {
-          return stopping.load(std::memory_order_relaxed) ||
-                 !fast_queue.empty();
-        });
-        if (fast_queue.empty()) return;  // stopping and drained
-        request = std::move(fast_queue.front());
-        fast_queue.pop_front();
-      }
-      request.dequeue_ns = obs::NowNanos();
-      Complete(request, Handle(request));
-      if (request.call.method == Method::kShutdown) {
-        RequestStop();
-        return;
-      }
+    if (!fast && request.conn->http) {
+      char byte = 'r';
+      ssize_t ignored = ::write(rescan_pipe[1], &byte, 1);
+      (void)ignored;
     }
   }
+
+  // ---------------------------------------------------------------------
+  // Slow lane.
+  // ---------------------------------------------------------------------
 
   void SlowLoop() {
     while (true) {
@@ -1341,20 +1302,13 @@ struct Server::Impl {
         "serving.watchdog.stalls",
         "Stalled-lane detections (oldest queued request older than the "
         "watchdog threshold; one per stall episode).");
-    auto watch = [&registry](const char* name) {
-      LaneWatch watch;
-      std::string label = std::string("|lane=") + name;
-      watch.depth = &registry.GetGauge(
-          "serving.queue.depth" + label,
-          "Requests waiting in the lane queue (watchdog heartbeat).");
-      watch.age = &registry.GetGauge(
-          "serving.queue.age.us" + label,
-          "Age in microseconds of the oldest queued request (0 when the "
-          "queue is empty; watchdog heartbeat).");
-      return watch;
-    };
-    fast_watch = watch("fast");
-    slow_watch = watch("slow");
+    queue_depth = &registry.GetGauge(
+        "serving.queue.depth|lane=slow",
+        "Requests waiting in the lane queue (watchdog heartbeat).");
+    queue_age = &registry.GetGauge(
+        "serving.queue.age.us|lane=slow",
+        "Age in microseconds of the oldest queued request (0 when the "
+        "queue is empty; watchdog heartbeat).");
     // Build identity as a constant-1 gauge whose labels carry the facts,
     // so every scrape and bench artifact is self-identifying.
     char fingerprint[24];
@@ -1372,13 +1326,12 @@ struct Server::Impl {
 
   void RequestStop() {
     if (stopping.exchange(true)) return;
-    // Wake the poll loop and both lanes.
+    // Wake the poll loop and the slow lane.
     if (wake_pipe[1] >= 0) {
       char byte = 'x';
       ssize_t ignored = ::write(wake_pipe[1], &byte, 1);
       (void)ignored;
     }
-    fast_cv.notify_all();
     slow_cv.notify_all();
     std::lock_guard<std::mutex> lock(stop_mu);
     stop_cv.notify_all();
@@ -1521,7 +1474,6 @@ bool Server::Start(std::string* error) {
   }
 
   impl.io_thread = std::thread([&impl] { impl.IoLoop(); });
-  impl.fast_thread = std::thread([&impl] { impl.FastLoop(); });
   impl.slow_thread = std::thread([&impl] { impl.SlowLoop(); });
   impl.started = true;
   obs::Log(obs::LogLevel::kInfo, "serving", "started",
@@ -1547,7 +1499,6 @@ void Server::Stop() {
   if (!impl.started) return;
   impl.RequestStop();
   if (impl.io_thread.joinable()) impl.io_thread.join();
-  if (impl.fast_thread.joinable()) impl.fast_thread.join();
   if (impl.slow_thread.joinable()) impl.slow_thread.join();
   if (impl.listen_fd >= 0) {
     ::close(impl.listen_fd);

@@ -11,17 +11,23 @@
 // Routing then makes the request's one cache lookup
 // (ProbeCachedTiming for a compile, TuningStore::Get for a tune), and the
 // request carries what it found to one of two lanes, so a multi-second
-// cold tune can never sit in front of a microsecond cache hit:
+// cold tune can never sit in front of a microsecond cache hit. The
+// daemon runs two threads, one per lane:
 //
-//   fast lane: ping/stats/debug/persist/load/shutdown, compile requests
-//     whose timing the probe found, and tune requests whose exact op_key
-//     is in the TuningStore (the warm-restart path). The lane answers
-//     from the carried timing or stored tuning without looking again.
-//     Hot-shape p99 is bounded by scheduling delay, not by whatever the
-//     slow lane is chewing on.
+//   fast lane: the IO thread itself, right after routing, for
+//     ping/stats/debug/shutdown, compile requests whose timing the probe
+//     found, and tune requests whose exact op_key is in the TuningStore
+//     (the warm-restart path). It answers from the carried timing or
+//     stored tuning without looking again, and with no hand-off to
+//     another thread, so hot-shape latency is the IO thread's own work,
+//     never whatever the slow lane is chewing on. A client that stops
+//     reading its replies blocks the IO thread in write until it reads
+//     again; per-connection output buffers would fix that (ROADMAP).
 //
-//   slow lane: everything that must compile or search. The worker drains
-//     the whole queue each round and answers it in order, searches last.
+//   slow lane: everything that must compile or search, and persist/load,
+//     which read or write the whole cache on disk. Its one queue is the
+//     daemon's only queue. The worker drains it each round and answers
+//     it in order, searches last.
 //     A compile goes through CachedCompileAndSimulate; a profile
 //     compiles the kernel and replays it once with counters on. Both
 //     warm the sim cache, so the next identical compile is a fast-lane
@@ -40,7 +46,8 @@
 // gets a monotonic id at dispatch, queue-wait and lane spans in the
 // ring-buffer tracer, per-lane latency histograms
 // (serving.request.latency.us|lane=fast/slow, with queue_wait + service
-// components that sum to the total), a serving.inflight gauge, and one
+// components that sum to the total; a fast-lane request's queue wait is
+// its decode and routing), a serving.inflight gauge, and one
 // RequestRecord per request, kept by the flight recorder and written as
 // the optional JSONL access log. An optional HTTP front end on the same IO
 // thread exposes GET /metrics (Prometheus text exposition), GET
@@ -96,10 +103,10 @@ struct ServerOptions {
   // depth 0 disables sampling.
   size_t snapshot_depth = 120;
   int snapshot_interval_ms = 1000;
-  // Watchdog: when the oldest queued request in a lane has waited more
-  // than this, emit a one-shot diagnostic dump (flight tail + metrics)
-  // to the structured log and bump serving.watchdog.stalls. Re-arms
-  // when the lane drains. <= 0 disables the watchdog.
+  // Watchdog: when the oldest request in the slow lane's queue has
+  // waited more than this, emit a one-shot diagnostic dump (flight tail +
+  // metrics) to the structured log and bump serving.watchdog.stalls.
+  // Re-arms when the queue drains. <= 0 disables the watchdog.
   int watchdog_stall_ms = 10000;
   // Per-client attribution: peer uid on the unix socket, X-Alcop-Client
   // header (or a "client" body field) on HTTP, else "anon". At most
@@ -117,14 +124,15 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the socket and starts the IO + lane threads. False (with
-  // `error` filled) if the path is unusable.
+  // Binds the socket and starts the IO thread (also the fast lane) and
+  // the slow lane's thread. False (with `error` filled) if the path is
+  // unusable.
   bool Start(std::string* error = nullptr);
 
   // Blocks until a shutdown request arrives (or Stop is called).
   void Wait();
 
-  // Stops the daemon: closes the socket, drains the lanes, joins the
+  // Stops the daemon: closes the socket, drains the slow lane, joins the
   // threads, persists the cache (per options). Idempotent.
   void Stop();
 

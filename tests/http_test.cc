@@ -12,9 +12,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -457,6 +459,127 @@ TEST_F(HttpServerTest, AccessLogMatchesHistogramCounts) {
   EXPECT_EQ(lines, completed);
   EXPECT_EQ(error_lines, 2u);
 
+  server.Stop();
+}
+
+// A keep-alive TCP connection to the daemon's HTTP port; -1 on failure.
+int ConnectHttp(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    fd = -1;
+  }
+  return fd;
+}
+
+std::string PostRequest(const std::string& method, const std::string& body) {
+  return "POST /v1/" + method + " HTTP/1.1\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+// The bodies of the next `count` responses on `fd`, in order; fewer if
+// the connection ends first.
+std::vector<std::string> ReadResponseBodies(int fd, size_t count) {
+  std::vector<std::string> bodies;
+  std::string raw;
+  size_t at = 0;  // start of the first response not yet parsed
+  char buf[65536];
+  while (bodies.size() < count) {
+    size_t header_end = raw.find("\r\n\r\n", at);
+    if (header_end != std::string::npos) {
+      size_t length_at = raw.find("Content-Length: ", at);
+      if (length_at == std::string::npos || length_at > header_end) break;
+      size_t length = std::strtoull(raw.c_str() + length_at + 16, nullptr, 10);
+      size_t body_at = header_end + 4;
+      if (raw.size() >= body_at + length) {
+        bodies.push_back(raw.substr(body_at, length));
+        at = body_at + length;
+        continue;
+      }
+    }
+    raw.erase(0, at);
+    at = 0;
+    ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  return bodies;
+}
+
+// Cache hits pipelined on one keep-alive connection are answered on the
+// IO thread one after another, each exactly once and in order.
+TEST_F(HttpServerTest, PipelinedCompileHitsEachGetOneResponse) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int port = server.http_port();
+  const std::string compile =
+      ",\"m\":512,\"n\":512,\"k\":512,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}";
+  std::optional<serving::HttpResponse> warm =
+      serving::HttpCall(port, "POST", "/v1/compile", "{\"id\":0" + compile);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_NE(warm->body.find("\"ok\":true"), std::string::npos) << warm->body;
+
+  obs::Counter& fast = obs::Registry::Global().GetCounter("serving.fast_lane");
+  const uint64_t fast_before = fast.Value();
+  int fd = ConnectHttp(port);
+  ASSERT_GE(fd, 0);
+  constexpr int kHits = 8;
+  std::string burst;
+  for (int id = 1; id <= kHits; ++id) {
+    burst += PostRequest("compile", "{\"id\":" + std::to_string(id) + compile);
+  }
+  ASSERT_TRUE(serving::HttpWriteAll(fd, burst));
+  std::vector<std::string> bodies = ReadResponseBodies(fd, kHits);
+  ASSERT_EQ(bodies.size(), static_cast<size_t>(kHits));
+  for (int id = 1; id <= kHits; ++id) {
+    const std::string& body = bodies[static_cast<size_t>(id - 1)];
+    EXPECT_EQ(body.rfind("{\"id\":" + std::to_string(id) + ",\"ok\":true", 0),
+              0u)
+        << body;
+  }
+  EXPECT_EQ(fast.Value() - fast_before, static_cast<uint64_t>(kHits));
+  // A second response to any of them would be read here instead.
+  ASSERT_TRUE(serving::HttpWriteAll(fd, PostRequest("ping", "{\"id\":99}")));
+  std::vector<std::string> pong = ReadResponseBodies(fd, 1);
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_NE(pong[0].find("\"id\":99"), std::string::npos) << pong[0];
+  ::close(fd);
+  server.Stop();
+}
+
+// A pipelined burst far longer than one read, sent in one write, is
+// answered in full on the IO thread. Each reply written there must not
+// nudge the IO thread's own rescan pipe, which holds 64 KiB and is
+// drained 256 bytes per poll: one read brings about a thousand of these
+// requests, so a nudge per reply would fill the pipe, and block the IO
+// thread on it, long before the burst ends.
+TEST_F(HttpServerTest, LongPipelinedBurstIsAnsweredInFull) {
+  options_.flight_depth = 0;
+  options_.client_metrics = false;
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int fd = ConnectHttp(server.http_port());
+  ASSERT_GE(fd, 0);
+  constexpr size_t kRequests = 150000;
+  std::string burst;
+  for (size_t i = 0; i < kRequests; ++i) burst += PostRequest("ping", "{}");
+  // Written from a second thread: the replies must be read while the
+  // burst is still going out, or both directions' buffers fill.
+  bool sent = false;
+  std::thread writer([&] { sent = serving::HttpWriteAll(fd, burst); });
+  std::vector<std::string> bodies = ReadResponseBodies(fd, kRequests);
+  writer.join();
+  EXPECT_TRUE(sent);
+  ASSERT_EQ(bodies.size(), kRequests);
+  EXPECT_EQ(bodies.back(), "{\"id\":0,\"ok\":true,\"pong\":true}\n");
+  ::close(fd);
   server.Stop();
 }
 

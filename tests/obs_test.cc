@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "obs/stall.h"
 #include "obs/trace.h"
 #include "schedule/tensor.h"
+#include "serving/protocol.h"
 #include "sim/desim.h"
 #include "sim/launch.h"
 #include "sim/sim_cache.h"
@@ -63,10 +65,16 @@ void* operator new[](std::size_t size) {
   if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
 }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+// Out of line: inlined into this file's tests, `free` on a pointer from
+// `operator new` reads to GCC as a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
 #endif  // !ALCOP_OBS_NO_ALLOC_COUNTING
 
 namespace alcop {
@@ -149,6 +157,29 @@ TEST(ObsTraceTest, CollectsSpansFromExitedThreads) {
   std::vector<obs::TraceSpan> spans = obs::CollectTraceSpans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_STREQ(spans[0].name, "worker-span");
+}
+
+// An exited thread's ring passes to the next thread that starts tracing,
+// so ten threads in a row, each recording more than a ring holds, keep
+// at most two rings' worth of spans (one ring each would keep ten), and
+// every overwritten span counts as dropped.
+TEST(ObsTraceTest, ExitedThreadsHandTheirRingsOn) {
+  ScopedTracing tracing;
+  constexpr size_t kThreads = 10;
+  constexpr int64_t kSpans = 20000;
+  constexpr size_t kRingCapacity = 1 << 14;
+  for (size_t t = 0; t < kThreads; ++t) {
+    std::thread worker([] {
+      for (int64_t i = 0; i < kSpans; ++i) {
+        obs::RecordSpan("burst", "test", i, i + 1);
+      }
+    });
+    worker.join();
+  }
+  std::vector<obs::TraceSpan> spans = obs::CollectTraceSpans();
+  EXPECT_LE(spans.size(), 2 * kRingCapacity);
+  EXPECT_EQ(spans.size() + obs::DroppedSpans(),
+            kThreads * static_cast<size_t>(kSpans));
 }
 
 TEST(ObsTraceTest, CompilerPhasesAreInstrumented) {
@@ -607,6 +638,30 @@ TEST(ObsOverheadTest, RequestPathInstrumentationIsZeroAllocation) {
 #endif
   EXPECT_EQ(latency.Data().count, 257u);
   EXPECT_EQ(inflight.Value(), 0.0);
+}
+
+// ParseJson reads each number in place. Copying the rest of the document
+// per number, as it once did, made decoding alcopd's untrusted input
+// quadratic (a 224 KB array of numbers took 155 ms).
+TEST(ProtocolJsonTest, NumberArrayParsesWithoutPerNumberAllocations) {
+  constexpr size_t kNumbers = 10000;
+  std::string doc = "[0.5e-1";
+  for (size_t i = 1; i < kNumbers; ++i) {
+    doc.append(",").append(std::to_string(i)).append(".5e-1");
+  }
+  doc.append("]");
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  std::optional<serving::JsonValue> parsed = serving::ParseJson(doc);
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->array.size(), kNumbers);
+  EXPECT_EQ(parsed->array.back().NumberOr(0), 9999.5e-1);
+#if !defined(ALCOP_OBS_NO_ALLOC_COUNTING)
+  EXPECT_LT(after - before, 100u);
+#else
+  (void)before;
+  (void)after;
+#endif
 }
 
 // ------------------------------------------------------- callback gauges

@@ -4,17 +4,22 @@
 // and the stored-tuning warm-restart path.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +65,65 @@ TEST(ProtocolJsonTest, RejectsMalformedInput) {
   }
 }
 
+// The number grammar, pinned spelling by spelling: std::from_chars's
+// decimal form with an optional '-', plus inf, infinity and nan in any
+// case (a bare lowercase "nan" reads as a misspelled null). No leading
+// '+', no hex. Out of range fails; subnormals parse.
+TEST(ProtocolJsonTest, NumberSpellingsTable) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* text;
+    std::optional<double> value;  // nullopt: the document is rejected
+  } kSpellings[] = {
+      {"0", 0.0},
+      {"7", 7.0},
+      {"-7", -7.0},
+      {"12345678901234567890", 12345678901234567890.0},
+      {"1.5", 1.5},
+      {"-1.5e3", -1500.0},
+      {"1E3", 1000.0},
+      {"1e+3", 1000.0},
+      {"1e-3", 0.001},
+      {"-0", -0.0},
+      {".5", 0.5},
+      {"1.", 1.0},
+      {"01", 1.0},
+      {"1e400", std::nullopt},
+      {"-1e400", std::nullopt},
+      {"1e-400", std::nullopt},
+      {"1e-310", 1e-310},
+      {"4.9e-324", 4.9406564584124654e-324},
+      {"inf", inf},
+      {"-inf", -inf},
+      {"Infinity", inf},
+      {"NaN", nan},
+      {"-nan", -nan},
+      {"nan", std::nullopt},
+      {"+1", std::nullopt},
+      {"+inf", std::nullopt},
+      {"0x10", std::nullopt},
+      {"-0x10", std::nullopt},
+      {"0x1p3", std::nullopt},
+      {"1e", std::nullopt},
+      {"-", std::nullopt},
+  };
+  for (const auto& spelling : kSpellings) {
+    std::optional<JsonValue> v =
+        ParseJson(std::string("[") + spelling.text + "]");
+    ASSERT_EQ(v.has_value(), spelling.value.has_value()) << spelling.text;
+    if (!v.has_value()) continue;
+    double got = v->array.at(0).NumberOr(0);
+    double want = *spelling.value;
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << spelling.text;
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << spelling.text;
+    } else {
+      EXPECT_EQ(got, want) << spelling.text;
+    }
+  }
+}
+
 TEST(ProtocolJsonTest, DepthIsBounded) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += "[";
@@ -85,6 +149,55 @@ TEST(ProtocolFrameTest, RoundTripsOverSocketpair) {
     ASSERT_TRUE(serving::ReadFrame(fds[1], &read_back));
     EXPECT_EQ(read_back, payload);
   }
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// A frame leaves in one write: over a SOCK_SEQPACKET pair, where each
+// write is one record, the first read returns prefix and payload both.
+TEST(ProtocolFrameTest, FrameLeavesInOneWrite) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0);
+  const std::string payload = "{\"id\":1,\"method\":\"ping\"}";
+  ASSERT_TRUE(serving::WriteFrame(fds[0], payload));
+  char record[256];
+  EXPECT_EQ(::read(fds[1], record, sizeof(record)),
+            static_cast<ssize_t>(sizeof(uint32_t) + payload.size()));
+  EXPECT_EQ(std::string(record + sizeof(uint32_t), payload.size()), payload);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+void IgnoreSignal(int) {}
+
+// A frame larger than the socket buffer, whose writes a signal cuts
+// short, resumes each time at the first byte not yet sent.
+TEST(ProtocolFrameTest, InterruptedWritesResumeMidFrame) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+            0);
+  struct sigaction action {}, previous{};
+  action.sa_handler = IgnoreSignal;  // no SA_RESTART: writes return short
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  std::string big(1 << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i % 251);
+  bool written = false;
+  std::thread writer([&] { written = serving::WriteFrame(fds[0], big); });
+  // Interrupt the writer while it blocks on a full buffer, then drain.
+  for (int i = 0; i < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+    char chunk[65536];
+    ASSERT_GT(::recv(fds[1], chunk, sizeof(chunk), MSG_PEEK), 0);
+  }
+  std::string read_back;
+  EXPECT_TRUE(serving::ReadFrame(fds[1], &read_back));
+  writer.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_TRUE(written);
+  EXPECT_TRUE(read_back == big) << "frame corrupted across short writes";
   ::close(fds[0]);
   ::close(fds[1]);
 }
@@ -325,6 +438,149 @@ TEST_F(ServerTest, UnknownMethodIsAnsweredWhileATuneHoldsTheSlowLane) {
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->Find("id")->NumberOr(-1), 3.0);
   server.Stop();
+}
+
+const char kHotCompile[] =
+    "\"method\":\"compile\",\"m\":512,\"n\":512,\"k\":512,"
+    "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}";
+const char kStoredTune[] =
+    "\"method\":\"tune\",\"m\":256,\"n\":256,\"k\":256,\"trials\":2}";
+
+// `{"id":<id>,` + body: one of the bodies above.
+std::string WithId(int id, const char* body) {
+  return "{\"id\":" + std::to_string(id) + "," + body;
+}
+
+// A cached compile and a stored tune are answered on the IO thread, so
+// neither waits for the tune that holds the slow lane.
+TEST_F(ServerTest, CacheHitsAreAnsweredWhileATuneHoldsTheSlowLane) {
+  options_.space = tuner::SpaceOptions();  // a search that takes a while
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client tune, other;
+  ASSERT_TRUE(tune.Connect(socket_path_));
+  ASSERT_TRUE(other.Connect(socket_path_));
+  // Warm both: the compile's timing and the small tune's result.
+  for (const char* body : {kHotCompile, kStoredTune}) {
+    std::optional<JsonValue> warm = other.Call(WithId(1, body));
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_TRUE(warm->Find("ok")->BoolOr(false));
+  }
+
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& rounds = registry.GetCounter("serving.batches");
+  obs::Counter& slow_done = registry.GetCounter("serving.slow_lane");
+  const uint64_t rounds_before = rounds.Value();
+  const uint64_t slow_done_before = slow_done.Value();
+  ASSERT_TRUE(tune.Send(
+      "{\"id\":1,\"method\":\"tune\",\"m\":1024,\"n\":1024,"
+      "\"k\":1024,\"trials\":64}"));
+  ASSERT_TRUE(WaitFor([&] { return rounds.Value() > rounds_before; }));
+
+  std::optional<JsonValue> hit = other.Call(WithId(2, kHotCompile));
+  std::optional<JsonValue> stored = other.Call(WithId(3, kStoredTune));
+  EXPECT_EQ(slow_done.Value(), slow_done_before)
+      << "a cache hit waited for the tune";
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->Find("id")->NumberOr(-1), 2.0);
+  EXPECT_TRUE(hit->Find("feasible")->BoolOr(false));
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->Find("id")->NumberOr(-1), 3.0);
+  EXPECT_EQ(stored->Find("source")->StringOr(""), "store");
+
+  std::optional<JsonValue> tuned = tune.Recv();
+  ASSERT_TRUE(tuned.has_value());
+  EXPECT_TRUE(tuned->Find("ok")->BoolOr(false));
+  server.Stop();
+}
+
+// Several frames in one write, fast and slow alike, get exactly one reply
+// per id.
+TEST_F(ServerTest, OneWriteOfSeveralFramesGetsOneReplyPerId) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client warm;
+  ASSERT_TRUE(warm.Connect(socket_path_));
+  for (const char* body : {kHotCompile, kStoredTune}) {
+    std::optional<JsonValue> reply = warm.Call(WithId(1, body));
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_TRUE(reply->Find("ok")->BoolOr(false));
+  }
+
+  int fd = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(fd, 0);
+  const std::vector<std::string> payloads = {
+      "{\"id\":1,\"method\":\"ping\"}", WithId(2, kHotCompile),
+      WithId(3, kStoredTune),
+      "{\"id\":4,\"method\":\"compile\",\"m\":512,\"n\":512,"
+      "\"k\":640,\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],"
+      "\"smem\":2}}"};
+  std::string bytes;
+  for (const std::string& payload : payloads) {
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    bytes.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    bytes += payload;
+  }
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  std::map<int, int> replies;  // by id
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    std::string reply;
+    ASSERT_TRUE(serving::ReadFrame(fd, &reply)) << "reply " << i;
+    std::optional<JsonValue> parsed = ParseJson(reply);
+    ASSERT_TRUE(parsed.has_value()) << reply;
+    EXPECT_TRUE(parsed->Find("ok")->BoolOr(false)) << reply;
+    ++replies[static_cast<int>(parsed->Find("id")->NumberOr(-1))];
+  }
+  EXPECT_EQ(replies, (std::map<int, int>{{1, 1}, {2, 1}, {3, 1}, {4, 1}}));
+  // A second reply to any of them would be read here in place of the pong.
+  ASSERT_TRUE(serving::WriteFrame(fd, "{\"id\":5,\"method\":\"ping\"}"));
+  std::string pong;
+  ASSERT_TRUE(serving::ReadFrame(fd, &pong));
+  EXPECT_NE(pong.find("\"id\":5"), std::string::npos) << pong;
+  ::close(fd);
+  server.Stop();
+}
+
+// persist and load read or write the whole cache on disk, so they run on
+// the slow lane, never on the IO thread.
+TEST_F(ServerTest, PersistAndLoadRunOnTheSlowLane) {
+  options_.access_log_path = socket_path_ + ".access.jsonl";
+  std::remove(options_.access_log_path.c_str());
+  const std::string store = socket_path_ + ".store.alcp";
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+  ASSERT_TRUE(client.Call(WithId(1, kHotCompile)).has_value());
+  const std::string path = ",\"path\":\"" + store + "\"}";
+  std::optional<JsonValue> persisted =
+      client.Call("{\"id\":2,\"method\":\"persist\"" + path);
+  ASSERT_TRUE(persisted.has_value());
+  EXPECT_TRUE(persisted->Find("ok")->BoolOr(false));
+  EXPECT_GE(persisted->Find("timings")->NumberOr(0), 1.0);
+  std::optional<JsonValue> loaded =
+      client.Call("{\"id\":3,\"method\":\"load\"" + path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(loaded->Find("ok")->BoolOr(false));
+  EXPECT_EQ(loaded->Find("bytes")->NumberOr(-1),
+            persisted->Find("bytes")->NumberOr(-2));
+  server.Stop();
+
+  std::map<int, std::string> lane;  // by client_id
+  std::ifstream log(options_.access_log_path);
+  std::string line;
+  while (std::getline(log, line)) {
+    std::optional<JsonValue> entry = ParseJson(line);
+    ASSERT_TRUE(entry.has_value()) << line;
+    lane[static_cast<int>(entry->Find("client_id")->NumberOr(0))] =
+        entry->Find("method")->StringOr("") + "/" +
+        entry->Find("lane")->StringOr("");
+  }
+  EXPECT_EQ(lane[2], "persist/slow");
+  EXPECT_EQ(lane[3], "load/slow");
+  std::remove(store.c_str());
+  std::remove(options_.access_log_path.c_str());
 }
 
 // A peer that sends half a length prefix and stalls must not hold up the
