@@ -34,7 +34,6 @@ struct ThreadRing {
   std::mutex mu;
   std::vector<TraceSpan> spans;  // ring storage, reserved on creation
   size_t next = 0;               // write cursor (wraps at kRingCapacity)
-  bool wrapped = false;
   uint32_t thread_id = 0;  // of the owner, or of the last one
   uint16_t depth = 0;      // live nesting depth of the owning thread
 };
@@ -138,7 +137,6 @@ void RecordSpan(const char* name, const char* category, int64_t start_ns,
       was_full = true;
     }
     ring.next = (ring.next + 1) % kRingCapacity;
-    ring.wrapped = ring.wrapped || was_full;
   }
   if (was_full) {
     GlobalRegistry().dropped.fetch_add(1, std::memory_order_relaxed);
@@ -179,7 +177,6 @@ void ClearTrace() {
     std::lock_guard<std::mutex> lock(ring->mu);
     ring->spans.clear();
     ring->next = 0;
-    ring->wrapped = false;
   }
   reg.dropped.store(0, std::memory_order_relaxed);
 }
