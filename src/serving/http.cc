@@ -57,12 +57,12 @@ const std::string* HttpResponse::FindHeader(const std::string& name) const {
   return FindIn(headers, name);
 }
 
-HttpParseResult ParseHttpRequest(const std::string& buffer, HttpRequest* out,
+HttpParseResult ParseHttpRequest(std::string_view buffer, HttpRequest* out,
                                  size_t* consumed, std::string* error) {
   *out = HttpRequest();
   *consumed = 0;
   size_t header_end = buffer.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
+  if (header_end == std::string_view::npos) {
     if (buffer.size() > kMaxHttpHeaderBytes) {
       *error = "header section exceeds " +
                std::to_string(kMaxHttpHeaderBytes) + " bytes";
@@ -77,7 +77,7 @@ HttpParseResult ParseHttpRequest(const std::string& buffer, HttpRequest* out,
   }
 
   size_t line_end = buffer.find("\r\n");
-  std::string request_line = buffer.substr(0, line_end);
+  std::string request_line(buffer.substr(0, line_end));
   size_t sp1 = request_line.find(' ');
   size_t sp2 = request_line.rfind(' ');
   if (sp1 == std::string::npos || sp2 == sp1) {
@@ -116,7 +116,7 @@ HttpParseResult ParseHttpRequest(const std::string& buffer, HttpRequest* out,
   size_t pos = line_end + 2;
   while (pos < header_end) {
     size_t eol = buffer.find("\r\n", pos);
-    std::string line = buffer.substr(pos, eol - pos);
+    std::string line(buffer.substr(pos, eol - pos));
     pos = eol + 2;
     size_t colon = line.find(':');
     if (colon == std::string::npos || colon == 0) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,7 +51,7 @@ enum class HttpParseResult {
 // the byte count of the request (headers + body); the caller erases that
 // prefix and may call again for pipelined requests. On kBad, `*error`
 // names the defect.
-HttpParseResult ParseHttpRequest(const std::string& buffer, HttpRequest* out,
+HttpParseResult ParseHttpRequest(std::string_view buffer, HttpRequest* out,
                                  size_t* consumed, std::string* error);
 
 const char* HttpStatusText(int status);

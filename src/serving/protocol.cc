@@ -78,6 +78,14 @@ bool WriteFrame(int fd, const std::string& payload) {
   return true;
 }
 
+bool AppendFrame(const std::string& payload, std::string* out) {
+  if (payload.size() > kMaxFrameBytes) return false;
+  uint32_t len = static_cast<uint32_t>(payload.size());
+  out->append(reinterpret_cast<const char*>(&len), sizeof(len));
+  out->append(payload);
+  return true;
+}
+
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [name, value] : object) {

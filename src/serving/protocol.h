@@ -4,11 +4,12 @@
 //
 //   u32 payload length (host-endian, capped at kMaxFrameBytes) | payload
 //
-// written with one writev, so the reader wakes once per frame, and every
-// payload is one JSON object. Requests carry an integer "id"
-// and a "method"; responses echo the id, so a client may pipeline many
-// requests on one connection and match completions out of order (the
-// open-loop latency bench does exactly that). Methods:
+// sent by one system call whenever the socket has room for it, so the
+// reader wakes once per frame, and every payload is one JSON object.
+// Requests carry an integer "id" and a "method"; responses echo the id,
+// so a client may pipeline many requests on one connection and match
+// completions out of order (the open-loop latency bench does exactly
+// that). Methods:
 //
 //   ping                       liveness probe
 //   stats                      cache + tuning-store counters
@@ -56,10 +57,14 @@ inline constexpr uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
 // Blocking frame IO on a connected socket. Both return false on EOF,
 // error, or an over-sized length prefix (the connection should then be
 // closed). Short reads/writes are resumed internally; EINTR is handled.
-// WriteFrame sends prefix and payload in one writev; the daemon's replies
-// and serving::Client both go through it.
+// WriteFrame sends prefix and payload in one writev (serving::Client).
 bool ReadFrame(int fd, std::string* payload);
 bool WriteFrame(int fd, const std::string& payload);
+
+// Appends the frame for `payload`, prefix then payload, to `out`: how the
+// daemon queues a reply that it then sends with one non-blocking send. An
+// over-sized payload appends nothing and returns false.
+bool AppendFrame(const std::string& payload, std::string* out);
 
 enum class FrameParseResult {
   kNeedMore,  // buffer holds a prefix of a frame; read more

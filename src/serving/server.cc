@@ -52,9 +52,15 @@ using support::JsonEscape;
 namespace {
 
 // One client connection — either a unix-socket peer speaking
-// length-prefixed frames or an HTTP/1.1 peer. Responses are written by
-// the IO thread (the fast lane) or the slow lane, so writes are
-// serialized per connection; frame order between different requests is
+// length-prefixed frames or an HTTP/1.1 peer. Replies come from the IO
+// thread (the fast lane) or the slow lane. Each is appended to the
+// connection's output queue, which is offered to the socket at once and
+// without blocking; what the socket does not take waits there in order,
+// so frames never interleave. The IO thread never waits on a peer: it
+// parses nothing more from a connection that owes bytes, keeps reading
+// what the peer sends, and sends the rest when poll reports the socket
+// writable. The slow lane waits until the socket has taken its reply, as
+// its blocking write did. Frame order between different requests is
 // unconstrained for the socket transport (clients match by id), while
 // HTTP admits strictly one dispatched request at a time so responses
 // stay in request order.
@@ -62,38 +68,111 @@ struct Conn {
   int fd = -1;
   bool http = false;
   std::string client = "anon";  // peer identity (unix: "uid:<uid>")
-  std::mutex write_mu;
 
-  // in_buffer (bytes read but not yet parsed, either transport),
-  // close_after_response and dead are IO-thread-only; inflight is the
-  // HTTP cross-thread gate: set before Dispatch on the IO thread, cleared
-  // by whichever thread sends the response.
+  // Guarded by write_mu: the reply bytes the socket has not taken yet
+  // start at out[out_pos]; broken is set once a send fails, after which
+  // replies are dropped.
+  std::mutex write_mu;
+  std::string out;
+  size_t out_pos = 0;
+  bool broken = false;
+
+  // IO-thread-only: in_buffer (bytes read, either transport; the first
+  // in_pos of them are parsed), close_after_response, eof (the peer
+  // closed its side), closing (parse nothing more; drop once nothing is
+  // owed), blocked (owed bytes at the last look: poll for POLLOUT) and
+  // dead. inflight is the HTTP cross-thread gate: set before Dispatch on
+  // the IO thread, cleared by whichever thread sends the response.
   std::string in_buffer;
+  size_t in_pos = 0;
   std::atomic<bool> inflight{false};
   bool close_after_response = false;
+  bool eof = false;
+  bool closing = false;
+  bool blocked = false;
   bool dead = false;
 
   ~Conn() {
     if (fd >= 0) ::close(fd);
   }
 
-  // Dispatched-response path (both transports). A dead peer just drops
-  // the response.
-  void Send(const std::string& payload) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    if (!http) {
-      WriteFrame(fd, payload);
-      return;
+  // The bytes read but not yet parsed.
+  std::string_view Unparsed() const {
+    return std::string_view(in_buffer).substr(in_pos);
+  }
+
+  // Marks the next `n` unparsed bytes parsed. The parsed prefix is
+  // dropped once it is half the buffer, so a long burst buffered while
+  // the socket owes bytes is moved a bounded number of times.
+  void Consume(size_t n) {
+    in_pos += n;
+    if (in_pos * 2 >= in_buffer.size()) {
+      in_buffer.erase(0, in_pos);
+      in_pos = 0;
     }
-    HttpWriteAll(fd, FormatHttpResponse(200, "application/json", payload + "\n",
-                                        {}, !close_after_response));
-    inflight.store(false, std::memory_order_release);
+  }
+
+  // Offers the queued bytes to the socket without blocking. Caller holds
+  // write_mu.
+  void FlushLocked() {
+    while (!broken && out_pos < out.size()) {
+      ssize_t n = ::send(fd, out.data() + out_pos, out.size() - out_pos,
+                         MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        out_pos += static_cast<size_t>(n);
+      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return;
+      } else if (n == 0 || errno != EINTR) {
+        broken = true;
+      }
+    }
+    out.clear();
+    out_pos = 0;
+  }
+
+  void Flush() {
+    std::lock_guard<std::mutex> lock(write_mu);
+    FlushLocked();
+  }
+
+  // True while queued bytes wait for the socket.
+  bool Owes() {
+    std::lock_guard<std::mutex> lock(write_mu);
+    return !out.empty();
+  }
+
+  bool Broken() {
+    std::lock_guard<std::mutex> lock(write_mu);
+    return broken;
+  }
+
+  // Dispatched-response path (both transports). `wait` (the slow lane)
+  // returns only once the socket has taken everything queued; the IO
+  // thread leaves the rest for poll. A dead peer just drops the response.
+  void Send(const std::string& payload, bool wait) {
+    std::unique_lock<std::mutex> lock(write_mu);
+    if (!http) {
+      AppendFrame(payload, &out);
+    } else {
+      out += FormatHttpResponse(200, "application/json", payload + "\n", {},
+                                !close_after_response);
+    }
+    FlushLocked();
+    while (wait && !out.empty()) {
+      lock.unlock();
+      pollfd writable = {fd, POLLOUT, 0};
+      ::poll(&writable, 1, -1);
+      lock.lock();
+      FlushLocked();
+    }
+    if (http) inflight.store(false, std::memory_order_release);
   }
 
   // Transport-level HTTP responses (scrapes, 4xx), IO thread only.
   void SendRaw(const std::string& bytes) {
     std::lock_guard<std::mutex> lock(write_mu);
-    HttpWriteAll(fd, bytes);
+    out += bytes;
+    FlushLocked();
   }
 };
 
@@ -487,8 +566,9 @@ struct Server::Impl {
 
   void IoLoop() {
     std::vector<std::shared_ptr<Conn>> conns;
+    std::vector<pollfd> fds;
     while (!stopping.load(std::memory_order_relaxed)) {
-      std::vector<pollfd> fds;
+      fds.clear();
       fds.push_back({wake_pipe[0], POLLIN, 0});
       fds.push_back({rescan_pipe[0], POLLIN, 0});
       fds.push_back({listen_fd, POLLIN, 0});
@@ -498,7 +578,15 @@ struct Server::Impl {
         fds.push_back({http_listen_fd, POLLIN, 0});
       }
       size_t base = fds.size();
-      for (const auto& conn : conns) fds.push_back({conn->fd, POLLIN, 0});
+      // A connection is read until EOF or until it is closing, and polled
+      // for POLLOUT while it owes bytes. One with neither waits for the
+      // slow lane's nudge; poll skips its negative fd.
+      for (const auto& conn : conns) {
+        short events = static_cast<short>(
+            (conn->eof || conn->closing ? 0 : POLLIN) |
+            (conn->blocked ? POLLOUT : 0));
+        fds.push_back({events == 0 ? -1 : conn->fd, events, 0});
+      }
       if (::poll(fds.data(), fds.size(), MonitorTimeoutMs()) < 0) {
         if (errno == EINTR) continue;
         break;
@@ -508,21 +596,13 @@ struct Server::Impl {
       if (fds[1].revents & POLLIN) {
         // The slow lane finished HTTP responses. Drain the nudge bytes (a
         // short read just means another wakeup, which is harmless), then
-        // resume any conns with buffered pipelined requests and close
-        // the Connection: close ones.
+        // let those conns parse what their peers pipelined behind, or
+        // close.
         char drain[256];
         ssize_t ignored = ::read(rescan_pipe[0], drain, sizeof(drain));
         (void)ignored;
         for (auto& conn : conns) {
-          if (!conn->http || conn->dead) continue;
-          if (conn->inflight.load(std::memory_order_acquire)) continue;
-          if (conn->close_after_response) {
-            conn->dead = true;
-            continue;
-          }
-          if (!conn->in_buffer.empty() && !ProcessHttpBuffer(conn)) {
-            conn->dead = true;
-          }
+          if (conn->http && !conn->dead) Advance(conn);
         }
         SweepDead(&conns);
       }
@@ -555,27 +635,52 @@ struct Server::Impl {
       }
       // Both transports read whatever bytes arrived and parse complete
       // requests from the connection's buffer, so a peer that stalls
-      // mid-request never blocks the IO thread.
+      // mid-request, or stops reading its replies, never blocks the IO
+      // thread.
       for (size_t i = base; i < fds.size(); ++i) {
-        if (fds[i].revents == 0) continue;
+        short revents = fds[i].revents;
         std::shared_ptr<Conn>& conn = conns[i - base];
-        if (conn->dead) continue;
-        char buf[65536];
-        ssize_t n = ::read(conn->fd, buf, sizeof(buf));
-        if (n <= 0) {
-          if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-          conn->dead = true;
-          continue;
+        if (revents == 0 || conn->dead) continue;
+        if (revents & (POLLOUT | POLLERR | POLLHUP)) conn->Flush();
+        if ((revents & (POLLIN | POLLERR | POLLHUP)) && !conn->eof &&
+            !conn->closing) {
+          char buf[65536];
+          ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+          if (n > 0) {
+            conn->in_buffer.append(buf, static_cast<size_t>(n));
+          } else if (n == 0) {
+            conn->eof = true;
+          } else if (errno != EINTR && errno != EAGAIN) {
+            conn->dead = true;
+            continue;
+          }
         }
-        conn->in_buffer.append(buf, static_cast<size_t>(n));
-        if (!conn->http) {
-          conn->dead = !ProcessFrames(conn);
-        } else if (!conn->inflight.load(std::memory_order_acquire) &&
-                   !ProcessHttpBuffer(conn)) {
-          conn->dead = true;
-        }
+        Advance(conn);
       }
       SweepDead(&conns);
+    }
+  }
+
+  // Moves a connection on after any event on it: parses and answers the
+  // requests it has buffered while its socket owes nothing, and marks it
+  // dead once it owes nothing and is closing, or is at EOF with no
+  // request still on the slow lane. Parsing stopped by owed bytes resumes
+  // at the POLLOUT that `blocked` arms; that fires at once when the slow
+  // lane has meanwhile sent them.
+  void Advance(const std::shared_ptr<Conn>& conn) {
+    if (conn->Broken()) {
+      conn->dead = true;
+      return;
+    }
+    if (!conn->closing && !conn->Owes() &&
+        !(conn->http ? ProcessHttpBuffer(conn) : ProcessFrames(conn))) {
+      conn->closing = true;
+    }
+    conn->blocked = conn->Owes();
+    if (!conn->blocked &&
+        (conn->closing ||
+         (conn->eof && !conn->inflight.load(std::memory_order_acquire)))) {
+      conn->dead = true;
     }
   }
 
@@ -666,35 +771,36 @@ struct Server::Impl {
              fields);
   }
 
-  // Dispatches every complete frame in the buffer and keeps the partial
-  // one. False means the connection should close (an over-sized length
-  // prefix).
+  // Dispatches the complete frames in the buffer until the socket owes
+  // bytes, and keeps the rest. False means the connection should close
+  // (an over-sized length prefix).
   bool ProcessFrames(const std::shared_ptr<Conn>& conn) {
-    std::string_view buffer = conn->in_buffer;
     std::string payload;
     size_t consumed = 0;
-    FrameParseResult result;
-    while ((result = ParseFrame(buffer, &payload, &consumed)) ==
-           FrameParseResult::kOk) {
-      buffer.remove_prefix(consumed);
+    FrameParseResult result = FrameParseResult::kNeedMore;
+    while (!conn->Owes() &&
+           (result = ParseFrame(conn->Unparsed(), &payload, &consumed)) ==
+               FrameParseResult::kOk) {
+      conn->Consume(consumed);
       Dispatch(conn, payload);
     }
-    conn->in_buffer.erase(0, conn->in_buffer.size() - buffer.size());
     return result != FrameParseResult::kBad;
   }
 
   // Parses as many buffered HTTP requests as the one-inflight gate
-  // allows. False means the connection should close (protocol error or
-  // a non-keep-alive exchange answered inline).
+  // allows, while the socket owes nothing. False means the connection
+  // should close: a protocol error, or an exchange that asked to close
+  // has been answered.
   bool ProcessHttpBuffer(const std::shared_ptr<Conn>& conn) {
-    while (!conn->inflight.load(std::memory_order_acquire)) {
-      if (conn->in_buffer.empty()) return true;
+    while (!conn->inflight.load(std::memory_order_acquire) &&
+           !conn->Owes()) {
+      if (conn->close_after_response) return false;
+      if (conn->Unparsed().empty()) return true;
       HttpRequest http_request;
       size_t consumed = 0;
       std::string parse_error;
-      HttpParseResult result =
-          ParseHttpRequest(conn->in_buffer, &http_request, &consumed,
-                           &parse_error);
+      HttpParseResult result = ParseHttpRequest(
+          conn->Unparsed(), &http_request, &consumed, &parse_error);
       if (result == HttpParseResult::kNeedMore) return true;
       if (result == HttpParseResult::kBad) {
         http_bad_counter->Increment();
@@ -703,7 +809,7 @@ struct Server::Impl {
                                          {}, /*keep_alive=*/false));
         return false;
       }
-      conn->in_buffer.erase(0, consumed);
+      conn->Consume(consumed);
       if (!HandleHttp(conn, http_request)) return false;
     }
     return true;
@@ -1005,7 +1111,9 @@ struct Server::Impl {
   // access-log line — then the response send, so a stats snapshot or
   // scrape taken after the client sees the reply always includes it, and
   // in-flight work is visible as the gap between serving.inflight and
-  // serving.requests. A slow-lane HTTP reply then nudges the IO thread to
+  // serving.requests. The slow lane's send returns once the socket has
+  // taken the reply; the IO thread's leaves what the socket does not take
+  // to poll. A slow-lane HTTP reply then nudges the IO thread to
   // parse what the peer pipelined behind it. The IO thread's own replies
   // never write to that pipe: it is blocking and drained 256 bytes per
   // poll, so a long pipelined burst answered inline could fill it and
@@ -1044,12 +1152,13 @@ struct Server::Impl {
                     "serving", rec.arrival_ns, end_ns);
     if (flight != nullptr) flight->Record(rec);
     if (access_log.is_open()) {
-      std::string line = obs::RequestRecordJson(rec) + "\n";
+      std::string line = obs::RequestRecordJson(rec);
+      line += '\n';
       std::lock_guard<std::mutex> lock(access_log_mu);
       access_log << line;
       access_log.flush();
     }
-    request.conn->Send(payload);
+    request.conn->Send(payload, /*wait=*/!fast);
     if (!fast && request.conn->http) {
       char byte = 'r';
       ssize_t ignored = ::write(rescan_pipe[1], &byte, 1);

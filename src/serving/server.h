@@ -20,9 +20,13 @@
 //     (the warm-restart path). It answers from the carried timing or
 //     stored tuning without looking again, and with no hand-off to
 //     another thread, so hot-shape latency is the IO thread's own work,
-//     never whatever the slow lane is chewing on. A client that stops
-//     reading its replies blocks the IO thread in write until it reads
-//     again; per-connection output buffers would fix that (ROADMAP).
+//     never whatever the slow lane is chewing on. Replies are sent
+//     without blocking: what the socket does not take waits in the
+//     connection's output queue, and the IO thread parses nothing more
+//     from that connection until poll reports it writable, while it
+//     keeps reading its input and serving every other client. So a
+//     client that stops reading stalls only itself; neither its queued
+//     replies nor its unparsed input are capped yet (ROADMAP).
 //
 //   slow lane: everything that must compile or search, and persist/load,
 //     which read or write the whole cache on disk. Its one queue is the
@@ -34,7 +38,9 @@
 //     hit. Cold tunes run the
 //     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
 //     shape via tuner/transfer.h) and store their result for the next
-//     neighbor.
+//     neighbor. Its replies go through the same output queues, and it
+//     waits until the socket has taken each one, so a client that stops
+//     reading stalls the slow lane, where the watchdog sees it.
 //
 // Handlers return only their own reply fields. Complete alone writes the
 // {"id":..,"ok":..} envelope around them (with obs::LogFields, the

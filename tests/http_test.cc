@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
@@ -570,13 +571,53 @@ TEST_F(HttpServerTest, LongPipelinedBurstIsAnsweredInFull) {
   constexpr size_t kRequests = 150000;
   std::string burst;
   for (size_t i = 0; i < kRequests; ++i) burst += PostRequest("ping", "{}");
-  // Written from a second thread: the replies must be read while the
-  // burst is still going out, or both directions' buffers fill.
+  // Written from a second thread, so the replies are read while the
+  // burst is still going out.
   bool sent = false;
   std::thread writer([&] { sent = serving::HttpWriteAll(fd, burst); });
   std::vector<std::string> bodies = ReadResponseBodies(fd, kRequests);
   writer.join();
   EXPECT_TRUE(sent);
+  ASSERT_EQ(bodies.size(), kRequests);
+  EXPECT_EQ(bodies.back(), "{\"id\":0,\"ok\":true,\"pong\":true}\n");
+  ::close(fd);
+  server.Stop();
+}
+
+// The same kind of burst written whole before any response is read, from
+// one thread, on a socket with small buffers: the daemon keeps reading the
+// burst while the responses it has not yet sent wait, so the write ends
+// and every response then arrives.
+TEST_F(HttpServerTest, BurstReadOnlyAfterItIsWrittenIsAnsweredInFull) {
+  options_.flight_depth = 0;
+  options_.client_metrics = false;
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{10, 0};
+  for (auto [option, bytes] : {std::pair{SO_SNDBUF, 8192},
+                               std::pair{SO_RCVBUF, 65536}}) {
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, option, &bytes, sizeof(bytes)), 0);
+  }
+  for (int option : {SO_SNDTIMEO, SO_RCVTIMEO}) {
+    ASSERT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, option, &timeout, sizeof(timeout)), 0);
+  }
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server.http_port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  constexpr size_t kRequests = 60000;
+  std::string burst;
+  for (size_t i = 0; i < kRequests; ++i) burst += PostRequest("ping", "{}");
+  bool sent = serving::HttpWriteAll(fd, burst);
+  if (!sent) ::close(fd);  // unblocks a stuck daemon
+  ASSERT_TRUE(sent) << "the daemon stopped reading the burst";
+  std::vector<std::string> bodies = ReadResponseBodies(fd, kRequests);
   ASSERT_EQ(bodies.size(), kRequests);
   EXPECT_EQ(bodies.back(), "{\"id\":0,\"ok\":true,\"pong\":true}\n");
   ::close(fd);

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -614,6 +615,59 @@ TEST_F(ServerTest, StalledHalfFrameDoesNotBlockOtherClients) {
   EXPECT_NE(reply.find("\"id\":1"), std::string::npos) << reply;
   ::close(stalled);
   ::close(other);
+  server.Stop();
+}
+
+// A client that writes a burst far larger than the socket buffers and
+// only then reads its replies, from one thread, is answered in full: the
+// daemon keeps reading the burst while the replies it has not yet sent
+// wait. Meanwhile the IO thread still answers everyone else.
+TEST_F(ServerTest, BurstReadOnlyAfterItIsWrittenStallsNoOne) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int bursty = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(bursty, 0);
+  // A daemon that stopped reading would leave this write blocked; the
+  // timeout turns that into a failure.
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(bursty, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  constexpr int kPings = 20000;
+  std::string burst;
+  for (int id = 1; id <= kPings; ++id) {
+    ASSERT_TRUE(serving::AppendFrame(
+        "{\"id\":" + std::to_string(id) + ",\"method\":\"ping\"}", &burst));
+  }
+  size_t sent = 0;
+  while (sent < burst.size()) {
+    ssize_t n = ::write(bursty, burst.data() + sent, burst.size() - sent);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  if (sent < burst.size()) ::close(bursty);  // unblocks a stuck daemon
+  ASSERT_EQ(sent, burst.size()) << "the daemon stopped reading the burst";
+
+  int other = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(other, 0);
+  ASSERT_TRUE(serving::WriteFrame(other, "{\"id\":1,\"method\":\"ping\"}"));
+  std::string reply;
+  EXPECT_TRUE(serving::ReadFrame(other, &reply))
+      << "no reply while another client's replies wait";
+  EXPECT_NE(reply.find("\"pong\":true"), std::string::npos) << reply;
+  ::close(other);
+
+  std::vector<int> seen(kPings + 1, 0);
+  for (int i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(serving::ReadFrame(bursty, &reply)) << "reply " << i;
+    std::optional<JsonValue> parsed = ParseJson(reply);
+    ASSERT_TRUE(parsed.has_value()) << reply;
+    int id = static_cast<int>(parsed->Find("id")->NumberOr(0));
+    ASSERT_TRUE(id >= 1 && id <= kPings) << reply;
+    ++seen[static_cast<size_t>(id)];
+  }
+  EXPECT_EQ(std::count(seen.begin() + 1, seen.end(), 1), kPings);
+  ::close(bursty);
   server.Stop();
 }
 
