@@ -15,8 +15,10 @@
 // JSON also isolates the cache's effect on the measurement path alone
 // (uncached vs warm exhaustive sweep), which holds at any core count.
 // Those sweeps and the model-pruning pair each take 0.03-2 s, short
-// enough for host noise to swing one pass by 2x, so each is timed as the
-// median of kTimedPasses passes.
+// enough for host noise to swing one pass by 2x, so each pair is timed
+// over kTimedPasses rounds of one pass a side, alternating which side
+// goes first: the seconds are per-side medians, and each speedup is the
+// median of the rounds' own ratios.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -42,19 +44,43 @@ constexpr uint64_t kSeeds[] = {1, 2, 3};
 constexpr size_t kMaxBudget = 50;
 constexpr int kTimedPasses = 5;
 
-// Median wall time of kTimedPasses calls of `pass`, each after an untimed
-// `reset`.
-template <typename Reset, typename Pass>
-double MedianSeconds(Reset reset, Pass pass) {
-  std::vector<double> seconds;
-  for (int i = 0; i < kTimedPasses; ++i) {
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// One pair of sweeps timed against each other.
+struct PairedSeconds {
+  double a = 0.0;      // median seconds of pass_a
+  double b = 0.0;      // median seconds of pass_b
+  double ratio = 0.0;  // median over rounds of a / b
+};
+
+// kTimedPasses rounds of one pass_a and one pass_b, each after an untimed
+// `reset`, with the first side alternating. The two passes of a round run
+// back to back, so host load lasting seconds slows both alike and
+// cancels in the round's ratio; between medians of passes run one side
+// after the other it does not.
+template <typename Reset, typename PassA, typename PassB>
+PairedSeconds TimePaired(Reset reset, PassA pass_a, PassB pass_b) {
+  auto timed = [&reset](auto& pass) {
     reset();
     obs::Stopwatch watch;
     pass();
-    seconds.push_back(watch.Seconds());
+    return watch.Seconds();
+  };
+  std::vector<double> a, b, ratio;
+  for (int i = 0; i < kTimedPasses; ++i) {
+    if (i % 2 == 0) {
+      a.push_back(timed(pass_a));
+      b.push_back(timed(pass_b));
+    } else {
+      b.push_back(timed(pass_b));
+      a.push_back(timed(pass_a));
+    }
+    ratio.push_back(b.back() > 0.0 ? a.back() / b.back() : 0.0);
   }
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[kTimedPasses / 2];
+  return {Median(a), Median(b), Median(ratio)};
 }
 
 // The Fig. 13 strategy suite for one operator. Returns a checksum of the
@@ -156,11 +182,8 @@ int main(int argc, char** argv) {
     }
     sweep_checksums.push_back(checksum);
   };
-  auto no_reset = [] {};
-  double measure_nocache_seconds =
-      MedianSeconds(no_reset, [&] { sweep(direct_tasks); });
-  double measure_cached_seconds =
-      MedianSeconds(no_reset, [&] { sweep(tasks); });
+  PairedSeconds measure = TimePaired(
+      [] {}, [&] { sweep(direct_tasks); }, [&] { sweep(tasks); });
 
   // Model-guided pruning: the effective-throughput experiment. Baseline:
   // the single-phase AST-interpreter sweep (what a measurement cost
@@ -189,52 +212,50 @@ int main(int argc, char** argv) {
                              : std::numeric_limits<double>::infinity();
     };
   }
-  std::vector<double> interp_best;
-  double interp_seconds = MedianSeconds(no_reset, [&] {
-    interp_best.clear();
-    for (const tuner::TuningTask& task : interp_tasks) {
-      double best = std::numeric_limits<double>::infinity();
-      for (double cycles : tuner::ExhaustiveSearch(task).measured) {
-        best = std::min(best, cycles);
-      }
-      interp_best.push_back(best);
+  auto best_of = [](const tuner::TuningTask& task) {
+    double best = std::numeric_limits<double>::infinity();
+    for (double cycles : tuner::ExhaustiveSearch(task).measured) {
+      best = std::min(best, cycles);
     }
-  });
+    return best;
+  };
+  // Every pass's best per operator, interpreter and pruned alike.
+  std::vector<std::vector<double>> bests;
+  auto interp_sweep = [&] {
+    bests.emplace_back();
+    for (const tuner::TuningTask& task : interp_tasks) {
+      bests.back().push_back(best_of(task));
+    }
+  };
 
-  // Each pass starts from an empty cache. Task construction is inside the
-  // timed region: it is where the model scores and ranks the space, which
-  // is real work the pruned sweep pays.
+  // Each pruned pass starts from an empty cache. Task construction is
+  // inside the timed region: it is where the model scores and ranks the
+  // space, which is real work the pruned sweep pays.
   tuner::SpaceOptions pruned_options;
   pruned_options.model_topk = tuner::SpaceOptions::kDefaultModelTopK;
-  std::vector<double> pruned_best;
   uint64_t model_before = model_counter.Value();
+  auto pruned_sweep = [&] {
+    bests.emplace_back();
+    for (const schedule::GemmOp& op : workloads::BenchmarkOps()) {
+      bests.back().push_back(
+          best_of(tuner::MakeSimulatorTask(op, spec, pruned_options)));
+    }
+  };
+  PairedSeconds pruning =
+      TimePaired(sim::ResetSimCache, interp_sweep, pruned_sweep);
+  uint64_t configs_pruned_model =
+      (model_counter.Value() - model_before) / kTimedPasses;
   // The pruning guarantee: per operator, the best config every pruned
   // sweep finds must be *bit-identical* to the unpruned exhaustive best
   // (the replay core is deterministic, so equality is exact, not
   // approximate).
-  bool best_found_unchanged = true;
-  double pruned_seconds = MedianSeconds(sim::ResetSimCache, [&] {
-    pruned_best.clear();
-    for (const schedule::GemmOp& op : workloads::BenchmarkOps()) {
-      tuner::TuningTask task =
-          tuner::MakeSimulatorTask(op, spec, pruned_options);
-      double best = std::numeric_limits<double>::infinity();
-      for (double cycles : tuner::ExhaustiveSearch(task).measured) {
-        best = std::min(best, cycles);
-      }
-      pruned_best.push_back(best);
-    }
-    best_found_unchanged = best_found_unchanged && pruned_best == interp_best;
-  });
-  uint64_t configs_pruned_model =
-      (model_counter.Value() - model_before) / kTimedPasses;
+  bool best_found_unchanged =
+      std::all_of(bests.begin(), bests.end(),
+                  [&](const std::vector<double>& b) { return b == bests[0]; });
   double interp_rate =
-      interp_seconds > 0.0 ? static_cast<double>(space_total) / interp_seconds
-                           : 0.0;
+      pruning.a > 0.0 ? static_cast<double>(space_total) / pruning.a : 0.0;
   double effective_rate =
-      pruned_seconds > 0.0 ? static_cast<double>(space_total) / pruned_seconds
-                           : 0.0;
-  double effective_gain = interp_rate > 0.0 ? effective_rate / interp_rate : 0.0;
+      pruning.b > 0.0 ? static_cast<double>(space_total) / pruning.b : 0.0;
 
   bool deterministic =
       serial_checksum == parallel_checksum &&
@@ -243,9 +264,6 @@ int main(int argc, char** argv) {
                   [&](double c) { return c == sweep_checksums.front(); });
   double speedup =
       parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-  double cache_speedup = measure_cached_seconds > 0.0
-                             ? measure_nocache_seconds / measure_cached_seconds
-                             : 0.0;
   uint64_t rerun_hits = cached_stats.hits - parallel_stats.hits;
   uint64_t rerun_misses = cached_stats.misses - parallel_stats.misses;
 
@@ -284,10 +302,10 @@ int main(int argc, char** argv) {
       "  }\n"
       "}\n",
       threads, hw == 0 ? 1 : hw, tasks.size(), space_total, serial_seconds,
-      parallel_seconds, speedup, cached_seconds, measure_nocache_seconds,
-      measure_cached_seconds, cache_speedup, deterministic ? "true" : "false",
-      tuner::SpaceOptions::kDefaultModelTopK, interp_seconds, interp_rate,
-      pruned_seconds, effective_rate, effective_gain,
+      parallel_seconds, speedup, cached_seconds, measure.a, measure.b,
+      measure.ratio, deterministic ? "true" : "false",
+      tuner::SpaceOptions::kDefaultModelTopK, pruning.a, interp_rate,
+      pruning.b, effective_rate, pruning.ratio,
       static_cast<unsigned long long>(configs_pruned_model),
       best_found_unchanged ? "true" : "false",
       static_cast<unsigned long long>(parallel_stats.hits),
