@@ -1,6 +1,7 @@
 #include "serving/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
@@ -17,7 +18,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -501,8 +501,9 @@ struct Server::Impl {
   int64_t last_snapshot_ns = 0;  // IO-thread-only
   bool prev_trace_enabled = false;
 
-  std::ofstream access_log;
-  std::mutex access_log_mu;
+  // Opened O_APPEND: each line leaves in one write(2), which the kernel
+  // keeps whole against the other lane's lines.
+  int access_log_fd = -1;
 
   // Flight recorder + periodic registry snapshots (created in Start from
   // the options; null when disabled).
@@ -1151,12 +1152,11 @@ struct Server::Impl {
     obs::RecordSpan(fast ? "serving.request.fast" : "serving.request.slow",
                     "serving", rec.arrival_ns, end_ns);
     if (flight != nullptr) flight->Record(rec);
-    if (access_log.is_open()) {
+    if (access_log_fd >= 0) {
       std::string line = obs::RequestRecordJson(rec);
       line += '\n';
-      std::lock_guard<std::mutex> lock(access_log_mu);
-      access_log << line;
-      access_log.flush();
+      ssize_t ignored = ::write(access_log_fd, line.data(), line.size());
+      (void)ignored;
     }
     request.conn->Send(payload, /*wait=*/!fast);
     if (!fast && request.conn->http) {
@@ -1548,9 +1548,10 @@ bool Server::Start(std::string* error) {
   }
 
   if (!impl.options.access_log_path.empty()) {
-    impl.access_log.open(impl.options.access_log_path,
-                         std::ios::out | std::ios::app);
-    if (!impl.access_log.is_open()) {
+    impl.access_log_fd =
+        ::open(impl.options.access_log_path.c_str(),
+               O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    if (impl.access_log_fd < 0) {
       close_fds();
       return fail("cannot open access log " + impl.options.access_log_path);
     }
@@ -1629,7 +1630,10 @@ void Server::Stop() {
       fd = -1;
     }
   }
-  if (impl.access_log.is_open()) impl.access_log.close();
+  if (impl.access_log_fd >= 0) {
+    ::close(impl.access_log_fd);
+    impl.access_log_fd = -1;
+  }
   ::unlink(impl.options.socket_path.c_str());
   if (impl.options.persist_on_shutdown && !impl.options.cache_path.empty()) {
     PersistStats saved =
