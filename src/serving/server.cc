@@ -605,7 +605,6 @@ struct Server::Impl {
         for (auto& conn : conns) {
           if (conn->http && !conn->dead) Advance(conn);
         }
-        SweepDead(&conns);
       }
       if (fds[2].revents & POLLIN) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
