@@ -40,7 +40,8 @@
 //     shape via tuner/transfer.h) and store their result for the next
 //     neighbor. Its replies go through the same output queues, and it
 //     waits until the socket has taken each one, so a client that stops
-//     reading stalls the slow lane, where the watchdog sees it.
+//     reading stalls the slow lane, which the watchdog sees once another
+//     request queues behind it.
 //
 // Handlers return only their own reply fields. Complete alone writes the
 // {"id":..,"ok":..} envelope around them (with obs::LogFields, the
