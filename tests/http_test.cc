@@ -585,9 +585,10 @@ TEST_F(HttpServerTest, LongPipelinedBurstIsAnsweredInFull) {
 }
 
 // The same kind of burst written whole before any response is read, from
-// one thread, on a socket with small buffers: the daemon keeps reading the
-// burst while the responses it has not yet sent wait, so the write ends
-// and every response then arrives.
+// one thread, on a socket with small buffers, then half-closed: the daemon
+// keeps reading the burst while the responses it has not yet sent wait,
+// so the write ends, and it parses the rest after the EOF, so every
+// response then arrives.
 TEST_F(HttpServerTest, BurstReadOnlyAfterItIsWrittenIsAnsweredInFull) {
   options_.flight_depth = 0;
   options_.client_metrics = false;
@@ -617,6 +618,7 @@ TEST_F(HttpServerTest, BurstReadOnlyAfterItIsWrittenIsAnsweredInFull) {
   bool sent = serving::HttpWriteAll(fd, burst);
   if (!sent) ::close(fd);  // unblocks a stuck daemon
   ASSERT_TRUE(sent) << "the daemon stopped reading the burst";
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
   std::vector<std::string> bodies = ReadResponseBodies(fd, kRequests);
   ASSERT_EQ(bodies.size(), kRequests);
   EXPECT_EQ(bodies.back(), "{\"id\":0,\"ok\":true,\"pong\":true}\n");

@@ -618,10 +618,11 @@ TEST_F(ServerTest, StalledHalfFrameDoesNotBlockOtherClients) {
   server.Stop();
 }
 
-// A client that writes a burst far larger than the socket buffers and
-// only then reads its replies, from one thread, is answered in full: the
-// daemon keeps reading the burst while the replies it has not yet sent
-// wait. Meanwhile the IO thread still answers everyone else.
+// A client that writes a burst far larger than the socket buffers,
+// half-closes and only then reads its replies, from one thread, is
+// answered in full: the daemon keeps reading the burst while the replies
+// it has not yet sent wait, and parses the rest after the EOF. Meanwhile
+// the IO thread still answers everyone else.
 TEST_F(ServerTest, BurstReadOnlyAfterItIsWrittenStallsNoOne) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
@@ -647,6 +648,7 @@ TEST_F(ServerTest, BurstReadOnlyAfterItIsWrittenStallsNoOne) {
   }
   if (sent < burst.size()) ::close(bursty);  // unblocks a stuck daemon
   ASSERT_EQ(sent, burst.size()) << "the daemon stopped reading the burst";
+  ASSERT_EQ(::shutdown(bursty, SHUT_WR), 0);
 
   int other = ConnectWithTimeout(socket_path_);
   ASSERT_GE(other, 0);
