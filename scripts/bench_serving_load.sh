@@ -11,7 +11,10 @@
 # with scripts/check_prometheus.py (HELP/TYPE per family, cumulative
 # buckets, +Inf == _count, alcop_build_info present, and a
 # bounded-cardinality ceiling of 64 series per family so per-client
-# attribution cannot mint unbounded label sets).
+# attribution cannot mint unbounded label sets). The scrape is checked and
+# the result stamped by scripts/bench_meta.py whether the bench's gates
+# pass or fail; the script then exits with the bench's status, or the
+# scrape check's when the bench passed.
 #
 # Usage: scripts/bench_serving_load.sh [--quick] [output.json]
 #   --quick      300 open-loop requests at 500 rps (CI serving-smoke mode)
@@ -51,7 +54,9 @@ METRICS="$(mktemp /tmp/alcop_metrics.XXXXXX.txt)"
 trap 'rm -f "$METRICS"' EXIT
 
 echo "running serving load bench${QUICK:+ (quick)} (baseline p99 ${BASELINE} ms)..." >&2
-"$BIN" $QUICK --baseline-p99 "$BASELINE" --metrics-out "$METRICS" > "$OUT"
+STATUS=0
+"$BIN" $QUICK --baseline-p99 "$BASELINE" --metrics-out "$METRICS" > "$OUT" \
+  || STATUS=$?
 
 # Validate the live scrape the bench took: exposition format, bucket
 # monotonicity, +Inf == _count, and the access-log tie-in.
@@ -60,9 +65,12 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 doc = json.load(open(sys.argv[1]))
 print(doc.get("scraped", {}).get("access_log_lines", 0))' "$OUT")
+  CHECK=0
   python3 scripts/check_prometheus.py "$METRICS" --expect-count "$EXPECT" \
-    --max-series 64 >&2
+    --max-series 64 >&2 || CHECK=$?
   python3 scripts/bench_meta.py "$OUT"
+  if (( STATUS == 0 )); then STATUS=$CHECK; fi
 fi
 cat "$OUT"
 echo "wrote $OUT" >&2
+exit "$STATUS"

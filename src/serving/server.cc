@@ -52,15 +52,16 @@ using support::JsonEscape;
 namespace {
 
 // One client connection — either a unix-socket peer speaking
-// length-prefixed frames or an HTTP/1.1 peer. Replies come from the IO
-// thread (the fast lane) or the slow lane. Each is appended to the
-// connection's output queue, which is offered to the socket at once and
-// without blocking; what the socket does not take waits there in order,
-// so frames never interleave. The IO thread never waits on a peer: it
-// parses nothing more from a connection that owes bytes, keeps reading
-// what the peer sends, and sends the rest when poll reports the socket
-// writable. The slow lane waits until the socket has taken its reply, as
-// its blocking write did. Frame order between different requests is
+// length-prefixed frames or an HTTP/1.1 peer. It belongs to the IO thread:
+// only the IO thread reads or writes its socket and fields (Stop sends
+// the slow lane's last replies once both threads have joined). The slow
+// lane hands its replies to the IO thread instead. Each reply is appended
+// to the connection's output queue, which is offered to the socket at
+// once and without blocking; what the socket does not take waits there
+// in order, so frames never interleave. The IO thread never waits on a
+// peer: it parses nothing more from a connection that owes bytes, keeps
+// reading what the peer sends, and sends the rest when poll reports the
+// socket writable. Frame order between different requests is
 // unconstrained for the socket transport (clients match by id), while
 // HTTP admits strictly one dispatched request at a time so responses
 // stay in request order.
@@ -69,27 +70,21 @@ struct Conn {
   bool http = false;
   std::string client = "anon";  // peer identity (unix: "uid:<uid>")
 
-  // Guarded by write_mu: the reply bytes the socket has not taken yet
-  // start at out[out_pos]; broken is set once a send fails, after which
-  // replies are dropped.
-  std::mutex write_mu;
-  std::string out;
-  size_t out_pos = 0;
-  bool broken = false;
-
-  // IO-thread-only: in_buffer (bytes read, either transport; the first
-  // in_pos of them are parsed), close_after_response, eof (the peer
-  // closed its side), closing (parse nothing more; drop once nothing is
-  // owed), blocked (owed bytes at the last look: poll for POLLOUT) and
-  // dead. inflight is the HTTP cross-thread gate: set before Dispatch on
-  // the IO thread, cleared by whichever thread sends the response.
+  // in_buffer holds the bytes read (either transport), the first in_pos
+  // of them parsed; the reply bytes the socket has not taken start at
+  // out[out_pos]. pending counts the connection's requests on the slow
+  // lane. eof: the peer closed its side. closing: parse nothing more.
+  // Either drops the connection once it owes nothing and has nothing
+  // pending. dead: a read or send failed, or it was dropped; replies to
+  // it are discarded.
   std::string in_buffer;
   size_t in_pos = 0;
-  std::atomic<bool> inflight{false};
+  std::string out;
+  size_t out_pos = 0;
+  size_t pending = 0;
   bool close_after_response = false;
   bool eof = false;
   bool closing = false;
-  bool blocked = false;
   bool dead = false;
 
   ~Conn() {
@@ -112,10 +107,13 @@ struct Conn {
     }
   }
 
-  // Offers the queued bytes to the socket without blocking. Caller holds
-  // write_mu.
-  void FlushLocked() {
-    while (!broken && out_pos < out.size()) {
+  // True while queued bytes wait for the socket: poll for POLLOUT.
+  bool Owes() const { return !out.empty(); }
+
+  // Offers the queued bytes to the socket without blocking. A failed
+  // send marks the connection dead and drops them.
+  void Flush() {
+    while (!dead && out_pos < out.size()) {
       ssize_t n = ::send(fd, out.data() + out_pos, out.size() - out_pos,
                          MSG_DONTWAIT | MSG_NOSIGNAL);
       if (n > 0) {
@@ -123,56 +121,28 @@ struct Conn {
       } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         return;
       } else if (n == 0 || errno != EINTR) {
-        broken = true;
+        dead = true;
       }
     }
     out.clear();
     out_pos = 0;
   }
 
-  void Flush() {
-    std::lock_guard<std::mutex> lock(write_mu);
-    FlushLocked();
-  }
-
-  // True while queued bytes wait for the socket.
-  bool Owes() {
-    std::lock_guard<std::mutex> lock(write_mu);
-    return !out.empty();
-  }
-
-  bool Broken() {
-    std::lock_guard<std::mutex> lock(write_mu);
-    return broken;
-  }
-
-  // Dispatched-response path (both transports). `wait` (the slow lane)
-  // returns only once the socket has taken everything queued; the IO
-  // thread leaves the rest for poll. A dead peer just drops the response.
-  void Send(const std::string& payload, bool wait) {
-    std::unique_lock<std::mutex> lock(write_mu);
+  // Dispatched-response path (both transports).
+  void Send(const std::string& payload) {
     if (!http) {
       AppendFrame(payload, &out);
     } else {
       out += FormatHttpResponse(200, "application/json", payload + "\n", {},
                                 !close_after_response);
     }
-    FlushLocked();
-    while (wait && !out.empty()) {
-      lock.unlock();
-      pollfd writable = {fd, POLLOUT, 0};
-      ::poll(&writable, 1, -1);
-      lock.lock();
-      FlushLocked();
-    }
-    if (http) inflight.store(false, std::memory_order_release);
+    Flush();
   }
 
-  // Transport-level HTTP responses (scrapes, 4xx), IO thread only.
+  // Transport-level HTTP responses (scrapes, 4xx).
   void SendRaw(const std::string& bytes) {
-    std::lock_guard<std::mutex> lock(write_mu);
     out += bytes;
-    FlushLocked();
+    Flush();
   }
 };
 
@@ -456,15 +426,19 @@ struct Server::Impl {
   int listen_fd = -1;
   int http_listen_fd = -1;       // -1 when the HTTP front end is off
   int bound_http_port = -1;      // actual port after bind (0 resolves)
-  int wake_pipe[2] = {-1, -1};   // interrupts poll() on Stop
-  int rescan_pipe[2] = {-1, -1}; // slow lane->IO nudge after HTTP replies
+  // Interrupts poll(): one byte from RequestStop, and one from the slow
+  // lane each time slow_replies turns non-empty.
+  int wake_pipe[2] = {-1, -1};
 
   std::thread io_thread;    // also the fast lane
   std::thread slow_thread;
 
+  // Guards the slow lane's queue and the replies it hands to the IO
+  // thread.
   std::mutex queue_mu;
   std::condition_variable slow_cv;
   std::deque<Request> slow_queue;
+  std::vector<std::pair<std::shared_ptr<Conn>, std::string>> slow_replies;
 
   std::atomic<bool> stopping{false};
   std::atomic<uint64_t> served{0};
@@ -571,7 +545,6 @@ struct Server::Impl {
     while (!stopping.load(std::memory_order_relaxed)) {
       fds.clear();
       fds.push_back({wake_pipe[0], POLLIN, 0});
-      fds.push_back({rescan_pipe[0], POLLIN, 0});
       fds.push_back({listen_fd, POLLIN, 0});
       size_t http_slot = 0;
       if (http_listen_fd >= 0) {
@@ -580,12 +553,12 @@ struct Server::Impl {
       }
       size_t base = fds.size();
       // A connection is read until EOF or until it is closing, and polled
-      // for POLLOUT while it owes bytes. One with neither waits for the
-      // slow lane's nudge; poll skips its negative fd.
+      // for POLLOUT while it owes bytes. One with neither waits for its
+      // slow-lane replies; poll skips its negative fd.
       for (const auto& conn : conns) {
         short events = static_cast<short>(
             (conn->eof || conn->closing ? 0 : POLLIN) |
-            (conn->blocked ? POLLOUT : 0));
+            (conn->Owes() ? POLLOUT : 0));
         fds.push_back({events == 0 ? -1 : conn->fd, events, 0});
       }
       if (::poll(fds.data(), fds.size(), MonitorTimeoutMs()) < 0) {
@@ -593,20 +566,16 @@ struct Server::Impl {
         break;
       }
       MonitorTick(obs::NowNanos());
-      if (fds[0].revents != 0) break;  // woken by Stop
-      if (fds[1].revents & POLLIN) {
-        // The slow lane finished HTTP responses. Drain the nudge bytes (a
-        // short read just means another wakeup, which is harmless), then
-        // let those conns parse what their peers pipelined behind, or
-        // close.
+      if (fds[0].revents != 0) {
+        // Drain the wake bytes before taking the replies: a byte written
+        // after the take stays for the next poll, so none is missed.
         char drain[256];
-        ssize_t ignored = ::read(rescan_pipe[0], drain, sizeof(drain));
+        ssize_t ignored = ::read(wake_pipe[0], drain, sizeof(drain));
         (void)ignored;
-        for (auto& conn : conns) {
-          if (conn->http && !conn->dead) Advance(conn);
-        }
+        if (stopping.load(std::memory_order_relaxed)) break;
+        SendSlowReplies();
       }
-      if (fds[2].revents & POLLIN) {
+      if (fds[1].revents & POLLIN) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd >= 0) {
           auto conn = std::make_shared<Conn>();
@@ -661,26 +630,38 @@ struct Server::Impl {
     }
   }
 
-  // Moves a connection on after any event on it: parses and answers the
-  // requests it has buffered while its socket owes nothing, and marks it
-  // dead once it owes nothing and is closing, or is at EOF with no
-  // request still on the slow lane. Parsing stopped by owed bytes resumes
-  // at the POLLOUT that `blocked` arms; that fires at once when the slow
-  // lane has meanwhile sent them.
+  // Moves a connection on after any event on it, and after each of its
+  // slow-lane replies: parses and answers the requests it has buffered
+  // while its socket owes nothing, and marks it dead once it is closing or
+  // at EOF, owes nothing and has no request still on the slow lane.
+  // Parsing stopped by owed bytes resumes at the POLLOUT they arm; an HTTP
+  // connection's, stopped by its request on the slow lane, resumes once
+  // that reply is sent.
   void Advance(const std::shared_ptr<Conn>& conn) {
-    if (conn->Broken()) {
-      conn->dead = true;
-      return;
-    }
+    if (conn->dead) return;
     if (!conn->closing && !conn->Owes() &&
         !(conn->http ? ProcessHttpBuffer(conn) : ProcessFrames(conn))) {
       conn->closing = true;
     }
-    conn->blocked = conn->Owes();
-    if (!conn->blocked &&
-        (conn->closing ||
-         (conn->eof && !conn->inflight.load(std::memory_order_acquire)))) {
+    if ((conn->closing || conn->eof) && !conn->Owes() && conn->pending == 0) {
       conn->dead = true;
+    }
+  }
+
+  // Sends the replies the slow lane has handed over since the last look
+  // and moves each of their connections on. A reply to a connection that
+  // died meanwhile is dropped.
+  void SendSlowReplies() {
+    std::vector<std::pair<std::shared_ptr<Conn>, std::string>> replies;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      replies.swap(slow_replies);
+    }
+    for (auto& [conn, payload] : replies) {
+      --conn->pending;
+      if (conn->dead) continue;
+      conn->Send(payload);
+      Advance(conn);
     }
   }
 
@@ -787,13 +768,12 @@ struct Server::Impl {
     return result != FrameParseResult::kBad;
   }
 
-  // Parses as many buffered HTTP requests as the one-inflight gate
-  // allows, while the socket owes nothing. False means the connection
+  // Parses buffered HTTP requests, one at a time: while none is on the
+  // slow lane and the socket owes nothing. False means the connection
   // should close: a protocol error, or an exchange that asked to close
   // has been answered.
   bool ProcessHttpBuffer(const std::shared_ptr<Conn>& conn) {
-    while (!conn->inflight.load(std::memory_order_acquire) &&
-           !conn->Owes()) {
+    while (conn->pending == 0 && !conn->Owes()) {
       if (conn->close_after_response) return false;
       if (conn->Unparsed().empty()) return true;
       HttpRequest http_request;
@@ -819,9 +799,9 @@ struct Server::Impl {
   // the IO thread (they only read the registry, rings and cache stats);
   // POST /v1/<method> rides the same Dispatch path as socket frames,
   // with the URL supplying the method and the X-Alcop-Client header (if
-  // any) the attributed identity. False closes the connection: after a
-  // Connection: close exchange answered here, or one the slow lane
-  // answered already; one still on the slow lane closes at its rescan.
+  // any) the attributed identity. False closes the connection after a
+  // Connection: close exchange answered here; one on the slow lane closes
+  // once its reply has been sent.
   bool HandleHttp(const std::shared_ptr<Conn>& conn,
                   const HttpRequest& request) {
     http_counter->Increment();
@@ -885,12 +865,11 @@ struct Server::Impl {
       if (request.method != "POST") return method_not_allowed();
       std::string method = path.substr(4);
       conn->close_after_response = !keep;
-      conn->inflight.store(true, std::memory_order_release);
       const std::string* client_header = request.FindHeader("X-Alcop-Client");
       Dispatch(conn, request.body.empty() ? "{}" : request.body,
                method.c_str(),
                client_header == nullptr ? nullptr : client_header->c_str());
-      return keep || conn->inflight.load(std::memory_order_acquire);
+      return keep || conn->pending > 0;
     }
     conn->SendRaw(FormatHttpResponse(404, "text/plain; charset=utf-8",
                                      "not found\n", {}, keep));
@@ -994,6 +973,7 @@ struct Server::Impl {
     }
     if (!Route(&request.call)) {
       rec.lane = "slow";
+      ++conn->pending;
       std::lock_guard<std::mutex> lock(queue_mu);
       slow_queue.push_back(std::move(request));
       slow_cv.notify_one();
@@ -1111,18 +1091,15 @@ struct Server::Impl {
   // access-log line — then the response send, so a stats snapshot or
   // scrape taken after the client sees the reply always includes it, and
   // in-flight work is visible as the gap between serving.inflight and
-  // serving.requests. The slow lane's send returns once the socket has
-  // taken the reply; the IO thread's leaves what the socket does not take
-  // to poll. A slow-lane HTTP reply then nudges the IO thread to
-  // parse what the peer pipelined behind it. The IO thread's own replies
-  // never write to that pipe: it is blocking and drained 256 bytes per
-  // poll, so a long pipelined burst answered inline could fill it and
-  // block the IO thread on itself; its parse loop just carries on.
+  // serving.requests. The IO thread sends its own replies at once. The
+  // slow lane hands each of its replies to the IO thread, waking it with
+  // one byte on the wake pipe when the hand-off list turns non-empty; the
+  // IO thread sends them and moves their connections on.
   void Complete(Request& request, const Reply& reply) {
     obs::RequestRecord& rec = request.record;
-    const std::string payload = "{\"id\":" + std::to_string(rec.client_id) +
-                                ",\"ok\":" + (reply.ok ? "true" : "false") +
-                                reply.fields.Json() + "}";
+    std::string payload = "{\"id\":" + std::to_string(rec.client_id) +
+                          ",\"ok\":" + (reply.ok ? "true" : "false") +
+                          reply.fields.Json() + "}";
     if (!reply.ok) rec.outcome = "error";
     int64_t end_ns = obs::NowNanos();
     bool fast = rec.lane == "fast";
@@ -1157,10 +1134,19 @@ struct Server::Impl {
       ssize_t ignored = ::write(access_log_fd, line.data(), line.size());
       (void)ignored;
     }
-    request.conn->Send(payload, /*wait=*/!fast);
-    if (!fast && request.conn->http) {
+    if (fast) {
+      request.conn->Send(payload);
+      return;
+    }
+    bool first = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu);
+      first = slow_replies.empty();
+      slow_replies.emplace_back(std::move(request.conn), std::move(payload));
+    }
+    if (first) {
       char byte = 'r';
-      ssize_t ignored = ::write(rescan_pipe[1], &byte, 1);
+      ssize_t ignored = ::write(wake_pipe[1], &byte, 1);
       (void)ignored;
     }
   }
@@ -1502,19 +1488,11 @@ bool Server::Start(std::string* error) {
       ::close(fd);
       fd = -1;
     }
-    for (int& fd : impl.rescan_pipe) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
     if (impl.http_listen_fd >= 0) {
       ::close(impl.http_listen_fd);
       impl.http_listen_fd = -1;
     }
   };
-  if (::pipe(impl.rescan_pipe) < 0) {
-    close_fds();
-    return fail("pipe() failed");
-  }
 
   // HTTP front end (loopback only): /metrics, /healthz, POST /v1/*.
   if (impl.options.http_port >= 0) {
@@ -1609,6 +1587,12 @@ void Server::Stop() {
   impl.RequestStop();
   if (impl.io_thread.joinable()) impl.io_thread.join();
   if (impl.slow_thread.joinable()) impl.slow_thread.join();
+  // The replies the slow lane finished after the IO thread exited: each
+  // offered once, without blocking.
+  for (auto& [conn, payload] : impl.slow_replies) {
+    if (!conn->dead) conn->Send(payload);
+  }
+  impl.slow_replies.clear();
   if (impl.listen_fd >= 0) {
     ::close(impl.listen_fd);
     impl.listen_fd = -1;
@@ -1618,12 +1602,6 @@ void Server::Stop() {
     impl.http_listen_fd = -1;
   }
   for (int& fd : impl.wake_pipe) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-  for (int& fd : impl.rescan_pipe) {
     if (fd >= 0) {
       ::close(fd);
       fd = -1;

@@ -38,10 +38,11 @@
 //     hit. Cold tunes run the
 //     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
 //     shape via tuner/transfer.h) and store their result for the next
-//     neighbor. Its replies go through the same output queues, and it
-//     waits until the socket has taken each one, so a client that stops
-//     reading stalls the slow lane, which the watchdog sees once another
-//     request queues behind it.
+//     neighbor. It never writes to a socket: it hands each reply to the
+//     IO thread, which sends it through the same output queues, so a
+//     client that stops reading stalls neither the slow lane nor anyone
+//     else. The IO thread alone owns each connection; Stop sends the
+//     replies the slow lane finishes after the IO thread has exited.
 //
 // Handlers return only their own reply fields. Complete alone writes the
 // {"id":..,"ok":..} envelope around them (with obs::LogFields, the
@@ -140,7 +141,8 @@ class Server {
   void Wait();
 
   // Stops the daemon: closes the socket, drains the slow lane, joins the
-  // threads, persists the cache (per options). Idempotent.
+  // threads, sends the slow lane's replies the IO thread did not, and
+  // persists the cache (per options). Idempotent.
   void Stop();
 
   const ServerOptions& options() const;

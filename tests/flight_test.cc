@@ -476,6 +476,12 @@ TEST_F(FlightServerTest, ClientCardinalityCapCollapsesToOther) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
 
+  // The counters are process-global, so a repeated run starts from the
+  // last run's values: compare deltas.
+  const std::string series_a = "serving.client.requests|client=capA";
+  const std::string series_b = "serving.client.requests|client=capB";
+  double a_before = RegistryCounterValue(series_a);
+  double b_before = RegistryCounterValue(series_b);
   double other_before =
       RegistryCounterValue("serving.client.requests|client=other");
 
@@ -491,12 +497,8 @@ TEST_F(FlightServerTest, ClientCardinalityCapCollapsesToOther) {
   // The first two identities own their series...
   bool found_a = false;
   bool found_b = false;
-  EXPECT_EQ(
-      RegistryCounterValue("serving.client.requests|client=capA", &found_a),
-      2.0);
-  EXPECT_EQ(
-      RegistryCounterValue("serving.client.requests|client=capB", &found_b),
-      1.0);
+  EXPECT_EQ(RegistryCounterValue(series_a, &found_a) - a_before, 2.0);
+  EXPECT_EQ(RegistryCounterValue(series_b, &found_b) - b_before, 1.0);
   EXPECT_TRUE(found_a);
   EXPECT_TRUE(found_b);
   // ...while overflow identities share "other" and never mint a series,

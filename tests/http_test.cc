@@ -556,11 +556,11 @@ TEST_F(HttpServerTest, PipelinedCompileHitsEachGetOneResponse) {
 }
 
 // A pipelined burst far longer than one read, sent in one write, is
-// answered in full on the IO thread. Each reply written there must not
-// nudge the IO thread's own rescan pipe, which holds 64 KiB and is
-// drained 256 bytes per poll: one read brings about a thousand of these
-// requests, so a nudge per reply would fill the pipe, and block the IO
-// thread on it, long before the burst ends.
+// answered in full on the IO thread. Its replies never touch the wake
+// pipe, which is blocking: only the slow lane writes there, one byte each
+// time its hand-off list turns non-empty. One read brings about a
+// thousand of these requests, so a byte per reply would fill the pipe,
+// and block the IO thread on it, long before the burst ends.
 TEST_F(HttpServerTest, LongPipelinedBurstIsAnsweredInFull) {
   options_.flight_depth = 0;
   options_.client_metrics = false;

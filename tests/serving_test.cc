@@ -219,10 +219,10 @@ TEST(ProtocolFrameTest, OversizedLengthPrefixIsRejected) {
 // End-to-end daemon tests.
 // ---------------------------------------------------------------------------
 
-// Polls `done` every millisecond for up to ten seconds.
+// Polls `done` every millisecond for up to `limit_ms`.
 template <typename Predicate>
-bool WaitFor(Predicate done) {
-  for (int i = 0; i < 10000; ++i) {
+bool WaitFor(Predicate done, int limit_ms = 10000) {
+  for (int i = 0; i < limit_ms; ++i) {
     if (done()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -618,6 +618,34 @@ TEST_F(ServerTest, StalledHalfFrameDoesNotBlockOtherClients) {
   server.Stop();
 }
 
+// The frames of pings with ids 1..count.
+std::string PingFrames(int count) {
+  std::string frames;
+  for (int id = 1; id <= count; ++id) {
+    EXPECT_TRUE(serving::AppendFrame(
+        "{\"id\":" + std::to_string(id) + ",\"method\":\"ping\"}", &frames));
+  }
+  return frames;
+}
+
+// Writes all of `bytes` to the daemon. A daemon that stopped reading
+// would leave the write blocked, so it gives up after ten seconds without
+// progress, closes `fd` to release such a daemon, and returns false.
+bool WriteBurst(int fd, const std::string& bytes) {
+  timeval timeout{10, 0};
+  size_t sent = 0;
+  if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)) ==
+      0) {
+    while (sent < bytes.size()) {
+      ssize_t n = ::write(fd, bytes.data() + sent, bytes.size() - sent);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+  }
+  if (sent < bytes.size()) ::close(fd);
+  return sent == bytes.size();
+}
+
 // A client that writes a burst far larger than the socket buffers,
 // half-closes and only then reads its replies, from one thread, is
 // answered in full: the daemon keeps reading the burst while the replies
@@ -628,26 +656,9 @@ TEST_F(ServerTest, BurstReadOnlyAfterItIsWrittenStallsNoOne) {
   ASSERT_TRUE(server.Start());
   int bursty = ConnectWithTimeout(socket_path_);
   ASSERT_GE(bursty, 0);
-  // A daemon that stopped reading would leave this write blocked; the
-  // timeout turns that into a failure.
-  timeval timeout{10, 0};
-  ASSERT_EQ(::setsockopt(bursty, SOL_SOCKET, SO_SNDTIMEO, &timeout,
-                         sizeof(timeout)),
-            0);
   constexpr int kPings = 20000;
-  std::string burst;
-  for (int id = 1; id <= kPings; ++id) {
-    ASSERT_TRUE(serving::AppendFrame(
-        "{\"id\":" + std::to_string(id) + ",\"method\":\"ping\"}", &burst));
-  }
-  size_t sent = 0;
-  while (sent < burst.size()) {
-    ssize_t n = ::write(bursty, burst.data() + sent, burst.size() - sent);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  if (sent < burst.size()) ::close(bursty);  // unblocks a stuck daemon
-  ASSERT_EQ(sent, burst.size()) << "the daemon stopped reading the burst";
+  ASSERT_TRUE(WriteBurst(bursty, PingFrames(kPings)))
+      << "the daemon stopped reading the burst";
   ASSERT_EQ(::shutdown(bursty, SHUT_WR), 0);
 
   int other = ConnectWithTimeout(socket_path_);
@@ -670,6 +681,63 @@ TEST_F(ServerTest, BurstReadOnlyAfterItIsWrittenStallsNoOne) {
   }
   EXPECT_EQ(std::count(seen.begin() + 1, seen.end(), 1), kPings);
   ::close(bursty);
+  server.Stop();
+}
+
+// A client that sends a tune and a burst of pings and then reads nothing
+// fills its socket with pongs before the tune ends. The slow lane hands
+// the tune's reply to the IO thread, which queues it behind those pongs,
+// and goes on to the next request: another client's cold compile is
+// answered at once. Once the silent client reads, every reply arrives,
+// each exactly once.
+TEST_F(ServerTest, SlowReplyToAClientThatStopsReadingStallsNoOne) {
+  options_.space = tuner::SpaceOptions();  // a search that takes a while
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int silent = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(silent, 0);
+  constexpr int kPings = 20000;
+  std::string burst;
+  ASSERT_TRUE(serving::AppendFrame(
+      "{\"id\":0,\"method\":\"tune\",\"m\":1024,\"n\":1024,\"k\":1024,"
+      "\"trials\":64}",
+      &burst));
+  burst += PingFrames(kPings);
+  obs::Counter& slow_done =
+      obs::Registry::Global().GetCounter("serving.slow_lane");
+  const uint64_t slow_done_before = slow_done.Value();
+  ASSERT_TRUE(WriteBurst(silent, burst))
+      << "the daemon stopped reading the burst";
+  // The slow lane counts the tune just before it replies. The search
+  // takes well under a second in an optimized build, but ten seconds or
+  // more in a ThreadSanitizer debug build.
+  ASSERT_TRUE(WaitFor([&] { return slow_done.Value() > slow_done_before; },
+                      /*limit_ms=*/120000));
+
+  int other = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(other, 0);
+  ASSERT_TRUE(serving::WriteFrame(
+      other,
+      "{\"id\":1,\"method\":\"compile\",\"m\":512,\"n\":512,\"k\":768,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}"));
+  std::string reply;
+  EXPECT_TRUE(serving::ReadFrame(other, &reply))
+      << "a cold compile waited for a client that does not read";
+  EXPECT_NE(reply.find("\"feasible\":true"), std::string::npos) << reply;
+  ::close(other);
+
+  std::vector<int> seen(kPings + 1, 0);
+  for (int i = 0; i <= kPings; ++i) {
+    ASSERT_TRUE(serving::ReadFrame(silent, &reply)) << "reply " << i;
+    std::optional<JsonValue> parsed = ParseJson(reply);
+    ASSERT_TRUE(parsed.has_value()) << reply;
+    EXPECT_TRUE(parsed->Find("ok")->BoolOr(false)) << reply;
+    int id = static_cast<int>(parsed->Find("id")->NumberOr(-1));
+    ASSERT_TRUE(id >= 0 && id <= kPings) << reply;
+    ++seen[static_cast<size_t>(id)];
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kPings + 1);
+  ::close(silent);
   server.Stop();
 }
 
@@ -979,6 +1047,44 @@ TEST_F(ServerTest, ShutdownMethodStopsTheDaemonAndPersists) {
   EXPECT_TRUE(loaded.ok) << loaded.error;
   EXPECT_GE(loaded.timings, 1u);
   std::remove(options_.cache_path.c_str());
+}
+
+// A tune still on the slow lane when a shutdown arrives outlives the IO
+// thread. Stop waits for it and sends its reply, once.
+TEST_F(ServerTest, ShutdownAnswersWhatTheSlowLaneHolds) {
+  options_.space = tuner::SpaceOptions();  // a search that takes a while
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int tune = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(tune, 0);
+  obs::Registry& registry = obs::Registry::Global();
+  obs::Counter& rounds = registry.GetCounter("serving.batches");
+  obs::Counter& slow_done = registry.GetCounter("serving.slow_lane");
+  const uint64_t rounds_before = rounds.Value();
+  const uint64_t slow_done_before = slow_done.Value();
+  ASSERT_TRUE(serving::WriteFrame(
+      tune,
+      "{\"id\":1,\"method\":\"tune\",\"m\":1024,\"n\":1024,\"k\":1024,"
+      "\"trials\":64}"));
+  ASSERT_TRUE(WaitFor([&] { return rounds.Value() > rounds_before; }));
+
+  serving::Client other;
+  ASSERT_TRUE(other.Connect(socket_path_));
+  std::optional<JsonValue> ack = other.Call("{\"id\":2,\"method\":\"shutdown\"}");
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->Find("ok")->BoolOr(false));
+  EXPECT_EQ(slow_done.Value(), slow_done_before)
+      << "the tune ended before the shutdown";
+  server.Wait();
+  server.Stop();
+
+  // Stop has answered the tune and closed the connection, so the reply
+  // waits in the socket and a second read finds the end of the stream.
+  std::string reply;
+  ASSERT_TRUE(serving::ReadFrame(tune, &reply)) << "the tune got no reply";
+  EXPECT_NE(reply.find("\"id\":1,\"ok\":true"), std::string::npos) << reply;
+  EXPECT_FALSE(serving::ReadFrame(tune, &reply)) << "second reply: " << reply;
+  ::close(tune);
 }
 
 }  // namespace
