@@ -555,6 +555,43 @@ TEST_F(HttpServerTest, PipelinedCompileHitsEachGetOneResponse) {
   server.Stop();
 }
 
+// Requests pipelined on one keep-alive connection behind a slow-lane
+// compile are answered in request order: the IO thread parses the next
+// request only once it has sent the slow lane's reply to the one before.
+TEST_F(HttpServerTest, PipelinedSlowRequestsAreAnsweredInOrder) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int fd = ConnectHttp(server.http_port());
+  ASSERT_GE(fd, 0);
+  // A request left unparsed fails the read instead of hanging it.
+  timeval timeout{10, 0};
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  auto compile = [](int id, int k) {
+    return "{\"id\":" + std::to_string(id) + ",\"m\":512,\"n\":512,\"k\":" +
+           std::to_string(k) +
+           ",\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],"
+           "\"smem\":2}}";
+  };
+  obs::Counter& slow = obs::Registry::Global().GetCounter("serving.slow_lane");
+  const uint64_t slow_before = slow.Value();
+  ASSERT_TRUE(serving::HttpWriteAll(
+      fd, PostRequest("compile", compile(1, 512)) +
+              PostRequest("ping", "{\"id\":2}") +
+              PostRequest("compile", compile(3, 640))));
+  std::vector<std::string> bodies = ReadResponseBodies(fd, 3);
+  ::close(fd);
+  ASSERT_EQ(bodies.size(), 3u);
+  for (int id = 1; id <= 3; ++id) {
+    const std::string& body = bodies[static_cast<size_t>(id - 1)];
+    EXPECT_EQ(body.rfind("{\"id\":" + std::to_string(id) + ",\"ok\":true", 0),
+              0u)
+        << body;
+  }
+  EXPECT_EQ(slow.Value() - slow_before, 2u);
+  server.Stop();
+}
+
 // A pipelined burst far longer than one read, sent in one write, is
 // answered in full on the IO thread. Its replies never touch the wake
 // pipe, which is blocking: only the slow lane writes there, one byte each

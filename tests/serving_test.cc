@@ -741,6 +741,27 @@ TEST_F(ServerTest, SlowReplyToAClientThatStopsReadingStallsNoOne) {
   server.Stop();
 }
 
+// A peer that half-closes right after sending a request that goes to the
+// slow lane is kept until that reply has gone out: the reply arrives,
+// then the end of the stream.
+TEST_F(ServerTest, HalfClosedPeerGetsItsSlowReply) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  int fd = ConnectWithTimeout(socket_path_);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(serving::WriteFrame(
+      fd,
+      "{\"id\":1,\"method\":\"compile\",\"m\":512,\"n\":512,\"k\":896,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}"));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  std::string reply;
+  EXPECT_TRUE(serving::ReadFrame(fd, &reply)) << "the compile got no reply";
+  EXPECT_NE(reply.find("\"id\":1,\"ok\":true"), std::string::npos) << reply;
+  EXPECT_FALSE(serving::ReadFrame(fd, &reply)) << "second reply: " << reply;
+  ::close(fd);
+  server.Stop();
+}
+
 TEST_F(ServerTest, ProfileWarmsTheTimingLayerForCompile) {
   options_.access_log_path = socket_path_ + ".access.jsonl";
   std::remove(options_.access_log_path.c_str());
