@@ -10,8 +10,8 @@
 // the interpreter's counters are compared bit-for-bit (memcmp) against
 // the replay core's.
 //
-// Emits one JSON object (consumed by scripts/bench_calibration.sh into
-// BENCH_calibration.json; the script fills the "meta" block). Exit is
+// Emits one JSON object (consumed by `scripts/bench.sh calibration` into
+// BENCH_calibration.json; the driver fills the "meta" block). Exit is
 // nonzero when the roofline agreement rate drops below 0.90, any sampled
 // PMU comparison mismatches, or nothing feasible ran — never because of
 // wall time or error magnitudes.

@@ -1,5 +1,5 @@
 // Serving bench: tuning-as-a-service end to end in numbers. Four
-// sections, one JSON object (consumed by scripts/bench_serving.sh into
+// sections, one JSON object (consumed by `scripts/bench.sh serving` into
 // BENCH_serving.json):
 //
 //   1. cold search vs warm restart — every Fig. 10 operator is tuned

@@ -1,6 +1,6 @@
 // Serving load bench: what the observability layer costs and how alcopd
 // holds up under an open-loop arrival process. Two sections, one JSON
-// object (consumed by scripts/bench_serving_load.sh into
+// object (consumed by `scripts/bench.sh serving_load` into
 // BENCH_serving_load.json):
 //
 //   1. open-loop load — a deterministic-seeded arrival schedule (fixed

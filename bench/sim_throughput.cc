@@ -7,7 +7,7 @@
 //     program) timed separately from phase 2 (warm replay of that
 //     program through the event-pool core),
 // and emits one machine-readable JSON object (consumed by
-// scripts/bench_sim.sh into BENCH_sim.json).
+// `scripts/bench.sh sim` into BENCH_sim.json).
 //
 // Besides throughput it asserts the two correctness gates the CI
 // perf-smoke job relies on:

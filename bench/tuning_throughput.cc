@@ -1,8 +1,8 @@
 // Tuning-throughput bench: measures the wall-clock effect of the parallel
 // measurement engine and the compile+simulate cache on the Fig. 13
 // workload, and emits one machine-readable JSON object (consumed by
-// scripts/bench_tuning.sh into BENCH_tuning.json so the perf trajectory
-// is tracked across PRs).
+// `scripts/bench.sh tuning` into BENCH_tuning.json so the perf trajectory
+// is tracked from change to change).
 //
 // Three phases over the same strategy suite (exhaustive + grid + anal +
 // 2x3 XGB runs per operator):

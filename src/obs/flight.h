@@ -36,7 +36,7 @@ struct RequestRecord {
   std::string client;     // attributed identity ("anon" when unknown)
   int64_t client_id = 0;  // the request's own "id" field (0 when absent)
   std::string method;     // wire method ("compile", "tune", ...)
-  std::string op_key;     // workload key when the request names one
+  std::string op_key;     // tuner::OpKey when the request names a workload
   std::string lane;       // "fast" | "slow"
   std::string outcome;    // "ok" | "error"
   std::string transport;  // "unix" | "http"

@@ -1,7 +1,6 @@
 #include "obs/stall.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -9,9 +8,12 @@
 
 #include "obs/metrics.h"
 #include "perfmodel/bottleneck.h"
+#include "support/json.h"
 
 namespace alcop {
 namespace obs {
+
+using support::JsonNumber;
 
 namespace {
 
@@ -54,13 +56,6 @@ void Accumulate(CycleBreakdown* breakdown, sim::SpanKind kind,
 std::string Pct(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%5.1f%%", fraction * 100.0);
-  return buf;
-}
-
-std::string JsonNum(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
 
@@ -226,36 +221,37 @@ std::string ProfileToJson(const KernelProfile& profile,
   std::ostringstream out;
   auto breakdown = [&](const CycleBreakdown& c) {
     std::ostringstream b;
-    b << "{\"compute\": " << JsonNum(c.compute)
-      << ", \"issue\": " << JsonNum(c.issue)
-      << ", \"sync_stall\": " << JsonNum(c.sync_stall)
-      << ", \"barrier\": " << JsonNum(c.barrier)
-      << ", \"exposed_copy\": " << JsonNum(c.exposed_copy)
-      << ", \"fill\": " << JsonNum(c.fill)
-      << ", \"store\": " << JsonNum(c.store)
-      << ", \"idle\": " << JsonNum(c.idle) << "}";
+    b << "{\"compute\": " << JsonNumber(c.compute)
+      << ", \"issue\": " << JsonNumber(c.issue)
+      << ", \"sync_stall\": " << JsonNumber(c.sync_stall)
+      << ", \"barrier\": " << JsonNumber(c.barrier)
+      << ", \"exposed_copy\": " << JsonNumber(c.exposed_copy)
+      << ", \"fill\": " << JsonNumber(c.fill)
+      << ", \"store\": " << JsonNumber(c.store)
+      << ", \"idle\": " << JsonNumber(c.idle) << "}";
     return b.str();
   };
   out << "{\n";
-  out << "  \"makespan_cycles\": " << JsonNum(profile.makespan) << ",\n";
+  out << "  \"makespan_cycles\": " << JsonNumber(profile.makespan) << ",\n";
   out << "  \"threadblocks\": " << profile.threadblocks << ",\n";
   out << "  \"num_warps\": " << profile.num_warps << ",\n";
   if (timing != nullptr) {
-    out << "  \"kernel_cycles\": " << JsonNum(timing->cycles) << ",\n";
-    out << "  \"kernel_microseconds\": " << JsonNum(timing->microseconds)
+    out << "  \"kernel_cycles\": " << JsonNumber(timing->cycles) << ",\n";
+    out << "  \"kernel_microseconds\": " << JsonNumber(timing->microseconds)
         << ",\n";
-    out << "  \"kernel_tflops\": " << JsonNum(timing->tflops) << ",\n";
+    out << "  \"kernel_tflops\": " << JsonNumber(timing->tflops) << ",\n";
     out << "  \"batches\": " << timing->batches << ",\n";
   }
   out << "  \"tensor_pipe_utilization\": "
-      << JsonNum(profile.tensor_pipe_utilization) << ",\n";
+      << JsonNumber(profile.tensor_pipe_utilization) << ",\n";
   out << "  \"memory_pipe_utilization\": "
-      << JsonNum(profile.memory_pipe_utilization) << ",\n";
-  out << "  \"fill_fraction\": " << JsonNum(profile.fill_fraction) << ",\n";
-  out << "  \"drain_fraction\": " << JsonNum(profile.drain_fraction) << ",\n";
+      << JsonNumber(profile.memory_pipe_utilization) << ",\n";
+  out << "  \"fill_fraction\": " << JsonNumber(profile.fill_fraction) << ",\n";
+  out << "  \"drain_fraction\": " << JsonNumber(profile.drain_fraction)
+      << ",\n";
   out << "  \"verdict\": \"" << profile.verdict << "\",\n";
   out << "  \"model_limiter\": \"" << profile.model_limiter << "\",\n";
-  out << "  \"model_cycles\": " << JsonNum(profile.model_cycles) << ",\n";
+  out << "  \"model_cycles\": " << JsonNumber(profile.model_cycles) << ",\n";
   out << "  \"model_agrees\": " << (profile.model_agrees ? "true" : "false")
       << ",\n";
   if (pmu != nullptr && pmu->collected) {

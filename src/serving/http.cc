@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -319,12 +320,21 @@ std::optional<HttpResponse> HttpCall(
     return std::nullopt;
   }
 
+  // A peer that never closes the exchange fails the call instead of
+  // hanging it. 60 s is far above what a tune takes in a TSan build.
+  timeval timeout{};
+  timeout.tv_sec = 60;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   std::string raw;
   char buf[16384];
   for (;;) {
     ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
+    if (n < 0) {  // an error, or the timeout
+      ::close(fd);
+      return std::nullopt;
+    }
+    if (n == 0) break;
     raw.append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
@@ -350,6 +360,12 @@ std::optional<HttpResponse> HttpCall(
                                   Trim(line.substr(colon + 1)));
   }
   response.body = raw.substr(header_end + 4);
+  // A body shorter than its Content-Length was cut off.
+  const std::string* length = response.FindHeader("Content-Length");
+  if (length != nullptr &&
+      response.body.size() < std::strtoull(length->c_str(), nullptr, 10)) {
+    return std::nullopt;
+  }
   return response;
 }
 

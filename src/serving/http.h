@@ -96,8 +96,9 @@ struct HttpResponse {
 
 // Connects to 127.0.0.1:port, sends one request (Connection: close),
 // reads to EOF and parses the response. nullopt on connect/IO/parse
-// failure. `extra_headers` are appended verbatim to the request (e.g.
-// X-Alcop-Client for attribution tests).
+// failure, when no byte arrives for 60 s, and when the body is shorter
+// than its Content-Length. `extra_headers` are appended verbatim to the
+// request (e.g. X-Alcop-Client for attribution tests).
 std::optional<HttpResponse> HttpCall(
     int port, const std::string& method, const std::string& target,
     const std::string& body = "",

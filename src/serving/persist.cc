@@ -249,25 +249,7 @@ bool ReadTuning(Reader* r, tuner::StoredTuning* tuning) {
 
 uint64_t SpecFingerprint(const target::GpuSpec& spec) {
   Fingerprinter fp;
-  fp.Add(spec.num_sms);
-  fp.Add(spec.clock_ghz);
-  fp.Add(spec.tc_flops_per_sm_per_cycle);
-  fp.Add(spec.lds_bytes_per_cycle_per_sm);
-  fp.Add(spec.bank_conflict_factor);
-  fp.Add(spec.smem_latency_cycles);
-  fp.Add(spec.copy_issue_bytes_per_cycle);
-  fp.Add(spec.llc_bytes);
-  fp.Add(spec.llc_bw_bytes_per_cycle);
-  fp.Add(spec.llc_latency_cycles);
-  fp.Add(spec.dram_bw_bytes_per_cycle);
-  fp.Add(spec.dram_write_bw_bytes_per_cycle);
-  fp.Add(spec.dram_latency_cycles);
-  fp.Add(spec.smem_bytes_per_sm);
-  fp.Add(spec.regfile_bytes_per_sm);
-  fp.Add(spec.max_warps_per_sm);
-  fp.Add(spec.sync_overhead_cycles);
-  fp.Add(spec.launch_overhead_cycles);
-  fp.Add(spec.has_cp_async);
+  target::VisitDeviceNumerics(spec, [&fp](auto field) { fp.Add(field); });
   return fp.hash();
 }
 

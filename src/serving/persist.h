@@ -42,8 +42,8 @@ namespace serving {
 inline constexpr uint32_t kPersistMagic = 0x50434C41;  // "ALCP", little-endian
 inline constexpr uint32_t kPersistVersion = 2;
 
-// FNV-1a over every GpuSpec rate/limit that participates in the sim
-// cache key (the device numerics the cached values were computed under).
+// FNV-1a over target::VisitDeviceNumerics(spec), the device numerics the
+// sim cache key also carries (what the cached values were computed under).
 uint64_t SpecFingerprint(const target::GpuSpec& spec);
 
 // FNV-1a over the spec's fitted model constants (spec.model_fit) — the

@@ -971,7 +971,7 @@ struct Server::Impl {
       Complete(request, Reply::Error(error));
       return;
     }
-    if (!Route(&request.call)) {
+    if (!Route(&request.call, request.record.op_key)) {
       rec.lane = "slow";
       ++conn->pending;
       std::lock_guard<std::mutex> lock(queue_mu);
@@ -1030,7 +1030,7 @@ struct Server::Impl {
     if (std::string err = ParseOpJson(body, &call.op); !err.empty()) {
       return err;
     }
-    rec.op_key = call.op.name;
+    rec.op_key = tuner::OpKey(call.op);
     if (call.method == Method::kTune) {
       // A stored answer ignores "trials" but still rejects a bad one, so
       // validity does not depend on the lane.
@@ -1053,11 +1053,11 @@ struct Server::Impl {
   }
 
   // Routing, with the request's one cache lookup: a compile whose timing
-  // is cached and a tune whose exact op_key is stored go to the fast lane
-  // carrying what the lookup found; anything that must compile, search or
-  // read or write the whole cache on disk goes to the slow lane. Never
-  // compiles. True means the fast lane.
-  bool Route(Call* call) const {
+  // is cached and a tune whose exact op_key (the record's) is stored go to
+  // the fast lane carrying what the lookup found; anything that must
+  // compile, search or read or write the whole cache on disk goes to the
+  // slow lane. Never compiles. True means the fast lane.
+  bool Route(Call* call, const std::string& op_key) const {
     switch (call->method) {
       case Method::kCompile: {
         sim::KernelTiming timing;
@@ -1075,8 +1075,7 @@ struct Server::Impl {
         return false;
       case Method::kTune:
         if (!call->force) {
-          call->stored =
-              tuner::TuningStore::Global().Get(tuner::OpKey(call->op));
+          call->stored = tuner::TuningStore::Global().Get(op_key);
         }
         return call->stored.has_value();
       default:
@@ -1232,7 +1231,7 @@ struct Server::Impl {
           return StoredTune(*call.stored);
         }
         outcome = "search";
-        return Tune(call);
+        return Tune(call, request.record.op_key);
     }
     return Reply::Error("unhandled method");
   }
@@ -1318,7 +1317,7 @@ struct Server::Impl {
         .Uint("trials", stored.trials.size());
   }
 
-  Reply Tune(const Call& call) {
+  Reply Tune(const Call& call, const std::string& op_key) {
     tuner::TuningTask task =
         tuner::MakeSimulatorTask(call.op, options.spec, options.space);
     if (task.space.empty()) return Reply::Error("empty schedule space for op");
@@ -1338,7 +1337,7 @@ struct Server::Impl {
       return Reply::Error("no feasible schedule found");
     }
     return obs::LogFields()
-        .Str("op_key", tuner::OpKey(call.op))
+        .Str("op_key", op_key)
         .Str("source", "search")
         .Str("best_config", task.space[best].ToString())
         .Num("best_cycles", result.BestInFirstK(result.trials.size()))

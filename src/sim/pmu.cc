@@ -1,11 +1,14 @@
 #include "sim/pmu.h"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.h"
+
 namespace alcop {
 namespace sim {
+
+using support::JsonNumber;
 
 void AccumulatePmuStreams(PmuCounters* out, const double* f64,
                           const int64_t* i64, size_t num_streams) {
@@ -85,18 +88,11 @@ void ScaleKernelPmu(KernelPmu* pmu, const PmuCounters& full_wave,
 
 namespace {
 
-std::string JsonNum(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 void CountersJson(std::ostringstream& out, const PmuCounters& c,
                   const char* indent) {
   out << "{\n";
   auto f = [&](const char* name, double v, bool last = false) {
-    out << indent << "  \"" << name << "\": " << JsonNum(v)
+    out << indent << "  \"" << name << "\": " << JsonNumber(v)
         << (last ? "\n" : ",\n");
   };
   auto n = [&](const char* name, int64_t v) {
@@ -203,7 +199,7 @@ std::string PmuToJson(const KernelPmu& pmu) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"collected\": " << (pmu.collected ? "true" : "false") << ",\n";
-  out << "  \"achieved_occupancy\": " << JsonNum(pmu.achieved_occupancy)
+  out << "  \"achieved_occupancy\": " << JsonNumber(pmu.achieved_occupancy)
       << ",\n";
   out << "  \"total\": ";
   CountersJson(out, pmu.total, "  ");

@@ -160,7 +160,7 @@ void InsertTiming(Cache& cache, const std::string& key,
 // is a few hundred bytes) and copied out once: the copy's capacity is its
 // size, which is what TimingEntryBytes charges. Doubles print round-trip
 // exact (JsonNumber), so specs that differ in any bit never share an
-// entry; integers print in decimal; text is copied.
+// entry; integers print in decimal, a bool as 0 or 1; text is copied.
 class KeyWriter {
  public:
   template <typename... Fields>
@@ -180,6 +180,8 @@ class KeyWriter {
     } else if constexpr (std::is_same_v<T, char>) {
       Room(1);
       *at_++ = field;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      Put(field ? '1' : '0');
     } else if constexpr (std::is_integral_v<T>) {
       Room(20);  // the longest int64_t
       at_ = std::to_chars(at_, at_ + 20, field).ptr;
@@ -212,16 +214,11 @@ std::string SimCacheKey(const schedule::GemmOp& op,
           static_cast<int>(inline_order));
   // Every rate/limit of the device model: benches tweak spec fields in
   // place (generation studies), so the name alone is not a key.
-  key.Add('|', spec.num_sms, ',', spec.clock_ghz, ',',
-          spec.tc_flops_per_sm_per_cycle, ',', spec.lds_bytes_per_cycle_per_sm,
-          ',', spec.bank_conflict_factor, ',', spec.smem_latency_cycles, ',',
-          spec.copy_issue_bytes_per_cycle, ',', spec.llc_bytes, ',',
-          spec.llc_bw_bytes_per_cycle, ',', spec.llc_latency_cycles, ',',
-          spec.dram_bw_bytes_per_cycle, ',', spec.dram_write_bw_bytes_per_cycle,
-          ',', spec.dram_latency_cycles, ',', spec.smem_bytes_per_sm, ',',
-          spec.regfile_bytes_per_sm, ',', spec.max_warps_per_sm, ',',
-          spec.sync_overhead_cycles, ',', spec.launch_overhead_cycles, ',',
-          static_cast<int>(spec.has_cp_async));
+  char separator = '|';
+  target::VisitDeviceNumerics(spec, [&](auto field) {
+    key.Add(separator, field);
+    separator = ',';
+  });
   return key.str();
 }
 

@@ -121,6 +121,34 @@ struct GpuSpec {
                          bool has_fused_op) const;
 };
 
+// Calls `visit(field)` on every rate and limit of the device model, in a
+// fixed order (an int, double, int64_t or bool each). This is the one
+// list that the sim cache key (SimCacheKey) and the persisted spec
+// fingerprint (SpecFingerprint) both walk, so a new device field added
+// here reaches both. The name and the model fit are not device numerics.
+template <typename Visit>
+void VisitDeviceNumerics(const GpuSpec& spec, Visit&& visit) {
+  visit(spec.num_sms);
+  visit(spec.clock_ghz);
+  visit(spec.tc_flops_per_sm_per_cycle);
+  visit(spec.lds_bytes_per_cycle_per_sm);
+  visit(spec.bank_conflict_factor);
+  visit(spec.smem_latency_cycles);
+  visit(spec.copy_issue_bytes_per_cycle);
+  visit(spec.llc_bytes);
+  visit(spec.llc_bw_bytes_per_cycle);
+  visit(spec.llc_latency_cycles);
+  visit(spec.dram_bw_bytes_per_cycle);
+  visit(spec.dram_write_bw_bytes_per_cycle);
+  visit(spec.dram_latency_cycles);
+  visit(spec.smem_bytes_per_sm);
+  visit(spec.regfile_bytes_per_sm);
+  visit(spec.max_warps_per_sm);
+  visit(spec.sync_overhead_cycles);
+  visit(spec.launch_overhead_cycles);
+  visit(spec.has_cp_async);
+}
+
 GpuSpec AmpereSpec();
 GpuSpec VoltaLikeSpec();
 GpuSpec HopperLikeSpec();

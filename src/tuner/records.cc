@@ -1,7 +1,6 @@
 #include "tuner/records.h"
 
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "schedule/tensor.h"
@@ -9,11 +8,19 @@
 namespace alcop {
 namespace tuner {
 
+// Appended in place rather than through a stream: alcopd builds this key
+// for every compile and tune request on its IO thread.
 std::string OpKey(const schedule::GemmOp& op) {
-  std::ostringstream key;
-  key << schedule::OpFamilyName(op.family) << "/" << op.batch << "/" << op.m
-      << "x" << op.n << "x" << op.k;
-  return key.str();
+  std::string key = schedule::OpFamilyName(op.family);
+  key += '/';
+  key += std::to_string(op.batch);
+  key += '/';
+  key += std::to_string(op.m);
+  key += 'x';
+  key += std::to_string(op.n);
+  key += 'x';
+  key += std::to_string(op.k);
+  return key;
 }
 
 std::optional<StoredTrial> StoredTuning::Best() const {

@@ -417,6 +417,49 @@ TEST_F(FlightServerTest, DebugEndpointsServeTheirSchemas) {
   server.Stop();
 }
 
+// A record's op_key is the TuningStore's key (tuner::OpKey): one shape at
+// two batch sizes is two workloads, and a tune's record names the key its
+// reply reports.
+TEST_F(FlightServerTest, RecordsKeyTheWorkloadAsTheTuningStoreDoes) {
+  options_.http_port = 0;
+  serving::Server server(options_);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+  for (int batch : {1, 8}) {
+    std::optional<JsonValue> compiled = client.Call(
+        "{\"id\":" + std::to_string(batch) +
+        ",\"method\":\"compile\",\"family\":\"batch_matmul\",\"batch\":" +
+        std::to_string(batch) +
+        ",\"m\":256,\"n\":256,\"k\":256,"
+        "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}");
+    ASSERT_TRUE(compiled.has_value());
+    EXPECT_TRUE(compiled->Find("ok")->BoolOr(false));
+  }
+  std::optional<JsonValue> tuned = client.Call(
+      "{\"id\":20,\"method\":\"tune\",\"m\":256,\"n\":256,\"k\":256,"
+      "\"trials\":2}");
+  ASSERT_TRUE(tuned.has_value());
+  ASSERT_TRUE(tuned->Find("ok")->BoolOr(false));
+
+  std::optional<serving::HttpResponse> requests =
+      serving::HttpCall(server.http_port(), "GET", "/debug/requests?n=10");
+  ASSERT_TRUE(requests.has_value());
+  std::optional<JsonValue> doc = ParseJson(requests->body);
+  ASSERT_TRUE(doc.has_value()) << requests->body;
+  std::map<int, std::string> op_key_by_id;
+  for (const JsonValue& rec : doc->Find("requests")->array) {
+    op_key_by_id[static_cast<int>(rec.Find("client_id")->NumberOr(-1))] =
+        rec.Find("op_key")->StringOr("");
+  }
+  EXPECT_EQ(op_key_by_id[1], "batch_matmul/1/256x256x256");
+  EXPECT_EQ(op_key_by_id[8], "batch_matmul/8/256x256x256");
+  EXPECT_EQ(op_key_by_id[20], tuned->Find("op_key")->StringOr("?"));
+  server.Stop();
+}
+
 TEST_F(FlightServerTest, AttributionPrefersHeaderThenBodyThenPeer) {
   options_.http_port = 0;
   serving::Server server(options_);

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,6 +152,45 @@ TEST(HttpFormatTest, ResponseCarriesLengthAndConnection) {
   EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
   EXPECT_NE(response.find("X-Extra: 1\r\n"), std::string::npos);
   EXPECT_EQ(response.substr(response.size() - 5), "hello");
+}
+
+// A reply cut off before its Content-Length is a failed call, not a short
+// success.
+TEST(HttpCallTest, BodyShorterThanContentLengthFails) {
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), addr_len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+      0);
+  // The peer reads the request head, promises 10 bytes, sends 3, closes.
+  std::thread peer([listener] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string request;
+    char buf[4096];
+    while (request.find("\r\n\r\n") == std::string::npos) {
+      ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n <= 0) break;
+      request.append(buf, static_cast<size_t>(n));
+    }
+    serving::HttpWriteAll(fd,
+                          "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc");
+    ::close(fd);
+  });
+  std::optional<serving::HttpResponse> response =
+      serving::HttpCall(ntohs(addr.sin_port), "GET", "/");
+  peer.join();
+  ::close(listener);
+  EXPECT_FALSE(response.has_value())
+      << "status " << response->status << ", body \"" << response->body
+      << "\"";
 }
 
 // ---------------------------------------------------- Prometheus renderer

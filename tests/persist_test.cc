@@ -20,6 +20,7 @@
 #include "tuner/records.h"
 #include "tuner/strategy.h"
 #include "tuner/transfer.h"
+#include "workloads/ops.h"
 
 namespace alcop {
 namespace {
@@ -346,6 +347,24 @@ TEST_F(PersistTest, DefaultCachePathFollowsEnv) {
   EXPECT_EQ(serving::DefaultCachePath(), "");
 
   if (saved != nullptr) ::setenv("ALCOP_CACHE_DIR", restore.c_str(), 1);
+}
+
+// The sim cache key and the persisted spec fingerprint both walk
+// target::VisitDeviceNumerics. What they write is pinned: a change would
+// orphan every cached timing and reject every persisted file.
+TEST(DeviceNumericsTest, CacheKeyAndSpecFingerprintArePinned) {
+  const target::GpuSpec spec = target::AmpereSpec();
+  schedule::ScheduleConfig config;
+  config.tile.tb_n = 256;
+  config.smem_stages = 4;
+  config.reg_stages = 2;
+  EXPECT_EQ(sim::SimCacheKey(workloads::FindOp("BMM_BERT_QK"), config, spec,
+                             schedule::InlineOrder::kAfterPipelining),
+            "batch_matmul|12x512x512x64|0:0|0:0|tb=128x256x32 warp=64x64x16 "
+            "smem_stages=4 reg_stages=2|2|108,1.4099999999999999,2048,128,2,"
+            "25,64,41943040,2480,200,1100,1100,600,167936,262144,64,30,2000,"
+            "1");
+  EXPECT_EQ(serving::SpecFingerprint(spec), 0x3212e55ab5067564ull);
 }
 
 }  // namespace
