@@ -19,6 +19,10 @@
 // over kTimedPasses rounds of one pass a side, alternating which side
 // goes first: the seconds are per-side medians, and each speedup is the
 // median of the rounds' own ratios.
+//
+// Exit status is nonzero unless the phases' results agree by checksum
+// across thread counts and the model-pruned sweep finds the exhaustive
+// best on every operator — never because of wall time.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
