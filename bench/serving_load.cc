@@ -387,7 +387,6 @@ int main(int argc, char** argv) {
   // labels + the watchdog together.
   obs_options.flight_depth = 4096;
   obs_options.snapshot_interval_ms = 200;
-  obs_options.snapshot_depth = 300;
   obs_options.watchdog_stall_ms = 1000;
   obs_options.client_metrics = true;
   serving::Server obs_server(obs_options);

@@ -1,12 +1,15 @@
 // alcop_cli — command-line driver for the whole stack.
 //
-//   alcop_cli compile  M N K [batch]   compile + print pipelined IR & timing
-//   alcop_cli tune     M N K [trials] [--log FILE] [--model-topk N]
-//                                      model-assisted tuning, print winner;
+//   alcop_cli compile  WORKLOAD        compile + print pipelined IR & timing
+//   alcop_cli tune     WORKLOAD [--trials N] [--log FILE] [--model-topk N]
+//                                      model-assisted tuning of N trials
+//                                      (default 50), print the workload
+//                                      and the winner; exit 1 when no
+//                                      trial measured feasible;
 //                                      --model-topk simulates only the
 //                                      analytical model's N favorites
 //                                      (plus an exploration tail)
-//   alcop_cli timeline M N K           render the execution timeline
+//   alcop_cli timeline WORKLOAD        render the execution timeline
 //   alcop_cli ops                      list the benchmark operator suite
 //   alcop_cli models                   list the end-to-end model graphs
 //   alcop_cli parse    FILE            parse a textual IR file, validate by
@@ -28,16 +31,15 @@
 //   alcop_cli profile  WORKLOAD [--json] [--trace FILE] [--counters]
 //                                      full observability report: per-warp
 //                                      stall attribution, pipe utilization,
-//                                      bottleneck verdict, PMU counters;
-//                                      --trace exports a Chrome/Perfetto
-//                                      trace with host spans and the
-//                                      simulated-GPU timeline; --counters
-//                                      prints the PMU table (--json always
-//                                      embeds the counter block). One
-//                                      simulation serves timing, counters
-//                                      and the profiled timeline.
-//                                      WORKLOAD is a benchmark op name
-//                                      (see `ops`) or M N K [batch].
+//                                      bottleneck verdict, PMU counters,
+//                                      host metrics; --trace exports a
+//                                      Chrome/Perfetto trace with host
+//                                      spans and the simulated-GPU
+//                                      timeline; --counters prints the PMU
+//                                      table (--json always embeds the
+//                                      counter block). One simulation
+//                                      serves timing, counters and the
+//                                      profiled timeline.
 //   alcop_cli calibrate WORKLOAD [--json]
 //                                      audit the Table-I analytical model
 //                                      against PMU/stall measurements:
@@ -51,14 +53,17 @@
 //                                      strided Fig. 10 sweep; exits 1 if
 //                                      the checked-in spec constants are
 //                                      stale.
-//   alcop_cli cache    [stats|clear|persist|load] [--json] [--path FILE]
-//                                      inspect or manage the sim cache and
-//                                      its persistent on-disk form. The
-//                                      path defaults to $ALCOP_CACHE_DIR/
+//   alcop_cli cache    [load|clear] [--json] [--path FILE]
+//                                      load the on-disk sim cache (the
+//                                      default) and report what it held,
+//                                      or remove the file. The path
+//                                      defaults to $ALCOP_CACHE_DIR/
 //                                      sim_cache.alcp; load exits 1 when
 //                                      the file is missing or incompatible
 //                                      (wrong version/spec/fitted
-//                                      constants).
+//                                      constants). A daemon saves its
+//                                      cache there at shutdown or on
+//                                      `client SOCKET persist`.
 //   alcop_cli serve    SOCKET [--trials N] [--seed N] [--no-warm]
 //                             [--cache FILE] [--no-persist] [--budget B]
 //                             [--http PORT] [--access-log FILE]
@@ -81,8 +86,9 @@
 //                                      per request. --flight-depth sizes
 //                                      the request flight recorder,
 //                                      --snapshot-interval the periodic
-//                                      metrics time series, --watchdog-ms
-//                                      the stalled-lane threshold.
+//                                      metrics time series (0 = off),
+//                                      --watchdog-ms the stalled-lane
+//                                      threshold.
 //                                      --log-level (or $ALCOP_LOG_LEVEL)
 //                                      is debug|info|warn|error|off;
 //                                      --log-file appends the JSONL log.
@@ -103,7 +109,9 @@
 //                                      prints the response payload; exit 0
 //                                      iff the daemon answered ok:true.
 //
-// Shapes use the best schedule found by a 16-trial analytical ranking.
+// A WORKLOAD is a benchmark op name (see `ops`) or M N K [batch], every
+// size > 0. compile, timeline, lint, profile and calibrate use the best
+// schedule found by a 16-trial analytical ranking.
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -118,6 +126,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "obs/chrome_trace.h"
+#include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/stall.h"
@@ -145,15 +154,24 @@ using namespace alcop;  // NOLINT(build/namespaces) - CLI driver
 
 namespace {
 
+// The simulator-measured tuning task for `op`; exits 1 with one line when
+// no schedule fits the operator.
+tuner::TuningTask TaskOrExit(const schedule::GemmOp& op,
+                             const target::GpuSpec& spec,
+                             const tuner::SpaceOptions& space = {}) {
+  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec, space);
+  if (task.space.empty()) {
+    std::fprintf(stderr, "no valid schedule for %s\n",
+                 tuner::OpKey(op).c_str());
+    std::exit(1);
+  }
+  return task;
+}
+
 schedule::ScheduleConfig BestConfig(const schedule::GemmOp& op,
                                     const target::GpuSpec& spec,
                                     size_t trials) {
-  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
-  if (task.space.empty()) {
-    std::fprintf(stderr, "no valid schedule for %ldx%ldx%ld\n", op.m, op.n,
-                 op.k);
-    std::exit(1);
-  }
+  tuner::TuningTask task = TaskOrExit(op, spec);
   tuner::TuningResult result = tuner::AnalyticalRanking(task, trials);
   size_t best = result.BestIndex(task);
   if (best >= task.space.size()) best = 0;
@@ -174,8 +192,8 @@ bool ParseWorkload(const std::vector<char*>& positional,
     int64_t n = positional.size() > 1 ? std::atoll(positional[1]) : 0;
     int64_t k = positional.size() > 2 ? std::atoll(positional[2]) : 0;
     int64_t batch = positional.size() > 3 ? std::atoll(positional[3]) : 1;
-    if (m <= 0 || n <= 0 || k <= 0) {
-      std::fprintf(stderr, "expected M N K [batch]\n");
+    if (m <= 0 || n <= 0 || k <= 0 || batch <= 0) {
+      std::fprintf(stderr, "expected M N K [batch], every size > 0\n");
       return false;
     }
     *op = batch > 1 ? schedule::MakeBatchMatmul("cli", batch, m, n, k)
@@ -191,6 +209,28 @@ bool ParseWorkload(const std::vector<char*>& positional,
   return true;
 }
 
+// Reads and parses the textual IR file at `path`; prints one line and
+// returns false when it cannot be opened or does not parse. `text`, when
+// given, receives the file as read.
+bool ParseIrFile(const char* path, ir::Stmt* program,
+                 std::string* text = nullptr) {
+  std::ifstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "cannot open '%s'\n", path);
+    return false;
+  }
+  std::ostringstream content;
+  content << file.rdbuf();
+  try {
+    *program = ir::ParseStmt(content.str());
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+  if (text != nullptr) *text = content.str();
+  return true;
+}
+
 const char* TrialEventName(tuner::TrialEvent::Kind kind) {
   switch (kind) {
     case tuner::TrialEvent::Kind::kProposed: return "proposed";
@@ -200,22 +240,10 @@ const char* TrialEventName(tuner::TrialEvent::Kind kind) {
   return "unknown";
 }
 
-schedule::GemmOp OpFromArgs(int argc, char** argv, int base) {
-  if (argc < base + 3) {
-    std::fprintf(stderr, "expected M N K [batch]\n");
-    std::exit(1);
-  }
-  int64_t m = std::atoll(argv[base]);
-  int64_t n = std::atoll(argv[base + 1]);
-  int64_t k = std::atoll(argv[base + 2]);
-  int64_t batch = argc > base + 3 ? std::atoll(argv[base + 3]) : 1;
-  return batch > 1 ? schedule::MakeBatchMatmul("cli", batch, m, n, k)
-                   : schedule::MakeMatmul("cli", m, n, k);
-}
-
 int CmdCompile(int argc, char** argv) {
   target::GpuSpec spec = target::AmpereSpec();
-  schedule::GemmOp op = OpFromArgs(argc, argv, 2);
+  schedule::GemmOp op;
+  if (!ParseWorkload(std::vector<char*>(argv + 2, argv + argc), &op)) return 1;
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
   sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
   sim::KernelTiming timing = sim::SimulateKernel(compiled, spec);
@@ -246,16 +274,19 @@ int CmdCompile(int argc, char** argv) {
 }
 
 int CmdTune(int argc, char** argv) {
-  // tune M N K [trials] [--log FILE] [--model-topk N]; --log streams one
-  // JSON object per search event (proposals with GBT + analytical scores,
-  // measurements, refits with rank accuracy); --model-topk prunes the
-  // space to the analytical model's N favorites plus an exploration tail
-  // (N=0 disables; bare --model-topk uses the default cut).
+  // tune WORKLOAD [--trials N] [--log FILE] [--model-topk N]; --log streams
+  // one JSON object per search event (proposals with GBT + analytical
+  // scores, measurements, refits with rank accuracy); --model-topk prunes
+  // the space to the analytical model's N favorites plus an exploration
+  // tail (N=0 disables; bare --model-topk uses the default cut).
   std::string log_path;
   int model_topk = 0;
+  size_t trials = 50;
   std::vector<char*> positional;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--log") == 0) {
+    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
+      trials = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--log") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--log expects an output file\n");
         return 1;
@@ -270,22 +301,13 @@ int CmdTune(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  if (positional.size() < 3) {
-    std::fprintf(stderr, "expected M N K [trials]\n");
-    return 1;
-  }
   target::GpuSpec spec = target::AmpereSpec();
-  schedule::GemmOp op =
-      schedule::MakeMatmul("cli", std::atoll(positional[0]),
-                           std::atoll(positional[1]),
-                           std::atoll(positional[2]));
-  size_t trials = positional.size() > 3
-                      ? static_cast<size_t>(std::atoll(positional[3]))
-                      : 50;
+  schedule::GemmOp op;
+  if (!ParseWorkload(positional, &op)) return 1;
 
   tuner::SpaceOptions space_options;
   space_options.model_topk = model_topk;
-  tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec, space_options);
+  tuner::TuningTask task = TaskOrExit(op, spec, space_options);
   tuner::XgbOptions options;
   options.pretrain_with_analytical = true;
   std::ofstream log;
@@ -324,6 +346,13 @@ int CmdTune(int argc, char** argv) {
   }
   tuner::TuningResult result = tuner::XgbTuner(task, trials, options);
   size_t best = result.BestIndex(task);
+  if (best >= task.space.size()) {
+    std::fprintf(stderr, "no feasible schedule in %zu trials of %s\n",
+                 result.trials.size(), tuner::OpKey(op).c_str());
+    return 1;
+  }
+  std::printf("workload: %s (%s)\n", op.name.c_str(),
+              tuner::OpKey(op).c_str());
   std::printf("space: %zu schedules; %zu trials\n", task.space.size(),
               result.trials.size());
   std::printf("best: %s  (%.0f cycles)\n",
@@ -337,7 +366,8 @@ int CmdTune(int argc, char** argv) {
 
 int CmdTimeline(int argc, char** argv) {
   target::GpuSpec spec = target::AmpereSpec();
-  schedule::GemmOp op = OpFromArgs(argc, argv, 2);
+  schedule::GemmOp op;
+  if (!ParseWorkload(std::vector<char*>(argv + 2, argv + argc), &op)) return 1;
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
   sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
   sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
@@ -376,24 +406,14 @@ int CmdParse(int argc, char** argv) {
     std::fprintf(stderr, "expected a file path\n");
     return 1;
   }
-  std::ifstream file(argv[2]);
-  if (!file) {
-    std::fprintf(stderr, "cannot open '%s'\n", argv[2]);
-    return 1;
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  try {
-    ir::Stmt program = ir::ParseStmt(content.str());
-    std::string reprinted = ir::ToString(program);
-    std::printf("%s", reprinted.c_str());
-    std::fprintf(stderr, "round-trip: %s\n",
-                 reprinted == content.str() ? "exact" : "normalized");
-    return 0;
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  std::string text;
+  ir::Stmt program;
+  if (!ParseIrFile(argv[2], &program, &text)) return 1;
+  std::string reprinted = ir::ToString(program);
+  std::printf("%s", reprinted.c_str());
+  std::fprintf(stderr, "round-trip: %s\n",
+               reprinted == text ? "exact" : "normalized");
+  return 0;
 }
 
 int CmdVerify(int argc, char** argv) {
@@ -411,20 +431,8 @@ int CmdVerify(int argc, char** argv) {
     return 1;
   }
   const char* path = positional[0];
-  std::ifstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot open '%s'\n", path);
-    return 1;
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
   ir::Stmt program;
-  try {
-    program = ir::ParseStmt(content.str());
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  if (!ParseIrFile(path, &program)) return 1;
   verify::VerifyResult result = verify::VerifyProgram(program);
   if (json) {
     size_t errors = 0;
@@ -478,16 +486,8 @@ int CmdLint(int argc, char** argv) {
   std::string subject = positional[0];
   std::string schedule_str;
   ir::Stmt program;
-  std::ifstream file(positional[0]);
-  if (file) {
-    std::ostringstream content;
-    content << file.rdbuf();
-    try {
-      program = ir::ParseStmt(content.str());
-    } catch (const CheckError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+  if (std::ifstream(positional[0])) {
+    if (!ParseIrFile(positional[0], &program)) return 1;
   } else {
     target::GpuSpec spec = target::AmpereSpec();
     schedule::GemmOp op;
@@ -655,8 +655,11 @@ int CmdProfile(int argc, char** argv) {
   if (counters) {
     std::printf("\n%s", sim::RenderPmu(pmu).c_str());
   }
-  std::printf("\n--- host metrics ---\n%s",
-              obs::Registry::Global().RenderText().c_str());
+  std::printf("\n--- host metrics ---\n");
+  for (const auto& [name, value] :
+       obs::FlattenSnapshot(obs::Registry::Global().Snapshot())) {
+    std::printf("%s = %s\n", name.c_str(), support::JsonNumber(value).c_str());
+  }
   return 0;
 }
 
@@ -757,7 +760,7 @@ int CmdCalibrate(int argc, char** argv) {
 }
 
 int CmdCache(int argc, char** argv) {
-  // cache [stats|clear|persist|load] [--json] [--path FILE]
+  // cache [load|clear] [--json] [--path FILE]
   bool json = false;
   std::string path;
   std::vector<char*> positional;
@@ -770,124 +773,54 @@ int CmdCache(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  std::string action = positional.empty() ? "stats" : positional[0];
+  std::string action = positional.empty() ? "load" : positional[0];
+  if (action != "load" && action != "clear") {
+    std::fprintf(stderr, "unknown cache action '%s' (load|clear)\n",
+                 action.c_str());
+    return 1;
+  }
   if (path.empty()) path = serving::DefaultCachePath();
-  target::GpuSpec spec = target::AmpereSpec();
-
-  if (action == "stats") {
-    sim::SimCacheStats s = sim::GetSimCacheStats();
-    size_t tunings = tuner::TuningStore::Global().Size();
-    if (json) {
-      // The serving block mirrors the daemon's `stats` response schema
-      // (per-lane latency histograms + inflight); in a fresh CLI process
-      // the histograms are empty, but the shape matches what an
-      // in-process server (tests, benches) populates.
-      obs::Registry& registry = obs::Registry::Global();
-      auto lane_json = [&registry](const char* lane) {
-        obs::HistogramData data =
-            registry
-                .GetHistogram(std::string("serving.request.latency.us|lane=") +
-                              lane)
-                .Data();
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"count\": %llu, \"p50_us\": %g, \"p99_us\": %g, "
-                      "\"p999_us\": %g, \"max_us\": %g}",
-                      (unsigned long long)data.count,
-                      obs::HistogramQuantile(data, 0.5),
-                      obs::HistogramQuantile(data, 0.99),
-                      obs::HistogramQuantile(data, 0.999), data.max);
-        return std::string(buf);
-      };
-      std::printf(
-          "{\"command\": \"cache\", \"action\": \"stats\", "
-          "\"path\": \"%s\",\n \"timing\": {\"hits\": %llu, \"misses\": %llu, "
-          "\"entries\": %llu},\n \"resident_bytes\": %llu, "
-          "\"budget_bytes\": %llu, \"evictions\": %llu,\n \"disk\": "
-          "{\"hits\": %llu, \"misses\": %llu, \"load_bytes\": %llu},\n "
-          "\"stored_tunings\": %zu,\n \"serving\": {\"inflight\": %g, "
-          "\"latency\": {\"fast\": %s, \"slow\": %s}}}\n",
-          support::JsonEscape(path).c_str(), (unsigned long long)s.hits,
-          (unsigned long long)s.misses, (unsigned long long)s.entries,
-          (unsigned long long)s.resident_bytes,
-          (unsigned long long)s.budget_bytes, (unsigned long long)s.evictions,
-          (unsigned long long)s.disk_hits, (unsigned long long)s.disk_misses,
-          (unsigned long long)s.disk_load_bytes, tunings,
-          registry.GetGauge("serving.inflight").Value(),
-          lane_json("fast").c_str(), lane_json("slow").c_str());
-      return 0;
-    }
-    std::printf("timings: %llu entries, %llu hits / %llu misses\n",
-                (unsigned long long)s.entries, (unsigned long long)s.hits,
-                (unsigned long long)s.misses);
-    std::printf("resident: %llu B (budget %llu B, %llu evictions)\n",
-                (unsigned long long)s.resident_bytes,
-                (unsigned long long)s.budget_bytes,
-                (unsigned long long)s.evictions);
-    std::printf("disk: %llu hits / %llu misses, %llu B loaded\n",
-                (unsigned long long)s.disk_hits,
-                (unsigned long long)s.disk_misses,
-                (unsigned long long)s.disk_load_bytes);
-    std::printf("stored tunings: %zu\n", tunings);
-    std::printf("path: %s\n", path.empty() ? "(unset)" : path.c_str());
-    return 0;
+  if (path.empty()) {
+    std::fprintf(stderr,
+                 "no cache path: pass --path FILE or set ALCOP_CACHE_DIR\n");
+    return 1;
   }
 
   if (action == "clear") {
-    sim::ResetSimCache();
-    tuner::TuningStore::Global().Clear();
-    bool removed = !path.empty() && std::remove(path.c_str()) == 0;
+    bool removed = std::remove(path.c_str()) == 0;
     if (json) {
       std::printf(
           "{\"command\": \"cache\", \"action\": \"clear\", \"path\": \"%s\", "
           "\"removed_file\": %s}\n",
           support::JsonEscape(path).c_str(), removed ? "true" : "false");
     } else {
-      std::printf("cleared in-memory caches%s\n",
-                  removed ? (", removed " + path).c_str() : "");
+      std::printf("%s %s\n", removed ? "removed" : "no file at", path.c_str());
     }
     return 0;
   }
 
-  if (action == "persist" || action == "load") {
-    if (path.empty()) {
-      std::fprintf(stderr,
-                   "no cache path: pass --path FILE or set ALCOP_CACHE_DIR\n");
-      return 1;
-    }
-    serving::PersistStats stats = action == "persist"
-                                      ? serving::SaveCache(path, spec)
-                                      : serving::LoadCache(path, spec);
-    if (json) {
-      std::printf(
-          "{\"command\": \"cache\", \"action\": \"%s\", \"path\": \"%s\", "
-          "\"ok\": %s, \"error\": \"%s\",\n \"bytes\": %llu, "
-          "\"timings\": %llu, \"tunings\": %llu, \"skipped\": %llu}\n",
-          support::JsonEscape(action).c_str(),
-          support::JsonEscape(path).c_str(), stats.ok ? "true" : "false",
-          support::JsonEscape(stats.error).c_str(),
-          (unsigned long long)stats.bytes, (unsigned long long)stats.timings,
-          (unsigned long long)stats.tunings,
-          (unsigned long long)stats.skipped);
-      return stats.ok ? 0 : 1;
-    }
-    if (!stats.ok) {
-      std::fprintf(stderr, "cache %s failed: %s\n", action.c_str(),
-                   stats.error.c_str());
-      return 1;
-    }
-    std::printf("%s %s: %llu B, %llu timings, %llu tunings (%llu skipped)\n",
-                action == "persist" ? "wrote" : "loaded", path.c_str(),
-                (unsigned long long)stats.bytes,
-                (unsigned long long)stats.timings,
-                (unsigned long long)stats.tunings,
-                (unsigned long long)stats.skipped);
-    return 0;
+  serving::PersistStats stats = serving::LoadCache(path, target::AmpereSpec());
+  if (json) {
+    std::printf(
+        "{\"command\": \"cache\", \"action\": \"load\", \"path\": \"%s\", "
+        "\"ok\": %s, \"error\": \"%s\",\n \"bytes\": %llu, "
+        "\"timings\": %llu, \"tunings\": %llu, \"skipped\": %llu}\n",
+        support::JsonEscape(path).c_str(), stats.ok ? "true" : "false",
+        support::JsonEscape(stats.error).c_str(),
+        (unsigned long long)stats.bytes, (unsigned long long)stats.timings,
+        (unsigned long long)stats.tunings, (unsigned long long)stats.skipped);
+    return stats.ok ? 0 : 1;
   }
-
-  std::fprintf(stderr, "unknown cache action '%s' (stats|clear|persist|load)\n",
-               action.c_str());
-  return 1;
+  if (!stats.ok) {
+    std::fprintf(stderr, "cache load failed: %s\n", stats.error.c_str());
+    return 1;
+  }
+  std::printf("loaded %s: %llu B, %llu timings, %llu tunings (%llu skipped)\n",
+              path.c_str(), (unsigned long long)stats.bytes,
+              (unsigned long long)stats.timings,
+              (unsigned long long)stats.tunings,
+              (unsigned long long)stats.skipped);
+  return 0;
 }
 
 int CmdServe(int argc, char** argv) {

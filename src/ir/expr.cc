@@ -30,20 +30,6 @@ const char* ExprKindToken(ExprKind kind) {
   return "?";
 }
 
-bool IsComparison(ExprKind kind) {
-  switch (kind) {
-    case ExprKind::kLT:
-    case ExprKind::kLE:
-    case ExprKind::kGT:
-    case ExprKind::kGE:
-    case ExprKind::kEQ:
-    case ExprKind::kNE:
-      return true;
-    default:
-      return false;
-  }
-}
-
 Expr Int(int64_t value) { return std::make_shared<IntImmNode>(value); }
 
 Var MakeVar(const std::string& name) { return std::make_shared<VarNode>(name); }

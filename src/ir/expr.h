@@ -45,9 +45,6 @@ enum class ExprKind {
 // Returns a short printable token for an expression kind ("+"/"%"/"min"/..).
 const char* ExprKindToken(ExprKind kind);
 
-// True for the six comparison kinds.
-bool IsComparison(ExprKind kind);
-
 class ExprNode;
 using Expr = std::shared_ptr<const ExprNode>;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/log.h"
 #include "support/json.h"
 
 namespace alcop {
@@ -94,6 +95,14 @@ std::vector<std::pair<std::string, double>> FlattenSnapshot(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::string FlattenSnapshotJson(const std::vector<MetricSnapshot>& snapshot) {
+  LogFields fields;
+  for (const auto& [name, value] : FlattenSnapshot(snapshot)) {
+    fields.Num(name, value);
+  }
+  return fields.Object();
 }
 
 MetricsTimeSeries::MetricsTimeSeries(size_t depth) : depth_(depth) {}

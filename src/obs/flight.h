@@ -86,6 +86,10 @@ class FlightRecorder {
 std::vector<std::pair<std::string, double>> FlattenSnapshot(
     const std::vector<MetricSnapshot>& snapshot);
 
+// FlattenSnapshot as one JSON object, keys sorted: the "metrics" block of
+// `alcop_cli profile --json` and of the watchdog's stall dump.
+std::string FlattenSnapshotJson(const std::vector<MetricSnapshot>& snapshot);
+
 // Ring of periodic flattened registry snapshots. Thread-safe.
 class MetricsTimeSeries {
  public:

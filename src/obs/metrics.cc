@@ -5,16 +5,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "support/check.h"
-#include "support/json.h"
 
 namespace alcop {
 namespace obs {
-
-using support::JsonEscape;
-using support::JsonNumber;
 
 namespace {
 
@@ -136,8 +131,8 @@ void Histogram::Reset() {
 
 struct Registry::Impl {
   mutable std::mutex mu;
-  // std::map: dumps iterate in name order without re-sorting, and node
-  // stability guarantees returned references stay valid forever.
+  // std::map: node stability guarantees returned references stay valid
+  // forever.
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
@@ -267,85 +262,6 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
               return a.name < b.name;
             });
   return out;
-}
-
-namespace {
-
-// The dumps list counters, gauges, callbacks, then histograms, each
-// sorted by name: the name-sorted snapshot, filtered once per kind.
-template <typename Emit>
-void ForEachInDumpOrder(const std::vector<MetricSnapshot>& snapshot,
-                        Emit emit) {
-  for (MetricSnapshot::Kind kind :
-       {MetricSnapshot::Kind::kCounter, MetricSnapshot::Kind::kGauge,
-        MetricSnapshot::Kind::kCallback, MetricSnapshot::Kind::kHistogram}) {
-    for (const MetricSnapshot& metric : snapshot) {
-      if (metric.kind == kind) emit(metric);
-    }
-  }
-}
-
-double HistogramMean(const HistogramData& data) {
-  return data.count == 0 ? 0.0 : data.sum / static_cast<double>(data.count);
-}
-
-}  // namespace
-
-std::string Registry::RenderText() const {
-  std::ostringstream out;
-  ForEachInDumpOrder(Snapshot(), [&](const MetricSnapshot& metric) {
-    // Registered help renders as a `# name: help` comment line above the
-    // value, so the text dump is self-describing like the Prometheus
-    // exposition.
-    if (!metric.help.empty()) {
-      out << "# " << metric.name << ": " << metric.help << "\n";
-    }
-    out << metric.name << " = ";
-    switch (metric.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        out << static_cast<uint64_t>(metric.value);
-        break;
-      case MetricSnapshot::Kind::kGauge:
-      case MetricSnapshot::Kind::kCallback:
-        out << JsonNumber(metric.value);
-        break;
-      case MetricSnapshot::Kind::kHistogram:
-        out << "{count: " << metric.histogram.count
-            << ", mean: " << JsonNumber(HistogramMean(metric.histogram))
-            << ", max: " << JsonNumber(metric.histogram.max) << "}";
-        break;
-    }
-    out << "\n";
-  });
-  return out.str();
-}
-
-std::string Registry::RenderJson() const {
-  std::ostringstream out;
-  out << "{\n";
-  bool first = true;
-  ForEachInDumpOrder(Snapshot(), [&](const MetricSnapshot& metric) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "  \"" << JsonEscape(metric.name) << "\": ";
-    switch (metric.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        out << static_cast<uint64_t>(metric.value);
-        break;
-      case MetricSnapshot::Kind::kGauge:
-      case MetricSnapshot::Kind::kCallback:
-        out << JsonNumber(metric.value);
-        break;
-      case MetricSnapshot::Kind::kHistogram:
-        out << "{\"count\": " << metric.histogram.count
-            << ", \"sum\": " << JsonNumber(metric.histogram.sum)
-            << ", \"mean\": " << JsonNumber(HistogramMean(metric.histogram))
-            << ", \"max\": " << JsonNumber(metric.histogram.max) << "}";
-        break;
-    }
-  });
-  out << "\n}\n";
-  return out.str();
 }
 
 }  // namespace obs

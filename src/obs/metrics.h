@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named counters, gauges and histograms
-// behind one `alcop::obs::Registry`, with deterministic text and JSON
-// dumps. This is the second pillar of the observability layer (DESIGN.md
+// behind one `alcop::obs::Registry`, read as one name-sorted Snapshot().
+// This is the second pillar of the observability layer (DESIGN.md
 // "Observability"): the sim-cache counters, thread-pool stats and tuner
 // stats all surface here instead of each subsystem growing its own
 // ad-hoc snapshot struct.
@@ -16,7 +16,7 @@
 // removed, so returned references stay valid for the process lifetime.
 // Subsystems whose state cannot live in a plain counter (e.g. cache
 // entry counts that are the size of a locked map) register a callback
-// gauge instead; callbacks run only when a dump is rendered.
+// gauge instead; callbacks run only when a snapshot is taken.
 #ifndef ALCOP_OBS_METRICS_H_
 #define ALCOP_OBS_METRICS_H_
 
@@ -55,8 +55,8 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Plain-value copy of one histogram's state: what dumps, the Prometheus
-// exporter and quantile estimation work from.
+// Plain-value copy of one histogram's state: what snapshots, the
+// Prometheus exporter and quantile estimation work from.
 struct HistogramData {
   uint64_t buckets[64] = {};
   uint64_t count = 0;
@@ -66,7 +66,7 @@ struct HistogramData {
 
 // Power-of-two-bucketed histogram of non-negative samples: bucket i
 // counts samples in [2^(i-1), 2^i) (bucket 0: [0, 1)). Tracks count,
-// sum and max so dumps can report mean and tail without storing samples.
+// sum and max so readers can report mean and tail without storing samples.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
@@ -95,11 +95,12 @@ class Histogram {
 // inside the bucket, clamped to the observed max. 0 when empty.
 double HistogramQuantile(const HistogramData& data, double q);
 
-// One registry entry as seen by a dump or the Prometheus exporter.
-// `name` is the full registered name, which by convention may carry
-// `|key=value` label suffixes (e.g. "serving.request.latency.us|lane=fast");
-// plain text/JSON dumps print it verbatim, the Prometheus renderer splits
-// it into a metric family plus labels.
+// One registry entry as seen by a snapshot reader or the Prometheus
+// exporter. `name` is the full registered name, which by convention may
+// carry `|key=value` label suffixes (e.g.
+// "serving.request.latency.us|lane=fast"); FlattenSnapshot (obs/flight.h)
+// keeps it verbatim, the Prometheus renderer splits it into a metric
+// family plus labels.
 struct MetricSnapshot {
   enum class Kind { kCounter, kGauge, kCallback, kHistogram };
   Kind kind = Kind::kCounter;
@@ -118,22 +119,16 @@ class Registry {
   // metric kind; requesting it as a different kind throws CheckError.
   // `help` is # HELP-style description metadata recorded at the
   // registration site (first non-empty string wins; "" leaves any
-  // existing help untouched) and surfaces in RenderText and the
-  // Prometheus exposition.
+  // existing help untouched) and surfaces in the Prometheus exposition.
   Counter& GetCounter(const std::string& name, const std::string& help = "");
   Gauge& GetGauge(const std::string& name, const std::string& help = "");
   Histogram& GetHistogram(const std::string& name,
                           const std::string& help = "");
 
-  // Registers a read-on-dump gauge backed by `fn` (re-registering a name
+  // Registers a read-on-snapshot gauge backed by `fn` (re-registering a name
   // replaces the callback; used by subsystems whose value is computed).
   void RegisterCallback(const std::string& name, std::function<double()> fn,
                         const std::string& help = "");
-
-  // Deterministic dumps of one Snapshot(): counters, gauges, callbacks,
-  // then histograms, each sorted by metric name.
-  std::string RenderText() const;
-  std::string RenderJson() const;
 
   // Every registered metric with its current value, sorted by name.
   // Callbacks are evaluated outside the registry lock.

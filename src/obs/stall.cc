@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "perfmodel/bottleneck.h"
 #include "support/json.h"
@@ -260,9 +261,8 @@ std::string ProfileToJson(const KernelProfile& profile,
   // The host-side metrics registry (sim.cache.* residency/eviction/disk
   // gauges, tuner counters) — so one profile --json capture carries the
   // cache-economics story alongside the kernel's.
-  std::string metrics = Registry::Global().RenderJson();
-  while (!metrics.empty() && metrics.back() == '\n') metrics.pop_back();
-  out << "  \"metrics\": " << metrics << ",\n";
+  out << "  \"metrics\": "
+      << FlattenSnapshotJson(Registry::Global().Snapshot()) << ",\n";
   out << "  \"total\": " << breakdown(profile.total) << ",\n";
   out << "  \"warps\": [\n";
   for (size_t i = 0; i < profile.warps.size(); ++i) {

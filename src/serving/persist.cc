@@ -19,8 +19,11 @@ namespace serving {
 
 namespace {
 
-constexpr uint64_t kFnv64Offset = 1469598103934665603ull;
+// Not FNV-1a's 64-bit offset basis, 14695981039346656037, but that number
+// without its last digit (see SpecFingerprint in persist.h).
+constexpr uint64_t kFingerprintBasis = 1469598103934665603ull;
 constexpr uint64_t kFnv64Prime = 1099511628211ull;
+// The frame checksum is 32-bit FNV-1a.
 constexpr uint32_t kFnv32Offset = 2166136261u;
 constexpr uint32_t kFnv32Prime = 16777619u;
 
@@ -52,7 +55,7 @@ class Fingerprinter {
       hash_ *= kFnv64Prime;
     }
   }
-  uint64_t hash_ = kFnv64Offset;
+  uint64_t hash_ = kFingerprintBasis;
 };
 
 // Record types (one u8 leading each frame payload).

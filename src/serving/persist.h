@@ -42,12 +42,18 @@ namespace serving {
 inline constexpr uint32_t kPersistMagic = 0x50434C41;  // "ALCP", little-endian
 inline constexpr uint32_t kPersistVersion = 2;
 
-// FNV-1a over target::VisitDeviceNumerics(spec), the device numerics the
-// sim cache key also carries (what the cached values were computed under).
+// The two fingerprints are not FNV-1a. They hash each value as 8 bytes,
+// low byte first, with FNV-1a's loop and 64-bit prime, but start from
+// 1469598103934665603, one digit short of FNV-1a's offset basis
+// 14695981039346656037. Every file header holds them, so the basis
+// changes only with kPersistVersion.
+//
+// Hash of target::VisitDeviceNumerics(spec), the device numerics the sim
+// cache key also carries (what the cached values were computed under).
 uint64_t SpecFingerprint(const target::GpuSpec& spec);
 
-// FNV-1a over the spec's fitted model constants (spec.model_fit) — the
-// part of the device model the cache key does NOT carry, so a refit must
+// Hash of the spec's fitted model constants (spec.model_fit) — the part
+// of the device model the cache key does NOT carry, so a refit must
 // invalidate the file even though the keys would still match.
 uint64_t FittedConstantsFingerprint(const target::GpuSpec& spec);
 

@@ -51,6 +51,12 @@ using support::JsonEscape;
 
 namespace {
 
+// Distinct client identities with their own labeled series; later ones
+// share the "other" series.
+constexpr size_t kMaxClients = 16;
+// Flattened registry snapshots kept for /debug/timeseries.
+constexpr size_t kSnapshotDepth = 120;
+
 // One client connection — either a unix-socket peer speaking
 // length-prefixed frames or an HTTP/1.1 peer. It belongs to the IO thread:
 // only the IO thread reads or writes its socket and fields (Stop sends
@@ -484,9 +490,9 @@ struct Server::Impl {
   std::unique_ptr<obs::FlightRecorder> flight;
   std::unique_ptr<obs::MetricsTimeSeries> timeseries;
 
-  // Per-client attribution: top-K identities get their own labeled
-  // series, everyone past the cap shares the "other" slot so label
-  // cardinality is bounded by max_clients + 1 regardless of traffic.
+  // Per-client attribution: the first kMaxClients identities get their
+  // own labeled series, everyone past the cap shares the "other" slot so
+  // label cardinality is bounded by kMaxClients + 1 regardless of traffic.
   struct ClientStats {
     obs::Counter* requests = nullptr;
     obs::Counter* errors = nullptr;
@@ -505,7 +511,7 @@ struct Server::Impl {
     ClientStats& stats = client_storage.back();
     stats.requests = &registry.GetCounter(
         "serving.client.requests|client=" + label,
-        "Requests completed, by attributed client (top-K + other).");
+        "Requests completed, by attributed client (first 16 + other).");
     stats.errors = &registry.GetCounter(
         "serving.client.errors|client=" + label,
         "Requests answered with ok=false, by attributed client.");
@@ -525,7 +531,7 @@ struct Server::Impl {
     std::lock_guard<std::mutex> lock(clients_mu);
     auto it = clients.find(client);
     if (it != clients.end()) return it->second;
-    if (clients.size() < options.max_clients) {
+    if (clients.size() < kMaxClients) {
       return clients.emplace(client, MakeClientStats(client)).first->second;
     }
     // Past the cap: share the "other" series (and don't memoize, so the
@@ -742,12 +748,8 @@ struct Server::Impl {
       fields.Raw("flight_tail",
                  JsonArray(flight->Snapshot(8), obs::RequestRecordJson));
     }
-    obs::LogFields metrics;
-    for (const auto& [name, value] :
-         obs::FlattenSnapshot(obs::Registry::Global().Snapshot())) {
-      metrics.Num(name, value);
-    }
-    fields.Raw("metrics", metrics.Object());
+    fields.Raw("metrics",
+               obs::FlattenSnapshotJson(obs::Registry::Global().Snapshot()));
     obs::Log(obs::LogLevel::kError, "serving", "watchdog: slow lane stalled",
              fields);
   }
@@ -1237,8 +1239,8 @@ struct Server::Impl {
   }
 
   // Per-lane latency summary from the request histograms: the socket
-  // `stats` method and `cache stats --json` surface the same numbers an
-  // HTTP scraper computes from the exposition buckets.
+  // `stats` method surfaces the same numbers an HTTP scraper computes from
+  // the exposition buckets.
   static std::string LaneLatencyJson(const LaneStats& stats) {
     obs::HistogramData data = stats.latency->Data();
     return obs::LogFields()
@@ -1539,9 +1541,8 @@ bool Server::Start(std::string* error) {
     impl.flight =
         std::make_unique<obs::FlightRecorder>(impl.options.flight_depth);
   }
-  if (impl.options.snapshot_depth > 0 && impl.options.snapshot_interval_ms > 0) {
-    impl.timeseries =
-        std::make_unique<obs::MetricsTimeSeries>(impl.options.snapshot_depth);
+  if (impl.options.snapshot_interval_ms > 0) {
+    impl.timeseries = std::make_unique<obs::MetricsTimeSeries>(kSnapshotDepth);
   }
   // /debug/trace drains the span rings, so spans must be recorded while
   // the daemon runs; the previous switch state is restored at Stop.

@@ -107,21 +107,19 @@ struct ServerOptions {
   size_t flight_depth = 512;
   // Periodic registry snapshots for GET /debug/timeseries: every
   // `snapshot_interval_ms` the IO thread samples the registry into a
-  // ring of `snapshot_depth` flattened snapshots. interval <= 0 or
-  // depth 0 disables sampling.
-  size_t snapshot_depth = 120;
+  // ring of the last 120 flattened snapshots. <= 0 disables sampling.
   int snapshot_interval_ms = 1000;
   // Watchdog: when the oldest request in the slow lane's queue has
   // waited more than this, emit a one-shot diagnostic dump (flight tail +
   // metrics) to the structured log and bump serving.watchdog.stalls.
   // Re-arms when the queue drains. <= 0 disables the watchdog.
   int watchdog_stall_ms = 10000;
-  // Per-client attribution: peer uid on the unix socket, X-Alcop-Client
-  // header (or a "client" body field) on HTTP, else "anon". At most
-  // `max_clients` distinct identities get their own labeled series;
-  // later ones share the `other` bucket so cardinality stays bounded.
+  // Per-client metrics. A request's identity is the X-Alcop-Client header
+  // (HTTP), else a "client" body field, else the connection's own: the
+  // peer uid on the unix socket, "anon" on HTTP. The first 16 distinct
+  // identities get their own labeled series; later ones share the
+  // `other` series, so cardinality stays bounded.
   bool client_metrics = true;
-  size_t max_clients = 16;
 };
 
 class Server {

@@ -276,7 +276,6 @@ class FlightServerTest : public ::testing::Test {
     options_.persist_on_shutdown = false;
     options_.flight_depth = 256;
     options_.snapshot_interval_ms = 10;
-    options_.snapshot_depth = 64;
     options_.watchdog_stall_ms = 0;  // individual tests opt in
   }
 
@@ -515,45 +514,54 @@ TEST_F(FlightServerTest, AttributionPrefersHeaderThenBodyThenPeer) {
 }
 
 TEST_F(FlightServerTest, ClientCardinalityCapCollapsesToOther) {
-  options_.max_clients = 2;
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
 
   // The counters are process-global, so a repeated run starts from the
   // last run's values: compare deltas.
-  const std::string series_a = "serving.client.requests|client=capA";
-  const std::string series_b = "serving.client.requests|client=capB";
-  double a_before = RegistryCounterValue(series_a);
-  double b_before = RegistryCounterValue(series_b);
-  double other_before =
-      RegistryCounterValue("serving.client.requests|client=other");
+  auto series = [](const std::string& client) {
+    return "serving.client.requests|client=" + client;
+  };
+  const std::string own = "uid:" + std::to_string(::geteuid());
+  std::vector<std::string> capped = {own};
+  for (int i = 1; i < 16; ++i) capped.push_back("cap" + std::to_string(i));
+  std::vector<double> before;
+  for (const std::string& client : capped) {
+    before.push_back(RegistryCounterValue(series(client)));
+  }
+  double other_before = RegistryCounterValue(series("other"));
 
+  // A ping without a "client" field is attributed to the connection's
+  // own identity, which takes the first of the 16 slots; cap1..cap15
+  // take the rest, and capX and capY arrive past the cap.
   serving::Client client;
   ASSERT_TRUE(client.Connect(socket_path_));
-  ASSERT_TRUE(client.Call(Ping(1, "capA")).has_value());
-  ASSERT_TRUE(client.Call(Ping(2, "capB")).has_value());
-  ASSERT_TRUE(client.Call(Ping(3, "capC")).has_value());
-  ASSERT_TRUE(client.Call(Ping(4, "capC")).has_value());
-  ASSERT_TRUE(client.Call(Ping(5, "capD")).has_value());
-  ASSERT_TRUE(client.Call(Ping(6, "capA")).has_value());
+  int id = 0;
+  ASSERT_TRUE(client.Call(Ping(++id, "")).has_value());
+  for (size_t i = 1; i < capped.size(); ++i) {
+    ASSERT_TRUE(client.Call(Ping(++id, capped[i])).has_value());
+  }
+  ASSERT_TRUE(client.Call(Ping(++id, "capX")).has_value());
+  ASSERT_TRUE(client.Call(Ping(++id, "capY")).has_value());
+  ASSERT_TRUE(client.Call(Ping(++id, "capX")).has_value());
+  ASSERT_TRUE(client.Call(Ping(++id, "cap1")).has_value());
 
-  // The first two identities own their series...
-  bool found_a = false;
-  bool found_b = false;
-  EXPECT_EQ(RegistryCounterValue(series_a, &found_a) - a_before, 2.0);
-  EXPECT_EQ(RegistryCounterValue(series_b, &found_b) - b_before, 1.0);
-  EXPECT_TRUE(found_a);
-  EXPECT_TRUE(found_b);
+  // The first 16 identities own their series...
+  for (size_t i = 0; i < capped.size(); ++i) {
+    bool found = false;
+    double delta = RegistryCounterValue(series(capped[i]), &found) - before[i];
+    EXPECT_TRUE(found) << capped[i];
+    EXPECT_EQ(delta, i == 1 ? 2.0 : 1.0) << capped[i];
+  }
   // ...while overflow identities share "other" and never mint a series,
   // even on repeat traffic.
-  bool found_c = false;
-  bool found_d = false;
-  RegistryCounterValue("serving.client.requests|client=capC", &found_c);
-  RegistryCounterValue("serving.client.requests|client=capD", &found_d);
-  EXPECT_FALSE(found_c);
-  EXPECT_FALSE(found_d);
-  EXPECT_EQ(RegistryCounterValue("serving.client.requests|client=other"),
-            other_before + 3);
+  bool found_x = false;
+  bool found_y = false;
+  RegistryCounterValue(series("capX"), &found_x);
+  RegistryCounterValue(series("capY"), &found_y);
+  EXPECT_FALSE(found_x);
+  EXPECT_FALSE(found_y);
+  EXPECT_EQ(RegistryCounterValue(series("other")), other_before + 3);
 
   server.Stop();
 }

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "obs/chrome_trace.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/prometheus.h"
 #include "obs/stall.h"
 #include "obs/trace.h"
 #include "schedule/tensor.h"
@@ -84,6 +86,19 @@ using schedule::MakeMatmul;
 
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// `name`'s value in the flattened snapshot of the global registry.
+double FlatMetric(const std::string& name, bool* found) {
+  for (const auto& [flat_name, value] :
+       obs::FlattenSnapshot(obs::Registry::Global().Snapshot())) {
+    if (flat_name == name) {
+      *found = true;
+      return value;
+    }
+  }
+  *found = false;
+  return 0.0;
 }
 
 // RAII: every test that enables tracing restores the disabled default so
@@ -238,25 +253,31 @@ TEST(ObsMetricsTest, SameNameReturnsSameInstrument) {
 TEST(ObsMetricsTest, CallbackGaugeAppearsInDumps) {
   obs::Registry::Global().RegisterCallback("test.obs.callback",
                                            [] { return 42.0; });
-  std::string text = obs::Registry::Global().RenderText();
-  EXPECT_NE(text.find("test.obs.callback"), std::string::npos);
-  EXPECT_NE(text.find("42"), std::string::npos);
-  std::string json = obs::Registry::Global().RenderJson();
-  EXPECT_NE(json.find("\"test.obs.callback\""), std::string::npos);
+  bool found = false;
+  EXPECT_EQ(FlatMetric("test.obs.callback", &found), 42.0);
+  EXPECT_TRUE(found);
+  EXPECT_NE(obs::RenderPrometheus().find("\nalcop_test_obs_callback 42\n"),
+            std::string::npos);
+  std::string json =
+      obs::FlattenSnapshotJson(obs::Registry::Global().Snapshot());
+  EXPECT_NE(json.find("\"test.obs.callback\":42"), std::string::npos)
+      << json;
   // The sim cache registers its own callbacks on first use; after any
   // cache traffic they must surface here too (absorbed stats).
   sim::CachedCompileAndSimulate(MakeMatmul("mm", 256, 128, 256),
                                 schedule::ScheduleConfig(),
                                 target::AmpereSpec());
-  std::string with_cache = obs::Registry::Global().RenderJson();
+  std::string with_cache =
+      obs::FlattenSnapshotJson(obs::Registry::Global().Snapshot());
   EXPECT_NE(with_cache.find("\"sim.cache.timing.misses\""),
             std::string::npos);
 }
 
 TEST(ObsMetricsTest, JsonDumpIsDeterministic) {
-  std::string a = obs::Registry::Global().RenderJson();
-  std::string b = obs::Registry::Global().RenderJson();
+  std::string a = obs::FlattenSnapshotJson(obs::Registry::Global().Snapshot());
+  std::string b = obs::FlattenSnapshotJson(obs::Registry::Global().Snapshot());
   EXPECT_EQ(a, b);
+  EXPECT_EQ(obs::RenderPrometheus(), obs::RenderPrometheus());
 }
 
 // Regression table for HistogramQuantile edge cases: the estimate must
@@ -678,9 +699,10 @@ TEST(ObsGaugeTest, TraceRingDropsNothingOnAProfileSweep) {
   for (int i = 0; i < 32; ++i) sim::ReplaySimProgram(program, &arena);
   EXPECT_EQ(obs::DroppedSpans(), 0u)
       << "profile-scale tracing must fit the span rings";
-  // Enabling tracing registered the overflow gauge; it must dump as 0.
-  std::string json = obs::Registry::Global().RenderJson();
-  EXPECT_NE(json.find("\"obs.trace.dropped\": 0"), std::string::npos);
+  // Enabling tracing registered the overflow gauge; it must read 0.
+  bool found = false;
+  EXPECT_EQ(FlatMetric("obs.trace.dropped", &found), 0.0);
+  EXPECT_TRUE(found);
 }
 
 TEST(ObsGaugeTest, ArenaBytesGaugeTracksTheThreadLocalArena) {
@@ -689,10 +711,9 @@ TEST(ObsGaugeTest, ArenaBytesGaugeTracksTheThreadLocalArena) {
   // SimulateKernel goes through the registered thread-local arena.
   sim::KernelTiming timing = sim::SimulateKernel(compiled, spec);
   ASSERT_TRUE(timing.feasible);
-  std::string json = obs::Registry::Global().RenderJson();
-  size_t pos = json.find("\"sim.arena.bytes\": ");
-  ASSERT_NE(pos, std::string::npos);
-  double bytes = std::atof(json.c_str() + pos + std::strlen("\"sim.arena.bytes\": "));
+  bool found = false;
+  double bytes = FlatMetric("sim.arena.bytes", &found);
+  ASSERT_TRUE(found);
   EXPECT_GT(bytes, 0.0) << "resident arena bytes must be published";
 }
 
