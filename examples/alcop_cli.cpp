@@ -46,13 +46,11 @@
 //                                      per-term relative error, roofline
 //                                      regime, bottleneck-verdict
 //                                      cross-check.
-//   alcop_cli calibrate --fit [--stride N] [--json]
-//                                      re-derive the spec's model-fit
-//                                      corrections (per-term residuals +
-//                                      composition constants) from a
-//                                      strided Fig. 10 sweep; exits 1 if
-//                                      the checked-in spec constants are
-//                                      stale.
+//   alcop_cli calibrate --fit          grid-search the analytical model's
+//                                      two fitted constants over every 8th
+//                                      config of the Fig. 10 sweep; exits
+//                                      1 if the spec's checked-in
+//                                      constants are stale.
 //   alcop_cli cache    [load|clear] [--json] [--path FILE]
 //                                      load the on-disk sim cache (the
 //                                      default) and report what it held,
@@ -110,10 +108,11 @@
 //                                      iff the daemon answered ok:true.
 //
 // A WORKLOAD is a benchmark op name (see `ops`) or M N K [batch], every
-// size > 0. compile, timeline, lint, profile and calibrate use the best
-// schedule found by a 16-trial analytical ranking.
+// size a whole number > 0 that fits 64 bits. compile, timeline, lint,
+// profile and calibrate use the best schedule found by a 16-trial
+// analytical ranking.
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,27 +177,38 @@ schedule::ScheduleConfig BestConfig(const schedule::GemmOp& op,
   return task.space[best];
 }
 
+// True when all of `text` is a decimal number that fits an int64_t.
+bool ParseSize(const char* text, int64_t* value) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
 // WORKLOAD positionals: a benchmark op name (see `ops`) or M N K [batch].
 bool ParseWorkload(const std::vector<char*>& positional,
                    schedule::GemmOp* op) {
-  if (positional.empty()) {
+  if (!positional.empty() &&
+      std::isdigit(static_cast<unsigned char>(positional[0][0]))) {
+    int64_t sizes[4] = {0, 0, 0, 1};
+    bool ok = positional.size() == 3 || positional.size() == 4;
+    for (size_t i = 0; ok && i < positional.size(); ++i) {
+      ok = ParseSize(positional[i], &sizes[i]) && sizes[i] > 0;
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "expected M N K [batch], every size an integer > 0\n");
+      return false;
+    }
+    auto [m, n, k, batch] = sizes;
+    *op = batch > 1 ? schedule::MakeBatchMatmul("cli", batch, m, n, k)
+                    : schedule::MakeMatmul("cli", m, n, k);
+    return true;
+  }
+  if (positional.size() != 1) {
     std::fprintf(stderr,
                  "expected a workload: a benchmark op name (see `alcop_cli "
                  "ops`) or M N K [batch]\n");
     return false;
-  }
-  if (std::isdigit(static_cast<unsigned char>(positional[0][0]))) {
-    int64_t m = std::atoll(positional[0]);
-    int64_t n = positional.size() > 1 ? std::atoll(positional[1]) : 0;
-    int64_t k = positional.size() > 2 ? std::atoll(positional[2]) : 0;
-    int64_t batch = positional.size() > 3 ? std::atoll(positional[3]) : 1;
-    if (m <= 0 || n <= 0 || k <= 0 || batch <= 0) {
-      std::fprintf(stderr, "expected M N K [batch], every size > 0\n");
-      return false;
-    }
-    *op = batch > 1 ? schedule::MakeBatchMatmul("cli", batch, m, n, k)
-                    : schedule::MakeMatmul("cli", m, n, k);
-    return true;
   }
   try {
     *op = workloads::FindOp(positional[0]);
@@ -666,57 +676,36 @@ int CmdProfile(int argc, char** argv) {
 int CmdCalibrate(int argc, char** argv) {
   bool json = false;
   bool fit = false;
-  size_t stride = 8;
   std::vector<char*> positional;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--fit") == 0) {
       fit = true;
-    } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-      stride = static_cast<size_t>(std::atoll(argv[++i]));
     } else {
       positional.push_back(argv[i]);
     }
   }
   target::GpuSpec spec = target::AmpereSpec();
   if (fit) {
-    // Re-derive the spec's checked-in model corrections from the Fig. 10
-    // suite (strided sweep; the fit zeroes existing corrections first, so
-    // it is idempotent). Prints the fitted constants and whether they
-    // match what the spec ships.
-    perfmodel::ModelFitReport report = perfmodel::FitModelCorrections(
-        workloads::BenchmarkOps(), spec, stride);
-    if (json) {
-      std::printf("%s\n", perfmodel::ModelFitReportToJson(report).c_str());
-      return 0;
+    // Re-derive the spec's two model constants from the Fig. 10 suite and
+    // report whether they match what the spec ships.
+    if (json || !positional.empty()) {
+      std::fprintf(stderr, "calibrate --fit takes no other argument\n");
+      return 1;
     }
-    std::printf("model fit over %lld sweep samples (stride %zu):\n",
-                static_cast<long long>(report.composition_samples), stride);
-    for (const perfmodel::TermFitReport& term : report.terms) {
-      std::printf(
-          "  %-10s scale %.4f bias %.1f  (mean rel-err %.4f -> %.4f, "
-          "p90 %.4f, %lld samples)\n",
-          term.name.c_str(), term.fit.scale, term.fit.bias_cycles,
-          term.mean_rel_error_before, term.mean_rel_error_after,
-          term.p90_rel_error_after, static_cast<long long>(term.samples));
-    }
+    perfmodel::ModelFitReport report =
+        perfmodel::FitModelConstants(workloads::BenchmarkOps(), spec);
     std::printf(
-        "  composition: iter_overhead %.0f dep_scale %.2f fill_scale %.2f "
-        "inner_latency %.0f  (objective %.4f, mean |log err| %.4f)\n",
-        report.fit.iter_overhead_cycles, report.fit.dep_latency_scale,
-        report.fit.fill_scale, report.fit.inner_latency_cycles,
-        report.composition_objective, report.composition_mean_log_error);
+        "model fit over %lld sweep samples: iter_overhead %.0f fill_scale "
+        "%.2f (objective %.4f, mean |log err| %.4f)\n",
+        static_cast<long long>(report.samples),
+        report.fit.iter_overhead_cycles, report.fit.fill_scale,
+        report.objective, report.mean_log_error);
     const target::ModelFit& shipped = spec.model_fit;
     bool matches =
-        std::fabs(report.fit.t_compute.scale - shipped.t_compute.scale) <
-            1e-3 &&
-        std::fabs(report.fit.t_reg_load.scale - shipped.t_reg_load.scale) <
-            1e-3 &&
         report.fit.iter_overhead_cycles == shipped.iter_overhead_cycles &&
-        report.fit.dep_latency_scale == shipped.dep_latency_scale &&
-        report.fit.fill_scale == shipped.fill_scale &&
-        report.fit.inner_latency_cycles == shipped.inner_latency_cycles;
+        report.fit.fill_scale == shipped.fill_scale;
     std::printf("  spec '%s' checked-in constants: %s\n", spec.name.c_str(),
                 matches ? "match" : "STALE (update target/gpu_spec.cc)");
     return matches ? 0 : 1;

@@ -38,7 +38,10 @@ struct RequestRecord {
   std::string method;     // wire method ("compile", "tune", ...)
   std::string op_key;     // tuner::OpKey when the request names a workload
   std::string lane;       // "fast" | "slow"
-  std::string outcome;    // "ok" | "error"
+  // "error" when the reply is ok:false; otherwise what the handler did:
+  // compile "hit" | "compiled", profile "compiled", tune "stored" |
+  // "search", and "ok" for every other method.
+  std::string outcome;
   std::string transport;  // "unix" | "http"
   uint64_t batch = 0;     // slow-lane drain round (0 on the fast lane)
   int64_t arrival_ns = 0;

@@ -83,9 +83,8 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
   // One inner-loop step of every resident warp, on the SM's tensor cores.
   double flops_sm_step = 2.0 * static_cast<double>(t.warp_m) * t.warp_n *
                          t.warp_k * warps * wave_tbs;
-  out.t_compute = spec.model_fit.t_compute.Apply(
-      flops_sm_step /
-      (spec.tc_flops_per_sm_per_cycle * Util(warps, wave_tbs)));
+  out.t_compute =
+      flops_sm_step / (spec.tc_flops_per_sm_per_cycle * Util(warps, wave_tbs));
 
   // ---- Memory latency model (shared-memory load: one outer iteration) ----
   sim::TrafficAnalysis traffic =
@@ -112,21 +111,13 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
                     (config.swizzle ? 1.0 : spec.bank_conflict_factor);
   double reg_bytes_step = static_cast<double>(t.warp_m + t.warp_n) *
                           t.warp_k * 2.0 * warps * wave_tbs;
-  out.t_reg_load = spec.model_fit.t_reg_load.Apply(
-      spec.smem_latency_cycles + reg_bytes_step / lds_rate);
+  out.t_reg_load = spec.smem_latency_cycles + reg_bytes_step / lds_rate;
 
   // ---- Inner pipeline: the use phase of the outer loop ----
-  // The PLM view of the inner loop, kept for the Table-I breakdown and
-  // the stall profiler's load-bound verdicts.
+  // The PLM view of the inner loop, kept for the Table-I breakdown.
   out.t_smem_use =
       PipelineLatencyModel(out.t_reg_load, out.t_compute, n_reg_loop,
                            config.reg_stages, warps);
-  out.load_bound_inner =
-      out.t_reg_load >
-      static_cast<double>(config.reg_stages * warps - 1) * out.t_compute;
-  out.load_bound_outer =
-      out.t_smem_load >
-      static_cast<double>(config.smem_stages * wave_tbs - 1) * out.t_smem_use;
 
   // ---- Steady-state main loop (DELTA on Table I) ----
   // Table I's PLM assumes pipeline stages and multiplexed threadblocks
@@ -157,10 +148,7 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
   double warp_reg = static_cast<double>(t.warp_m + t.warp_n) * t.warp_k *
                     2.0 * warps * wave_tbs / lds_rate;
   double inner_serial =
-      static_cast<double>(n_reg_loop) * std::max(warp_mma, warp_reg) +
-      (config.reg_stages == 1
-           ? fit.inner_latency_cycles * static_cast<double>(n_reg_loop)
-           : fit.inner_latency_cycles);
+      static_cast<double>(n_reg_loop) * std::max(warp_mma, warp_reg);
   double c_serial = c_issue + inner_serial + fit.iter_overhead_cycles;
   double dram_frac =
       std::max(traffic.a_dram_fraction, traffic.b_dram_fraction);
@@ -174,9 +162,8 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
   int eff_stages =
       std::max(1, config.smem_stages - (config.reg_stages - 1));
   double load_chain = c_issue + blended_latency + std::max(c_llc, c_dram);
-  double c_dep = eff_stages == 1
-                     ? (load_chain + inner_serial) * fit.dep_latency_scale
-                     : load_chain * fit.dep_latency_scale / eff_stages;
+  double c_dep = eff_stages == 1 ? load_chain + inner_serial
+                                  : load_chain / eff_stages;
   out.t_iter = std::max({c_tensor, c_lds, c_llc, c_dram, c_serial, c_dep}) +
                fit.iter_overhead_cycles;
   out.t_main_loop = static_cast<double>(n_smem_loop) * out.t_iter;

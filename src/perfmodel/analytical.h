@@ -45,8 +45,6 @@ struct AnalyticalBreakdown {
   // binding per-SM resource bound plus fitted overhead); t_main_loop is
   // n_smem_loop of these. See the DELTA note in analytical.cc.
   double t_iter = 0.0;
-  bool load_bound_outer = false;
-  bool load_bound_inner = false;
   int threadblocks_per_sm = 0;
   // Threadblocks actually resident on one SM during a full batch:
   // min(threadblocks_per_sm, ceil(grid / num_sms)). The per-SM

@@ -215,61 +215,11 @@ CoverageRecall ComputeCoverageRecall(const std::vector<double>& predicted,
 
 namespace {
 
-// One (analytical, measured) sample pair for a fitted term.
-struct FitSample {
-  double analytical = 0.0;
-  double measured = 0.0;
-};
+// Every kFitStride-th config of each operator's space is simulated once.
+constexpr size_t kFitStride = 8;
 
-// Weighted least squares of scale*a + bias against m, weights 1/m^2 so
-// the objective matches the relative-error metric the gates use.
-target::TermFit SolveTermFit(const std::vector<FitSample>& samples) {
-  target::TermFit fit;
-  double sww = 0, swa = 0, swm = 0, swaa = 0, swam = 0;
-  for (const FitSample& s : samples) {
-    double w = 1.0 / std::max(s.measured * s.measured, 1e-9);
-    sww += w;
-    swa += w * s.analytical;
-    swm += w * s.measured;
-    swaa += w * s.analytical * s.analytical;
-    swam += w * s.analytical * s.measured;
-  }
-  double det = sww * swaa - swa * swa;
-  if (samples.size() < 2 || std::fabs(det) < 1e-12) return fit;
-  fit.scale = (sww * swam - swa * swm) / det;
-  fit.bias_cycles = (swaa * swm - swa * swam) / det;
-  fit.fitted = true;
-  return fit;
-}
-
-double MeanRelError(const std::vector<FitSample>& samples,
-                    const target::TermFit& fit) {
-  if (samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (const FitSample& s : samples) {
-    sum += RelError(fit.Apply(s.analytical), s.measured);
-  }
-  return sum / static_cast<double>(samples.size());
-}
-
-double P90RelError(const std::vector<FitSample>& samples,
-                   const target::TermFit& fit) {
-  if (samples.empty()) return 0.0;
-  std::vector<double> errs;
-  errs.reserve(samples.size());
-  for (const FitSample& s : samples) {
-    errs.push_back(RelError(fit.Apply(s.analytical), s.measured));
-  }
-  std::sort(errs.begin(), errs.end());
-  return errs[static_cast<size_t>(0.9 * (errs.size() - 1))];
-}
-
-}  // namespace
-
-namespace {
-
-// One sweep sample for the composition-constant grid search.
-struct CompositionSample {
+// One simulated config of the fitting sweep.
+struct SweepSample {
   size_t op_index = 0;
   schedule::ScheduleConfig config;
   double measured = 0.0;
@@ -277,153 +227,59 @@ struct CompositionSample {
 
 }  // namespace
 
-ModelFitReport FitModelCorrections(const std::vector<schedule::GemmOp>& ops,
-                                   const target::GpuSpec& spec,
-                                   size_t stride) {
-  if (stride == 0) stride = 1;
-  // Fit against the structural model: zero out any checked-in residuals
-  // so the derived correction composes with the formulas, not with a
-  // previous fit.
-  target::GpuSpec base = spec;
-  base.model_fit = target::ModelFit();
-
-  std::vector<FitSample> compute_samples, reg_samples;
-  std::vector<CompositionSample> comp_samples;
+ModelFitReport FitModelConstants(const std::vector<schedule::GemmOp>& ops,
+                                 const target::GpuSpec& spec) {
+  std::vector<SweepSample> samples;
   for (size_t oi = 0; oi < ops.size(); ++oi) {
-    const schedule::GemmOp& op = ops[oi];
-    std::vector<schedule::ScheduleConfig> space = tuner::EnumerateSpace(op);
-    for (size_t i = 0; i < space.size(); i += stride) {
-      CalibrationResult r = CalibrateConfig(op, space[i], base);
-      if (!r.feasible) continue;
-      comp_samples.push_back({oi, space[i], r.measured_cycles});
-      for (const TermError& term : r.terms) {
-        if (term.name == "t_compute") {
-          compute_samples.push_back({term.analytical, term.measured});
-        } else if (term.name == "t_reg_load") {
-          reg_samples.push_back({term.analytical, term.measured});
-        }
-      }
+    std::vector<schedule::ScheduleConfig> space =
+        tuner::EnumerateSpace(ops[oi]);
+    for (size_t i = 0; i < space.size(); i += kFitStride) {
+      sim::KernelTiming timing =
+          sim::CompileAndSimulate(ops[oi], space[i], spec);
+      if (timing.feasible) samples.push_back({oi, space[i], timing.cycles});
     }
   }
 
+  // The regret of an operator is the best measured cycles among the
+  // model's 16 favorites relative to the sample's best: cycle error alone
+  // admits constants that misorder the frontier.
   ModelFitReport report;
-  auto fit_term = [&report](const char* name,
-                            const std::vector<FitSample>& samples) {
-    TermFitReport term;
-    term.name = name;
-    term.fit = SolveTermFit(samples);
-    term.samples = static_cast<int64_t>(samples.size());
-    term.mean_rel_error_before = MeanRelError(samples, target::TermFit());
-    term.mean_rel_error_after = MeanRelError(samples, term.fit);
-    term.p90_rel_error_after = P90RelError(samples, term.fit);
-    report.terms.push_back(std::move(term));
-  };
-  fit_term("t_compute", compute_samples);
-  fit_term("t_reg_load", reg_samples);
-  report.fit.t_compute = report.terms[0].fit;
-  report.fit.t_reg_load = report.terms[1].fit;
-
-  // ---- Composition-constant grid search ----
-  // Objective: mean |log(predicted / measured)| over the sweep, plus ten
-  // times the mean per-operator regret of the predicted top 16 (best
-  // measured cycles among the model's 16 favorites, relative to the
-  // sample's best). The regret penalty keeps the fit honest as a ranker:
-  // cycle error alone admits constants that misorder the frontier.
-  report.composition_samples = static_cast<int64_t>(comp_samples.size());
-  if (!comp_samples.empty()) {
-    target::GpuSpec probe = base;
-    probe.model_fit.t_compute = report.fit.t_compute;
-    probe.model_fit.t_reg_load = report.fit.t_reg_load;
-    double best_objective = 0.0, best_log_error = 0.0;
-    bool first = true;
-    target::ModelFit best_fit = probe.model_fit;
-    for (double iter_overhead : {0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0,
-                                 105.0, 120.0}) {
-      for (double dep_scale : {1.0, 1.25, 1.5, 1.75, 2.0, 2.5}) {
-        for (double fill_scale : {0.5, 1.0, 1.5, 2.0}) {
-          for (double inner_latency : {0.0, 25.0, 50.0, 75.0}) {
-            probe.model_fit.iter_overhead_cycles = iter_overhead;
-            probe.model_fit.dep_latency_scale = dep_scale;
-            probe.model_fit.fill_scale = fill_scale;
-            probe.model_fit.inner_latency_cycles = inner_latency;
-            double log_error_sum = 0.0;
-            std::map<size_t, std::vector<std::pair<double, double>>> per_op;
-            for (const CompositionSample& s : comp_samples) {
-              double predicted =
-                  PredictCycles(ops[s.op_index], s.config, probe);
-              log_error_sum += std::fabs(std::log(
-                  predicted / std::max(s.measured, 1e-9)));
-              per_op[s.op_index].push_back({predicted, s.measured});
-            }
-            double regret_sum = 0.0;
-            for (auto& [oi, pairs] : per_op) {
-              std::stable_sort(pairs.begin(), pairs.end());
-              double best_measured = pairs[0].second, sample_best = 0.0;
-              bool have_best = false;
-              for (size_t i = 0; i < pairs.size(); ++i) {
-                if (i < 16) {
-                  best_measured = have_best ? std::min(best_measured,
-                                                       pairs[i].second)
-                                            : pairs[i].second;
-                  have_best = true;
-                }
-                sample_best = i == 0 ? pairs[i].second
-                                     : std::min(sample_best,
-                                                pairs[i].second);
-              }
-              regret_sum += best_measured / sample_best - 1.0;
-            }
-            double log_error =
-                log_error_sum / static_cast<double>(comp_samples.size());
-            double objective =
-                log_error +
-                10.0 * regret_sum / static_cast<double>(per_op.size());
-            if (first || objective < best_objective) {
-              first = false;
-              best_objective = objective;
-              best_log_error = log_error;
-              best_fit = probe.model_fit;
-              best_fit.composition_fitted = true;
-            }
-          }
+  report.samples = static_cast<int64_t>(samples.size());
+  report.objective = std::numeric_limits<double>::infinity();
+  target::GpuSpec probe = spec;
+  for (double iter_overhead :
+       {0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0, 105.0, 120.0}) {
+    for (double fill_scale : {0.5, 1.0, 1.5, 2.0}) {
+      probe.model_fit = {iter_overhead, fill_scale};
+      double log_error_sum = 0.0;
+      std::map<size_t, std::vector<std::pair<double, double>>> per_op;
+      for (const SweepSample& s : samples) {
+        double predicted = PredictCycles(ops[s.op_index], s.config, probe);
+        log_error_sum +=
+            std::fabs(std::log(predicted / std::max(s.measured, 1e-9)));
+        per_op[s.op_index].push_back({predicted, s.measured});
+      }
+      double regret_sum = 0.0;
+      for (auto& [oi, pairs] : per_op) {
+        std::stable_sort(pairs.begin(), pairs.end());
+        double top_best = pairs[0].second, sample_best = pairs[0].second;
+        for (size_t i = 1; i < pairs.size(); ++i) {
+          if (i < 16) top_best = std::min(top_best, pairs[i].second);
+          sample_best = std::min(sample_best, pairs[i].second);
         }
+        regret_sum += top_best / sample_best - 1.0;
+      }
+      double log_error = log_error_sum / static_cast<double>(samples.size());
+      double objective =
+          log_error + 10.0 * regret_sum / static_cast<double>(per_op.size());
+      if (objective < report.objective) {
+        report.fit = probe.model_fit;
+        report.objective = objective;
+        report.mean_log_error = log_error;
       }
     }
-    report.fit = best_fit;
-    report.composition_objective = best_objective;
-    report.composition_mean_log_error = best_log_error;
   }
   return report;
-}
-
-std::string ModelFitReportToJson(const ModelFitReport& report) {
-  std::ostringstream os;
-  os << "{";
-  for (size_t i = 0; i < report.terms.size(); ++i) {
-    const TermFitReport& term = report.terms[i];
-    if (i > 0) os << ", ";
-    os << "\"" << term.name << "\": {\"scale\": " << JsonNum(term.fit.scale)
-       << ", \"bias_cycles\": " << JsonNum(term.fit.bias_cycles)
-       << ", \"samples\": " << term.samples
-       << ", \"mean_rel_error_before\": "
-       << JsonNum(term.mean_rel_error_before)
-       << ", \"mean_rel_error_after\": " << JsonNum(term.mean_rel_error_after)
-       << ", \"p90_rel_error_after\": " << JsonNum(term.p90_rel_error_after)
-       << "}";
-  }
-  if (!report.terms.empty()) os << ", ";
-  os << "\"composition\": {\"iter_overhead_cycles\": "
-     << JsonNum(report.fit.iter_overhead_cycles)
-     << ", \"dep_latency_scale\": " << JsonNum(report.fit.dep_latency_scale)
-     << ", \"fill_scale\": " << JsonNum(report.fit.fill_scale)
-     << ", \"inner_latency_cycles\": "
-     << JsonNum(report.fit.inner_latency_cycles)
-     << ", \"samples\": " << report.composition_samples
-     << ", \"objective\": " << JsonNum(report.composition_objective)
-     << ", \"mean_log_error\": "
-     << JsonNum(report.composition_mean_log_error) << "}";
-  os << "}";
-  return os.str();
 }
 
 std::string CalibrationToJson(const CalibrationResult& result) {

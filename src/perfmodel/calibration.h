@@ -111,37 +111,24 @@ CoverageRecall ComputeCoverageRecall(const std::vector<double>& predicted,
                                      const std::vector<double>& measured,
                                      int top, int cut, double tolerance);
 
-// ---- Residual-term fitting (`alcop_cli calibrate --fit`) ----
-// Weighted least squares of `scale * analytical + bias` against the
-// PMU-measured counterpart for the two flagged Table-I terms, over a
-// strided sweep of each operator's schedule space. The fit is computed
-// against the *structural* model (spec's checked-in corrections zeroed
-// out), so re-running it is idempotent.
-struct TermFitReport {
-  std::string name;
-  target::TermFit fit;
-  int64_t samples = 0;
-  double mean_rel_error_before = 0.0;
-  double mean_rel_error_after = 0.0;
-  double p90_rel_error_after = 0.0;
-};
-
+// ---- Fitting the model constants (`alcop_cli calibrate --fit`) ----
+// Grid search of target::ModelFit's two constants against simulated
+// cycles over every 8th config of each operator's schedule space (the
+// stride the shipped constants were fitted at). The objective is the
+// mean |log(predicted / measured)| over the sweep plus ten times the
+// mean per-operator regret of the predicted top 16, so the fit favors
+// constants that rank well, not just ones that minimize cycle error.
+// The measurements do not depend on spec.model_fit, so a rerun
+// reproduces the shipped constants until the model or simulator moves.
 struct ModelFitReport {
   target::ModelFit fit;
-  std::vector<TermFitReport> terms;  // t_compute, t_reg_load
-  // Composition-constant grid search: mean |log(pred/measured)| over the
-  // sweep plus a top-16 regret penalty per operator (so the fit favors
-  // constants that rank well, not just ones that minimize cycle error).
-  double composition_objective = 0.0;
-  double composition_mean_log_error = 0.0;
-  int64_t composition_samples = 0;
+  double objective = 0.0;
+  double mean_log_error = 0.0;
+  int64_t samples = 0;  // feasible configs simulated
 };
 
-ModelFitReport FitModelCorrections(const std::vector<schedule::GemmOp>& ops,
-                                   const target::GpuSpec& spec,
-                                   size_t stride = 8);
-
-std::string ModelFitReportToJson(const ModelFitReport& report);
+ModelFitReport FitModelConstants(const std::vector<schedule::GemmOp>& ops,
+                                 const target::GpuSpec& spec);
 
 }  // namespace perfmodel
 }  // namespace alcop

@@ -259,17 +259,8 @@ uint64_t SpecFingerprint(const target::GpuSpec& spec) {
 uint64_t FittedConstantsFingerprint(const target::GpuSpec& spec) {
   const target::ModelFit& fit = spec.model_fit;
   Fingerprinter fp;
-  fp.Add(fit.t_compute.scale);
-  fp.Add(fit.t_compute.bias_cycles);
-  fp.Add(fit.t_compute.fitted);
-  fp.Add(fit.t_reg_load.scale);
-  fp.Add(fit.t_reg_load.bias_cycles);
-  fp.Add(fit.t_reg_load.fitted);
   fp.Add(fit.iter_overhead_cycles);
-  fp.Add(fit.dep_latency_scale);
   fp.Add(fit.fill_scale);
-  fp.Add(fit.inner_latency_cycles);
-  fp.Add(fit.composition_fitted);
   return fp.hash();
 }
 

@@ -40,7 +40,7 @@ namespace alcop {
 namespace serving {
 
 inline constexpr uint32_t kPersistMagic = 0x50434C41;  // "ALCP", little-endian
-inline constexpr uint32_t kPersistVersion = 2;
+inline constexpr uint32_t kPersistVersion = 3;
 
 // The two fingerprints are not FNV-1a. They hash each value as 8 bytes,
 // low byte first, with FNV-1a's loop and 64-bit prime, but start from

@@ -17,18 +17,10 @@ bool GpuSpec::SupportsAsyncCopy(ir::MemScope src, ir::MemScope dst,
 GpuSpec AmpereSpec() {
   GpuSpec spec;  // defaults are the A100-class numbers
   spec.name = "ampere-sim";
-  // Fitted by `alcop_cli calibrate --fit` over the Fig. 10 sweep: after
-  // the wave-residency fix the structural terms match the PMU-measured
-  // counterparts exactly, so the per-term residual is the identity; the
-  // composition constants come from the same fit's grid search (cycle
-  // log-error plus top-16 regret objective).
-  spec.model_fit.t_compute = {1.0, 0.0, true};
-  spec.model_fit.t_reg_load = {1.0, 0.0, true};
+  // Fitted by `alcop_cli calibrate --fit` over the Fig. 10 sweep (grid
+  // search on cycle log-error plus a top-16 regret penalty).
   spec.model_fit.iter_overhead_cycles = 120.0;
-  spec.model_fit.dep_latency_scale = 1.0;
   spec.model_fit.fill_scale = 0.5;
-  spec.model_fit.inner_latency_cycles = 0.0;
-  spec.model_fit.composition_fitted = true;
   return spec;
 }
 

@@ -20,43 +20,17 @@
 namespace alcop {
 namespace target {
 
-// Residual correction for one analytical-model term, applied as
-// `scale * x + bias_cycles` on top of the structural Table-I formula.
-// Derived per spec by `alcop_cli calibrate --fit` (least-squares against
-// the simulator's PMU-measured counterpart over the Fig. 10 sweep) and
-// checked in; identity until a spec has been fitted.
-struct TermFit {
-  double scale = 1.0;
-  double bias_cycles = 0.0;
-  bool fitted = false;
-
-  double Apply(double x) const { return scale * x + bias_cycles; }
-};
-
-// The two Table-I terms the calibration audit flagged as weak before the
-// wave-residency fix (perfmodel/analytical.cc); kept as an explicit table
-// so future specs whose hardware diverges from the structural model can
-// carry a non-identity fit — plus the fitted constants of the
-// steady-state main-loop composition (the DELTA on top of Table I's
-// pipeline latency model that makes the analytical ranking trustworthy
-// enough to prune with; see perfmodel/analytical.cc).
+// The two fitted constants of the analytical model's steady-state
+// main-loop composition (the DELTA on top of Table I's pipeline latency
+// model; see perfmodel/analytical.cc). `alcop_cli calibrate --fit`
+// grid-searches them against simulator measurements over the Fig. 10
+// sweep; the defaults leave a spec unfitted.
 struct ModelFit {
-  TermFit t_compute;
-  TermFit t_reg_load;
-
   // Per-outer-iteration scheduling cost the event-driven simulator pays
   // (commit/wait/barrier handling) that pure rate terms miss.
   double iter_overhead_cycles = 0.0;
-  // Multiplier on the dependence-limited term (copy issue + blended
-  // memory latency + transfer, divided by the stage depth).
-  double dep_latency_scale = 1.0;
   // Weight of the first-chunk latency in the prologue estimate.
   double fill_scale = 1.0;
-  // Latency exposed per register-pipeline iteration when the inner loop
-  // is not pipelined (reg_stages == 1); charged once per outer iteration
-  // otherwise.
-  double inner_latency_cycles = 0.0;
-  bool composition_fitted = false;
 };
 
 struct GpuSpec {
@@ -104,7 +78,7 @@ struct GpuSpec {
   // cp.async: asynchronous Global->Shared copies (Ampere and later).
   bool has_cp_async = true;
 
-  // ---- Analytical-model residual corrections (see TermFit) ----
+  // ---- Fitted analytical-model constants (see ModelFit) ----
   ModelFit model_fit;
 
   double CyclesToUs(double cycles) const { return cycles / (clock_ghz * 1e3); }

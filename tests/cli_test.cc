@@ -116,6 +116,18 @@ TEST(CliTest, ZeroSizesAreRejectedByEveryWorkloadCommand) {
   ExpectOneLineFailure({"tune", "512", "512", "512", "0"});
 }
 
+TEST(CliTest, EverySizeIsAWholeInt64) {
+  // Not a numeric prefix, an ignored fifth number or a clamped value.
+  ExpectOneLineFailure({"compile", "512x", "512", "512"});
+  ExpectOneLineFailure({"compile", "512", "512", "512", "1", "7"});
+  ExpectOneLineFailure({"compile", "99999999999999999999", "512", "512"});
+}
+
+TEST(CliTest, CalibrateFitTakesNoOtherArgument) {
+  ExpectOneLineFailure({"calibrate", "--fit", "--stride", "8"});
+  ExpectOneLineFailure({"calibrate", "--fit", "--json"});
+}
+
 TEST(CliTest, TuneWithoutAFeasibleTrialFails) {
   // No schedule fits an 8x8x8 batch: the space is empty.
   ExpectOneLineFailure({"tune", "8", "8", "8", "4"});

@@ -9,9 +9,11 @@
 
 #include "perfmodel/analytical.h"
 #include "perfmodel/bottleneck.h"
+#include "perfmodel/calibration.h"
 #include "sim/launch.h"
 #include "target/gpu_spec.h"
 #include "tuner/space.h"
+#include "workloads/ops.h"
 
 namespace alcop {
 namespace {
@@ -174,6 +176,19 @@ TEST(AnalyticalModelTest, RanksBetterThanBottleneckOnPipelineSweep) {
   // at least as well overall and substantially better than chance.
   EXPECT_GE(analytical_agree, bottleneck_agree);
   EXPECT_GT(static_cast<double>(analytical_agree), 0.7 * pairs);
+}
+
+// `alcop_cli calibrate --fit` on the shipped spec: a change to the model
+// or the simulator that moves the fit fails here rather than leaving the
+// checked-in constants stale.
+TEST(AnalyticalModelTest, AmpereConstantsAreTheFitsChoice) {
+  target::GpuSpec spec = target::AmpereSpec();
+  perfmodel::ModelFitReport report =
+      perfmodel::FitModelConstants(workloads::BenchmarkOps(), spec);
+  EXPECT_EQ(report.samples, 1959);
+  EXPECT_EQ(report.fit.iter_overhead_cycles,
+            spec.model_fit.iter_overhead_cycles);
+  EXPECT_EQ(report.fit.fill_scale, spec.model_fit.fill_scale);
 }
 
 }  // namespace

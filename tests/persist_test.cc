@@ -231,8 +231,7 @@ TEST_F(PersistTest, FittedConstantsMismatchRejectsWholeFile) {
   // would still match, so only the fitted-constants fingerprint stands
   // between a stale file and silent reuse.
   target::GpuSpec refit = spec;
-  refit.model_fit.t_compute.scale *= 1.25;
-  refit.model_fit.t_compute.fitted = true;
+  refit.model_fit.iter_overhead_cycles += 15.0;
   ASSERT_EQ(serving::SpecFingerprint(spec), serving::SpecFingerprint(refit));
   ASSERT_NE(serving::FittedConstantsFingerprint(spec),
             serving::FittedConstantsFingerprint(refit));
