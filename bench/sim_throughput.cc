@@ -12,9 +12,8 @@
 // Besides throughput it asserts the two correctness gates the CI
 // perf-smoke job relies on:
 //   - determinism: every replayed KernelTiming is bit-identical to the
-//     interpreter's (cycles, microseconds, tflops, batch geometry), the
-//     cycle checksums agree exactly, and sampled Timelines match span
-//     for span;
+//     interpreter's (cycles, microseconds, tflops, batch geometry), and
+//     the cycle checksums agree exactly;
 //   - zero warm-replay allocation: after one warm-up replay of a
 //     program, the timed replay must not call operator new (counted by
 //     the allocator below) — any heap allocation on the hot path fails
@@ -79,23 +78,6 @@ bool SameTiming(const sim::KernelTiming& a, const sim::KernelTiming& b) {
          a.threadblocks_per_sm == b.threadblocks_per_sm;
 }
 
-bool SameTimeline(const sim::BatchTimeline& a, const sim::BatchTimeline& b) {
-  if (a.threadblocks != b.threadblocks || a.num_warps != b.num_warps ||
-      !BitEqual(a.timeline.makespan, b.timeline.makespan) ||
-      a.timeline.spans.size() != b.timeline.spans.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.timeline.spans.size(); ++i) {
-    const sim::TimelineSpan& x = a.timeline.spans[i];
-    const sim::TimelineSpan& y = b.timeline.spans[i];
-    if (x.tb != y.tb || x.warp != y.warp || x.kind != y.kind ||
-        !BitEqual(x.start, y.start) || !BitEqual(x.end, y.end)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -115,7 +97,6 @@ int main(int argc, char** argv) {
 
   sim::ReplayArena arena;
   int configs = 0, feasible = 0, mismatches = 0;
-  int timeline_samples = 0, timeline_mismatches = 0;
   int warm_replay_allocations = 0;
   double t_interp = 0.0, t_compile = 0.0, t_replay = 0.0;
   double interp_checksum = 0.0, replay_checksum = 0.0;
@@ -167,12 +148,6 @@ int main(int argc, char** argv) {
       ++feasible;
       interp_checksum += interp.cycles;
       replay_checksum += replay.cycles;
-      if (feasible % (quick ? 5 : 37) == 0) {
-        ++timeline_samples;
-        sim::BatchTimeline ta = sim::CaptureTimelineInterpreted(compiled, spec);
-        sim::BatchTimeline tb = sim::CaptureTimeline(compiled, spec);
-        if (!SameTimeline(ta, tb)) ++timeline_mismatches;
-      }
     }
   }
 
@@ -202,8 +177,8 @@ int main(int argc, char** argv) {
                               static_cast<double>(stats.entries)
                         : 0.0;
 
-  bool deterministic = mismatches == 0 && timeline_mismatches == 0 &&
-                       BitEqual(interp_checksum, replay_checksum);
+  bool deterministic =
+      mismatches == 0 && BitEqual(interp_checksum, replay_checksum);
   double interp_rate = t_interp > 0.0 ? feasible / t_interp : 0.0;
   double replay_rate = t_replay > 0.0 ? feasible / t_replay : 0.0;
   double speedup = t_replay > 0.0 ? t_interp / t_replay : 0.0;
@@ -225,8 +200,6 @@ int main(int argc, char** argv) {
       "  \"speedup\": %.2f,\n"
       "  \"deterministic\": %s,\n"
       "  \"timing_mismatches\": %d,\n"
-      "  \"timeline_samples\": %d,\n"
-      "  \"timeline_mismatches\": %d,\n"
       "  \"checksum_cycles\": %.17g,\n"
       "  \"warm_replay_heap_allocations\": %d,\n"
       "  \"arena_capacity_bytes\": %zu,\n"
@@ -242,8 +215,7 @@ int main(int argc, char** argv) {
       "}\n",
       quick ? "true" : "false", hw == 0 ? 1 : hw, tasks.size(), configs,
       feasible, t_interp, interp_rate, t_compile, t_replay, replay_rate,
-      speedup, deterministic ? "true" : "false", mismatches,
-      timeline_samples, timeline_mismatches, interp_checksum,
+      speedup, deterministic ? "true" : "false", mismatches, interp_checksum,
       warm_replay_allocations, arena.CapacityBytes(), cache_cold_seconds,
       cache_warm_seconds, static_cast<unsigned long long>(stats.hits),
       static_cast<unsigned long long>(stats.misses),

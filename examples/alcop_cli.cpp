@@ -37,9 +37,10 @@
 //                                      spans and the simulated-GPU
 //                                      timeline; --counters prints the PMU
 //                                      table (--json always embeds the
-//                                      counter block). One simulation
-//                                      serves timing, counters and the
-//                                      profiled timeline.
+//                                      counter block). The reference
+//                                      interpreter gives timing and
+//                                      counters in one run, the
+//                                      profiled timeline in a second.
 //   alcop_cli calibrate WORKLOAD [--json]
 //                                      audit the Table-I analytical model
 //                                      against PMU/stall measurements:
@@ -108,15 +109,21 @@
 //                                      iff the daemon answered ok:true.
 //
 // A WORKLOAD is a benchmark op name (see `ops`) or M N K [batch], every
-// size a whole number > 0 that fits 64 bits. compile, timeline, lint,
-// profile and calibrate use the best schedule found by a 16-trial
-// analytical ranking.
+// size a whole number > 0 that fits 64 bits. Every other number, flag
+// values and client sizes included, is read the same way and must fit
+// its flag's range; a bad one exits 1 with one line naming it. compile,
+// timeline, lint, profile and calibrate use the best schedule found by a
+// 16-trial analytical ranking.
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,6 +189,24 @@ bool ParseSize(const char* text, int64_t* value) {
   const char* end = text + std::strlen(text);
   auto [ptr, ec] = std::from_chars(text, end, *value);
   return ec == std::errc() && ptr == end;
+}
+
+// Reads `text`, the value of `what`, into `*value`: a whole number (see
+// ParseSize) from `min` to `max`, which defaults to the most T holds.
+// Otherwise prints one line that names the value and returns false.
+template <typename T>
+bool ParseNumber(const char* what, const char* text, int64_t min, T* value,
+                 int64_t max = static_cast<int64_t>(std::min<uint64_t>(
+                     std::numeric_limits<T>::max(),
+                     std::numeric_limits<int64_t>::max()))) {
+  int64_t parsed = 0;
+  if (ParseSize(text, &parsed) && parsed >= min && parsed <= max) {
+    *value = static_cast<T>(parsed);
+    return true;
+  }
+  std::fprintf(stderr, "%s expects a whole number in [%lld, %lld], got '%s'\n",
+               what, (long long)min, (long long)max, text);
+  return false;
 }
 
 // WORKLOAD positionals: a benchmark op name (see `ops`) or M N K [batch].
@@ -295,7 +320,7 @@ int CmdTune(int argc, char** argv) {
   std::vector<char*> positional;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseNumber("--trials", argv[++i], 0, &trials)) return 1;
     } else if (std::strcmp(argv[i], "--log") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--log expects an output file\n");
@@ -304,8 +329,9 @@ int CmdTune(int argc, char** argv) {
       log_path = argv[++i];
     } else if (std::strcmp(argv[i], "--model-topk") == 0) {
       model_topk = tuner::SpaceOptions::kDefaultModelTopK;
-      if (i + 1 < argc && std::isdigit(argv[i + 1][0])) {
-        model_topk = std::atoi(argv[++i]);
+      if (i + 1 < argc && std::isdigit(argv[i + 1][0]) &&
+          !ParseNumber("--model-topk", argv[++i], 0, &model_topk)) {
+        return 1;
       }
     } else {
       positional.push_back(argv[i]);
@@ -627,12 +653,11 @@ int CmdProfile(int argc, char** argv) {
 
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
   sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  // One program build serves timing, PMU counters and the profiled
-  // timeline; the kernel is never re-simulated for the extra outputs.
-  sim::SimProgram program = sim::BuildSimProgram(compiled, spec);
+  // The reference interpreter gives the timing and the PMU counters in
+  // one run, and the profiled timeline of the first wave in a second.
   sim::KernelPmu pmu;
-  sim::KernelTiming timing = sim::ReplaySimProgram(program, nullptr, &pmu);
-  sim::BatchTimeline batch = sim::ReplayTimeline(program);
+  sim::KernelTiming timing = sim::InterpretKernel(compiled, spec, &pmu);
+  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
 
   obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);
@@ -820,9 +845,11 @@ int CmdServe(int argc, char** argv) {
   std::vector<char*> positional;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      options.default_trials = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseNumber("--trials", argv[++i], 0, &options.default_trials)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseNumber("--seed", argv[++i], 0, &options.seed)) return 1;
     } else if (std::strcmp(argv[i], "--no-warm") == 0) {
       options.warm_start = false;
     } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
@@ -830,18 +857,29 @@ int CmdServe(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-persist") == 0) {
       options.persist_on_shutdown = false;
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      budget = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!ParseNumber("--budget", argv[++i], 0, &budget)) return 1;
     } else if (std::strcmp(argv[i], "--http") == 0 && i + 1 < argc) {
-      options.http_port = std::atoi(argv[++i]);
+      if (!ParseNumber("--http", argv[++i], -1, &options.http_port, 65535)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--access-log") == 0 && i + 1 < argc) {
       options.access_log_path = argv[++i];
     } else if (std::strcmp(argv[i], "--flight-depth") == 0 && i + 1 < argc) {
-      options.flight_depth = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!ParseNumber("--flight-depth", argv[++i], 0,
+                       &options.flight_depth)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--snapshot-interval") == 0 &&
                i + 1 < argc) {
-      options.snapshot_interval_ms = std::atoi(argv[++i]);
+      if (!ParseNumber("--snapshot-interval", argv[++i], INT_MIN,
+                       &options.snapshot_interval_ms)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
-      options.watchdog_stall_ms = std::atoi(argv[++i]);
+      if (!ParseNumber("--watchdog-ms", argv[++i], INT_MIN,
+                       &options.watchdog_stall_ms)) {
+        return 1;
+      }
     } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
       obs::StructuredLog::Global().SetLevel(
           obs::ParseLogLevel(argv[++i], obs::LogLevel::kInfo));
@@ -896,16 +934,21 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// "128,64,32" -> JSON "[128,64,32]"; empty on malformed input.
+// "128,64,32" -> JSON "[128,64,32]"; empty unless `text` is three whole
+// numbers > 0 (each read with ParseSize) joined by commas.
 std::string TripleToJson(const char* text) {
-  long long a = 0, b = 0, c = 0;
-  if (std::sscanf(text, "%lld,%lld,%lld", &a, &b, &c) != 3 || a <= 0 ||
-      b <= 0 || c <= 0) {
-    return "";
+  std::string out;
+  for (int i = 0; i < 3; ++i) {
+    const char* end = i < 2 ? std::strchr(text, ',') : std::strchr(text, 0);
+    int64_t value = 0;
+    if (end == nullptr || !ParseSize(std::string(text, end).c_str(), &value) ||
+        value <= 0) {
+      return "";
+    }
+    out += (i == 0 ? "[" : ",") + std::to_string(value);
+    text = end + 1;
   }
-  std::ostringstream out;
-  out << "[" << a << "," << b << "," << c << "]";
-  return out.str();
+  return out + "]";
 }
 
 int CmdClient(int argc, char** argv) {
@@ -928,7 +971,7 @@ int CmdClient(int argc, char** argv) {
     //   [--client C] [--lane L] [--outcome O] [--metric M]
     std::string what = "requests";
     std::ostringstream extra;
-    long long n = 0;
+    int64_t n = 0;
     for (int i = 4; i < argc; ++i) {
       bool flag = i + 1 < argc &&
                   (std::strcmp(argv[i], "--client") == 0 ||
@@ -940,7 +983,7 @@ int CmdClient(int argc, char** argv) {
               << support::JsonEscape(argv[i + 1]) << "\"";
         ++i;
       } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-        n = std::atoll(argv[i]);
+        if (!ParseNumber("debug N", argv[i], 0, &n)) return 1;
       } else {
         what = argv[i];
       }
@@ -954,30 +997,30 @@ int CmdClient(int argc, char** argv) {
   } else if (method == "tune" || method == "compile" || method == "profile") {
     std::string tb, warp;
     int smem = 0, reg = 0, split_k = 0;
-    long long trials = 0;
+    int64_t trials = 0;
     bool no_warm = false, force = false;
     std::vector<char*> positional;
     for (int i = 4; i < argc; ++i) {
       if (std::strcmp(argv[i], "--tb") == 0 && i + 1 < argc) {
         tb = TripleToJson(argv[++i]);
         if (tb.empty()) {
-          std::fprintf(stderr, "--tb expects M,N,K\n");
+          std::fprintf(stderr, "--tb expects M,N,K, got '%s'\n", argv[i]);
           return 1;
         }
       } else if (std::strcmp(argv[i], "--warp") == 0 && i + 1 < argc) {
         warp = TripleToJson(argv[++i]);
         if (warp.empty()) {
-          std::fprintf(stderr, "--warp expects M,N,K\n");
+          std::fprintf(stderr, "--warp expects M,N,K, got '%s'\n", argv[i]);
           return 1;
         }
       } else if (std::strcmp(argv[i], "--smem") == 0 && i + 1 < argc) {
-        smem = std::atoi(argv[++i]);
+        if (!ParseNumber("--smem", argv[++i], 0, &smem)) return 1;
       } else if (std::strcmp(argv[i], "--reg") == 0 && i + 1 < argc) {
-        reg = std::atoi(argv[++i]);
+        if (!ParseNumber("--reg", argv[++i], 0, &reg)) return 1;
       } else if (std::strcmp(argv[i], "--split-k") == 0 && i + 1 < argc) {
-        split_k = std::atoi(argv[++i]);
+        if (!ParseNumber("--split-k", argv[++i], 0, &split_k)) return 1;
       } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-        trials = std::atoll(argv[++i]);
+        if (!ParseNumber("--trials", argv[++i], 0, &trials)) return 1;
       } else if (std::strcmp(argv[i], "--no-warm") == 0) {
         no_warm = true;
       } else if (std::strcmp(argv[i], "--force") == 0) {
@@ -986,14 +1029,17 @@ int CmdClient(int argc, char** argv) {
         positional.push_back(argv[i]);
       }
     }
-    if (positional.size() < 3) {
+    if (positional.size() != 3 && positional.size() != 4) {
       std::fprintf(stderr, "expected M N K [batch]\n");
       return 1;
     }
-    long long m = std::atoll(positional[0]);
-    long long n = std::atoll(positional[1]);
-    long long k = std::atoll(positional[2]);
-    long long batch = positional.size() > 3 ? std::atoll(positional[3]) : 1;
+    int64_t sizes[4] = {0, 0, 0, 1};
+    for (size_t i = 0; i < positional.size(); ++i) {
+      if (!ParseNumber("M N K [batch]", positional[i], 1, &sizes[i])) {
+        return 1;
+      }
+    }
+    auto [m, n, k, batch] = sizes;
     std::ostringstream out;
     out << "{\"id\":1,\"method\":\"" << method << "\",\"family\":\""
         << (batch > 1 ? "batch_matmul" : "matmul") << "\",\"batch\":" << batch

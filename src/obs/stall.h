@@ -1,5 +1,5 @@
 // Stall attribution — "Nsight for the software GPU". Third pillar of the
-// observability layer: turns a replayed batch timeline (sim/timeline.h)
+// observability layer: turns a simulated batch timeline (sim/timeline.h)
 // into a kernel report a perf engineer can act on:
 //
 //   - per-warp cycle breakdown: compute / copy-issue / sync-stall /

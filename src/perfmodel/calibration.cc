@@ -10,6 +10,7 @@
 
 #include "obs/stall.h"
 #include "perfmodel/bottleneck.h"
+#include "schedule/lower.h"
 #include "sim/launch.h"
 #include "tuner/space.h"
 
@@ -47,12 +48,14 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
                                   const schedule::ScheduleConfig& config,
                                   const target::GpuSpec& spec) {
   CalibrationResult out;
-  sim::SimProgram program = sim::CompileSimProgram(op, config, spec);
-  if (!program.feasible) {
-    out.reason = program.reason;
+  schedule::StaticFeasibility verdict =
+      schedule::CheckFeasibility(op, config, spec);
+  if (!verdict.feasible) {
+    out.reason = std::move(verdict.reason);
     return out;
   }
-  sim::KernelTiming timing = sim::ReplaySimProgram(program, nullptr, &out.pmu);
+  const sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
+  sim::KernelTiming timing = sim::InterpretKernel(compiled, spec, &out.pmu);
   AnalyticalBreakdown model = AnalyticalModel(op, config, spec);
   if (!model.feasible) {
     out.reason = "analytical model rejected: " + model.reason;
@@ -64,7 +67,7 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
 
   // One profiled batch timeline for the fill/drain split and the measured
   // stall verdict.
-  sim::BatchTimeline batch = sim::ReplayTimeline(program);
+  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
   obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);
 
@@ -93,17 +96,17 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
           profile.drain_fraction * makespan);
 
   // Rate terms, from the steady-state batch's PMU counters, over the
-  // geometry of the wave they were counted on.
+  // geometry of the wave they were counted on (the one the timeline
+  // recorded).
   const sim::PmuCounters& c = out.pmu.batch;
-  const sim::WaveShape wave = sim::FirstWave(program);
 
   const double util = std::min(
-      1.0, static_cast<double>(config.NumWarps()) * wave.threadblocks / 4.0);
+      1.0, static_cast<double>(config.NumWarps()) * batch.threadblocks / 4.0);
   AddTerm(&out, "t_compute", model.t_compute,
           c.tensor_active_cycles / (4.0 * util * n_outer * n_inner));
 
-  const double llc_rate_sm = spec.llc_bw_bytes_per_cycle / wave.active_sms;
-  const double dram_rate_sm = spec.dram_bw_bytes_per_cycle / wave.active_sms;
+  const double llc_rate_sm = spec.llc_bw_bytes_per_cycle / batch.active_sms;
+  const double dram_rate_sm = spec.dram_bw_bytes_per_cycle / batch.active_sms;
   const double measured_llc_load =
       spec.llc_latency_cycles + (c.llc_read_bytes / n_outer) / llc_rate_sm;
   const double measured_dram_load =

@@ -9,7 +9,7 @@
 // Term mapping (per steady-state batch of one SM; n_outer = number of
 // shared-memory main-loop iterations, n_inner = register-pipeline
 // iterations per outer step):
-//   cycles       vs  replayed KernelTiming.cycles
+//   cycles       vs  simulated KernelTiming.cycles
 //   t_threadblk  vs  batch makespan (KernelTiming.batch_cycles)
 //   t_init       vs  fill_fraction x makespan
 //   t_main_loop  vs  (1 - fill - drain) x makespan
@@ -65,9 +65,10 @@ struct CalibrationResult {
   bool profile_agrees = false;
 };
 
-// Simulates one schedule (replay core through the thread's pooled arena,
-// PMU enabled, one profiled batch timeline) and audits the analytical
-// model against the measurements.
+// Simulates one schedule through the reference interpreter (one run with
+// PMU counters, one profiled batch timeline) and audits the analytical
+// model against the measurements. A config that fails
+// schedule::CheckFeasibility returns its reason without being lowered.
 CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
                                   const schedule::ScheduleConfig& config,
                                   const target::GpuSpec& spec);

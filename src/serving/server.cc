@@ -37,6 +37,8 @@
 #include "serving/http.h"
 #include "serving/persist.h"
 #include "serving/protocol.h"
+#include "schedule/lower.h"
+#include "sim/launch.h"
 #include "sim/pmu.h"
 #include "sim/sim_cache.h"
 #include "support/json.h"
@@ -1289,14 +1291,22 @@ struct Server::Impl {
         .Uint("skipped", stats.skipped);
   }
 
-  // `profile`: one compile and one replay with counters on, through the
-  // slow lane's pooled arena. Its timing also warms the sim cache, so a
+  // `profile`: one compile and one run of the reference interpreter with
+  // counters on; a config that fails the feasibility check is not lowered.
+  // Its timing, bit-identical to replay's, also warms the sim cache, so a
   // later compile of the same triple is a fast-lane hit.
   Reply Profile(const Call& call) {
     sim::KernelPmu pmu;
-    sim::KernelTiming timing = sim::ReplaySimProgram(
-        sim::CompileSimProgram(call.op, call.config, options.spec), nullptr,
-        &pmu);
+    sim::KernelTiming timing;
+    schedule::StaticFeasibility verdict =
+        schedule::CheckFeasibility(call.op, call.config, options.spec);
+    if (verdict.feasible) {
+      timing = sim::InterpretKernel(
+          sim::CompileKernel(call.op, call.config, options.spec),
+          options.spec, &pmu);
+    } else {
+      timing.reason = std::move(verdict.reason);
+    }
     sim::InsertCachedTiming(
         sim::SimCacheKey(call.op, call.config, options.spec,
                          schedule::InlineOrder::kAfterPipelining),

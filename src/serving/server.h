@@ -33,9 +33,9 @@
 //     daemon's only queue. The worker drains it each round and answers
 //     it in order, searches last.
 //     A compile goes through CachedCompileAndSimulate; a profile
-//     compiles the kernel and replays it once with counters on. Both
-//     warm the sim cache, so the next identical compile is a fast-lane
-//     hit. Cold tunes run the
+//     compiles the kernel and runs the reference interpreter once with
+//     counters on. Both warm the sim cache, so the next identical
+//     compile is a fast-lane hit. Cold tunes run the
 //     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
 //     shape via tuner/transfer.h) and store their result for the next
 //     neighbor. It never writes to a socket: it hands each reply to the

@@ -148,8 +148,8 @@ class MicroOpCompiler {
   // Interns an operand row, keyed by exact bit pattern (identical values
   // must share a row; nothing may be merged across rounding differences).
   int32_t Intern(const MicroOpOperands& v) {
-    std::array<uint64_t, 5> key;
-    static_assert(sizeof(key) == sizeof(v), "pool rows are five doubles");
+    std::array<uint64_t, 4> key;
+    static_assert(sizeof(key) == sizeof(v), "pool rows are four doubles");
     std::memcpy(key.data(), &v, sizeof(v));
     auto [it, inserted] =
         pool_index_.emplace(key, static_cast<int32_t>(program_.pool.size()));
@@ -174,21 +174,18 @@ class MicroOpCompiler {
       case EventKind::kMma:
         out.kind = MicroOpKind::kMma;
         v.op0 = static_cast<double>(e.flops) / tc_rate_;
-        v.payload = static_cast<double>(e.flops);
         break;
       case EventKind::kStoreGlobal:
         out.kind = MicroOpKind::kStoreGlobal;
         v.op0 = bytes / spec_.copy_issue_bytes_per_cycle;
         v.op1 = bytes;
         v.op2 = spec_.dram_latency_cycles;
-        v.payload = bytes;
         break;
       case EventKind::kCopyAsync:
       case EventKind::kCopySync: {
         const bool async = e.kind == EventKind::kCopyAsync;
         if (async) CheckGroup(e.group);
         v.op0 = bytes / spec_.copy_issue_bytes_per_cycle;
-        v.payload = bytes;
         if (e.src_scope == MemScope::kGlobal) {
           out.kind = async ? MicroOpKind::kCopyAsyncGlobal
                            : MicroOpKind::kCopySyncGlobal;
@@ -248,7 +245,7 @@ class MicroOpCompiler {
   const target::GpuSpec& spec_;
   const TraceCompileOptions& options_;
   MicroOpProgram program_;
-  std::map<std::array<uint64_t, 5>, int32_t> pool_index_;
+  std::map<std::array<uint64_t, 4>, int32_t> pool_index_;
   std::vector<uint32_t> cursor_;  // next op of each warp in program_.ops
   double tc_rate_ = 1.0;
   double lds_rate_ = 1.0;

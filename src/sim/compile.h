@@ -30,8 +30,10 @@
 //
 // Every precomputed operand is produced by the *same* floating-point
 // expression the interpreter evaluates per event, which is what makes the
-// replayed KernelTiming and Timeline bit-identical to the AST interpreter
-// (asserted by tests/sim_replay_test.cc and the fuzz differential).
+// replayed KernelTiming bit-identical to the AST interpreter (asserted by
+// tests/sim_replay_test.cc and the fuzz differential). The program carries
+// only what timing reads; counters and timelines come from the
+// interpreter.
 #ifndef ALCOP_SIM_COMPILE_H_
 #define ALCOP_SIM_COMPILE_H_
 
@@ -92,16 +94,11 @@ inline constexpr uint8_t kMicroOpHasDram = 1;
 //   kStoreGlobal:  op0 issue cycles, op1 store bytes, op2 DRAM latency
 //   kMma:          op0 tensor-core cycles (flops / per-partition rate)
 //   kFill:         op0 register-write cycles
-// `payload` is the PMU quantity of the op — raw bytes moved for copies
-// and stores, FLOPs for kMma, 0 otherwise. It never feeds the timing
-// expressions; the counter layer (sim/pmu.h) reads it so byte and FLOP
-// totals survive the operand pre-division above.
 struct MicroOpOperands {
   double op0 = 0.0;
   double op1 = 0.0;
   double op2 = 0.0;
   double op3 = 0.0;
-  double payload = 0.0;
 };
 
 // One flat 8-byte instruction. `aux` is the operand-pool row for the

@@ -261,7 +261,7 @@ class Desim {
         if (pmu_) {
           double* f = PmuF(id);
           // The same quotient the trace compiler bakes as the op's
-          // tensor-core cycles, so the counter is bit-identical to replay.
+          // tensor-core cycles.
           f[kPmuTensorActive] +=
               static_cast<double>(e.flops) / partition.rate;
           f[kPmuFlops] += static_cast<double>(e.flops);
@@ -434,7 +434,7 @@ class Desim {
 
   // Byte/transaction counters shared by sync and async copies — the same
   // bytes, LDS quotient and DRAM-fraction product the trace compiler
-  // bakes into the pooled operands (bit-identity with replay).
+  // bakes into the pooled operands.
   void PmuCountCopy(int id, const TraceEvent& e) {
     double* f = PmuF(id);
     int64_t* n = PmuN(id);
@@ -561,10 +561,7 @@ size_t ReplayArena::CapacityBytes() const {
                  slot_done.capacity() * sizeof(uint8_t) +
                  waiters.capacity() * sizeof(WaiterLists) +
                  barriers.capacity() * sizeof(Barrier) +
-                 heap.capacity() * sizeof(HeapEntry) +
-                 pmu_f64.capacity() * sizeof(double) +
-                 pmu_i64.capacity() * sizeof(int64_t) +
-                 pmu_depth.capacity() * sizeof(int32_t);
+                 heap.capacity() * sizeof(HeapEntry);
   for (const WaiterLists& lists : waiters) {
     total += (lists.wait.capacity() + lists.acquire.capacity()) *
              sizeof(Waiter);
@@ -579,10 +576,11 @@ namespace {
 
 // The bytecode replay core. A transliteration of Desim::Step over the flat
 // micro-op program: every floating-point expression is evaluated in the
-// same order with the same values, so the makespan and timeline spans are
-// bit-identical to the interpreter (the per-event divisions by
-// wave-independent rates were already folded into the program operands by
-// the trace compiler, producing the exact same doubles).
+// same order with the same values, so the makespan is bit-identical to the
+// interpreter (the per-event divisions by wave-independent rates were
+// already folded into the program operands by the trace compiler,
+// producing the exact same doubles). It only times: counters and
+// timelines come from the interpreter.
 //
 // The hot loop works exclusively on raw pointers into the caller's pooled
 // arena: flat SoA instance state, per-(stream, group) pre-resolved
@@ -595,30 +593,15 @@ namespace {
 // opcode transitions that actually follow each kind instead of sharing one
 // saturated indirect jump.
 //
-// The class is templated on whether a timeline is being captured. The hot
-// (no-timeline) instantiation compiles every Record call out AND runs the
-// eagerly-continuable micro-op kinds (see kFirstEagerKind) inline, out of
-// strict timestamp order — result-identical by the commutativity argument
-// in compile.h, and differentially tested against the interpreter over
-// the full operator sweep. The timeline instantiation executes in exact
-// pop order so that the recorded spans match the interpreter's byte for
-// byte, order included.
-//
-// The second template flag enables PMU counter collection (sim/pmu.h):
-// disabled, every counter hook compiles out and the arena's PMU rows are
-// never sized — the warm zero-allocation contract is unchanged. Enabled,
-// each stream accumulates into its own slot row; eager execution runs
-// streams out of global order, but a stream's own additions still follow
-// its program order, and the rows merge through AccumulatePmuStreams in
-// fixed stream order — so the counters are bit-identical to the
-// interpreter's despite the reordering.
-template <bool kTimeline, bool kPmu>
+// The eagerly-continuable micro-op kinds (see kFirstEagerKind) run inline,
+// out of strict timestamp order — result-identical by the commutativity
+// argument in compile.h, and differentially tested against the
+// interpreter over the full operator sweep.
 class Replayer {
  public:
   Replayer(const MicroOpProgram& program, const ReplayWave& wave,
-           ReplayArena& arena, Timeline* timeline, PmuCounters* pmu)
-      : p_(program), wave_(wave), a_(arena), timeline_(timeline),
-        pmu_out_(pmu) {}
+           ReplayArena& arena)
+      : p_(program), wave_(wave), a_(arena) {}
 
   double Run() {
     Reset();
@@ -634,33 +617,30 @@ class Replayer {
     Stream* s;
     const MicroOp* op;
 #define ALCOP_DISPATCH() goto *kT[static_cast<int>(op->kind)]
-// Finishes an event: advance pc, then pick the next stream to run. In the
-// hot instantiation a next op from the eagerly-continuable suffix of
-// MicroOpKind runs inline regardless of the queue — out of timestamp order
-// but provably result-identical (see compile.h). Otherwise, if the current
-// stream would be popped right back it keeps running with no heap traffic;
-// else its entry replaces the heap top (one sift-down) and the old top
-// runs next. Both shortcuts preserve the exact pop order of the
-// interpreter's push-then-pop, because the order is a strict total order
-// over (time, id).
+// Finishes an event: advance pc, then pick the next stream to run. A next
+// op from the eagerly-continuable suffix of MicroOpKind runs inline
+// regardless of the queue — out of timestamp order but provably
+// result-identical (see compile.h). Otherwise, if the current stream would
+// be popped right back it keeps running with no heap traffic; else its
+// entry replaces the heap top (one sift-down) and the old top runs next.
+// Both shortcuts preserve the exact pop order of the interpreter's
+// push-then-pop, because the order is a strict total order over (time, id).
 #define ALCOP_NEXT()                                        \
   do {                                                      \
     if (++s->pc == s->end) goto pop_next;                   \
     op = ops_ + s->pc;                                      \
-    if constexpr (!kTimeline) {                             \
-      if (op->kind >= kFirstEagerKind) ALCOP_DISPATCH();    \
-      /* A PASSING acquire is also eager-safe: the pass path is        \
-         stream-local (time += sync), and releases only ever raise     \
-         imin_, so an acquire that passes now would also pass — with   \
-         the identical result — at its strict queue turn. A would-park \
-         acquire is NOT run early: a release firing before its queue   \
-         turn could turn the park into a pass (or change the wake      \
-         time), so it goes through the queue and decides there. */     \
-      if (op->kind == MicroOpKind::kAcquire) {              \
-        const size_t gi_ = GroupIndex(id, op->group);       \
-        if (acq_[gi_] - op->aux <= imin_[sinst_[gi_]]) {    \
-          ALCOP_DISPATCH();                                 \
-        }                                                   \
+    if (op->kind >= kFirstEagerKind) ALCOP_DISPATCH();      \
+    /* A PASSING acquire is also eager-safe: the pass path is        \
+       stream-local (time += sync), and releases only ever raise     \
+       imin_, so an acquire that passes now would also pass — with   \
+       the identical result — at its strict queue turn. A would-park \
+       acquire is NOT run early: a release firing before its queue   \
+       turn could turn the park into a pass (or change the wake      \
+       time), so it goes through the queue and decides there. */     \
+    if (op->kind == MicroOpKind::kAcquire) {                \
+      const size_t gi_ = GroupIndex(id, op->group);         \
+      if (acq_[gi_] - op->aux <= imin_[sinst_[gi_]]) {      \
+        ALCOP_DISPATCH();                                   \
       }                                                     \
     }                                                       \
     if (heap_size_ == 0) ALCOP_DISPATCH();                  \
@@ -689,10 +669,7 @@ class Replayer {
     ALCOP_DISPATCH();
 
   handle_fill: {
-    const double t0 = s->time;
     s->time += spool_[op->aux * 8];
-    Record(s->tb, s->warp, SpanKind::kFill, t0, s->time);
-    if constexpr (kPmu) Pf(id)[kPmuFill] += spool_[op->aux * 8];
     ALCOP_NEXT();
   }
 
@@ -704,105 +681,53 @@ class Replayer {
     const double start = std::max(s->time, free);
     free = start + spool_[op->aux * 8];
     s->time = free;
-    Record(s->tb, s->warp, SpanKind::kCompute, start, s->time);
-    if constexpr (kPmu) {
-      double* f = Pf(id);
-      f[kPmuTensorActive] += spool_[op->aux * 8];
-      f[kPmuFlops] += spool_[op->aux * 8 + 7];  // payload: FLOPs
-    }
     ALCOP_NEXT();
   }
 
   handle_copy_async_global: {
     const double* v = spool_ + op->aux * 8;
-    const double t0 = s->time;
     s->time += v[0];
-    Record(s->tb, s->warp, SpanKind::kIssue, t0, s->time);
-    const double completion = GlobalTransfer(s->time, v, op->flags, s->tb);
+    const double completion = GlobalTransfer(s->time, v, op->flags);
     double& copy_max = cmax_[GroupIndex(id, op->group)];
     copy_max = std::max(copy_max, completion);
-    if constexpr (kPmu) {
-      PmuGlobalRead(id, v, op->flags);
-      double* f = Pf(id);
-      int64_t* n = Pn(id);
-      f[kPmuCpAsyncBytes] += v[7];
-      ++n[kPmuCpAsyncTx];
-      const int32_t depth = ++pd_[GroupIndex(id, op->group)];
-      ++n[kPmuDepthHist0 +
-          (depth < kPmuDepthBuckets ? depth - 1 : kPmuDepthBuckets - 1)];
-      if (blocking_async_) f[kPmuExposedCopy] += completion - s->time;
-    }
-    if (blocking_async_) {
-      Record(s->tb, s->warp, SpanKind::kBlockingCopy, s->time, completion);
-      s->time = completion;
-    }
+    if (blocking_async_) s->time = completion;
     ALCOP_NEXT();
   }
 
   handle_copy_async_shared: {
     const double* v = spool_ + op->aux * 8;
-    const double t0 = s->time;
     s->time += v[0];
-    Record(s->tb, s->warp, SpanKind::kIssue, t0, s->time);
-    const double completion = SharedTransfer(s->time, v, s->tb);
+    const double completion = SharedTransfer(s->time, v);
     double& copy_max = cmax_[GroupIndex(id, op->group)];
     copy_max = std::max(copy_max, completion);
-    if constexpr (kPmu) {
-      PmuSharedRead(id, v);
-      double* f = Pf(id);
-      int64_t* n = Pn(id);
-      f[kPmuCpAsyncBytes] += v[7];
-      ++n[kPmuCpAsyncTx];
-      const int32_t depth = ++pd_[GroupIndex(id, op->group)];
-      ++n[kPmuDepthHist0 +
-          (depth < kPmuDepthBuckets ? depth - 1 : kPmuDepthBuckets - 1)];
-      if (blocking_async_) f[kPmuExposedCopy] += completion - s->time;
-    }
-    if (blocking_async_) {
-      Record(s->tb, s->warp, SpanKind::kBlockingCopy, s->time, completion);
-      s->time = completion;
-    }
+    if (blocking_async_) s->time = completion;
     ALCOP_NEXT();
   }
 
   handle_copy_sync_global: {
     const double* v = spool_ + op->aux * 8;
-    const double t0 = s->time;
     s->time += v[0];
-    Record(s->tb, s->warp, SpanKind::kIssue, t0, s->time);
-    const double completion = GlobalTransfer(s->time, v, op->flags, s->tb);
+    const double completion = GlobalTransfer(s->time, v, op->flags);
     s->pending_sync = std::max(s->pending_sync, completion);
-    if constexpr (kPmu) PmuGlobalRead(id, v, op->flags);
     ALCOP_NEXT();
   }
 
   handle_copy_sync_shared: {
     const double* v = spool_ + op->aux * 8;
-    const double t0 = s->time;
     s->time += v[0];
-    Record(s->tb, s->warp, SpanKind::kIssue, t0, s->time);
-    const double completion = SharedTransfer(s->time, v, s->tb);
+    const double completion = SharedTransfer(s->time, v);
     s->pending_sync = std::max(s->pending_sync, completion);
-    if constexpr (kPmu) PmuSharedRead(id, v);
     ALCOP_NEXT();
   }
 
   handle_store_global: {
     DrainSyncLoads(*s);
     const double* v = spool_ + op->aux * 8;
-    const double t0 = s->time;
     s->time += v[0];
-    Record(s->tb, s->warp, SpanKind::kStore, t0, s->time);
     const double start = std::max(s->time, dram_write_free_);
     dram_write_free_ = start + v[6];  // op1 / dram-write rate
     const double completion = dram_write_free_ + v[2];
     store_completion_ = std::max(store_completion_, completion);
-    if constexpr (kPmu) {
-      double* f = Pf(id);
-      f[kPmuCopyIssue] += v[0];
-      f[kPmuDramWriteBytes] += v[7];
-      ++Pn(id)[kPmuDramWriteTx];
-    }
     ALCOP_NEXT();
   }
 
@@ -813,7 +738,6 @@ class Replayer {
     if (needed > imin_[inst]) {
       a_.waiters[static_cast<size_t>(inst)].acquire.push_back(
           {id, needed, s->time});
-      if constexpr (kPmu) ++Pn(id)[kPmuAcquireParks];
       goto pop_next;  // parked
     }
     s->time += sync_;
@@ -836,7 +760,6 @@ class Replayer {
     }
     com_[gi] = count + 1;
     s->time += half_sync_;
-    if constexpr (kPmu) pd_[gi] = 0;
     ALCOP_NEXT();
   }
 
@@ -849,17 +772,9 @@ class Replayer {
         !sdone_[ibase_[inst] + idx]) {
       a_.waiters[static_cast<size_t>(inst)].wait.push_back(
           {id, idx, s->time});
-      goto pop_next;  // parked (counted at wake; see kPmuWaitParks contract)
+      goto pop_next;  // parked
     }
-    const double t0 = s->time;
     s->time = std::max(s->time, scomplete_[ibase_[inst] + idx]) + sync_;
-    Record(s->tb, s->warp, SpanKind::kSyncStall, t0, s->time);
-    if constexpr (kPmu) {
-      Pf(id)[kPmuWaitStall] += s->time - t0;
-      // Scheduling-invariant park criterion (interpreter passes through
-      // where this core parks): count data-not-ready, not physical parks.
-      if (s->time - t0 > sync_) ++Pn(id)[kPmuWaitParks];
-    }
     ++wai_[gi];
     ALCOP_NEXT();
   }
@@ -882,28 +797,17 @@ class Replayer {
     barrier.max_time = std::max(barrier.max_time, s->time);
     if (++barrier.arrived < p_.num_warps) {
       barrier.parked.emplace_back(id, s->time);
-      if constexpr (kPmu) ++Pn(id)[kPmuBarrierArrivals];
       ++s->pc;  // the releaser advances everyone past the barrier
       goto pop_next;
     }
     const double resume = barrier.max_time + sync_;
-    for (const auto& [parked_id, arrival] : barrier.parked) {
-      Stream& parked = streams_[parked_id];
-      Record(parked.tb, parked.warp, SpanKind::kBarrier, arrival, resume);
-      if constexpr (kPmu) {
-        Pf(parked_id)[kPmuBarrierStall] += resume - arrival;
-      }
-      parked.time = resume;
-      Push(parked_id, resume);
+    for (const std::pair<int32_t, double>& parked : barrier.parked) {
+      streams_[parked.first].time = resume;
+      Push(parked.first, resume);
     }
     barrier.parked.clear();
     barrier.arrived = 0;
     barrier.max_time = 0.0;
-    Record(s->tb, s->warp, SpanKind::kBarrier, s->time, resume);
-    if constexpr (kPmu) {
-      ++Pn(id)[kPmuBarrierArrivals];
-      Pf(id)[kPmuBarrierStall] += resume - s->time;
-    }
     s->time = resume;
     ALCOP_NEXT();
   }
@@ -914,10 +818,6 @@ class Replayer {
     double makespan = store_completion_;
     for (const ReplayArena::Stream& st : a_.streams) {
       makespan = std::max(makespan, st.time);
-    }
-    if constexpr (kTimeline) timeline_->makespan = makespan;
-    if constexpr (kPmu) {
-      AccumulatePmuStreams(pmu_out_, pf_, pn_, a_.streams.size());
     }
     for (const ReplayArena::Stream& st : a_.streams) {
       ALCOP_CHECK_EQ(st.pc, st.end)
@@ -1035,8 +935,8 @@ class Replayer {
     a_.heap.resize(num_streams);
 
     // Wave-scaled pool rows: [0..3] the raw operands, [4] op1 / llc
-    // rate, [5] op2 / dram rate, [6] op1 / dram-write rate, [7] the PMU
-    // payload (raw bytes / FLOPs).
+    // rate, [5] op2 / dram rate, [6] op1 / dram-write rate; [7] is unused
+    // and keeps the rows 64 bytes apart.
     a_.pool_scaled.resize(p_.pool.size() * 8);
     for (size_t r = 0; r < p_.pool.size(); ++r) {
       const MicroOpOperands& v = p_.pool[r];
@@ -1048,18 +948,6 @@ class Replayer {
       d[4] = v.op1 / wave_.llc_rate;
       d[5] = v.op2 / wave_.dram_rate;
       d[6] = v.op1 / wave_.dram_write_rate;
-      d[7] = v.payload;
-    }
-
-    // PMU accumulator rows — only when collecting, so a counter-free
-    // replay never allocates them (the zero-allocation contract).
-    if constexpr (kPmu) {
-      a_.pmu_f64.assign(num_streams * kPmuF64Count, 0.0);
-      a_.pmu_i64.assign(num_streams * kPmuI64Count, 0);
-      a_.pmu_depth.assign(counters, 0);
-      pf_ = a_.pmu_f64.data();
-      pn_ = a_.pmu_i64.data();
-      pd_ = a_.pmu_depth.data();
     }
 
     // Raw-pointer views for the hot loop (set after every resize above).
@@ -1165,14 +1053,7 @@ class Replayer {
     return min_rel;
   }
 
-  void Record(int tb, int warp, SpanKind kind, double start, double end) {
-    if constexpr (kTimeline) {
-      if (end <= start) return;
-      timeline_->spans.push_back({tb, warp, kind, start, end});
-    }
-  }
-
-  double GlobalTransfer(double t, const double* v, uint8_t flags, int tb) {
+  double GlobalTransfer(double t, const double* v, uint8_t flags) {
     double start = std::max(t, llc_free_);
     llc_free_ = start + v[4];  // op1 / llc rate, divided once per wave
     double completion = llc_free_;
@@ -1182,58 +1063,18 @@ class Replayer {
       completion = std::max(completion, dram_free_);
     }
     completion += v[3];
-    Record(tb, -1, SpanKind::kTransfer, t, completion);
     return completion;
   }
 
-  double SharedTransfer(double t, const double* v, int tb) {
+  double SharedTransfer(double t, const double* v) {
     double start = std::max(t, lds_free_);
     lds_free_ = start + v[1];
-    double completion = lds_free_ + v[2];
-    Record(tb, -1, SpanKind::kTransfer, t, completion);
-    return completion;
+    return lds_free_ + v[2];
   }
 
   void DrainSyncLoads(Stream& s) {
-    if (s.pending_sync > s.time) {
-      Record(s.tb, s.warp, SpanKind::kBlockingCopy, s.time, s.pending_sync);
-      if constexpr (kPmu) {
-        const int32_t sid = static_cast<int32_t>(&s - streams_);
-        Pf(sid)[kPmuExposedCopy] += s.pending_sync - s.time;
-      }
-      s.time = s.pending_sync;
-    }
+    if (s.pending_sync > s.time) s.time = s.pending_sync;
     s.pending_sync = 0.0;
-  }
-
-  // ---- PMU helpers (instantiated only when kPmu). Every expression
-  // reads pre-resolved pool values the trace compiler produced with the
-  // interpreter's own formulas, so the counters are bit-identical. ----
-
-  double* Pf(int32_t id) {
-    return pf_ + static_cast<size_t>(id) * kPmuF64Count;
-  }
-  int64_t* Pn(int32_t id) {
-    return pn_ + static_cast<size_t>(id) * kPmuI64Count;
-  }
-
-  void PmuGlobalRead(int32_t id, const double* v, uint8_t flags) {
-    double* f = Pf(id);
-    f[kPmuCopyIssue] += v[0];
-    f[kPmuLlcReadBytes] += v[7];  // payload: raw bytes
-    ++Pn(id)[kPmuLlcReadTx];
-    if (flags & kMicroOpHasDram) {
-      f[kPmuDramReadBytes] += v[2];  // bytes * dram fraction
-      ++Pn(id)[kPmuDramReadTx];
-    }
-  }
-
-  void PmuSharedRead(int32_t id, const double* v) {
-    double* f = Pf(id);
-    f[kPmuCopyIssue] += v[0];
-    f[kPmuLdsActive] += v[1];  // bytes / LDS rate
-    f[kPmuLdsReadBytes] += v[7];
-    ++Pn(id)[kPmuLdsReadTx];
   }
 
   void WakeWaitWaiters(int32_t inst, int64_t group_index) {
@@ -1249,11 +1090,6 @@ class Replayer {
       Stream& s = streams_[w.stream];
       const MicroOp& op = ops_[s.pc];
       s.time = std::max(w.park_time, complete) + sync_;
-      Record(s.tb, s.warp, SpanKind::kSyncStall, w.park_time, s.time);
-      if constexpr (kPmu) {
-        Pf(w.stream)[kPmuWaitStall] += s.time - w.park_time;
-        if (s.time - w.park_time > sync_) ++Pn(w.stream)[kPmuWaitParks];
-      }
       ++wai_[GroupIndex(w.stream, op.group)];
       if (++s.pc < s.end) Push(w.stream, s.time);
     }
@@ -1275,10 +1111,6 @@ class Replayer {
       Stream& s = streams_[w.stream];
       const MicroOp& op = ops_[s.pc];
       s.time = std::max(w.park_time, release_time) + sync_;
-      Record(s.tb, s.warp, SpanKind::kSyncStall, w.park_time, s.time);
-      if constexpr (kPmu) {
-        Pf(w.stream)[kPmuAcquireStall] += s.time - w.park_time;
-      }
       ++acq_[GroupIndex(w.stream, op.group)];
       if (++s.pc < s.end) Push(w.stream, s.time);
     }
@@ -1288,8 +1120,6 @@ class Replayer {
   const MicroOpProgram& p_;
   const ReplayWave& wave_;
   ReplayArena& a_;
-  Timeline* timeline_;
-  PmuCounters* pmu_out_;
 
   // Raw-pointer views into the arena (valid between Reset and Run's end).
   const MicroOp* ops_ = nullptr;
@@ -1311,9 +1141,6 @@ class Replayer {
   int32_t* rel_ = nullptr;
   int32_t* imin_ = nullptr;
   HeapEntry* tree_ = nullptr;
-  double* pf_ = nullptr;    // PMU f64 rows (kPmu only)
-  int64_t* pn_ = nullptr;   // PMU i64 rows (kPmu only)
-  int32_t* pd_ = nullptr;   // PMU per-(stream, group) in-flight depth
   bool blocking_async_ = false;
   double sync_ = 0.0;       // p_.sync_overhead_cycles
   double half_sync_ = 0.0;  // p_.half_sync_overhead_cycles
@@ -1331,21 +1158,10 @@ class Replayer {
 }  // namespace
 
 double ReplayBatch(const MicroOpProgram& program, const ReplayWave& wave,
-                   ReplayArena* arena, Timeline* timeline, PmuCounters* pmu) {
+                   ReplayArena* arena) {
   ALCOP_CHECK_GT(wave.threadblocks, 0);
   ALCOP_CHECK(arena != nullptr);
-  if (timeline == nullptr) {
-    if (pmu == nullptr) {
-      return Replayer<false, false>(program, wave, *arena, nullptr, nullptr)
-          .Run();
-    }
-    return Replayer<false, true>(program, wave, *arena, nullptr, pmu).Run();
-  }
-  if (pmu == nullptr) {
-    return Replayer<true, false>(program, wave, *arena, timeline, nullptr)
-        .Run();
-  }
-  return Replayer<true, true>(program, wave, *arena, timeline, pmu).Run();
+  return Replayer(program, wave, *arena).Run();
 }
 
 }  // namespace sim

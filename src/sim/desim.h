@@ -25,8 +25,9 @@
 // both are fed by the one threadblock walk (trace.h) and timed by the one
 // launch plan and wave loop (launch.h), so they differ only in the core.
 //   - SimulateBatch interprets a per-warp AST-derived event trace. It is
-//     the reference implementation, kept as the differential-testing
-//     oracle for the bytecode engine.
+//     the reference implementation, the differential-testing oracle for
+//     the bytecode engine, and the only core that records timelines and
+//     PMU counters (the profiler and the model audit run it).
 //   - ReplayBatch replays a compiled micro-op program (compile.h) through
 //     an event-pool core: direct-threaded micro-op handlers drive a
 //     replace-top binary heap of packed 96-bit keys (one unsigned compare
@@ -35,7 +36,8 @@
 //     that is pooled across runs, and all per-event rate divisions that
 //     do not depend on the wave were folded into the program — so a warm
 //     replay performs zero heap allocations and reproduces the
-//     interpreter's results bit for bit.
+//     interpreter's makespan bit for bit. It only times: every compile,
+//     tune and alcopd request needs nothing but the cycle count.
 #ifndef ALCOP_SIM_DESIM_H_
 #define ALCOP_SIM_DESIM_H_
 
@@ -162,17 +164,8 @@ struct ReplayArena {
   // row plus every "amount / wave rate" quotient the handlers need,
   // divided once per wave instead of once per event (the quotient of the
   // hoisted division is bit-identical to the interpreter's per-event
-  // division). Row slot 7 carries the op's PMU payload (raw bytes /
-  // FLOPs).
+  // division). Row slot 7 is unused; it keeps the rows 64 bytes apart.
   std::vector<double> pool_scaled;
-  // PMU accumulator rows, sized ONLY when a replay runs with counters
-  // enabled (a PmuCounters sink was passed): per-stream f64/i64 slot rows
-  // (sim/pmu.h layout) and the per-(stream, group) async-copy in-flight
-  // depth. Counter-free replays never touch these, keeping the disabled
-  // warm path zero-allocation.
-  std::vector<double> pmu_f64;
-  std::vector<int64_t> pmu_i64;
-  std::vector<int32_t> pmu_depth;
 
   // Total reserved heap memory; constant across warm replays.
   size_t CapacityBytes() const;
@@ -180,11 +173,8 @@ struct ReplayArena {
 
 // Replays one threadblock wave of a compiled program; returns the makespan
 // in cycles. Bit-identical to SimulateBatch on the equivalent trace.
-// When `pmu` is non-null the wave's performance counters are ADDED into
-// it (bit-identical to the interpreter's; see sim/pmu.h).
 double ReplayBatch(const MicroOpProgram& program, const ReplayWave& wave,
-                   ReplayArena* arena, Timeline* timeline = nullptr,
-                   PmuCounters* pmu = nullptr);
+                   ReplayArena* arena);
 
 }  // namespace sim
 }  // namespace alcop

@@ -167,6 +167,14 @@ schedule::StaticFeasibility VerdictOf(const CompiledKernel& compiled,
                                     spec);
 }
 
+// One threadblock wave: the threadblocks each active SM hosts, and how
+// many SMs are active (small waves leave SMs idle, and the active ones
+// receive a larger slice of the GPU-wide bandwidth).
+struct WaveShape {
+  int threadblocks = 1;
+  int active_sms = 1;
+};
+
 // The wave of `tbs` threadblocks: each active SM hosts up to the
 // occupancy complement.
 WaveShape WaveOf(const LaunchPlan& plan, int64_t tbs) {
@@ -178,11 +186,19 @@ WaveShape WaveOf(const LaunchPlan& plan, int64_t tbs) {
   return wave;
 }
 
+// The launch's first, steady-state wave (the one timelines record).
+WaveShape FirstWave(const LaunchPlan& plan) {
+  int64_t per_batch =
+      static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
+  return WaveOf(plan, std::min(plan.total_threadblocks, per_batch));
+}
+
 // The one wave loop both cores time a launch with: the full wave, the
 // remainder wave, PMU scaling and achieved occupancy, then the
 // launch-level passes and the µs / TFLOP/s conversion.
-// `run_wave(WaveShape, PmuCounters*, Timeline*)` simulates one wave and
-// returns its makespan; it is the only thing the cores differ in.
+// `run_wave(WaveShape, PmuCounters*)` simulates one wave and returns its
+// makespan; it is the only thing the cores differ in. Its counter sink is
+// null whenever `pmu` is.
 template <typename RunWave>
 KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
                         RunWave&& run_wave) {
@@ -200,8 +216,8 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
   PmuCounters full_pmu;
   PmuCounters rem_pmu;
   bool have_rem = false;
-  double full_batch = run_wave(FirstWave(plan),
-                               pmu != nullptr ? &full_pmu : nullptr, nullptr);
+  double full_batch =
+      run_wave(FirstWave(plan), pmu != nullptr ? &full_pmu : nullptr);
   timing.batch_cycles = full_batch;
 
   double cycles = plan.launch_overhead_cycles;
@@ -212,7 +228,7 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
     cycles += full_batches == 0
                   ? full_batch
                   : run_wave(WaveOf(plan, remainder),
-                             pmu != nullptr ? &rem_pmu : nullptr, nullptr);
+                             pmu != nullptr ? &rem_pmu : nullptr);
     have_rem = full_batches > 0;
   }
   if (pmu != nullptr) {
@@ -233,18 +249,6 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
   return timing;
 }
 
-// Records the first wave through `run_wave` for visualization.
-template <typename RunWave>
-BatchTimeline CaptureFirstWave(const LaunchPlan& plan, RunWave&& run_wave) {
-  ALCOP_CHECK(plan.feasible) << "cannot capture timeline: " << plan.reason;
-  BatchTimeline out;
-  out.num_warps = plan.num_warps;
-  WaveShape wave = FirstWave(plan);
-  out.threadblocks = wave.threadblocks;
-  run_wave(wave, nullptr, &out.timeline);
-  return out;
-}
-
 // The reference interpreter's front end for one compiled kernel: its
 // launch plan, its event trace, and SimulateBatch as the per-wave call.
 struct Interpreter {
@@ -256,7 +260,8 @@ struct Interpreter {
     }
   }
 
-  double operator()(WaveShape wave, PmuCounters* pmu, Timeline* timeline) {
+  double operator()(WaveShape wave, PmuCounters* pmu,
+                    Timeline* timeline = nullptr) {
     params.threadblocks = wave.threadblocks;
     params.active_sms = wave.active_sms;
     params.pmu = pmu;
@@ -271,16 +276,16 @@ struct Interpreter {
 };
 
 // Replay's per-wave call: the wave's bandwidth slices, then ReplayBatch.
+// Replay collects no counters, so its sink is always null.
 auto ReplayWaves(const SimProgram& program, ReplayArena* arena) {
-  return [&program, arena](WaveShape wave, PmuCounters* pmu,
-                           Timeline* timeline) {
+  return [&program, arena](WaveShape wave, PmuCounters*) {
     ReplayWave replay;
     replay.threadblocks = wave.threadblocks;
     replay.llc_rate = program.llc_bw_bytes_per_cycle / wave.active_sms;
     replay.dram_rate = program.dram_bw_bytes_per_cycle / wave.active_sms;
     replay.dram_write_rate =
         program.dram_write_bw_bytes_per_cycle / wave.active_sms;
-    return ReplayBatch(program.program, replay, arena, timeline, pmu);
+    return ReplayBatch(program.program, replay, arena);
   };
 }
 
@@ -301,12 +306,6 @@ SimProgram BuildFromVerdict(const CompiledKernel& compiled,
 
 }  // namespace
 
-WaveShape FirstWave(const LaunchPlan& plan) {
-  int64_t per_batch =
-      static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
-  return WaveOf(plan, std::min(plan.total_threadblocks, per_batch));
-}
-
 KernelTiming InterpretKernel(const CompiledKernel& compiled,
                              const target::GpuSpec& spec, KernelPmu* pmu) {
   ALCOP_TRACE_SCOPE("interpret", "sim");
@@ -314,10 +313,18 @@ KernelTiming InterpretKernel(const CompiledKernel& compiled,
   return TimeLaunch(interpreter.plan, pmu, interpreter);
 }
 
-BatchTimeline CaptureTimelineInterpreted(const CompiledKernel& compiled,
-                                         const target::GpuSpec& spec) {
+BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
+                              const target::GpuSpec& spec) {
   Interpreter interpreter(compiled, spec);
-  return CaptureFirstWave(interpreter.plan, interpreter);
+  const LaunchPlan& plan = interpreter.plan;
+  ALCOP_CHECK(plan.feasible) << "cannot capture timeline: " << plan.reason;
+  BatchTimeline out;
+  out.num_warps = plan.num_warps;
+  WaveShape wave = FirstWave(plan);
+  out.threadblocks = wave.threadblocks;
+  out.active_sms = wave.active_sms;
+  interpreter(wave, nullptr, &out.timeline);
+  return out;
 }
 
 SimProgram BuildSimProgram(const CompiledKernel& compiled,
@@ -397,35 +404,23 @@ ThreadArenaHolder& ThreadLocalArena() {
   return holder;
 }
 
-// Runs `replay` through `arena`, or, when it is null, through the calling
-// thread's pooled arena, publishing that arena's capacity afterwards.
-template <typename Replay>
-auto ReplayThrough(ReplayArena* arena, Replay replay) {
-  if (arena != nullptr) return replay(arena);
-  ThreadArenaHolder& holder = ThreadLocalArena();
-  auto result = replay(&holder.arena);
-  holder.Update();
-  return result;
-}
-
 }  // namespace
 
-KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
-                              KernelPmu* pmu) {
+KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena) {
   // The hot measurement path: with tracing disabled this scope is one
   // relaxed atomic load (zero-allocation warm replay is gated in
   // tests/obs_test.cc); enabled, it records host wall time but never
   // touches simulated cycles.
   ALCOP_TRACE_SCOPE("replay", "sim");
-  return ReplayThrough(arena, [&](ReplayArena* replay_arena) {
-    return TimeLaunch(program, pmu, ReplayWaves(program, replay_arena));
-  });
-}
-
-BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena) {
-  return ReplayThrough(arena, [&](ReplayArena* replay_arena) {
-    return CaptureFirstWave(program, ReplayWaves(program, replay_arena));
-  });
+  if (arena != nullptr) {
+    return TimeLaunch(program, nullptr, ReplayWaves(program, arena));
+  }
+  // The calling thread's pooled arena, its capacity published afterwards.
+  ThreadArenaHolder& holder = ThreadLocalArena();
+  KernelTiming timing =
+      TimeLaunch(program, nullptr, ReplayWaves(program, &holder.arena));
+  holder.Update();
+  return timing;
 }
 
 KernelTiming SimulateKernel(const CompiledKernel& compiled,
@@ -437,11 +432,6 @@ KernelTiming CompileAndSimulate(const GemmOp& op, const ScheduleConfig& config,
                                 const target::GpuSpec& spec,
                                 schedule::InlineOrder inline_order) {
   return ReplaySimProgram(CompileSimProgram(op, config, spec, inline_order));
-}
-
-BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
-                              const target::GpuSpec& spec) {
-  return ReplayTimeline(BuildSimProgram(compiled, spec));
 }
 
 }  // namespace sim

@@ -58,12 +58,13 @@ CompiledKernel CompileKernel(
 // wave — no IR, no spec, no allocation when the caller's ReplayArena is
 // warm. Every compile, tune and alcopd request measures through these two
 // calls (via the sim cache); the classic single-phase entry points below
-// are thin wrappers over them.
+// are thin wrappers over them. Replay only times.
 //
-// The reference interpreter (InterpretKernel, CaptureTimelineInterpreted)
-// shares everything but the core: the same launch plan, the same
-// threadblock walk (sim/trace.h) and the same wave loop, with SimulateBatch
-// over the event trace where replay calls ReplayBatch.
+// The reference interpreter (InterpretKernel, CaptureTimeline) shares
+// everything but the core: the same launch plan, the same threadblock walk
+// (sim/trace.h) and the same wave loop, with SimulateBatch over the event
+// trace where replay calls ReplayBatch. It alone collects PMU counters and
+// timelines, for the profiler and the model audit.
 // ---------------------------------------------------------------------------
 
 // The pipeline-group table both cores read, indexed by the transform's
@@ -102,17 +103,6 @@ struct LaunchPlan {
   int64_t flops = 0;
 };
 
-// One threadblock wave: the threadblocks each active SM hosts, and how
-// many SMs are active (small waves leave SMs idle, and the active ones
-// receive a larger slice of the GPU-wide bandwidth).
-struct WaveShape {
-  int threadblocks = 1;
-  int active_sms = 1;
-};
-
-// The launch's first, steady-state wave (the one timelines record).
-WaveShape FirstWave(const LaunchPlan& plan);
-
 // A schedule compiled for measurement: its launch plan plus the micro-op
 // program.
 struct SimProgram : LaunchPlan {
@@ -137,13 +127,9 @@ SimProgram CompileSimProgram(
 // (pooled across calls; see ReplayArena). A null `arena` means the calling
 // thread's pooled arena, the one the `sim.arena.bytes` gauge counts; its
 // capacity is published after the replay. Bit-identical to the
-// interpreter-based InterpretKernel. When `pmu` is non-null, per-kernel
-// performance counters are collected during the same replay (sim/pmu.h) —
-// the totals scale the replayed waves by the launch's batch structure and
-// are bit-identical to InterpretKernel's.
+// interpreter-based InterpretKernel.
 KernelTiming ReplaySimProgram(const SimProgram& program,
-                              ReplayArena* arena = nullptr,
-                              KernelPmu* pmu = nullptr);
+                              ReplayArena* arena = nullptr);
 
 // Simulates a compiled kernel on the device (phase 1 + phase 2 through the
 // thread's pooled arena).
@@ -160,32 +146,26 @@ KernelTiming CompileAndSimulate(
         schedule::InlineOrder::kAfterPipelining);
 
 // Reference path: simulates by interpreting the AST-derived event trace
-// (sim/trace.h) through the same plan and wave loop as replay. Kept as the
-// differential-testing oracle for the bytecode core; must produce
-// bit-identical KernelTiming — and, when `pmu` is non-null, a
-// bit-identical KernelPmu.
+// (sim/trace.h) through the same plan and wave loop as replay. The
+// differential-testing oracle for the bytecode core, whose KernelTiming it
+// must reproduce bit for bit. When `pmu` is non-null, per-kernel
+// performance counters are collected during the same run (sim/pmu.h): the
+// totals scale the simulated waves by the launch's batch structure.
 KernelTiming InterpretKernel(const CompiledKernel& compiled,
                              const target::GpuSpec& spec,
                              KernelPmu* pmu = nullptr);
 
-// Records the execution timeline of one steady-state threadblock batch
-// for visualization (see timeline.h).
+// Records the execution timeline of the launch's first, steady-state
+// threadblock wave through the reference interpreter, for visualization
+// (see timeline.h) and the stall profiler, with the wave's geometry.
 struct BatchTimeline {
   Timeline timeline;
   int num_warps = 1;
-  int threadblocks = 1;
+  int threadblocks = 1;  // per active SM
+  int active_sms = 1;    // SMs sharing the GPU-wide LLC/DRAM bandwidth
 };
 BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
                               const target::GpuSpec& spec);
-
-// Timeline of one steady-state batch via the replay core (phase 2 only);
-// a null `arena` means the thread's pooled arena, as in ReplaySimProgram.
-BatchTimeline ReplayTimeline(const SimProgram& program,
-                             ReplayArena* arena = nullptr);
-
-// Timeline via the reference interpreter (differential-testing oracle).
-BatchTimeline CaptureTimelineInterpreted(const CompiledKernel& compiled,
-                                         const target::GpuSpec& spec);
 
 // LLC working-set analysis of one threadblock-batch: the fraction of each
 // input tensor's loads that must come from DRAM (1/reuse, degraded when

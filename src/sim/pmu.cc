@@ -76,7 +76,7 @@ void ScaleKernelPmu(KernelPmu* pmu, const PmuCounters& full_wave,
                     const PmuCounters* remainder_wave, int64_t full_batches) {
   pmu->batch = full_wave;
   pmu->total = PmuCounters();
-  // A launch smaller than one batch replays the full wave once and
+  // A launch smaller than one batch simulates the full wave once and
   // charges it once (launch.cc's `full_batches == 0 ? full_batch : ...`).
   int64_t factor = full_batches == 0 ? 1 : full_batches;
   AddScaledPmu(&pmu->total, full_wave, factor);

@@ -1,22 +1,16 @@
 // Performance-counter subsystem (PMU) for the simulated GPU — the
 // Nsight/CUPTI-style counter layer under the PR-4 profiler.
 //
-// Counters are collected *during* a simulator run (interpreter or replay)
-// and obey three contracts, all gated by tests:
-//   - Byte-deterministic: the same program and wave produce memcmp-equal
-//     PmuCounters on every run, on every thread count.
-//   - Bit-identical between cores: InterpretKernel and ReplaySimProgram
-//     fill identical KernelPmu structs. The replay core executes eager
-//     micro-ops out of strict timestamp order, but every stream's own
-//     events still run in that stream's program order, so each stream
-//     accumulates into its own slot row and both cores merge the rows in
-//     fixed stream order through one shared helper
-//     (AccumulatePmuStreams) — the floating-point sums see the same
-//     addends in the same order.
-//   - Free when disabled: the replay arena only sizes its PMU rows when a
-//     PmuCounters sink is passed, so the warm-replay path stays
-//     zero-allocation (extended counting-operator-new gate in
-//     tests/obs_test.cc).
+// Counters are collected *during* a run of the reference interpreter
+// (InterpretKernel; the replay core only times) and obey two contracts,
+// both gated by tests:
+//   - Byte-deterministic: the same kernel and wave produce memcmp-equal
+//     PmuCounters on every run, on every thread count. Each stream
+//     accumulates into its own slot row, and the rows merge in fixed
+//     stream order (AccumulatePmuStreams), so the floating-point sums see
+//     the same addends in the same order.
+//   - Free for timing: collecting counters never changes the simulated
+//     cycles.
 //
 // Counter semantics (cycles are simulated cycles; "transaction" = one
 // copy/store micro-op):
@@ -39,13 +33,12 @@
 //   wait_parks             consumer_waits whose data was not ready on
 //                          arrival (stalled beyond the sync overhead).
 //                          NOT physical parks: whether a wait parks or
-//                          passes through depends on scheduling order,
-//                          which differs between the strict interpreter
-//                          and the eager replay core.
-//   acquire_parks          producer_acquires that parked their warp
-//                          (acquire park decisions happen at the strict
-//                          queue turn in both cores, so this one IS a
-//                          physical-park count)
+//                          passes through depends on scheduling order
+//                          (the eager replay core parks where the strict
+//                          interpreter passes through).
+//   acquire_parks          producer_acquires that parked their warp (a
+//                          physical-park count: acquire park decisions
+//                          happen at the strict queue turn)
 //   inflight_depth[b]      async-copy issues whose per-(warp, group)
 //                          outstanding depth was b+1 (last bucket: >= 16)
 #ifndef ALCOP_SIM_PMU_H_
@@ -57,8 +50,8 @@
 namespace alcop {
 namespace sim {
 
-// Flat per-stream slot layout used by both simulator cores while a run is
-// in flight; merged into the named struct by AccumulatePmuStreams.
+// Flat per-stream slot layout the interpreter accumulates into while a run
+// is in flight; merged into the named struct by AccumulatePmuStreams.
 enum PmuF64Slot {
   kPmuTensorActive = 0,
   kPmuLdsActive,
@@ -127,9 +120,8 @@ static_assert(sizeof(PmuCounters) ==
               "PmuCounters must stay padding-free for memcmp comparison");
 
 // Merges per-stream slot rows into `out`, iterating streams in index
-// order for every field. Both simulator cores call this one function so
-// the floating-point merge order is identical (the bit-identity
-// contract).
+// order for every field, so the floating-point merge order never depends
+// on the order the streams ran in.
 void AccumulatePmuStreams(PmuCounters* out, const double* f64,
                           const int64_t* i64, size_t num_streams);
 
@@ -148,11 +140,10 @@ struct KernelPmu {
 };
 
 // Scales a full wave's counters (plus the optional remainder wave's) to
-// the launch total, mirroring the wave structure of ReplaySimProgram /
-// InterpretKernel exactly: full_batches full waves plus the remainder; a
-// launch smaller than one batch (full_batches == 0, remainder > 0) reuses
-// the full-wave result once. Both kernel entry points call this one
-// helper so their totals are bit-identical.
+// the launch total, mirroring the wave structure of InterpretKernel
+// exactly: full_batches full waves plus the remainder; a launch smaller
+// than one batch (full_batches == 0, remainder > 0) reuses the full-wave
+// result once.
 void ScaleKernelPmu(KernelPmu* pmu, const PmuCounters& full_wave,
                     const PmuCounters* remainder_wave, int64_t full_batches);
 

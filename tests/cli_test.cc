@@ -1,7 +1,8 @@
 // Runs the built alcop_cli (its path is compiled in as ALCOP_CLI_PATH).
-// Bad workloads, a tune with no feasible trial, and cache actions on state
-// a CLI process never holds must each exit with status 1 and print one
-// line on stderr: a signal or an ASan/UBSan report fails the test.
+// Bad workloads, bad flag values, a tune with no feasible trial, and cache
+// actions on state a CLI process never holds must each exit with status 1
+// and print one line on stderr: a signal or an ASan/UBSan report fails the
+// test.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -90,14 +91,17 @@ std::string Join(const std::vector<std::string>& args) {
   return out;
 }
 
-// Exit status 1, not a signal, and exactly one line on stderr.
-void ExpectOneLineFailure(const std::vector<std::string>& args) {
+// Exit status 1, not a signal, and exactly one line on stderr, which
+// contains `names` when given.
+void ExpectOneLineFailure(const std::vector<std::string>& args,
+                          const std::string& names = "") {
   SCOPED_TRACE(Join(args));
   CliRun run = RunCli(args);
   EXPECT_TRUE(run.exited) << "killed by a signal; stderr: " << run.err;
   EXPECT_EQ(run.status, 1);
   EXPECT_EQ(std::count(run.err.begin(), run.err.end(), '\n'), 1) << run.err;
   EXPECT_TRUE(!run.err.empty() && run.err.back() == '\n') << run.err;
+  EXPECT_NE(run.err.find(names), std::string::npos) << run.err;
 }
 
 CliRun ExpectSuccess(const std::vector<std::string>& args) {
@@ -121,6 +125,17 @@ TEST(CliTest, EverySizeIsAWholeInt64) {
   ExpectOneLineFailure({"compile", "512x", "512", "512"});
   ExpectOneLineFailure({"compile", "512", "512", "512", "1", "7"});
   ExpectOneLineFailure({"compile", "99999999999999999999", "512", "512"});
+}
+
+TEST(CliTest, EveryFlagValueIsAWholeNumberInRange) {
+  ExpectOneLineFailure({"tune", "MM_RN50_FC", "--trials", "4x"}, "'4x'");
+  ExpectOneLineFailure({"tune", "MM_RN50_FC", "--model-topk", "12x"},
+                       "'12x'");
+  // The client reads its numbers before it connects: the line names the
+  // bad size, not the missing socket.
+  ExpectOneLineFailure({"client", "/nonexistent", "compile", "512x", "512",
+                        "512", "--tb", "128,128,32"},
+                       "'512x'");
 }
 
 TEST(CliTest, CalibrateFitTakesNoOtherArgument) {

@@ -547,42 +547,6 @@ TEST(ObsOverheadTest, WarmReplayIsZeroAllocationWithTracingDisabled) {
 #endif
 }
 
-TEST(ObsOverheadTest, WarmReplayStaysZeroAllocationWithPmuEnabled) {
-  // The PMU rows live in the pooled arena: one warm-up with a counter
-  // sink sizes them, after which collecting replays allocate nothing —
-  // and the counters are byte-deterministic run over run.
-  target::GpuSpec spec = target::AmpereSpec();
-  sim::CompiledKernel compiled = SmallKernel(spec);
-  sim::SimProgram program = sim::BuildSimProgram(compiled, spec);
-  sim::ReplayArena arena;
-
-  obs::SetTraceEnabled(false);
-  sim::KernelPmu warmup_pmu;
-  sim::ReplaySimProgram(program, &arena, &warmup_pmu);
-  size_t capacity = arena.CapacityBytes();
-
-  sim::KernelPmu pmu;
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sim::KernelTiming timing = sim::ReplaySimProgram(program, &arena, &pmu);
-  uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_TRUE(timing.feasible);
-  EXPECT_TRUE(pmu.collected);
-  EXPECT_EQ(arena.CapacityBytes(), capacity)
-      << "collecting warm replay grew the arena";
-#if !defined(ALCOP_OBS_NO_ALLOC_COUNTING)
-  EXPECT_EQ(after - before, 0u) << "collecting warm replay allocated";
-#else
-  (void)before;
-  (void)after;
-#endif
-  EXPECT_EQ(std::memcmp(&warmup_pmu.total, &pmu.total,
-                        sizeof(sim::PmuCounters)),
-            0);
-  EXPECT_EQ(std::memcmp(&warmup_pmu.batch, &pmu.batch,
-                        sizeof(sim::PmuCounters)),
-            0);
-}
-
 TEST(ObsOverheadTest, WarmReplayWithRaggedLastWaveIsZeroAllocation) {
   // A remainder wave runs fewer threadblocks than the full waves before
   // it. The arena's park lists and barriers must survive that smaller

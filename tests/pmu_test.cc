@@ -1,18 +1,20 @@
-// Tests of the PMU performance-counter subsystem (sim/pmu.h): the
-// interpreter/replay differential, determinism across thread counts,
-// conservation against the analytic traffic report, the wave-to-launch
-// scaling helper, and the roofline / calibration layers built on top.
+// Tests of the PMU performance-counter subsystem (sim/pmu.h), which the
+// reference interpreter fills: determinism across thread counts, timing
+// untouched by collection, conservation against the analytic traffic
+// report, the wave-to-launch scaling helper, and the roofline /
+// calibration layers built on top.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "perfmodel/calibration.h"
 #include "perfmodel/roofline.h"
-#include "sim/desim.h"
+#include "schedule/lower.h"
 #include "sim/launch.h"
 #include "sim/pmu.h"
 #include "sim/traffic_report.h"
@@ -26,13 +28,6 @@ namespace {
 
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool SamePmu(const sim::KernelPmu& a, const sim::KernelPmu& b) {
-  return a.collected == b.collected &&
-         std::memcmp(&a.total, &b.total, sizeof(sim::PmuCounters)) == 0 &&
-         std::memcmp(&a.batch, &b.batch, sizeof(sim::PmuCounters)) == 0 &&
-         BitEqual(a.achieved_occupancy, b.achieved_occupancy);
 }
 
 // Raw bytes of the counter payload, for cross-run equality assertions.
@@ -72,41 +67,29 @@ ProbeConfigs() {
   return probes;
 }
 
-TEST(PmuTest, InterpreterAndReplayProduceIdenticalCounters) {
-  target::GpuSpec spec = target::AmpereSpec();
-  sim::ReplayArena arena;
-  int feasible = 0;
-  for (const auto& [op, config] : ProbeConfigs()) {
-    sim::SimProgram program = sim::CompileSimProgram(op, config, spec);
-    if (!program.feasible) continue;
-    ++feasible;
-    sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-    sim::KernelPmu interp_pmu;
-    sim::KernelPmu replay_pmu;
-    sim::KernelTiming interp = sim::InterpretKernel(compiled, spec, &interp_pmu);
-    sim::KernelTiming replay = sim::ReplaySimProgram(program, &arena, &replay_pmu);
-    ASSERT_TRUE(interp.feasible);
-    EXPECT_TRUE(BitEqual(interp.cycles, replay.cycles));
-    EXPECT_TRUE(SamePmu(interp_pmu, replay_pmu))
-        << op.name << " " << config.ToString();
-    EXPECT_TRUE(interp_pmu.collected);
+// The probe's kernel, or nullopt when the config fails the feasibility
+// check (such a config is never lowered).
+std::optional<sim::CompiledKernel> CompileIfFeasible(
+    const schedule::GemmOp& op, const schedule::ScheduleConfig& config,
+    const target::GpuSpec& spec) {
+  if (!schedule::CheckFeasibility(op, config, spec).feasible) {
+    return std::nullopt;
   }
-  EXPECT_GT(feasible, 3);
+  return sim::CompileKernel(op, config, spec);
 }
 
 TEST(PmuTest, CountersAreBitIdenticalAcrossThreadCounts) {
   target::GpuSpec spec = target::AmpereSpec();
   auto probes = ProbeConfigs();
+  int feasible = 0;
   auto sweep = [&] {
-    // One local arena per measurement: the pool's thread-local pools are
-    // irrelevant here, only the counter bytes matter.
     return support::ParallelMap(probes.size(), [&](size_t i) {
-      sim::SimProgram program =
-          sim::CompileSimProgram(probes[i].first, probes[i].second, spec);
-      if (!program.feasible) return std::string();
-      sim::ReplayArena arena;
+      std::optional<sim::CompiledKernel> compiled =
+          CompileIfFeasible(probes[i].first, probes[i].second, spec);
+      if (!compiled.has_value()) return std::string();
       sim::KernelPmu pmu;
-      sim::ReplaySimProgram(program, &arena, &pmu);
+      sim::InterpretKernel(*compiled, spec, &pmu);
+      EXPECT_TRUE(pmu.collected);
       return PmuBytes(pmu);
     });
   };
@@ -116,11 +99,13 @@ TEST(PmuTest, CountersAreBitIdenticalAcrossThreadCounts) {
     std::vector<std::string> run = sweep();
     if (baseline.empty()) {
       baseline = run;
+      for (const std::string& bytes : run) feasible += !bytes.empty();
     } else {
       EXPECT_EQ(baseline, run) << "thread count " << threads;
     }
   }
   support::SetGlobalThreads(support::ThreadsFromEnv());
+  EXPECT_GT(feasible, 3);
 }
 
 TEST(PmuTest, CountersConserveAgainstTrafficReport) {
@@ -251,13 +236,14 @@ TEST(PmuTest, CalibrationAuditsEveryTerm) {
 
 TEST(PmuTest, CollectionDoesNotPerturbTiming) {
   target::GpuSpec spec = target::AmpereSpec();
-  sim::ReplayArena arena;
   for (const auto& [op, config] : ProbeConfigs()) {
-    sim::SimProgram program = sim::CompileSimProgram(op, config, spec);
-    if (!program.feasible) continue;
+    std::optional<sim::CompiledKernel> compiled =
+        CompileIfFeasible(op, config, spec);
+    if (!compiled.has_value()) continue;
     sim::KernelPmu pmu;
-    sim::KernelTiming with = sim::ReplaySimProgram(program, &arena, &pmu);
-    sim::KernelTiming without = sim::ReplaySimProgram(program, &arena);
+    sim::KernelTiming with = sim::InterpretKernel(*compiled, spec, &pmu);
+    sim::KernelTiming without = sim::InterpretKernel(*compiled, spec);
+    EXPECT_TRUE(with.feasible);
     EXPECT_TRUE(BitEqual(with.cycles, without.cycles));
     EXPECT_TRUE(BitEqual(with.batch_cycles, without.batch_cycles));
   }

@@ -821,19 +821,19 @@ double ArenaGaugeBytes() {
   return 0.0;
 }
 
-// A profile replays through the slow lane's pooled arena, the one the
-// gauge counts, so a fresh server's first profile raises it.
-TEST_F(ServerTest, ProfileReplaysThroughThePublishedArena) {
+// A cold compile replays through the slow lane's pooled arena, the one
+// the gauge counts, so a fresh server's first compile raises it.
+TEST_F(ServerTest, ColdCompileReplaysThroughThePublishedArena) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
   serving::Client client;
   ASSERT_TRUE(client.Connect(socket_path_));
   const double before = ArenaGaugeBytes();
-  std::optional<JsonValue> profiled = client.Call(
-      "{\"id\":1,\"method\":\"profile\",\"m\":512,\"n\":512,\"k\":512,"
+  std::optional<JsonValue> compiled = client.Call(
+      "{\"id\":1,\"method\":\"compile\",\"m\":512,\"n\":512,\"k\":512,"
       "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}}");
-  ASSERT_TRUE(profiled.has_value());
-  ASSERT_TRUE(profiled->Find("ok")->BoolOr(false));
+  ASSERT_TRUE(compiled.has_value());
+  ASSERT_TRUE(compiled->Find("ok")->BoolOr(false));
   EXPECT_GT(ArenaGaugeBytes(), before);
   server.Stop();
 }
