@@ -209,21 +209,29 @@ bool ParseNumber(const char* what, const char* text, int64_t min, T* value,
   return false;
 }
 
+// M N K [batch]: three or four whole numbers > 0, the batch 1 when absent.
+// Otherwise prints one line and returns false.
+bool ParseSizes(const std::vector<char*>& positional, int64_t sizes[4]) {
+  if (positional.size() != 3 && positional.size() != 4) {
+    std::fprintf(stderr, "expected M N K [batch]\n");
+    return false;
+  }
+  sizes[3] = 1;
+  for (size_t i = 0; i < positional.size(); ++i) {
+    if (!ParseNumber("M N K [batch]", positional[i], 1, &sizes[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // WORKLOAD positionals: a benchmark op name (see `ops`) or M N K [batch].
 bool ParseWorkload(const std::vector<char*>& positional,
                    schedule::GemmOp* op) {
   if (!positional.empty() &&
       std::isdigit(static_cast<unsigned char>(positional[0][0]))) {
-    int64_t sizes[4] = {0, 0, 0, 1};
-    bool ok = positional.size() == 3 || positional.size() == 4;
-    for (size_t i = 0; ok && i < positional.size(); ++i) {
-      ok = ParseSize(positional[i], &sizes[i]) && sizes[i] > 0;
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "expected M N K [batch], every size an integer > 0\n");
-      return false;
-    }
+    int64_t sizes[4];
+    if (!ParseSizes(positional, sizes)) return false;
     auto [m, n, k, batch] = sizes;
     *op = batch > 1 ? schedule::MakeBatchMatmul("cli", batch, m, n, k)
                     : schedule::MakeMatmul("cli", m, n, k);
@@ -1029,16 +1037,8 @@ int CmdClient(int argc, char** argv) {
         positional.push_back(argv[i]);
       }
     }
-    if (positional.size() != 3 && positional.size() != 4) {
-      std::fprintf(stderr, "expected M N K [batch]\n");
-      return 1;
-    }
-    int64_t sizes[4] = {0, 0, 0, 1};
-    for (size_t i = 0; i < positional.size(); ++i) {
-      if (!ParseNumber("M N K [batch]", positional[i], 1, &sizes[i])) {
-        return 1;
-      }
-    }
+    int64_t sizes[4];
+    if (!ParseSizes(positional, sizes)) return 1;
     auto [m, n, k, batch] = sizes;
     std::ostringstream out;
     out << "{\"id\":1,\"method\":\"" << method << "\",\"family\":\""
