@@ -34,10 +34,10 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
+#include "schedule/lower.h"
 #include "serving/http.h"
 #include "serving/persist.h"
 #include "serving/protocol.h"
-#include "schedule/lower.h"
 #include "sim/launch.h"
 #include "sim/pmu.h"
 #include "sim/sim_cache.h"
