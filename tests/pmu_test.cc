@@ -1,15 +1,18 @@
 // Tests of the PMU performance-counter subsystem (sim/pmu.h), which the
 // reference interpreter fills: determinism across thread counts, timing
 // untouched by collection, conservation against the analytic traffic
-// report, the wave-to-launch scaling helper, and the roofline /
+// report, the wave-to-launch scaling helper, a pinned hash of the
+// counters and first-wave spans over a Fig. 10 sample, and the roofline /
 // calibration layers built on top.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "perfmodel/calibration.h"
@@ -20,6 +23,7 @@
 #include "sim/traffic_report.h"
 #include "support/parallel.h"
 #include "target/gpu_spec.h"
+#include "tuner/space.h"
 #include "tuner/strategy.h"
 #include "workloads/ops.h"
 
@@ -232,6 +236,102 @@ TEST(PmuTest, CalibrationAuditsEveryTerm) {
   EXPECT_EQ(result.roofline_agrees,
             perfmodel::RooflineAgreesWithLimiter(result.roofline,
                                                  result.bottleneck_limiter));
+}
+
+// 64-bit FNV-1a over raw bytes.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Value(const T& value) {
+    Bytes(&value, sizeof(value));
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+// Every 32nd config of the 12 Fig. 10 spaces, interpreted with counters
+// and the first wave's timeline: the timing, the counters and every span
+// hash to the pinned value. The sample covers the three wave structures
+// ScaleKernelPmu distinguishes. No Fig. 10 launch is a whole number of
+// full waves on this spec, so one batched matmul of exactly two full
+// waves (2 threadblocks per SM x 108 SMs x 2) is added.
+TEST(PmuTest, InterpreterCountersAndFirstWaveArePinned) {
+  const target::GpuSpec spec = target::AmpereSpec();
+  std::vector<std::pair<schedule::GemmOp, schedule::ScheduleConfig>> sample;
+  for (const schedule::GemmOp& op : workloads::BenchmarkOps()) {
+    const std::vector<schedule::ScheduleConfig> space =
+        tuner::EnumerateSpace(op);
+    for (size_t c = 0; c < space.size(); c += 32) {
+      sample.emplace_back(op, space[c]);
+    }
+  }
+  sample.emplace_back(
+      schedule::MakeBatchMatmul("whole_waves", 432, 128, 128, 256),
+      BigConfig());
+
+  Fnv1a fnv;
+  int feasible = 0;
+  int full_only = 0;     // full waves, no remainder
+  int full_and_rem = 0;  // full waves plus a remainder wave
+  int partial_only = 0;  // one partial wave (full_batches == 0)
+  for (const auto& [op, config] : sample) {
+    sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
+    sim::KernelPmu pmu;
+    sim::KernelTiming timing = sim::InterpretKernel(compiled, spec, &pmu);
+    fnv.Value(static_cast<uint8_t>(timing.feasible));
+    fnv.Value(static_cast<uint64_t>(timing.reason.size()));
+    fnv.Bytes(timing.reason.data(), timing.reason.size());
+    fnv.Value(timing.cycles);
+    fnv.Value(timing.microseconds);
+    fnv.Value(timing.tflops);
+    fnv.Value(timing.threadblocks_per_sm);
+    fnv.Value(timing.batches);
+    fnv.Value(timing.batch_cycles);
+    const std::string counters = PmuBytes(pmu);
+    fnv.Bytes(counters.data(), counters.size());
+    if (!timing.feasible) continue;
+    ++feasible;
+
+    sim::BatchTimeline wave = sim::CaptureTimeline(compiled, spec);
+    fnv.Value(wave.num_warps);
+    fnv.Value(wave.threadblocks);
+    fnv.Value(wave.active_sms);
+    fnv.Value(wave.timeline.makespan);
+    fnv.Value(static_cast<uint64_t>(wave.timeline.spans.size()));
+    for (const sim::TimelineSpan& span : wave.timeline.spans) {
+      fnv.Value(span.tb);
+      fnv.Value(span.warp);
+      fnv.Value(static_cast<int32_t>(span.kind));
+      fnv.Value(span.start);
+      fnv.Value(span.end);
+    }
+
+    const int64_t total = compiled.kernel.TotalThreadblocks();
+    const int64_t per_batch =
+        static_cast<int64_t>(timing.threadblocks_per_sm) * spec.num_sms;
+    if (total < per_batch) {
+      ++partial_only;
+    } else if (total % per_batch == 0) {
+      ++full_only;
+    } else {
+      ++full_and_rem;
+    }
+  }
+  EXPECT_GT(full_only, 0);
+  EXPECT_GT(full_and_rem, 0);
+  EXPECT_GT(partial_only, 0);
+  EXPECT_EQ(sample.size(), 511u);
+  EXPECT_EQ(feasible, 496);
+  EXPECT_EQ(fnv.hash(), 8656617832585053045u);
 }
 
 TEST(PmuTest, CollectionDoesNotPerturbTiming) {
