@@ -37,10 +37,10 @@
 //                                      spans and the simulated-GPU
 //                                      timeline; --counters prints the PMU
 //                                      table (--json always embeds the
-//                                      counter block). The reference
-//                                      interpreter gives timing and
-//                                      counters in one run, the
-//                                      profiled timeline in a second.
+//                                      counter block). One run of the
+//                                      reference interpreter gives the
+//                                      timing, the counters and the
+//                                      profiled timeline.
 //   alcop_cli calibrate WORKLOAD [--json]
 //                                      audit the Table-I analytical model
 //                                      against PMU/stall measurements:
@@ -111,7 +111,10 @@
 // A WORKLOAD is a benchmark op name (see `ops`) or M N K [batch], every
 // size a whole number > 0 that fits 64 bits. Every other number, flag
 // values and client sizes included, is read the same way and must fit
-// its flag's range; a bad one exits 1 with one line naming it. compile,
+// its flag's range; a bad one exits 1 with one line naming it. serve,
+// verify, lint and cache also exit 1 with one line naming an unknown
+// flag, a value flag given last without its value, or a second operand,
+// before they bind a socket or read a file. compile,
 // timeline, lint, profile and calibrate use the best schedule found by a
 // 16-trial analytical ranking.
 #include <algorithm>
@@ -247,6 +250,27 @@ bool ParseWorkload(const std::vector<char*>& positional,
     *op = workloads::FindOp(positional[0]);
   } catch (const CheckError& e) {
     std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+  return true;
+}
+
+// Checks the arguments a command did not read as flags: none may look like
+// a flag (an unknown one, or a value flag given last without its value),
+// and at most `max_operands` may be left. Otherwise prints one line that
+// names the first offending argument and returns false.
+bool CheckOperands(const char* command, const std::vector<char*>& positional,
+                   size_t max_operands = 1) {
+  for (const char* arg : positional) {
+    if (std::strncmp(arg, "--", 2) == 0) {
+      std::fprintf(stderr, "%s: unknown flag or missing value '%s'\n",
+                   command, arg);
+      return false;
+    }
+  }
+  if (positional.size() > max_operands) {
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", command,
+                 positional[max_operands]);
     return false;
   }
   return true;
@@ -413,8 +437,13 @@ int CmdTimeline(int argc, char** argv) {
   schedule::GemmOp op;
   if (!ParseWorkload(std::vector<char*>(argv + 2, argv + argc), &op)) return 1;
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
-  sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::KernelTiming timing = sim::InterpretKernel(
+      sim::CompileKernel(op, config, spec), spec, nullptr, &batch);
+  if (!timing.feasible) {
+    std::fprintf(stderr, "infeasible schedule: %s\n", timing.reason.c_str());
+    return 1;
+  }
   std::printf("schedule: %s\n%s", config.ToString().c_str(),
               sim::RenderTimeline(batch.timeline, batch.num_warps).c_str());
   return 0;
@@ -470,6 +499,7 @@ int CmdVerify(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
+  if (!CheckOperands("verify", positional)) return 1;
   if (positional.empty()) {
     std::fprintf(stderr, "expected a file path\n");
     return 1;
@@ -526,6 +556,9 @@ int CmdLint(int argc, char** argv) {
                  "or a .tir file\n");
     return 1;
   }
+  // A file or an op name is one operand; sizes are M N K [batch].
+  bool sizes = std::isdigit(static_cast<unsigned char>(positional[0][0]));
+  if (!CheckOperands("lint", positional, sizes ? 4 : 1)) return 1;
 
   std::string subject = positional[0];
   std::string schedule_str;
@@ -660,12 +693,16 @@ int CmdProfile(int argc, char** argv) {
   obs::ClearTrace();
 
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
-  sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  // The reference interpreter gives the timing and the PMU counters in
-  // one run, and the profiled timeline of the first wave in a second.
+  // The reference interpreter gives the timing, the PMU counters and the
+  // profiled timeline of the first wave in one run.
   sim::KernelPmu pmu;
-  sim::KernelTiming timing = sim::InterpretKernel(compiled, spec, &pmu);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::KernelTiming timing = sim::InterpretKernel(
+      sim::CompileKernel(op, config, spec), spec, &pmu, &batch);
+  if (!timing.feasible) {
+    std::fprintf(stderr, "infeasible schedule: %s\n", timing.reason.c_str());
+    return 1;
+  }
 
   obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);
@@ -795,6 +832,7 @@ int CmdCache(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
+  if (!CheckOperands("cache", positional)) return 1;
   std::string action = positional.empty() ? "load" : positional[0];
   if (action != "load" && action != "clear") {
     std::fprintf(stderr, "unknown cache action '%s' (load|clear)\n",
@@ -897,6 +935,7 @@ int CmdServe(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
+  if (!CheckOperands("serve", positional)) return 1;
   if (positional.empty()) {
     std::fprintf(stderr, "expected a unix socket path\n");
     return 1;

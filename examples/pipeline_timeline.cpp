@@ -21,9 +21,9 @@ namespace {
 void Show(const char* label, const schedule::GemmOp& op,
           const schedule::ScheduleConfig& config,
           const target::GpuSpec& spec) {
-  sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
-  sim::KernelTiming timing = sim::SimulateKernel(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::KernelTiming timing = sim::InterpretKernel(
+      sim::CompileKernel(op, config, spec), spec, nullptr, &batch);
   std::printf("== %s (%s): %.0f cycles, %.1f TFLOP/s ==\n", label,
               config.ToString().c_str(), timing.cycles, timing.tflops);
   sim::RenderOptions options;

@@ -54,8 +54,12 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
     out.reason = std::move(verdict.reason);
     return out;
   }
-  const sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  sim::KernelTiming timing = sim::InterpretKernel(compiled, spec, &out.pmu);
+  // One interpreter run gives the timing, the counters and the first
+  // wave's timeline (for the fill/drain split and the measured stall
+  // verdict).
+  sim::BatchTimeline batch;
+  sim::KernelTiming timing = sim::InterpretKernel(
+      sim::CompileKernel(op, config, spec), spec, &out.pmu, &batch);
   AnalyticalBreakdown model = AnalyticalModel(op, config, spec);
   if (!model.feasible) {
     out.reason = "analytical model rejected: " + model.reason;
@@ -65,9 +69,6 @@ CalibrationResult CalibrateConfig(const schedule::GemmOp& op,
   out.measured_cycles = timing.cycles;
   out.predicted_cycles = model.cycles;
 
-  // One profiled batch timeline for the fill/drain split and the measured
-  // stall verdict.
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
   obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);
 

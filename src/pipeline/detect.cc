@@ -23,14 +23,6 @@ const DetectionEntry* DetectionResult::Find(const std::string& buffer) const {
   return nullptr;
 }
 
-verify::Diagnostic DetectionEntry::AsDiagnostic() const {
-  verify::Diagnostic diag;
-  diag.severity = verify::Severity::kNote;
-  diag.code = code.empty() ? "D000" : code;
-  diag.message = "buffer '" + buffer + "' not pipelinable: " + reason;
-  return diag;
-}
-
 DetectionResult DetectPipelineBuffers(const Schedule& schedule,
                                       const target::GpuSpec& spec) {
   DetectionResult result;

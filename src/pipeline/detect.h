@@ -23,7 +23,6 @@
 
 #include "schedule/schedule.h"
 #include "target/gpu_spec.h"
-#include "verify/diagnostic.h"
 
 namespace alcop {
 namespace pipeline {
@@ -40,10 +39,6 @@ struct DetectionEntry {
   //   D003 no sequential load-use loop  (rule 2)
   //   D004 sync-position conflict       (rule 3)
   std::string code;
-
-  // The refusal as a Diagnostic (note severity: a refusal is a legality
-  // fact, not a defect). Only valid when !eligible.
-  verify::Diagnostic AsDiagnostic() const;
 };
 
 struct DetectionResult {

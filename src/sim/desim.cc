@@ -119,13 +119,12 @@ class Desim {
         s.copy_max.assign(num_groups, 0.0);
       }
     }
-    // PMU accumulators: one f64/i64 slot row per stream plus the
+    // PMU accumulators: one counter row per stream plus the
     // per-(stream, group) async-copy depth (sim/pmu.h). Only sized when
     // the caller asked for counters.
     pmu_ = params.pmu != nullptr;
     if (pmu_) {
-      pmu_f64_.assign(streams_.size() * kPmuF64Count, 0.0);
-      pmu_i64_.assign(streams_.size() * kPmuI64Count, 0);
+      pmu_rows_.assign(streams_.size(), PmuCounters());
       pmu_depth_.assign(streams_.size() * num_groups, 0);
     }
     barriers_.resize(static_cast<size_t>(params.threadblocks));
@@ -163,10 +162,8 @@ class Desim {
     double makespan = store_completion_;
     for (const Stream& s : streams_) makespan = std::max(makespan, s.time);
     if (params_.timeline != nullptr) params_.timeline->makespan = makespan;
-    if (pmu_) {
-      AccumulatePmuStreams(params_.pmu, pmu_f64_.data(), pmu_i64_.data(),
-                           streams_.size());
-    }
+    // Rows merge in stream order, whatever order the streams ran in.
+    for (const PmuCounters& row : pmu_rows_) AddScaledPmu(params_.pmu, row, 1);
     // Every stream must have drained its trace; anything else is a
     // synchronization deadlock in the input program.
     for (const Stream& s : streams_) {
@@ -245,9 +242,7 @@ class Desim {
         double t0 = s.time;
         s.time += static_cast<double>(e.bytes) / 256.0;
         Record(s.tb, s.warp, SpanKind::kFill, t0, s.time);
-        if (pmu_) {
-          PmuF(id)[kPmuFill] += static_cast<double>(e.bytes) / 256.0;
-        }
+        if (pmu_) Row(id).fill_cycles += static_cast<double>(e.bytes) / 256.0;
         break;
       }
       case EventKind::kMma: {
@@ -259,12 +254,12 @@ class Desim {
         s.time = partition.Serve(s.time, static_cast<double>(e.flops), &start);
         Record(s.tb, s.warp, SpanKind::kCompute, start, s.time);
         if (pmu_) {
-          double* f = PmuF(id);
+          PmuCounters& c = Row(id);
           // The same quotient the trace compiler bakes as the op's
           // tensor-core cycles.
-          f[kPmuTensorActive] +=
+          c.tensor_active_cycles +=
               static_cast<double>(e.flops) / partition.rate;
-          f[kPmuFlops] += static_cast<double>(e.flops);
+          c.flops += static_cast<double>(e.flops);
         }
         break;
       }
@@ -278,16 +273,15 @@ class Desim {
             std::max(s.copy_max[static_cast<size_t>(e.group)], completion);
         if (pmu_) {
           PmuCountCopy(id, e);
-          double* f = PmuF(id);
-          int64_t* n = PmuN(id);
-          f[kPmuCpAsyncBytes] += static_cast<double>(e.bytes);
-          ++n[kPmuCpAsyncTx];
+          PmuCounters& c = Row(id);
+          c.cp_async_bytes += static_cast<double>(e.bytes);
+          ++c.cp_async_transactions;
           int32_t depth = ++pmu_depth_[static_cast<size_t>(id) *
                                            params_.groups.size() +
                                        static_cast<size_t>(e.group)];
-          ++n[kPmuDepthHist0 + std::min(depth - 1, kPmuDepthBuckets - 1)];
+          ++c.inflight_depth[std::min(depth - 1, kPmuDepthBuckets - 1)];
           if (params_.blocking_async) {
-            f[kPmuExposedCopy] += completion - s.time;
+            c.exposed_copy_cycles += completion - s.time;
           }
         }
         if (params_.blocking_async) {
@@ -315,11 +309,11 @@ class Desim {
             spec_.dram_latency_cycles;
         store_completion_ = std::max(store_completion_, completion);
         if (pmu_) {
-          double* f = PmuF(id);
-          f[kPmuCopyIssue] +=
+          PmuCounters& c = Row(id);
+          c.copy_issue_cycles +=
               static_cast<double>(e.bytes) / spec_.copy_issue_bytes_per_cycle;
-          f[kPmuDramWriteBytes] += static_cast<double>(e.bytes);
-          ++PmuN(id)[kPmuDramWriteTx];
+          c.dram_write_bytes += static_cast<double>(e.bytes);
+          ++c.dram_write_transactions;
         }
         break;
       }
@@ -329,7 +323,7 @@ class Desim {
         int64_t needed = n - (params_.groups[static_cast<size_t>(e.group)].stages - 1);
         if (needed > inst.MinReleases()) {
           inst.acquire_waiters.push_back({id, needed, s.time});
-          if (pmu_) ++PmuN(id)[kPmuAcquireParks];
+          if (pmu_) ++Row(id).acquire_parks;
           return;  // parked
         }
         s.time += spec_.sync_overhead_cycles;
@@ -362,20 +356,20 @@ class Desim {
         if (static_cast<size_t>(idx) >= inst.is_complete.size() ||
             !inst.is_complete[static_cast<size_t>(idx)]) {
           inst.wait_waiters.push_back({id, idx, s.time});
-          return;  // parked (counted at wake; see kPmuWaitParks contract)
+          return;  // parked (counted at wake; see the wait_parks contract)
         }
         double t0 = s.time;
         s.time = std::max(s.time, inst.complete[static_cast<size_t>(idx)]) +
                  spec_.sync_overhead_cycles;
         Record(s.tb, s.warp, SpanKind::kSyncStall, t0, s.time);
         if (pmu_) {
-          PmuF(id)[kPmuWaitStall] += s.time - t0;
+          Row(id).wait_stall_cycles += s.time - t0;
           // Whether a wait physically parks depends on scheduling order
           // (the eager replay core parks where the strict interpreter
           // passes through), so the counter records the invariant fact
           // instead: the data was not ready on arrival.
           if (s.time - t0 > spec_.sync_overhead_cycles) {
-            ++PmuN(id)[kPmuWaitParks];
+            ++Row(id).wait_parks;
           }
         }
         ++s.waits[static_cast<size_t>(e.group)];
@@ -394,7 +388,7 @@ class Desim {
         barrier.max_time = std::max(barrier.max_time, s.time);
         if (++barrier.arrived < trace_.num_warps) {
           barrier.parked.emplace_back(id, s.time);
-          if (pmu_) ++PmuN(id)[kPmuBarrierArrivals];
+          if (pmu_) ++Row(id).barrier_arrivals;
           ++s.pc;  // the releaser advances everyone past the barrier
           return;
         }
@@ -402,7 +396,7 @@ class Desim {
         for (const auto& [parked_id, arrival] : barrier.parked) {
           Stream& p = streams_[static_cast<size_t>(parked_id)];
           Record(p.tb, p.warp, SpanKind::kBarrier, arrival, resume);
-          if (pmu_) PmuF(parked_id)[kPmuBarrierStall] += resume - arrival;
+          if (pmu_) Row(parked_id).barrier_stall_cycles += resume - arrival;
           p.time = resume;
           Push(parked_id);
         }
@@ -411,8 +405,8 @@ class Desim {
         barrier.max_time = 0.0;
         Record(s.tb, s.warp, SpanKind::kBarrier, s.time, resume);
         if (pmu_) {
-          ++PmuN(id)[kPmuBarrierArrivals];
-          PmuF(id)[kPmuBarrierStall] += resume - s.time;
+          ++Row(id).barrier_arrivals;
+          Row(id).barrier_stall_cycles += resume - s.time;
         }
         s.time = resume;
         break;
@@ -426,7 +420,7 @@ class Desim {
   void DrainSyncLoads(int id, Stream& s) {
     if (s.pending_sync > s.time) {
       Record(s.tb, s.warp, SpanKind::kBlockingCopy, s.time, s.pending_sync);
-      if (pmu_) PmuF(id)[kPmuExposedCopy] += s.pending_sync - s.time;
+      if (pmu_) Row(id).exposed_copy_cycles += s.pending_sync - s.time;
       s.time = s.pending_sync;
     }
     s.pending_sync = 0.0;
@@ -436,33 +430,27 @@ class Desim {
   // bytes, LDS quotient and DRAM-fraction product the trace compiler
   // bakes into the pooled operands.
   void PmuCountCopy(int id, const TraceEvent& e) {
-    double* f = PmuF(id);
-    int64_t* n = PmuN(id);
+    PmuCounters& c = Row(id);
     double bytes = static_cast<double>(e.bytes);
-    f[kPmuCopyIssue] += bytes / spec_.copy_issue_bytes_per_cycle;
+    c.copy_issue_cycles += bytes / spec_.copy_issue_bytes_per_cycle;
     if (e.src_scope == ir::MemScope::kGlobal) {
-      f[kPmuLlcReadBytes] += bytes;
-      ++n[kPmuLlcReadTx];
+      c.llc_read_bytes += bytes;
+      ++c.llc_read_transactions;
       double fraction = 1.0;
       auto it = params_.dram_fraction.find(e.src_tensor);
       if (it != params_.dram_fraction.end()) fraction = it->second;
       if (fraction > 1e-3) {
-        f[kPmuDramReadBytes] += bytes * fraction;
-        ++n[kPmuDramReadTx];
+        c.dram_read_bytes += bytes * fraction;
+        ++c.dram_read_transactions;
       }
     } else {
-      f[kPmuLdsActive] += bytes / lds_.rate;
-      f[kPmuLdsReadBytes] += bytes;
-      ++n[kPmuLdsReadTx];
+      c.lds_active_cycles += bytes / lds_.rate;
+      c.lds_read_bytes += bytes;
+      ++c.lds_read_transactions;
     }
   }
 
-  double* PmuF(int id) {
-    return pmu_f64_.data() + static_cast<size_t>(id) * kPmuF64Count;
-  }
-  int64_t* PmuN(int id) {
-    return pmu_i64_.data() + static_cast<size_t>(id) * kPmuI64Count;
-  }
+  PmuCounters& Row(int id) { return pmu_rows_[static_cast<size_t>(id)]; }
 
   void WakeWaitWaiters(Instance& inst, int64_t group_index) {
     auto it = inst.wait_waiters.begin();
@@ -476,9 +464,9 @@ class Desim {
                  spec_.sync_overhead_cycles;
         Record(s.tb, s.warp, SpanKind::kSyncStall, it->park_time, s.time);
         if (pmu_) {
-          PmuF(it->stream)[kPmuWaitStall] += s.time - it->park_time;
+          Row(it->stream).wait_stall_cycles += s.time - it->park_time;
           if (s.time - it->park_time > spec_.sync_overhead_cycles) {
-            ++PmuN(it->stream)[kPmuWaitParks];
+            ++Row(it->stream).wait_parks;
           }
         }
         ++s.waits[static_cast<size_t>(e.group)];
@@ -505,7 +493,7 @@ class Desim {
                  spec_.sync_overhead_cycles;
         Record(s.tb, s.warp, SpanKind::kSyncStall, it->park_time, s.time);
         if (pmu_) {
-          PmuF(it->stream)[kPmuAcquireStall] += s.time - it->park_time;
+          Row(it->stream).acquire_stall_cycles += s.time - it->park_time;
         }
         ++s.acquires[static_cast<size_t>(e.group)];
         ++s.pc;
@@ -533,8 +521,7 @@ class Desim {
   double store_completion_ = 0.0;
   // PMU state (sized only when params.pmu != nullptr).
   bool pmu_ = false;
-  std::vector<double> pmu_f64_;
-  std::vector<int64_t> pmu_i64_;
+  std::vector<PmuCounters> pmu_rows_;  // per stream
   std::vector<int32_t> pmu_depth_;  // per (stream, group) in-flight copies
 };
 

@@ -64,12 +64,12 @@ struct DesimParams : TraceCompileOptions {
   // GPU-wide LLC/DRAM bandwidth.
   int active_sms = 0;  // 0 -> spec.num_sms
   // When non-null, per-warp execution spans are recorded here (see
-  // timeline.h) for visualization.
+  // timeline.h); InterpretKernel sets it for the launch's first wave.
   Timeline* timeline = nullptr;
   // When non-null, the batch's performance counters are ADDED into this
-  // struct (the caller zeroes it per wave). Collection must not perturb
-  // timing: counters are accumulated per stream and merged in fixed
-  // stream order (see sim/pmu.h).
+  // struct (InterpretKernel passes a zeroed set per wave). Collection must
+  // not perturb timing: each stream accumulates into its own PmuCounters
+  // row, and the rows merge in stream order (see sim/pmu.h).
   PmuCounters* pmu = nullptr;
 };
 

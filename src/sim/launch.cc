@@ -186,22 +186,14 @@ WaveShape WaveOf(const LaunchPlan& plan, int64_t tbs) {
   return wave;
 }
 
-// The launch's first, steady-state wave (the one timelines record).
-WaveShape FirstWave(const LaunchPlan& plan) {
-  int64_t per_batch =
-      static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
-  return WaveOf(plan, std::min(plan.total_threadblocks, per_batch));
-}
-
 // The one wave loop both cores time a launch with: the full wave, the
-// remainder wave, PMU scaling and achieved occupancy, then the
-// launch-level passes and the µs / TFLOP/s conversion.
-// `run_wave(WaveShape, PmuCounters*)` simulates one wave and returns its
-// makespan; it is the only thing the cores differ in. Its counter sink is
-// null whenever `pmu` is.
+// remainder wave, then the launch-level passes and the µs / TFLOP/s
+// conversion. `run_wave(WaveShape)` simulates one wave and returns its
+// makespan; it is the only thing the cores differ in. Its first call is
+// the launch's first, steady-state wave; a second call, when there is one,
+// is the remainder wave after at least one full wave.
 template <typename RunWave>
-KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
-                        RunWave&& run_wave) {
+KernelTiming TimeLaunch(const LaunchPlan& plan, RunWave&& run_wave) {
   KernelTiming timing;
   if (!plan.feasible) {
     timing.reason = plan.reason;
@@ -213,11 +205,7 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
   int64_t total_tbs = plan.total_threadblocks;
   int64_t per_batch =
       static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
-  PmuCounters full_pmu;
-  PmuCounters rem_pmu;
-  bool have_rem = false;
-  double full_batch =
-      run_wave(FirstWave(plan), pmu != nullptr ? &full_pmu : nullptr);
+  double full_batch = run_wave(WaveOf(plan, std::min(total_tbs, per_batch)));
   timing.batch_cycles = full_batch;
 
   double cycles = plan.launch_overhead_cycles;
@@ -225,18 +213,8 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
   int64_t remainder = total_tbs - full_batches * per_batch;
   cycles += static_cast<double>(full_batches) * full_batch;
   if (remainder > 0) {
-    cycles += full_batches == 0
-                  ? full_batch
-                  : run_wave(WaveOf(plan, remainder),
-                             pmu != nullptr ? &rem_pmu : nullptr);
-    have_rem = full_batches > 0;
-  }
-  if (pmu != nullptr) {
-    ScaleKernelPmu(pmu, full_pmu, have_rem ? &rem_pmu : nullptr,
-                   full_batches);
-    pmu->achieved_occupancy =
-        static_cast<double>(plan.threadblocks_per_sm * plan.num_warps) /
-        static_cast<double>(plan.max_warps_per_sm);
+    cycles += full_batches == 0 ? full_batch
+                                : run_wave(WaveOf(plan, remainder));
   }
   cycles += plan.ewise_cycles;
   cycles += plan.splitk_cycles;
@@ -249,36 +227,9 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, KernelPmu* pmu,
   return timing;
 }
 
-// The reference interpreter's front end for one compiled kernel: its
-// launch plan, its event trace, and SimulateBatch as the per-wave call.
-struct Interpreter {
-  Interpreter(const CompiledKernel& compiled, const target::GpuSpec& spec)
-      : spec(spec), plan(PlanLaunch(compiled, spec, VerdictOf(compiled, spec),
-                                    &params)) {
-    if (plan.feasible) {
-      trace = BuildTrace(compiled.transformed.stmt, plan.num_warps);
-    }
-  }
-
-  double operator()(WaveShape wave, PmuCounters* pmu,
-                    Timeline* timeline = nullptr) {
-    params.threadblocks = wave.threadblocks;
-    params.active_sms = wave.active_sms;
-    params.pmu = pmu;
-    params.timeline = timeline;
-    return SimulateBatch(trace, spec, params);
-  }
-
-  const target::GpuSpec& spec;
-  DesimParams params;  // filled by the plan; declared before it
-  LaunchPlan plan;
-  ThreadblockTrace trace;
-};
-
 // Replay's per-wave call: the wave's bandwidth slices, then ReplayBatch.
-// Replay collects no counters, so its sink is always null.
 auto ReplayWaves(const SimProgram& program, ReplayArena* arena) {
-  return [&program, arena](WaveShape wave, PmuCounters*) {
+  return [&program, arena](WaveShape wave) {
     ReplayWave replay;
     replay.threadblocks = wave.threadblocks;
     replay.llc_rate = program.llc_bw_bytes_per_cycle / wave.active_sms;
@@ -307,24 +258,42 @@ SimProgram BuildFromVerdict(const CompiledKernel& compiled,
 }  // namespace
 
 KernelTiming InterpretKernel(const CompiledKernel& compiled,
-                             const target::GpuSpec& spec, KernelPmu* pmu) {
+                             const target::GpuSpec& spec, KernelPmu* pmu,
+                             BatchTimeline* first_wave) {
   ALCOP_TRACE_SCOPE("interpret", "sim");
-  Interpreter interpreter(compiled, spec);
-  return TimeLaunch(interpreter.plan, pmu, interpreter);
-}
-
-BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
-                              const target::GpuSpec& spec) {
-  Interpreter interpreter(compiled, spec);
-  const LaunchPlan& plan = interpreter.plan;
-  ALCOP_CHECK(plan.feasible) << "cannot capture timeline: " << plan.reason;
-  BatchTimeline out;
-  out.num_warps = plan.num_warps;
-  WaveShape wave = FirstWave(plan);
-  out.threadblocks = wave.threadblocks;
-  out.active_sms = wave.active_sms;
-  interpreter(wave, nullptr, &out.timeline);
-  return out;
+  DesimParams params;
+  const LaunchPlan plan =
+      PlanLaunch(compiled, spec, VerdictOf(compiled, spec), &params);
+  ThreadblockTrace trace;
+  if (plan.feasible) {
+    trace = BuildTrace(compiled.transformed.stmt, plan.num_warps);
+  }
+  // One counter set per simulated wave: the first, then the remainder.
+  PmuCounters waves[2];
+  int runs = 0;
+  KernelTiming timing = TimeLaunch(plan, [&](WaveShape wave) {
+    params.threadblocks = wave.threadblocks;
+    params.active_sms = wave.active_sms;
+    params.pmu = pmu != nullptr ? &waves[runs] : nullptr;
+    params.timeline = nullptr;
+    if (runs == 0 && first_wave != nullptr) {
+      *first_wave = {Timeline(), plan.num_warps, wave.threadblocks,
+                     wave.active_sms};
+      params.timeline = &first_wave->timeline;
+    }
+    ++runs;
+    return SimulateBatch(trace, spec, params);
+  });
+  if (pmu != nullptr && timing.feasible) {
+    int64_t per_batch =
+        static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
+    ScaleKernelPmu(pmu, waves[0], runs > 1 ? &waves[1] : nullptr,
+                   plan.total_threadblocks / per_batch);
+    pmu->achieved_occupancy =
+        static_cast<double>(plan.threadblocks_per_sm * plan.num_warps) /
+        static_cast<double>(plan.max_warps_per_sm);
+  }
+  return timing;
 }
 
 SimProgram BuildSimProgram(const CompiledKernel& compiled,
@@ -413,12 +382,12 @@ KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena) {
   // touches simulated cycles.
   ALCOP_TRACE_SCOPE("replay", "sim");
   if (arena != nullptr) {
-    return TimeLaunch(program, nullptr, ReplayWaves(program, arena));
+    return TimeLaunch(program, ReplayWaves(program, arena));
   }
   // The calling thread's pooled arena, its capacity published afterwards.
   ThreadArenaHolder& holder = ThreadLocalArena();
   KernelTiming timing =
-      TimeLaunch(program, nullptr, ReplayWaves(program, &holder.arena));
+      TimeLaunch(program, ReplayWaves(program, &holder.arena));
   holder.Update();
   return timing;
 }

@@ -60,11 +60,12 @@ CompiledKernel CompileKernel(
 // calls (via the sim cache); the classic single-phase entry points below
 // are thin wrappers over them. Replay only times.
 //
-// The reference interpreter (InterpretKernel, CaptureTimeline) shares
-// everything but the core: the same launch plan, the same threadblock walk
-// (sim/trace.h) and the same wave loop, with SimulateBatch over the event
-// trace where replay calls ReplayBatch. It alone collects PMU counters and
-// timelines, for the profiler and the model audit.
+// The reference interpreter (InterpretKernel) shares everything but the
+// core: the same launch plan, the same threadblock walk (sim/trace.h) and
+// the same wave loop, with SimulateBatch over the event trace where replay
+// calls ReplayBatch. It alone collects PMU counters and the first wave's
+// timeline, both in the run that times the launch, for the profiler and
+// the model audit.
 // ---------------------------------------------------------------------------
 
 // The pipeline-group table both cores read, indexed by the transform's
@@ -145,27 +146,29 @@ KernelTiming CompileAndSimulate(
     schedule::InlineOrder inline_order =
         schedule::InlineOrder::kAfterPipelining);
 
-// Reference path: simulates by interpreting the AST-derived event trace
-// (sim/trace.h) through the same plan and wave loop as replay. The
-// differential-testing oracle for the bytecode core, whose KernelTiming it
-// must reproduce bit for bit. When `pmu` is non-null, per-kernel
-// performance counters are collected during the same run (sim/pmu.h): the
-// totals scale the simulated waves by the launch's batch structure.
-KernelTiming InterpretKernel(const CompiledKernel& compiled,
-                             const target::GpuSpec& spec,
-                             KernelPmu* pmu = nullptr);
-
-// Records the execution timeline of the launch's first, steady-state
-// threadblock wave through the reference interpreter, for visualization
-// (see timeline.h) and the stall profiler, with the wave's geometry.
+// The execution timeline of a launch's first, steady-state threadblock
+// wave, for visualization (see timeline.h) and the stall profiler, with
+// the wave's geometry.
 struct BatchTimeline {
   Timeline timeline;
   int num_warps = 1;
   int threadblocks = 1;  // per active SM
   int active_sms = 1;    // SMs sharing the GPU-wide LLC/DRAM bandwidth
 };
-BatchTimeline CaptureTimeline(const CompiledKernel& compiled,
-                              const target::GpuSpec& spec);
+
+// Reference path: simulates by interpreting the AST-derived event trace
+// (sim/trace.h) through the same plan and wave loop as replay. The
+// differential-testing oracle for the bytecode core, whose KernelTiming it
+// must reproduce bit for bit, and the one source of counters and
+// timelines, all from the same run. When `pmu` is non-null, per-kernel
+// performance counters are collected (sim/pmu.h): the totals scale the
+// simulated waves by the launch's batch structure. When `first_wave` is
+// non-null, it receives the first wave's spans and geometry. Neither is
+// written when the kernel is infeasible.
+KernelTiming InterpretKernel(const CompiledKernel& compiled,
+                             const target::GpuSpec& spec,
+                             KernelPmu* pmu = nullptr,
+                             BatchTimeline* first_wave = nullptr);
 
 // LLC working-set analysis of one threadblock-batch: the fraction of each
 // input tensor's loads that must come from DRAM (1/reuse, degraded when

@@ -10,39 +10,6 @@ namespace sim {
 
 using support::JsonNumber;
 
-void AccumulatePmuStreams(PmuCounters* out, const double* f64,
-                          const int64_t* i64, size_t num_streams) {
-  for (size_t s = 0; s < num_streams; ++s) {
-    const double* f = f64 + s * kPmuF64Count;
-    out->tensor_active_cycles += f[kPmuTensorActive];
-    out->lds_active_cycles += f[kPmuLdsActive];
-    out->copy_issue_cycles += f[kPmuCopyIssue];
-    out->fill_cycles += f[kPmuFill];
-    out->wait_stall_cycles += f[kPmuWaitStall];
-    out->acquire_stall_cycles += f[kPmuAcquireStall];
-    out->barrier_stall_cycles += f[kPmuBarrierStall];
-    out->exposed_copy_cycles += f[kPmuExposedCopy];
-    out->llc_read_bytes += f[kPmuLlcReadBytes];
-    out->dram_read_bytes += f[kPmuDramReadBytes];
-    out->lds_read_bytes += f[kPmuLdsReadBytes];
-    out->dram_write_bytes += f[kPmuDramWriteBytes];
-    out->cp_async_bytes += f[kPmuCpAsyncBytes];
-    out->flops += f[kPmuFlops];
-    const int64_t* n = i64 + s * kPmuI64Count;
-    out->llc_read_transactions += n[kPmuLlcReadTx];
-    out->dram_read_transactions += n[kPmuDramReadTx];
-    out->lds_read_transactions += n[kPmuLdsReadTx];
-    out->dram_write_transactions += n[kPmuDramWriteTx];
-    out->cp_async_transactions += n[kPmuCpAsyncTx];
-    out->barrier_arrivals += n[kPmuBarrierArrivals];
-    out->wait_parks += n[kPmuWaitParks];
-    out->acquire_parks += n[kPmuAcquireParks];
-    for (int b = 0; b < kPmuDepthBuckets; ++b) {
-      out->inflight_depth[b] += n[kPmuDepthHist0 + b];
-    }
-  }
-}
-
 void AddScaledPmu(PmuCounters* dst, const PmuCounters& src, int64_t factor) {
   const double f = static_cast<double>(factor);
   dst->tensor_active_cycles += src.tensor_active_cycles * f;

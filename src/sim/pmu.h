@@ -6,9 +6,9 @@
 // both gated by tests:
 //   - Byte-deterministic: the same kernel and wave produce memcmp-equal
 //     PmuCounters on every run, on every thread count. Each stream
-//     accumulates into its own slot row, and the rows merge in fixed
-//     stream order (AccumulatePmuStreams), so the floating-point sums see
-//     the same addends in the same order.
+//     accumulates into its own PmuCounters row, and the rows merge in
+//     fixed stream order (AddScaledPmu with factor 1), so the
+//     floating-point sums see the same addends in the same order.
 //   - Free for timing: collecting counters never changes the simulated
 //     cycles.
 //
@@ -50,40 +50,7 @@
 namespace alcop {
 namespace sim {
 
-// Flat per-stream slot layout the interpreter accumulates into while a run
-// is in flight; merged into the named struct by AccumulatePmuStreams.
-enum PmuF64Slot {
-  kPmuTensorActive = 0,
-  kPmuLdsActive,
-  kPmuCopyIssue,
-  kPmuFill,
-  kPmuWaitStall,
-  kPmuAcquireStall,
-  kPmuBarrierStall,
-  kPmuExposedCopy,
-  kPmuLlcReadBytes,
-  kPmuDramReadBytes,
-  kPmuLdsReadBytes,
-  kPmuDramWriteBytes,
-  kPmuCpAsyncBytes,
-  kPmuFlops,
-  kPmuF64Count,
-};
-
 inline constexpr int kPmuDepthBuckets = 16;
-
-enum PmuI64Slot {
-  kPmuLlcReadTx = 0,
-  kPmuDramReadTx,
-  kPmuLdsReadTx,
-  kPmuDramWriteTx,
-  kPmuCpAsyncTx,
-  kPmuBarrierArrivals,
-  kPmuWaitParks,
-  kPmuAcquireParks,
-  kPmuDepthHist0,  // buckets kPmuDepthHist0 .. kPmuDepthHist0 + 15
-  kPmuI64Count = kPmuDepthHist0 + kPmuDepthBuckets,
-};
 
 // One kernel's (or one wave's) counter set. Plain 8-byte fields only, so
 // the struct is memcmp-comparable — the determinism and differential
@@ -113,20 +80,13 @@ struct PmuCounters {
   int64_t acquire_parks = 0;
   int64_t inflight_depth[kPmuDepthBuckets] = {};
 };
-static_assert(sizeof(PmuCounters) ==
-                  (static_cast<size_t>(kPmuF64Count) +
-                   static_cast<size_t>(kPmuI64Count)) *
-                      sizeof(double),
+// 14 double and 8 int64_t fields, then the histogram.
+static_assert(sizeof(PmuCounters) == (22 + kPmuDepthBuckets) * 8,
               "PmuCounters must stay padding-free for memcmp comparison");
 
-// Merges per-stream slot rows into `out`, iterating streams in index
-// order for every field, so the floating-point merge order never depends
-// on the order the streams ran in.
-void AccumulatePmuStreams(PmuCounters* out, const double* f64,
-                          const int64_t* i64, size_t num_streams);
-
-// `dst += src * factor` field by field (histogram included). Used to
-// scale one wave's counters to the launch's batch count.
+// `dst += src * factor` field by field (histogram included). Scales one
+// wave's counters to the launch's batch count, and with factor 1 merges
+// the interpreter's per-stream rows.
 void AddScaledPmu(PmuCounters* dst, const PmuCounters& src, int64_t factor);
 
 // Kernel-level counter report: the whole launch plus the steady-state

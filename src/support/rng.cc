@@ -15,11 +15,6 @@ double Rng::Uniform(double lo, double hi) {
   return dist(engine_);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 size_t Rng::Choice(const std::vector<double>& weights) {
   ALCOP_CHECK(!weights.empty());
   double total = 0.0;

@@ -22,9 +22,6 @@ class Rng {
   // Uniform real in [lo, hi).
   double Uniform(double lo = 0.0, double hi = 1.0);
 
-  // Standard normal draw.
-  double Normal(double mean = 0.0, double stddev = 1.0);
-
   // Chooses an index in [0, weights.size()) proportionally to weights.
   size_t Choice(const std::vector<double>& weights);
 

@@ -37,16 +37,15 @@ struct SpaceOptions {
   // Model-guided pre-filter (the calibrated Table-I ranker as a pruner):
   // when > 0, only the model_topk feasible configurations (per
   // schedule::CheckFeasibility) with the best analytical predictions —
-  // plus an exploration tail of every model_explore_stride-th feasible
-  // config in model-rank order — are actually simulated; every other
-  // measurement short-circuits to +inf (counted in "tuner.pruned_model").
+  // plus an exploration tail of every 64th feasible config in model-rank
+  // order — are actually simulated; every other measurement
+  // short-circuits to +inf (counted in "tuner.pruned_model").
   // Space, indices and trial order are unchanged, so strategies compose
   // with the filter transparently. The cut is lossy in principle; at the
   // default cut the calibrated ranker keeps the true best schedule of
   // every Fig. 10 operator (the top-k coverage gate in
   // bench/calibration.cc guards exactly this).
   int model_topk = 0;  // 0 = off
-  int model_explore_stride = 64;
   static constexpr int kDefaultModelTopK = 128;
 
   static SpaceOptions WithSplitK();

@@ -71,16 +71,19 @@ std::vector<size_t> RankByModel(
   return order;
 }
 
+// The model-guided pre-filter's exploration tail: every this-many-th
+// feasible config in model-rank order survives the cut.
+constexpr size_t kModelExploreStride = 64;
+
 // Keys of the configurations the model-guided pre-filter keeps: the
 // model_topk best analytical predictions among feasible configs, plus
-// every explore_stride-th feasible config in model-rank order (the
+// every kModelExploreStride-th feasible config in model-rank order (the
 // exploration tail that keeps learners honest about the rest of the
 // space). Keyed by ToString(), which uniquely identifies a config
 // within an enumerated space.
 std::unordered_set<std::string> ModelKeepSet(
     const schedule::GemmOp& op, const target::GpuSpec& spec,
-    const std::vector<schedule::ScheduleConfig>& space, int topk,
-    int explore_stride) {
+    const std::vector<schedule::ScheduleConfig>& space, int topk) {
   std::vector<double> predicted =
       support::ParallelMap(space.size(), [&](size_t i) {
         if (!schedule::CheckFeasibility(op, space[i], spec).feasible) {
@@ -98,8 +101,7 @@ std::unordered_set<std::string> ModelKeepSet(
   });
   std::unordered_set<std::string> keep;
   for (size_t rank = 0; rank < order.size(); ++rank) {
-    if (rank < static_cast<size_t>(topk) ||
-        (explore_stride > 0 && rank % static_cast<size_t>(explore_stride) == 0)) {
+    if (rank < static_cast<size_t>(topk) || rank % kModelExploreStride == 0) {
       keep.insert(space[order[rank]].ToString());
     }
   }
@@ -126,8 +128,7 @@ TuningTask MakeSimulatorTask(const schedule::GemmOp& op,
   std::shared_ptr<const std::unordered_set<std::string>> model_keep;
   if (options.model_topk > 0) {
     model_keep = std::make_shared<const std::unordered_set<std::string>>(
-        ModelKeepSet(op, spec, task.space, options.model_topk,
-                     options.model_explore_stride));
+        ModelKeepSet(op, spec, task.space, options.model_topk));
   }
   task.measure = [op, spec,
                   model_keep](const schedule::ScheduleConfig& config) {

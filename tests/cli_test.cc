@@ -138,6 +138,27 @@ TEST(CliTest, EveryFlagValueIsAWholeNumberInRange) {
                        "'512x'");
 }
 
+TEST(CliTest, StrayArgumentsAreNamedBeforeAnySocketOrFile) {
+  // An unknown flag, a value flag given last and a second operand each
+  // fail with a line naming them, before serve binds its socket or verify,
+  // lint and cache read a file.
+  const std::string socket = "/nonexistent-dir/alcopd.sock";
+  ExpectOneLineFailure({"serve", socket, "--htpp", "9464"}, "'--htpp'");
+  ExpectOneLineFailure({"serve", socket, "--no-persist", "--trials"},
+                       "'--trials'");
+  ExpectOneLineFailure({"serve", socket, "other.sock"}, "'other.sock'");
+  ExpectOneLineFailure({"verify", "/nonexistent.tir", "--jsn"}, "'--jsn'");
+  ExpectOneLineFailure({"verify", "/nonexistent.tir", "b.tir"}, "'b.tir'");
+  ExpectOneLineFailure({"lint", "MM_RN50_FC", "--jsn"}, "'--jsn'");
+  ExpectOneLineFailure({"cache", "load", "--pth", "x"}, "'--pth'");
+  ExpectOneLineFailure({"cache", "load", "clear"}, "'clear'");
+
+  const std::string file = TempPath(".tir");
+  std::ofstream(file) << "alloc A: global fp16[2, 8]\n";
+  ExpectOneLineFailure({"lint", file, "extra"}, "'extra'");
+  std::remove(file.c_str());
+}
+
 TEST(CliTest, CalibrateFitTakesNoOtherArgument) {
   ExpectOneLineFailure({"calibrate", "--fit", "--stride", "8"});
   ExpectOneLineFailure({"calibrate", "--fit", "--json"});

@@ -197,7 +197,8 @@ TEST(TimelineTest, CaptureAndRender) {
                  .warp_m = 64, .warp_n = 64, .warp_k = 16};
   config.smem_stages = 3;
   sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::InterpretKernel(compiled, spec, nullptr, &batch);
   EXPECT_FALSE(batch.timeline.spans.empty());
   EXPECT_GT(batch.timeline.makespan, 0.0);
 
@@ -218,7 +219,8 @@ TEST(TimelineTest, BaselineShowsBlockingLoads) {
   config.tile = {.tb_m = 128, .tb_n = 128, .tb_k = 32,
                  .warp_m = 64, .warp_n = 64, .warp_k = 16};
   sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::InterpretKernel(compiled, spec, nullptr, &batch);
   std::string text = sim::RenderTimeline(batch.timeline, batch.num_warps);
   EXPECT_NE(text.find('L'), std::string::npos)
       << "synchronous baseline must expose blocking-load spans:\n" << text;

@@ -76,7 +76,6 @@ TEST(ModelPrune, ExplorationTailSurvivesTinyCut) {
 
   tuner::SpaceOptions options;
   options.model_topk = 1;
-  options.model_explore_stride = 64;
   tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec, options);
   tuner::TuningResult result = tuner::ExhaustiveSearch(task);
 

@@ -365,7 +365,8 @@ TEST(ObsChromeTraceTest, GoldenOutput) {
 TEST(ObsChromeTraceTest, SimTimelineEventSetMatchesTimeline) {
   target::GpuSpec spec = target::AmpereSpec();
   sim::CompiledKernel compiled = SmallKernel(spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::InterpretKernel(compiled, spec, nullptr, &batch);
   ASSERT_FALSE(batch.timeline.spans.empty());
 
   obs::ChromeTraceWriter writer;
@@ -399,7 +400,8 @@ TEST(ObsChromeTraceTest, HostAndGpuSpansShareOneFile) {
   ScopedTracing tracing;
   target::GpuSpec spec = target::AmpereSpec();
   sim::CompiledKernel compiled = SmallKernel(spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::InterpretKernel(compiled, spec, nullptr, &batch);
 
   obs::ChromeTraceWriter writer;
   obs::AppendHostSpans(&writer, obs::CollectTraceSpans());
@@ -418,7 +420,8 @@ TEST(ObsChromeTraceTest, HostAndGpuSpansShareOneFile) {
 TEST(ObsStallTest, BreakdownSumsToMakespanPerWarp) {
   target::GpuSpec spec = target::AmpereSpec();
   sim::CompiledKernel compiled = SmallKernel(spec);
-  sim::BatchTimeline batch = sim::CaptureTimeline(compiled, spec);
+  sim::BatchTimeline batch;
+  sim::InterpretKernel(compiled, spec, nullptr, &batch);
   obs::KernelProfile profile = obs::ProfileBatch(batch);
 
   EXPECT_GT(profile.makespan, 0.0);
@@ -451,8 +454,9 @@ TEST(ObsStallTest, ModelVerdictCrossCheck) {
   schedule::GemmOp op;
   schedule::ScheduleConfig config;
   sim::CompiledKernel compiled = SmallKernel(spec, &op, &config);
-  obs::KernelProfile profile =
-      obs::ProfileBatch(sim::CaptureTimeline(compiled, spec));
+  sim::BatchTimeline batch;
+  sim::InterpretKernel(compiled, spec, nullptr, &batch);
+  obs::KernelProfile profile = obs::ProfileBatch(batch);
   obs::AttachModelVerdict(&profile, op, config, spec);
   EXPECT_TRUE(profile.model_limiter == "compute" ||
               profile.model_limiter == "smem" ||

@@ -286,7 +286,9 @@ TEST(PmuTest, InterpreterCountersAndFirstWaveArePinned) {
   for (const auto& [op, config] : sample) {
     sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
     sim::KernelPmu pmu;
-    sim::KernelTiming timing = sim::InterpretKernel(compiled, spec, &pmu);
+    sim::BatchTimeline wave;
+    sim::KernelTiming timing =
+        sim::InterpretKernel(compiled, spec, &pmu, &wave);
     fnv.Value(static_cast<uint8_t>(timing.feasible));
     fnv.Value(static_cast<uint64_t>(timing.reason.size()));
     fnv.Bytes(timing.reason.data(), timing.reason.size());
@@ -301,7 +303,6 @@ TEST(PmuTest, InterpreterCountersAndFirstWaveArePinned) {
     if (!timing.feasible) continue;
     ++feasible;
 
-    sim::BatchTimeline wave = sim::CaptureTimeline(compiled, spec);
     fnv.Value(wave.num_warps);
     fnv.Value(wave.threadblocks);
     fnv.Value(wave.active_sms);
