@@ -112,9 +112,9 @@
 // size a whole number > 0 that fits 64 bits. Every other number, flag
 // values and client sizes included, is read the same way and must fit
 // its flag's range; a bad one exits 1 with one line naming it. serve,
-// verify, lint and cache also exit 1 with one line naming an unknown
-// flag, a value flag given last without its value, or a second operand,
-// before they bind a socket or read a file. compile,
+// parse, verify, lint and cache also exit 1 with one line naming an
+// unknown flag, a value flag given last without its value, or a second
+// operand, before they bind a socket or read a file. compile,
 // timeline, lint, profile and calibrate use the best schedule found by a
 // 16-trial analytical ranking.
 #include <algorithm>
@@ -475,13 +475,15 @@ int CmdModels() {
 }
 
 int CmdParse(int argc, char** argv) {
-  if (argc < 3) {
+  std::vector<char*> positional(argv + 2, argv + argc);
+  if (!CheckOperands("parse", positional)) return 1;
+  if (positional.empty()) {
     std::fprintf(stderr, "expected a file path\n");
     return 1;
   }
   std::string text;
   ir::Stmt program;
-  if (!ParseIrFile(argv[2], &program, &text)) return 1;
+  if (!ParseIrFile(positional[0], &program, &text)) return 1;
   std::string reprinted = ir::ToString(program);
   std::printf("%s", reprinted.c_str());
   std::fprintf(stderr, "round-trip: %s\n",

@@ -140,8 +140,8 @@ TEST(CliTest, EveryFlagValueIsAWholeNumberInRange) {
 
 TEST(CliTest, StrayArgumentsAreNamedBeforeAnySocketOrFile) {
   // An unknown flag, a value flag given last and a second operand each
-  // fail with a line naming them, before serve binds its socket or verify,
-  // lint and cache read a file.
+  // fail with a line naming them, before serve binds its socket or parse,
+  // verify, lint and cache read a file.
   const std::string socket = "/nonexistent-dir/alcopd.sock";
   ExpectOneLineFailure({"serve", socket, "--htpp", "9464"}, "'--htpp'");
   ExpectOneLineFailure({"serve", socket, "--no-persist", "--trials"},
@@ -149,6 +149,7 @@ TEST(CliTest, StrayArgumentsAreNamedBeforeAnySocketOrFile) {
   ExpectOneLineFailure({"serve", socket, "other.sock"}, "'other.sock'");
   ExpectOneLineFailure({"verify", "/nonexistent.tir", "--jsn"}, "'--jsn'");
   ExpectOneLineFailure({"verify", "/nonexistent.tir", "b.tir"}, "'b.tir'");
+  ExpectOneLineFailure({"parse", "/nonexistent.tir", "--jsn"}, "'--jsn'");
   ExpectOneLineFailure({"lint", "MM_RN50_FC", "--jsn"}, "'--jsn'");
   ExpectOneLineFailure({"cache", "load", "--pth", "x"}, "'--pth'");
   ExpectOneLineFailure({"cache", "load", "clear"}, "'clear'");
