@@ -71,8 +71,7 @@ std::vector<size_t> RankByModel(
   return order;
 }
 
-// The model-guided pre-filter's exploration tail: every this-many-th
-// feasible config in model-rank order survives the cut.
+// Stride of the model-guided pre-filter's exploration tail.
 constexpr size_t kModelExploreStride = 64;
 
 // Keys of the configurations the model-guided pre-filter keeps: the
