@@ -2,125 +2,86 @@
 //
 //   alcop_cli compile  WORKLOAD        compile + print pipelined IR & timing
 //   alcop_cli tune     WORKLOAD [--trials N] [--log FILE] [--model-topk N]
-//                                      model-assisted tuning of N trials
-//                                      (default 50), print the workload
-//                                      and the winner; exit 1 when no
-//                                      trial measured feasible;
-//                                      --model-topk simulates only the
-//                                      analytical model's N favorites
-//                                      (plus an exploration tail)
+//       model-assisted tuning of N trials (default 50), print the workload
+//       and the winner; exit 1 when no trial measured feasible;
+//       --model-topk simulates only the analytical model's N favorites
+//       (plus an exploration tail).
 //   alcop_cli timeline WORKLOAD        render the execution timeline
 //   alcop_cli ops                      list the benchmark operator suite
 //   alcop_cli models                   list the end-to-end model graphs
 //   alcop_cli parse    FILE            parse a textual IR file, validate by
 //                                      re-printing it (round-trip check)
-//   alcop_cli verify   FILE [--json]   statically verify the pipeline
-//                                      synchronization of a textual IR file
-//                                      (exit 1 on errors; see src/verify/);
-//                                      --json emits the shared diagnostic
-//                                      JSON schema (same renderer as lint)
+//   alcop_cli verify   FILE [--json]
+//       statically verify the pipeline synchronization of a textual IR file
+//       (exit 1 on errors; see src/verify/); --json emits the shared
+//       diagnostic JSON schema (same renderer as lint).
 //   alcop_cli lint     WORKLOAD|FILE [--json] [--no-swizzle]
-//                                      run the static analysis framework
-//                                      (src/analysis/): bounds proofs,
-//                                      region-level race detection, bank
-//                                      conflicts, occupancy feasibility.
-//                                      A workload is compiled with its best
-//                                      schedule first; a .tir file is
-//                                      linted as written (with source
-//                                      spans). Exit 1 on L-code errors.
+//       run the static analysis framework (src/analysis/): bounds proofs,
+//       region-level race detection, bank conflicts, occupancy feasibility.
+//       A workload is compiled with its best schedule first; a .tir file is
+//       linted as written (with source spans). Exit 1 on L-code errors.
 //   alcop_cli profile  WORKLOAD [--json] [--trace FILE] [--counters]
-//                                      full observability report: per-warp
-//                                      stall attribution, pipe utilization,
-//                                      bottleneck verdict, PMU counters,
-//                                      host metrics; --trace exports a
-//                                      Chrome/Perfetto trace with host
-//                                      spans and the simulated-GPU
-//                                      timeline; --counters prints the PMU
-//                                      table (--json always embeds the
-//                                      counter block). One run of the
-//                                      reference interpreter gives the
-//                                      timing, the counters and the
-//                                      profiled timeline.
+//       full observability report: per-warp stall attribution, pipe
+//       utilization, bottleneck verdict, PMU counters, host metrics;
+//       --trace exports a Chrome/Perfetto trace with host spans and the
+//       simulated-GPU timeline; --counters prints the PMU table (--json
+//       always embeds the counter block). One run of the reference
+//       interpreter gives the timing, the counters and the profiled
+//       timeline.
 //   alcop_cli calibrate WORKLOAD [--json]
-//                                      audit the Table-I analytical model
-//                                      against PMU/stall measurements:
-//                                      per-term relative error, roofline
-//                                      regime, bottleneck-verdict
-//                                      cross-check.
-//   alcop_cli calibrate --fit          grid-search the analytical model's
-//                                      two fitted constants over every 8th
-//                                      config of the Fig. 10 sweep; exits
-//                                      1 if the spec's checked-in
-//                                      constants are stale.
+//       audit the Table-I analytical model against PMU/stall measurements:
+//       per-term relative error, roofline regime, bottleneck-verdict
+//       cross-check.
+//   alcop_cli calibrate --fit
+//       grid-search the analytical model's two fitted constants over every
+//       8th config of the Fig. 10 sweep; exits 1 if the spec's checked-in
+//       constants are stale.
 //   alcop_cli cache    [load|clear] [--json] [--path FILE]
-//                                      load the on-disk sim cache (the
-//                                      default) and report what it held,
-//                                      or remove the file. The path
-//                                      defaults to $ALCOP_CACHE_DIR/
-//                                      sim_cache.alcp; load exits 1 when
-//                                      the file is missing or incompatible
-//                                      (wrong version/spec/fitted
-//                                      constants). A daemon saves its
-//                                      cache there at shutdown or on
-//                                      `client SOCKET persist`.
+//       load the on-disk sim cache (the default) and report what it held,
+//       or remove the file. The path defaults to
+//       $ALCOP_CACHE_DIR/sim_cache.alcp; load exits 1 when the file is
+//       missing or incompatible (wrong version/spec/fitted constants). A
+//       daemon saves its cache there at shutdown or on `client SOCKET
+//       persist`.
 //   alcop_cli serve    SOCKET [--trials N] [--seed N] [--no-warm]
-//                             [--cache FILE] [--no-persist] [--budget B]
-//                             [--http PORT] [--access-log FILE]
-//                             [--flight-depth N] [--snapshot-interval MS]
-//                             [--watchdog-ms MS] [--log-level LEVEL]
-//                             [--log-file FILE]
-//                                      run alcopd on a unix socket: the
-//                                      long-lived tuning service (fast
-//                                      lane for cache hits, slow lane
-//                                      for compiles and searches);
-//                                      loads the on-disk cache at start,
-//                                      persists at shutdown. Stop it with
-//                                      `client SOCKET shutdown`.
-//                                      --http adds a loopback HTTP front
-//                                      end (0 = ephemeral port): GET
-//                                      /metrics (Prometheus), /healthz,
-//                                      /debug/{requests,timeseries,trace,
-//                                      log}, POST /v1/<method>.
-//                                      --access-log writes one JSONL line
-//                                      per request. --flight-depth sizes
-//                                      the request flight recorder,
-//                                      --snapshot-interval the periodic
-//                                      metrics time series (0 = off),
-//                                      --watchdog-ms the stalled-lane
-//                                      threshold.
-//                                      --log-level (or $ALCOP_LOG_LEVEL)
-//                                      is debug|info|warn|error|off;
-//                                      --log-file appends the JSONL log.
+//       [--cache FILE] [--no-persist] [--budget B] [--http PORT]
+//       [--access-log FILE] [--flight-depth N] [--snapshot-interval MS]
+//       [--watchdog-ms MS] [--log-level LEVEL] [--log-file FILE]
+//       run alcopd on a unix socket: the long-lived tuning service (fast
+//       lane for cache hits, slow lane for compiles and searches); loads
+//       the on-disk cache at start, persists at shutdown. Stop it with
+//       `client SOCKET shutdown`. --http adds a loopback HTTP front end
+//       (0 = ephemeral port): GET /metrics (Prometheus), /healthz,
+//       /debug/{requests,timeseries,trace,log}, POST /v1/<method>.
+//       --access-log writes one JSONL line per request. --flight-depth
+//       sizes the request flight recorder, --snapshot-interval the periodic
+//       metrics time series (0 = off), --watchdog-ms the stalled-lane
+//       threshold. --log-level (or $ALCOP_LOG_LEVEL) is
+//       debug|info|warn|error|off; --log-file appends the JSONL log.
 //   alcop_cli client   SOCKET METHOD [...]
-//                                      talk to a running alcopd:
-//                                        ping|stats|persist|load|shutdown
-//                                        tune M N K [batch] [--trials N]
-//                                             [--no-warm] [--force]
-//                                        compile|profile M N K [batch]
-//                                             --tb M,N,K [--warp M,N,K]
-//                                             [--smem S] [--reg R]
-//                                             [--split-k S]
-//                                        debug [requests|timeseries|log|
-//                                             trace] [N] [--client C]
-//                                             [--lane L] [--outcome O]
-//                                             [--metric M]
-//                                        '{...}'   raw protocol JSON
-//                                      prints the response payload; exit 0
-//                                      iff the daemon answered ok:true.
+//       talk to a running alcopd, print the response payload, and exit 0
+//       iff the daemon answered ok:true. METHOD is one of
+//         ping|stats|persist|load|shutdown
+//         tune M N K [batch] [--trials N] [--no-warm] [--force]
+//         compile|profile M N K [batch] --tb M,N,K [--warp M,N,K]
+//             [--smem S] [--reg R] [--split-k S]
+//         debug [requests|timeseries|log|trace] [N] [--client C]
+//             [--lane L] [--outcome O] [--metric M]
+//         '{...}'   raw protocol JSON
 //
 // A WORKLOAD is a benchmark op name (see `ops`) or M N K [batch], every
 // size a whole number > 0 that fits 64 bits. Every other number, flag
 // values and client sizes included, is read the same way and must fit
-// its flag's range; a bad one exits 1 with one line naming it. serve,
-// parse, verify, lint and cache also exit 1 with one line naming an
-// unknown flag, a value flag given last without its value, or a second
-// operand, before they bind a socket or read a file. compile,
-// timeline, lint, profile and calibrate use the best schedule found by a
-// 16-trial analytical ranking.
+// its flag's range; a bad one exits 1 with one line naming it. One
+// table-driven reader (ReadArgs) reads every command's and every client
+// method's arguments: an unknown flag, a value flag without its value
+// (given last, or followed by a flag), a surplus operand or a missing one
+// exits 1 with one line naming it, before any file is read, any socket is
+// bound or connected, or anything is compiled. compile, timeline, lint, profile and
+// calibrate use the best schedule found by a 16-trial analytical ranking.
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -129,6 +90,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/pass.h"
@@ -187,6 +149,17 @@ schedule::ScheduleConfig BestConfig(const schedule::GemmOp& op,
   return task.space[best];
 }
 
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+
+constexpr char kWorkload[] =
+    "a workload: a benchmark op name (see `alcop_cli ops`) or M N K [batch]";
+
+// True when `arg` starts with a digit: a size, or debug's N.
+bool IsNumber(const char* arg) {
+  return std::isdigit(static_cast<unsigned char>(arg[0])) != 0;
+}
+
 // True when all of `text` is a decimal number that fits an int64_t.
 bool ParseSize(const char* text, int64_t* value) {
   const char* end = text + std::strlen(text);
@@ -195,18 +168,11 @@ bool ParseSize(const char* text, int64_t* value) {
 }
 
 // Reads `text`, the value of `what`, into `*value`: a whole number (see
-// ParseSize) from `min` to `max`, which defaults to the most T holds.
-// Otherwise prints one line that names the value and returns false.
-template <typename T>
-bool ParseNumber(const char* what, const char* text, int64_t min, T* value,
-                 int64_t max = static_cast<int64_t>(std::min<uint64_t>(
-                     std::numeric_limits<T>::max(),
-                     std::numeric_limits<int64_t>::max()))) {
-  int64_t parsed = 0;
-  if (ParseSize(text, &parsed) && parsed >= min && parsed <= max) {
-    *value = static_cast<T>(parsed);
-    return true;
-  }
+// ParseSize) from `min` to `max`. Otherwise prints one line that names the
+// value and returns false.
+bool ParseNumber(const char* what, const char* text, int64_t min, int64_t max,
+                 int64_t* value) {
+  if (ParseSize(text, value) && *value >= min && *value <= max) return true;
   std::fprintf(stderr, "%s expects a whole number in [%lld, %lld], got '%s'\n",
                what, (long long)min, (long long)max, text);
   return false;
@@ -214,14 +180,15 @@ bool ParseNumber(const char* what, const char* text, int64_t min, T* value,
 
 // M N K [batch]: three or four whole numbers > 0, the batch 1 when absent.
 // Otherwise prints one line and returns false.
-bool ParseSizes(const std::vector<char*>& positional, int64_t sizes[4]) {
+bool ParseSizes(const std::vector<const char*>& positional, int64_t sizes[4]) {
   if (positional.size() != 3 && positional.size() != 4) {
     std::fprintf(stderr, "expected M N K [batch]\n");
     return false;
   }
   sizes[3] = 1;
   for (size_t i = 0; i < positional.size(); ++i) {
-    if (!ParseNumber("M N K [batch]", positional[i], 1, &sizes[i])) {
+    if (!ParseNumber("M N K [batch]", positional[i], 1, kMaxInt64,
+                     &sizes[i])) {
       return false;
     }
   }
@@ -229,10 +196,9 @@ bool ParseSizes(const std::vector<char*>& positional, int64_t sizes[4]) {
 }
 
 // WORKLOAD positionals: a benchmark op name (see `ops`) or M N K [batch].
-bool ParseWorkload(const std::vector<char*>& positional,
+bool ParseWorkload(const std::vector<const char*>& positional,
                    schedule::GemmOp* op) {
-  if (!positional.empty() &&
-      std::isdigit(static_cast<unsigned char>(positional[0][0]))) {
+  if (!positional.empty() && IsNumber(positional[0])) {
     int64_t sizes[4];
     if (!ParseSizes(positional, sizes)) return false;
     auto [m, n, k, batch] = sizes;
@@ -241,9 +207,7 @@ bool ParseWorkload(const std::vector<char*>& positional,
     return true;
   }
   if (positional.size() != 1) {
-    std::fprintf(stderr,
-                 "expected a workload: a benchmark op name (see `alcop_cli "
-                 "ops`) or M N K [batch]\n");
+    std::fprintf(stderr, "expected %s\n", kWorkload);
     return false;
   }
   try {
@@ -255,22 +219,151 @@ bool ParseWorkload(const std::vector<char*>& positional,
   return true;
 }
 
-// Checks the arguments a command did not read as flags: none may look like
-// a flag (an unknown one, or a value flag given last without its value),
-// and at most `max_operands` may be left. Otherwise prints one line that
-// names the first offending argument and returns false.
-bool CheckOperands(const char* command, const std::vector<char*>& positional,
-                   size_t max_operands = 1) {
-  for (const char* arg : positional) {
-    if (std::strncmp(arg, "--", 2) == 0) {
-      std::fprintf(stderr, "%s: unknown flag or missing value '%s'\n",
-                   command, arg);
+// "128,64,32" -> JSON "[128,64,32]"; empty unless `text` is three whole
+// numbers > 0 (each read with ParseSize) joined by commas.
+std::string TripleToJson(const char* text) {
+  std::string out;
+  for (int i = 0; i < 3; ++i) {
+    const char* end = i < 2 ? std::strchr(text, ',') : std::strchr(text, 0);
+    int64_t value = 0;
+    if (end == nullptr || !ParseSize(std::string(text, end).c_str(), &value) ||
+        value <= 0) {
+      return "";
+    }
+    out += (i == 0 ? "[" : ",") + std::to_string(value);
+    text = end + 1;
+  }
+  return out + "]";
+}
+
+// How a flag is read: a switch takes no value, and every other kind reads
+// the argument after the flag.
+enum class Kind {
+  kSwitch,
+  kNumber,  // a whole number in [min, max] (ParseNumber)
+  kTriple,  // M,N,K, kept as the JSON array TripleToJson makes of it
+  kText,    // taken as given: a path or a filter
+  kLevel,   // one of ParseLogLevel's level names
+};
+
+struct Flag {
+  const char* name;  // "--trials"
+  Kind kind = Kind::kSwitch;
+  int64_t min = 0;  // a number's range
+  int64_t max = 0;
+};
+
+// One flag as given, with its value: `number` holds a number or a log
+// level, `text` a triple's JSON array or a text.
+struct Given {
+  const char* name;
+  int64_t number = 0;
+  std::string text = "";
+};
+
+// A command's arguments as ReadArgs read them.
+struct Args {
+  std::vector<const char*> operands;
+  std::vector<Given> flags;       // in the order given
+  std::vector<const char*> rest;  // a subcommand's own arguments, unread
+
+  // The last value given for `flag`, or nullptr when it was not given.
+  const Given* Find(std::string_view flag) const {
+    for (auto it = flags.rbegin(); it != flags.rend(); ++it) {
+      if (flag == it->name) return &*it;
+    }
+    return nullptr;
+  }
+  bool Has(std::string_view flag) const { return Find(flag) != nullptr; }
+  int64_t Number(std::string_view flag, int64_t fallback) const {
+    return Has(flag) ? Find(flag)->number : fallback;
+  }
+  std::string Text(std::string_view flag) const {
+    return Has(flag) ? Find(flag)->text : "";
+  }
+};
+
+// What a command, or a client method, accepts. Its operands are the
+// arguments that are not flags: from `min_operands` to `max_operands`,
+// where a `workload` given as M N K [batch] is one operand of up to four
+// words. A `subcommand` command stops reading after its last operand and
+// leaves the rest to what that operand names.
+struct Syntax {
+  std::vector<Flag> flags;
+  const char* operands = "";  // what they are, for the missing-operand line
+  size_t min_operands = 0;
+  size_t max_operands = 0;
+  bool workload = false;
+  bool subcommand = false;
+};
+
+// Reads `text`, the value of `flag`, into `given`. Otherwise prints one
+// line that names the value and returns false.
+bool ReadValue(const Flag& flag, const char* text, Given* given) {
+  given->text = text;
+  if (flag.kind == Kind::kNumber) {
+    return ParseNumber(flag.name, text, flag.min, flag.max, &given->number);
+  }
+  if (flag.kind == Kind::kTriple) {
+    given->text = TripleToJson(text);
+    if (!given->text.empty()) return true;
+    std::fprintf(stderr, "%s expects M,N,K, got '%s'\n", flag.name, text);
+    return false;
+  }
+  if (flag.kind == Kind::kLevel) {
+    // ParseLogLevel returns its fallback only for a name it does not know.
+    obs::LogLevel level = obs::ParseLogLevel(text, obs::LogLevel::kDebug);
+    given->number = static_cast<int64_t>(level);
+    if (level == obs::ParseLogLevel(text, obs::LogLevel::kOff)) return true;
+    std::fprintf(stderr, "%s expects debug|info|warn|error|off, got '%s'\n",
+                 flag.name, text);
+    return false;
+  }
+  return true;
+}
+
+// Reads `argv`, the arguments of command `who`, by `syntax` into `args`.
+// An unknown flag, a value flag without its value, a bad value, or a
+// surplus or missing operand prints one line naming it and `who`.
+bool ReadArgs(const char* who, const Syntax& syntax,
+              const std::vector<const char*>& argv, Args* args) {
+  for (size_t i = 0; i < argv.size(); ++i) {
+    const char* arg = argv[i];
+    if (syntax.subcommand && args->operands.size() == syntax.max_operands) {
+      args->rest.assign(argv.begin() + i, argv.end());
+      break;
+    }
+    if (std::strncmp(arg, "--", 2) != 0) {
+      args->operands.push_back(arg);
+      continue;
+    }
+    auto flag = std::find_if(
+        syntax.flags.begin(), syntax.flags.end(),
+        [arg](const Flag& f) { return std::strcmp(f.name, arg) == 0; });
+    if (flag == syntax.flags.end()) {
+      std::fprintf(stderr, "%s: unknown flag '%s'\n", who, arg);
       return false;
     }
+    Given given{flag->name};
+    if (flag->kind != Kind::kSwitch) {
+      // A value never starts with "--": that is the next flag.
+      if (i + 1 == argv.size() || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        std::fprintf(stderr, "%s: missing value for '%s'\n", who, arg);
+        return false;
+      }
+      if (!ReadValue(*flag, argv[++i], &given)) return false;
+    }
+    args->flags.push_back(std::move(given));
   }
-  if (positional.size() > max_operands) {
-    std::fprintf(stderr, "%s: unexpected argument '%s'\n", command,
-                 positional[max_operands]);
+  const std::vector<const char*>& operands = args->operands;
+  size_t max = syntax.max_operands;
+  if (syntax.workload && !operands.empty() && IsNumber(operands[0])) max += 3;
+  if (operands.size() > max) {
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", who, operands[max]);
+    return false;
+  }
+  if (operands.size() < syntax.min_operands) {
+    std::fprintf(stderr, "%s: expected %s\n", who, syntax.operands);
     return false;
   }
   return true;
@@ -307,10 +400,10 @@ const char* TrialEventName(tuner::TrialEvent::Kind kind) {
   return "unknown";
 }
 
-int CmdCompile(int argc, char** argv) {
+int CmdCompile(const Args& args) {
   target::GpuSpec spec = target::AmpereSpec();
   schedule::GemmOp op;
-  if (!ParseWorkload(std::vector<char*>(argv + 2, argv + argc), &op)) return 1;
+  if (!ParseWorkload(args.operands, &op)) return 1;
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
   sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
   sim::KernelTiming timing = sim::SimulateKernel(compiled, spec);
@@ -340,41 +433,20 @@ int CmdCompile(int argc, char** argv) {
   return 0;
 }
 
-int CmdTune(int argc, char** argv) {
+int CmdTune(const Args& args) {
   // tune WORKLOAD [--trials N] [--log FILE] [--model-topk N]; --log streams
   // one JSON object per search event (proposals with GBT + analytical
   // scores, measurements, refits with rank accuracy); --model-topk prunes
   // the space to the analytical model's N favorites plus an exploration
-  // tail (N=0 disables; bare --model-topk uses the default cut).
-  std::string log_path;
-  int model_topk = 0;
-  size_t trials = 50;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--trials", argv[++i], 0, &trials)) return 1;
-    } else if (std::strcmp(argv[i], "--log") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--log expects an output file\n");
-        return 1;
-      }
-      log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--model-topk") == 0) {
-      model_topk = tuner::SpaceOptions::kDefaultModelTopK;
-      if (i + 1 < argc && std::isdigit(argv[i + 1][0]) &&
-          !ParseNumber("--model-topk", argv[++i], 0, &model_topk)) {
-        return 1;
-      }
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
+  // tail (N=0 disables).
+  const std::string log_path = args.Text("--log");
+  const size_t trials = args.Number("--trials", 50);
   target::GpuSpec spec = target::AmpereSpec();
   schedule::GemmOp op;
-  if (!ParseWorkload(positional, &op)) return 1;
+  if (!ParseWorkload(args.operands, &op)) return 1;
 
   tuner::SpaceOptions space_options;
-  space_options.model_topk = model_topk;
+  space_options.model_topk = static_cast<int>(args.Number("--model-topk", 0));
   tuner::TuningTask task = TaskOrExit(op, spec, space_options);
   tuner::XgbOptions options;
   options.pretrain_with_analytical = true;
@@ -432,10 +504,10 @@ int CmdTune(int argc, char** argv) {
   return 0;
 }
 
-int CmdTimeline(int argc, char** argv) {
+int CmdTimeline(const Args& args) {
   target::GpuSpec spec = target::AmpereSpec();
   schedule::GemmOp op;
-  if (!ParseWorkload(std::vector<char*>(argv + 2, argv + argc), &op)) return 1;
+  if (!ParseWorkload(args.operands, &op)) return 1;
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
   sim::BatchTimeline batch;
   sim::KernelTiming timing = sim::InterpretKernel(
@@ -449,7 +521,7 @@ int CmdTimeline(int argc, char** argv) {
   return 0;
 }
 
-int CmdOps() {
+int CmdOps(const Args&) {
   std::printf("%-16s %-12s %8s %8s %8s %8s\n", "name", "family", "batch", "M",
               "N", "K");
   for (const schedule::GemmOp& op : workloads::BenchmarkOps()) {
@@ -459,7 +531,7 @@ int CmdOps() {
   return 0;
 }
 
-int CmdModels() {
+int CmdModels(const Args&) {
   for (const workloads::ModelGraph& model : workloads::Models()) {
     int64_t flops = 0;
     for (const workloads::LayerOp& layer : model.ops) {
@@ -474,16 +546,10 @@ int CmdModels() {
   return 0;
 }
 
-int CmdParse(int argc, char** argv) {
-  std::vector<char*> positional(argv + 2, argv + argc);
-  if (!CheckOperands("parse", positional)) return 1;
-  if (positional.empty()) {
-    std::fprintf(stderr, "expected a file path\n");
-    return 1;
-  }
+int CmdParse(const Args& args) {
   std::string text;
   ir::Stmt program;
-  if (!ParseIrFile(positional[0], &program, &text)) return 1;
+  if (!ParseIrFile(args.operands[0], &program, &text)) return 1;
   std::string reprinted = ir::ToString(program);
   std::printf("%s", reprinted.c_str());
   std::fprintf(stderr, "round-trip: %s\n",
@@ -491,26 +557,12 @@ int CmdParse(int argc, char** argv) {
   return 0;
 }
 
-int CmdVerify(int argc, char** argv) {
-  bool json = false;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (!CheckOperands("verify", positional)) return 1;
-  if (positional.empty()) {
-    std::fprintf(stderr, "expected a file path\n");
-    return 1;
-  }
-  const char* path = positional[0];
+int CmdVerify(const Args& args) {
+  const char* path = args.operands[0];
   ir::Stmt program;
   if (!ParseIrFile(path, &program)) return 1;
   verify::VerifyResult result = verify::VerifyProgram(program);
-  if (json) {
+  if (args.Has("--json")) {
     size_t errors = 0;
     for (const verify::Diagnostic& d : result.diagnostics) {
       if (d.severity == verify::Severity::kError) ++errors;
@@ -536,41 +588,21 @@ int CmdVerify(int argc, char** argv) {
   return result.HasErrors() ? 1 : 0;
 }
 
-int CmdLint(int argc, char** argv) {
+int CmdLint(const Args& args) {
   // lint WORKLOAD|FILE [--json] [--no-swizzle]; a readable file is linted
   // as textual IR (source spans in diagnostics), anything else resolves
   // as a workload and lints the compiled best schedule.
-  bool json = false;
   analysis::LintOptions options;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--no-swizzle") == 0) {
-      options.swizzle = false;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.empty()) {
-    std::fprintf(stderr,
-                 "expected a workload (see `alcop_cli ops`), M N K [batch], "
-                 "or a .tir file\n");
-    return 1;
-  }
-  // A file or an op name is one operand; sizes are M N K [batch].
-  bool sizes = std::isdigit(static_cast<unsigned char>(positional[0][0]));
-  if (!CheckOperands("lint", positional, sizes ? 4 : 1)) return 1;
-
-  std::string subject = positional[0];
+  options.swizzle = !args.Has("--no-swizzle");
+  std::string subject = args.operands[0];
   std::string schedule_str;
   ir::Stmt program;
-  if (std::ifstream(positional[0])) {
-    if (!ParseIrFile(positional[0], &program)) return 1;
+  if (std::ifstream(args.operands[0])) {
+    if (!ParseIrFile(args.operands[0], &program)) return 1;
   } else {
     target::GpuSpec spec = target::AmpereSpec();
     schedule::GemmOp op;
-    if (!ParseWorkload(positional, &op)) return 1;
+    if (!ParseWorkload(args.operands, &op)) return 1;
     schedule::ScheduleConfig config = BestConfig(op, spec, 16);
     sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
     program = compiled.transformed.stmt;
@@ -581,7 +613,7 @@ int CmdLint(int argc, char** argv) {
 
   analysis::LintResult result = analysis::LintProgram(program, options);
 
-  if (json) {
+  if (args.Has("--json")) {
     std::ostringstream out;
     out << "{\"command\": \"lint\", \"subject\": \""
         << support::JsonEscape(subject) << "\", \"schedule\": \""
@@ -663,31 +695,12 @@ int CmdLint(int argc, char** argv) {
   return result.HasErrors() ? 1 : 0;
 }
 
-int CmdProfile(int argc, char** argv) {
-  // Split flags from positionals:
+int CmdProfile(const Args& args) {
   // profile WORKLOAD [--json] [--trace FILE] [--counters].
-  bool json = false;
-  bool counters = false;
-  std::string trace_path;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--counters") == 0) {
-      counters = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace expects an output file\n");
-        return 1;
-      }
-      trace_path = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
+  const std::string trace_path = args.Text("--trace");
   target::GpuSpec spec = target::AmpereSpec();
   schedule::GemmOp op;
-  if (!ParseWorkload(positional, &op)) return 1;
+  if (!ParseWorkload(args.operands, &op)) return 1;
 
   // Tracing must be on before any instrumented phase runs so the exported
   // file carries the whole pipeline: tuner rounds, compile phases, replay.
@@ -725,7 +738,7 @@ int CmdProfile(int argc, char** argv) {
                  writer.num_events(), trace_path.c_str());
   }
 
-  if (json) {
+  if (args.Has("--json")) {
     std::printf("%s\n", obs::ProfileToJson(profile, &timing, &pmu).c_str());
     return 0;
   }
@@ -734,7 +747,7 @@ int CmdProfile(int argc, char** argv) {
   std::printf("timing: %.0f cycles, %.1f us, %.1f TFLOP/s\n", timing.cycles,
               timing.microseconds, timing.tflops);
   std::printf("%s", obs::RenderProfile(profile).c_str());
-  if (counters) {
+  if (args.Has("--counters")) {
     std::printf("\n%s", sim::RenderPmu(pmu).c_str());
   }
   std::printf("\n--- host metrics ---\n");
@@ -745,24 +758,13 @@ int CmdProfile(int argc, char** argv) {
   return 0;
 }
 
-int CmdCalibrate(int argc, char** argv) {
-  bool json = false;
-  bool fit = false;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--fit") == 0) {
-      fit = true;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
+int CmdCalibrate(const Args& args) {
+  const bool json = args.Has("--json");
   target::GpuSpec spec = target::AmpereSpec();
-  if (fit) {
+  if (args.Has("--fit")) {
     // Re-derive the spec's two model constants from the Fig. 10 suite and
     // report whether they match what the spec ships.
-    if (json || !positional.empty()) {
+    if (json || !args.operands.empty()) {
       std::fprintf(stderr, "calibrate --fit takes no other argument\n");
       return 1;
     }
@@ -783,7 +785,7 @@ int CmdCalibrate(int argc, char** argv) {
     return matches ? 0 : 1;
   }
   schedule::GemmOp op;
-  if (!ParseWorkload(positional, &op)) return 1;
+  if (!ParseWorkload(args.operands, &op)) return 1;
 
   schedule::ScheduleConfig config = BestConfig(op, spec, 16);
   perfmodel::CalibrationResult result =
@@ -820,27 +822,16 @@ int CmdCalibrate(int argc, char** argv) {
   return 0;
 }
 
-int CmdCache(int argc, char** argv) {
+int CmdCache(const Args& args) {
   // cache [load|clear] [--json] [--path FILE]
-  bool json = false;
-  std::string path;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--path") == 0 && i + 1 < argc) {
-      path = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (!CheckOperands("cache", positional)) return 1;
-  std::string action = positional.empty() ? "load" : positional[0];
+  const bool json = args.Has("--json");
+  std::string action = args.operands.empty() ? "load" : args.operands[0];
   if (action != "load" && action != "clear") {
     std::fprintf(stderr, "unknown cache action '%s' (load|clear)\n",
                  action.c_str());
     return 1;
   }
+  std::string path = args.Text("--path");
   if (path.empty()) path = serving::DefaultCachePath();
   if (path.empty()) {
     std::fprintf(stderr,
@@ -885,65 +876,30 @@ int CmdCache(int argc, char** argv) {
   return 0;
 }
 
-int CmdServe(int argc, char** argv) {
+int CmdServe(const Args& args) {
   serving::ServerOptions options;
   options.spec = target::AmpereSpec();
-  uint64_t budget = 0;
-  std::string log_file;
-  std::vector<char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--trials", argv[++i], 0, &options.default_trials)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--seed", argv[++i], 0, &options.seed)) return 1;
-    } else if (std::strcmp(argv[i], "--no-warm") == 0) {
-      options.warm_start = false;
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      options.cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-persist") == 0) {
-      options.persist_on_shutdown = false;
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--budget", argv[++i], 0, &budget)) return 1;
-    } else if (std::strcmp(argv[i], "--http") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--http", argv[++i], -1, &options.http_port, 65535)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--access-log") == 0 && i + 1 < argc) {
-      options.access_log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--flight-depth") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--flight-depth", argv[++i], 0,
-                       &options.flight_depth)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--snapshot-interval") == 0 &&
-               i + 1 < argc) {
-      if (!ParseNumber("--snapshot-interval", argv[++i], INT_MIN,
-                       &options.snapshot_interval_ms)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
-      if (!ParseNumber("--watchdog-ms", argv[++i], INT_MIN,
-                       &options.watchdog_stall_ms)) {
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
-      obs::StructuredLog::Global().SetLevel(
-          obs::ParseLogLevel(argv[++i], obs::LogLevel::kInfo));
-    } else if (std::strcmp(argv[i], "--log-file") == 0 && i + 1 < argc) {
-      log_file = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
+  options.socket_path = args.operands[0];
+  options.default_trials = args.Number("--trials", options.default_trials);
+  options.seed = args.Number("--seed", options.seed);
+  options.warm_start = !args.Has("--no-warm");
+  options.cache_path = args.Text("--cache");
+  options.persist_on_shutdown = !args.Has("--no-persist");
+  options.http_port = args.Number("--http", options.http_port);
+  options.access_log_path = args.Text("--access-log");
+  options.flight_depth = args.Number("--flight-depth", options.flight_depth);
+  options.snapshot_interval_ms =
+      args.Number("--snapshot-interval", options.snapshot_interval_ms);
+  options.watchdog_stall_ms =
+      args.Number("--watchdog-ms", options.watchdog_stall_ms);
+  if (args.Has("--log-level")) {
+    obs::StructuredLog::Global().SetLevel(
+        static_cast<obs::LogLevel>(args.Number("--log-level", 0)));
   }
-  if (!CheckOperands("serve", positional)) return 1;
-  if (positional.empty()) {
-    std::fprintf(stderr, "expected a unix socket path\n");
-    return 1;
+  const std::string log_file = args.Text("--log-file");
+  if (uint64_t budget = args.Number("--budget", 0); budget != 0) {
+    sim::SetSimCacheBudgetBytes(budget);
   }
-  options.socket_path = positional[0];
-  if (budget != 0) sim::SetSimCacheBudgetBytes(budget);
 
   // The daemon's terminal chatter is the structured log itself: every
   // line the ring (and any --log-file sink) sees is echoed to stderr.
@@ -983,130 +939,126 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// "128,64,32" -> JSON "[128,64,32]"; empty unless `text` is three whole
-// numbers > 0 (each read with ParseSize) joined by commas.
-std::string TripleToJson(const char* text) {
-  std::string out;
-  for (int i = 0; i < 3; ++i) {
-    const char* end = i < 2 ? std::strchr(text, ',') : std::strchr(text, 0);
-    int64_t value = 0;
-    if (end == nullptr || !ParseSize(std::string(text, end).c_str(), &value) ||
-        value <= 0) {
-      return "";
-    }
-    out += (i == 0 ? "[" : ",") + std::to_string(value);
-    text = end + 1;
-  }
-  return out + "]";
+// The fields every client request starts with: {"id":1,"method":METHOD}.
+obs::LogFields Request(const char* method) {
+  return obs::LogFields().Int("id", 1).Str("method", method);
 }
 
-int CmdClient(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: alcop_cli client SOCKET METHOD [...] (see header "
-                 "comment)\n");
+// ping, stats, persist, load and shutdown send the method alone.
+std::string PlainRequest(const char* method, const Args&) {
+  return Request(method).Object();
+}
+
+// Raw protocol JSON is sent verbatim.
+std::string RawRequest(const char* json, const Args&) { return json; }
+
+// debug [requests|timeseries|log|trace] [N] [--client C] [--lane L]
+// [--outcome O] [--metric M]: the view, its depth when N > 0, and each
+// filter in the order given.
+std::string DebugRequest(const char* method, const Args& args) {
+  std::string what = "requests";
+  int64_t n = 0;
+  for (const char* operand : args.operands) {
+    if (!IsNumber(operand)) {
+      what = operand;
+    } else if (!ParseNumber("debug N", operand, 0, kMaxInt64, &n)) {
+      return "";
+    }
+  }
+  obs::LogFields request = Request(method).Str("what", what);
+  if (n > 0) request.Int("n", n);
+  for (const Given& f : args.flags) request.Str(f.name + 2, f.text);
+  return request.Object();
+}
+
+// tune|compile|profile M N K [batch]: the operator, then tune's search
+// options ([--trials N] [--no-warm] [--force]) or the schedule a compile
+// or profile measures (--tb M,N,K [--warp M,N,K] [--smem S] [--reg R]
+// [--split-k S]).
+std::string OpRequest(const char* method, const Args& args) {
+  int64_t sizes[4];
+  if (!ParseSizes(args.operands, sizes)) return "";
+  auto [m, n, k, batch] = sizes;
+  obs::LogFields request =
+      Request(method).Str("family", batch > 1 ? "batch_matmul" : "matmul");
+  request.Int("batch", batch).Int("m", m).Int("n", n).Int("k", k);
+  if (std::strcmp(method, "tune") == 0) {
+    if (int64_t trials = args.Number("--trials", 0); trials > 0) {
+      request.Int("trials", trials);
+    }
+    if (args.Has("--no-warm")) request.Bool("warm", false);
+    if (args.Has("--force")) request.Bool("force", true);
+    return request.Object();
+  }
+  if (!args.Has("--tb")) {
+    std::fprintf(stderr, "%s needs --tb M,N,K\n", method);
+    return "";
+  }
+  obs::LogFields config = obs::LogFields().Raw("tb", args.Text("--tb"));
+  if (args.Has("--warp")) config.Raw("warp", args.Text("--warp"));
+  for (auto [flag, key] : {std::pair{"--smem", "smem"}, {"--reg", "reg"},
+                           {"--split-k", "split_k"}}) {
+    if (int64_t value = args.Number(flag, 0); value > 0) config.Int(key, value);
+  }
+  return request.Raw("config", config.Object()).Object();
+}
+
+// A client method: what it accepts, and its request built from what it
+// was given (empty, after one line on stderr, when a value does not read).
+struct Method {
+  const char* name;
+  Syntax syntax;
+  std::string (*request)(const char* method, const Args& args);
+};
+
+const Syntax kScheduleSyntax = {
+    {{"--tb", Kind::kTriple}, {"--warp", Kind::kTriple},
+     {"--smem", Kind::kNumber, 0, kMaxInt},
+     {"--reg", Kind::kNumber, 0, kMaxInt},
+     {"--split-k", Kind::kNumber, 0, kMaxInt}},
+    "M N K [batch]", 3, 4};
+
+const Method kMethods[] = {
+    {"ping", {}, PlainRequest},
+    {"stats", {}, PlainRequest},
+    {"persist", {}, PlainRequest},
+    {"load", {}, PlainRequest},
+    {"shutdown", {}, PlainRequest},
+    {"tune",
+     {{{"--trials", Kind::kNumber, 0, kMaxInt64}, {"--no-warm"}, {"--force"}},
+      "M N K [batch]", 3, 4},
+     OpRequest},
+    {"compile", kScheduleSyntax, OpRequest},
+    {"profile", kScheduleSyntax, OpRequest},
+    {"debug",
+     {{{"--client", Kind::kText}, {"--lane", Kind::kText},
+       {"--outcome", Kind::kText}, {"--metric", Kind::kText}},
+      "", 0, 2},
+     DebugRequest},
+    {"{...}", {}, RawRequest},  // any METHOD that starts with '{'
+};
+
+// client SOCKET METHOD [...]: reads the method's arguments and builds its
+// request before it connects.
+int CmdClient(const Args& args) {
+  const char* socket_path = args.operands[0];
+  const char* method = args.operands[1];
+  const char* name = method[0] == '{' ? "{...}" : method;
+  const Method* chosen = nullptr;
+  for (const Method& m : kMethods) {
+    if (std::strcmp(m.name, name) == 0) chosen = &m;
+  }
+  if (chosen == nullptr) {
+    std::fprintf(stderr, "unknown client method '%s'\n", method);
     return 1;
   }
-  const char* socket_path = argv[2];
-  std::string method = argv[3];
-  std::string payload;
-  if (method[0] == '{') {
-    payload = method;  // raw protocol JSON, sent verbatim
-  } else if (method == "ping" || method == "stats" || method == "persist" ||
-             method == "load" || method == "shutdown") {
-    payload = "{\"id\":1,\"method\":\"" + method + "\"}";
-  } else if (method == "debug") {
-    // client SOCKET debug [requests|timeseries|log|trace] [N]
-    //   [--client C] [--lane L] [--outcome O] [--metric M]
-    std::string what = "requests";
-    std::ostringstream extra;
-    int64_t n = 0;
-    for (int i = 4; i < argc; ++i) {
-      bool flag = i + 1 < argc &&
-                  (std::strcmp(argv[i], "--client") == 0 ||
-                   std::strcmp(argv[i], "--lane") == 0 ||
-                   std::strcmp(argv[i], "--outcome") == 0 ||
-                   std::strcmp(argv[i], "--metric") == 0);
-      if (flag) {
-        extra << ",\"" << (argv[i] + 2) << "\":\""
-              << support::JsonEscape(argv[i + 1]) << "\"";
-        ++i;
-      } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-        if (!ParseNumber("debug N", argv[i], 0, &n)) return 1;
-      } else {
-        what = argv[i];
-      }
-    }
-    std::ostringstream out;
-    out << "{\"id\":1,\"method\":\"debug\",\"what\":\""
-        << support::JsonEscape(what) << "\"";
-    if (n > 0) out << ",\"n\":" << n;
-    out << extra.str() << "}";
-    payload = out.str();
-  } else if (method == "tune" || method == "compile" || method == "profile") {
-    std::string tb, warp;
-    int smem = 0, reg = 0, split_k = 0;
-    int64_t trials = 0;
-    bool no_warm = false, force = false;
-    std::vector<char*> positional;
-    for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--tb") == 0 && i + 1 < argc) {
-        tb = TripleToJson(argv[++i]);
-        if (tb.empty()) {
-          std::fprintf(stderr, "--tb expects M,N,K, got '%s'\n", argv[i]);
-          return 1;
-        }
-      } else if (std::strcmp(argv[i], "--warp") == 0 && i + 1 < argc) {
-        warp = TripleToJson(argv[++i]);
-        if (warp.empty()) {
-          std::fprintf(stderr, "--warp expects M,N,K, got '%s'\n", argv[i]);
-          return 1;
-        }
-      } else if (std::strcmp(argv[i], "--smem") == 0 && i + 1 < argc) {
-        if (!ParseNumber("--smem", argv[++i], 0, &smem)) return 1;
-      } else if (std::strcmp(argv[i], "--reg") == 0 && i + 1 < argc) {
-        if (!ParseNumber("--reg", argv[++i], 0, &reg)) return 1;
-      } else if (std::strcmp(argv[i], "--split-k") == 0 && i + 1 < argc) {
-        if (!ParseNumber("--split-k", argv[++i], 0, &split_k)) return 1;
-      } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-        if (!ParseNumber("--trials", argv[++i], 0, &trials)) return 1;
-      } else if (std::strcmp(argv[i], "--no-warm") == 0) {
-        no_warm = true;
-      } else if (std::strcmp(argv[i], "--force") == 0) {
-        force = true;
-      } else {
-        positional.push_back(argv[i]);
-      }
-    }
-    int64_t sizes[4];
-    if (!ParseSizes(positional, sizes)) return 1;
-    auto [m, n, k, batch] = sizes;
-    std::ostringstream out;
-    out << "{\"id\":1,\"method\":\"" << method << "\",\"family\":\""
-        << (batch > 1 ? "batch_matmul" : "matmul") << "\",\"batch\":" << batch
-        << ",\"m\":" << m << ",\"n\":" << n << ",\"k\":" << k;
-    if (method == "tune") {
-      if (trials > 0) out << ",\"trials\":" << trials;
-      if (no_warm) out << ",\"warm\":false";
-      if (force) out << ",\"force\":true";
-    } else {
-      if (tb.empty()) {
-        std::fprintf(stderr, "%s needs --tb M,N,K\n", method.c_str());
-        return 1;
-      }
-      out << ",\"config\":{\"tb\":" << tb;
-      if (!warp.empty()) out << ",\"warp\":" << warp;
-      if (smem > 0) out << ",\"smem\":" << smem;
-      if (reg > 0) out << ",\"reg\":" << reg;
-      if (split_k > 0) out << ",\"split_k\":" << split_k;
-      out << "}";
-    }
-    out << "}";
-    payload = out.str();
-  } else {
-    std::fprintf(stderr, "unknown client method '%s'\n", method.c_str());
+  Args method_args;
+  const std::string who = std::string("client ") + chosen->name;
+  if (!ReadArgs(who.c_str(), chosen->syntax, args.rest, &method_args)) {
     return 1;
   }
+  const std::string payload = chosen->request(method, method_args);
+  if (payload.empty()) return 1;
 
   serving::Client client;
   std::string error;
@@ -1126,6 +1078,58 @@ int CmdClient(int argc, char** argv) {
   return ok != nullptr && ok->BoolOr(false) ? 0 : 1;
 }
 
+// One WORKLOAD operand (an op name, or M N K [batch]); `min_operands` 0
+// lets calibrate --fit go without it.
+Syntax Workload(std::vector<Flag> flags, size_t min_operands = 1) {
+  return {std::move(flags), kWorkload, min_operands, 1, /*workload=*/true};
+}
+
+// A command: what it accepts and what runs once ReadArgs has read it.
+struct Command {
+  const char* name;
+  Syntax syntax;
+  int (*run)(const Args& args);
+};
+
+const Command kCommands[] = {
+    {"compile", Workload({}), CmdCompile},
+    {"tune",
+     Workload({{"--trials", Kind::kNumber, 0, kMaxInt64},
+               {"--log", Kind::kText},
+               {"--model-topk", Kind::kNumber, 0, kMaxInt}}),
+     CmdTune},
+    {"timeline", Workload({}), CmdTimeline},
+    {"profile",
+     Workload({{"--json"}, {"--counters"}, {"--trace", Kind::kText}}),
+     CmdProfile},
+    {"calibrate", Workload({{"--json"}, {"--fit"}}, 0), CmdCalibrate},
+    {"ops", {}, CmdOps},
+    {"models", {}, CmdModels},
+    {"parse", {{}, "a file path", 1, 1}, CmdParse},
+    {"verify", {{{"--json"}}, "a file path", 1, 1}, CmdVerify},
+    {"lint",
+     {{{"--json"}, {"--no-swizzle"}},
+      "a workload (see `alcop_cli ops`), M N K [batch], or a .tir file", 1, 1,
+      /*workload=*/true},
+     CmdLint},
+    {"cache", {{{"--json"}, {"--path", Kind::kText}}, "", 0, 1}, CmdCache},
+    {"serve",
+     {{{"--trials", Kind::kNumber, 0, kMaxInt64},
+       {"--seed", Kind::kNumber, 0, kMaxInt64}, {"--no-warm"},
+       {"--cache", Kind::kText}, {"--no-persist"},
+       {"--budget", Kind::kNumber, 0, kMaxInt64},
+       {"--http", Kind::kNumber, -1, 65535}, {"--access-log", Kind::kText},
+       {"--flight-depth", Kind::kNumber, 0, kMaxInt64},
+       {"--snapshot-interval", Kind::kNumber, -kMaxInt - 1, kMaxInt},
+       {"--watchdog-ms", Kind::kNumber, -kMaxInt - 1, kMaxInt},
+       {"--log-level", Kind::kLevel}, {"--log-file", Kind::kText}},
+      "a unix socket path", 1, 1},
+     CmdServe},
+    {"client",
+     {{}, "SOCKET METHOD [...]", 2, 2, /*workload=*/false, /*subcommand=*/true},
+     CmdClient},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1135,20 +1139,15 @@ int main(int argc, char** argv) {
                  "ops|models|parse|verify|lint|cache|serve|client ...\n");
     return 1;
   }
-  const char* cmd = argv[1];
-  if (std::strcmp(cmd, "cache") == 0) return CmdCache(argc, argv);
-  if (std::strcmp(cmd, "serve") == 0) return CmdServe(argc, argv);
-  if (std::strcmp(cmd, "client") == 0) return CmdClient(argc, argv);
-  if (std::strcmp(cmd, "lint") == 0) return CmdLint(argc, argv);
-  if (std::strcmp(cmd, "profile") == 0) return CmdProfile(argc, argv);
-  if (std::strcmp(cmd, "calibrate") == 0) return CmdCalibrate(argc, argv);
-  if (std::strcmp(cmd, "compile") == 0) return CmdCompile(argc, argv);
-  if (std::strcmp(cmd, "tune") == 0) return CmdTune(argc, argv);
-  if (std::strcmp(cmd, "timeline") == 0) return CmdTimeline(argc, argv);
-  if (std::strcmp(cmd, "ops") == 0) return CmdOps();
-  if (std::strcmp(cmd, "models") == 0) return CmdModels();
-  if (std::strcmp(cmd, "parse") == 0) return CmdParse(argc, argv);
-  if (std::strcmp(cmd, "verify") == 0) return CmdVerify(argc, argv);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd);
+  for (const Command& command : kCommands) {
+    if (std::strcmp(command.name, argv[1]) != 0) continue;
+    Args args;
+    if (!ReadArgs(command.name, command.syntax,
+                  std::vector<const char*>(argv + 2, argv + argc), &args)) {
+      return 1;
+    }
+    return command.run(args);
+  }
+  std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
   return 1;
 }

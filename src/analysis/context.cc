@@ -85,32 +85,6 @@ const std::vector<Buffer>& AnalysisContext::allocs() {
   return allocs_;
 }
 
-const std::vector<PipelineHint>& AnalysisContext::hints() {
-  if (!hints_ready_) {
-    hints_ = CollectPipelineHints(program_);
-    hints_ready_ = true;
-  }
-  return hints_;
-}
-
-const std::unordered_map<const BufferNode*, std::vector<ProducerInfo>>&
-AnalysisContext::producers() {
-  if (!producers_ready_) {
-    producers_ = MapProducers(program_);
-    producers_ready_ = true;
-  }
-  return producers_;
-}
-
-const std::unordered_map<const BufferNode*, std::vector<ConsumerInfo>>&
-AnalysisContext::consumers() {
-  if (!consumers_ready_) {
-    consumers_ = MapConsumers(program_);
-    consumers_ready_ = true;
-  }
-  return consumers_;
-}
-
 int64_t AnalysisContext::NumWarps() {
   if (num_warps_ < 0) {
     int64_t warps = 1;

@@ -8,8 +8,7 @@
 //     transformation guards recursive-mode loads and fused-mode
 //     prologues; any analysis that ignores the guards would flag the
 //     deliberately clipped tail iterations);
-//   - def-use chains per buffer (producers/consumers, from ir/analysis);
-//   - allocations and pipeline hints;
+//   - allocations (the resource check) and the warp count;
 //   - guard-aware execution counts per site (how many loop-nest
 //     iterations really run the statement), used by the bank-conflict
 //     analyzer's traffic prediction.
@@ -20,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/interval.h"
@@ -69,13 +67,6 @@ class AnalysisContext {
 
   const std::vector<Site>& sites();
   const std::vector<ir::Buffer>& allocs();
-  const std::vector<ir::PipelineHint>& hints();
-  const std::unordered_map<const ir::BufferNode*,
-                           std::vector<ir::ProducerInfo>>&
-  producers();
-  const std::unordered_map<const ir::BufferNode*,
-                           std::vector<ir::ConsumerInfo>>&
-  consumers();
 
   // Product of warp-kind loop extents along the deepest nest (the number
   // of warps one threadblock launches). 1 when the IR has no warp loops.
@@ -97,14 +88,6 @@ class AnalysisContext {
   std::vector<Site> sites_;
   bool allocs_ready_ = false;
   std::vector<ir::Buffer> allocs_;
-  bool hints_ready_ = false;
-  std::vector<ir::PipelineHint> hints_;
-  bool producers_ready_ = false;
-  std::unordered_map<const ir::BufferNode*, std::vector<ir::ProducerInfo>>
-      producers_;
-  bool consumers_ready_ = false;
-  std::unordered_map<const ir::BufferNode*, std::vector<ir::ConsumerInfo>>
-      consumers_;
   int64_t num_warps_ = -1;
 };
 

@@ -65,14 +65,15 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
   out.batches = target::NumThreadblockBatches(spec, occ, total_tbs);
   int64_t batch_tbs = std::min<int64_t>(
       total_tbs, static_cast<int64_t>(occ.threadblocks_per_sm) * spec.num_sms);
-  // Threadblocks actually resident on one SM in a full batch. Occupancy
-  // bounds it from above, but a small grid spreads across SMs first (the
-  // simulator's wave scheduler does the same min in sim/launch.cc), so the
-  // per-SM multiplexing terms must use the wave residency, not the
-  // occupancy bound — this was the source of the large t_compute and
-  // t_reg_load calibration errors on low-residency configs.
-  int wave_tbs = static_cast<int>(std::min<int64_t>(
-      occ.threadblocks_per_sm, (batch_tbs + spec.num_sms - 1) / spec.num_sms));
+  // The full batch's wave, as the simulator times it: occupancy bounds the
+  // threadblocks resident on one SM, but a small grid spreads across SMs
+  // first, so the per-SM multiplexing terms use the wave residency, not
+  // the occupancy bound (pricing the occupancy bound was the source of the
+  // large t_compute and t_reg_load calibration errors on low-residency
+  // configs).
+  const target::WaveShape wave =
+      target::WaveOf(occ.threadblocks_per_sm, spec.num_sms, batch_tbs);
+  const int wave_tbs = wave.threadblocks;
   out.resident_tbs = wave_tbs;
 
   int warps = config.NumWarps();
@@ -132,8 +133,7 @@ AnalyticalBreakdown AnalyticalModel(const GemmOp& op,
   //   - the dependence chain (issue + blended latency + transfer) that
   //     smem_stages-deep pipelining divides but cannot eliminate.
   const target::ModelFit& fit = spec.model_fit;
-  int active_sms = static_cast<int>(std::min<int64_t>(
-      spec.num_sms, (batch_tbs + wave_tbs - 1) / wave_tbs));
+  const int active_sms = wave.active_sms;
   double c_tensor = static_cast<double>(n_reg_loop) * out.t_compute;
   double c_lds = static_cast<double>(n_reg_loop) *
                  std::max(0.0, out.t_reg_load - spec.smem_latency_cycles);

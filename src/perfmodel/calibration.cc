@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -12,10 +11,14 @@
 #include "perfmodel/bottleneck.h"
 #include "schedule/lower.h"
 #include "sim/launch.h"
+#include "support/json.h"
 #include "tuner/space.h"
 
 namespace alcop {
 namespace perfmodel {
+
+using support::JsonEscape;
+using support::JsonNumber;
 
 namespace {
 
@@ -33,13 +36,6 @@ void AddTerm(CalibrationResult* out, const char* name, double analytical,
   term.measured = measured;
   term.rel_error = RelError(analytical, measured);
   out->terms.push_back(std::move(term));
-}
-
-std::string JsonNum(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "1e9999" : "-1e9999";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -290,13 +286,15 @@ std::string CalibrationToJson(const CalibrationResult& result) {
   std::ostringstream os;
   os << "{\"feasible\": " << (result.feasible ? "true" : "false");
   if (!result.feasible) {
-    os << ", \"reason\": \"" << result.reason << "\"}";
+    os << ", \"reason\": \"" << JsonEscape(result.reason) << "\"}";
     return os.str();
   }
-  os << ", \"measured_cycles\": " << JsonNum(result.measured_cycles)
-     << ", \"predicted_cycles\": " << JsonNum(result.predicted_cycles)
-     << ", \"bottleneck_limiter\": \"" << result.bottleneck_limiter << "\""
-     << ", \"profile_verdict\": \"" << result.profile_verdict << "\""
+  os << ", \"measured_cycles\": " << JsonNumber(result.measured_cycles)
+     << ", \"predicted_cycles\": " << JsonNumber(result.predicted_cycles)
+     << ", \"bottleneck_limiter\": \""
+     << JsonEscape(result.bottleneck_limiter) << "\""
+     << ", \"profile_verdict\": \"" << JsonEscape(result.profile_verdict)
+     << "\""
      << ", \"roofline_agrees\": "
      << (result.roofline_agrees ? "true" : "false")
      << ", \"profile_agrees\": "
@@ -304,10 +302,10 @@ std::string CalibrationToJson(const CalibrationResult& result) {
   for (size_t i = 0; i < result.terms.size(); ++i) {
     const TermError& term = result.terms[i];
     if (i > 0) os << ", ";
-    os << "\"" << term.name << "\": {\"analytical\": "
-       << JsonNum(term.analytical)
-       << ", \"measured\": " << JsonNum(term.measured)
-       << ", \"rel_error\": " << JsonNum(term.rel_error) << "}";
+    os << "\"" << JsonEscape(term.name) << "\": {\"analytical\": "
+       << JsonNumber(term.analytical)
+       << ", \"measured\": " << JsonNumber(term.measured)
+       << ", \"rel_error\": " << JsonNumber(term.rel_error) << "}";
   }
   os << "}, \"roofline\": " << RooflineToJson(result.roofline) << "}";
   return os.str();

@@ -1,26 +1,22 @@
 #include "perfmodel/roofline.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
+#include "support/json.h"
+
 namespace alcop {
 namespace perfmodel {
+
+using support::JsonEscape;
+using support::JsonNumber;
 
 namespace {
 
 double Intensity(double flops, double bytes) {
   if (bytes <= 0.0) return std::numeric_limits<double>::infinity();
   return flops / bytes;
-}
-
-std::string JsonNum(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "1e9999" : "-1e9999";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -85,22 +81,22 @@ bool RooflineAgreesWithLimiter(const RooflinePoint& point,
 
 std::string RooflineToJson(const RooflinePoint& point) {
   std::ostringstream os;
-  os << "{\"regime\": \"" << point.regime << "\""
-     << ", \"ai_dram\": " << JsonNum(point.ai_dram)
-     << ", \"ai_llc\": " << JsonNum(point.ai_llc)
-     << ", \"ai_lds\": " << JsonNum(point.ai_lds)
-     << ", \"ridge_ai_dram\": " << JsonNum(point.ridge_ai_dram)
-     << ", \"ridge_ai_llc\": " << JsonNum(point.ridge_ai_llc)
-     << ", \"ridge_ai_lds\": " << JsonNum(point.ridge_ai_lds)
-     << ", \"compute_cycles\": " << JsonNum(point.compute_cycles)
-     << ", \"llc_cycles\": " << JsonNum(point.llc_cycles)
-     << ", \"dram_cycles\": " << JsonNum(point.dram_cycles)
-     << ", \"lds_cycles\": " << JsonNum(point.lds_cycles)
-     << ", \"peak_flops_per_cycle\": " << JsonNum(point.peak_flops_per_cycle)
-     << ", \"roof_flops_per_cycle\": " << JsonNum(point.roof_flops_per_cycle)
+  os << "{\"regime\": \"" << JsonEscape(point.regime) << "\""
+     << ", \"ai_dram\": " << JsonNumber(point.ai_dram)
+     << ", \"ai_llc\": " << JsonNumber(point.ai_llc)
+     << ", \"ai_lds\": " << JsonNumber(point.ai_lds)
+     << ", \"ridge_ai_dram\": " << JsonNumber(point.ridge_ai_dram)
+     << ", \"ridge_ai_llc\": " << JsonNumber(point.ridge_ai_llc)
+     << ", \"ridge_ai_lds\": " << JsonNumber(point.ridge_ai_lds)
+     << ", \"compute_cycles\": " << JsonNumber(point.compute_cycles)
+     << ", \"llc_cycles\": " << JsonNumber(point.llc_cycles)
+     << ", \"dram_cycles\": " << JsonNumber(point.dram_cycles)
+     << ", \"lds_cycles\": " << JsonNumber(point.lds_cycles)
+     << ", \"peak_flops_per_cycle\": " << JsonNumber(point.peak_flops_per_cycle)
+     << ", \"roof_flops_per_cycle\": " << JsonNumber(point.roof_flops_per_cycle)
      << ", \"attained_flops_per_cycle\": "
-     << JsonNum(point.attained_flops_per_cycle)
-     << ", \"efficiency\": " << JsonNum(point.efficiency) << "}";
+     << JsonNumber(point.attained_flops_per_cycle)
+     << ", \"efficiency\": " << JsonNumber(point.efficiency) << "}";
   return os.str();
 }
 

@@ -20,6 +20,7 @@ namespace sim {
 using schedule::GemmOp;
 using schedule::LoweredKernel;
 using schedule::ScheduleConfig;
+using target::WaveShape;
 
 CompiledKernel CompileKernel(const GemmOp& op, const ScheduleConfig& config,
                              const target::GpuSpec& spec,
@@ -167,25 +168,6 @@ schedule::StaticFeasibility VerdictOf(const CompiledKernel& compiled,
                                     spec);
 }
 
-// One threadblock wave: the threadblocks each active SM hosts, and how
-// many SMs are active (small waves leave SMs idle, and the active ones
-// receive a larger slice of the GPU-wide bandwidth).
-struct WaveShape {
-  int threadblocks = 1;
-  int active_sms = 1;
-};
-
-// The wave of `tbs` threadblocks: each active SM hosts up to the
-// occupancy complement.
-WaveShape WaveOf(const LaunchPlan& plan, int64_t tbs) {
-  WaveShape wave;
-  wave.threadblocks = static_cast<int>(std::min<int64_t>(
-      plan.threadblocks_per_sm, (tbs + plan.num_sms - 1) / plan.num_sms));
-  wave.active_sms = static_cast<int>(std::min<int64_t>(
-      plan.num_sms, (tbs + wave.threadblocks - 1) / wave.threadblocks));
-  return wave;
-}
-
 // The one wave loop both cores time a launch with: the full wave, the
 // remainder wave, then the launch-level passes and the µs / TFLOP/s
 // conversion. `run_wave(WaveShape)` simulates one wave and returns its
@@ -205,7 +187,10 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, RunWave&& run_wave) {
   int64_t total_tbs = plan.total_threadblocks;
   int64_t per_batch =
       static_cast<int64_t>(plan.threadblocks_per_sm) * plan.num_sms;
-  double full_batch = run_wave(WaveOf(plan, std::min(total_tbs, per_batch)));
+  auto wave_of = [&plan](int64_t tbs) {
+    return target::WaveOf(plan.threadblocks_per_sm, plan.num_sms, tbs);
+  };
+  double full_batch = run_wave(wave_of(std::min(total_tbs, per_batch)));
   timing.batch_cycles = full_batch;
 
   double cycles = plan.launch_overhead_cycles;
@@ -213,8 +198,7 @@ KernelTiming TimeLaunch(const LaunchPlan& plan, RunWave&& run_wave) {
   int64_t remainder = total_tbs - full_batches * per_batch;
   cycles += static_cast<double>(full_batches) * full_batch;
   if (remainder > 0) {
-    cycles += full_batches == 0 ? full_batch
-                                : run_wave(WaveOf(plan, remainder));
+    cycles += full_batches == 0 ? full_batch : run_wave(wave_of(remainder));
   }
   cycles += plan.ewise_cycles;
   cycles += plan.splitk_cycles;

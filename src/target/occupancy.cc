@@ -47,5 +47,14 @@ int64_t NumThreadblockBatches(const GpuSpec& spec, const Occupancy& occ,
   return (total_threadblocks + per_batch - 1) / per_batch;
 }
 
+WaveShape WaveOf(int threadblocks_per_sm, int num_sms, int64_t threadblocks) {
+  WaveShape wave;
+  wave.threadblocks = static_cast<int>(std::min<int64_t>(
+      threadblocks_per_sm, (threadblocks + num_sms - 1) / num_sms));
+  wave.active_sms = static_cast<int>(std::min<int64_t>(
+      num_sms, (threadblocks + wave.threadblocks - 1) / wave.threadblocks));
+  return wave;
+}
+
 }  // namespace target
 }  // namespace alcop

@@ -44,6 +44,20 @@ Occupancy ComputeOccupancy(const GpuSpec& spec,
 int64_t NumThreadblockBatches(const GpuSpec& spec, const Occupancy& occ,
                               int64_t total_threadblocks);
 
+// One threadblock wave: the threadblocks each active SM hosts, and how
+// many SMs are active (small waves leave SMs idle, and the active ones
+// receive a larger slice of the GPU-wide bandwidth).
+struct WaveShape {
+  int threadblocks = 1;
+  int active_sms = 1;
+};
+
+// The wave of `threadblocks` (at most one batch): a small grid spreads
+// across the `num_sms` SMs first, and each active SM hosts up to
+// `threadblocks_per_sm`. The simulator times every wave with this shape
+// and the analytical model prices the full batch's.
+WaveShape WaveOf(int threadblocks_per_sm, int num_sms, int64_t threadblocks);
+
 }  // namespace target
 }  // namespace alcop
 

@@ -77,18 +77,10 @@ std::vector<std::vector<size_t>> BuildNeighborLists(
 
 std::vector<size_t> ProposeBatch(
     const std::vector<schedule::ScheduleConfig>& space,
+    const std::vector<std::vector<size_t>>& neighbors,
     const std::function<double(size_t)>& score,
-    const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng,
-    const std::vector<std::vector<size_t>>* precomputed_neighbors) {
+    const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng) {
   if (space.empty() || batch == 0) return {};
-
-  std::vector<std::vector<size_t>> local_neighbors;
-  if (precomputed_neighbors == nullptr) {
-    local_neighbors = BuildNeighborLists(space);
-  }
-  const std::vector<std::vector<size_t>>& neighbors =
-      precomputed_neighbors != nullptr ? *precomputed_neighbors
-                                       : local_neighbors;
 
   // Best-scored unvisited candidates found by the walk.
   std::map<double, size_t, std::greater<>> best;  // score -> index

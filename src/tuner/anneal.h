@@ -26,14 +26,13 @@ std::vector<std::vector<size_t>> BuildNeighborLists(
 
 // Proposes up to `batch` distinct indices into `space`, maximizing
 // `score(index)` (higher is better), skipping indices in `exclude`: four
-// restarts of a 300-step walk cooling from temperature 1 to 0.05.
-// `neighbors`, when non-null, must be BuildNeighborLists(space); when
-// null the lists are built internally (same walk either way).
+// restarts of a 300-step walk cooling from temperature 1 to 0.05 over
+// `neighbors`, which must be BuildNeighborLists(space).
 std::vector<size_t> ProposeBatch(
     const std::vector<schedule::ScheduleConfig>& space,
+    const std::vector<std::vector<size_t>>& neighbors,
     const std::function<double(size_t)>& score,
-    const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng,
-    const std::vector<std::vector<size_t>>* neighbors = nullptr);
+    const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng);
 
 // Neighbor relation used by the walk: configs differing in exactly one of
 // ten knobs (a threadblock or warp tile dimension, a stage count, split_k

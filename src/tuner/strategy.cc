@@ -369,8 +369,8 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
         predicted = model.PredictBatch(features);
       }
       auto score = [&](size_t index) { return predicted[index]; };
-      proposals = ProposeBatch(task.space, score, measured_set, batch, rng,
-                               &neighbors);
+      proposals =
+          ProposeBatch(task.space, neighbors, score, measured_set, batch, rng);
     }
     if (proposals.empty()) break;
     measure(proposals, round, predicted);

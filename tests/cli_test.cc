@@ -1,8 +1,8 @@
 // Runs the built alcop_cli (its path is compiled in as ALCOP_CLI_PATH).
-// Bad workloads, bad flag values, a tune with no feasible trial, and cache
-// actions on state a CLI process never holds must each exit with status 1
-// and print one line on stderr: a signal or an ASan/UBSan report fails the
-// test.
+// Bad workloads, bad flag values, stray arguments, a tune with no feasible
+// trial, and cache actions on state a CLI process never holds must each
+// exit with status 1, print nothing on stdout and one line on stderr: a
+// signal or an ASan/UBSan report fails the test.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,14 +92,15 @@ std::string Join(const std::vector<std::string>& args) {
   return out;
 }
 
-// Exit status 1, not a signal, and exactly one line on stderr, which
-// contains `names` when given.
+// Exit status 1, not a signal, nothing on stdout, and exactly one line on
+// stderr, which contains `names` when given.
 void ExpectOneLineFailure(const std::vector<std::string>& args,
                           const std::string& names = "") {
   SCOPED_TRACE(Join(args));
   CliRun run = RunCli(args);
   EXPECT_TRUE(run.exited) << "killed by a signal; stderr: " << run.err;
   EXPECT_EQ(run.status, 1);
+  EXPECT_EQ(run.out, "");
   EXPECT_EQ(std::count(run.err.begin(), run.err.end(), '\n'), 1) << run.err;
   EXPECT_TRUE(!run.err.empty() && run.err.back() == '\n') << run.err;
   EXPECT_NE(run.err.find(names), std::string::npos) << run.err;
@@ -139,30 +141,92 @@ TEST(CliTest, EveryFlagValueIsAWholeNumberInRange) {
 }
 
 TEST(CliTest, StrayArgumentsAreNamedBeforeAnySocketOrFile) {
-  // An unknown flag, a value flag given last and a second operand each
-  // fail with a line naming them, before serve binds its socket or parse,
-  // verify, lint and cache read a file.
+  // Every command that takes arguments, and every client method, fails
+  // with one line naming an unknown flag, a value flag given last without
+  // its value, or a surplus operand, before it reads a file, binds or
+  // connects a socket, or compiles anything. A command with no value flag
+  // of its own is given another command's, which it does not know.
   const std::string socket = "/nonexistent-dir/alcopd.sock";
-  ExpectOneLineFailure({"serve", socket, "--htpp", "9464"}, "'--htpp'");
-  ExpectOneLineFailure({"serve", socket, "--no-persist", "--trials"},
-                       "'--trials'");
-  ExpectOneLineFailure({"serve", socket, "other.sock"}, "'other.sock'");
-  ExpectOneLineFailure({"verify", "/nonexistent.tir", "--jsn"}, "'--jsn'");
-  ExpectOneLineFailure({"verify", "/nonexistent.tir", "b.tir"}, "'b.tir'");
-  ExpectOneLineFailure({"parse", "/nonexistent.tir", "--jsn"}, "'--jsn'");
-  ExpectOneLineFailure({"lint", "MM_RN50_FC", "--jsn"}, "'--jsn'");
-  ExpectOneLineFailure({"cache", "load", "--pth", "x"}, "'--pth'");
-  ExpectOneLineFailure({"cache", "load", "clear"}, "'clear'");
-
   const std::string file = TempPath(".tir");
   std::ofstream(file) << "alloc A: global fp16[2, 8]\n";
-  ExpectOneLineFailure({"lint", file, "extra"}, "'extra'");
+  struct Row {
+    std::vector<std::string> args;  // valid without the stray argument
+    std::string unknown_flag;
+    std::string value_flag;
+    std::string surplus;
+  };
+  auto client = [&socket](std::vector<std::string> args) {
+    args.insert(args.begin(), {"client", socket});
+    return args;
+  };
+  const std::vector<Row> rows = {
+      {{"compile", "MM_RN50_FC"}, "--json", "--trials", "extra"},
+      {{"compile", "512", "512", "512", "1"}, "--tb", "--trials", "7"},
+      {{"timeline", "MM_RN50_FC"}, "--jsn", "--trials", "extra"},
+      {{"tune", "MM_RN50_FC"}, "--trails", "--model-topk", "extra"},
+      {{"tune", "512", "512", "512", "1"}, "--jsn", "--trials", "7"},
+      {{"profile", "MM_RN50_FC"}, "--jsn", "--trace", "extra"},
+      {{"calibrate", "MM_RN50_FC"}, "--jsn", "--trials", "extra"},
+      {{"lint", "MM_RN50_FC"}, "--jsn", "--trials", "extra"},
+      {{"lint", file}, "--jsn", "--path", "extra"},
+      {{"verify", "/nonexistent.tir"}, "--jsn", "--path", "b.tir"},
+      {{"parse", "/nonexistent.tir"}, "--json", "--path", "b.tir"},
+      {{"cache", "load", "--path", "/nonexistent.alcp"}, "--pth", "--path",
+       "clear"},
+      {{"serve", socket, "--no-persist"}, "--htpp", "--trials", "other.sock"},
+      {client({"ping"}), "--json", "--trials", "extra"},
+      {client({"stats"}), "--json", "--trials", "extra"},
+      {client({"persist"}), "--json", "--trials", "extra"},
+      {client({"load"}), "--json", "--trials", "extra"},
+      {client({"shutdown"}), "--json", "--trials", "extra"},
+      // tune never sends a schedule.
+      {client({"tune", "512", "512", "512", "1"}), "--tb", "--trials", "7"},
+      {client({"compile", "512", "512", "512", "1", "--tb", "128,128,32"}),
+       "--trials", "--warp", "7"},
+      {client({"profile", "512", "512", "512", "1", "--tb", "128,128,32"}),
+       "--force", "--tb", "7"},
+      {client({"debug", "requests", "5"}), "--json", "--lane", "extra"},
+      {client({"{\"method\":\"ping\"}"}), "--json", "--trials", "extra"},
+  };
+  for (const Row& row : rows) {
+    for (const std::string& stray :
+         {row.unknown_flag, row.value_flag, row.surplus}) {
+      std::vector<std::string> args = row.args;
+      args.push_back(stray);
+      ExpectOneLineFailure(args, "'" + stray + "'");
+    }
+  }
+  // A flag is never taken as the value of the flag before it.
+  ExpectOneLineFailure({"profile", "MM_RN50_FC", "--trace", "--json"},
+                       "'--trace'");
+  ExpectOneLineFailure(client({"debug", "--lane", "--client", "c"}),
+                       "'--lane'");
   std::remove(file.c_str());
 }
 
 TEST(CliTest, CalibrateFitTakesNoOtherArgument) {
   ExpectOneLineFailure({"calibrate", "--fit", "--stride", "8"});
   ExpectOneLineFailure({"calibrate", "--fit", "--json"});
+}
+
+TEST(CliTest, TuneLogIsOneJsonObjectPerSearchEvent) {
+  const std::string log = TempPath(".jsonl");
+  ExpectSuccess({"tune", "MM_RN50_FC", "--trials", "16", "--log", log});
+  std::ifstream in(log);
+  std::map<std::string, int> events;
+  const std::string none;
+  for (std::string line; std::getline(in, line);) {
+    std::optional<serving::JsonValue> doc = serving::ParseJson(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    const serving::JsonValue* event = doc->Find("event");
+    ASSERT_NE(event, nullptr) << line;
+    ++events[event->StringOr(none)];
+  }
+  std::remove(log.c_str());
+  // Each trial is proposed and measured, and the model is refit once
+  // before each of the two model-guided rounds of 8.
+  EXPECT_EQ(events, (std::map<std::string, int>{
+                        {"proposed", 16}, {"measured", 16}, {"refit", 2}}));
 }
 
 TEST(CliTest, TuneWithoutAFeasibleTrialFails) {

@@ -398,7 +398,8 @@ TEST(AnnealTest, FindsHighScoringConfigs) {
     return static_cast<double>(space[i].smem_stages * space[i].tile.tb_m);
   };
   Rng rng(1);
-  std::vector<size_t> batch = tuner::ProposeBatch(space, score, {}, 5, rng);
+  std::vector<size_t> batch = tuner::ProposeBatch(
+      space, tuner::BuildNeighborLists(space), score, {}, 5, rng);
   ASSERT_EQ(batch.size(), 5u);
   double best_possible = 0.0;
   for (size_t i = 0; i < space.size(); ++i) {
@@ -414,8 +415,8 @@ TEST(AnnealTest, ExcludesMeasuredConfigs) {
   for (size_t i = 0; i < space.size() / 2; ++i) exclude.insert(i);
   auto score = [](size_t) { return 1.0; };
   Rng rng(2);
-  std::vector<size_t> batch =
-      tuner::ProposeBatch(space, score, exclude, 10, rng);
+  std::vector<size_t> batch = tuner::ProposeBatch(
+      space, tuner::BuildNeighborLists(space), score, exclude, 10, rng);
   for (size_t index : batch) {
     EXPECT_EQ(exclude.count(index), 0u);
   }
