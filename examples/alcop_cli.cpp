@@ -72,13 +72,13 @@
 // A WORKLOAD is a benchmark op name (see `ops`) or M N K [batch], every
 // size a whole number > 0 that fits 64 bits. Every other number, flag
 // values and client sizes included, is read the same way and must fit
-// its flag's range; a bad one exits 1 with one line naming it. One
-// table-driven reader (ReadArgs) reads every command's and every client
-// method's arguments: an unknown flag, a value flag without its value
-// (given last, or followed by a flag), a surplus operand or a missing one
-// exits 1 with one line naming it, before any file is read, any socket is
-// bound or connected, or anything is compiled. compile, timeline, lint, profile and
-// calibrate use the best schedule found by a 16-trial analytical ranking.
+// its flag's range. One table-driven reader (ReadArgs) reads every
+// command's and client method's arguments: a bad number, an unknown flag,
+// a value flag without its value (given last, or followed by a flag), or
+// a surplus or missing operand exits 1 with one line naming it, before
+// any file is read, any socket is bound or connected, or anything is
+// compiled. compile, timeline, lint, profile and calibrate use the best
+// schedule found by a 16-trial analytical ranking.
 #include <algorithm>
 #include <cctype>
 #include <charconv>
